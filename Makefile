@@ -101,8 +101,12 @@ bench-check:
 # The full gate a PR must clear.
 ci: vet build test race chaos cover fuzz-smoke bench-check
 
+# The experiment benchmarks once each, then the interpreter's packet
+# lifecycle in ns/frame with its allocation count (the bench harness's
+# hwsim.exec_ns, reproduced without the harness).
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
+	$(GO) test -bench Interpreter -run '^$$' ./internal/hwsim/
 
 # Observability demo: a traced, metered firewall run. Leaves the
 # cycle-level event stream in /tmp/ehdl-trace.jsonl.

@@ -164,7 +164,7 @@ func printPoints(b *benchreg.Baseline) {
 		switch {
 		case strings.HasSuffix(k, "/mpps") && !strings.HasPrefix(k, "host/"):
 			gate = "* " // gated against the baseline (5% tolerance)
-		case k == benchreg.KeyFastpathToyMpps || k == benchreg.KeyFastpathSpeedup4Q:
+		case k == benchreg.KeyFastpathToyMpps || k == benchreg.KeyFastpathToyQ4Mpps:
 			gate = "* " // gated: fast-path floor (see benchreg.Compare)
 		}
 		fmt.Printf("  %s%-32s %12.3f\n", gate, k, b.Points[k])

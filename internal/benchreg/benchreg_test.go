@@ -33,7 +33,8 @@ func TestCollectCoversEveryFigure(t *testing.T) {
 		"fig10/firewall/lut_pct", "fig10/firewall/bram_pct",
 		"scaling/toy/q1/mpps", "scaling/toy/q8/mpps", "scaling/toy/speedup_4q",
 		KeyFastpathToyMpps, "host/fastpath/firewall/mpps",
-		"host/fastpath/toy/q4/mpps", KeyFastpathSpeedup4Q,
+		KeyFastpathToyQ4Mpps, KeyFastpathToyQ4InterpMpps,
+		KeyFastpathSpeedupQ1, KeyFastpathSpeedup4Q,
 	} {
 		if _, ok := b.Points[k]; !ok {
 			t.Errorf("point %q missing", k)
@@ -112,50 +113,108 @@ func TestCompareFlagsRegressions(t *testing.T) {
 }
 
 // TestFastpathGates pins the compiled-path gate arithmetic: the gates
-// arm only when the baseline records the fast-path keys, the Mpps gate
-// floors at FastpathFactor times the smaller of the committed and the
-// just-measured interpreter rate (noise on the collecting host sinks
-// both legs together; a fast host cannot raise the bar), and the
-// 4-queue speedup must strictly exceed 1.
+// arm only when the baseline records the fast-path keys; each gated
+// point must stay above FastpathSlack of its own committed value,
+// scaled down by the interpreter leg when the whole host is slow; a
+// faster interpreter never fails a gate, however far the speedup
+// ratios fall; a fast-path-only slowdown of 30% always does.
 func TestFastpathGates(t *testing.T) {
 	base := &Baseline{Packets: 100, Points: map[string]float64{
-		KeyScalingToyQ1Mpps:  0.4,
-		KeyFastpathToyMpps:   6,
-		KeyFastpathSpeedup4Q: 8,
+		KeyScalingToyQ1Mpps:        0.4,
+		KeyFastpathToyMpps:         6,
+		KeyFastpathToyQ4InterpMpps: 0.5,
+		KeyFastpathToyQ4Mpps:       2,
+		KeyFastpathSpeedupQ1:       15,
+		KeyFastpathSpeedup4Q:       4,
 	}}
-	cur := &Baseline{Packets: 100, Points: map[string]float64{
-		KeyScalingToyQ1Mpps:  0.2, // a slow collection day halves the denominator too
-		KeyFastpathToyMpps:   2.5, // above 10 x min(0.4, 0.2)
-		KeyFastpathSpeedup4Q: 1.5,
-	}}
-	if regs := Compare(base, cur, 5); len(regs) != 0 {
-		t.Errorf("passing fast path flagged: %v", regs)
+	fresh := func() *Baseline {
+		cur := &Baseline{Packets: 100, Points: map[string]float64{}}
+		for k, v := range base.Points {
+			cur.Points[k] = v
+		}
+		return cur
+	}
+	flagged := func(cur *Baseline, key string) bool {
+		t.Helper()
+		regs := Compare(base, cur, 5)
+		switch {
+		case len(regs) == 0:
+			return false
+		case len(regs) == 1 && strings.Contains(regs[0], key):
+			return true
+		}
+		t.Fatalf("want at most one regression, on %s: %v", key, regs)
+		return false
 	}
 
-	cur.Points[KeyFastpathToyMpps] = 1.9 // below 10 x min(0.4, 0.2)
-	regs := Compare(base, cur, 5)
-	if len(regs) != 1 || !strings.Contains(regs[0], KeyFastpathToyMpps) {
-		t.Errorf("sub-floor fast path not flagged: %v", regs)
+	if regs := Compare(base, fresh(), 5); len(regs) != 0 {
+		t.Errorf("baseline regressed against itself: %v", regs)
 	}
 
-	// A fast host cannot raise the bar past the committed rate.
-	cur.Points[KeyScalingToyQ1Mpps] = 0.9
-	cur.Points[KeyFastpathToyMpps] = 4.5 // above 10 x min(0.4, 0.9), below 10 x 0.9
+	// A faster interpreter moves no floor: the fast path at its
+	// committed rate passes although both ratios collapse below 1.
+	cur := fresh()
+	cur.Points[KeyScalingToyQ1Mpps] = 8
+	cur.Points[KeyFastpathToyQ4InterpMpps] = 3
+	cur.Points[KeyFastpathSpeedupQ1] = 0.75
+	cur.Points[KeyFastpathSpeedup4Q] = 0.67
 	if regs := Compare(base, cur, 5); len(regs) != 0 {
-		t.Errorf("committed-rate cap not applied: %v", regs)
+		t.Errorf("faster interpreter failed the fast-path gates: %v", regs)
 	}
+	// ...and buys the fast path no slack either: the cap holds at 1.
+	cur.Points[KeyFastpathToyMpps] = 4.1 // 6 x 0.7 = 4.2
+	if !flagged(cur, KeyFastpathToyMpps) {
+		t.Error("31% fast-path slowdown hidden by a faster interpreter")
+	}
+
+	// A fast-path-only slowdown: 29% passes, 30% and beyond fail.
+	for _, c := range []struct {
+		key   string
+		share float64
+		fail  bool
+	}{
+		{KeyFastpathToyMpps, 0.71, false},
+		{KeyFastpathToyMpps, FastpathSlack, true},
+		{KeyFastpathToyMpps, 0.5, true},
+		{KeyFastpathToyQ4Mpps, 0.71, false},
+		{KeyFastpathToyQ4Mpps, FastpathSlack, true},
+	} {
+		cur := fresh()
+		cur.Points[c.key] = base.Points[c.key] * c.share
+		if got := flagged(cur, c.key); got != c.fail {
+			t.Errorf("%s at %.0f%% of its baseline: flagged=%v, want %v", c.key, 100*c.share, got, c.fail)
+		}
+	}
+
+	// A slow collection day halves both legs: the floor follows the
+	// interpreter leg down, each gate by its own reference.
+	cur = fresh()
 	cur.Points[KeyScalingToyQ1Mpps] = 0.2
-	cur.Points[KeyFastpathToyMpps] = 2.5
-
-	cur.Points[KeyFastpathSpeedup4Q] = 0.97
-	regs = Compare(base, cur, 5)
-	if len(regs) != 1 || !strings.Contains(regs[0], KeyFastpathSpeedup4Q) {
-		t.Errorf("speedup <= 1 not flagged: %v", regs)
+	cur.Points[KeyFastpathToyMpps] = 3 // floor 6 x 0.5 x 0.7 = 2.1
+	if regs := Compare(base, cur, 5); len(regs) != 0 {
+		t.Errorf("uniformly slow host flagged: %v", regs)
 	}
+	cur.Points[KeyFastpathToyMpps] = 2 // slower than the host explains
+	if !flagged(cur, KeyFastpathToyMpps) {
+		t.Error("sub-floor fast path on a slow host not flagged")
+	}
+	cur.Points[KeyFastpathToyMpps] = 3
+	cur.Points[KeyFastpathToyQ4Mpps] = 1.2 // q4 reference did not slow: floor 1.4
+	if !flagged(cur, KeyFastpathToyQ4Mpps) {
+		t.Error("q4 gate borrowed the q1 leg's host-speed scale")
+	}
+
+	// A gated point that vanishes fails; the informational ratios may.
+	cur = fresh()
+	delete(cur.Points, KeyFastpathSpeedupQ1)
 	delete(cur.Points, KeyFastpathSpeedup4Q)
-	regs = Compare(base, cur, 5)
+	if regs := Compare(base, cur, 5); len(regs) != 0 {
+		t.Errorf("informational ratios gated: %v", regs)
+	}
+	delete(cur.Points, KeyFastpathToyQ4Mpps)
+	regs := Compare(base, cur, 5)
 	if len(regs) != 1 || !strings.Contains(regs[0], "disappeared") {
-		t.Errorf("vanished speedup not flagged: %v", regs)
+		t.Errorf("vanished fast-path point not flagged: %v", regs)
 	}
 
 	// A baseline that predates the fast path arms nothing, whatever the

@@ -6,6 +6,7 @@ import (
 
 	"ehdl/internal/apps"
 	"ehdl/internal/core"
+	"ehdl/internal/ebpf"
 	"ehdl/internal/pktgen"
 )
 
@@ -36,10 +37,41 @@ func fuzzSeedCorpus(seed int64) [][]byte {
 	return out
 }
 
+// fuzzTraffic sandwiches the fuzz input between two well-formed packets
+// of one established flow, so it interacts with live map state, and
+// appends a tail of the same well-formed packet so that the interpreter
+// recycles the fuzzed frame's job for one of them: it is offered one
+// frame a cycle and hands each injection the job that retired the cycle
+// before, so the tail only has to outlast the fuzzed frame. That frame
+// retires one pipeline depth after injection plus one replay for each
+// flush it is caught in — at most two here, the first sighting of the
+// established flow and of whatever flow the fuzzer forged — and three
+// times the deepest pipeline covers it with room to spare. Whatever the
+// fuzzed frame left in its job then has to survive the comparison of a
+// well-formed frame.
+func fuzzTraffic(t testing.TB, prog *ebpf.Program, well []byte) func(data []byte) [][]byte {
+	depth := 0
+	for _, opts := range []core.Options{{}, {DisableBoundsElision: true}} {
+		pl, err := core.Compile(prog, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pl.Stages) > depth {
+			depth = len(pl.Stages)
+		}
+	}
+	return func(data []byte) [][]byte {
+		packets := [][]byte{well, data, well}
+		for i := 0; i < 3*depth; i++ {
+			packets = append(packets, well)
+		}
+		return packets
+	}
+}
+
 // FuzzDifferential feeds arbitrary (mostly malformed) packets to the
-// firewall on both engines, sandwiched between two well-formed packets
-// of one established flow so the fuzz input interacts with live map
-// state. Two oracles per input:
+// firewall on both engines, inside fuzzTraffic's sandwich. Two oracles
+// per input:
 //
 //  1. With bounds-check elision disabled the pipeline executes the
 //     program's own checks, so verdicts, bytes and final map state must
@@ -66,11 +98,12 @@ func FuzzDifferential(f *testing.F) {
 		Flow:     pktgen.Flow{SrcIP: 0x0a000001, DstIP: 0x0a000002, SrcPort: 4242, DstPort: 8080, Proto: 17},
 		TotalLen: 64,
 	})
+	traffic := fuzzTraffic(f, prog, well)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<12 {
 			t.Skip("oversized fuzz input")
 		}
-		packets := [][]byte{well, data, well}
+		packets := traffic(data)
 
 		exact := Config{Opts: core.Options{DisableBoundsElision: true}, MaxCycles: 1 << 18}
 		if err := DiffProgram(prog, app.SetupHost, packets, exact); err != nil {
@@ -102,9 +135,10 @@ func FuzzDifferential(f *testing.F) {
 
 // FuzzFastPath is the interpreter-vs-compiled differential fuzzer:
 // arbitrary (mostly malformed) packets run through the cycle-accurate
-// simulator and the compiled fast path, sandwiched between two
-// well-formed packets of one established flow so the fuzz input
-// interacts with live map state. Unlike FuzzDifferential's vm oracle,
+// simulator and the compiled fast path, inside fuzzTraffic's sandwich
+// (the interpreter leg recycles the fuzzed frame's job; the fast path
+// reuses its one state for every frame anyway). Unlike
+// FuzzDifferential's vm oracle,
 // this pair is exact for every input: both engines execute the same
 // specialized pipeline including the hardware per-access bounds check
 // that stands in for bounds-elided program checks, so verdicts,
@@ -126,11 +160,12 @@ func FuzzFastPath(f *testing.F) {
 		Flow:     pktgen.Flow{SrcIP: 0x0a000001, DstIP: 0x0a000002, SrcPort: 4242, DstPort: 8080, Proto: 17},
 		TotalLen: 64,
 	})
+	traffic := fuzzTraffic(f, prog, well)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<12 {
 			t.Skip("oversized fuzz input")
 		}
-		packets := [][]byte{well, data, well}
+		packets := traffic(data)
 		if err := DiffProgramFastPath(prog, app.SetupHost, packets, Config{MaxCycles: 1 << 18}); err != nil {
 			t.Fatal(err)
 		}

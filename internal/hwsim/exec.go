@@ -20,7 +20,7 @@ func (s *Sim) execStage(j *job, t int) error {
 	for i := range s.pl.Maps {
 		mb := &s.pl.Maps[i]
 		if mb.NeedsFlush && mb.FlushFromStage == t && mb.FlushFromStage > 0 {
-			j.snapshot = j.capture()
+			j.snapshot = j.capture(&j.elastic)
 			break
 		}
 	}
@@ -72,7 +72,7 @@ func (s *Sim) stallCheck(j *job, t int) (bool, int) {
 		if op.MapID < 0 || !hasBit(j.enabled, op.BlockID) {
 			continue
 		}
-		mb := s.mapBlockOf[op.MapID]
+		mb := s.mapBlocks[op.MapID]
 		if mb == nil || !mb.NeedsFlush {
 			continue
 		}
@@ -228,8 +228,8 @@ func (s *Sim) execOp(j *job, op *core.Op, t int) error {
 		if isMap {
 			s.reencodeMapWrite(j, op.MapID)
 			j.commits++
-			if key, ok := j.lookupKey[op.MapID]; ok {
-				s.noteMapWrite(op.MapID, key, false)
+			if l := &j.lookups[op.MapID]; l.valid {
+				s.noteMapWrite(op.MapID, l.key, false)
 			}
 			isAtomicPrimitive := op.Kind == core.OpAtomic && !s.pl.Options.DisableAtomics
 			if !isAtomicPrimitive {
@@ -323,8 +323,8 @@ func (s *Sim) addrOf(j *job, op *core.Op) (uint64, error) {
 	case ddg.AreaCtx:
 		return vm.CtxBase + uint64(acc.Off), nil
 	case ddg.AreaMap:
-		base, ok := j.lookupAddr[op.MapID]
-		if !ok || base == 0 {
+		base := j.lookups[op.MapID].addr
+		if base == 0 {
 			return 0, fmt.Errorf("map access without a preceding lookup hit")
 		}
 		return base + uint64(acc.Off), nil
@@ -349,9 +349,9 @@ func (s *Sim) memFault(j *job, op *core.Op, err error) error {
 func (s *Sim) execMapCall(j *job, op *core.Op, t int) error {
 	st := j.st
 	spec := s.pl.Transformed.Maps[op.MapID]
-	mb := s.mapBlockOf[op.MapID]
+	mb := s.mapBlocks[op.MapID]
 
-	key, err := s.helperArg(st, op.KeyOffKnown, op.KeyStackOff, ebpf.R2, spec.KeySize)
+	key, err := s.helperArg(s.keyBuf, st, op.KeyOffKnown, op.KeyStackOff, ebpf.R2, spec.KeySize)
 	if err != nil {
 		return fmt.Errorf("map %q key: %w", spec.Name, err)
 	}
@@ -376,7 +376,7 @@ func (s *Sim) execMapCall(j *job, op *core.Op, t int) error {
 		// Commit our own pending effects first (store-to-load ordering
 		// within one packet is program order by construction).
 		addr := s.exec.LookupValueAddr(op.MapID, key)
-		if sv, ok := s.shadowLookup(op.MapID, string(key), j); ok {
+		if sv, ok := s.shadowLookup(op.MapID, key, j); ok {
 			// An older packet must observe the pre-write value: redirect
 			// the pointer at a stable shadow address.
 			if sv == nil {
@@ -385,38 +385,35 @@ func (s *Sim) execMapCall(j *job, op *core.Op, t int) error {
 				addr = s.exec.Mem.ValueAddress(op.MapID, string(key)+"\x00shadow", sv)
 			}
 		}
-		j.lookupAddr[op.MapID] = addr
-		j.lookupKey[op.MapID] = string(key)
+		l := &j.lookups[op.MapID]
+		l.addr, l.key, l.valid = addr, append(l.key[:0], key...), true
 		if mb != nil && mb.NeedsFlush {
 			// The Flush Evaluation Block stores every unconfirmed read
 			// address: a program that looks up several keys (e.g. forward
 			// and reverse flow entries) keeps all of them armed until the
 			// packet passes the write stage or is flushed.
-			if j.reads[op.MapID] == nil {
-				j.reads[op.MapID] = map[string]bool{}
-			}
-			j.reads[op.MapID][string(key)] = true
+			j.noteRead(op.MapID, key)
 		}
 		st.Regs[ebpf.R0] = addr
 
 	case ebpf.HelperMapUpdateElem:
-		val, err := s.helperArg(st, op.ValOffKnown, op.ValStackOff, ebpf.R3, spec.ValueSize)
+		val, err := s.helperArg(s.valBuf, st, op.ValOffKnown, op.ValStackOff, ebpf.R3, spec.ValueSize)
 		if err != nil {
 			return fmt.Errorf("map %q value: %w", spec.Name, err)
 		}
 		flags := maps.UpdateFlag(st.Regs[ebpf.R4])
-		s.preWriteShadowKey(j, op.MapID, string(key))
+		s.preWriteShadowKey(j, op.MapID, key)
 		st.Regs[ebpf.R0] = s.exec.UpdateResult(op.MapID, key, val, flags)
 		j.commits++
-		s.noteMapWrite(op.MapID, string(key), false)
-		s.rawHazardCheckKey(j, op.MapID, string(key), t)
+		s.noteMapWrite(op.MapID, key, false)
+		s.rawHazardCheckKey(j, op.MapID, key, t)
 
 	case ebpf.HelperMapDeleteElem:
-		s.preWriteShadowKey(j, op.MapID, string(key))
+		s.preWriteShadowKey(j, op.MapID, key)
 		st.Regs[ebpf.R0] = s.exec.DeleteResult(op.MapID, key)
 		j.commits++
-		s.noteMapWrite(op.MapID, string(key), true)
-		s.rawHazardCheckKey(j, op.MapID, string(key), t)
+		s.noteMapWrite(op.MapID, key, true)
+		s.rawHazardCheckKey(j, op.MapID, key, t)
 
 	default:
 		return fmt.Errorf("unsupported map helper %s", op.Helper.Name())
@@ -429,19 +426,23 @@ func (s *Sim) execMapCall(j *job, op *core.Op, t int) error {
 	return nil
 }
 
-// helperArg fetches a helper pointer argument either from its static
-// stack slot or through the argument register.
-func (s *Sim) helperArg(st *vm.State, known bool, off int64, reg ebpf.Register, size int) ([]byte, error) {
+// helperArg fetches a helper pointer argument, either from its static
+// stack slot or through the argument register, into buf — Sim-owned
+// scratch sized for the largest key or value, valid until the next map
+// call. The copy keeps the argument stable while the helper mutates
+// the memory it came from; no callee retains it.
+func (s *Sim) helperArg(buf []byte, st *vm.State, known bool, off int64, reg ebpf.Register, size int) ([]byte, error) {
+	var src []byte
+	var err error
 	if known {
-		b, err := st.StackSlice(off, size)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]byte, size)
-		copy(out, b)
-		return out, nil
+		src, err = st.StackSlice(off, size)
+	} else {
+		src, err = s.exec.Mem.ViewBytes(st, st.Regs[reg], size)
 	}
-	return s.exec.Mem.ReadBytes(st, st.Regs[reg], size)
+	if err != nil {
+		return nil, err
+	}
+	return buf[:copy(buf, src)], nil
 }
 
 // --- WAR shadows ------------------------------------------------------
@@ -449,28 +450,26 @@ func (s *Sim) helperArg(st *vm.State, known bool, off int64, reg ebpf.Register, 
 // preWriteShadow captures the pre-write value of the entry the packet
 // last looked up, when the map block needs a write-delay buffer.
 func (s *Sim) preWriteShadow(mapID int, j *job) {
-	key, ok := j.lookupKey[mapID]
-	if !ok {
-		return
+	if l := &j.lookups[mapID]; l.valid {
+		s.preWriteShadowKey(j, mapID, l.key)
 	}
-	s.preWriteShadowKey(j, mapID, key)
 }
 
-func (s *Sim) preWriteShadowKey(j *job, mapID int, key string) {
-	mb := s.mapBlockOf[mapID]
+func (s *Sim) preWriteShadowKey(j *job, mapID int, key []byte) {
+	mb := s.mapBlocks[mapID]
 	if mb == nil || mb.WARDepth == 0 {
 		return
 	}
 	mp, _ := s.env.Maps.ByID(mapID)
 	var old []byte
 	had := false
-	if v, ok := mp.Lookup([]byte(key)); ok {
+	if v, ok := mp.Lookup(key); ok {
 		old = append([]byte(nil), v...)
 		had = true
 	}
 	s.shadows = append(s.shadows, warShadow{
 		mapID:     mapID,
-		key:       key,
+		key:       string(key),
 		oldValue:  old,
 		hadEntry:  had,
 		writerSeq: j.seq,
@@ -487,10 +486,10 @@ func (s *Sim) preWriteShadowKey(j *job, mapID int, key string) {
 // visible only to a reader still ahead of the in-flight writer. A
 // retired writer leaves no legitimate reader behind — every packet that
 // was ahead of it retired first — so its shadows go dark immediately.
-func (s *Sim) shadowLookup(mapID int, key string, j *job) ([]byte, bool) {
+func (s *Sim) shadowLookup(mapID int, key []byte, j *job) ([]byte, bool) {
 	for i := len(s.shadows) - 1; i >= 0; i-- {
 		sh := &s.shadows[i]
-		if sh.mapID != mapID || sh.key != key {
+		if sh.mapID != mapID || sh.key != string(key) {
 			continue
 		}
 		if ws, inFlight := s.stageOfSeq(sh.writerSeq); inFlight && j.stage > ws {
@@ -515,11 +514,11 @@ func (s *Sim) stageOfSeq(seq uint64) (int, bool) {
 
 // shadowValue returns the shadow for the entry the packet looked up.
 func (s *Sim) shadowValue(mapID int, j *job) ([]byte, bool) {
-	key, ok := j.lookupKey[mapID]
-	if !ok {
+	l := &j.lookups[mapID]
+	if !l.valid {
 		return nil, false
 	}
-	sv, ok := s.shadowLookup(mapID, key, j)
+	sv, ok := s.shadowLookup(mapID, l.key, j)
 	if !ok || sv == nil {
 		return nil, false
 	}
@@ -532,11 +531,9 @@ func (s *Sim) shadowValue(mapID int, j *job) ([]byte, bool) {
 // the lookup pointer: the written entry is the one this packet last
 // looked up.
 func (s *Sim) rawHazardCheck(j *job, mapID int, t int) {
-	key, ok := j.lookupKey[mapID]
-	if !ok {
-		return
+	if l := &j.lookups[mapID]; l.valid {
+		s.rawHazardCheckKey(j, mapID, l.key, t)
 	}
-	s.rawHazardCheckKey(j, mapID, key, t)
 }
 
 // rawHazardCheckKey flushes the younger in-flight packets whose
@@ -546,11 +543,11 @@ func (s *Sim) rawHazardCheck(j *job, mapID int, t int) {
 // keep flowing, which also guarantees that replayed packets never carry
 // committed side effects (their stale read steered them onto a path
 // that commits only at or after the write stage).
-func (s *Sim) rawHazardCheckKey(j *job, mapID int, key string, t int) {
+func (s *Sim) rawHazardCheckKey(j *job, mapID int, key []byte, t int) {
 	if s.cfg.Policy != PolicyFlush {
 		return
 	}
-	mb := s.mapBlockOf[mapID]
+	mb := s.mapBlocks[mapID]
 	if mb == nil || !mb.NeedsFlush {
 		return
 	}
@@ -564,7 +561,7 @@ func (s *Sim) rawHazardCheckKey(j *job, mapID int, key string, t int) {
 		if v == nil || v == j {
 			continue
 		}
-		if v.reads[mapID][key] {
+		if v.hasRead(mapID, key) {
 			hazard = true
 			break
 		}

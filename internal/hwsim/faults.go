@@ -22,12 +22,13 @@ func (s *Sim) applyFaults() {
 	}
 
 	// In-flight packets, oldest first, as deterministic SEU targets.
-	var jobs []*job
+	jobs := s.targets[:0]
 	for t := len(s.stages) - 1; t >= 0; t-- {
 		if s.stages[t] != nil {
 			jobs = append(jobs, s.stages[t])
 		}
 	}
+	s.targets = jobs
 
 	if inj.Roll(faults.SEURegister) && len(jobs) > 0 {
 		j := jobs[inj.Intn(faults.SEURegister, len(jobs))]
@@ -111,6 +112,6 @@ func (s *Sim) forceFlushStorm(inj *faults.Injector) {
 	}
 	// An empty key matches no unconfirmed read; force selects the safe
 	// victims regardless.
-	s.flushVictims(mb.FlushFromStage, writeStage, mb.MapID, "", true)
+	s.flushVictims(mb.FlushFromStage, writeStage, mb.MapID, nil, true)
 	s.noteFault(inj, faults.FlushStorm)
 }

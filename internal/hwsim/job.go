@@ -1,0 +1,225 @@
+package hwsim
+
+import (
+	"bytes"
+
+	"ehdl/internal/ebpf"
+	"ehdl/internal/vm"
+)
+
+// job is one in-flight packet and its architectural state. Jobs are
+// pooled: a Sim owns every job it ever allocates, Inject arms a free
+// one and complete — the single retirement point — returns it once the
+// completion callback has run. Between those two calls exactly one of
+// the ingress queue, a pipeline stage or the reload queue holds it.
+// Everything a job points at (state, packet buffer, bitset, per-map
+// slots, both snapshot slots) is allocated once and reused, so the
+// steady-state packet lifecycle performs no heap allocation.
+type job struct {
+	seq        uint64
+	st         *vm.State
+	enabled    []uint64 // block-enable bitset
+	done       bool
+	action     ebpf.XDPAction
+	redirect   uint32
+	injectedAt uint64
+	frames     int
+	stage      int // current stage, -1 while queued
+	execStage  int // last stage whose ops ran (guards stalls)
+
+	lookups []lookup // mapID -> last lookup
+	// reads lists, per mapID, the keys of this packet's unconfirmed
+	// reads — the addresses the Flush Evaluation Block compares a write
+	// against. Keys of one map have one size, so each list is the keys
+	// back to back in one reusable buffer.
+	reads   [][]byte
+	flushed int
+	commits int // committed map mutations (atomic/update/delete/store)
+
+	// snapshot is nil until the packet enters an elastic-buffer stage,
+	// then points at the elastic slot.
+	snapshot *snapshot
+	initial  snapshot // replay state as injected
+	elastic  snapshot // replay state entering the elastic-buffer stage
+}
+
+// lookup is the outcome of a packet's last bpf_map_lookup_elem on one
+// map: the value address the pointer-relative accesses resolve against
+// and the key naming the entry.
+type lookup struct {
+	addr  uint64
+	key   []byte
+	valid bool // a lookup ran (key is meaningful even when it missed)
+}
+
+// snapshot captures everything needed to replay a packet from a stage.
+// A slot is filled in place by capture and copied back by restore; it
+// owns its state, packet buffer and key storage.
+type snapshot struct {
+	st       vm.State
+	enabled  []uint64
+	lookups  []lookup
+	done     bool
+	action   ebpf.XDPAction
+	redirect uint32
+	commits  int
+}
+
+func copyLookups(dst, src []lookup) {
+	for i := range src {
+		dst[i].addr = src[i].addr
+		dst[i].key = append(dst[i].key[:0], src[i].key...)
+		dst[i].valid = src[i].valid
+	}
+}
+
+// capture fills slot s with the job's replay state and returns it.
+func (j *job) capture(s *snapshot) *snapshot {
+	s.st.CopyFrom(j.st)
+	s.enabled = append(s.enabled[:0], j.enabled...)
+	copyLookups(s.lookups, j.lookups)
+	s.done = j.done
+	s.action = j.action
+	s.redirect = j.redirect
+	s.commits = j.commits
+	return s
+}
+
+// restore rewinds the job to a captured state. The replay starts with
+// no unconfirmed reads.
+func (j *job) restore(s *snapshot) {
+	j.st.CopyFrom(&s.st)
+	j.enabled = append(j.enabled[:0], s.enabled...)
+	copyLookups(j.lookups, s.lookups)
+	j.clearReads()
+	j.done = s.done
+	j.action = s.action
+	j.redirect = s.redirect
+	j.commits = s.commits
+}
+
+// hasRead reports whether key is among the packet's unconfirmed reads
+// of mapID. The empty key matches nothing.
+func (j *job) hasRead(mapID int, key []byte) bool {
+	n := len(key)
+	if n == 0 {
+		return false
+	}
+	r := j.reads[mapID]
+	for i := 0; i+n <= len(r); i += n {
+		if bytes.Equal(r[i:i+n], key) {
+			return true
+		}
+	}
+	return false
+}
+
+// noteRead arms key as an unconfirmed read of mapID.
+func (j *job) noteRead(mapID int, key []byte) {
+	if !j.hasRead(mapID, key) {
+		j.reads[mapID] = append(j.reads[mapID], key...)
+	}
+}
+
+func (j *job) clearReads() {
+	for i := range j.reads {
+		j.reads[i] = j.reads[i][:0]
+	}
+}
+
+// acquire hands out a job armed for data, indistinguishable from a
+// freshly allocated one whatever its previous packet left behind.
+func (s *Sim) acquire(data []byte, frames int) *job {
+	var j *job
+	if n := len(s.free); n > 0 {
+		j = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		nMaps := len(s.mapBlocks)
+		slots := make([]lookup, 3*nMaps)
+		j = &job{
+			st:      &vm.State{},
+			enabled: make([]uint64, (len(s.pl.Blocks)+63)/64+1),
+			lookups: slots[:nMaps:nMaps],
+			reads:   make([][]byte, nMaps),
+		}
+		j.initial.lookups = slots[nMaps : 2*nMaps : 2*nMaps]
+		j.elastic.lookups = slots[2*nMaps:]
+		s.jobsAllocated++
+	}
+	j.seq = s.seq
+	j.st.Reset(data)
+	for i := range j.enabled {
+		j.enabled[i] = 0
+	}
+	setBit(j.enabled, 0) // the entry block is always enabled
+	j.done, j.action, j.redirect = false, 0, 0
+	j.injectedAt = s.cycle
+	j.frames = frames
+	j.stage, j.execStage = -1, -1
+	for i := range j.lookups {
+		l := &j.lookups[i]
+		l.addr, l.key, l.valid = 0, l.key[:0], false
+	}
+	j.clearReads()
+	j.flushed, j.commits = 0, 0
+	j.snapshot = nil
+	j.capture(&j.initial)
+	return j
+}
+
+// release returns a retired job to the pool.
+func (s *Sim) release(j *job) { s.free = append(s.free, j) }
+
+// jobRing is a FIFO of jobs that also accepts pushes at the head: the
+// ingress queue, and the reload queue flush victims re-enter from
+// (newer flushes recall older packets, which go in front). The backing
+// array doubles on demand and is indexed, never resliced, so a ring at
+// its working size allocates nothing.
+type jobRing struct {
+	buf  []*job // len is zero or a power of two
+	head int
+	n    int
+}
+
+func (r *jobRing) len() int { return r.n }
+
+func (r *jobRing) grow() {
+	size := 2 * len(r.buf)
+	if size == 0 {
+		size = 16
+	}
+	buf := make([]*job, size)
+	for i := 0; i < r.n; i++ {
+		buf[i] = r.at(i)
+	}
+	r.buf, r.head = buf, 0
+}
+
+// at returns the i-th job from the head.
+func (r *jobRing) at(i int) *job { return r.buf[(r.head+i)&(len(r.buf)-1)] }
+
+func (r *jobRing) pushBack(j *job) {
+	if r.n == len(r.buf) {
+		r.grow()
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = j
+	r.n++
+}
+
+func (r *jobRing) pushFront(j *job) {
+	if r.n == len(r.buf) {
+		r.grow()
+	}
+	r.head = (r.head - 1) & (len(r.buf) - 1)
+	r.buf[r.head] = j
+	r.n++
+}
+
+func (r *jobRing) popFront() *job {
+	j := r.buf[r.head]
+	r.buf[r.head] = nil
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return j
+}

@@ -224,10 +224,9 @@ func (s *Sim) recoverNow(reason string) error {
 			s.abortInFlight(j)
 		}
 	}
-	for _, j := range s.reload {
-		s.abortInFlight(j)
+	for s.reload.len() > 0 {
+		s.abortInFlight(s.reload.popFront())
 	}
-	s.reload = nil
 
 	s.stallPoint, s.stallDrainTo, s.reloadDelay = -1, -1, 0
 	s.injectGap = 0
@@ -274,13 +273,13 @@ func (s *Sim) checkMapRead(j *job, mapID int) error {
 	if mapID < 0 || mapID >= len(s.protected) {
 		return nil
 	}
-	key, ok := j.lookupKey[mapID]
-	if !ok {
+	l := &j.lookups[mapID]
+	if !l.valid {
 		return nil
 	}
-	if !s.protected[mapID].CheckKey([]byte(key)) {
+	if !s.protected[mapID].CheckKey(l.key) {
 		return fmt.Errorf("map %q entry %x: %w",
-			s.pl.Transformed.Maps[mapID].Name, key, errUncorrectableAccess)
+			s.pl.Transformed.Maps[mapID].Name, l.key, errUncorrectableAccess)
 	}
 	return nil
 }
@@ -292,7 +291,7 @@ func (s *Sim) reencodeMapWrite(j *job, mapID int) {
 	if mapID < 0 || mapID >= len(s.protected) {
 		return
 	}
-	if key, ok := j.lookupKey[mapID]; ok {
-		s.protected[mapID].Reencode([]byte(key))
+	if l := &j.lookups[mapID]; l.valid {
+		s.protected[mapID].Reencode(l.key)
 	}
 }

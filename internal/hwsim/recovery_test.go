@@ -138,8 +138,8 @@ func TestRecoveryDrainAndRestartEveryApp(t *testing.T) {
 					t.Errorf("stage %d still occupied right after recovery", i)
 				}
 			}
-			if len(sim.reload) != 0 {
-				t.Errorf("%d flush victims survived the drain", len(sim.reload))
+			if sim.reload.len() != 0 {
+				t.Errorf("%d flush victims survived the drain", sim.reload.len())
 			}
 			if st.RecoveryAborted == 0 {
 				t.Error("recovery drained no in-flight frames (burst was in flight)")

@@ -310,80 +310,6 @@ func (s Stats) AvgLatencyNs(clockHz float64) float64 {
 	return float64(s.LatencySum) / float64(s.Completed) / clockHz * 1e9
 }
 
-// job is one in-flight packet and its architectural state.
-type job struct {
-	seq        uint64
-	st         *vm.State
-	enabled    []uint64 // block-enable bitset
-	done       bool
-	action     ebpf.XDPAction
-	redirect   uint32
-	injectedAt uint64
-	frames     int
-	stage      int // current stage, -1 while queued
-	execStage  int // last stage whose ops ran (guards stalls)
-
-	lookupAddr map[int]uint64 // mapID -> last lookup value address
-	lookupKey  map[int]string // mapID -> last lookup key
-	reads      map[int]map[string]bool // mapID -> unconfirmed read keys (flush eval addresses)
-	flushed    int
-	commits    int // committed map mutations (atomic/update/delete/store)
-
-	snapshot *snapshot // taken entering the elastic-buffer stage
-	initial  *snapshot
-}
-
-// snapshot captures everything needed to replay a packet from a stage.
-type snapshot struct {
-	st         *vm.State
-	enabled    []uint64
-	lookupAddr map[int]uint64
-	lookupKey  map[int]string
-	done       bool
-	action     ebpf.XDPAction
-	redirect   uint32
-	commits    int
-}
-
-func (j *job) capture() *snapshot {
-	la := make(map[int]uint64, len(j.lookupAddr))
-	for k, v := range j.lookupAddr {
-		la[k] = v
-	}
-	lk := make(map[int]string, len(j.lookupKey))
-	for k, v := range j.lookupKey {
-		lk[k] = v
-	}
-	return &snapshot{
-		st:         j.st.Clone(),
-		enabled:    append([]uint64(nil), j.enabled...),
-		lookupAddr: la,
-		lookupKey:  lk,
-		done:       j.done,
-		action:     j.action,
-		redirect:   j.redirect,
-		commits:    j.commits,
-	}
-}
-
-func (j *job) restore(s *snapshot) {
-	j.st = s.st.Clone()
-	j.enabled = append(j.enabled[:0], s.enabled...)
-	j.lookupAddr = make(map[int]uint64, len(s.lookupAddr))
-	for k, v := range s.lookupAddr {
-		j.lookupAddr[k] = v
-	}
-	j.lookupKey = make(map[int]string, len(s.lookupKey))
-	for k, v := range s.lookupKey {
-		j.lookupKey[k] = v
-	}
-	j.reads = map[int]map[string]bool{}
-	j.done = s.done
-	j.action = s.action
-	j.redirect = s.redirect
-	j.commits = s.commits
-}
-
 // warShadow lets older in-flight packets keep reading the pre-write
 // value of a map entry for WARDepth cycles after a younger packet's
 // write (the delay registers of Figure 6).
@@ -405,10 +331,22 @@ type Sim struct {
 
 	frameBytes int
 	stages     []*job
-	queue      []*job
-	reload     []*job // flush victims awaiting re-entry
+	queue      jobRing
+	reload     jobRing // flush victims awaiting re-entry
 	seq        uint64
 	cycle      uint64
+
+	// The job pool (see job.go): retired jobs awaiting reuse, and how
+	// many jobs this Sim ever allocated — bounded by the pipeline depth
+	// plus the ingress queue bound.
+	free          []*job
+	jobsAllocated int
+	// Scratch reused across calls: flush victims, fault targets, and
+	// the helper key/value arguments of the map call in progress.
+	victims []*job
+	targets []*job
+	keyBuf  []byte
+	valBuf  []byte
 
 	// Stall machinery: stages below stallPoint hold while the condition
 	// drains. -1 means no stall.
@@ -423,7 +361,7 @@ type Sim struct {
 
 	shadows []warShadow
 
-	mapBlockOf map[int]*core.MapBlock
+	mapBlocks []*core.MapBlock // indexed by mapID; nil for a map the pipeline never touches
 
 	// Protection and recovery state: the per-map codec wrappers
 	// (indexed by mapID), the background scrubber, the last known-good
@@ -480,13 +418,21 @@ func NewWithEnv(pl *core.Pipeline, cfg Config, env *vm.Env) (*Sim, error) {
 		stages:       make([]*job, len(pl.Stages)),
 		stallPoint:   -1,
 		stallDrainTo: -1,
-		mapBlockOf:   map[int]*core.MapBlock{},
+		mapBlocks:    make([]*core.MapBlock, len(pl.Transformed.Maps)),
 	}
 	if s.frameBytes <= 0 {
 		s.frameBytes = 64
 	}
 	for i := range pl.Maps {
-		s.mapBlockOf[pl.Maps[i].MapID] = &pl.Maps[i]
+		s.mapBlocks[pl.Maps[i].MapID] = &pl.Maps[i]
+	}
+	for _, spec := range pl.Transformed.Maps {
+		if spec.KeySize > len(s.keyBuf) {
+			s.keyBuf = make([]byte, spec.KeySize)
+		}
+		if spec.ValueSize > len(s.valBuf) {
+			s.valBuf = make([]byte, spec.ValueSize)
+		}
 	}
 	if env.Now == nil {
 		// The hardware clock: cycle count scaled to nanoseconds.
@@ -540,9 +486,9 @@ func (s *Sim) OnComplete(fn func(Result)) { s.onComplete = fn }
 func (s *Sim) OnMapWrite(fn func(mapID int, key string, deleted bool)) { s.onMapWrite = fn }
 
 // noteMapWrite fires the OnMapWrite hook for one committed mutation.
-func (s *Sim) noteMapWrite(mapID int, key string, deleted bool) {
+func (s *Sim) noteMapWrite(mapID int, key []byte, deleted bool) {
 	if s.onMapWrite != nil {
-		s.onMapWrite(mapID, key, deleted)
+		s.onMapWrite(mapID, string(key), deleted)
 	}
 }
 
@@ -551,7 +497,7 @@ func (s *Sim) KeepData(keep bool) { s.keepData = keep }
 
 // InputFree reports whether the ingress can accept a packet this cycle.
 func (s *Sim) InputFree() bool {
-	return len(s.queue) < s.cfg.queueDepth()
+	return s.queue.len() < s.cfg.queueDepth()
 }
 
 // Quiesce closes the ingress: Inject refuses every packet without
@@ -601,22 +547,9 @@ func (s *Sim) Inject(data []byte) bool {
 	if frames < 1 {
 		frames = 1
 	}
-	j := &job{
-		seq:        s.seq,
-		st:         vm.NewState(vm.NewPacket(data)),
-		enabled:    make([]uint64, (len(s.pl.Blocks)+63)/64+1),
-		injectedAt: s.cycle,
-		frames:     frames,
-		stage:      -1,
-		execStage:  -1,
-		lookupAddr: map[int]uint64{},
-		lookupKey:  map[int]string{},
-		reads:      map[int]map[string]bool{},
-	}
+	j := s.acquire(data, frames)
 	s.seq++
-	setBit(j.enabled, 0) // the entry block is always enabled
-	j.initial = j.capture()
-	s.queue = append(s.queue, j)
+	s.queue.pushBack(j)
 	s.stats.Injected++
 	if s.probes != nil {
 		s.probes.onInject(s.cycle, j.seq, len(data), frames)
@@ -629,7 +562,7 @@ func hasBit(b []uint64, i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
 
 // Busy reports whether any work remains in flight.
 func (s *Sim) Busy() bool {
-	if len(s.queue) > 0 || len(s.reload) > 0 {
+	if s.queue.len() > 0 || s.reload.len() > 0 {
 		return true
 	}
 	for _, j := range s.stages {
@@ -674,6 +607,7 @@ func (s *Sim) Step() error {
 		if s.probes != nil {
 			s.probes.onStageExit(s.cycle, j, last)
 		}
+		s.stages[last] = nil
 		s.complete(j)
 	}
 
@@ -736,7 +670,7 @@ func (s *Sim) Step() error {
 				occ++
 			}
 		}
-		s.probes.endCycle(occ, len(s.queue))
+		s.probes.endCycle(occ, s.queue.len())
 	}
 	if s.strictErr != nil {
 		return s.strictErr
@@ -762,10 +696,9 @@ func (s *Sim) serviceStall() {
 		s.reloadDelay--
 		return
 	}
-	if len(s.reload) > 0 {
+	if s.reload.len() > 0 {
 		if s.stages[s.stallPoint] == nil {
-			j := s.reload[0]
-			s.reload = s.reload[1:]
+			j := s.reload.popFront()
 			s.stages[s.stallPoint] = j
 			j.stage = s.stallPoint
 			j.execStage = s.stallPoint - 1 // execute this stage now
@@ -802,11 +735,10 @@ func (s *Sim) injectFromQueue() {
 		s.injectGap--
 		return
 	}
-	if len(s.queue) == 0 || s.stages[0] != nil {
+	if s.queue.len() == 0 || s.stages[0] != nil {
 		return
 	}
-	j := s.queue[0]
-	s.queue = s.queue[1:]
+	j := s.queue.popFront()
 	s.stages[0] = j
 	j.stage = 0
 	j.execStage = -1
@@ -816,7 +748,9 @@ func (s *Sim) injectFromQueue() {
 	}
 }
 
-// complete retires a packet.
+// complete retires a packet and returns its job to the pool. The caller
+// has already unlinked j from the stage or queue that held it, and
+// Result carries copies only, so nothing refers to the job afterwards.
 func (s *Sim) complete(j *job) {
 	if s.cfg.Faults != nil && j.action > ebpf.XDPRedirect {
 		// A fault-corrupted verdict register leaves the legal XDP range;
@@ -848,6 +782,7 @@ func (s *Sim) complete(j *job) {
 		}
 		s.onComplete(res)
 	}
+	s.release(j)
 }
 
 // expireShadows drops WAR shadows whose window has passed.
@@ -873,13 +808,14 @@ func (s *Sim) expireShadows() {
 //     re-injected victims would reorder same-key accesses. Such packets
 //     cannot have committed map effects past the elastic buffer, so
 //     their replay is side-effect free.
+//
 // When force is set (fault injection: a spurious Flush Evaluation
 // verdict), the flush proceeds even without a matching stale reader;
 // packets whose replay would repeat committed map effects are left
 // flowing instead of recalled, so a forced flush is always safe.
-func (s *Sim) flushVictims(from, writeStage, mapID int, key string, force bool) {
+func (s *Sim) flushVictims(from, writeStage, mapID int, key []byte, force bool) {
 	minRead := writeStage
-	if mb := s.mapBlockOf[mapID]; mb != nil {
+	if mb := s.mapBlocks[mapID]; mb != nil {
 		for _, r := range mb.ReadStages {
 			if r < minRead {
 				minRead = r
@@ -887,13 +823,13 @@ func (s *Sim) flushVictims(from, writeStage, mapID int, key string, force bool) 
 		}
 	}
 	matched := false
-	var victims []*job
+	victims := s.victims[:0]
 	for t := writeStage - 1; t >= from; t-- {
 		j := s.stages[t]
 		if j == nil {
 			continue
 		}
-		if j.reads[mapID][key] {
+		if j.hasRead(mapID, key) {
 			matched = true
 		} else if t > minRead || (t == minRead && j.execStage >= minRead) {
 			// Already past the read (different key, or the read path was
@@ -904,6 +840,7 @@ func (s *Sim) flushVictims(from, writeStage, mapID int, key string, force bool) 
 		victims = append(victims, j)
 		s.stages[t] = nil
 	}
+	s.victims = victims
 	if !matched && !force {
 		// No stale reader after all: put the recalled packets back.
 		for _, v := range victims {
@@ -919,11 +856,11 @@ func (s *Sim) flushVictims(from, writeStage, mapID int, key string, force bool) 
 			// Recalled on arrival at the elastic-buffer stage, before its
 			// ops (and the snapshot capture) ran: the current state is the
 			// entering state.
-			v.snapshot = v.capture()
+			v.snapshot = v.capture(&v.elastic)
 		}
 		snap := v.snapshot
 		if from == 0 || snap == nil {
-			snap = v.initial
+			snap = &v.initial
 		}
 		if v.commits != snap.commits {
 			if force {
@@ -946,7 +883,9 @@ func (s *Sim) flushVictims(from, writeStage, mapID int, key string, force bool) 
 		}
 		kept = append(kept, v)
 	}
-	s.reload = append(append([]*job(nil), kept...), s.reload...)
+	for i := len(kept) - 1; i >= 0; i-- {
+		s.reload.pushFront(kept[i])
+	}
 	s.stallPoint = from
 	s.stallDrainTo = -1
 	s.reloadDelay = s.cfg.reloadCycles()

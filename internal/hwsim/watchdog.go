@@ -81,6 +81,6 @@ func (s *Sim) checkWatchdog() error {
 		StallPoint: s.stallPoint,
 		Policy:     s.cfg.Policy,
 		InFlight:   inFlight,
-		Reloading:  len(s.reload),
+		Reloading:  s.reload.len(),
 	}
 }

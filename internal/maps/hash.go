@@ -63,8 +63,7 @@ func (h *hashMap) Update(key, value []byte, flag UpdateFlag) error {
 	if err := checkValue(h.spec, value); err != nil {
 		return err
 	}
-	k := string(key)
-	if e, ok := h.entries[k]; ok {
+	if e, ok := h.entries[string(key)]; ok {
 		if flag == UpdateNoExist {
 			return ErrKeyExist
 		}
@@ -88,6 +87,7 @@ func (h *hashMap) Update(key, value []byte, flag UpdateFlag) error {
 		h.order.Remove(back)
 		delete(h.entries, victim.key)
 	}
+	k := string(key)
 	e := &hashEntry{key: k, value: append([]byte(nil), value...)}
 	e.lru = h.order.PushFront(e)
 	h.entries[k] = e

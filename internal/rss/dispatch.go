@@ -76,8 +76,8 @@ type Dispatcher struct {
 	paced     uint64
 	fallbacks uint64
 	perQueue  []uint64
-	buf      [][]Item
-	sinks    []chan []Item
+	buf       [][]Item
+	sinks     []chan []Item
 }
 
 // NewDispatcher builds the classifier and its per-queue channels. The
@@ -88,6 +88,12 @@ func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newDispatcher(cfg, h)
+}
+
+// newDispatcher is NewDispatcher over an already-built hasher (cfg.Key
+// is ignored): the engine builds one per Engine, not one per Start.
+func newDispatcher(cfg DispatcherConfig, h *Hasher) (*Dispatcher, error) {
 	ind, err := NewIndirection(cfg.Queues)
 	if err != nil {
 		return nil, err

@@ -110,10 +110,10 @@ type replica struct {
 	globalSeq map[uint64]inflight
 
 	// Session state, reset by Start.
-	cycleBase  uint64
-	statsBase  hwsim.Stats
-	endCycles  uint64
-	endStats   hwsim.Stats
+	cycleBase uint64
+	statsBase hwsim.Stats
+	endCycles uint64
+	endStats  hwsim.Stats
 	runErr    error
 }
 
@@ -136,6 +136,7 @@ type Engine struct {
 	host    *maps.Set
 
 	replicas []*replica
+	hasher   *Hasher
 	fastpath bool
 	sealed   bool
 	running  bool
@@ -159,10 +160,15 @@ const defaultDrainBound = 4_000_000
 // Start before offering traffic.
 func NewEngine(pl *core.Pipeline, cfg Config) (*Engine, error) {
 	n := cfg.queues()
+	hasher, err := NewHasher(cfg.Key)
+	if err != nil {
+		return nil, err
+	}
 	e := &Engine{
 		pl:         pl,
 		cfg:        cfg,
 		bankeds:    map[int]*banked{},
+		hasher:     hasher,
 		drainBound: defaultDrainBound,
 	}
 
@@ -319,14 +325,13 @@ func (e *Engine) Start(cyclesPerPacket float64, onComplete func(Completion)) err
 		}
 		e.sealed = true
 	}
-	disp, err := NewDispatcher(DispatcherConfig{
+	disp, err := newDispatcher(DispatcherConfig{
 		Queues:          len(e.replicas),
 		Batch:           e.cfg.batch(),
-		Key:             e.cfg.Key,
 		CyclesPerPacket: cyclesPerPacket,
 		Trace:           e.cfg.Sim.Trace,
 		Metrics:         e.cfg.Sim.Metrics,
-	})
+	}, e.hasher)
 	if err != nil {
 		return err
 	}

@@ -19,6 +19,7 @@ package rss
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"ehdl/internal/ebpf"
 	"ehdl/internal/pktgen"
@@ -42,8 +43,17 @@ var DefaultKey = []byte{
 const minKeyBytes = 16
 
 // Hasher computes the Toeplitz hash of flow tuples.
+//
+// The hash XORs, for every set bit of the input (MSB first), the 32-bit
+// key window starting at that bit position. It is linear over GF(2), so
+// the contribution of a whole input byte at a given position depends on
+// that byte alone: NewHasher folds the eight windows of every byte
+// position into a 256-entry table, and Sum is one lookup per input byte
+// — the software shape of the XOR tree hardware unrolls the hash into.
 type Hasher struct {
-	key []byte
+	// tab[i][b] is the hash contribution of byte value b at input
+	// position i; len(tab) is MaxInputBytes.
+	tab [][256]uint32
 }
 
 // NewHasher builds a hasher from a key. A nil key selects DefaultKey.
@@ -54,41 +64,45 @@ func NewHasher(key []byte) (*Hasher, error) {
 	if len(key) < minKeyBytes {
 		return nil, fmt.Errorf("rss: key must be at least %d bytes, got %d", minKeyBytes, len(key))
 	}
-	return &Hasher{key: append([]byte(nil), key...)}, nil
+	h := &Hasher{tab: make([][256]uint32, len(key)-4)}
+	// window is the 32-bit key view at the current bit offset; it
+	// shifts left one bit per input bit, pulling the next key bit in
+	// from the right. The input never outruns the key: the last
+	// position's last bit consumes the key's last bit.
+	window := binary.BigEndian.Uint32(key)
+	bitPos := 32
+	for i := range h.tab {
+		var windows [8]uint32 // indexed by bit value: windows[7] is the MSB's
+		for bit := 7; bit >= 0; bit-- {
+			windows[bit] = window
+			window <<= 1
+			if bitPos < 8*len(key) {
+				window |= uint32(key[bitPos/8]>>(7-bitPos%8)) & 1
+				bitPos++
+			}
+		}
+		// Each entry extends the one with its lowest set bit cleared.
+		t := &h.tab[i]
+		for b := 1; b < 256; b++ {
+			t[b] = t[b&(b-1)] ^ windows[bits.TrailingZeros8(uint8(b))]
+		}
+	}
+	return h, nil
 }
 
 // MaxInputBytes returns the longest tuple the key can cover. Longer
 // inputs are truncated to this length, keeping the hash total and
 // stable for any input size (the fuzzer leans on this).
-func (h *Hasher) MaxInputBytes() int { return len(h.key) - 4 }
+func (h *Hasher) MaxInputBytes() int { return len(h.tab) }
 
-// Sum computes the Toeplitz hash of input: for every set bit of the
-// input (MSB first), XOR in the 32-bit key window starting at that bit
-// position. This is the textbook serial formulation; hardware unrolls
-// it into one XOR tree per output bit.
+// Sum computes the Toeplitz hash of input.
 func (h *Hasher) Sum(input []byte) uint32 {
-	if max := h.MaxInputBytes(); len(input) > max {
-		input = input[:max]
+	if len(input) > len(h.tab) {
+		input = input[:len(h.tab)]
 	}
 	var hash uint32
-	// window is the 32-bit key view at the current bit offset; it
-	// shifts left one bit per input bit, pulling the next key bit in
-	// from the right.
-	window := binary.BigEndian.Uint32(h.key)
-	bitPos := 32
-	for _, b := range input {
-		for mask := byte(0x80); mask != 0; mask >>= 1 {
-			if b&mask != 0 {
-				hash ^= window
-			}
-			window <<= 1
-			if bitPos < 8*len(h.key) {
-				if h.key[bitPos/8]&(0x80>>(bitPos%8)) != 0 {
-					window |= 1
-				}
-				bitPos++
-			}
-		}
+	for i, b := range input {
+		hash ^= h.tab[i][b]
 	}
 	return hash
 }

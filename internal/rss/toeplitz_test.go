@@ -2,6 +2,7 @@ package rss
 
 import (
 	"encoding/binary"
+	"math/rand"
 	"testing"
 
 	"ehdl/internal/ebpf"
@@ -48,6 +49,85 @@ func TestToeplitzSpecVectors(t *testing.T) {
 		if got := h.Sum(v.tuple(false)); got != v.addrsOnly {
 			t.Errorf("vector %d addrs only: got %#08x want %#08x", i, got, v.addrsOnly)
 		}
+	}
+}
+
+// toeplitzSerial is the textbook bit-serial Toeplitz hash, the oracle
+// for the table-driven Hasher: for every set bit of the input (MSB
+// first), XOR in the 32-bit key window starting at that bit position.
+// Inputs longer than len(key)-4 bytes are truncated, like Hasher.Sum.
+func toeplitzSerial(key, input []byte) uint32 {
+	if max := len(key) - 4; len(input) > max {
+		input = input[:max]
+	}
+	var hash uint32
+	// window is the 32-bit key view at the current bit offset; it
+	// shifts left one bit per input bit, pulling the next key bit in
+	// from the right.
+	window := binary.BigEndian.Uint32(key)
+	bitPos := 32
+	for _, b := range input {
+		for mask := byte(0x80); mask != 0; mask >>= 1 {
+			if b&mask != 0 {
+				hash ^= window
+			}
+			window <<= 1
+			if bitPos < 8*len(key) {
+				if key[bitPos/8]&(0x80>>(bitPos%8)) != 0 {
+					window |= 1
+				}
+				bitPos++
+			}
+		}
+	}
+	return hash
+}
+
+// TestToeplitzSerialSpecVectors holds the oracle itself to the
+// published vectors, so the property test below compares against a
+// known-good reference.
+func TestToeplitzSerialSpecVectors(t *testing.T) {
+	for i, v := range rssVectors {
+		if got := toeplitzSerial(DefaultKey, v.tuple(true)); got != v.withPorts {
+			t.Errorf("vector %d with ports: got %#08x want %#08x", i, got, v.withPorts)
+		}
+		if got := toeplitzSerial(DefaultKey, v.tuple(false)); got != v.addrsOnly {
+			t.Errorf("vector %d addrs only: got %#08x want %#08x", i, got, v.addrsOnly)
+		}
+	}
+}
+
+// TestToeplitzTableMatchesSerial: for random keys of every legal size
+// class and every input length from empty to past the truncation point,
+// the table-driven hash equals the bit-serial one.
+func TestToeplitzTableMatchesSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		key := make([]byte, minKeyBytes+rng.Intn(64-minKeyBytes+1))
+		rng.Read(key)
+		h, err := NewHasher(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.MaxInputBytes() != len(key)-4 {
+			t.Fatalf("%d-byte key covers %d input bytes, want %d", len(key), h.MaxInputBytes(), len(key)-4)
+		}
+		for n := 0; n <= h.MaxInputBytes()+8; n++ {
+			input := make([]byte, n)
+			rng.Read(input)
+			if got, want := h.Sum(input), toeplitzSerial(key, input); got != want {
+				t.Fatalf("key %x input %x: table %#08x, serial %#08x", key, input, got, want)
+			}
+		}
+	}
+	// The all-ones input exercises every window of every position.
+	h, _ := NewHasher(nil)
+	ones := make([]byte, h.MaxInputBytes())
+	for i := range ones {
+		ones[i] = 0xff
+	}
+	if got, want := h.Sum(ones), toeplitzSerial(DefaultKey, ones); got != want {
+		t.Errorf("all-ones input: table %#08x, serial %#08x", got, want)
 	}
 }
 

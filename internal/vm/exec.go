@@ -34,13 +34,31 @@ func NewState(pkt *Packet) *State {
 	return st
 }
 
-// Clone deep-copies the state (for pipeline flush snapshots).
-func (s *State) Clone() *State {
-	c := *s
-	pkt := *s.Pkt
-	pkt.buf = append([]byte(nil), s.Pkt.buf...)
-	c.Pkt = &pkt
-	return &c
+// Reset re-arms the state in place for one run over data: registers and
+// stack cleared, the architectural inputs (R1, R10) set, and the packet
+// re-armed through Packet.Reset. A reset state is indistinguishable
+// from NewState(NewPacket(data)); the pipeline simulator recycles its
+// per-packet states this way.
+func (s *State) Reset(data []byte) {
+	s.Regs = [ebpf.NumRegisters]uint64{}
+	s.Stack = [ebpf.StackSize]byte{}
+	s.Regs[ebpf.R1] = CtxBase
+	s.Regs[ebpf.R10] = StackTopAddr
+	if s.Pkt == nil {
+		s.Pkt = &Packet{}
+	}
+	s.Pkt.Reset(data)
+}
+
+// CopyFrom makes s a deep copy of o (for pipeline flush snapshots),
+// reusing s's packet buffer when it is large enough.
+func (s *State) CopyFrom(o *State) {
+	s.Regs = o.Regs
+	s.Stack = o.Stack
+	if s.Pkt == nil {
+		s.Pkt = &Packet{}
+	}
+	s.Pkt.copyFrom(o.Pkt)
 }
 
 // EvalALU computes one ALU/ALU64 instruction over explicit operand

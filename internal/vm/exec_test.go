@@ -1,31 +1,79 @@
 package vm
 
 import (
+	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"ehdl/internal/ebpf"
 )
 
-func TestStateClone(t *testing.T) {
+// TestStateCopyFrom: a copy shares nothing with its source, and copying
+// into a state that already ran a larger packet leaves no trace of it —
+// the recycled buffer's extent, headroom and bounds are the source's.
+func TestStateCopyFrom(t *testing.T) {
 	st := NewState(NewPacket([]byte{1, 2, 3, 4}))
 	st.Regs[ebpf.R5] = 99
 	st.Stack[0] = 7
 
-	c := st.Clone()
+	c := NewState(NewPacket(bytes.Repeat([]byte{0xee}, 128)))
+	if err := c.Pkt.AdjustHead(-16); err != nil {
+		t.Fatal(err)
+	}
+	c.Stack[100] = 0xee
+	c.CopyFrom(st)
+	if !reflect.DeepEqual(c, st) {
+		t.Fatal("copy into a used state differs from its source")
+	}
+
 	c.Regs[ebpf.R5] = 1
 	c.Stack[0] = 2
 	c.Pkt.Bytes()[0] = 0xff
-
 	if st.Regs[ebpf.R5] != 99 || st.Stack[0] != 7 {
-		t.Error("clone aliases registers or stack")
+		t.Error("copy aliases registers or stack")
 	}
 	if st.Pkt.Bytes()[0] != 1 {
-		t.Error("clone aliases the packet buffer")
+		t.Error("copy aliases the packet buffer")
 	}
 	if c.Regs[ebpf.R1] != CtxBase || c.Regs[ebpf.R10] != StackTopAddr {
-		t.Error("clone lost the architectural inputs")
+		t.Error("copy lost the architectural inputs")
+	}
+
+	var fresh State
+	fresh.CopyFrom(st)
+	if !reflect.DeepEqual(&fresh, st) {
+		t.Error("copy into a zero state differs from its source")
+	}
+}
+
+// TestStateReset: a re-armed state equals a freshly built one, whatever
+// the previous run left in the registers, the stack and the headroom.
+func TestStateReset(t *testing.T) {
+	st := NewState(NewPacket(bytes.Repeat([]byte{0xee}, 128)))
+	for i := range st.Regs {
+		st.Regs[i] = ^uint64(0)
+	}
+	for i := range st.Stack {
+		st.Stack[i] = 0xee
+	}
+	if err := st.Pkt.AdjustHead(-DefaultHeadroom); err != nil {
+		t.Fatal(err)
+	}
+	for i := range st.Pkt.Bytes() {
+		st.Pkt.Bytes()[i] = 0xee
+	}
+	data := []byte{1, 2, 3, 4}
+	st.Reset(data)
+	if want := NewState(NewPacket(data)); !reflect.DeepEqual(st, want) {
+		t.Error("reset state differs from a fresh one")
+	}
+
+	var zero State
+	zero.Reset(data)
+	if want := NewState(NewPacket(data)); !reflect.DeepEqual(&zero, want) {
+		t.Error("reset of a zero state differs from a fresh one")
 	}
 }
 

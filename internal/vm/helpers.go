@@ -120,7 +120,7 @@ func (c *ExecContext) LookupValueAddr(mapID int, key []byte) uint64 {
 	if !ok {
 		return 0
 	}
-	return c.Mem.ValueAddress(mapID, string(key), val)
+	return c.Mem.ValueAddressBytes(mapID, key, val)
 }
 
 // UpdateResult performs a map update by explicit key/value, returning

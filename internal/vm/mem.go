@@ -240,9 +240,10 @@ func execAtomic(st *State, ins ebpf.Instruction, mem []byte, size int) error {
 	return nil
 }
 
-// ReadBytes copies n bytes starting at addr, for helper key/value
-// arguments.
-func (m *MemSpace) ReadBytes(st *State, addr uint64, n int) ([]byte, error) {
+// ViewBytes returns the n bytes starting at addr without copying, for
+// helper key/value arguments the callee does not retain: the slice
+// aliases the stack, packet or map value it resolved to.
+func (m *MemSpace) ViewBytes(st *State, addr uint64, n int) ([]byte, error) {
 	kind, mem, off, err := m.Resolve(st, addr, n)
 	if err != nil {
 		return nil, err
@@ -250,9 +251,17 @@ func (m *MemSpace) ReadBytes(st *State, addr uint64, n int) ([]byte, error) {
 	if kind == RegionCtx {
 		return nil, fmt.Errorf("helper argument points into xdp_md")
 	}
-	out := make([]byte, n)
-	copy(out, mem[off:off+n])
-	return out, nil
+	return mem[off : off+n], nil
+}
+
+// ReadBytes copies n bytes starting at addr, for helper key/value
+// arguments.
+func (m *MemSpace) ReadBytes(st *State, addr uint64, n int) ([]byte, error) {
+	view, err := m.ViewBytes(st, addr, n)
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), view...), nil
 }
 
 // readUint reads a little-endian unsigned value of the given byte width.
