@@ -42,28 +42,30 @@ chaos:
 	$(GO) test -race -run 'Chaos|Truncated|Malformed|Watchdog|Resilience|Recovery|Protect|Fleet|Rollback|Tenant|Journal|Resume|Replay|Torn' ./internal/...
 
 # Coverage gate for the self-healing subsystem, the observability
-# layer, the RSS dispatcher, the fleet control plane, the multi-tenant
-# device and the durability layer: the protection codecs, the simulator
-# that hosts the recovery machinery, the tracer/metrics/profiling
-# package, the multi-queue front end, the fleet controller, the tenant
+# layer, the RSS dispatcher, the NIC shell, the fleet control plane, the
+# multi-tenant device and the durability layer: the protection codecs,
+# the simulator that hosts the recovery machinery, the
+# tracer/metrics/profiling package, the multi-queue front end, the
+# serving loops and the report fold, the fleet controller, the tenant
 # classifier/policer/admission gate and the journal/snapshot codecs
 # must stay above their floors (protect 90%, hwsim 75%, obs 85%, rss
-# 85%, fastpath 85%, fleet 85%, tenant 85%, durable 85%). A gated
+# 85%, nic 85%, fastpath 85%, fleet 85%, tenant 85%, durable 85%). A gated
 # package missing from the coverage output fails the gate — a silently
 # dropped package must not read as a pass.
 cover:
-	@$(GO) test -cover ./internal/protect/ ./internal/hwsim/ ./internal/obs/ ./internal/rss/ ./internal/fastpath/ ./internal/fleet/ ./internal/tenant/ ./internal/durable/ | tee /tmp/ehdl-cover.txt
+	@$(GO) test -cover ./internal/protect/ ./internal/hwsim/ ./internal/obs/ ./internal/rss/ ./internal/nic/ ./internal/fastpath/ ./internal/fleet/ ./internal/tenant/ ./internal/durable/ | tee /tmp/ehdl-cover.txt
 	@awk 'function gate(pkg, floor,    a) { seen[pkg] = 1; split($$5, a, "%"); \
 	          if (a[1]+0 < floor) { printf "FAIL: internal/%s coverage %s%% < %d%%\n", pkg, a[1], floor; bad = 1 } } \
 	      /internal\/protect/  { gate("protect", 90) } \
 	      /internal\/hwsim/    { gate("hwsim", 75) } \
 	      /internal\/obs/      { gate("obs", 85) } \
 	      /internal\/rss/      { gate("rss", 85) } \
+	      /internal\/nic/      { gate("nic", 85) } \
 	      /internal\/fastpath/ { gate("fastpath", 85) } \
 	      /internal\/fleet/    { gate("fleet", 85) } \
 	      /internal\/tenant/   { gate("tenant", 85) } \
 	      /internal\/durable/  { gate("durable", 85) } \
-	      END { n = split("protect hwsim obs rss fastpath fleet tenant durable", want, " "); \
+	      END { n = split("protect hwsim obs rss nic fastpath fleet tenant durable", want, " "); \
 	            for (i = 1; i <= n; i++) if (!seen[want[i]]) { printf "FAIL: internal/%s missing from coverage output\n", want[i]; bad = 1 } \
 	            exit bad }' /tmp/ehdl-cover.txt
 	@echo "coverage gates passed"

@@ -129,27 +129,10 @@ func run(args []string) int {
 	case *tenantBand < 0 || *tenantBand > 100:
 		return usage(fmt.Errorf("-band must be in (0,100], got %g", *tenantBand))
 
-	// The compiled fast path serves only configurations it can run
-	// bit-identically; everything below keeps the cycle-accurate
-	// interpreter (the fallback matrix in DESIGN.md). The library falls
-	// back silently, but a user who asked for -fastpath explicitly gets
-	// told why the request cannot be honoured instead.
+	case *traceText && *tracePath == "":
+		return usage(fmt.Errorf("-trace-text selects the format of -trace; give a trace file"))
 	case *fastPath && *tenantsSpec != "":
 		return usage(fmt.Errorf("-tenants runs per-tenant interpreter pipelines; -fastpath drives the single- or multi-queue shell"))
-	case *fastPath && *intensity > 0:
-		return usage(fmt.Errorf("-faults needs the cycle-accurate interpreter; drop -fastpath"))
-	case *fastPath && *protLevel != "none":
-		return usage(fmt.Errorf("-protect needs the cycle-accurate interpreter; drop -fastpath"))
-	case *fastPath && *watchdog > 0:
-		return usage(fmt.Errorf("-watchdog needs the cycle-accurate interpreter; drop -fastpath"))
-	case *fastPath && *policy == "stall":
-		return usage(fmt.Errorf("-policy stall models stalls the fast path elides; drop -fastpath"))
-	case *fastPath && (*tracePath != "" || *traceText):
-		return usage(fmt.Errorf("cycle-level tracing needs the interpreter; drop -fastpath"))
-	case *fastPath && *metrics:
-		return usage(fmt.Errorf("-metrics needs the interpreter; drop -fastpath"))
-	case *fastPath && *updProg != "" && *queues == 1:
-		return usage(fmt.Errorf("a single-queue live update serves from the interpreter for the whole run; drop -fastpath or use -queues >= 2"))
 	}
 
 	prof := obs.ProfileConfig{
@@ -281,6 +264,14 @@ func run(args []string) int {
 		}
 	}
 
+	// The shell is the one source for which engine serves and why. The
+	// library falls back silently, but a user who asked for -fastpath
+	// explicitly gets told why the request cannot be honoured instead.
+	engine, why := sh.Serving()
+	if *fastPath && why != "" {
+		return usage(fmt.Errorf("-fastpath cannot be honoured: %s keeps the %s serving", why, engine))
+	}
+
 	var next func() []byte
 	frameLen := 64
 	switch *replay {
@@ -312,12 +303,11 @@ func run(args []string) int {
 		offered = sh.LineRateMpps(frameLen) * 1e6
 	}
 
-	mode := "cycle-accurate interpreter"
-	if sh.FastPath() {
-		mode = "compiled fast path"
+	if why != "" {
+		why = ", " + why
 	}
-	fmt.Printf("running %s: %d stages, %d packets at %.1f Mpps offered (%s)\n",
-		app.Name, pl.NumStages(), *packets, offered/1e6, mode)
+	fmt.Printf("running %s: %d stages, %d packets at %.1f Mpps offered (%s)%s\n",
+		app.Name, pl.NumStages(), *packets, offered/1e6, engine, why)
 	rep, err := sh.RunLoad(next, *packets, offered)
 	if errors.Is(err, hwsim.ErrRecoveryExhausted) {
 		// The typed give-up of the recovery subsystem: the store kept

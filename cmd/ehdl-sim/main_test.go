@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -29,7 +30,9 @@ func runCapture(t *testing.T, args ...string) (int, string) {
 }
 
 // TestFlagValidation pins the usage gate: every conflicting flag
-// combination is exit 1 before any simulation work starts.
+// combination is exit 1 before any simulation work starts. The
+// -fastpath rows are not flag arithmetic: the CLI builds the shell and
+// refuses when the shell says the interpreter would serve.
 func TestFlagValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -48,7 +51,7 @@ func TestFlagValidation(t *testing.T) {
 		{"fastpath protect", []string{"-fastpath", "-protect", "ecc"}},
 		{"fastpath watchdog", []string{"-fastpath", "-watchdog", "100"}},
 		{"fastpath stall", []string{"-fastpath", "-policy", "stall"}},
-		{"fastpath trace", []string{"-fastpath", "-trace", "/tmp/t.jsonl"}},
+		{"fastpath trace", []string{"-fastpath", "-trace", filepath.Join(t.TempDir(), "t.jsonl")}},
 		{"fastpath trace-text", []string{"-fastpath", "-trace-text"}},
 		{"fastpath metrics", []string{"-fastpath", "-metrics"}},
 		{"fastpath single-queue update", []string{"-fastpath", "-update-prog", "leakybucket", "-update-after", "100"}},
@@ -80,8 +83,8 @@ func TestFastPathServes(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("interpreter run: exit %d\n%s", code, out)
 	}
-	if !strings.Contains(out, "(cycle-accurate interpreter)") {
-		t.Errorf("default run did not report the interpreter:\n%s", out)
+	if !strings.Contains(out, "(cycle-accurate interpreter), fast path not requested") {
+		t.Errorf("default run did not report the interpreter and why:\n%s", out)
 	}
 }
 
@@ -96,5 +99,12 @@ func TestFastPathMultiQueue(t *testing.T) {
 	}
 	if !strings.Contains(out, "2 replicas") {
 		t.Errorf("multi-queue run did not report its replicas:\n%s", out)
+	}
+	// Steer tracing lives in the dispatcher, not the replicas: it does
+	// not cost a multi-queue run the compiled engine.
+	code, out = runCapture(t, "-app", "toy", "-packets", "400", "-queues", "2", "-fastpath",
+		"-trace", filepath.Join(t.TempDir(), "steer.jsonl"))
+	if code != 0 || !strings.Contains(out, "(compiled fast path)") {
+		t.Errorf("traced multi-queue fastpath run: exit %d\n%s", code, out)
 	}
 }

@@ -67,6 +67,10 @@ func (s MapSpec) Validate() error {
 		// DEVMAPs share the array implementation: u32 index keys.
 		return fmt.Errorf("ebpf: array map %q requires 4-byte keys, got %d", s.Name, s.KeySize)
 	}
+	if s.Kind == MapLPMTrie && s.KeySize < 5 {
+		// A trie key is a 4-byte prefix length plus the address bytes.
+		return fmt.Errorf("ebpf: LPM trie map %q requires keys of at least 5 bytes, got %d", s.Name, s.KeySize)
+	}
 	return nil
 }
 

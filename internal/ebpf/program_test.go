@@ -93,6 +93,17 @@ func TestProgramValidateRejects(t *testing.T) {
 			t.Error("accepted a zero key size")
 		}
 	})
+	t.Run("LPM trie key without address bytes", func(t *testing.T) {
+		p := validProgram()
+		p.Maps[0].Kind = MapLPMTrie // 4-byte key: all prefix length
+		if err := p.Validate(); err == nil {
+			t.Error("accepted an LPM trie whose key holds no address byte")
+		}
+		p.Maps[0].KeySize = 5
+		if err := p.Validate(); err != nil {
+			t.Errorf("rejected a 5-byte LPM trie key: %v", err)
+		}
+	})
 	t.Run("array map key size", func(t *testing.T) {
 		p := validProgram()
 		p.Maps[0].KeySize = 8

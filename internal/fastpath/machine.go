@@ -11,6 +11,11 @@ import (
 	"ehdl/internal/vm"
 )
 
+// NotRequested is the reason a shell or an RSS engine gives for serving
+// from the interpreter when nobody asked for the fast path; every other
+// reason comes from Eligible.
+const NotRequested = "fast path not requested"
+
 // Eligible reports whether a simulator configuration can run on the
 // compiled fast path, and names the feature that forces the interpreter
 // when it cannot. The fallback matrix is documented in DESIGN.md.
@@ -131,10 +136,13 @@ type Machine struct {
 	queue      ring
 	flight     ring
 
-	stats hwsim.Stats
+	// stats are the live counters, winBase their value when the open
+	// Window began (see hwsim.Stats.CloseWindow).
+	stats, winBase hwsim.Stats
 	// actionHist counts the common verdict values without a map access
 	// per retire; out-of-range actions (a program returning an arbitrary
-	// R0) fall through to the stats.Actions map. Stats() merges the two.
+	// R0) fall through to the stats.Actions map. foldActions merges the
+	// two before any snapshot.
 	actionHist [8]uint64
 	onComplete func(hwsim.Result)
 	err        error
@@ -503,18 +511,31 @@ func (m *Machine) SetClock(fn func() uint64) { m.env.Now = fn }
 // Maps exposes the bound map set (the host interface).
 func (m *Machine) Maps() *maps.Set { return m.env.Maps }
 
-// Stats returns a copy of the counters so far, Actions deep-copied
-// (the histogram fast-lane folded back in).
+// foldActions moves the verdict histogram fast-lane into stats.Actions.
+func (m *Machine) foldActions() {
+	for a, n := range m.actionHist {
+		if n > 0 {
+			m.stats.Actions[ebpf.XDPAction(a)] += n
+			m.actionHist[a] = 0
+		}
+	}
+}
+
+// Stats returns a copy of the counters so far, Actions deep-copied.
 func (m *Machine) Stats() hwsim.Stats {
+	m.foldActions()
 	out := m.stats
-	out.Actions = make(map[ebpf.XDPAction]uint64, len(m.stats.Actions)+len(m.actionHist))
+	out.LatencyMax = max(out.LatencyMax, m.winBase.LatencyMax)
+	out.Actions = make(map[ebpf.XDPAction]uint64, len(m.stats.Actions))
 	for a, n := range m.stats.Actions {
 		out.Actions[a] = n
 	}
-	for a, n := range m.actionHist {
-		if n > 0 {
-			out.Actions[ebpf.XDPAction(a)] += n
-		}
-	}
 	return out
+}
+
+// Window returns the counters accumulated since the previous Window
+// call and opens the next window (see hwsim.Core).
+func (m *Machine) Window(w *hwsim.Stats) {
+	m.foldActions()
+	m.stats.CloseWindow(&m.winBase, w)
 }

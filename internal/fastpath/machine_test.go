@@ -698,3 +698,56 @@ func TestBranchZooMatchesInterpreter(t *testing.T) {
 	batch := pktgen.NewGenerator(pktgen.GeneratorConfig{Flows: 4, PacketLen: 64, Seed: 13}).Batch(32)
 	runDiff(t, pl, nil, batch, false, true)
 }
+
+// TestWindow: Core.Window hands out what accumulated since the last
+// call — on both engines, with the window's own latency high-water mark,
+// into a caller-owned scratch without allocating — while Stats() keeps
+// the lifetime view.
+func TestWindow(t *testing.T) {
+	pl := compilePipeline(t, "zoo_w", aluZooSource)
+	sim, err := hwsim.New(pl, hwsim.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := fastpath.New(pl, hwsim.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := make([]byte, 64)
+	for name, eng := range map[string]hwsim.Core{"interpreter": sim, "compiled": m} {
+		var w hwsim.Stats
+		run := func(n int) {
+			for i := 0; i < n; i++ {
+				if !eng.Inject(p) {
+					t.Fatalf("%s: input refused", name)
+				}
+			}
+			if err := eng.RunToCompletion(1 << 20); err != nil {
+				t.Fatal(err)
+			}
+			eng.Window(&w)
+		}
+		run(40) // a burst: the last frame queues behind 39 others
+		burst := w.LatencyMax
+		var verdicts uint64
+		for _, n := range w.Actions {
+			verdicts += n
+		}
+		if w.Completed != 40 || verdicts != 40 || burst < 39 {
+			t.Fatalf("%s: burst window completed %d, verdicts %d, max latency %d", name, w.Completed, verdicts, burst)
+		}
+		run(1)
+		if w.Completed != 1 || w.Injected != 1 || len(w.Actions) != 1 || w.LatencyMax == 0 || w.LatencyMax >= burst || w.LatencySum != w.LatencyMax {
+			t.Errorf("%s: second window %+v, want one frame at its own latency (burst max %d)", name, w, burst)
+		}
+		if st := eng.Stats(); st.Completed != 41 || st.LatencyMax != burst {
+			t.Errorf("%s: lifetime completed %d max %d, want 41 and %d", name, st.Completed, st.LatencyMax, burst)
+		}
+		if n := testing.AllocsPerRun(10, func() { eng.Window(&w) }); n != 0 {
+			t.Errorf("%s: Window allocates %v objects into a reused scratch", name, n)
+		}
+		if w.Completed != 0 || w.Cycles != 0 || len(w.Actions) != 0 {
+			t.Errorf("%s: idle window %+v, want empty", name, w)
+		}
+	}
+}

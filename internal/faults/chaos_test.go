@@ -59,7 +59,7 @@ func chaosRun(t *testing.T, app *apps.App, fc faults.Config, packets int) (nic.R
 	if sh.Injector() != nil {
 		ctr = sh.Injector().Counters()
 	}
-	return rep, ctr, sh.Sim().Stats()
+	return rep, ctr, sh.Stats()
 }
 
 func checkLegalActions(t *testing.T, name string, rep nic.Report) {
@@ -201,9 +201,18 @@ func TestChaosDisabledIsBitForBitEquivalent(t *testing.T) {
 		if err := app.Setup(sh.Maps()); err != nil {
 			t.Fatal(err)
 		}
-		sim := sh.Sim()
+		// The shell hands its engine exactly this simulator config when
+		// no injector was built; drive one directly for per-packet bytes.
+		shCfg.Sim.ClockHz = 250e6
+		sim, err := hwsim.New(pl, shCfg.Sim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := app.Setup(sim.Maps()); err != nil {
+			t.Fatal(err)
+		}
 		sim.KeepData(true)
-		sh.PinClock(0)
+		sim.SetClock(func() uint64 { return 0 })
 		var results []hwsim.Result
 		sim.OnComplete(func(r hwsim.Result) { results = append(results, r) })
 		for _, data := range packets {
@@ -231,9 +240,26 @@ func TestChaosDisabledIsBitForBitEquivalent(t *testing.T) {
 				t.Fatalf("%s: packet %d bytes diverged with faults disabled", app.Name, r.Seq)
 			}
 		}
-		st := sim.Stats()
-		if st.FaultsInjected != 0 || st.MalformedDropped != 0 || st.AbortedFaults != 0 || st.WatchdogTrips != 0 {
-			t.Errorf("%s: resilience counters moved with faults disabled: %+v", app.Name, st)
+		// And through the shell's own loop: same verdicts, and none of
+		// the resilience counters move on either engine instance.
+		sh.PinClock(0)
+		i := 0
+		rep, err := sh.RunLoad(func() []byte { i++; return packets[i-1] }, len(packets), 50e6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ref := range refs {
+			rep.Actions[ref.action]--
+		}
+		for action, n := range rep.Actions {
+			if n != 0 {
+				t.Errorf("%s: shell verdict histogram off by %d for %v with faults disabled", app.Name, int64(n), action)
+			}
+		}
+		for _, st := range []hwsim.Stats{sim.Stats(), sh.Stats()} {
+			if st.Completed != uint64(len(packets)) || st.FaultsInjected != 0 || st.MalformedDropped != 0 || st.AbortedFaults != 0 || st.WatchdogTrips != 0 {
+				t.Errorf("%s: resilience counters moved with faults disabled: %+v", app.Name, st)
+			}
 		}
 	}
 }

@@ -62,7 +62,7 @@ func recoveryRun(t *testing.T, app *apps.App, fc faults.Config, level protect.Le
 	if err != nil {
 		t.Fatalf("%s: campaign errored instead of healing: %v", app.Name, err)
 	}
-	return rep, sh.Sim().Stats(), dumpMaps(sh.Maps())
+	return rep, sh.Stats(), dumpMaps(sh.Maps())
 }
 
 // dumpMaps renders the full map state as sorted key=value lines, read

@@ -45,6 +45,12 @@ type Core interface {
 	Maps() *maps.Set
 	// Stats returns a snapshot of the run counters.
 	Stats() Stats
+	// Window fills w with the counters accumulated since the previous
+	// Window call (since construction for the first) and opens the next
+	// window. w.LatencyMax is that window's own high-water mark, and w's
+	// Actions map is reused, so a caller-owned w makes the call
+	// allocation-free — how the shells measure one run.
+	Window(w *Stats)
 }
 
 // Compile-time check that the interpreter satisfies the shared surface.

@@ -257,39 +257,54 @@ func (s Stats) Add(o Stats) Stats {
 	return out
 }
 
-// Delta returns the counters accumulated since the base snapshot
-// (LatencyMax carries over: it is a high-water mark, not a counter).
-func (s Stats) Delta(base Stats) Stats {
-	out := s
-	out.Cycles -= base.Cycles
-	out.Injected -= base.Injected
-	out.Completed -= base.Completed
-	out.QueueDrops -= base.QueueDrops
-	out.Flushes -= base.Flushes
-	out.FlushedPackets -= base.FlushedPackets
-	out.StallCycles -= base.StallCycles
-	out.LatencySum -= base.LatencySum
-	out.Actions = map[ebpf.XDPAction]uint64{}
+// CloseWindow is Core.Window over an engine's live counters s: w
+// receives what accumulated since base (its Actions map is reused),
+// base advances to s, and the latency high-water mark restarts — so
+// s.LatencyMax is always the open window's own and base.LatencyMax the
+// maximum over the closed ones.
+func (s *Stats) CloseWindow(base, w *Stats) {
+	acts := w.Actions
+	if acts == nil {
+		acts = map[ebpf.XDPAction]uint64{}
+	}
+	clear(acts)
+	if base.Actions == nil {
+		base.Actions = map[ebpf.XDPAction]uint64{}
+	}
 	for a, n := range s.Actions {
 		if d := n - base.Actions[a]; d > 0 {
-			out.Actions[a] = d
+			acts[a] = d
 		}
+		base.Actions[a] = n
 	}
-	out.FaultsInjected -= base.FaultsInjected
-	out.MalformedDropped -= base.MalformedDropped
-	out.QueueOverflows -= base.QueueOverflows
-	out.WatchdogTrips -= base.WatchdogTrips
-	out.AbortedFaults -= base.AbortedFaults
-	out.WordsChecked -= base.WordsChecked
-	out.CorrectedWords -= base.CorrectedWords
-	out.UncorrectableWords -= base.UncorrectableWords
-	out.ScrubWords -= base.ScrubWords
-	out.ScrubPasses -= base.ScrubPasses
-	out.CheckpointsTaken -= base.CheckpointsTaken
-	out.Recoveries -= base.Recoveries
-	out.RecoveryAborted -= base.RecoveryAborted
-	out.RecoveryBackoffCycles -= base.RecoveryBackoffCycles
-	return out
+	*w = *s
+	w.Actions = acts
+	w.Cycles -= base.Cycles
+	w.Injected -= base.Injected
+	w.Completed -= base.Completed
+	w.QueueDrops -= base.QueueDrops
+	w.Flushes -= base.Flushes
+	w.FlushedPackets -= base.FlushedPackets
+	w.StallCycles -= base.StallCycles
+	w.LatencySum -= base.LatencySum
+	w.FaultsInjected -= base.FaultsInjected
+	w.MalformedDropped -= base.MalformedDropped
+	w.QueueOverflows -= base.QueueOverflows
+	w.WatchdogTrips -= base.WatchdogTrips
+	w.AbortedFaults -= base.AbortedFaults
+	w.WordsChecked -= base.WordsChecked
+	w.CorrectedWords -= base.CorrectedWords
+	w.UncorrectableWords -= base.UncorrectableWords
+	w.ScrubWords -= base.ScrubWords
+	w.ScrubPasses -= base.ScrubPasses
+	w.CheckpointsTaken -= base.CheckpointsTaken
+	w.Recoveries -= base.Recoveries
+	w.RecoveryAborted -= base.RecoveryAborted
+	w.RecoveryBackoffCycles -= base.RecoveryBackoffCycles
+	acts, closed := base.Actions, max(base.LatencyMax, s.LatencyMax)
+	*base = *s
+	base.Actions, base.LatencyMax = acts, closed
+	s.LatencyMax = 0
 }
 
 // Mpps converts the completed-packet count to millions of packets per
@@ -377,11 +392,13 @@ type Sim struct {
 	// exact exponential schedule.
 	jitterRng *rand.Rand
 
-	stats      Stats
-	onComplete func(Result)
-	onMapWrite func(mapID int, key string, deleted bool)
-	keepData   bool
-	quiesced   bool
+	// stats are the live counters; winBase is their value when the open
+	// Window began (see Stats.CloseWindow).
+	stats, winBase Stats
+	onComplete     func(Result)
+	onMapWrite     func(mapID int, key string, deleted bool)
+	keepData       bool
+	quiesced       bool
 
 	// probes is the observability surface, nil unless Config.Trace or
 	// Config.Metrics opted in (see trace.go).
@@ -464,11 +481,19 @@ func (s *Sim) Maps() *maps.Set { return s.env.Maps }
 func (s *Sim) Stats() Stats {
 	s.syncProtectionStats()
 	out := s.stats
+	out.LatencyMax = max(out.LatencyMax, s.winBase.LatencyMax)
 	out.Actions = make(map[ebpf.XDPAction]uint64, len(s.stats.Actions))
 	for a, n := range s.stats.Actions {
 		out.Actions[a] = n
 	}
 	return out
+}
+
+// Window returns the counters accumulated since the previous Window
+// call and opens the next window (see Core).
+func (s *Sim) Window(w *Stats) {
+	s.syncProtectionStats()
+	s.stats.CloseWindow(&s.winBase, w)
 }
 
 // Cycle returns the current clock cycle.

@@ -36,6 +36,10 @@ func FuzzMigrate(f *testing.F) {
 	f.Add(uint8(0), uint8(3), uint8(7), uint8(3), uint8(1), uint8(3), uint8(7), uint8(3), []byte{})
 	f.Add(uint8(3), uint8(7), uint8(15), uint8(31), uint8(3), uint8(7), uint8(15), uint8(63),
 		bytes.Repeat([]byte{0xa5}, 64))
+	// An LPM trie with a 1-byte key (no room for the 4-byte prefix length):
+	// MapSpec.Validate once accepted it and the trie sliced out of range.
+	f.Add(uint8('&'), uint8(0), uint8(0), uint8(0), uint8('S'), uint8(0), uint8(0), uint8(0xac),
+		[]byte("0000000000000000"))
 	f.Fuzz(func(t *testing.T, k1, ks1, vs1, me1, k2, ks2, vs2, me2 uint8, blob []byte) {
 		oldSpec := fuzzSpec(k1, ks1, vs1, me1)
 		newSpec := fuzzSpec(k2, ks2, vs2, me2)

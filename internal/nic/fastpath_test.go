@@ -117,11 +117,16 @@ func TestFastPathLiveUpdateFallsBack(t *testing.T) {
 	if rep.UpdatesCompleted != 1 {
 		t.Fatalf("update completed %d, want 1", rep.UpdatesCompleted)
 	}
-	if sh.Fast() != nil {
-		t.Error("compiled program survived the pipeline swap")
-	}
 	if rep.Received != rep.Sent {
 		t.Errorf("received %d of %d across the update", rep.Received, rep.Sent)
+	}
+	// The compiled program was specialized against the old pipeline: it
+	// must not come back once the update is over.
+	if engine, why := sh.Serving(); sh.FastPath() || why != "live update armed" {
+		t.Errorf("after the swap %s serves (%q), want the interpreter", engine, why)
+	}
+	if rep, err = sh.RunLoad(gen.Next, count, 50e6); err != nil || rep.Received != count {
+		t.Errorf("run after the swap: received %d of %d, err %v", rep.Received, count, err)
 	}
 }
 
@@ -165,5 +170,43 @@ func TestFastPathMultiQueue(t *testing.T) {
 	}
 	if err := conformance.CompareMaps(slowSh.Maps(), fastSh.Maps()); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMaxLatencyIsPerRun: Report.MaxLatencyNs is the run's own worst
+// case on every engine. A shell overloaded by one run (600 Mpps queues
+// frames for microseconds) and then driven gently must report the gentle
+// run's maximum — the interpreter shell's figure — not the high-water
+// mark the engine remembers from the overload.
+func TestMaxLatencyIsPerRun(t *testing.T) {
+	const count = 4096
+	app := apps.Firewall()
+	secondRun := func(cfg ShellConfig) Report {
+		sh := newShell(t, app, core.Options{}, cfg)
+		gen := pktgen.NewGenerator(app.Traffic)
+		first, err := sh.RunLoad(gen.Next, count, 600e6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := sh.RunLoad(gen.Next, count, 10e6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.MaxLatencyNs <= rep.MaxLatencyNs {
+			t.Fatalf("the overload run (max %.0f ns) did not queue deeper than the gentle one (max %.0f ns)",
+				first.MaxLatencyNs, rep.MaxLatencyNs)
+		}
+		return rep
+	}
+	for _, queues := range []int{1, 4} {
+		want := secondRun(ShellConfig{Queues: queues})
+		got := secondRun(ShellConfig{Queues: queues, FastPath: true})
+		if got.MaxLatencyNs != want.MaxLatencyNs || got.MaxLatencyNs != 820 {
+			t.Errorf("%d queue(s): compiled second run max %.0f ns, interpreter %.0f ns, want 820",
+				queues, got.MaxLatencyNs, want.MaxLatencyNs)
+		}
+		if got.AvgLatencyNs != 820 {
+			t.Errorf("%d queue(s): compiled second run avg %.0f ns, want 820", queues, got.AvgLatencyNs)
+		}
 	}
 }

@@ -1,219 +1,78 @@
 package nic
 
 import (
-	"context"
 	"fmt"
 
 	"ehdl/internal/core"
-	"ehdl/internal/ebpf"
 	"ehdl/internal/faults"
-	"ehdl/internal/hwsim"
 	"ehdl/internal/liveupdate"
-	"ehdl/internal/obs"
 	"ehdl/internal/rss"
 )
 
-// multiAgg accumulates per-queue statistics across engine sessions (a
-// live-update swap splits one RunLoad into sessions on the old and new
-// replica sets).
-type multiAgg struct {
-	perQueue []rss.QueueStats
-	// cycles sums session wall-clocks (the max replica cycle count of
-	// each session): sessions are sequential in simulated time even
-	// though replicas within one session run concurrently.
-	cycles    uint64
-	conflicts uint64
-	fallbacks uint64
+// newEngine builds the replica set for a pipeline from the shell's
+// configuration (at construction, and again for a live-update swap).
+func (sh *Shell) newEngine(pl *core.Pipeline) (*rss.Engine, error) {
+	return rss.NewEngine(pl, rss.Config{
+		Queues:   sh.cfg.Queues,
+		Batch:    sh.cfg.Batch,
+		Sim:      sh.cfg.Sim,
+		FastPath: sh.cfg.FastPath,
+	})
 }
 
-func (a *multiAgg) add(rs rss.RunStats) {
-	if a.perQueue == nil {
-		a.perQueue = make([]rss.QueueStats, len(rs.PerQueue))
+// runMulti is the multi-queue drive loop: the caller's goroutine
+// generates and classifies arrivals, the dispatcher stamps each with its
+// entry cycle floor(i x cycles-per-packet) up front, and one worker
+// goroutine per replica paces and executes them against that shared
+// simulated clock — so simulated results are deterministic regardless
+// of host scheduling. Nothing is consumed per packet: the workers'
+// counters are the whole ledger. A live update swaps at a drain barrier.
+func (sh *Shell) runMulti(rep *Report, tr *traffic, next func() []byte, count int) error {
+	var run rss.RunStats // every session of this RunLoad
+	perPkt := sh.cfg.ClockHz / tr.offeredPps
+	if err := sh.engine.Start(perPkt, nil); err != nil {
+		return err
 	}
-	for i, qs := range rs.PerQueue {
-		a.perQueue[i].Steered += qs.Steered
-		a.perQueue[i].Cycles += qs.Cycles
-		a.perQueue[i].Stats = a.perQueue[i].Stats.Add(qs.Stats)
-	}
-	a.cycles += rs.MaxCycles
-	a.conflicts += rs.MergeConflicts
-	a.fallbacks += rs.FallbackSteers
-}
-
-// runLoadMulti is RunLoad for the multi-queue shell: the caller's
-// goroutine generates and classifies arrivals, one worker goroutine per
-// replica paces and executes them against the shared simulated clock,
-// and the collector folds completions into the report. Simulated
-// results are deterministic regardless of host scheduling because every
-// packet's entry cycle is stamped by the dispatcher before it crosses a
-// channel.
-func (sh *Shell) runLoadMulti(next func() []byte, count int, offeredPps float64) (Report, error) {
-	ctx, endTask := obs.Task(context.Background(), "nic.RunLoadMulti")
-	defer endTask()
-	clock := sh.cfg.clockHz()
-	cyclesPerPacket := clock / offeredPps
-
-	var (
-		rep      Report
-		agg      multiAgg
-		sent     int
-		extra    int
-		bytesIn  uint64
-		bytesOut uint64
-		// latSum accumulates latency in cycles; the average converts
-		// once at the end so the result does not depend on the order
-		// queues interleave (float addition is not associative).
-		latSum uint64
-		latMax uint64
-	)
-	rep.Actions = map[ebpf.XDPAction]uint64{}
-	rep.QueueCount = sh.engine.Queues()
-
-	var startFaults faults.Counters
-	if sh.inj != nil {
-		startFaults = sh.inj.Counters()
-		next = sh.inj.WrapTraffic(next)
-	}
-
-	// dispatch runs on the collector goroutine. It only touches
-	// collector-owned accumulators until Drain's join publishes them.
-	dispatch := func(c rss.Completion) {
-		rep.Received++
-		rep.Actions[c.Res.Action]++
-		bytesOut += uint64(c.PktLen)
-		lat := c.Res.LatencyCycles + uint64(sh.cfg.fifoCycles())
-		latSum += lat
-		if lat > latMax {
-			latMax = lat
-		}
-	}
-
-	if err := sh.engine.Start(cyclesPerPacket, dispatch); err != nil {
-		return rep, err
-	}
-
-	endRegion := obs.Region(ctx, "drive")
-	for sent < count {
+	for tr.sent < count {
 		// A scheduled live update triggers once enough traffic was
 		// offered: quiesce-drain every replica, swap them atomically,
 		// and resume — or roll back with the old replicas untouched.
-		if sh.pending != nil && sent >= sh.pending.after {
+		if sh.pending != nil && tr.sent >= sh.pending.after {
 			p := sh.pending
 			sh.pending = nil
 			rep.UpdatesAttempted++
-			held, err := sh.swapEngine(&rep, &agg, p.cfg, cyclesPerPacket, dispatch)
-			if err != nil {
-				if _, ok := err.(*liveupdate.UpdateError); !ok {
-					// Not an update failure: the engine itself broke.
-					endRegion()
-					return rep, err
-				}
+			held, err := sh.swapEngine(rep, &run, p.cfg, perPkt)
+			if _, rolledBack := err.(*liveupdate.UpdateError); err != nil && !rolledBack {
+				// Not an update failure: the engine itself broke.
+				return err
 			}
 			// Arrivals that landed during the cutover drain were held
 			// and release first, in order — they are simply the next
 			// packets of the generated sequence.
-			for i := 0; i < held && sent < count; i++ {
-				pkt := next()
-				bytesIn += uint64(len(pkt))
-				sh.engine.Offer(pkt)
-				sent++
+			for ; held > 0 && tr.sent < count; held-- {
+				sh.engine.Offer(tr.take(next))
+				tr.sent++
 				rep.HeldPackets++
 			}
 			continue
 		}
-		pkt := next()
-		bytesIn += uint64(len(pkt))
-		sh.engine.Offer(pkt)
-		sent++
-		if sh.inj != nil && sent < count && sh.inj.Roll(faults.QueueOverflow) {
+		sh.engine.Offer(tr.take(next))
+		tr.sent++
+		if sh.inj != nil && tr.sent < count && sh.inj.Roll(faults.QueueOverflow) {
 			// Ingress overflow burst: a burst of frames lands on the
 			// next arrival's cycle on top of the paced load, spread
 			// across queues by their flow hashes.
 			for i := 0; i < sh.inj.BurstLen(); i++ {
-				b := next()
-				bytesIn += uint64(len(b))
-				sh.engine.OfferBurst(b)
-				extra++
+				sh.engine.OfferBurst(tr.take(next))
+				tr.extra++
 			}
 			sh.inj.Note(faults.QueueOverflow)
 		}
 	}
-	endRegion()
-
 	rs, err := sh.engine.Drain()
-	agg.add(rs)
-	if err != nil {
-		return rep, err
-	}
-
-	rep.Sent = uint64(sent + extra)
-	rep.Cycles = agg.cycles
-	rep.MergeConflicts = agg.conflicts
-	rep.SteerFallbacks = agg.fallbacks
-	for q, qs := range agg.perQueue {
-		qr := QueueReport{
-			Queue:    q,
-			Steered:  qs.Steered,
-			Received: qs.Stats.Completed,
-			Lost:     qs.Stats.QueueDrops,
-			Flushes:  qs.Stats.Flushes,
-			Cycles:   qs.Cycles,
-		}
-		if qs.Cycles > 0 {
-			qr.AchievedMpps = float64(qr.Received) / (float64(qs.Cycles) / clock) / 1e6
-		}
-		rep.PerQueue = append(rep.PerQueue, qr)
-		rep.Lost += qs.Stats.QueueDrops
-		rep.Flushes += qs.Stats.Flushes
-		rep.FaultsInjected += qs.Stats.FaultsInjected
-		rep.MalformedDropped += qs.Stats.MalformedDropped
-		rep.QueueOverflows += qs.Stats.QueueOverflows
-		rep.WatchdogTrips += qs.Stats.WatchdogTrips
-		rep.CorrectedWords += qs.Stats.CorrectedWords
-		rep.UncorrectableWords += qs.Stats.UncorrectableWords
-		rep.ScrubPasses += qs.Stats.ScrubPasses
-		rep.CheckpointsTaken += qs.Stats.CheckpointsTaken
-		rep.Recoveries += qs.Stats.Recoveries
-		rep.RecoveryAborted += qs.Stats.RecoveryAborted
-		rep.RecoveryBackoffCycles += qs.Stats.RecoveryBackoffCycles
-	}
-	if sh.inj != nil {
-		endFaults := sh.inj.Counters()
-		rep.MalformedSent = endFaults.ByClass[faults.MalformedTraffic] - startFaults.ByClass[faults.MalformedTraffic]
-		rep.OverflowBursts = endFaults.ByClass[faults.QueueOverflow] - startFaults.ByClass[faults.QueueOverflow]
-	}
-
-	// Replicas run concurrently in hardware: the run's wall-clock is
-	// the slowest session chain, so throughput uses agg.cycles (the
-	// session maxima), not the per-queue sum.
-	seconds := float64(agg.cycles) / clock
-	if seconds > 0 {
-		rep.AchievedMpps = float64(rep.Received) / seconds / 1e6
-		rep.AchievedGbps = float64(bytesOut+20*rep.Received) * 8 / seconds / 1e9
-		rep.FlushesPerS = float64(rep.Flushes) / seconds
-	}
-	rep.OfferedMpps = offeredPps / 1e6
-	if sent > 0 {
-		rep.OfferedGbps = float64(bytesIn+20*rep.Sent) * 8 / (float64(sent) * cyclesPerPacket / clock) / 1e9
-	}
-	if rep.Received > 0 {
-		rep.AvgLatencyNs = float64(latSum) / float64(rep.Received) / clock * 1e9
-	}
-	rep.MaxLatencyNs = float64(latMax) / clock * 1e9
-	if reg := sh.cfg.Sim.Metrics; reg != nil {
-		if h, ok := reg.HistogramByName(hwsim.MetricStageOccupancy); ok {
-			rep.MeanStageOccupancy = h.Mean()
-		}
-		if h, ok := reg.HistogramByName(hwsim.MetricCyclesPerPacket); ok {
-			rep.P99LatencyCycles = h.Quantile(0.99)
-		}
-		if h, ok := reg.HistogramByName(hwsim.MetricFlushPenalty); ok {
-			rep.FlushPenaltyMean = h.Mean()
-		}
-		rep.MapPortOps, _ = reg.CounterValue(hwsim.MetricMapPortOps)
-		rep.BackpressureCycles, _ = reg.CounterValue(hwsim.MetricBackpressure)
-	}
-	return rep, nil
+	run.Add(rs)
+	sh.fold(rep, tr, run)
+	return err
 }
 
 // swapEngine performs the multi-queue live update: drain every replica
@@ -226,57 +85,46 @@ func (sh *Shell) runLoadMulti(next func() []byte, count int, offeredPps float64)
 // Returns the number of arrivals that would have landed during the
 // cutover drain window; the caller releases them into the serving
 // engine first, preserving arrival order.
-func (sh *Shell) swapEngine(rep *Report, agg *multiAgg, ucfg liveupdate.Config, cyclesPerPacket float64, dispatch func(rss.Completion)) (held int, err error) {
+func (sh *Shell) swapEngine(rep *Report, run *rss.RunStats, ucfg liveupdate.Config, cyclesPerPacket float64) (held int, err error) {
 	old := sh.engine
 
 	// Quiesce: stop offering, run every replica dry. After Drain the
 	// banked maps serve their merged views — the migration source.
-	preCycles := agg.cycles
 	rs, derr := old.Drain()
-	agg.add(rs)
+	run.Add(rs)
 	if derr != nil {
 		return 0, derr
 	}
-	cutover := agg.cycles - preCycles
-	rep.CutoverTicks += cutover
-	if cyclesPerPacket > 0 {
-		held = int(float64(cutover) / cyclesPerPacket)
-	}
+	rep.CutoverTicks += rs.MaxCycles
+	held = int(float64(rs.MaxCycles) / cyclesPerPacket)
 
 	rollback := func(stage liveupdate.Stage, cause error) (int, error) {
 		ue := &liveupdate.UpdateError{Stage: stage, Err: cause}
-		rep.UpdatesRolledBack++
-		rep.UpdateStage = liveupdate.StageRolledBack.String()
-		rep.UpdateFailure = ue.Error()
+		rep.noteUpdate(nil, ue)
 		// The old replicas still hold their state; resume serving.
-		if serr := old.Start(cyclesPerPacket, dispatch); serr != nil {
+		if serr := old.Start(cyclesPerPacket, nil); serr != nil {
 			return 0, serr
 		}
-		sh.engine = old
 		return held, ue
 	}
 
-	oldProg := old.Pipeline().Prog
-	if cerr := liveupdate.CheckPrograms(oldProg, ucfg.Prog); cerr != nil {
-		return rollback(liveupdate.StageShadow, cerr)
-	}
-	newPl, cerr := core.Compile(ucfg.Prog, ucfg.Opts)
-	if cerr != nil {
-		return rollback(liveupdate.StageShadow, cerr)
-	}
-	eng, cerr := rss.NewEngine(newPl, rss.Config{
-		Queues:   sh.cfg.Queues,
-		Batch:    sh.cfg.Batch,
-		Sim:      sh.cfg.Sim,
-		FastPath: sh.cfg.FastPath,
-	})
-	if cerr != nil {
-		return rollback(liveupdate.StageShadow, cerr)
-	}
-	if ucfg.Setup != nil {
-		if serr := ucfg.Setup(eng.HostMaps()); serr != nil {
-			return rollback(liveupdate.StageShadow, serr)
+	// Shadow: schema gate, compile, build the new replica set, host setup.
+	eng, cerr := func() (*rss.Engine, error) {
+		if err := liveupdate.CheckPrograms(old.Pipeline().Prog, ucfg.Prog); err != nil {
+			return nil, err
 		}
+		pl, err := core.Compile(ucfg.Prog, ucfg.Opts)
+		if err != nil {
+			return nil, err
+		}
+		eng, err := sh.newEngine(pl)
+		if err != nil || ucfg.Setup == nil {
+			return eng, err
+		}
+		return eng, ucfg.Setup(eng.HostMaps())
+	}()
+	if cerr != nil {
+		return rollback(liveupdate.StageShadow, cerr)
 	}
 
 	// Migration: the merged old state broadcasts into every new bank
@@ -284,7 +132,7 @@ func (sh *Shell) swapEngine(rep *Report, agg *multiAgg, ucfg liveupdate.Config, 
 	// view a single-queue migration would have produced. Live state
 	// overwrites colliding setup entries, like the bulk copy of the
 	// single-queue controller.
-	migrated, merr := sh.migrateMerged(old, eng, ucfg.Prog)
+	migrated, merr := migrateMerged(old, eng)
 	if merr != nil {
 		return rollback(liveupdate.StageMigrate, merr)
 	}
@@ -292,9 +140,9 @@ func (sh *Shell) swapEngine(rep *Report, agg *multiAgg, ucfg liveupdate.Config, 
 	rep.MigrationTicks += migrated // one entry per tick, the bulk-copy cost model
 
 	if sh.pinned != nil {
-		eng.SetClock(sh.pinnedNow)
+		eng.SetClock(sh.nowNs)
 	}
-	if serr := eng.Start(cyclesPerPacket, dispatch); serr != nil {
+	if serr := eng.Start(cyclesPerPacket, nil); serr != nil {
 		return rollback(liveupdate.StageCutover, serr)
 	}
 	sh.engine = eng
@@ -304,36 +152,25 @@ func (sh *Shell) swapEngine(rep *Report, agg *multiAgg, ucfg liveupdate.Config, 
 }
 
 // migrateMerged copies every name-matched, schema-compatible map from
-// the drained old engine's merged view into the new engine's host maps.
-func (sh *Shell) migrateMerged(old, new *rss.Engine, newProg *ebpf.Program) (uint64, error) {
-	newNames := map[string]bool{}
-	for _, spec := range newProg.Maps {
-		newNames[spec.Name] = true
-	}
-	var migrated uint64
-	var merr error
+// the drained old engine's merged view into the new engine's host maps;
+// a map the new program no longer declares is dropped with its state.
+func migrateMerged(old, new *rss.Engine) (migrated uint64, err error) {
 	for _, spec := range old.Pipeline().Prog.Maps {
-		if !newNames[spec.Name] {
-			continue // dropped with its state
-		}
 		src, ok := old.HostMaps().ByName(spec.Name)
-		if !ok {
-			continue
-		}
-		dst, ok := new.HostMaps().ByName(spec.Name)
-		if !ok {
+		dst, ok2 := new.HostMaps().ByName(spec.Name)
+		if !ok || !ok2 {
 			continue
 		}
 		src.Iterate(func(k, v []byte) bool {
-			if err := dst.Update(k, v, 0); err != nil {
-				merr = fmt.Errorf("nic: migrate %q: %w", spec.Name, err)
+			if err = dst.Update(k, v, 0); err != nil {
+				err = fmt.Errorf("nic: migrate %q: %w", spec.Name, err)
 				return false
 			}
 			migrated++
 			return true
 		})
-		if merr != nil {
-			return migrated, merr
+		if err != nil {
+			return migrated, err
 		}
 	}
 	return migrated, nil

@@ -19,12 +19,6 @@ import (
 func TestMultiQueueRunLoad(t *testing.T) {
 	const count = 2000
 	sh := newShell(t, apps.Toy(), core.Options{}, ShellConfig{Queues: 4, Sim: hwsim.Config{InputQueuePackets: 64}})
-	if sh.Sim() != nil {
-		t.Fatal("multi-queue shell should not expose a single simulator")
-	}
-	if sh.Engine() == nil || sh.Engine().Queues() != 4 {
-		t.Fatal("multi-queue shell should expose a 4-replica engine")
-	}
 	gen := pktgen.NewGenerator(apps.Toy().Traffic)
 	rep, err := sh.RunLoad(gen.Next, count, sh.LineRateMpps(64)*1e6)
 	if err != nil {
@@ -161,7 +155,6 @@ func TestMultiQueueUpdateRollback(t *testing.T) {
 	const count = 1000
 	app := apps.Toy()
 	sh := newShell(t, app, core.Options{}, ShellConfig{Queues: 2, Sim: hwsim.Config{InputQueuePackets: 64}})
-	old := sh.Engine()
 	prog, err := app.Program()
 	if err != nil {
 		t.Fatal(err)
@@ -186,19 +179,23 @@ func TestMultiQueueUpdateRollback(t *testing.T) {
 	if rep.UpdateFailure == "" {
 		t.Error("rollback recorded no failure cause")
 	}
-	if sh.Engine() != old {
-		t.Error("rollback did not keep the old replica fleet serving")
-	}
 	if rep.Received != rep.Sent {
 		t.Errorf("rollback dropped traffic: %d of %d", rep.Received, rep.Sent)
 	}
-	stats, _ := sh.Maps().ByName("stats")
-	v, ok := stats.Lookup([]byte{1, 0, 0, 0})
-	if !ok {
-		t.Fatal("stats[1] missing after rollback")
-	}
-	if got := binary.LittleEndian.Uint64(v); got != uint64(count) {
-		t.Errorf("counter after rollback = %d, want %d", got, count)
+	// The old replica fleet keeps serving with its state: the counter
+	// holds every packet of this run and goes on counting in the next.
+	for run := uint64(1); run <= 2; run++ {
+		stats, _ := sh.Maps().ByName("stats")
+		v, ok := stats.Lookup([]byte{1, 0, 0, 0})
+		if !ok {
+			t.Fatal("stats[1] missing after rollback")
+		}
+		if got := binary.LittleEndian.Uint64(v); got != run*count {
+			t.Errorf("counter after rollback, run %d = %d, want %d", run, got, run*count)
+		}
+		if rep, err = sh.RunLoad(gen.Next, count, 100e6); err != nil || rep.Received != count || rep.QueueCount != 2 {
+			t.Fatalf("run after rollback: received %d of %d on %d queues, err %v", rep.Received, count, rep.QueueCount, err)
+		}
 	}
 }
 
@@ -305,8 +302,8 @@ func TestMultiQueueMigrateFullRollback(t *testing.T) {
 	if repA.UpdateFailure == "" {
 		t.Error("mid-migration rollback recorded no failure cause")
 	}
-	if shA.Engine() == nil || shA.Engine().Queues() != 4 {
-		t.Error("rollback did not keep a 4-replica engine serving")
+	if repA.QueueCount != 4 || len(repA.PerQueue) != 4 {
+		t.Errorf("rollback did not keep a 4-replica engine serving: %d queues, %d rows", repA.QueueCount, len(repA.PerQueue))
 	}
 	if repA.Received != repA.Sent || repA.Lost != 0 {
 		t.Errorf("rollback dropped traffic: received %d of %d, lost %d",
@@ -344,7 +341,7 @@ func TestMultiQueueChaos(t *testing.T) {
 	cfg := ShellConfig{
 		Queues: 4,
 		Faults: faults.Config{Seed: 7, MalformRate: 0.05, OverflowRate: 0.01, OverflowBurstLen: 8},
-		Sim: hwsim.Config{InputQueuePackets: 64},
+		Sim:    hwsim.Config{InputQueuePackets: 64},
 	}
 	sh := newShell(t, apps.Toy(), core.Options{}, cfg)
 	gen := pktgen.NewGenerator(apps.Toy().Traffic)

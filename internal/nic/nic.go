@@ -49,35 +49,13 @@ type ShellConfig struct {
 	// FastPath requests the compiled host fast path: the design is
 	// compiled once into a per-stage closure chain and packets execute
 	// allocation-free, with the cycle-accurate interpreter retained as
-	// the conformance oracle. The request falls back to the interpreter
-	// silently when the configuration needs it (faults, protection,
-	// watchdog, stall policy, tracing, metrics — the matrix in
-	// DESIGN.md) and for the single-queue leg of a scheduled live
-	// update; Shell.FastPath reports what actually serves.
+	// the conformance oracle. It is a request: a configuration the
+	// compiled engine cannot serve (fastpath.Eligible names the feature)
+	// and the single-queue leg of a scheduled live update keep the
+	// interpreter; Shell.FastPath and Shell.Serving report what serves.
 	FastPath bool
 	// Hazard policy and other simulator knobs.
 	Sim hwsim.Config
-}
-
-func (c ShellConfig) clockHz() float64 {
-	if c.ClockHz <= 0 {
-		return 250e6
-	}
-	return c.ClockHz
-}
-
-func (c ShellConfig) linkGbps() float64 {
-	if c.LinkGbps <= 0 {
-		return 100
-	}
-	return c.LinkGbps
-}
-
-func (c ShellConfig) fifoCycles() int {
-	if c.FIFOCycles <= 0 {
-		return 160
-	}
-	return c.FIFOCycles
 }
 
 // pendingUpdate is an armed-but-not-started live update.
@@ -88,19 +66,25 @@ type pendingUpdate struct {
 
 // Shell is one instantiated NIC.
 type Shell struct {
-	cfg ShellConfig
-	sim *hwsim.Sim
-	pl  *core.Pipeline
+	cfg ShellConfig // defaults resolved
 	inj *faults.Injector
 
-	// fast is the compiled single-queue engine (nil when not requested,
-	// ineligible, or retired by a live-update swap). It shares the
-	// interpreter's map environment, so host setup and state are common
-	// to both engines and a fallback run continues seamlessly.
-	fast *fastpath.Machine
+	// The single-queue engines. sim, the interpreter, serves or stands
+	// by as the live-update path of a compiled shell. fast is the
+	// compiled machine: nil when not requested, ineligible (the field of
+	// that name says why) or retired by a live-update swap. Both share
+	// one map environment, so host setup and state are common and a
+	// fallback run continues seamlessly.
+	sim        *hwsim.Sim
+	fast       *fastpath.Machine
+	ineligible string
 
 	// engine is the multi-queue RSS scale-out (nil when Queues <= 1).
 	engine *rss.Engine
+
+	// win is the scratch the serving engine's counter window closes
+	// into, kept across runs so a RunLoad allocates nothing per window.
+	win hwsim.Stats
 
 	// Master clock state: helper-visible time survives pipeline swaps.
 	// cycleBase is the cycle count retired pipelines accumulated before
@@ -114,73 +98,59 @@ type Shell struct {
 
 // New builds a shell around a compiled pipeline with fresh maps.
 func New(pl *core.Pipeline, cfg ShellConfig) (*Shell, error) {
-	cfg.Sim.ClockHz = cfg.clockHz()
-	var inj *faults.Injector
-	if cfg.Faults.Enabled() {
-		inj = faults.New(cfg.Faults)
-		cfg.Sim.Faults = inj
-	} else if cfg.Sim.Faults != nil {
-		// A pre-built injector passed through the simulator config is
-		// shared, so shell-side classes (malformed traffic, overflow
-		// bursts) stay on the same seeded stream.
-		inj = cfg.Sim.Faults
+	// Resolve the documented defaults once; everything reads the fields.
+	if cfg.ClockHz <= 0 {
+		cfg.ClockHz = 250e6
 	}
+	if cfg.LinkGbps <= 0 {
+		cfg.LinkGbps = 100
+	}
+	if cfg.FIFOCycles <= 0 {
+		cfg.FIFOCycles = 160
+	}
+	cfg.Sim.ClockHz = cfg.ClockHz
+	if cfg.Faults.Enabled() {
+		cfg.Sim.Faults = faults.New(cfg.Faults)
+	}
+	// One injector — built here, or pre-built and passed through the
+	// simulator config — serves the engines and the shell-side classes
+	// (malformed traffic, overflow bursts) from the same seeded stream.
+	sh := &Shell{cfg: cfg, inj: cfg.Sim.Faults}
 	if cfg.Queues > 1 {
 		// Multi-queue scale-out: N replicas behind the RSS dispatcher.
 		// The engine forks the injector per replica; the shell keeps the
 		// base stream for traffic damage and overflow bursts.
-		eng, err := rss.NewEngine(pl, rss.Config{
-			Queues:   cfg.Queues,
-			Batch:    cfg.Batch,
-			Sim:      cfg.Sim,
-			FastPath: cfg.FastPath,
-		})
+		eng, err := sh.newEngine(pl)
 		if err != nil {
 			return nil, err
 		}
-		if cfg.Sim.Metrics != nil {
-			maps.ObserveSet(eng.HostMaps(), cfg.Sim.Metrics)
-		}
-		return &Shell{cfg: cfg, pl: pl, inj: inj, engine: eng}, nil
-	}
-	var fast *fastpath.Machine
-	var sim *hwsim.Sim
-	if ok, _ := fastpath.Eligible(cfg.Sim); cfg.FastPath && ok {
-		// Dual engine over one map environment: the compiled machine
-		// serves traffic, the interpreter stands by as the oracle and as
-		// the live-update fallback. Sharing the environment keeps host
-		// setup, map state and the helper clock common to both.
+		sh.engine = eng
+	} else {
+		// One map environment under both engines keeps host setup, map
+		// state and the helper clock common to them.
 		env, err := vm.NewEnv(pl.Transformed)
 		if err != nil {
 			return nil, err
 		}
-		if sim, err = hwsim.NewWithEnv(pl, cfg.Sim, env); err != nil {
+		if sh.sim, err = hwsim.NewWithEnv(pl, cfg.Sim, env); err != nil {
 			return nil, err
 		}
-		if fast, err = fastpath.NewWithEnv(pl, cfg.Sim, env); err != nil {
-			return nil, err
-		}
-	} else {
-		var err error
-		if sim, err = hwsim.New(pl, cfg.Sim); err != nil {
-			return nil, err
+		// The shell owns the helper-visible clock so it stays continuous
+		// across a live-update pipeline swap. With no swap and no pin the
+		// value is identical to the simulator's built-in cycle clock.
+		sh.sim.SetClock(sh.nowNs)
+		if _, sh.ineligible = fastpath.Eligible(cfg.Sim); cfg.FastPath && sh.ineligible == "" {
+			if sh.fast, err = fastpath.NewWithEnv(pl, cfg.Sim, env); err != nil {
+				return nil, err
+			}
+			sh.fast.SetClock(sh.nowNs)
 		}
 	}
 	if cfg.Sim.Metrics != nil {
 		// With metrics armed the shell also counts the host-port map
 		// traffic: the wrappers swap into the shared set, so data plane
 		// and host side meter the same objects.
-		maps.ObserveSet(sim.Maps(), cfg.Sim.Metrics)
-	}
-	sh := &Shell{cfg: cfg, sim: sim, pl: pl, inj: inj, fast: fast}
-	// The shell owns the helper-visible clock so it stays continuous
-	// across a live-update pipeline swap. With no swap and no pin the
-	// value is identical to the simulator's built-in cycle clock.
-	sh.sim.SetClock(sh.nowNs)
-	if sh.fast != nil {
-		// Same clock function, same environment: whichever engine runs,
-		// time helpers see the shell's master clock.
-		sh.fast.SetClock(sh.nowNs)
+		maps.ObserveSet(sh.Maps(), cfg.Sim.Metrics)
 	}
 	return sh, nil
 }
@@ -198,7 +168,7 @@ func (sh *Shell) nowNs() uint64 {
 	if sh.fast != nil {
 		cycles += sh.fast.Cycle()
 	}
-	return uint64(float64(cycles) / sh.cfg.clockHz() * 1e9)
+	return uint64(float64(cycles) / sh.cfg.ClockHz * 1e9)
 }
 
 // Maps exposes the host-side map interface of the NIC. In multi-queue
@@ -211,27 +181,52 @@ func (sh *Shell) Maps() *maps.Set {
 	return sh.sim.Maps()
 }
 
-// Sim exposes the underlying simulator (for clock pinning in tests).
-// Nil in multi-queue mode — use Engine to reach the replicas.
-func (sh *Shell) Sim() *hwsim.Sim { return sh.sim }
-
-// Fast exposes the compiled single-queue engine (nil when the shell
-// serves from the interpreter or runs multi-queue).
-func (sh *Shell) Fast() *fastpath.Machine { return sh.fast }
+// Stats returns the lifetime counters of the engines behind the shell,
+// whichever they are: both engines of a dual-engine shell, every
+// replica of a multi-queue one. Call it between runs, not during one.
+func (sh *Shell) Stats() hwsim.Stats {
+	if sh.engine != nil {
+		var st hwsim.Stats
+		for q := 0; q < sh.engine.Queues(); q++ {
+			st = st.Add(sh.engine.ReplicaCore(q).Stats())
+		}
+		return st
+	}
+	if sh.fast != nil {
+		return sh.sim.Stats().Add(sh.fast.Stats())
+	}
+	return sh.sim.Stats()
+}
 
 // FastPath reports whether traffic is served by the compiled fast
 // path. A requested fast path that fell back to the interpreter — an
 // ineligible configuration, or a single-queue live update — reports
 // false; on a multi-queue shell it reflects the replicas' mode.
 func (sh *Shell) FastPath() bool {
-	if sh.engine != nil {
-		return sh.engine.FastPath()
-	}
-	return sh.fast != nil && sh.pending == nil && sh.ctrl == nil
+	_, why := sh.Serving()
+	return why == ""
 }
 
-// Engine exposes the multi-queue RSS engine (nil with Queues <= 1).
-func (sh *Shell) Engine() *rss.Engine { return sh.engine }
+// Serving names the engine that serves the next RunLoad and, when that
+// is the interpreter, why: the one answer the CLIs print and act on.
+func (sh *Shell) Serving() (engine, why string) {
+	switch {
+	case sh.engine != nil:
+		why = sh.engine.Fallback()
+	case !sh.cfg.FastPath:
+		why = fastpath.NotRequested
+	case sh.ineligible != "":
+		why = sh.ineligible
+	case sh.pending != nil || sh.ctrl != nil:
+		// The update machinery runs only in the interpreter; a cutover
+		// also retires the compiled program (built for the old pipeline).
+		why = "live update armed"
+	}
+	if why == "" {
+		return "compiled fast path", ""
+	}
+	return "cycle-accurate interpreter", why
+}
 
 // Injector exposes the shell's fault injector (nil without faults).
 func (sh *Shell) Injector() *faults.Injector { return sh.inj }
@@ -405,256 +400,183 @@ type QueueReport struct {
 // LineRateMpps returns the port's packet rate for a frame size.
 func (sh *Shell) LineRateMpps(frameLen int) float64 {
 	wire := float64(frameLen+20) * 8
-	return sh.cfg.linkGbps() * 1e9 / wire / 1e6
+	return sh.cfg.LinkGbps * 1e9 / wire / 1e6
 }
 
 // RunLoad offers `count` packets from next() at `offeredPps` and runs
 // until the pipeline drains. The generator paces arrivals in clock
-// cycles like the testbed's DPDK generator paces them on the wire.
+// cycles like the testbed's DPDK generator paces them on the wire. On
+// an engine error the report still holds what retired before it.
 func (sh *Shell) RunLoad(next func() []byte, count int, offeredPps float64) (Report, error) {
 	if offeredPps <= 0 {
 		return Report{}, fmt.Errorf("nic: offered rate must be positive")
-	}
-	if sh.engine != nil {
-		return sh.runLoadMulti(next, count, offeredPps)
-	}
-	if sh.fast != nil && sh.pending == nil && sh.ctrl == nil {
-		// The compiled engine serves whenever no live update is armed;
-		// an update run falls back to the interpreter below (shared map
-		// environment, so state carries over either way).
-		return sh.runLoadFast(next, count, offeredPps)
 	}
 	// Annotate the run for runtime/trace consumers (-runtime-trace on
 	// the CLIs); free when no execution trace is active.
 	ctx, endTask := obs.Task(context.Background(), "nic.RunLoad")
 	defer endTask()
-	clock := sh.cfg.clockHz()
-	cyclesPerPacket := clock / offeredPps
+	defer obs.Region(ctx, "drive")()
 
-	var (
-		rep       Report
-		sent      int
-		due       float64
-		bytesIn   uint64
-		bytesOut  uint64
-		acc       hwsim.Stats
-		startStat = sh.sim.Stats()
-		began     bool
-		beginErr  *liveupdate.UpdateError
-	)
-	rep.Actions = map[ebpf.XDPAction]uint64{}
-
-	var startFaults faults.Counters
+	var rep Report
+	tr := traffic{offeredPps: offeredPps}
 	if sh.inj != nil {
-		startFaults = sh.inj.Counters()
+		tr.faults0 = sh.inj.Counters()
 		next = sh.inj.WrapTraffic(next)
 	}
+	var err error
+	if sh.engine != nil {
+		err = sh.runMulti(&rep, &tr, next, count)
+	} else {
+		err = sh.runSingle(&rep, &tr, next, count)
+	}
+	return rep, err
+}
 
-	dispatch := func(r hwsim.Result) {
-		rep.Received++
-		rep.Actions[r.Action]++
-		lat := (float64(r.LatencyCycles) + float64(sh.cfg.fifoCycles())) / clock * 1e9
-		rep.AvgLatencyNs += lat
-		if lat > rep.MaxLatencyNs {
-			rep.MaxLatencyNs = lat
-		}
-		if sh.ctrl != nil {
-			sh.ctrl.NoteCompletion(r)
+// ingress is the path from the generator to the serving engine for one
+// single-queue run. The update controller, nil unless an update runs,
+// has first claim on every arrival; release holds what it buffered
+// during the cutover drain, re-entering ahead of newer arrivals as the
+// ingress queue frees, so an update never drops or reorders a packet.
+type ingress struct {
+	eng      hwsim.Core
+	ctrl     *liveupdate.Controller
+	release  [][]byte
+	accepted uint64 // bytes the engine's input queue took
+}
+
+// offer routes one generated arrival: held by the controller, queued
+// behind a released backlog, or injected.
+func (in *ingress) offer(pkt []byte) {
+	switch {
+	case in.ctrl != nil && in.ctrl.OfferPacket(pkt):
+	case len(in.release) > 0:
+		in.release = append(in.release, pkt)
+	default:
+		in.inject(pkt)
+	}
+}
+
+func (in *ingress) inject(pkt []byte) {
+	if in.eng.Inject(pkt) {
+		in.accepted += uint64(len(pkt))
+		if in.ctrl != nil {
+			in.ctrl.NoteInjected(pkt)
 		}
 	}
-	sh.sim.OnComplete(dispatch)
-	defer func() { sh.sim.OnComplete(nil) }()
+}
 
-	// release holds packets the update controller buffered during the
-	// cutover drain; they re-enter as the ingress queue frees, ahead of
-	// newer arrivals, so the update never drops or reorders a packet.
-	var release [][]byte
-	drainRelease := func() {
-		for len(release) > 0 && sh.sim.InputFree() {
-			pkt := release[0]
-			release = release[1:]
-			if sh.sim.Inject(pkt) {
-				bytesOut += uint64(len(pkt))
-				if sh.ctrl != nil {
-					sh.ctrl.NoteInjected(pkt)
-				}
-			}
-		}
+// serve makes eng the serving engine and discards what it counted
+// before: its window opens here.
+func (sh *Shell) serve(in *ingress, eng hwsim.Core) {
+	in.eng = eng
+	eng.Window(&sh.win)
+	if in.ctrl != nil {
+		// Only a running update consumes per-packet completions; every
+		// other figure comes out of the engine's counters at the end.
+		eng.OnComplete(in.ctrl.NoteCompletion)
 	}
+}
 
-	// inject routes one generated arrival: the update controller may
-	// hold it during the cutover drain (it comes back via Release, never
-	// dropped), otherwise it goes to the serving pipeline — behind any
-	// released backlog, to preserve arrival order.
-	inject := func(pkt []byte) {
-		bytesIn += uint64(len(pkt))
-		if sh.ctrl != nil && sh.ctrl.OfferPacket(pkt) {
-			return
-		}
-		if len(release) > 0 {
-			release = append(release, pkt)
-			return
-		}
-		if sh.sim.Inject(pkt) {
-			bytesOut += uint64(len(pkt))
-			if sh.ctrl != nil {
-				sh.ctrl.NoteInjected(pkt)
-			}
-		}
+// runSingle is the single-queue drive loop: one cycle loop against
+// whichever engine serves, stepping a float `due` accumulator per cycle.
+// The fault injector and the update controller attach as values that
+// are nil when not configured.
+func (sh *Shell) runSingle(rep *Report, tr *traffic, next func() []byte, count int) (err error) {
+	var (
+		in       ingress
+		due      float64
+		retired  hwsim.Stats // counters of pipelines a cutover retired
+		beginErr error
+		inj      = sh.inj
+		perPkt   = sh.cfg.ClockHz / tr.offeredPps
+	)
+	if sh.FastPath() {
+		sh.serve(&in, sh.fast)
+	} else {
+		sh.serve(&in, sh.sim)
 	}
-
-	endRegion := obs.Region(ctx, "drive")
-	extra := 0
-	for sent < count || sh.sim.Busy() || len(release) > 0 || (sh.ctrl != nil && sh.ctrl.Active()) {
+	for tr.sent < count || in.eng.Busy() || len(in.release) > 0 || (in.ctrl != nil && in.ctrl.Active()) {
 		// Arm the scheduled update once enough traffic was offered.
-		if sh.pending != nil && sent >= sh.pending.after {
-			p := sh.pending
-			sh.pending = nil
-			ucfg := p.cfg
-			ucfg.Sim.ClockHz = clock
-			if ucfg.Sim.Faults == nil && sh.inj != nil {
-				// The shadow runs its own forked fault campaign: same
-				// determinism, zero draws stolen from the serving
-				// pipeline's per-class streams.
-				ucfg.Sim.Faults = sh.inj.Fork(1)
-			}
+		if sh.pending != nil && tr.sent >= sh.pending.after {
 			rep.UpdatesAttempted++
-			began = true
-			ctrl, err := liveupdate.Begin(sh.sim, ucfg, sh.nowNs)
-			if err != nil {
-				rep.UpdatesRolledBack++
-				if ue, ok := err.(*liveupdate.UpdateError); ok {
-					beginErr = ue
-				} else {
-					beginErr = &liveupdate.UpdateError{Stage: liveupdate.StageShadow, Err: err}
-				}
-			} else {
-				sh.ctrl = ctrl
+			if in.ctrl, beginErr = sh.beginUpdate(); beginErr == nil {
+				sh.ctrl = in.ctrl
+				in.eng.OnComplete(in.ctrl.NoteCompletion)
 			}
 		}
 		// Arrivals faster than the clock queue several packets per cycle.
-		for sent < count && due <= 0 {
-			inject(next())
-			sent++
-			due += cyclesPerPacket
+		for tr.sent < count && due <= 0 {
+			in.offer(tr.take(next))
+			tr.sent++
+			due += perPkt
 		}
-		if sh.inj != nil && sent < count && sh.inj.Roll(faults.QueueOverflow) {
+		if inj != nil && tr.sent < count && inj.Roll(faults.QueueOverflow) {
 			// Ingress overflow burst: a full burst of frames lands in this
 			// cycle on top of the paced load. The bounded input queue
 			// absorbs what it can and drops the rest — counted, never an
 			// error.
-			for i := 0; i < sh.inj.BurstLen(); i++ {
-				inject(next())
-				extra++
+			for i := 0; i < inj.BurstLen(); i++ {
+				in.offer(tr.take(next))
+				tr.extra++
 			}
-			sh.inj.Note(faults.QueueOverflow)
+			inj.Note(faults.QueueOverflow)
 		}
-		if err := sh.sim.Step(); err != nil {
-			endRegion()
-			return rep, err
+		if err = in.eng.Step(); err != nil {
+			break
 		}
-		if sh.ctrl != nil && sh.ctrl.Active() {
-			res := sh.ctrl.Tick()
-			if res.Switched != nil {
-				// Atomic cutover: fold the retired pipeline's counters into
-				// the aggregate, keep the master clock continuous, swap the
-				// ingress, and re-register the completion dispatcher.
-				acc = acc.Add(sh.sim.Stats().Delta(startStat))
-				sh.cycleBase += sh.sim.Cycle() - res.Switched.Cycle()
+		if in.ctrl != nil && in.ctrl.Active() {
+			res := in.ctrl.Tick()
+			if to := res.Switched; to != nil {
+				// Atomic cutover: bank the retired pipeline's counters,
+				// keep the master clock continuous and swap the ingress.
+				// The compiled engine, if any, ran the old program: it
+				// retires with its cycles kept on the master clock.
+				in.eng.Window(&sh.win)
+				retired = retired.Add(sh.win)
+				sh.cycleBase += sh.sim.Cycle() - to.Cycle()
 				if sh.fast != nil {
-					// The compiled engine ran the old program; retire it and
-					// keep its cycles on the master clock. Later runs serve
-					// from the new interpreter pipeline.
 					sh.cycleBase += sh.fast.Cycle()
 					sh.fast = nil
 				}
-				sh.sim = res.Switched
-				sh.sim.OnComplete(dispatch)
-				startStat = sh.sim.Stats()
+				sh.sim = to
+				sh.serve(&in, to)
 			}
 			// Held arrivals re-enter in order — into the new pipeline
 			// after a switch, back into the old one after a rollback —
 			// paced by the ingress queue so none is ever dropped.
-			release = append(release, res.Release...)
+			in.release = append(in.release, res.Release...)
 		}
-		drainRelease()
+		for len(in.release) > 0 && in.eng.InputFree() {
+			in.inject(in.release[0])
+			in.release = in.release[1:]
+		}
 		due--
 	}
-	endRegion()
+	in.eng.Window(&sh.win)
+	if in.ctrl != nil {
+		in.eng.OnComplete(nil)
+	}
+	if rep.UpdatesAttempted > 0 {
+		rep.noteUpdate(in.ctrl, beginErr)
+		sh.win = retired.Add(sh.win)
+	}
+	sh.fold(rep, tr, rss.RunStats{MaxCycles: sh.win.Cycles,
+		PerQueue: []rss.QueueStats{{AcceptedBytes: in.accepted, Stats: sh.win}}})
+	return err
+}
 
-	end := acc.Add(sh.sim.Stats().Delta(startStat))
-	rep.Cycles = end.Cycles
-	rep.Sent = uint64(sent + extra)
-	rep.Lost = end.QueueDrops
-	rep.Flushes = end.Flushes
-	rep.FaultsInjected = end.FaultsInjected
-	rep.MalformedDropped = end.MalformedDropped
-	rep.QueueOverflows = end.QueueOverflows
-	rep.WatchdogTrips = end.WatchdogTrips
-	rep.CorrectedWords = end.CorrectedWords
-	rep.UncorrectableWords = end.UncorrectableWords
-	rep.ScrubPasses = end.ScrubPasses
-	rep.CheckpointsTaken = end.CheckpointsTaken
-	rep.Recoveries = end.Recoveries
-	rep.RecoveryAborted = end.RecoveryAborted
-	rep.RecoveryBackoffCycles = end.RecoveryBackoffCycles
-	if sh.inj != nil {
-		endFaults := sh.inj.Counters()
-		rep.MalformedSent = endFaults.ByClass[faults.MalformedTraffic] - startFaults.ByClass[faults.MalformedTraffic]
-		rep.OverflowBursts = endFaults.ByClass[faults.QueueOverflow] - startFaults.ByClass[faults.QueueOverflow]
+// beginUpdate starts the armed live update against the interpreter.
+func (sh *Shell) beginUpdate() (*liveupdate.Controller, error) {
+	ucfg := sh.pending.cfg
+	sh.pending = nil
+	ucfg.Sim.ClockHz = sh.cfg.ClockHz
+	if ucfg.Sim.Faults == nil && sh.inj != nil {
+		// The shadow runs its own forked fault campaign: same
+		// determinism, zero draws stolen from the serving pipeline's
+		// per-class streams.
+		ucfg.Sim.Faults = sh.inj.Fork(1)
 	}
-	if began {
-		if beginErr != nil {
-			rep.UpdateStage = liveupdate.StageRolledBack.String()
-			rep.UpdateFailure = beginErr.Error()
-		} else if st := sh.ctrl.Stats(); true {
-			rep.UpdateStage = st.Stage.String()
-			rep.MigratedEntries = st.MigratedEntries
-			rep.DeltaReplayed = st.DeltaReplayed
-			rep.CanariedPackets = st.CanariedPackets
-			rep.CanaryDivergences = st.CanaryDivergences
-			rep.HeldPackets = st.HeldPackets
-			rep.PostVerifyChecked = st.PostVerifyChecked
-			rep.PostVerifyDivergences = st.PostVerifyDivergences
-			rep.MigrationTicks = st.MigrationTicks
-			rep.CutoverTicks = st.CutoverTicks
-			switch st.Stage {
-			case liveupdate.StageDone:
-				rep.UpdatesCompleted++
-			case liveupdate.StageRolledBack:
-				rep.UpdatesRolledBack++
-				if ue := sh.ctrl.Err(); ue != nil {
-					rep.UpdateFailure = ue.Error()
-				}
-			}
-		}
-	}
-	seconds := float64(rep.Cycles) / clock
-	if seconds > 0 {
-		rep.AchievedMpps = float64(rep.Received) / seconds / 1e6
-		rep.AchievedGbps = float64(bytesOut+20*rep.Received) * 8 / seconds / 1e9
-		rep.FlushesPerS = float64(rep.Flushes) / seconds
-	}
-	rep.QueueCount = 1
-	rep.OfferedMpps = offeredPps / 1e6
-	rep.OfferedGbps = float64(bytesIn+20*rep.Sent) * 8 / (float64(sent) * cyclesPerPacket / clock) / 1e9
-	if rep.Received > 0 {
-		rep.AvgLatencyNs /= float64(rep.Received)
-	}
-	if reg := sh.cfg.Sim.Metrics; reg != nil {
-		if h, ok := reg.HistogramByName(hwsim.MetricStageOccupancy); ok {
-			rep.MeanStageOccupancy = h.Mean()
-		}
-		if h, ok := reg.HistogramByName(hwsim.MetricCyclesPerPacket); ok {
-			rep.P99LatencyCycles = h.Quantile(0.99)
-		}
-		if h, ok := reg.HistogramByName(hwsim.MetricFlushPenalty); ok {
-			rep.FlushPenaltyMean = h.Mean()
-		}
-		rep.MapPortOps, _ = reg.CounterValue(hwsim.MetricMapPortOps)
-		rep.BackpressureCycles, _ = reg.CounterValue(hwsim.MetricBackpressure)
-	}
-	return rep, nil
+	return liveupdate.Begin(sh.sim, ucfg, sh.nowNs)
 }
 
 // SaturationMpps ramps the offered rate until packets are lost and
@@ -683,12 +605,9 @@ func (sh *Shell) SaturationMpps(next func() []byte, perStep int, startMpps, step
 func (sh *Shell) PinClock(now uint64) {
 	sh.pinned = &now
 	if sh.engine != nil {
-		sh.engine.SetClock(sh.pinnedNow)
+		sh.engine.SetClock(sh.nowNs)
 	}
 }
-
-// pinnedNow serves the pinned clock to multi-queue replicas.
-func (sh *Shell) pinnedNow() uint64 { return *sh.pinned }
 
 // ScheduleUpdate arms a hitless live update: once RunLoad has offered
 // `after` packets it begins the shadow/migrate/canary/cutover sequence

@@ -1,6 +1,154 @@
 package nic
 
-import "ehdl/internal/ebpf"
+import (
+	"maps"
+
+	"ehdl/internal/ebpf"
+	"ehdl/internal/faults"
+	"ehdl/internal/hwsim"
+	"ehdl/internal/liveupdate"
+	"ehdl/internal/rss"
+)
+
+// traffic is the generator's side of one RunLoad: what it offered. What
+// came back is the engines' to say (hwsim.Stats), and fold joins the two.
+type traffic struct {
+	offeredPps  float64
+	sent, extra int // paced arrivals; overflow-burst frames on top
+	bytesIn     uint64
+	faults0     faults.Counters // the injector's counters at the start
+}
+
+// take pulls the next generated frame into the ledger.
+func (tr *traffic) take(next func() []byte) []byte {
+	pkt := next()
+	tr.bytesIn += uint64(len(pkt))
+	return pkt
+}
+
+// fold assembles the Report of one RunLoad — the one place engine
+// counters, the traffic ledger and the metrics registry become report
+// fields (update outcomes are already on rep). run holds each replica's
+// counters: one entry, and no PerQueue breakdown, on the single-queue
+// shell. Its MaxCycles is the run's wall-clock — replicas are concurrent
+// in hardware, so rates divide by it, not by the per-queue cycle sum —
+// and Received, Actions and latency come from the engines' integer
+// counters, so no figure depends on the order replicas interleave.
+func (sh *Shell) fold(rep *Report, tr *traffic, run rss.RunStats) {
+	clock := sh.cfg.ClockHz
+	st, accepted := run.PerQueue[0].Stats, run.PerQueue[0].AcceptedBytes
+	for _, qs := range run.PerQueue[1:] {
+		st, accepted = st.Add(qs.Stats), accepted+qs.AcceptedBytes
+	}
+	rep.QueueCount = len(run.PerQueue)
+	if len(run.PerQueue) > 1 { // the classic shell has no breakdown
+		rep.PerQueue = make([]QueueReport, len(run.PerQueue))
+	}
+	for q := range rep.PerQueue {
+		qs := run.PerQueue[q]
+		qr := QueueReport{
+			Queue:    q,
+			Steered:  qs.Steered,
+			Received: qs.Stats.Completed,
+			Lost:     qs.Stats.QueueDrops,
+			Flushes:  qs.Stats.Flushes,
+			Cycles:   qs.Cycles,
+		}
+		if qs.Cycles > 0 {
+			qr.AchievedMpps = float64(qr.Received) / (float64(qs.Cycles) / clock) / 1e6
+		}
+		rep.PerQueue[q] = qr
+	}
+	rep.SteerFallbacks = run.FallbackSteers
+	rep.MergeConflicts = run.MergeConflicts
+
+	rep.Sent = uint64(tr.sent + tr.extra)
+	rep.Cycles = run.MaxCycles
+	rep.Received = st.Completed
+	rep.Actions = maps.Clone(st.Actions) // st may be the shell's scratch
+	rep.Lost = st.QueueDrops
+	rep.Flushes = st.Flushes
+	rep.FaultsInjected = st.FaultsInjected
+	rep.MalformedDropped = st.MalformedDropped
+	rep.QueueOverflows = st.QueueOverflows
+	rep.WatchdogTrips = st.WatchdogTrips
+	rep.CorrectedWords = st.CorrectedWords
+	rep.UncorrectableWords = st.UncorrectableWords
+	rep.ScrubPasses = st.ScrubPasses
+	rep.CheckpointsTaken = st.CheckpointsTaken
+	rep.Recoveries = st.Recoveries
+	rep.RecoveryAborted = st.RecoveryAborted
+	rep.RecoveryBackoffCycles = st.RecoveryBackoffCycles
+	if sh.inj != nil {
+		now := sh.inj.Counters()
+		rep.MalformedSent = now.ByClass[faults.MalformedTraffic] - tr.faults0.ByClass[faults.MalformedTraffic]
+		rep.OverflowBursts = now.ByClass[faults.QueueOverflow] - tr.faults0.ByClass[faults.QueueOverflow]
+	}
+
+	if seconds := float64(rep.Cycles) / clock; seconds > 0 {
+		rep.AchievedMpps = float64(rep.Received) / seconds / 1e6
+		rep.AchievedGbps = float64(accepted+20*rep.Received) * 8 / seconds / 1e9
+		rep.FlushesPerS = float64(rep.Flushes) / seconds
+	}
+	rep.OfferedMpps = tr.offeredPps / 1e6
+	if tr.sent > 0 {
+		rep.OfferedGbps = float64(tr.bytesIn+20*rep.Sent) * 8 / (float64(tr.sent) * (clock / tr.offeredPps) / clock) / 1e9
+	}
+	if rep.Received > 0 {
+		// Every packet also crosses the MAC and the async FIFOs.
+		fifo := uint64(sh.cfg.FIFOCycles)
+		rep.AvgLatencyNs = float64(st.LatencySum+fifo*rep.Received) / float64(rep.Received) / clock * 1e9
+		rep.MaxLatencyNs = float64(st.LatencyMax+fifo) / clock * 1e9
+	}
+	if reg := sh.cfg.Sim.Metrics; reg != nil {
+		if h, ok := reg.HistogramByName(hwsim.MetricStageOccupancy); ok {
+			rep.MeanStageOccupancy = h.Mean()
+		}
+		if h, ok := reg.HistogramByName(hwsim.MetricCyclesPerPacket); ok {
+			rep.P99LatencyCycles = h.Quantile(0.99)
+		}
+		if h, ok := reg.HistogramByName(hwsim.MetricFlushPenalty); ok {
+			rep.FlushPenaltyMean = h.Mean()
+		}
+		rep.MapPortOps, _ = reg.CounterValue(hwsim.MetricMapPortOps)
+		rep.BackpressureCycles, _ = reg.CounterValue(hwsim.MetricBackpressure)
+	}
+}
+
+// noteUpdate records how the single-queue live update this run began
+// ended: ctrl is its controller, nil when beginErr stopped it at once.
+func (rep *Report) noteUpdate(ctrl *liveupdate.Controller, beginErr error) {
+	if beginErr != nil {
+		ue, ok := beginErr.(*liveupdate.UpdateError)
+		if !ok {
+			ue = &liveupdate.UpdateError{Stage: liveupdate.StageShadow, Err: beginErr}
+		}
+		rep.UpdatesRolledBack++
+		rep.UpdateStage = liveupdate.StageRolledBack.String()
+		rep.UpdateFailure = ue.Error()
+		return
+	}
+	st := ctrl.Stats()
+	rep.UpdateStage = st.Stage.String()
+	rep.MigratedEntries = st.MigratedEntries
+	rep.DeltaReplayed = st.DeltaReplayed
+	rep.CanariedPackets = st.CanariedPackets
+	rep.CanaryDivergences = st.CanaryDivergences
+	rep.HeldPackets = st.HeldPackets
+	rep.PostVerifyChecked = st.PostVerifyChecked
+	rep.PostVerifyDivergences = st.PostVerifyDivergences
+	rep.MigrationTicks = st.MigrationTicks
+	rep.CutoverTicks = st.CutoverTicks
+	switch st.Stage {
+	case liveupdate.StageDone:
+		rep.UpdatesCompleted++
+	case liveupdate.StageRolledBack:
+		rep.UpdatesRolledBack++
+		if ue := ctrl.Err(); ue != nil {
+			rep.UpdateFailure = ue.Error()
+		}
+	}
+}
 
 // TenantSlice is one tenant's slice of a multi-tenant device run: the
 // per-tenant ledger (classifier steering, token-bucket policing,

@@ -75,7 +75,11 @@ type QueueStats struct {
 	// Cycles is the replica's simulated cycle count for the session
 	// (including its drain tail).
 	Cycles uint64
-	// Stats is the replica simulator's counter delta for the session.
+	// AcceptedBytes counts the frame bytes the replica's ingress took
+	// (refused frames are Stats.QueueDrops and carry no bytes).
+	AcceptedBytes uint64
+	// Stats is the replica engine's counter window for the session; the
+	// caller owns it.
 	Stats hwsim.Stats
 }
 
@@ -96,6 +100,28 @@ type RunStats struct {
 	MaxCycles uint64
 }
 
+// Add folds the next session of the same run into rs (a live-update
+// swap splits one run into sessions on the old and the new replica set).
+// Sessions are sequential in simulated time even though the replicas
+// within one run concurrently, so MaxCycles — each session's wall-clock
+// — sums, as does everything else; PerQueue merges by queue index.
+func (rs *RunStats) Add(o RunStats) {
+	if rs.PerQueue == nil {
+		rs.PerQueue = make([]QueueStats, len(o.PerQueue))
+	}
+	for i, qs := range o.PerQueue {
+		q := &rs.PerQueue[i]
+		q.Steered += qs.Steered
+		q.Cycles += qs.Cycles
+		q.AcceptedBytes += qs.AcceptedBytes
+		q.Stats = q.Stats.Add(qs.Stats)
+	}
+	rs.Arrivals += o.Arrivals
+	rs.FallbackSteers += o.FallbackSteers
+	rs.MergeConflicts += o.MergeConflicts
+	rs.MaxCycles += o.MaxCycles
+}
+
 // replica is one pipeline copy and its worker-session state. The
 // engine behind sim is either the cycle-accurate interpreter or a
 // compiled fast-path machine; the worker drives the shared Core
@@ -111,8 +137,8 @@ type replica struct {
 
 	// Session state, reset by Start.
 	cycleBase uint64
-	statsBase hwsim.Stats
 	endCycles uint64
+	accepted  uint64
 	endStats  hwsim.Stats
 	runErr    error
 }
@@ -137,7 +163,7 @@ type Engine struct {
 
 	replicas []*replica
 	hasher   *Hasher
-	fastpath bool
+	fallback string // why the interpreter serves; "" when it does not
 	sealed   bool
 	running  bool
 
@@ -210,13 +236,13 @@ func NewEngine(pl *core.Pipeline, cfg Config) (*Engine, error) {
 	// policy or a metrics registry does (the per-replica fallback
 	// matrix in DESIGN.md).
 	var fastProg *fastpath.Prog
+	e.fallback = fastpath.NotRequested
 	if cfg.FastPath {
 		probe := cfg.Sim
 		probe.Trace = nil
-		if ok, _ := fastpath.Eligible(probe); ok {
-			if p, err := fastpath.Compile(pl); err == nil {
-				fastProg = p
-				e.fastpath = true
+		if _, e.fallback = fastpath.Eligible(probe); e.fallback == "" {
+			if fastProg, err = fastpath.Compile(pl); err != nil {
+				fastProg, e.fallback = nil, err.Error()
 			}
 		}
 	}
@@ -286,7 +312,11 @@ func (e *Engine) ReplicaCore(q int) hwsim.Core { return e.replicas[q].sim }
 // FastPath reports whether the replicas run the compiled fast path
 // (false means the interpreter serves, either because it was not
 // requested or because the configuration fell back).
-func (e *Engine) FastPath() bool { return e.fastpath }
+func (e *Engine) FastPath() bool { return e.fallback == "" }
+
+// Fallback says why the replicas run the interpreter ("" when they do
+// not): fastpath.NotRequested, or the feature fastpath.Eligible named.
+func (e *Engine) Fallback() string { return e.fallback }
 
 // SetClock pins the helper-visible clock of every replica.
 func (e *Engine) SetClock(fn func() uint64) {
@@ -342,8 +372,11 @@ func (e *Engine) Start(cyclesPerPacket float64, onComplete func(Completion)) err
 
 	for _, r := range e.replicas {
 		r.cycleBase = r.sim.Cycle()
-		r.statsBase = r.sim.Stats()
-		r.runErr = nil
+		// Open the session's counter window; the worker closes it into
+		// the same (fresh: Drain hands the last one out) scratch.
+		r.endStats = hwsim.Stats{}
+		r.sim.Window(&r.endStats)
+		r.accepted, r.runErr = 0, nil
 		e.workerWG.Add(1)
 		go e.worker(r, disp.Sink(r.idx))
 	}
@@ -403,6 +436,7 @@ func (e *Engine) worker(r *replica, in <-chan []Item) {
 			seq := sim.NextSeq()
 			if sim.Inject(it.Data) {
 				r.globalSeq[seq] = inflight{seq: it.Seq, pktLen: len(it.Data)}
+				r.accepted += uint64(len(it.Data))
 			}
 		}
 	}
@@ -415,7 +449,7 @@ func (e *Engine) worker(r *replica, in <-chan []Item) {
 	}
 	flush()
 	r.endCycles = sim.Cycle() - r.cycleBase
-	r.endStats = sim.Stats()
+	sim.Window(&r.endStats)
 }
 
 // collect fans per-replica completion batches into the caller's
@@ -454,9 +488,10 @@ func (e *Engine) Drain() (RunStats, error) {
 	var firstErr error
 	for _, r := range e.replicas {
 		qs := QueueStats{
-			Steered: perQueue[r.idx],
-			Cycles:  r.endCycles,
-			Stats:   r.endStats.Delta(r.statsBase),
+			Steered:       perQueue[r.idx],
+			Cycles:        r.endCycles,
+			AcceptedBytes: r.accepted,
+			Stats:         r.endStats,
 		}
 		rs.PerQueue = append(rs.PerQueue, qs)
 		if qs.Cycles > rs.MaxCycles {
