@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
 
@@ -455,5 +456,47 @@ func TestFleetConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{App: apps.Toy(), Update: &UpdateConfig{}}); err == nil {
 		t.Error("update config without a program accepted")
+	}
+}
+
+// TestServeLeavesGeneratedFramesUntouched pins what lets serve hand a
+// partition's frames to the shell without copying them: nothing below
+// writes into a pulled frame. Every device runs malformed-traffic and
+// overflow-burst campaigns (damaged frames, and extras that recycle the
+// partition) while a rolling update retains, canaries and replays
+// arrivals; every frame the generator produced must read back byte for
+// byte after the run.
+func TestServeLeavesGeneratedFramesUntouched(t *testing.T) {
+	c, err := New(Config{
+		Devices:      3,
+		App:          apps.Toy(),
+		Seed:         5,
+		EpochPackets: 256,
+		Chaos:        faults.Config{Seed: 5, MalformRate: 0.2, OverflowRate: 0.02, OverflowBurstLen: 32},
+		Update:       toyUpdate(t),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames, pristine [][]byte
+	gen := c.next
+	c.next = func() []byte {
+		pkt := gen()
+		frames = append(frames, pkt)
+		pristine = append(pristine, append([]byte(nil), pkt...))
+		return pkt
+	}
+	rep, err := c.Run(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Device.MalformedSent == 0 || rep.ExtraInjected == 0 || rep.Device.UpdatesCompleted+rep.Device.UpdatesRolledBack == 0 {
+		t.Fatalf("run missed a path that handles pulled frames: %d malformed, %d overflow extras, %d updates",
+			rep.Device.MalformedSent, rep.ExtraInjected, rep.Device.UpdatesCompleted+rep.Device.UpdatesRolledBack)
+	}
+	for i := range frames {
+		if !bytes.Equal(frames[i], pristine[i]) {
+			t.Fatalf("frame %d was written to while being served:\n got  %x\n want %x", i, frames[i], pristine[i])
+		}
 	}
 }

@@ -20,8 +20,9 @@ func TestZeroAllocsPerPacket(t *testing.T) {
 			// Few enough flows that the warm-up pass sees every one; the
 			// hotter Zipf head flushes more, so the pace is halved to keep
 			// the ingress queue (and with it the pool) from growing.
-			const flows, cyclesPerFrame = 256, 4
-			sim, ring := newLoadedSim(t, l.app(), flows, l.dist, 4096)
+			const flows = 256
+			cyclesPerFrame := 2 * l.cyclesPerFrame
+			sim, ring := newLoadedSim(t, l.app(), Config{}, flows, l.dist, 4096)
 			retired := 0
 			sim.OnComplete(func(Result) { retired++ })
 			i := 0

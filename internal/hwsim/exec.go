@@ -17,12 +17,8 @@ func (s *Sim) execStage(j *job, t int) error {
 
 	// Elastic-buffer snapshot: capture the replay state on entry to a
 	// flush re-entry stage.
-	for i := range s.pl.Maps {
-		mb := &s.pl.Maps[i]
-		if mb.NeedsFlush && mb.FlushFromStage == t && mb.FlushFromStage > 0 {
-			j.snapshot = j.capture(&j.elastic)
-			break
-		}
+	if s.elasticStage[t] {
+		j.snapshot = j.capture(&j.elastic)
 	}
 
 	if j.done || stage.Kind != core.StageNormal {
@@ -86,10 +82,8 @@ func (s *Sim) stallCheck(j *job, t int) (bool, int) {
 				maxW = w
 			}
 		}
-		for u := t + 1; u <= maxW && u < len(s.stages); u++ {
-			if s.stages[u] != nil {
-				return true, maxW
-			}
+		if s.stages.prevOccupied(min(maxW+1, len(s.pl.Stages))) > t {
+			return true, maxW
 		}
 	}
 	return false, -1
@@ -504,8 +498,8 @@ func (s *Sim) shadowLookup(mapID int, key []byte, j *job) ([]byte, bool) {
 
 // stageOfSeq locates an in-flight packet by sequence number.
 func (s *Sim) stageOfSeq(seq uint64) (int, bool) {
-	for t := len(s.stages) - 1; t >= 0; t-- {
-		if j := s.stages[t]; j != nil && j.seq == seq {
+	for t := s.stages.oldest(); t >= 0; t = s.stages.prevOccupied(t) {
+		if s.stages.at(t).seq == seq {
 			return t, true
 		}
 	}
@@ -556,12 +550,8 @@ func (s *Sim) rawHazardCheckKey(j *job, mapID int, key []byte, t int) {
 	// sequence numbers. Every packet at an earlier stage than the writer
 	// performed its (unconfirmed) read before this write committed.
 	hazard := false
-	for u := mb.FlushFromStage; u < t; u++ {
-		v := s.stages[u]
-		if v == nil || v == j {
-			continue
-		}
-		if v.hasRead(mapID, key) {
+	for u := s.stages.prevOccupied(t); u >= mb.FlushFromStage; u = s.stages.prevOccupied(u) {
+		if s.stages.at(u).hasRead(mapID, key) {
 			hazard = true
 			break
 		}

@@ -23,10 +23,8 @@ func (s *Sim) applyFaults() {
 
 	// In-flight packets, oldest first, as deterministic SEU targets.
 	jobs := s.targets[:0]
-	for t := len(s.stages) - 1; t >= 0; t-- {
-		if s.stages[t] != nil {
-			jobs = append(jobs, s.stages[t])
-		}
+	for t := s.stages.oldest(); t >= 0; t = s.stages.prevOccupied(t) {
+		jobs = append(jobs, s.stages.at(t))
 	}
 	s.targets = jobs
 

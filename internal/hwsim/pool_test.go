@@ -179,7 +179,7 @@ func TestRecycledJobIndistinguishableFromFresh(t *testing.T) {
 			// An SEU in the mode register of every frame in flight: the
 			// ones yet to compute their stack pointer from it resolve
 			// nowhere and abort.
-			for _, j := range sim.stages {
+			for _, j := range sim.stages.slots {
 				if j != nil {
 					j.st.Regs[ebpf.R8] ^= 1 << 40
 				}

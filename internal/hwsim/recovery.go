@@ -215,14 +215,13 @@ func (s *Sim) recoverNow(reason string) error {
 	s.stats.Recoveries++
 
 	// Drain, oldest first, through the regular retirement path.
-	for t := len(s.stages) - 1; t >= 0; t-- {
-		if j := s.stages[t]; j != nil {
-			s.stages[t] = nil
-			if s.probes != nil {
-				s.probes.onStageExit(s.cycle, j, t)
-			}
-			s.abortInFlight(j)
+	for t := s.stages.oldest(); t >= 0; t = s.stages.prevOccupied(t) {
+		j := s.stages.at(t)
+		s.stages.put(t, nil)
+		if s.probes != nil {
+			s.probes.onStageExit(s.cycle, j, t)
 		}
+		s.abortInFlight(j)
 	}
 	for s.reload.len() > 0 {
 		s.abortInFlight(s.reload.popFront())

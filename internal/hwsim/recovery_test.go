@@ -133,7 +133,7 @@ func TestRecoveryDrainAndRestartEveryApp(t *testing.T) {
 			// Drain accounting at the recovery instant: nothing remains in
 			// the stages or the reload queue, and every drained frame
 			// retired as XDP_ABORTED.
-			for i, j := range sim.stages {
+			for i, j := range sim.stages.slots {
 				if j != nil {
 					t.Errorf("stage %d still occupied right after recovery", i)
 				}

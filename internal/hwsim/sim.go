@@ -345,7 +345,7 @@ type Sim struct {
 	exec *vm.ExecContext
 
 	frameBytes int
-	stages     []*job
+	stages     stageReg
 	queue      jobRing
 	reload     jobRing // flush victims awaiting re-entry
 	seq        uint64
@@ -377,6 +377,9 @@ type Sim struct {
 	shadows []warShadow
 
 	mapBlocks []*core.MapBlock // indexed by mapID; nil for a map the pipeline never touches
+	// elasticStage marks the flush re-entry stages, where a packet's
+	// replay state is captured on entry.
+	elasticStage []bool
 
 	// Protection and recovery state: the per-map codec wrappers
 	// (indexed by mapID), the background scrubber, the last known-good
@@ -432,16 +435,21 @@ func NewWithEnv(pl *core.Pipeline, cfg Config, env *vm.Env) (*Sim, error) {
 		env:          env,
 		exec:         &vm.ExecContext{Env: env, Mem: vm.NewMemSpace(pl.Transformed, env.Maps)},
 		frameBytes:   pl.Options.FrameBytes,
-		stages:       make([]*job, len(pl.Stages)),
+		stages:       newStageReg(len(pl.Stages)),
 		stallPoint:   -1,
 		stallDrainTo: -1,
 		mapBlocks:    make([]*core.MapBlock, len(pl.Transformed.Maps)),
+		elasticStage: make([]bool, len(pl.Stages)),
 	}
 	if s.frameBytes <= 0 {
 		s.frameBytes = 64
 	}
 	for i := range pl.Maps {
-		s.mapBlocks[pl.Maps[i].MapID] = &pl.Maps[i]
+		mb := &pl.Maps[i]
+		s.mapBlocks[mb.MapID] = mb
+		if mb.NeedsFlush && mb.FlushFromStage > 0 {
+			s.elasticStage[mb.FlushFromStage] = true
+		}
 	}
 	for _, spec := range pl.Transformed.Maps {
 		if spec.KeySize > len(s.keyBuf) {
@@ -587,15 +595,7 @@ func hasBit(b []uint64, i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
 
 // Busy reports whether any work remains in flight.
 func (s *Sim) Busy() bool {
-	if s.queue.len() > 0 || s.reload.len() > 0 {
-		return true
-	}
-	for _, j := range s.stages {
-		if j != nil {
-			return true
-		}
-	}
-	return false
+	return s.queue.len() > 0 || s.reload.len() > 0 || s.stages.count() > 0
 }
 
 // RunToCompletion steps the clock until the pipeline drains, with a
@@ -625,28 +625,28 @@ func (s *Sim) Step() error {
 	s.applyFaults()
 	s.tickScrubber()
 
-	last := len(s.stages) - 1
+	n := len(s.pl.Stages)
 
 	// Retire the packet leaving the final stage.
-	if j := s.stages[last]; j != nil {
+	if j := s.stages.at(n - 1); j != nil {
 		if s.probes != nil {
-			s.probes.onStageExit(s.cycle, j, last)
+			s.probes.onStageExit(s.cycle, j, n-1)
 		}
-		s.stages[last] = nil
+		s.stages.put(n-1, nil)
 		s.complete(j)
 	}
 
-	// Advance the shift register, honouring an active stall point:
-	// stages at or above the point advance, stages below hold.
+	// The clock edge, honouring an active stall point: stages at or
+	// above the point advance, stages below hold.
 	low := 0
 	if s.stallPoint >= 0 {
 		low = s.stallPoint
 		s.stats.StallCycles++
 	}
-	for t := last; t > low; t-- {
-		s.stages[t] = s.stages[t-1]
-		s.stages[t-1] = nil
-		if j := s.stages[t]; j != nil && s.probes != nil {
+	s.stages.advance(low)
+	if s.probes != nil {
+		for t := s.stages.oldest(); t > low; t = s.stages.prevOccupied(t) {
+			j := s.stages.at(t)
 			s.probes.onStageExit(s.cycle, j, t-1)
 			s.probes.onStageEnter(s.cycle, j, t)
 		}
@@ -663,13 +663,14 @@ func (s *Sim) Step() error {
 
 	// Execute stage operations, oldest packets first so same-cycle
 	// map effects resolve in age order.
-	for t := last; t >= 0; t-- {
-		j := s.stages[t]
-		if j == nil || j.execStage == t {
+	stallPolicy := s.cfg.Policy == PolicyStall
+	for t := s.stages.oldest(); t >= 0; t = s.stages.prevOccupied(t) {
+		j := s.stages.at(t)
+		if j.execStage == t {
 			continue
 		}
 		// A reader held by PolicyStall defers its stage until release.
-		if s.cfg.Policy == PolicyStall && s.stallPoint >= 0 && t == s.stallPoint-1 {
+		if stallPolicy && t == s.stallPoint-1 {
 			continue
 		}
 		j.stage = t
@@ -689,13 +690,7 @@ func (s *Sim) Step() error {
 		}
 	}
 	if s.probes != nil {
-		occ := 0
-		for _, j := range s.stages {
-			if j != nil {
-				occ++
-			}
-		}
-		s.probes.endCycle(occ, s.queue.len())
+		s.probes.endCycle(s.stages.count(), s.queue.len())
 	}
 	if s.strictErr != nil {
 		return s.strictErr
@@ -722,9 +717,9 @@ func (s *Sim) serviceStall() {
 		return
 	}
 	if s.reload.len() > 0 {
-		if s.stages[s.stallPoint] == nil {
+		if s.stages.at(s.stallPoint) == nil {
 			j := s.reload.popFront()
-			s.stages[s.stallPoint] = j
+			s.stages.put(s.stallPoint, j)
 			j.stage = s.stallPoint
 			j.execStage = s.stallPoint - 1 // execute this stage now
 			if s.probes != nil {
@@ -735,10 +730,8 @@ func (s *Sim) serviceStall() {
 	}
 	if s.stallDrainTo >= 0 {
 		// PolicyStall: wait until the hazard window is empty.
-		for t := s.stallPoint; t <= s.stallDrainTo; t++ {
-			if s.stages[t] != nil {
-				return
-			}
+		if s.stages.prevOccupied(s.stallDrainTo+1) >= s.stallPoint {
+			return
 		}
 		s.stallDrainTo = -1
 	}
@@ -760,11 +753,11 @@ func (s *Sim) injectFromQueue() {
 		s.injectGap--
 		return
 	}
-	if s.queue.len() == 0 || s.stages[0] != nil {
+	if s.queue.len() == 0 || s.stages.at(0) != nil {
 		return
 	}
 	j := s.queue.popFront()
-	s.stages[0] = j
+	s.stages.put(0, j)
 	j.stage = 0
 	j.execStage = -1
 	s.injectGap = j.frames - 1
@@ -849,11 +842,8 @@ func (s *Sim) flushVictims(from, writeStage, mapID int, key []byte, force bool) 
 	}
 	matched := false
 	victims := s.victims[:0]
-	for t := writeStage - 1; t >= from; t-- {
-		j := s.stages[t]
-		if j == nil {
-			continue
-		}
+	for t := s.stages.prevOccupied(writeStage); t >= from; t = s.stages.prevOccupied(t) {
+		j := s.stages.at(t)
 		if j.hasRead(mapID, key) {
 			matched = true
 		} else if t > minRead || (t == minRead && j.execStage >= minRead) {
@@ -863,13 +853,13 @@ func (s *Sim) flushVictims(from, writeStage, mapID int, key []byte, force bool) 
 		}
 		j.stage = t // the shift may have outrun the execution bookkeeping
 		victims = append(victims, j)
-		s.stages[t] = nil
+		s.stages.put(t, nil)
 	}
 	s.victims = victims
 	if !matched && !force {
 		// No stale reader after all: put the recalled packets back.
 		for _, v := range victims {
-			s.stages[v.stage] = v
+			s.stages.put(v.stage, v)
 		}
 		return
 	}
@@ -892,7 +882,7 @@ func (s *Sim) flushVictims(from, writeStage, mapID int, key []byte, force bool) 
 				// Replaying would repeat committed side effects; a real
 				// flush never selects such a packet, so the forced one
 				// must let it keep flowing.
-				s.stages[v.stage] = v
+				s.stages.put(v.stage, v)
 				continue
 			}
 			if s.strictErr == nil {

@@ -69,18 +69,12 @@ func (s *Sim) checkWatchdog() error {
 	if s.probes != nil {
 		s.probes.onWatchdog(s.cycle, s.lastRetire)
 	}
-	inFlight := 0
-	for _, j := range s.stages {
-		if j != nil {
-			inFlight++
-		}
-	}
 	return &LivelockError{
 		Cycle:      s.cycle,
 		LastRetire: s.lastRetire,
 		StallPoint: s.stallPoint,
 		Policy:     s.cfg.Policy,
-		InFlight:   inFlight,
+		InFlight:   s.stages.count(),
 		Reloading:  s.reload.len(),
 	}
 }

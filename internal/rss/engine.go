@@ -297,14 +297,6 @@ func (e *Engine) Pipeline() *core.Pipeline { return e.pl }
 // per-CPU-style view.
 func (e *Engine) HostMaps() *maps.Set { return e.host }
 
-// Replica exposes one underlying interpreter simulator (tests, clock
-// pinning). It returns nil when the replica runs the compiled fast
-// path; ReplicaCore reaches the engine either way.
-func (e *Engine) Replica(q int) *hwsim.Sim {
-	sim, _ := e.replicas[q].sim.(*hwsim.Sim)
-	return sim
-}
-
 // ReplicaCore exposes one replica's execution engine regardless of
 // mode.
 func (e *Engine) ReplicaCore(q int) hwsim.Core { return e.replicas[q].sim }

@@ -166,7 +166,7 @@ func TestSharedMapStaysSingle(t *testing.T) {
 		}
 		host, _ := e.HostMaps().ByName("routes")
 		for q := 0; q < e.Queues(); q++ {
-			rm, _ := e.Replica(q).Maps().ByName("routes")
+			rm, _ := e.ReplicaCore(q).Maps().ByName("routes")
 			if rm != host {
 				t.Fatalf("queue %d does not share the routes instance", q)
 			}

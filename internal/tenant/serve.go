@@ -24,23 +24,32 @@ func (d *Device) Serve(batch [][]byte, offeredPps float64) (nic.Report, error) {
 	if len(d.tenants) == 0 {
 		return nic.Report{}, fmt.Errorf("tenant: device has no admitted tenants")
 	}
+	sub, quarantined := d.classify(batch)
+	return d.serve(sub, quarantined, offeredPps)
+}
 
-	// Classify: per-tenant sub-batches, quarantine counted and traced.
-	sub := make([][][]byte, len(d.tenants))
-	var dev nic.Report
+// classify attributes one epoch's arrivals: per-tenant sub-batches in
+// arrival order, quarantine counted and traced.
+func (d *Device) classify(batch [][]byte) (sub [][][]byte, quarantined uint64) {
+	sub = make([][][]byte, len(d.tenants))
 	for seq, pkt := range batch {
 		t, frame, matched := d.classifyFrame(pkt)
 		if !matched {
 			d.steerFallback(seq, t)
 		}
 		if t == nil {
-			dev.Sent++
-			dev.Quarantined++
+			quarantined++
 			continue
 		}
 		sub[t.ID] = append(sub[t.ID], frame)
 	}
-	d.count(MetricQuarantined, dev.Quarantined)
+	d.count(MetricQuarantined, quarantined)
+	return sub, quarantined
+}
+
+// serve polices and serves one epoch's classified arrivals.
+func (d *Device) serve(sub [][][]byte, quarantined uint64, offeredPps float64) (nic.Report, error) {
+	dev := nic.Report{Sent: quarantined, Quarantined: quarantined}
 
 	// Police: per-tenant token buckets under isolation, one shared
 	// first-come-first-served pool in the NoIsolation ablation (where a
@@ -111,14 +120,15 @@ func (d *Device) Serve(batch [][]byte, offeredPps float64) (nic.Report, error) {
 		}
 
 		// Overflow-burst faults make the shell pull more than adm frames;
-		// extras recycle the admitted sub-batch (modulo) and every pull
-		// gets a fresh copy, so in-place frame damage inside one tenant's
-		// shell can never reach the classifier's batch or a neighbour.
+		// extras recycle the admitted sub-batch (modulo). The shell only
+		// reads a pulled frame — malformed traffic is built in a fresh
+		// slice, both engines copy on Inject — so the classifier's batch
+		// is handed over as it is.
 		i := 0
 		next := func() []byte {
 			pkt := arrivals[i%adm]
 			i++
-			return append([]byte(nil), pkt...)
+			return pkt
 		}
 		rep, err := t.sh.RunLoad(next, adm, offeredPps*t.Spec.Share)
 		if err != nil {

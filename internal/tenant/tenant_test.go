@@ -1,6 +1,7 @@
 package tenant
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -325,5 +326,71 @@ func TestPerTenantLiveUpdate(t *testing.T) {
 	}
 	if !rep.Accounted() {
 		t.Errorf("ledger identity broken across the update: %+v", rep)
+	}
+}
+
+// TestServeLeavesFramesUntouched pins what lets Serve hand the admitted
+// sub-batches to the tenant shells without copying every pulled frame:
+// nothing below writes into one. A single epoch runs every tenant under
+// malformed-traffic and overflow-burst faults (damaged frames, and
+// extras that recycle the sub-batch) with a live update scheduled on
+// one of them; the classifier's batch and every tenant's sub-batch —
+// the untagged default tenant's aliases the batch, a VLAN tenant's is
+// the stripped copies — must read back byte for byte afterwards.
+func TestServeLeavesFramesUntouched(t *testing.T) {
+	const seed = 0x5afe
+	d := NewDevice(DeviceConfig{
+		Seed:  seed,
+		Chaos: faults.Config{Seed: seed, MalformRate: 0.2, OverflowRate: 0.02, OverflowBurstLen: 32},
+	})
+	toy := mustApp(t, "toy")
+	specs := []Spec{
+		{Name: "swap", App: toy, Share: 0.4, VLAN: 100, Updatable: true},
+		{Name: "tagged", App: mustApp(t, "firewall"), Share: 0.3, VLAN: 200},
+		{Name: "untagged", App: toy, Share: 0.3, Default: true},
+	}
+	for _, sp := range specs {
+		if _, err := d.AdmitTenant(sp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prog, err := toy.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.ScheduleUpdate("swap", 0, liveupdate.Config{
+		Prog: prog, Setup: toy.SetupHost, CanaryPackets: 4, CanaryFrac: 0.5, Seed: seed,
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	batch := NewTrafficMux(specs, seed).Batch(512)
+	sub, quarantined := d.classify(batch)
+	clone := func(frames [][]byte) [][]byte {
+		out := make([][]byte, len(frames))
+		for i, f := range frames {
+			out[i] = append([]byte(nil), f...)
+		}
+		return out
+	}
+	pristine := [][][]byte{clone(batch)}
+	for _, frames := range sub {
+		pristine = append(pristine, clone(frames))
+	}
+
+	rep, err := d.serve(sub, quarantined, 50e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.MalformedSent == 0 || rep.Sent <= uint64(len(batch)) || rep.UpdatesCompleted+rep.UpdatesRolledBack == 0 {
+		t.Fatalf("epoch missed a path that handles pulled frames: %d malformed, %d sent of %d arrivals, %d updates",
+			rep.MalformedSent, rep.Sent, len(batch), rep.UpdatesCompleted+rep.UpdatesRolledBack)
+	}
+	for k, frames := range append([][][]byte{batch}, sub...) {
+		for i := range frames {
+			if !bytes.Equal(frames[i], pristine[k][i]) {
+				t.Fatalf("frame %d of batch %d (0: the classifier's, then per tenant) was written to while being served", i, k)
+			}
+		}
 	}
 }
