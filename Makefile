@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test short vet race chaos bench check cover ci trace fuzz-smoke bench-baseline bench-check
+.PHONY: all build test short vet race chaos bench check cover ci trace fuzz-smoke bench-baseline bench-check bench-ab
 
 all: build test
 
@@ -11,7 +11,7 @@ build:
 # controller, the multi-queue path (rss + nic), the compiled fast path,
 # the fleet control plane, the multi-tenant device and the durability
 # layer rerun under the race detector even in the default gate: the
-# tracer, registry, update machinery and the dispatcher/worker/collector
+# tracer, registry, update machinery and the dispatcher/worker
 # goroutines are the pieces most likely to grow cross-goroutine users,
 # the journal is the piece a crash must never be able to corrupt, and
 # the fast path is the engine the RSS workers drive concurrently.
@@ -99,6 +99,39 @@ bench-baseline:
 
 bench-check:
 	$(GO) run ./cmd/ehdl-bench -baseline-check BENCH_baseline.json
+
+# Host-speed A/B of this tree against a parent revision on one workload
+# of ./bench: a pristine copy of PARENT (git archive — nothing is left
+# registered in .git), one bench binary per tree, each run from its own
+# tree root with the end-to-end pass only, PAIRS pairs alternating which
+# side runs first. Prints every pair, then each side's host_mpps median
+# [quartiles] and the pairs the change won, then `bench compare` on the
+# last pair for the other six metrics. Run lengths are the harness's own
+# (20 s a side), so ten pairs take about seven minutes.
+#	make bench-ab PARENT=HEAD~1 WORKLOAD=toy_q4_fast
+PARENT ?= HEAD~1
+WORKLOAD ?= toy_q4_fast
+PAIRS ?= 10
+AB_DIR ?= /tmp/ehdl-bench-ab
+bench-ab:
+	rm -rf $(AB_DIR) && mkdir -p $(AB_DIR)/parent
+	git archive $(PARENT) | tar -x -C $(AB_DIR)/parent
+	cd $(AB_DIR)/parent && $(GO) build -o $(AB_DIR)/bench.parent ./bench
+	$(GO) build -o $(AB_DIR)/bench.change ./bench
+	@change=$$PWD; for i in $$(seq 1 $(PAIRS)); do \
+		if [ $$((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi; \
+		for side in $$order; do \
+			if [ $$side = parent ]; then root=$(AB_DIR)/parent; else root=$$change; fi; \
+			(cd $$root && $(AB_DIR)/bench.$$side -workload $(WORKLOAD) -trace 0 -out $(AB_DIR)/$$side.$$i.json) > $(AB_DIR)/$$side.$$i.txt || exit 1; \
+			sed -n 's/.*"host_mpps":{"value":\([0-9.e+-]*\).*/\1/p' $(AB_DIR)/$$side.$$i.txt | tail -1 >> $(AB_DIR)/$$side.mpps; \
+		done; \
+		echo "pair $$i ($$order first): parent $$(tail -1 $(AB_DIR)/parent.mpps)  change $$(tail -1 $(AB_DIR)/change.mpps) Mpkt/s"; \
+	done
+	@for side in parent change; do sort -g $(AB_DIR)/$$side.mpps | awk -v side=$$side \
+		'function q(p,  h, lo) { h = (NR - 1) * p; lo = int(h); return v[lo + 1] + (h - lo) * (v[lo + 2] - v[lo + 1]) } \
+		 { v[NR] = $$1 } END { printf "%-6s host_mpps median %.4g [%.4g %.4g] n=%d\n", side, q(0.5), q(0.25), q(0.75), NR }'; done
+	@paste $(AB_DIR)/parent.mpps $(AB_DIR)/change.mpps | awk '$$2 > $$1 { w++ } $$2 < $$1 { l++ } END { printf "change won %d, lost %d of %d pairs\n", w, l, NR }'
+	@$(AB_DIR)/bench.change compare $(AB_DIR)/parent.$(PAIRS).json $(AB_DIR)/change.$(PAIRS).json || true
 
 # The full gate a PR must clear.
 ci: vet build test race chaos cover fuzz-smoke bench-check

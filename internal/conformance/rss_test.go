@@ -44,29 +44,48 @@ func multiQueueRun(t *testing.T, app *apps.App, packets [][]byte, queues int, fa
 		}
 	}
 
-	outs := make([]Outcome, len(packets))
-	seen := make([]bool, len(packets))
-	completed := 0
+	// Packets flow one way through the engine, so a completion carries
+	// what its replica knows: the queue and the replica-local injection
+	// sequence. Offer returns the queue, so the n-th arrival steered to a
+	// queue is the replica's n-th injection — that recovers the arrival
+	// index. Each worker appends only to its own queue's slice; Drain's
+	// join orders those writes before the reads below.
+	arrivals := make([][]int, queues)
+	retired := make([][]hwsim.Result, queues)
 	err = e.Start(1, func(c rss.Completion) {
-		if c.Seq < uint64(len(outs)) && !seen[c.Seq] {
-			seen[c.Seq] = true
-			outs[c.Seq] = Outcome{
-				Action:          c.Res.Action,
-				RedirectIfindex: c.Res.RedirectIfindex,
-				Data:            c.Res.Data,
-			}
-			completed++
-		}
+		retired[c.Queue] = append(retired[c.Queue], c.Res)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range packets {
-		e.Offer(p)
+	for i, p := range packets {
+		q := e.Offer(p)
+		arrivals[q] = append(arrivals[q], i)
 	}
 	rs, err := e.Drain()
 	if err != nil {
 		t.Fatal(err)
+	}
+	outs := make([]Outcome, len(packets))
+	seen := make([]bool, len(packets))
+	completed := 0
+	for q, results := range retired {
+		for _, res := range results {
+			if res.Seq >= uint64(len(arrivals[q])) {
+				t.Fatalf("%d queues: queue %d retired injection %d of %d steered", queues, q, res.Seq, len(arrivals[q]))
+			}
+			i := arrivals[q][res.Seq]
+			if seen[i] {
+				t.Fatalf("%d queues: arrival %d retired twice", queues, i)
+			}
+			seen[i] = true
+			outs[i] = Outcome{
+				Action:          res.Action,
+				RedirectIfindex: res.RedirectIfindex,
+				Data:            res.Data,
+			}
+			completed++
+		}
 	}
 	if completed != len(packets) {
 		t.Fatalf("%d queues: %d of %d packets completed", queues, completed, len(packets))

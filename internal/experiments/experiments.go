@@ -728,9 +728,10 @@ func ProtectionAblation(Config) (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		base := hdl.EstimateDesign(pl).PercentOf(dev)
+		design := hdl.EstimateDesign(pl)
+		base := design.PercentOf(dev)
 		for _, level := range levels {
-			pct := hdl.EstimateDesignProtected(pl, level).PercentOf(dev)
+			pct := design.Add(hdl.EstimateProtection(pl, level)).PercentOf(dev)
 			t.Rows = append(t.Rows, []string{
 				app.Name, level.String(),
 				f2(pct.LUT), f2(pct.FF), f2(pct.BRAM),
@@ -821,8 +822,9 @@ func LiveUpdateUnderLoad(cfg Config) (Table, error) {
 		return t, err
 	}
 	dev := hdl.AlveoU50()
-	base := hdl.EstimateDesign(pl).PercentOf(dev)
-	upd := hdl.EstimateDesignUpdatable(pl).PercentOf(dev)
+	design := hdl.EstimateDesign(pl)
+	base := design.PercentOf(dev)
+	upd := design.Add(hdl.EstimateLiveUpdate(pl)).PercentOf(dev)
 	t.Notes = append(t.Notes,
 		"held packets are buffered during the cutover drain and released into the new pipeline: zero loss is the hitless proof",
 		fmt.Sprintf("updatable firewall prices %.2f%% max utilisation on the U50, +%.2f pts over the static design (double-buffered maps + reconfiguration controller)",

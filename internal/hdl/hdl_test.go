@@ -262,8 +262,9 @@ func TestProtectionCostShape(t *testing.T) {
 		if ecc.BRAM36 < parity.BRAM36 {
 			t.Errorf("%s: ECC stores fewer check bits than parity: %+v vs %+v", app.Name, ecc, parity)
 		}
-		base := EstimateDesign(pl).PercentOf(dev).Max()
-		prot := EstimateDesignProtected(pl, protect.LevelECC).PercentOf(dev).Max()
+		design := EstimateDesign(pl)
+		base := design.PercentOf(dev).Max()
+		prot := design.Add(ecc).PercentOf(dev).Max()
 		premium := prot - base
 		if premium <= 0 {
 			t.Errorf("%s: ECC premium %.3f points, want positive", app.Name, premium)

@@ -1,9 +1,6 @@
 package hdl
 
-import (
-	"ehdl/internal/core"
-	"ehdl/internal/ebpf"
-)
+import "ehdl/internal/core"
 
 // Live-update hardware pricing: what the hitless-update subsystem of
 // internal/liveupdate costs on the FPGA. The estimates follow the same
@@ -46,34 +43,18 @@ const (
 func EstimateLiveUpdate(p *core.Pipeline) Resources {
 	var r Resources
 	for i := range p.Maps {
-		mb := &p.Maps[i]
-		spec := mb.Spec
-
-		entryBits := (spec.KeySize + spec.ValueSize) * 8
-		if spec.Kind == ebpf.MapArray || spec.Kind == ebpf.MapDevMap {
-			entryBits = spec.ValueSize * 8
-		}
-		dataBits := entryBits * spec.MaxEntries
-
 		// The shadow pipeline's copy of the data words.
-		r.BRAM36 += (dataBits + 36*1024 - 1) / (36 * 1024)
+		r.BRAM36 += bram36(mapDataBits(p.Maps[i].Spec))
 
 		r.LUTs += migrateChannelLUTs
 		r.FFs += migrateChannelFFs
 	}
 	if len(p.Maps) > 0 {
 		// The shared delta-log FIFO.
-		r.BRAM36 += (deltaLogEntries*deltaLogBits + 36*1024 - 1) / (36 * 1024)
+		r.BRAM36 += bram36(deltaLogEntries * deltaLogBits)
 	}
 
 	r.LUTs += canaryLUTs + reconfLUTs
 	r.FFs += canaryFFs + reconfFFs
 	return r
-}
-
-// EstimateDesignUpdatable returns pipeline + shell + live-update
-// support: the price of a NIC whose function can be replaced without
-// dropping a packet.
-func EstimateDesignUpdatable(p *core.Pipeline) Resources {
-	return EstimateDesign(p).Add(EstimateLiveUpdate(p))
 }

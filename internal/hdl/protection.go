@@ -2,7 +2,6 @@ package hdl
 
 import (
 	"ehdl/internal/core"
-	"ehdl/internal/ebpf"
 	"ehdl/internal/protect"
 )
 
@@ -65,17 +64,10 @@ func EstimateProtection(p *core.Pipeline, level protect.Level) Resources {
 	var r Resources
 	for i := range p.Maps {
 		mb := &p.Maps[i]
-		spec := mb.Spec
-
-		entryBits := (spec.KeySize + spec.ValueSize) * 8
-		if spec.Kind == ebpf.MapArray || spec.Kind == ebpf.MapDevMap {
-			entryBits = spec.ValueSize * 8
-		}
-		dataBits := entryBits * spec.MaxEntries
 
 		// Check-bit storage beside the data words.
-		checkBits := (dataBits + 63) / 64 * cost.checkBitsPerWord
-		r.BRAM36 += (checkBits + 36*1024 - 1) / (36 * 1024)
+		checkBits := (mapDataBits(mb.Spec) + 63) / 64 * cost.checkBitsPerWord
+		r.BRAM36 += bram36(checkBits)
 
 		// Encoders on write-capable channels (the host port always
 		// writes), decoders on read-capable ones (the host port and the
@@ -105,10 +97,4 @@ func EstimateProtection(p *core.Pipeline, level protect.Level) Resources {
 	r.FFs += 300
 
 	return r
-}
-
-// EstimateDesignProtected returns pipeline + shell + protection: the
-// quantity the protection-vs-resources ablation tabulates.
-func EstimateDesignProtected(p *core.Pipeline, level protect.Level) Resources {
-	return EstimateDesign(p).Add(EstimateProtection(p, level))
 }

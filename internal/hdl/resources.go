@@ -137,7 +137,7 @@ func estimateStageLogic(p *core.Pipeline) Resources {
 			r = r.Add(opCost(&st.Ops[k]))
 		}
 	}
-	r.BRAM36 += (stackBRAMBits + 36*1024 - 1) / (36 * 1024)
+	r.BRAM36 += bram36(stackBRAMBits)
 	return r
 }
 
@@ -236,18 +236,27 @@ func helperCost(h ebpf.HelperID) Resources {
 	}
 }
 
+// mapDataBits is the on-chip storage one map's entries occupy: key and
+// value per entry, value only for the directly indexed kinds (the index
+// is the address).
+func mapDataBits(spec ebpf.MapSpec) int {
+	entryBits := (spec.KeySize + spec.ValueSize) * 8
+	if spec.Kind == ebpf.MapArray || spec.Kind == ebpf.MapDevMap {
+		entryBits = spec.ValueSize * 8
+	}
+	return entryBits * spec.MaxEntries
+}
+
+// bram36 is the number of 36 Kb block RAMs that hold bits.
+func bram36(bits int) int { return (bits + 36*1024 - 1) / (36 * 1024) }
+
 // mapBlockCost prices one eHDLmap block: the memory itself plus the
 // lookup engine, consistency hardware and host interface (Section 4.1).
 func mapBlockCost(mb *core.MapBlock) Resources {
 	var r Resources
 	spec := mb.Spec
 
-	entryBits := (spec.KeySize + spec.ValueSize) * 8
-	if spec.Kind == ebpf.MapArray || spec.Kind == ebpf.MapDevMap {
-		entryBits = spec.ValueSize * 8
-	}
-	totalBits := entryBits * spec.MaxEntries
-	r.BRAM36 += (totalBits + 36*1024 - 1) / (36 * 1024)
+	r.BRAM36 += bram36(mapDataBits(spec))
 
 	switch spec.Kind {
 	case ebpf.MapHash, ebpf.MapLRUHash:

@@ -43,7 +43,9 @@ func (sh *Shell) runMulti(rep *Report, tr *traffic, next func() []byte, count in
 			rep.UpdatesAttempted++
 			held, err := sh.swapEngine(rep, &run, p.cfg, perPkt)
 			if _, rolledBack := err.(*liveupdate.UpdateError); err != nil && !rolledBack {
-				// Not an update failure: the engine itself broke.
+				// Not an update failure: the engine itself broke. The
+				// report still holds what retired before it.
+				sh.fold(rep, tr, run)
 				return err
 			}
 			// Arrivals that landed during the cutover drain were held

@@ -3,7 +3,9 @@ package nic
 import (
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
+	"time"
 
 	"ehdl/internal/apps"
 	"ehdl/internal/conformance"
@@ -13,7 +15,10 @@ import (
 	"ehdl/internal/hwsim"
 	"ehdl/internal/liveupdate"
 	"ehdl/internal/maps"
+	"ehdl/internal/obs"
 	"ehdl/internal/pktgen"
+	"ehdl/internal/protect"
+	"ehdl/internal/rss"
 )
 
 func TestMultiQueueRunLoad(t *testing.T) {
@@ -365,5 +370,132 @@ func TestMultiQueueChaos(t *testing.T) {
 	}
 	if rep.MalformedDropped == 0 {
 		t.Error("no malformed frame was bounds-checked into a drop")
+	}
+}
+
+// TestMultiQueueSwapEngineErrorKeepsReport: when the quiesce drain of a
+// scheduled update finds a replica dead, RunLoad returns the engine's
+// error — not an UpdateError, nothing was rolled back — and the report
+// still holds what retired before it. A hair-trigger watchdog under
+// protection turns every frame into one recovery that retires it as
+// aborted — arrivals are a hundred cycles apart and the trigger is early
+// enough that the doubling recovery backoff stays far below that, so
+// each frame is alone in its replica — and the recovery budget is sized
+// so the busier replica spends its last attempt on the last frame
+// steered to it before the barrier: every offered frame is on the books
+// when the error surfaces.
+func TestMultiQueueSwapEngineErrorKeepsReport(t *testing.T) {
+	const count, after = 32, 8
+	app := apps.Toy()
+	frames := pktgen.NewGenerator(app.Traffic).Batch(count)
+	d, err := rss.NewDispatcher(rss.DispatcherConfig{Queues: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var steered [2]int
+	for _, f := range frames[:after] {
+		q, _ := d.Classify(f)
+		steered[q]++
+	}
+	sh := newShell(t, app, core.Options{}, ShellConfig{Queues: 2, Sim: hwsim.Config{
+		InputQueuePackets:     64,
+		Protection:            protect.LevelECC,
+		WatchdogCycles:        2,
+		MaxRecoveries:         max(steered[0], steered[1]) - 1,
+		RecoveryBackoffCycles: 1,
+		ScrubCyclesPerWord:    1 << 20, // no clean scrub pass refills the budget
+	}})
+	prog, err := app.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sh.ScheduleUpdate(after, liveupdate.Config{Prog: prog, Setup: app.SetupHost}); err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	rep, err := sh.RunLoad(func() []byte { i++; return frames[i-1] }, count, 2.5e6)
+	if !errors.Is(err, hwsim.ErrRecoveryExhausted) {
+		t.Fatalf("RunLoad = %v, want the replica's exhausted recovery budget", err)
+	}
+	if rep.UpdatesAttempted != 1 || rep.UpdatesCompleted != 0 || rep.UpdatesRolledBack != 0 {
+		t.Errorf("update attempted %d completed %d rolled back %d, want 1/0/0",
+			rep.UpdatesAttempted, rep.UpdatesCompleted, rep.UpdatesRolledBack)
+	}
+	if rep.Sent != after || rep.Received == 0 || !rep.Accounted() {
+		t.Errorf("report lost the frames retired before the error: sent %d received %d lost %d",
+			rep.Sent, rep.Received, rep.Lost)
+	}
+	if rep.Recoveries == 0 || rep.RecoveryAborted != rep.Received {
+		t.Errorf("%d recoveries aborted %d frames, %d received: the error path is not the one intended",
+			rep.Recoveries, rep.RecoveryAborted, rep.Received)
+	}
+}
+
+// TestMultiQueueCompletedMetric: rss.q<i>.completed is published from
+// each replica's counter window when a session drains, so it equals the
+// report's per-queue Received, sums to Received, and accumulates over
+// RunLoads on the same shell.
+func TestMultiQueueCompletedMetric(t *testing.T) {
+	const count = 1500
+	reg := obs.NewRegistry()
+	sh := newShell(t, apps.Toy(), core.Options{}, ShellConfig{Queues: 4,
+		Sim: hwsim.Config{InputQueuePackets: 64, Metrics: reg}})
+	gen := pktgen.NewGenerator(apps.Toy().Traffic)
+	var total [4]uint64
+	for run := 1; run <= 2; run++ {
+		rep, err := sh.RunLoad(gen.Next, count, 100e6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum uint64
+		for q, qr := range rep.PerQueue {
+			total[q] += qr.Received
+			got, ok := reg.CounterValue(rss.MetricCompleted(q))
+			if !ok || got != total[q] {
+				t.Errorf("run %d: %s = %d (%v), want %d", run, rss.MetricCompleted(q), got, ok, total[q])
+			}
+			sum += qr.Received
+		}
+		if sum != rep.Received || rep.Received != count {
+			t.Errorf("run %d: per-queue received sums to %d, report says %d of %d", run, sum, rep.Received, count)
+		}
+	}
+}
+
+// TestMultiQueueUpdateGoroutineLifetime: a RunLoad that swaps the
+// replica fleet mid-run — and one that rolls the swap back — ends with
+// every goroutine of every session it opened gone.
+func TestMultiQueueUpdateGoroutineLifetime(t *testing.T) {
+	const count = 600
+	app := apps.Toy()
+	prog, err := app.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := newShell(t, app, core.Options{}, ShellConfig{Queues: 4, Sim: hwsim.Config{InputQueuePackets: 64}})
+	gen := pktgen.NewGenerator(app.Traffic)
+	base := runtime.NumGoroutine()
+	for run, setup := range []func(*maps.Set) error{
+		app.SetupHost,
+		func(*maps.Set) error { return errors.New("setup refused") },
+		nil,
+	} {
+		if err := sh.ScheduleUpdate(count/2, liveupdate.Config{Prog: prog, Setup: setup}); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := sh.RunLoad(gen.Next, count, 100e6)
+		if err != nil || rep.Received != count {
+			t.Fatalf("run %d: received %d of %d, err %v", run, rep.Received, count, err)
+		}
+		if want := uint64(run % 2); rep.UpdatesRolledBack != want || rep.UpdatesCompleted != 1-want {
+			t.Fatalf("run %d: completed %d rolled back %d", run, rep.UpdatesCompleted, rep.UpdatesRolledBack)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("run %d: %d goroutines alive, %d before: a session leaked", run, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }

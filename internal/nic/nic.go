@@ -43,8 +43,8 @@ type ShellConfig struct {
 	// its own goroutine with banked per-flow maps. 0 or 1 keeps the
 	// classic single-pipeline shell.
 	Queues int
-	// Batch is the dispatcher/collector batch size in multi-queue mode
-	// (amortised channel operations). 0 means rss.DefaultBatch.
+	// Batch is the dispatcher batch size in multi-queue mode (amortised
+	// channel operations). 0 means rss.DefaultBatch.
 	Batch int
 	// FastPath requests the compiled host fast path: the design is
 	// compiled once into a per-stage closure chain and packets execute

@@ -16,8 +16,6 @@ type Item struct {
 	// so every replica paces against the same simulated wall clock and
 	// the results are independent of host goroutine scheduling.
 	Due uint64
-	// Seq is the global arrival index (across all queues).
-	Seq uint64
 }
 
 // DispatcherConfig parameterises the classifier front-end.
@@ -146,8 +144,7 @@ func (d *Dispatcher) Classify(pkt []byte) (queue int, hash uint32) {
 // Offer classifies one arrival, stamps its due cycle and queues it on
 // its batch. Returns the chosen queue.
 func (d *Dispatcher) Offer(pkt []byte) int {
-	q := d.offer(pkt, true)
-	return q
+	return d.offer(pkt, true)
 }
 
 // OfferBurst is Offer without advancing the pacing clock: the frame
@@ -189,7 +186,7 @@ func (d *Dispatcher) offer(pkt []byte, pacedArrival bool) int {
 	if d.steered != nil {
 		d.steered[queue].Inc()
 	}
-	d.buf[queue] = append(d.buf[queue], Item{Data: pkt, Due: due, Seq: seq})
+	d.buf[queue] = append(d.buf[queue], Item{Data: pkt, Due: due})
 	if len(d.buf[queue]) >= d.batch {
 		d.flush(queue)
 	}

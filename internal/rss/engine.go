@@ -16,8 +16,7 @@ import (
 type Config struct {
 	// Queues is the replica count. Must be >= 1.
 	Queues int
-	// Batch is the dispatcher/collector batch size. 0 means
-	// DefaultBatch.
+	// Batch is the dispatcher batch size. 0 means DefaultBatch.
 	Batch int
 	// Key overrides the Toeplitz key (nil selects DefaultKey).
 	Key []byte
@@ -47,24 +46,13 @@ func (c Config) queues() int {
 	return c.Queues
 }
 
-func (c Config) batch() int {
-	if c.Batch <= 0 {
-		return DefaultBatch
-	}
-	return c.Batch
-}
-
-// Completion is one retired packet flowing out of the collector.
+// Completion is one retired packet as its replica reports it.
 type Completion struct {
 	// Queue is the replica that executed the packet.
 	Queue int
-	// Seq is the global arrival index the dispatcher stamped (not the
-	// replica-local injection sequence, which is in Res.Seq).
-	Seq uint64
-	// PktLen is the frame length at injection (Res.Data is only
-	// populated under KeepData).
-	PktLen int
-	// Res is the replica simulator's result.
+	// Res is the replica engine's result; Res.Seq is the replica-local
+	// injection sequence (the n-th frame the replica's ingress accepted
+	// over the engine's lifetime), not a global arrival index.
 	Res hwsim.Result
 }
 
@@ -130,23 +118,12 @@ type replica struct {
 	idx int
 	sim hwsim.Core
 
-	// globalSeq maps the replica-local injection sequence of an
-	// in-flight packet to its global arrival index and frame length.
-	// Touched only by the worker goroutine.
-	globalSeq map[uint64]inflight
-
-	// Session state, reset by Start.
+	// Session state, reset by Start and written only by the worker.
 	cycleBase uint64
 	endCycles uint64
 	accepted  uint64
 	endStats  hwsim.Stats
 	runErr    error
-}
-
-// inflight ties a replica-local injection to its global identity.
-type inflight struct {
-	seq    uint64
-	pktLen int
 }
 
 // Engine replicates one compiled pipeline across N queues, each on its
@@ -167,13 +144,10 @@ type Engine struct {
 	sealed   bool
 	running  bool
 
-	disp        *Dispatcher
-	completions chan []Completion
-	workerWG    sync.WaitGroup
-	collectWG   sync.WaitGroup
-	onComplete  func(Completion)
-	completed   []*obs.Counter
-	drainBound  uint64
+	disp       *Dispatcher
+	workerWG   sync.WaitGroup
+	completed  []*obs.Counter
+	drainBound uint64
 }
 
 // defaultDrainBound caps the per-replica drain tail after the last
@@ -273,11 +247,7 @@ func NewEngine(pl *core.Pipeline, cfg Config) (*Engine, error) {
 			}
 			eng = sim
 		}
-		e.replicas = append(e.replicas, &replica{
-			idx:       q,
-			sim:       eng,
-			globalSeq: map[uint64]inflight{},
-		})
+		e.replicas = append(e.replicas, &replica{idx: q, sim: eng})
 		if cfg.Sim.Metrics != nil {
 			e.completed = append(e.completed, cfg.Sim.Metrics.Counter(MetricCompleted(q)))
 		}
@@ -333,10 +303,14 @@ func (e *Engine) Sharing(id int) Sharing {
 }
 
 // Start seals host setup (first call), builds the dispatcher for the
-// offered rate and launches one worker per replica plus the completion
-// collector. onComplete, when non-nil, is invoked from the collector
-// goroutine — per-queue completion order is preserved, queues
-// interleave.
+// offered rate and launches one worker per replica — the only
+// goroutines the engine owns between Start and Drain. Packets flow one
+// way: counters come back once, at Drain. onComplete, when non-nil, is
+// called by each worker on its own goroutine as its replica retires a
+// packet: per-queue order is preserved, queues run concurrently, so the
+// consumer must not share unsynchronised state across queues. With nil
+// no retirement callback is registered and the replicas build no
+// hwsim.Result at all.
 func (e *Engine) Start(cyclesPerPacket float64, onComplete func(Completion)) error {
 	if e.running {
 		return fmt.Errorf("rss: engine already running")
@@ -349,7 +323,7 @@ func (e *Engine) Start(cyclesPerPacket float64, onComplete func(Completion)) err
 	}
 	disp, err := newDispatcher(DispatcherConfig{
 		Queues:          len(e.replicas),
-		Batch:           e.cfg.batch(),
+		Batch:           e.cfg.Batch,
 		CyclesPerPacket: cyclesPerPacket,
 		Trace:           e.cfg.Sim.Trace,
 		Metrics:         e.cfg.Sim.Metrics,
@@ -358,8 +332,6 @@ func (e *Engine) Start(cyclesPerPacket float64, onComplete func(Completion)) err
 		return err
 	}
 	e.disp = disp
-	e.onComplete = onComplete
-	e.completions = make(chan []Completion, 2*len(e.replicas))
 	e.running = true
 
 	for _, r := range e.replicas {
@@ -370,10 +342,8 @@ func (e *Engine) Start(cyclesPerPacket float64, onComplete func(Completion)) err
 		r.sim.Window(&r.endStats)
 		r.accepted, r.runErr = 0, nil
 		e.workerWG.Add(1)
-		go e.worker(r, disp.Sink(r.idx))
+		go e.worker(r, disp.Sink(r.idx), onComplete)
 	}
-	e.collectWG.Add(1)
-	go e.collect()
 	return nil
 }
 
@@ -386,30 +356,18 @@ func (e *Engine) Offer(pkt []byte) int { return e.disp.Offer(pkt) }
 // way an ingress overflow burst piles onto one cycle.
 func (e *Engine) OfferBurst(pkt []byte) int { return e.disp.OfferBurst(pkt) }
 
-// worker drives one replica: it paces each item to its global due
-// cycle, injects it, and streams completion batches to the collector.
-// On a simulator error it keeps draining the channel (so the
-// dispatcher never blocks) and reports the error at Drain.
-func (e *Engine) worker(r *replica, in <-chan []Item) {
+// worker drives one replica: it paces each item to its global due cycle
+// and injects it. On an engine error it keeps draining the channel (so
+// the dispatcher never blocks) and reports the error at Drain.
+func (e *Engine) worker(r *replica, in <-chan []Item, onComplete func(Completion)) {
 	defer e.workerWG.Done()
 	sim := r.sim
-	batch := e.cfg.batch()
-	buf := make([]Completion, 0, batch)
-	flush := func() {
-		if len(buf) > 0 {
-			e.completions <- buf
-			buf = make([]Completion, 0, batch)
-		}
+	if onComplete != nil {
+		sim.OnComplete(func(res hwsim.Result) {
+			onComplete(Completion{Queue: r.idx, Res: res})
+		})
+		defer sim.OnComplete(nil)
 	}
-	sim.OnComplete(func(res hwsim.Result) {
-		fl := r.globalSeq[res.Seq]
-		delete(r.globalSeq, res.Seq)
-		buf = append(buf, Completion{Queue: r.idx, Seq: fl.seq, PktLen: fl.pktLen, Res: res})
-		if len(buf) >= batch {
-			flush()
-		}
-	})
-	defer sim.OnComplete(nil)
 
 	for items := range in {
 		if r.runErr != nil {
@@ -425,9 +383,7 @@ func (e *Engine) worker(r *replica, in <-chan []Item) {
 			if r.runErr != nil {
 				break
 			}
-			seq := sim.NextSeq()
 			if sim.Inject(it.Data) {
-				r.globalSeq[seq] = inflight{seq: it.Seq, pktLen: len(it.Data)}
 				r.accepted += uint64(len(it.Data))
 			}
 		}
@@ -439,30 +395,14 @@ func (e *Engine) worker(r *replica, in <-chan []Item) {
 			r.runErr = err
 		}
 	}
-	flush()
 	r.endCycles = sim.Cycle() - r.cycleBase
 	sim.Window(&r.endStats)
 }
 
-// collect fans per-replica completion batches into the caller's
-// callback and the per-queue metrics.
-func (e *Engine) collect() {
-	defer e.collectWG.Done()
-	for batch := range e.completions {
-		for _, c := range batch {
-			if e.completed != nil {
-				e.completed[c.Queue].Inc()
-			}
-			if e.onComplete != nil {
-				e.onComplete(c)
-			}
-		}
-	}
-}
-
-// Drain flushes the dispatcher, runs every replica to completion,
-// joins the workers and the collector, and returns the session's
-// aggregated statistics. The first replica error (lowest queue wins,
+// Drain flushes the dispatcher, runs every replica to completion, joins
+// the workers and returns the session's aggregated statistics; the
+// per-queue completion counters are published here, once, from each
+// worker's counter window. The first replica error (lowest queue wins,
 // deterministically) is returned after all goroutines have stopped.
 func (e *Engine) Drain() (RunStats, error) {
 	if !e.running {
@@ -470,8 +410,6 @@ func (e *Engine) Drain() (RunStats, error) {
 	}
 	e.disp.Close()
 	e.workerWG.Wait()
-	close(e.completions)
-	e.collectWG.Wait()
 	e.running = false
 
 	var rs RunStats
@@ -489,6 +427,9 @@ func (e *Engine) Drain() (RunStats, error) {
 		if qs.Cycles > rs.MaxCycles {
 			rs.MaxCycles = qs.Cycles
 		}
+		if e.completed != nil {
+			e.completed[r.idx].Add(qs.Stats.Completed)
+		}
 		if r.runErr != nil && firstErr == nil {
 			firstErr = fmt.Errorf("rss: queue %d: %w", r.idx, r.runErr)
 		}
@@ -498,13 +439,4 @@ func (e *Engine) Drain() (RunStats, error) {
 	}
 	rs.FallbackSteers = e.disp.Fallbacks()
 	return rs, firstErr
-}
-
-// Unseal reopens host-broadcast mode on the banked maps (engine reuse
-// after a live-update rollback re-seeds state).
-func (e *Engine) Unseal() {
-	for _, b := range e.bankeds {
-		b.unseal()
-	}
-	e.sealed = false
 }

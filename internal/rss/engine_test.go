@@ -1,15 +1,21 @@
 package rss
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"ehdl/internal/apps"
 	"ehdl/internal/core"
 	"ehdl/internal/ebpf"
+	"ehdl/internal/hwsim"
 	"ehdl/internal/maps"
 	"ehdl/internal/pktgen"
+	"ehdl/internal/protect"
 )
 
 func compileApp(t testing.TB, name string) *core.Pipeline {
@@ -275,5 +281,121 @@ func TestEngineRestart(t *testing.T) {
 	}
 	if got := binary.LittleEndian.Uint64(v); got != 200 {
 		t.Fatalf("two sessions merged %d, want 200", got)
+	}
+}
+
+// engineGoroutines counts the live goroutines an Engine.Start launched,
+// read off the runtime's own stack dump so goroutines of other tests
+// winding down cannot blur the figure.
+func engineGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return bytes.Count(buf, []byte("created by ehdl/internal/rss.(*Engine).Start"))
+}
+
+// goroutinesSettleTo waits for the goroutine count to come back to base:
+// Drain joins the workers on their WaitGroup, which they signal a few
+// instructions before their goroutines are gone.
+func goroutinesSettleTo(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines alive, %d before the sessions: a session leaked", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestEngineGoroutineLifetime: between Start and Drain the engine owns
+// exactly one goroutine per replica — with or without a consumer — and
+// after Drain none, session after session.
+func TestEngineGoroutineLifetime(t *testing.T) {
+	const queues = 4
+	e, err := NewEngine(compileApp(t, "toy"), Config{Queues: queues})
+	if err != nil {
+		t.Fatal(err)
+	}
+	setupApp(t, "toy", e.HostMaps())
+	gen := pktgen.NewGenerator(pktgen.GeneratorConfig{Flows: 32, PacketLen: 64, Seed: 9})
+	base := runtime.NumGoroutine()
+	for session := 0; session < 6; session++ {
+		var retired [queues]int // one slot per worker goroutine
+		var consumer func(Completion)
+		if session%2 == 1 {
+			consumer = func(c Completion) { retired[c.Queue]++ }
+		}
+		if err := e.Start(1, consumer); err != nil {
+			t.Fatal(err)
+		}
+		if got := engineGoroutines(); got != queues {
+			t.Fatalf("session %d: the engine runs %d goroutines, want one per replica (%d)", session, got, queues)
+		}
+		for i := 0; i < 500; i++ {
+			e.Offer(gen.Next())
+		}
+		rs, err := e.Drain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		goroutinesSettleTo(t, base)
+		if consumer == nil {
+			continue
+		}
+		for q, n := range retired {
+			if uint64(n) != rs.PerQueue[q].Stats.Completed {
+				t.Errorf("session %d queue %d: consumer saw %d retirements, counters say %d", session, q, n, rs.PerQueue[q].Stats.Completed)
+			}
+		}
+	}
+}
+
+// TestEngineReplicaErrorKeepsDispatcherFree kills every replica early in
+// a session (a hair-trigger watchdog under protection spends a recovery
+// budget of one on the first two frames) and keeps offering far more
+// than the sinks buffer: the dead workers must go on emptying their
+// channels, Drain must report the typed error, the frames that retired
+// before it must stay on the books, and the next session on the same
+// engine must start from a clean goroutine count.
+func TestEngineReplicaErrorKeepsDispatcherFree(t *testing.T) {
+	e, err := NewEngine(compileApp(t, "toy"), Config{Queues: 2, Batch: 8, Sim: hwsim.Config{
+		Protection:            protect.LevelECC,
+		WatchdogCycles:        2,
+		MaxRecoveries:         1,
+		RecoveryBackoffCycles: 1,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	setupApp(t, "toy", e.HostMaps())
+	gen := pktgen.NewGenerator(pktgen.GeneratorConfig{Flows: 32, PacketLen: 64, Seed: 9})
+	base := runtime.NumGoroutine()
+	for session := 0; session < 3; session++ {
+		if err := e.Start(16, nil); err != nil {
+			t.Fatal(err)
+		}
+		offered := make(chan struct{})
+		go func() {
+			defer close(offered)
+			for i := 0; i < 4000; i++ { // the sinks hold 2 x 4 x 8 frames
+				e.Offer(gen.Next())
+			}
+		}()
+		select {
+		case <-offered:
+		case <-time.After(30 * time.Second):
+			t.Fatal("dispatcher blocked behind a dead replica")
+		}
+		rs, err := e.Drain()
+		if !errors.Is(err, hwsim.ErrRecoveryExhausted) {
+			t.Fatalf("session %d: Drain = %v, want the replica's exhausted recovery budget", session, err)
+		}
+		if rs.Arrivals != 4000 {
+			t.Errorf("session %d: %d arrivals on the books, want 4000", session, rs.Arrivals)
+		}
+		if retired := rs.PerQueue[0].Stats.Completed + rs.PerQueue[1].Stats.Completed; retired == 0 {
+			t.Errorf("session %d: the frames aborted by the recoveries before the error are off the books", session)
+		}
+		goroutinesSettleTo(t, base)
 	}
 }

@@ -129,10 +129,6 @@ func (b *banked) seal() {
 	b.sealed = true
 }
 
-// unseal re-opens broadcast mode (engine restart after a live-update
-// rollback).
-func (b *banked) unseal() { b.sealed = false }
-
 // Spec implements maps.Map.
 func (b *banked) Spec() ebpf.MapSpec { return b.spec }
 
