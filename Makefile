@@ -14,10 +14,14 @@ build:
 # tracer, registry, update machinery and the dispatcher/worker
 # goroutines are the pieces most likely to grow cross-goroutine users,
 # the journal is the piece a crash must never be able to corrupt, and
-# the fast path is the engine the RSS workers drive concurrently.
+# the fast path is the engine the RSS workers drive concurrently. The
+# fleet serves its devices on one goroutine each, so fleet and tenant
+# run at one worker thread (the goroutines take turns) and at four (they
+# overlap): the same reports, digests and events are due at both.
 test:
 	$(GO) test ./...
-	$(GO) test -race ./internal/conformance/ ./internal/obs/ ./internal/liveupdate/ ./internal/rss/ ./internal/nic/ ./internal/fastpath/ ./internal/fleet/ ./internal/tenant/ ./internal/durable/
+	$(GO) test -race ./internal/conformance/ ./internal/obs/ ./internal/liveupdate/ ./internal/rss/ ./internal/nic/ ./internal/fastpath/ ./internal/durable/
+	$(GO) test -race -cpu 1,4 ./internal/fleet/ ./internal/tenant/
 
 # Quick slice: skips the chaos campaign sweep and long fuzz runs.
 short:
@@ -105,9 +109,11 @@ bench-check:
 # registered in .git), one bench binary per tree, each run from its own
 # tree root with the end-to-end pass only, PAIRS pairs alternating which
 # side runs first. Prints every pair, then each side's host_mpps median
-# [quartiles] and the pairs the change won, then `bench compare` on the
-# last pair for the other six metrics. Run lengths are the harness's own
-# (20 s a side), so ten pairs take about seven minutes.
+# [quartiles] with the numcpu/GOMAXPROCS its runs reported (a parallel
+# speed-up without its core count is not a measurement) and the pairs
+# the change won, then `bench compare` on the last pair for the other
+# six metrics. Run lengths are the harness's own (20 s a side), so ten
+# pairs take about seven minutes.
 #	make bench-ab PARENT=HEAD~1 WORKLOAD=toy_q4_fast
 PARENT ?= HEAD~1
 WORKLOAD ?= toy_q4_fast
@@ -128,8 +134,9 @@ bench-ab:
 		echo "pair $$i ($$order first): parent $$(tail -1 $(AB_DIR)/parent.mpps)  change $$(tail -1 $(AB_DIR)/change.mpps) Mpkt/s"; \
 	done
 	@for side in parent change; do sort -g $(AB_DIR)/$$side.mpps | awk -v side=$$side \
+		-v host="$$(sed -n '1s/^\(numcpu [0-9]*\)  *\(GOMAXPROCS [0-9]*\).*/\1 \2/p' $(AB_DIR)/$$side.1.txt)" \
 		'function q(p,  h, lo) { h = (NR - 1) * p; lo = int(h); return v[lo + 1] + (h - lo) * (v[lo + 2] - v[lo + 1]) } \
-		 { v[NR] = $$1 } END { printf "%-6s host_mpps median %.4g [%.4g %.4g] n=%d\n", side, q(0.5), q(0.25), q(0.75), NR }'; done
+		 { v[NR] = $$1 } END { printf "%-6s host_mpps median %.4g [%.4g %.4g] n=%d  %s\n", side, q(0.5), q(0.25), q(0.75), NR, host }'; done
 	@paste $(AB_DIR)/parent.mpps $(AB_DIR)/change.mpps | awk '$$2 > $$1 { w++ } $$2 < $$1 { l++ } END { printf "change won %d, lost %d of %d pairs\n", w, l, NR }'
 	@$(AB_DIR)/bench.change compare $(AB_DIR)/parent.$(PAIRS).json $(AB_DIR)/change.$(PAIRS).json || true
 

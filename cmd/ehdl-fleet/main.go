@@ -30,6 +30,8 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
+	"time"
 
 	"ehdl/internal/apps"
 	"ehdl/internal/faults"
@@ -191,7 +193,9 @@ func run() int {
 	}
 	fmt.Fprintf(os.Stderr, "fleet: %d devices serving %s, %d epochs x %d packets, seed %d\n",
 		*devices, workload, *epochs, *packets, *seed)
+	start := time.Now()
 	rep, err := ctrl.Run(*epochs)
+	wall := time.Since(start)
 	if err != nil {
 		if fleet.DurabilityError(err) {
 			fmt.Fprintf(os.Stderr, "durability failure: %v\n", err)
@@ -222,6 +226,10 @@ func run() int {
 	} else {
 		printReport(rep)
 	}
+	// Host speed goes to stderr: stdout is the report, byte-identical
+	// for a seed on any machine at any GOMAXPROCS.
+	fmt.Fprintf(os.Stderr, "host: %.3f Mpkt/s wall clock (%d packets in %s), %d devices, GOMAXPROCS %d\n",
+		float64(rep.Generated)/wall.Seconds()/1e6, rep.Generated, wall.Round(time.Millisecond), rep.Devices, runtime.GOMAXPROCS(0))
 
 	if !rep.Accounted() {
 		fmt.Fprintln(os.Stderr, "fleet: loss accounting does not balance")

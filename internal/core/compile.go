@@ -316,11 +316,20 @@ func (p *Pipeline) applyPruning() {
 
 	rd := p.reachingDefs()
 
+	// One register-use mask per scheduled instruction, derived once: the
+	// rule below asks it for every (stage, register, instruction).
+	uses := make([]uint16, len(p.Transformed.Instructions))
+	for i := range stageOf {
+		for _, u := range effectiveUses(p.Info, i) {
+			uses[i] |= 1 << u
+		}
+	}
+
 	// carried[r] per stage via the reaching-definition rule.
 	for s := 0; s < n; s++ {
 		var mask uint16
 		for r := ebpf.R0; r <= ebpf.R10; r++ {
-			if p.carriedReg(rd, stageOf, r, s) {
+			if p.carriedReg(rd, stageOf, uses, r, s) {
 				mask |= 1 << r
 			}
 		}
@@ -465,20 +474,10 @@ func bitsEqual(a, b []uint64) bool {
 // carriedReg reports whether register r must be latched into stage s:
 // some instruction at stage >= s uses r, and one of its reaching
 // definitions lies at a stage < s (or is an architectural input).
-func (p *Pipeline) carriedReg(rd *reachingInfo, stageOf map[int]int, r ebpf.Register, s int) bool {
-	prog := p.Transformed
-	for i := range prog.Instructions {
-		us, ok := stageOf[i]
-		if !ok || us < s {
-			continue
-		}
-		usesR := false
-		for _, u := range effectiveUses(p.Info, i) {
-			if u == r {
-				usesR = true
-			}
-		}
-		if !usesR {
+func (p *Pipeline) carriedReg(rd *reachingInfo, stageOf map[int]int, uses []uint16, r ebpf.Register, s int) bool {
+	for i := range uses {
+		// A set bit implies i is scheduled: only those were masked.
+		if uses[i]&(1<<r) == 0 || stageOf[i] < s {
 			continue
 		}
 		for siteID, site := range rd.sites {

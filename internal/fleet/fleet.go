@@ -10,14 +10,16 @@
 // partition through nic.Shell.RunLoad, and then applies control
 // decisions: verdict verification against a per-device reference
 // interpreter, health-driven drains with jittered re-admission, and one
-// step of the rollout state machine. Devices are served sequentially in
-// id order and every random decision draws from streams forked off one
-// master seed — a whole-fleet chaos run replays byte-identically.
+// step of the rollout state machine. Devices serve concurrently, results
+// fold in id order and every random decision draws from streams forked off
+// one master seed — a whole-fleet chaos run replays byte-identically.
 package fleet
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 
 	"ehdl/internal/apps"
 	"ehdl/internal/conformance"
@@ -291,6 +293,17 @@ type device struct {
 	received uint64
 	lost     uint64
 	drains   int
+
+	// doomed and served carry one epoch from runEpoch's launch loop to its
+	// ordered pass: a kill decided, or a worker's result channel (else nil).
+	doomed bool
+	served chan served
+}
+
+// served is runDevice's return, as a device's worker hands it back.
+type served struct {
+	rep nic.Report
+	err error
 }
 
 // Controller owns the fleet.
@@ -300,10 +313,13 @@ type Controller struct {
 	devices []*device
 	ring    *ring
 	hasher  *rss.Hasher
-	gen     *pktgen.Generator
-	// next yields the next generated frame: the single app's generator,
-	// or the tenants' VLAN-tagged mux in tenant mode.
-	next func() []byte
+	// next builds the next frame at the end of the epoch arena: the single
+	// app's generator, or the tenants' VLAN-tagged mux in tenant mode.
+	// partition resets arena and the batches over it every epoch.
+	next    func(arena []byte) (grown, pkt []byte)
+	arena   []byte
+	batches [][][]byte
+	workers sync.WaitGroup // the epoch's device goroutines in flight
 	// rng draws fleet-level jitter (cool-down spread). Device-level
 	// randomness lives in the per-device injector forks. rngDraws
 	// counts the draws consumed — the stream position persisted into
@@ -334,6 +350,24 @@ func mix(v int64) int64 {
 	return int64(z ^ (z >> 31))
 }
 
+// newController builds the device-less controller both fleet shapes share.
+func newController(cfg Config) (*Controller, error) {
+	hasher, err := rss.NewHasher(nil)
+	if err != nil {
+		return nil, err
+	}
+	c := &Controller{
+		cfg:     cfg,
+		ring:    newRing(cfg.VNodes),
+		hasher:  hasher,
+		rng:     rand.New(rand.NewSource(mix(cfg.seed()))),
+		batches: make([][][]byte, cfg.devices()),
+	}
+	c.rep.Devices = cfg.devices()
+	c.rep.Seed = cfg.seed()
+	return c, nil
+}
+
 // New builds the fleet: per-device compiled pipelines, shells, fault
 // forks and (under Verify) reference mirrors, all on one ring.
 func New(cfg Config) (*Controller, error) {
@@ -350,23 +384,16 @@ func New(cfg Config) (*Controller, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: %s: %w", cfg.App.Name, err)
 	}
-	hasher, err := rss.NewHasher(nil)
+	c, err := newController(cfg)
 	if err != nil {
 		return nil, err
 	}
-	n := cfg.devices()
-	c := &Controller{
-		cfg:    cfg,
-		prog:   prog,
-		ring:   newRing(cfg.VNodes),
-		hasher: hasher,
-		rng:    rand.New(rand.NewSource(mix(cfg.seed()))),
-	}
+	c.prog = prog
 	traffic := cfg.App.Traffic
 	traffic.Seed = mix(cfg.seed() + 1)
-	c.gen = pktgen.NewGenerator(traffic)
-	c.next = c.gen.Next
+	c.next = pktgen.NewGenerator(traffic).AppendNext
 
+	n := cfg.devices()
 	for i := 0; i < n; i++ {
 		pl, err := core.Compile(prog, cfg.Opts)
 		if err != nil {
@@ -402,8 +429,6 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.Update != nil {
 		c.rollout = newRollout(cfg.Update, n)
 	}
-	c.rep.Devices = n
-	c.rep.Seed = cfg.seed()
 	return c, nil
 }
 
@@ -420,20 +445,13 @@ func newTenantFleet(cfg Config) (*Controller, error) {
 	case len(cfg.CorruptAt) > 0:
 		return nil, fmt.Errorf("fleet: CorruptAt targets a single-pipeline map set; unsupported in tenant mode")
 	}
-	hasher, err := rss.NewHasher(nil)
+	c, err := newController(cfg)
 	if err != nil {
 		return nil, err
 	}
-	n := cfg.devices()
-	c := &Controller{
-		cfg:    cfg,
-		ring:   newRing(cfg.VNodes),
-		hasher: hasher,
-		rng:    rand.New(rand.NewSource(mix(cfg.seed()))),
-	}
-	mux := tenant.NewTrafficMux(cfg.Tenants, mix(cfg.seed()+1))
-	c.next = mux.Next
+	c.next = tenant.NewTrafficMux(cfg.Tenants, mix(cfg.seed()+1)).AppendNext
 
+	n := cfg.devices()
 	for i := 0; i < n; i++ {
 		dcfg := tenant.DeviceConfig{
 			UtilisationBandPct: cfg.TenantBandPct,
@@ -452,8 +470,6 @@ func newTenantFleet(cfg Config) (*Controller, error) {
 		c.devices = append(c.devices, &device{id: i, td: td})
 		c.ring.Add(i)
 	}
-	c.rep.Devices = n
-	c.rep.Seed = cfg.seed()
 	return c, nil
 }
 
@@ -523,9 +539,16 @@ func (c *Controller) Run(epochs int) (rep Report, err error) {
 	return c.rep, nil
 }
 
-// runEpoch executes one epoch: re-admissions, rollout scheduling,
-// traffic partitioning, per-device serving and rollout evaluation.
+// runEpoch executes one epoch in three steps. Partition: re-admissions,
+// rollout scheduling and the ring split. Serve: one goroutine per device
+// with a partition — NICs are separate hardware, runDevice touches only
+// its own shard. Fold: one pass in id order that, at each device's slot,
+// executes its scheduled kill or awaits and folds its result, so every
+// controller mutation, RNG draw and event lands where a one-by-one walk
+// put it. The deferred Wait joins the workers on every way out, an armed
+// crash site's unwind included.
 func (c *Controller) runEpoch() {
+	defer c.workers.Wait()
 	c.rep.Epochs = c.epoch + 1
 	c.readmitCooled()
 	if c.rollout != nil {
@@ -533,35 +556,47 @@ func (c *Controller) runEpoch() {
 	}
 	batches := c.partition()
 	for _, d := range c.devices {
-		c.chaosStrike(d, len(batches[d.id]))
-		if d.state != stateHealthy && d.state != stateCooling {
+		batch := batches[d.id]
+		if d.doomed = c.chaosStrike(d); d.doomed || len(batch) == 0 || (d.state != stateHealthy && d.state != stateCooling) {
 			continue
 		}
-		c.serve(d, batches[d.id])
+		d.served = make(chan served, 1) // buffered: an unwind strands no worker
+		c.workers.Add(1)
+		go func() {
+			defer c.workers.Done()
+			rep, err := c.runDevice(d, batch)
+			d.served <- served{rep, err}
+		}()
+	}
+	for _, d := range c.devices {
+		switch {
+		case d.doomed:
+			c.kill(d, "chaos kill", uint64(len(batches[d.id])))
+		case d.served != nil:
+			res := <-d.served
+			d.served = nil
+			c.fold(d, batches[d.id], res.rep, res.err)
+		}
 	}
 	if c.rollout != nil {
 		c.rollout.evaluate(c)
 	}
 }
 
-// chaosStrike applies this epoch's scheduled kill/corrupt events to one
-// device, after its partition was assigned — a kill therefore loses
-// exactly that partition, the bounded in-flight loss the report
-// accounts under KilledLoss.
-func (c *Controller) chaosStrike(d *device, batchLen int) {
-	for _, id := range c.cfg.KillAt[c.epoch] {
-		if id == d.id && d.state != stateDead {
-			c.kill(d, "chaos kill", uint64(batchLen))
-		}
+// chaosStrike takes this epoch's scheduled kill/corrupt decisions for
+// one device before launch (both depend only on the schedule and its own
+// state). A corruption is applied here; a kill is only decided — the
+// doomed device never runs, and the kill at its slot of the ordered pass
+// loses exactly its partition, the bounded loss booked as KilledLoss.
+func (c *Controller) chaosStrike(d *device) (doomed bool) {
+	if slices.Contains(c.cfg.KillAt[c.epoch], d.id) && d.state != stateDead {
+		return true
 	}
-	for _, id := range c.cfg.CorruptAt[c.epoch] {
-		if id == d.id && d.state == stateHealthy && !d.corrupted {
-			if corruptMaps(d.sh.Maps()) {
-				d.corrupted = true
-				c.rep.CorruptionsInjected++
-			}
-		}
+	if slices.Contains(c.cfg.CorruptAt[c.epoch], d.id) && d.state == stateHealthy && !d.corrupted && corruptMaps(d.sh.Maps()) {
+		d.corrupted = true
+		c.rep.CorruptionsInjected++
 	}
+	return false
 }
 
 // kill marks a device dead, removes it from the ring and charges the
@@ -616,13 +651,18 @@ func (c *Controller) readmitCooled() {
 	}
 }
 
-// partition hashes one epoch's traffic slice onto the ring. Flows with
-// no live home (empty ring) are charged to UnroutableLoss.
+// partition hashes one epoch's traffic slice onto the ring, building over
+// last epoch's frames and batches (its workers are joined). Flows with no
+// live home (empty ring) are charged to UnroutableLoss.
 func (c *Controller) partition() [][][]byte {
-	batches := make([][][]byte, len(c.devices))
+	for i := range c.batches {
+		c.batches[i] = c.batches[i][:0]
+	}
+	c.arena = c.arena[:0]
 	n := c.cfg.epochPackets()
 	for i := 0; i < n; i++ {
-		pkt := c.next()
+		var pkt []byte
+		c.arena, pkt = c.next(c.arena)
 		hash, ok := c.hasher.HashPacket(pkt)
 		if !ok {
 			hash = 0
@@ -632,39 +672,38 @@ func (c *Controller) partition() [][][]byte {
 			c.rep.UnroutableLoss++
 			continue
 		}
-		batches[dev] = append(batches[dev], pkt)
+		c.batches[dev] = append(c.batches[dev], pkt)
 	}
 	c.rep.Generated += uint64(n)
 	c.count(MetricGenerated, uint64(n))
-	return batches
+	return c.batches
 }
 
-// serve drives one device's partition through its shell, folds the
-// accounting, verifies against the mirror and applies the health rule.
-func (c *Controller) serve(d *device, batch [][]byte) {
-	count := len(batch)
-	if count == 0 {
-		return
+// runDevice drives one partition through its device on the device's own
+// goroutine: a pure function of the shard's shells, maps and injector
+// fork that must not touch the controller.
+func (c *Controller) runDevice(d *device, batch [][]byte) (nic.Report, error) {
+	if d.td != nil {
+		// Tenant mode: tenant-local failures are contained inside Serve
+		// and come back as TenantDownLoss, not as an error.
+		return d.td.Serve(batch, c.cfg.offeredPps())
 	}
-	// Overflow-burst faults make the shell pull more than count frames;
-	// extras recycle the partition (modulo). The shell only reads a
-	// pulled frame, so the mirror's batch stays pristine without a copy.
+	// Overflow-burst faults make the shell pull more than the partition
+	// holds; extras recycle it (modulo). The shell only reads a pulled
+	// frame, so the mirror's batch stays pristine without a copy.
 	i := 0
 	next := func() []byte {
-		pkt := batch[i%count]
+		pkt := batch[i%len(batch)]
 		i++
 		return pkt
 	}
-	var rep nic.Report
-	var err error
-	if d.td != nil {
-		// Tenant mode: the device's own classifier/policer owns the
-		// batch; tenant-local failures are contained inside Serve and
-		// come back as TenantDownLoss, not as an error.
-		rep, err = d.td.Serve(batch, c.cfg.offeredPps())
-	} else {
-		rep, err = d.sh.RunLoad(next, count, c.cfg.offeredPps())
-	}
+	return d.sh.RunLoad(next, len(batch), c.cfg.offeredPps())
+}
+
+// fold books one served partition on the controller: the accounting,
+// the mirror verification and the health rule. Ordered pass only.
+func (c *Controller) fold(d *device, batch [][]byte, rep nic.Report, err error) {
+	count := len(batch)
 	if err != nil {
 		// Unrecoverable device death mid-serve (recovery budget
 		// exhausted): retired packets stay delivered, the rest of the

@@ -478,13 +478,29 @@ func TestServeLeavesGeneratedFramesUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The controller builds an epoch's frames into an arena it resets at
+	// the next partition, so an epoch's frames are checked when the next
+	// epoch's first frame is asked for, and the last epoch's after Run.
 	var frames, pristine [][]byte
+	checked := 0
+	check := func() {
+		for i := range frames {
+			if !bytes.Equal(frames[i], pristine[i]) {
+				t.Fatalf("frame %d was written to while being served:\n got  %x\n want %x", checked+i, frames[i], pristine[i])
+			}
+		}
+		checked += len(frames)
+		frames, pristine = frames[:0], pristine[:0]
+	}
 	gen := c.next
-	c.next = func() []byte {
-		pkt := gen()
+	c.next = func(arena []byte) (grown, pkt []byte) {
+		if len(arena) == 0 {
+			check()
+		}
+		grown, pkt = gen(arena)
 		frames = append(frames, pkt)
 		pristine = append(pristine, append([]byte(nil), pkt...))
-		return pkt
+		return grown, pkt
 	}
 	rep, err := c.Run(8)
 	if err != nil {
@@ -494,9 +510,8 @@ func TestServeLeavesGeneratedFramesUntouched(t *testing.T) {
 		t.Fatalf("run missed a path that handles pulled frames: %d malformed, %d overflow extras, %d updates",
 			rep.Device.MalformedSent, rep.ExtraInjected, rep.Device.UpdatesCompleted+rep.Device.UpdatesRolledBack)
 	}
-	for i := range frames {
-		if !bytes.Equal(frames[i], pristine[i]) {
-			t.Fatalf("frame %d was written to while being served:\n got  %x\n want %x", i, frames[i], pristine[i])
-		}
+	check()
+	if checked != 8*256 {
+		t.Errorf("checked %d frames, generated %d", checked, 8*256)
 	}
 }

@@ -86,13 +86,22 @@ func (g *Generator) NextFlow() Flow {
 	}
 }
 
-// Next builds the next packet.
+// Next builds the next packet in a slice of its own.
 func (g *Generator) Next() []byte {
-	return Build(PacketSpec{
+	_, pkt := g.AppendNext(nil)
+	return pkt
+}
+
+// AppendNext builds the next packet at the end of arena and returns the
+// extended arena and the packet within it, capacity clipped so nothing
+// can append into its neighbour.
+func (g *Generator) AppendNext(arena []byte) (grown, pkt []byte) {
+	grown = AppendBuild(arena, PacketSpec{
 		Flow:     g.NextFlow(),
 		TotalLen: g.cfg.PacketLen,
 		TCPFlags: g.cfg.TCPFlags,
 	})
+	return grown, grown[len(arena):len(grown):len(grown)]
 }
 
 // Batch builds n packets.

@@ -52,8 +52,13 @@ type PacketSpec struct {
 	TTL      uint8
 }
 
-// Build constructs the packet bytes.
-func Build(spec PacketSpec) []byte {
+// Build constructs the packet bytes in a slice of their own.
+func Build(spec PacketSpec) []byte { return AppendBuild(nil, spec) }
+
+// AppendBuild constructs the packet bytes at the end of dst and returns
+// the extended slice: a caller that owns a reusable arena builds a whole
+// batch into it without a heap object per frame.
+func AppendBuild(dst []byte, spec PacketSpec) []byte {
 	ttl := spec.TTL
 	if ttl == 0 {
 		ttl = 64
@@ -82,7 +87,8 @@ func Build(spec PacketSpec) []byte {
 		total = minLen
 	}
 
-	pkt := make([]byte, total)
+	dst = append(dst, make([]byte, total)...) // zero-extends in place
+	pkt := dst[len(dst)-total:]
 	copy(pkt[0:6], spec.DstMAC[:])
 	copy(pkt[6:12], spec.SrcMAC[:])
 	ethTypeOff := 12
@@ -93,7 +99,7 @@ func Build(spec PacketSpec) []byte {
 	}
 	binary.BigEndian.PutUint16(pkt[ethTypeOff:ethTypeOff+2], etherType)
 	if etherType != ebpf.EthPIP {
-		return pkt
+		return dst
 	}
 
 	ip := pkt[EthHeaderLen+tagLen:]
@@ -117,7 +123,7 @@ func Build(spec PacketSpec) []byte {
 		l4[12] = 5 << 4 // data offset
 		l4[13] = spec.TCPFlags
 	}
-	return pkt
+	return dst
 }
 
 // ipChecksum computes the IPv4 header checksum with the checksum field

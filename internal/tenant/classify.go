@@ -30,7 +30,7 @@ func (d *Device) classifyFrame(pkt []byte) (t *Tenant, frame []byte, matched boo
 			return d.def, pkt, false
 		}
 		vid := binary.BigEndian.Uint16(pkt[14:16]) & 0x0fff
-		stripped := stripVLAN(pkt)
+		stripped := d.stripVLAN(pkt)
 		if t, ok := d.byVLAN[vid]; ok {
 			return t, stripped, true
 		}
@@ -49,12 +49,13 @@ func (d *Device) classifyFrame(pkt []byte) (t *Tenant, frame []byte, matched boo
 	return d.def, pkt, false
 }
 
-// stripVLAN removes the 4-byte 802.1Q tag at offset 12.
-func stripVLAN(pkt []byte) []byte {
-	out := make([]byte, len(pkt)-4)
-	copy(out, pkt[:12])
-	copy(out[12:], pkt[16:])
-	return out
+// stripVLAN copies pkt, less the 4-byte 802.1Q tag at offset 12, into
+// the device's strip arena: the caller's frame stays as it arrived, and
+// the copy lives until the next classify resets the arena.
+func (d *Device) stripVLAN(pkt []byte) []byte {
+	start := len(d.strip)
+	d.strip = append(append(d.strip, pkt[:12]...), pkt[16:]...)
+	return d.strip[start:len(d.strip):len(d.strip)]
 }
 
 // steerFallback traces one unclassifiable arrival: KindQueueSteer with

@@ -8,6 +8,13 @@ import (
 	"ehdl/internal/pktgen"
 )
 
+// insertVLAN returns a copy of pkt with an 802.1Q tag at offset 12.
+func insertVLAN(pkt []byte, vid uint16) []byte {
+	out := append(make([]byte, 4, len(pkt)+4), pkt...)
+	tagVLAN(out, vid)
+	return out
+}
+
 // classifierSeedCorpus is the classifier's malformed-frame seed set:
 // the conformance corpus (every structured malformation, boundary
 // truncations, byte soup) in both tagged and untagged form, plus the

@@ -29,9 +29,18 @@ func (d *Device) Serve(batch [][]byte, offeredPps float64) (nic.Report, error) {
 }
 
 // classify attributes one epoch's arrivals: per-tenant sub-batches in
-// arrival order, quarantine counted and traced.
+// arrival order, quarantine counted and traced. The sub-batches and the
+// untagged copies they point at are the device's own, rebuilt here and
+// valid until the next call.
 func (d *Device) classify(batch [][]byte) (sub [][][]byte, quarantined uint64) {
-	sub = make([][][]byte, len(d.tenants))
+	d.strip = d.strip[:0]
+	for i := range d.sub {
+		d.sub[i] = d.sub[i][:0]
+	}
+	for len(d.sub) < len(d.tenants) {
+		d.sub = append(d.sub, nil)
+	}
+	sub = d.sub
 	for seq, pkt := range batch {
 		t, frame, matched := d.classifyFrame(pkt)
 		if !matched {

@@ -245,6 +245,11 @@ type Device struct {
 
 	epoch    int
 	shareSum float64
+
+	// strip is the arena classify copies untagged frames into and sub
+	// the per-tenant sub-batches over it; both are reused across epochs.
+	strip []byte
+	sub   [][][]byte
 }
 
 // NewDevice builds an empty multi-tenant device; AdmitTenant populates

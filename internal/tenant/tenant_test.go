@@ -394,3 +394,58 @@ func TestServeLeavesFramesUntouched(t *testing.T) {
 		}
 	}
 }
+
+// TestServeReservesOneBatch pins what the strip arena may not break:
+// Serve reads the caller's batch and leaves it as it arrived, so the
+// same tagged batch served again steers every frame to the same tenant
+// (a strip in place would hand the second pass untagged frames), and the
+// mux builds the same bytes into a caller's arena as into slices of
+// their own.
+func TestServeReservesOneBatch(t *testing.T) {
+	specs := []Spec{
+		{Name: "a", App: mustApp(t, "toy"), Share: 0.5, VLAN: 100},
+		{Name: "b", App: mustApp(t, "firewall"), Share: 0.3, VLAN: 200},
+		{Name: "c", App: mustApp(t, "toy"), Share: 0.2, Default: true},
+	}
+	d := NewDevice(DeviceConfig{Seed: 3})
+	for _, sp := range specs {
+		if _, err := d.AdmitTenant(sp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch := NewTrafficMux(specs, 3).Batch(300)
+	var arena []byte
+	inArena := NewTrafficMux(specs, 3)
+	for i, want := range batch {
+		var pkt []byte
+		arena, pkt = inArena.AppendNext(arena)
+		if !bytes.Equal(pkt, want) {
+			t.Fatalf("arrival %d built into an arena reads %x, on its own %x", i, pkt, want)
+		}
+	}
+	pristine := make([][]byte, len(batch))
+	for i, pkt := range batch {
+		pristine[i] = append([]byte(nil), pkt...)
+	}
+	var steered [2][]uint64
+	for pass := range steered {
+		rep, err := d.Serve(batch, 50e6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Accounted() {
+			t.Fatalf("pass %d: ledger does not balance: %+v", pass, rep)
+		}
+		for _, sl := range rep.PerTenant {
+			steered[pass] = append(steered[pass], sl.Steered)
+		}
+		for i := range batch {
+			if !bytes.Equal(batch[i], pristine[i]) {
+				t.Fatalf("pass %d wrote into the caller's frame %d", pass, i)
+			}
+		}
+	}
+	if fmt.Sprint(steered[0]) != fmt.Sprint(steered[1]) || steered[0][0] == 0 || steered[0][1] == 0 {
+		t.Errorf("the same batch steered %v, then %v", steered[0], steered[1])
+	}
+}

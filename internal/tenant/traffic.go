@@ -47,9 +47,18 @@ func NewTrafficMux(specs []Spec, seed int64) *TrafficMux {
 	return m
 }
 
-// Next builds the next arrival: smooth weighted round-robin picks the
-// tenant, its generator builds the frame, the tenant's VLAN tag goes on.
+// Next builds the next arrival in a slice of its own.
 func (m *TrafficMux) Next() []byte {
+	_, pkt := m.AppendNext(nil)
+	return pkt
+}
+
+// AppendNext builds the next arrival at the end of arena
+// (pktgen.Generator.AppendNext semantics): smooth weighted round-robin
+// picks the tenant, its generator builds the frame behind four bytes of
+// headroom, and the tenant's VLAN tag is written into the gap the MAC
+// pair leaves when it slides forward — the frame is never re-copied.
+func (m *TrafficMux) AppendNext(arena []byte) (grown, pkt []byte) {
 	best := 0
 	for i := range m.credit {
 		m.credit[i] += m.weight[i]
@@ -58,11 +67,23 @@ func (m *TrafficMux) Next() []byte {
 		}
 	}
 	m.credit[best] -= m.total
-	pkt := m.gens[best].Next()
-	if vlan := m.specs[best].VLAN; vlan != 0 {
-		pkt = insertVLAN(pkt, vlan)
+	vlan := m.specs[best].VLAN
+	if vlan == 0 {
+		return m.gens[best].AppendNext(arena)
 	}
-	return pkt
+	grown, _ = m.gens[best].AppendNext(append(arena, 0, 0, 0, 0))
+	pkt = grown[len(arena):len(grown):len(grown)]
+	tagVLAN(pkt, vlan)
+	return grown, pkt
+}
+
+// tagVLAN tags, in place, an untagged frame that sits behind four bytes
+// of headroom: the MAC pair slides forward over the headroom and the
+// 802.1Q tag with the given VID is written into the gap at offset 12.
+func tagVLAN(buf []byte, vid uint16) {
+	copy(buf[:12], buf[4:16])
+	binary.BigEndian.PutUint16(buf[12:14], ebpf.EthPVLAN)
+	binary.BigEndian.PutUint16(buf[14:16], vid&0x0fff)
 }
 
 // Batch builds n arrivals.
@@ -71,15 +92,5 @@ func (m *TrafficMux) Batch(n int) [][]byte {
 	for i := range out {
 		out[i] = m.Next()
 	}
-	return out
-}
-
-// insertVLAN inserts an 802.1Q tag with the given VID at offset 12.
-func insertVLAN(pkt []byte, vid uint16) []byte {
-	out := make([]byte, len(pkt)+4)
-	copy(out, pkt[:12])
-	binary.BigEndian.PutUint16(out[12:14], ebpf.EthPVLAN)
-	binary.BigEndian.PutUint16(out[14:16], vid&0x0fff)
-	copy(out[16:], pkt[12:])
 	return out
 }
