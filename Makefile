@@ -8,19 +8,21 @@ build:
 	$(GO) build ./...
 
 # The conformance suite, the observability layer, the live-update
-# controller, the multi-queue path (rss + nic), the compiled fast path,
-# the fleet control plane, the multi-tenant device and the durability
-# layer rerun under the race detector even in the default gate: the
-# tracer, registry, update machinery and the dispatcher/worker
-# goroutines are the pieces most likely to grow cross-goroutine users,
-# the journal is the piece a crash must never be able to corrupt, and
-# the fast path is the engine the RSS workers drive concurrently. The
-# fleet serves its devices on one goroutine each, so fleet and tenant
-# run at one worker thread (the goroutines take turns) and at four (they
-# overlap): the same reports, digests and events are due at both.
+# controller, the multi-queue path (rss + nic), both engines, the fleet
+# control plane, the multi-tenant device and the durability layer rerun
+# under the race detector even in the default gate: the tracer,
+# registry, update machinery and the dispatcher/worker goroutines are
+# the pieces most likely to grow cross-goroutine users, the journal is
+# the piece a crash must never be able to corrupt, the fast path is the
+# engine the RSS workers drive concurrently, and the interpreter — two
+# execution tables that must agree — is the one every fleet device
+# steps on its own goroutine. The fleet serves its devices on one
+# goroutine each, so fleet and tenant run at one worker thread (the
+# goroutines take turns) and at four (they overlap): the same reports,
+# digests and events are due at both.
 test:
 	$(GO) test ./...
-	$(GO) test -race ./internal/conformance/ ./internal/obs/ ./internal/liveupdate/ ./internal/rss/ ./internal/nic/ ./internal/fastpath/ ./internal/durable/
+	$(GO) test -race ./internal/conformance/ ./internal/obs/ ./internal/liveupdate/ ./internal/rss/ ./internal/nic/ ./internal/fastpath/ ./internal/hwsim/ ./internal/durable/
 	$(GO) test -race -cpu 1,4 ./internal/fleet/ ./internal/tenant/
 
 # Quick slice: skips the chaos campaign sweep and long fuzz runs.

@@ -111,6 +111,16 @@ type Op struct {
 // op carries (1 + fused).
 func (o *Op) InstructionCount() int { return 1 + len(o.Fused) }
 
+// FallThrough returns the successor block a non-branch op enables when
+// it ends its block, -1 when none fires (branches enable their own
+// successors, an exit has none).
+func (o *Op) FallThrough() int {
+	if o.EndsBlock && o.Kind != OpBranch && o.Kind != OpExit {
+		return o.FallBlock
+	}
+	return -1
+}
+
 // StageKind distinguishes functional stages from structural ones.
 type StageKind int
 

@@ -172,22 +172,13 @@ func stackWriteExtent(pl *core.Pipeline) (lo, hi int) {
 	return lo, hi
 }
 
-// fallBlock resolves the fallthrough successor a non-branch op enables
-// when it ends its block (-1 when none fires).
-func fallBlock(op *core.Op) int {
-	if op.EndsBlock && op.Kind != core.OpBranch && op.Kind != core.OpExit && op.FallBlock >= 0 {
-		return op.FallBlock
-	}
-	return -1
-}
-
 // compileOp specializes one micro-operation. The semantics replicate
 // hwsim's execOp exactly, minus the hazard, fault and protection
 // machinery the fast path is never eligible to run with. Register-only
 // ops come back in the direct alu/pred fields; everything else as a
 // run closure.
 func compileOp(pl *core.Pipeline, op *core.Op) (compiledOp, error) {
-	fall := fallBlock(op)
+	fall := op.FallThrough()
 	co := compiledOp{fall: fall, taken: -1, notTaken: -1}
 	run, err := compileRun(pl, op, fall, &co)
 	if err != nil {
@@ -200,30 +191,13 @@ func compileOp(pl *core.Pipeline, op *core.Op) (compiledOp, error) {
 func compileRun(pl *core.Pipeline, op *core.Op, fall int, co *compiledOp) (func(m *Machine) error, error) {
 	switch op.Kind {
 	case core.OpALU:
-		fn, err := aluFn(op.Ins)
+		// The fused tail is specialized too: the whole op chain becomes a
+		// straight run of direct closures.
+		fn, err := vm.SpecializeALU(op.Ins, op.Fused...)
 		if err != nil {
 			return nil, err
 		}
-		if len(op.Fused) == 0 {
-			co.alu = fn
-			return nil, nil
-		}
-		// The fused tail is specialized too: the whole op chain becomes a
-		// straight run of direct closures.
-		fused := make([]func(st *vm.State), 0, len(op.Fused))
-		for _, f := range op.Fused {
-			ffn, err := aluFn(f)
-			if err != nil {
-				return nil, err
-			}
-			fused = append(fused, ffn)
-		}
-		co.alu = func(st *vm.State) {
-			fn(st)
-			for _, f := range fused {
-				f(st)
-			}
-		}
+		co.alu = fn
 		return nil, nil
 
 	case core.OpLDDW:
@@ -300,7 +274,7 @@ func compileRun(pl *core.Pipeline, op *core.Op, fall int, co *compiledOp) (func(
 		}, nil
 
 	case core.OpBranch:
-		pred, err := branchFn(op.Ins)
+		pred, err := vm.SpecializeBranch(op.Ins)
 		if err != nil {
 			return nil, err
 		}

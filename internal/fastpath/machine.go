@@ -296,9 +296,7 @@ func (m *Machine) runPacket(data []byte, p *pkt) {
 	st.Regs[ebpf.R10] = vm.StackTopAddr
 	// Only the statically writable span can be dirty; everything else
 	// has stayed zero since the machine was built.
-	for i := m.prog.stackLo; i < m.prog.stackHi; i++ {
-		st.Stack[i] = 0
-	}
+	clear(st.Stack[m.prog.stackLo:m.prog.stackHi])
 	m.pktBuf.Reset(data)
 	st.Pkt = m.pktBuf
 	m.epoch++

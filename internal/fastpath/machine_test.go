@@ -12,6 +12,7 @@ import (
 	"ehdl/internal/fastpath"
 	"ehdl/internal/faults"
 	"ehdl/internal/hwsim"
+	"ehdl/internal/maps"
 	"ehdl/internal/obs"
 	"ehdl/internal/pktgen"
 	"ehdl/internal/protect"
@@ -144,8 +145,9 @@ func TestCompiledAppsMatchInterpreter(t *testing.T) {
 }
 
 // runDiffWithSetup mirrors runDiff but applies the app's host-side map
-// setup to both engines before traffic.
-func runDiffWithSetup(t *testing.T, pl *core.Pipeline, app *apps.App, batch [][]byte) {
+// setup to both engines before traffic. It returns the fast path's
+// counters.
+func runDiffWithSetup(t *testing.T, pl *core.Pipeline, app *apps.App, batch [][]byte) hwsim.Stats {
 	t.Helper()
 	m, err := fastpath.New(pl, hwsim.Config{})
 	if err != nil {
@@ -197,6 +199,7 @@ func runDiffWithSetup(t *testing.T, pl *core.Pipeline, app *apps.App, batch [][]
 	if err := conformance.CompareMaps(s.Maps(), m.Maps()); err != nil {
 		t.Fatal(err)
 	}
+	return m.Stats()
 }
 
 // aluZooSource exercises every ALU form the specializer carries — both
@@ -651,6 +654,49 @@ func TestGenericPathsMatchInterpreter(t *testing.T) {
 	pl := compilePipeline(t, "generic_zoo", genericZooSource)
 	batch := pktgen.NewGenerator(pktgen.GeneratorConfig{Flows: 8, PacketLen: 64, Seed: 11}).Batch(256)
 	runDiff(t, pl, nil, batch, true, false)
+}
+
+// deleteZooSource reaches what no other in-package program does: a
+// 64-bit constant load, and the delete helper — on an entry the host
+// installed (r0 0) and, for every later frame of the flow, on one that
+// is gone (r0 -1).
+const deleteZooSource = `
+map dmap hash key=4 value=8 entries=64
+
+r9 = *(u32 *)(r1 + 0)
+r6 = *(u8 *)(r9 + 29)
+r6 &= 7
+*(u32 *)(r10 - 4) = r6
+r7 = 0x1000000000000000 ll
+r7 >>= 60
+r1 = map[dmap] ll
+r2 = r10
+r2 += -4
+call 3
+r0 &= r7
+r0 += 2
+exit
+`
+
+// TestDeleteZooMatchesInterpreter: the first frame of each flow deletes
+// its entry (XDP_PASS), the rest find it absent (XDP_TX), and the map
+// ends empty on both engines.
+func TestDeleteZooMatchesInterpreter(t *testing.T) {
+	app := &apps.App{Name: "delete_zoo", Source: deleteZooSource, SetupHost: func(set *maps.Set) error {
+		m, _ := set.ByName("dmap")
+		for k := byte(0); k < 8; k++ {
+			if err := m.Update([]byte{k, 0, 0, 0}, make([]byte, 8), maps.UpdateAny); err != nil {
+				return err
+			}
+		}
+		return nil
+	}}
+	pl := compilePipeline(t, app.Name, app.Source)
+	batch := pktgen.NewGenerator(pktgen.GeneratorConfig{Flows: 8, PacketLen: 64, Seed: 17}).Batch(64)
+	st := runDiffWithSetup(t, pl, app, batch)
+	if st.Actions[ebpf.XDPPass] == 0 || st.Actions[ebpf.XDPTx] == 0 {
+		t.Fatalf("verdicts %v: want both a successful and a failed delete", st.Actions)
+	}
 }
 
 // branchZooSource completes the comparison matrix: the 64-bit

@@ -11,17 +11,19 @@ import (
 	"ehdl/internal/vm"
 )
 
-// execStage runs the ops of stage t for job j.
+// execStage runs the ops of visited stage t for job j and, with them,
+// the burst of private stages that follows: nothing another packet can
+// observe happens before the next visited stage, so the packet rides the
+// stage register until then with that work already done. An error from
+// a burst op names the op's own stage; its cycle is the burst's.
 func (s *Sim) execStage(j *job, t int) error {
-	stage := &s.pl.Stages[t]
-
 	// Elastic-buffer snapshot: capture the replay state on entry to a
 	// flush re-entry stage.
 	if s.elasticStage[t] {
 		j.snapshot = j.capture(&j.elastic)
 	}
 
-	if j.done || stage.Kind != core.StageNormal {
+	if j.done {
 		return nil
 	}
 
@@ -39,23 +41,25 @@ func (s *Sim) execStage(j *job, t int) error {
 
 	// Ops of one stage execute in parallel in hardware: an exit op in
 	// the stage latches the verdict without suppressing its neighbours,
-	// so done-ness is applied after the whole stage.
-	doneBefore := j.done
-	for i := range stage.Ops {
-		op := &stage.Ops[i]
+	// so done-ness applies from the next stage's first op.
+	end := s.burstEnd[t]
+	ops := s.ops[s.opOff[t]:s.opOff[end+1]]
+	for i := range ops {
+		op := &ops[i]
+		if j.done && op.first {
+			break
+		}
 		if !hasBit(j.enabled, op.BlockID) {
 			continue
 		}
 		if s.cfg.StrictCarryCheck {
-			s.checkCarry(j, stage, op, t)
+			s.checkCarry(&s.pl.Stages[op.stage], op.Op, op.stage)
 		}
-		wasDone := j.done
-		j.done = doneBefore
-		if err := s.execOp(j, op, t); err != nil {
-			return fmt.Errorf("hwsim: cycle %d stage %d (%s): %w", s.cycle, t, op.Ins, err)
+		if err := s.execOp(j, op); err != nil {
+			return fmt.Errorf("hwsim: cycle %d stage %d (%s): %w", s.cycle, op.stage, op.Ins, err)
 		}
-		j.done = j.done || wasDone
 	}
+	j.execStage = end
 	return nil
 }
 
@@ -91,7 +95,7 @@ func (s *Sim) stallCheck(j *job, t int) (bool, int) {
 
 // checkCarry verifies pruning soundness: every register and stack byte
 // the op reads must have been latched into this stage.
-func (s *Sim) checkCarry(j *job, stage *core.Stage, op *core.Op, t int) {
+func (s *Sim) checkCarry(stage *core.Stage, op *core.Op, t int) {
 	fail := func(format string, args ...any) {
 		if s.strictErr == nil {
 			s.strictErr = fmt.Errorf("hwsim: stage %d (%s): %s", t, op.Ins, fmt.Sprintf(format, args...))
@@ -132,31 +136,15 @@ func (s *Sim) checkCarry(j *job, stage *core.Stage, op *core.Op, t int) {
 			fail("map key stack bytes not carried")
 		}
 	}
-	_ = j
 }
 
 // execOp executes one micro-operation.
-func (s *Sim) execOp(j *job, op *core.Op, t int) error {
-	st := j.st
+func (s *Sim) execOp(j *job, op *microOp) error {
+	st, t := j.st, op.stage
 	switch op.Kind {
-	case core.OpALU:
-		if err := vm.ExecALU(st, op.Ins); err != nil {
-			return err
-		}
-		for _, f := range op.Fused {
-			if err := vm.ExecALU(st, f); err != nil {
-				return err
-			}
-		}
-		return s.fireEnd(j, op, nil)
-
-	case core.OpLDDW:
-		if op.MapID >= 0 {
-			st.Regs[op.Ins.Dst] = vm.MapPointer(op.MapID)
-		} else {
-			st.Regs[op.Ins.Dst] = uint64(op.Ins.Imm64)
-		}
-		return s.fireEnd(j, op, nil)
+	case core.OpALU, core.OpLDDW:
+		op.alu(st)
+		return s.fireEnd(j, op)
 
 	case core.OpLoad:
 		addr, err := s.addrOf(j, op)
@@ -189,7 +177,7 @@ func (s *Sim) execOp(j *job, op *core.Op, t int) error {
 			}
 		}
 		st.Regs[op.Ins.Dst] = v
-		return s.fireEnd(j, op, nil)
+		return s.fireEnd(j, op)
 
 	case core.OpStore, core.OpAtomic:
 		addr, err := s.addrOf(j, op)
@@ -230,14 +218,10 @@ func (s *Sim) execOp(j *job, op *core.Op, t int) error {
 				s.rawHazardCheck(j, op.MapID, t)
 			}
 		}
-		return s.fireEnd(j, op, nil)
+		return s.fireEnd(j, op)
 
 	case core.OpBranch:
-		taken, err := vm.EvalBranch(st, op.Ins)
-		if err != nil {
-			return err
-		}
-		if taken {
+		if op.pred(st) {
 			if op.TakenBlock >= 0 {
 				setBit(j.enabled, op.TakenBlock)
 			}
@@ -263,7 +247,7 @@ func (s *Sim) execOp(j *job, op *core.Op, t int) error {
 		if err := s.execMapCall(j, op, t); err != nil {
 			return err
 		}
-		return s.fireEnd(j, op, nil)
+		return s.fireEnd(j, op)
 
 	case core.OpHelper:
 		if op.Helper.CPUOnly() {
@@ -272,7 +256,7 @@ func (s *Sim) execOp(j *job, op *core.Op, t int) error {
 			for r := ebpf.R1; r <= ebpf.R5; r++ {
 				st.Regs[r] = 0
 			}
-			return s.fireEnd(j, op, nil)
+			return s.fireEnd(j, op)
 		}
 		redirect, err := s.exec.CallHelper(st, op.Helper)
 		if err != nil {
@@ -281,25 +265,23 @@ func (s *Sim) execOp(j *job, op *core.Op, t int) error {
 		if redirect != 0 {
 			j.redirect = redirect
 		}
-		return s.fireEnd(j, op, nil)
+		return s.fireEnd(j, op)
 	}
 	return fmt.Errorf("unknown op kind %v", op.Kind)
 }
 
 // fireEnd activates the fallthrough successor when a non-branch op ends
 // its block.
-func (s *Sim) fireEnd(j *job, op *core.Op, _ error) error {
-	if op.EndsBlock && op.Kind != core.OpBranch && op.Kind != core.OpExit {
-		if op.FallBlock >= 0 {
-			setBit(j.enabled, op.FallBlock)
-		}
+func (s *Sim) fireEnd(j *job, op *microOp) error {
+	if op.fall >= 0 {
+		setBit(j.enabled, op.fall)
 	}
 	return nil
 }
 
 // addrOf resolves an op's memory address: statically wired for elided
 // bases, register-relative otherwise.
-func (s *Sim) addrOf(j *job, op *core.Op) (uint64, error) {
+func (s *Sim) addrOf(j *job, op *microOp) (uint64, error) {
 	ins := op.Ins
 	if !op.BaseElided || op.Access == nil {
 		base := ins.Src
@@ -328,19 +310,34 @@ func (s *Sim) addrOf(j *job, op *core.Op) (uint64, error) {
 
 // memFault maps packet bounds violations to the hardware drop action
 // and propagates everything else as a simulation error.
-func (s *Sim) memFault(j *job, op *core.Op, err error) error {
+func (s *Sim) memFault(j *job, op *microOp, err error) error {
 	if op.Access != nil && op.Access.Area == ddg.AreaPacket {
 		j.done = true
 		j.action = s.cfg.oobAction()
 		s.stats.MalformedDropped++
+		if op.stage > j.stage {
+			j.aheadStage = op.stage
+			j.aheadFaults++
+		}
 		return nil
 	}
 	return err
 }
 
+// uncountAhead is called when j is recalled or aborted: the
+// malformed-drop counts — the one effect of a private op visible outside
+// its packet — that a burst recorded at a stage the stage-by-stage
+// pipeline has not brought j to (executed is the last one it has) are
+// taken back, as that pipeline never made them.
+func (s *Sim) uncountAhead(j *job, executed int) {
+	if j.aheadStage > executed {
+		s.stats.MalformedDropped -= uint64(j.aheadFaults)
+	}
+}
+
 // execMapCall implements the eHDLmap block interface: key (and value)
 // from their static stack slots or argument registers, result into R0.
-func (s *Sim) execMapCall(j *job, op *core.Op, t int) error {
+func (s *Sim) execMapCall(j *job, op *microOp, t int) error {
 	st := j.st
 	spec := s.pl.Transformed.Maps[op.MapID]
 	mb := s.mapBlocks[op.MapID]

@@ -229,32 +229,16 @@ func fuzzDifferential(t *testing.T, seed int64, prog *ebpf.Program, opts core.Op
 		refs[i] = refOut{res.Action, append([]byte(nil), p.Bytes()...)}
 	}
 
-	sim, err := New(pl, Config{StrictCarryCheck: true})
-	if err != nil {
-		t.Fatal(err)
+	// Both execution tables — private stages run ahead, and every stage
+	// visited under the strict carry check — must agree with each other
+	// on everything visible from outside, then with the reference.
+	t.Logf("seed %d", seed)
+	gaps := make([]int, len(packets))
+	for i := range gaps {
+		gaps[i] = 1
 	}
-	sim.SetClock(func() uint64 { return 0 })
-	sim.KeepData(true)
-	var results []Result
-	sim.OnComplete(func(res Result) { results = append(results, res) })
-	for _, data := range packets {
-		for !sim.InputFree() {
-			if err := sim.Step(); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-		}
-		sim.Inject(data)
-		if err := sim.Step(); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-	}
-	if err := sim.RunToCompletion(1 << 22); err != nil {
-		t.Fatalf("seed %d: %v", seed, err)
-	}
-	if len(results) != len(packets) {
-		t.Fatalf("seed %d: %d of %d packets completed", seed, len(results), len(packets))
-	}
-	for _, res := range results {
+	run := compareTables(t, pl, nil, Config{}, packets, gaps)
+	for _, res := range run.results {
 		ref := refs[res.Seq]
 		if res.Action != ref.action {
 			t.Fatalf("seed %d packet %d (%dB): action %v vs reference %v\n%s",
@@ -265,20 +249,8 @@ func fuzzDifferential(t *testing.T, seed int64, prog *ebpf.Program, opts core.Op
 				seed, res.Seq, len(packets[res.Seq]), ebpf.Disassemble(prog.Instructions))
 		}
 	}
-	// Final map state.
-	for id := 0; id < refEnv.Maps.Len(); id++ {
-		rm, _ := refEnv.Maps.ByID(id)
-		gm, _ := sim.Maps().ByID(id)
-		if rm.Len() != gm.Len() {
-			t.Fatalf("seed %d: map %d entries %d vs %d", seed, id, gm.Len(), rm.Len())
-		}
-		rm.Iterate(func(k, v []byte) bool {
-			gv, ok := gm.Lookup(k)
-			if !ok || !bytes.Equal(gv, v) {
-				t.Fatalf("seed %d: map %d key %x mismatch (%x vs %x)", seed, id, k, gv, v)
-			}
-			return true
-		})
+	if want := dumpMaps(refEnv.Maps); run.maps != want {
+		t.Fatalf("seed %d: final map state\n%s\nvs reference\n%s", seed, run.maps, want)
 	}
 }
 

@@ -24,8 +24,12 @@ type job struct {
 	redirect   uint32
 	injectedAt uint64
 	frames     int
-	stage      int // current stage, -1 while queued
-	execStage  int // last stage whose ops ran (guards stalls)
+	stage      int // last visited stage (where a riding packet's burst began), -1 while queued
+	execStage  int // last stage whose ops ran (guards stalls): the burst's end while riding
+	// aheadFaults malformed-drop counts were recorded by a burst at
+	// aheadStage, before the packet physically stood there (see
+	// Sim.uncountAhead).
+	aheadStage, aheadFaults int
 
 	lookups []lookup // mapID -> last lookup
 	// reads lists, per mapID, the keys of this packet's unconfirmed
@@ -92,6 +96,7 @@ func (j *job) restore(s *snapshot) {
 	j.enabled = append(j.enabled[:0], s.enabled...)
 	copyLookups(j.lookups, s.lookups)
 	j.clearReads()
+	j.aheadStage, j.aheadFaults = 0, 0
 	j.done = s.done
 	j.action = s.action
 	j.redirect = s.redirect
@@ -157,6 +162,7 @@ func (s *Sim) acquire(data []byte, frames int) *job {
 	j.injectedAt = s.cycle
 	j.frames = frames
 	j.stage, j.execStage = -1, -1
+	j.aheadStage, j.aheadFaults = 0, 0
 	for i := range j.lookups {
 		l := &j.lookups[i]
 		l.addr, l.key, l.valid = 0, l.key[:0], false

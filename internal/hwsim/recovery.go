@@ -221,6 +221,7 @@ func (s *Sim) recoverNow(reason string) error {
 		if s.probes != nil {
 			s.probes.onStageExit(s.cycle, j, t)
 		}
+		s.uncountAhead(j, t)
 		s.abortInFlight(j)
 	}
 	for s.reload.len() > 0 {

@@ -181,7 +181,12 @@ type Stats struct {
 	FaultsInjected uint64
 	// MalformedDropped counts packets whose verdict was forced by the
 	// hardware bounds check (out-of-bounds packet access), the path
-	// malformed ingress traffic takes.
+	// malformed ingress traffic takes. A private stage run ahead of the
+	// clock (see tables.go) counts its fault before the packet stands
+	// there and takes it back if the packet is recalled or aborted first,
+	// so the counter is exact whenever the engine is drained — which is
+	// where every Window is closed (RunLoad, live-update cutover) — and
+	// leads by at most the packets in flight in between.
 	MalformedDropped uint64
 	// QueueOverflows counts episodes in which the ingress queue hit its
 	// bound (edge-triggered; QueueDrops counts individual packets).
@@ -381,6 +386,17 @@ type Sim struct {
 	// replay state is captured on entry.
 	elasticStage []bool
 
+	// The execution tables (tables.go), built once: every stage's ops in
+	// one slice (stage t's are ops[opOff[t]:opOff[t+1]]), the stages the
+	// execute loop visits, and per visited stage the last stage of the
+	// burst of private stages that runs with it. edgeLow is the stall
+	// point this cycle's clock edge honoured: stages below it held.
+	ops      []microOp
+	opOff    []int
+	visit    []uint64
+	burstEnd []int
+	edgeLow  int
+
 	// Protection and recovery state: the per-map codec wrappers
 	// (indexed by mapID), the background scrubber, the last known-good
 	// checkpoint, and the bounded-retry bookkeeping. recoveryHold gates
@@ -407,7 +423,8 @@ type Sim struct {
 	// Config.Metrics opted in (see trace.go).
 	probes *probes
 
-	// readStages/writeStages per map pre-resolved for the flush block.
+	// strictErr is the first soundness violation (carry check, replay
+	// past a committed map effect) seen this run; Step returns it.
 	strictErr error
 
 	// debug receives trace lines when set (tests only).
@@ -473,6 +490,9 @@ func NewWithEnv(pl *core.Pipeline, cfg Config, env *vm.Env) (*Sim, error) {
 	s.initProtection()
 	if cfg.Trace != nil || cfg.Metrics != nil {
 		s.probes = newProbes(cfg.Trace, cfg.Metrics, env.Maps.Len(), len(pl.Stages))
+	}
+	if err := s.buildTables(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -643,6 +663,7 @@ func (s *Sim) Step() error {
 		low = s.stallPoint
 		s.stats.StallCycles++
 	}
+	s.edgeLow = low
 	s.stages.advance(low)
 	if s.probes != nil {
 		for t := s.stages.oldest(); t > low; t = s.stages.prevOccupied(t) {
@@ -662,11 +683,13 @@ func (s *Sim) Step() error {
 	}
 
 	// Execute stage operations, oldest packets first so same-cycle
-	// map effects resolve in age order.
+	// map effects resolve in age order. Only a stage another packet can
+	// see into is visited; what a packet does in between ran with its
+	// last visit (tables.go).
 	stallPolicy := s.cfg.Policy == PolicyStall
-	for t := s.stages.oldest(); t >= 0; t = s.stages.prevOccupied(t) {
+	for t := s.stages.prevIn(s.visit, n); t >= 0; t = s.stages.prevIn(s.visit, t) {
 		j := s.stages.at(t)
-		if j.execStage == t {
+		if j.execStage >= t {
 			continue
 		}
 		// A reader held by PolicyStall defers its stage until release.
@@ -890,6 +913,14 @@ func (s *Sim) flushVictims(from, writeStage, mapID int, key []byte, force bool) 
 					from, writeStage, v.seq, v.stage, v.execStage, v.commits-snap.commits)
 			}
 		}
+		// An older packet's write recalls v before v's own turn this
+		// cycle: stage by stage, v has run the stage it stands in only if
+		// it held there at the clock edge.
+		executed := v.stage
+		if v.stage > s.edgeLow {
+			executed--
+		}
+		s.uncountAhead(v, executed)
 		v.restore(snap)
 		v.flushed++
 		v.execStage = from - 1

@@ -14,11 +14,16 @@ import "math/bits"
 type stageReg struct {
 	slots  []*job
 	occ    []uint64
-	origin int // in [0, len(slots))
+	every  []uint64 // all ones: the mask of an unrestricted walk
+	origin int      // in [0, len(slots))
 }
 
 func newStageReg(n int) stageReg {
-	return stageReg{slots: make([]*job, n), occ: make([]uint64, (n+63)/64)}
+	r := stageReg{slots: make([]*job, n), occ: make([]uint64, (n+63)/64), every: make([]uint64, (n+63)/64)}
+	for w := range r.every {
+		r.every[w] = ^uint64(0)
+	}
+	return r
 }
 
 func (r *stageReg) slot(t int) int {
@@ -84,17 +89,20 @@ func (r *stageReg) oldest() int { return r.prevOccupied(len(r.slots)) }
 //
 // and reads the live words at every step, so a stage a flush recall
 // empties in the middle of the walk is not visited.
-func (r *stageReg) prevOccupied(t int) int {
+func (r *stageReg) prevOccupied(t int) int { return r.prevIn(r.every, t) }
+
+// prevIn is prevOccupied over the stages whose bit is set in mask.
+func (r *stageReg) prevIn(mask []uint64, t int) int {
 	w := (t - 1) >> 6
 	if w < 0 {
 		return -1
 	}
-	word := r.occ[w] & (^uint64(0) >> (63 - (t-1)&63))
+	word := r.occ[w] & mask[w] & (^uint64(0) >> (63 - (t-1)&63))
 	for word == 0 {
 		if w--; w < 0 {
 			return -1
 		}
-		word = r.occ[w]
+		word = r.occ[w] & mask[w]
 	}
 	return w<<6 + bits.Len64(word) - 1
 }
