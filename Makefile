@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test short vet race chaos bench check cover ci trace fuzz-smoke bench-baseline bench-check bench-ab
+.PHONY: all build test short vet race chaos bench check cover ci trace fuzz-smoke bench-ab
 
 all: build test
 
@@ -96,16 +96,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTenantClassifier -fuzztime 10s ./internal/tenant/
 	$(GO) test -run '^$$' -fuzz FuzzJournalDecode -fuzztime 10s ./internal/durable/
 
-# Benchmark-regression harness. bench-baseline re-records the committed
-# baseline (do this deliberately, with the diff in review); bench-check
-# re-measures and fails if any gated simulated-Mpps point drops more
-# than 5% below BENCH_baseline.json.
-bench-baseline:
-	$(GO) run ./cmd/ehdl-bench -baseline-out BENCH_baseline.json
-
-bench-check:
-	$(GO) run ./cmd/ehdl-bench -baseline-check BENCH_baseline.json
-
 # Host-speed A/B of this tree against a parent revision on one workload
 # of ./bench: a pristine copy of PARENT (git archive — nothing is left
 # registered in .git), one bench binary per tree, each run from its own
@@ -142,14 +132,16 @@ bench-ab:
 	@paste $(AB_DIR)/parent.mpps $(AB_DIR)/change.mpps | awk '$$2 > $$1 { w++ } $$2 < $$1 { l++ } END { printf "change won %d, lost %d of %d pairs\n", w, l, NR }'
 	@$(AB_DIR)/bench.change compare $(AB_DIR)/parent.$(PAIRS).json $(AB_DIR)/change.$(PAIRS).json || true
 
-# The full gate a PR must clear.
-ci: vet build test race chaos cover fuzz-smoke bench-check
+# The full gate a PR must clear. Simulated figures are gated inside
+# `test` (TestGoldenTables in internal/experiments, byte for byte); host
+# speed is measured by `bench` and gated by `bench-ab`.
+ci: vet build test race chaos cover fuzz-smoke
 
-# The experiment benchmarks once each, then the interpreter's packet
-# lifecycle in ns/frame with its allocation count (the bench harness's
-# hwsim.exec_ns, reproduced without the harness).
+# The benchmark harness (four workloads, 20 s), then the interpreter's
+# packet lifecycle in ns/frame with its allocation count (the harness's
+# hwsim.exec_ns, reproduced without it).
 bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' .
+	$(GO) run ./bench
 	$(GO) test -bench Interpreter -run '^$$' ./internal/hwsim/
 
 # Observability demo: a traced, metered firewall run. Leaves the

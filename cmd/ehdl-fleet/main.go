@@ -57,7 +57,7 @@ func run() int {
 		chaos     = flag.Float64("chaos", 0, "chaos intensity in [0,1]: derives per-device fault campaigns and a seeded kill/corrupt schedule")
 		updProg   = flag.String("update-prog", "", "roll this application across the fleet with canary gating")
 		rollRate  = flag.Int("rollout-rate", 2, "epochs per device in the rollout (update epoch + soak epochs)")
-		tolerance = flag.Float64("tolerance", 0, "soak-gate throughput floor in percent below baseline (0: benchreg default)")
+		tolerance = flag.Float64("tolerance", 0, "soak-gate throughput floor in percent below baseline (0: 5)")
 		jsonOut   = flag.Bool("json", false, "print the fleet report as JSON instead of text")
 		tracePath = flag.String("trace", "", "write fleet rollout/rebalance events to this file (JSONL)")
 

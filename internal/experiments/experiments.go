@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 5 and the appendix) from the systems built in this
 // repository. Each experiment returns a Table that the ehdl-bench
-// binary prints and the benchmark suite asserts on.
+// binary prints and TestGoldenTables holds to testdata/tables.golden.
 //
 // Absolute numbers come from the calibrated simulator and cost models
 // (see DESIGN.md for the substitutions); the assertions and the paper
@@ -75,12 +75,6 @@ func (t Table) String() string {
 type Config struct {
 	// Packets per measurement point. 0 means 4000.
 	Packets int
-	// FastPath serves eligible measurement points from the compiled
-	// host engine instead of the cycle-accurate interpreter. Points
-	// whose configuration the fast path cannot run bit-identically
-	// (fault campaigns, protection, stall policy) fall back silently,
-	// exactly as the library does.
-	FastPath bool
 }
 
 func (c Config) packets() int {
@@ -214,7 +208,7 @@ func Fig9aThroughput(cfg Config) (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		sh, err := nic.New(pl, nic.ShellConfig{FastPath: cfg.FastPath})
+		sh, err := nic.New(pl, nic.ShellConfig{})
 		if err != nil {
 			return t, err
 		}
@@ -268,7 +262,7 @@ func Fig9bLatency(cfg Config) (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		sh, err := nic.New(pl, nic.ShellConfig{FastPath: cfg.FastPath})
+		sh, err := nic.New(pl, nic.ShellConfig{})
 		if err != nil {
 			return t, err
 		}
@@ -360,7 +354,7 @@ func Table2Flushing(cfg Config) (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		sh, err := nic.New(pl, nic.ShellConfig{FastPath: cfg.FastPath})
+		sh, err := nic.New(pl, nic.ShellConfig{})
 		if err != nil {
 			return t, err
 		}
@@ -391,7 +385,7 @@ func SingleFlowDegradation(cfg Config) (Table, error) {
 	if err != nil {
 		return t, err
 	}
-	sh, err := nic.New(pl, nic.ShellConfig{FastPath: cfg.FastPath})
+	sh, err := nic.New(pl, nic.ShellConfig{})
 	if err != nil {
 		return t, err
 	}
@@ -410,7 +404,7 @@ func SingleFlowDegradation(cfg Config) (Table, error) {
 	if err != nil {
 		return t, err
 	}
-	sh2, err := nic.New(pl2, nic.ShellConfig{FastPath: cfg.FastPath, Sim: hwsim.Config{InputQueuePackets: 64}})
+	sh2, err := nic.New(pl2, nic.ShellConfig{Sim: hwsim.Config{InputQueuePackets: 64}})
 	if err != nil {
 		return t, err
 	}
@@ -622,7 +616,7 @@ func LoadBalancerDemo(cfg Config) (Table, error) {
 	if err != nil {
 		return t, err
 	}
-	sh, err := nic.New(pl, nic.ShellConfig{FastPath: cfg.FastPath})
+	sh, err := nic.New(pl, nic.ShellConfig{})
 	if err != nil {
 		return t, err
 	}
@@ -770,7 +764,7 @@ func LiveUpdateUnderLoad(cfg Config) (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		sh, err := nic.New(pl, nic.ShellConfig{FastPath: cfg.FastPath})
+		sh, err := nic.New(pl, nic.ShellConfig{})
 		if err != nil {
 			return t, err
 		}

@@ -35,7 +35,7 @@ func Scaling(cfg Config) (Table, error) {
 	n := cfg.packets()
 	var base float64
 	for _, q := range ScalingQueues {
-		sh, err := nic.New(pl, nic.ShellConfig{Queues: q, FastPath: cfg.FastPath, Sim: hwsim.Config{InputQueuePackets: 64}})
+		sh, err := nic.New(pl, nic.ShellConfig{Queues: q, Sim: hwsim.Config{InputQueuePackets: 64}})
 		if err != nil {
 			return t, err
 		}

@@ -3,8 +3,8 @@
 // The cycle-accurate simulator (internal/hwsim) advances a design one
 // stage per clock and models the map-consistency machinery — WAR write
 // shadows, RAW flush evaluation, stalls — in full. That fidelity costs
-// microseconds per packet on the host, which BENCH_baseline.json shows
-// is now the real bottleneck. This package is the second execution
+// about a microsecond per packet on the host (hwsim.exec_ns in ./bench
+// against fastpath.exec_ns). This package is the second execution
 // mode: Compile specializes a design once into a per-stage closure
 // chain (constants folded, map handles captured, predicate bits wired),
 // and Machine runs each packet through the chain with no per-packet

@@ -19,7 +19,7 @@ import (
 // This file threads the durable write-ahead journal through the fleet
 // controller. Every epoch the controller canonicalises its full state —
 // ring membership, rollout/revert state machine, drain cool-downs,
-// per-device benchreg baselines, fleet RNG position, map state via the
+// per-device soak baselines, fleet RNG position, map state via the
 // canonical SetSnapshot encoding — into one deterministic JSON blob,
 // journals its digest, fsyncs, and periodically writes the whole blob
 // as a snapshot file. The commit happens before Run proceeds past the

@@ -209,11 +209,11 @@ type UpdateConfig struct {
 	StartEpoch int
 	// RolloutRate is the minimum number of epochs between device
 	// updates — the update epoch plus at least one soak epoch whose
-	// throughput must clear the benchreg floor before the next device
+	// throughput must clear the soak floor before the next device
 	// goes. 0 means 2; values below 2 are raised to 2.
 	RolloutRate int
 	// TolerancePct is the per-device throughput floor for the soak
-	// gate, benchreg semantics. 0 means benchreg.DefaultTolerancePct.
+	// gate, in percent below the pre-update epoch. 0 means 5.
 	TolerancePct float64
 	// CanaryPackets is the per-device canary requirement. 0 means 8.
 	CanaryPackets int
@@ -283,7 +283,7 @@ type device struct {
 	updated  bool
 	reverted bool
 	// baselineMpps is the device's throughput on its last clean
-	// pre-update epoch — the benchreg floor for the soak gate. lastMpps
+	// pre-update epoch — the reference for the soak gate. lastMpps
 	// and lastMppsEpoch record the most recent served epoch so the soak
 	// gate knows it is looking at this epoch's number.
 	baselineMpps  float64

@@ -378,6 +378,27 @@ func TestFleetRolloutRate(t *testing.T) {
 	}
 }
 
+// TestRegressedFloor pins the soak gate's floor rule: a drop within
+// tolerance passes, a drop past it fails, improvements never fail, and
+// a non-positive tolerance selects the default 5%.
+func TestRegressedFloor(t *testing.T) {
+	if regressed(100, 96, 5) {
+		t.Error("4% drop flagged at 5% tolerance")
+	}
+	if !regressed(100, 94, 5) {
+		t.Error("6% drop not flagged at 5% tolerance")
+	}
+	if regressed(100, 150, 5) {
+		t.Error("improvement flagged as regression")
+	}
+	if !regressed(100, 90, 0) {
+		t.Error("default tolerance not applied for tolerancePct=0")
+	}
+	if regressed(0, 0, 5) {
+		t.Error("zero baseline regressed against zero current")
+	}
+}
+
 // TestRolloutPhaseString pins the phase names riding in trace events.
 func TestRolloutPhaseString(t *testing.T) {
 	want := map[RolloutPhase]string{

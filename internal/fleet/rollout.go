@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 
-	"ehdl/internal/benchreg"
 	"ehdl/internal/ebpf"
 	"ehdl/internal/faults"
 	"ehdl/internal/liveupdate"
@@ -55,7 +54,7 @@ const fleetWide = ^uint64(0)
 
 // rolloutState is the rolling-update state machine. One device is in
 // flight at a time: its update epoch runs the liveupdate canary, the
-// following soak epoch must clear the benchreg throughput floor, and
+// following soak epoch must clear the throughput floor (regressed), and
 // only then is the next device scheduled. Any typed update failure,
 // canary divergence or soak regression halts the rollout and reverts
 // the already-updated devices one epoch at a time with the same
@@ -247,7 +246,7 @@ func (r *rolloutState) evaluate(c *Controller) {
 		// epoch and a baseline exists; a soak epoch with no routed flows
 		// is accepted (nothing measurable regressed).
 		if d.state == stateHealthy && d.baselineMpps > 0 && d.lastMppsEpoch == c.epoch &&
-			benchreg.Regressed(d.baselineMpps, d.lastMpps, r.cfg.TolerancePct) {
+			regressed(d.baselineMpps, d.lastMpps, r.cfg.TolerancePct) {
 			r.soaking = -1
 			r.halt(c, d, fmt.Sprintf("device %d: post-update throughput regressed (%.1f -> %.1f Mpps)",
 				id, d.baselineMpps, d.lastMpps))
@@ -259,6 +258,16 @@ func (r *rolloutState) evaluate(c *Controller) {
 			c.event(obs.KindRolloutPhase, uint64(PhaseDeviceSoaked), uint64(id))
 		}
 	}
+}
+
+// regressed is the soak gate's floor rule: current has fallen more than
+// tolerancePct below baseline. A non-positive tolerance selects 5%;
+// improvements never regress.
+func regressed(baseline, current, tolerancePct float64) bool {
+	if tolerancePct <= 0 {
+		tolerancePct = 5
+	}
+	return current < baseline*(1-tolerancePct/100)
 }
 
 // halt stops the forward rollout and arms the revert walk.
