@@ -55,11 +55,12 @@ chaos:
 # serving loops and the report fold, the fleet controller, the tenant
 # classifier/policer/admission gate and the journal/snapshot codecs
 # must stay above their floors (protect 90%, hwsim 75%, obs 85%, rss
-# 85%, nic 85%, fastpath 85%, fleet 85%, tenant 85%, durable 85%). A gated
+# 85%, nic 85%, fastpath 85%, fleet 85%, tenant 85%, durable 85%), and so
+# must vm (85%), which hosts every closure both engines run. A gated
 # package missing from the coverage output fails the gate — a silently
 # dropped package must not read as a pass.
 cover:
-	@$(GO) test -cover ./internal/protect/ ./internal/hwsim/ ./internal/obs/ ./internal/rss/ ./internal/nic/ ./internal/fastpath/ ./internal/fleet/ ./internal/tenant/ ./internal/durable/ | tee /tmp/ehdl-cover.txt
+	@$(GO) test -cover ./internal/protect/ ./internal/hwsim/ ./internal/obs/ ./internal/rss/ ./internal/nic/ ./internal/fastpath/ ./internal/fleet/ ./internal/tenant/ ./internal/durable/ ./internal/vm/ | tee /tmp/ehdl-cover.txt
 	@awk 'function gate(pkg, floor,    a) { seen[pkg] = 1; split($$5, a, "%"); \
 	          if (a[1]+0 < floor) { printf "FAIL: internal/%s coverage %s%% < %d%%\n", pkg, a[1], floor; bad = 1 } } \
 	      /internal\/protect/  { gate("protect", 90) } \
@@ -71,7 +72,8 @@ cover:
 	      /internal\/fleet/    { gate("fleet", 85) } \
 	      /internal\/tenant/   { gate("tenant", 85) } \
 	      /internal\/durable/  { gate("durable", 85) } \
-	      END { n = split("protect hwsim obs rss nic fastpath fleet tenant durable", want, " "); \
+	      /internal\/vm/       { gate("vm", 85) } \
+	      END { n = split("protect hwsim obs rss nic fastpath fleet tenant durable vm", want, " "); \
 	            for (i = 1; i <= n; i++) if (!seen[want[i]]) { printf "FAIL: internal/%s missing from coverage output\n", want[i]; bad = 1 } \
 	            exit bad }' /tmp/ehdl-cover.txt
 	@echo "coverage gates passed"

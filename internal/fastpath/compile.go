@@ -24,37 +24,34 @@
 package fastpath
 
 import (
-	"errors"
 	"fmt"
 
 	"ehdl/internal/core"
 	"ehdl/internal/ddg"
 	"ehdl/internal/ebpf"
+	"ehdl/internal/hwsim"
 	"ehdl/internal/maps"
 	"ehdl/internal/vm"
 )
 
-// errNoLookup mirrors the interpreter's error for a statically wired map
-// access whose lookup missed (or never ran); it propagates as a run
-// error exactly like hwsim's.
-var errNoLookup = errors.New("map access without a preceding lookup hit")
-
 // compiledOp is one specialized micro-operation: the block-enable bit
-// that gates it and the fused closure that executes it. The infallible
-// register-only kinds (ALU chains, constant loads, branch predicates)
-// carry their closure in a dedicated field so the dispatch loop calls
-// them directly — no wrapper closure, no error check on ops that
-// cannot fail.
+// that gates it and the closure that executes it. The kinds vm
+// specialises for both engines — ALU chains, constant loads, branch
+// predicates, statically addressed memory accesses — carry their closure
+// in a dedicated field so the dispatch loop calls them directly: no
+// wrapper closure, and no error check on ops that cannot fail.
 type compiledOp struct {
 	blockID  int
 	stage    int32                   // originating pipeline stage (done-ness boundary)
 	skip     int                     // index after this op's contiguous block run
-	fall     int                     // successor enabled after alu (-1: none)
-	alu      func(st *vm.State)      // register-only op; nil → pred or run
-	pred     func(st *vm.State) bool // branch predicate; nil → run
+	fall     int                     // successor enabled after alu or mem (-1: none)
+	alu      func(st *vm.State)      // register-only op; nil → pred, mem or run
+	pred     func(st *vm.State) bool // branch predicate; nil → mem or run
 	taken    int
 	notTaken int
-	run      func(m *Machine) error // everything that can touch memory or fail
+	mem      vm.MemFn               // statically addressed load, store or atomic; nil → run
+	val      int                    // lookupVal slot mem reads its value slice from
+	run      func(m *Machine) error // everything else that can touch memory or fail
 }
 
 // Prog is a design compiled for host-speed execution. It is immutable
@@ -103,7 +100,7 @@ func Compile(pl *core.Pipeline) (*Prog, error) {
 	if p.frameBytes <= 0 {
 		p.frameBytes = 64
 	}
-	p.stackLo, p.stackHi = stackWriteExtent(pl)
+	p.stackLo, p.stackHi = hwsim.StackWriteExtent(pl)
 	for t := range pl.Stages {
 		stage := &pl.Stages[t]
 		if stage.Kind != core.StageNormal || len(stage.Ops) == 0 {
@@ -134,52 +131,21 @@ func Compile(pl *core.Pipeline) (*Prog, error) {
 	return p, nil
 }
 
-// stackWriteExtent statically bounds the stack bytes the pipeline can
-// write. Stores and atomics with an elided static base either hit a
-// known stack slot (extending the extent) or a non-stack area (no
-// stack effect); a register-relative store could land anywhere, so it
-// widens the extent to the full frame. Helpers and map calls read the
-// stack but never write it.
-func stackWriteExtent(pl *core.Pipeline) (lo, hi int) {
-	lo, hi = ebpf.StackSize, 0
-	extend := func(a, b int) {
-		if a < lo {
-			lo = a
-		}
-		if b > hi {
-			hi = b
-		}
-	}
-	for t := range pl.Stages {
-		for i := range pl.Stages[t].Ops {
-			op := &pl.Stages[t].Ops[i]
-			if op.Kind != core.OpStore && op.Kind != core.OpAtomic {
-				continue
-			}
-			if op.BaseElided && op.Access != nil {
-				if op.Access.Area == ddg.AreaStack {
-					slot := ebpf.StackSize + int(op.Access.Off)
-					extend(slot, slot+op.Ins.MemSize().Bytes())
-				}
-				continue
-			}
-			return 0, ebpf.StackSize
-		}
-	}
-	if hi < lo {
-		lo, hi = 0, 0
-	}
-	return lo, hi
-}
-
 // compileOp specializes one micro-operation. The semantics replicate
-// hwsim's execOp exactly, minus the hazard, fault and protection
-// machinery the fast path is never eligible to run with. Register-only
-// ops come back in the direct alu/pred fields; everything else as a
-// run closure.
+// hwsim's compileOp exactly, minus the hazard, fault and protection
+// machinery the fast path is never eligible to run with. What vm
+// specialises comes back in the direct alu/pred/mem fields; everything
+// else as a run closure.
 func compileOp(pl *core.Pipeline, op *core.Op) (compiledOp, error) {
 	fall := op.FallThrough()
-	co := compiledOp{fall: fall, taken: -1, notTaken: -1}
+	// val defaults to the slot past every map, which stays nil.
+	co := compiledOp{fall: fall, taken: -1, notTaken: -1, val: len(pl.Transformed.Maps)}
+	if co.mem = hwsim.StaticAccess(pl, op); co.mem != nil {
+		if op.Access.Area == ddg.AreaMap {
+			co.val = op.MapID
+		}
+		return co, nil
+	}
 	run, err := compileRun(pl, op, fall, &co)
 	if err != nil {
 		return compiledOp{}, err
@@ -211,9 +177,6 @@ func compileRun(pl *core.Pipeline, op *core.Op, fall int, co *compiledOp) (func(
 		return nil, nil
 
 	case core.OpLoad:
-		if fn := specializeLoad(pl, op, fall); fn != nil {
-			return fn, nil
-		}
 		addrFn, err := compileAddr(op)
 		if err != nil {
 			return nil, err
@@ -243,12 +206,6 @@ func compileRun(pl *core.Pipeline, op *core.Op, fall int, co *compiledOp) (func(
 		}, nil
 
 	case core.OpStore, core.OpAtomic:
-		if fn := specializeStore(pl, op, fall); fn != nil {
-			return fn, nil
-		}
-		if fn := specializeAtomic(pl, op, fall); fn != nil {
-			return fn, nil
-		}
 		addrFn, err := compileAddr(op)
 		if err != nil {
 			return nil, err
@@ -356,7 +313,7 @@ func compileAddr(op *core.Op) (func(m *Machine) (uint64, error), error) {
 		return func(m *Machine) (uint64, error) {
 			base := m.lookupAddr[id]
 			if base == 0 {
-				return 0, errNoLookup
+				return 0, vm.ErrNoLookup
 			}
 			return base + off, nil
 		}, nil
@@ -398,7 +355,7 @@ func compileMapCall(pl *core.Pipeline, op *core.Op, fall int) (func(m *Machine) 
 				var addr uint64
 				var val []byte
 				if v, ok := m.mapsByID[id].Lookup(key); ok {
-					addr = m.valueAddr(id, key, v)
+					addr = m.mem.ValueAddressBytes(id, key, v)
 					val = v
 				}
 				m.lookupAddr[id] = addr
@@ -419,7 +376,7 @@ func compileMapCall(pl *core.Pipeline, op *core.Op, fall int) (func(m *Machine) 
 			var addr uint64
 			var val []byte
 			if v, ok := m.mapsByID[id].Lookup(key); ok {
-				addr = m.valueAddr(id, key, v)
+				addr = m.mem.ValueAddressBytes(id, key, v)
 				val = v
 			}
 			m.lookupAddr[id] = addr

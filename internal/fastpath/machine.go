@@ -107,21 +107,13 @@ type Machine struct {
 	// the current packet, so the per-packet reset is one counter bump
 	// instead of clearing a bitmap, and the probe is a load+compare.
 	st         vm.State
-	pktBuf     *vm.Packet
 	blockOn    []uint32
 	epoch      uint32
 	lookupAddr []uint64
-	lookupVal  [][]byte // value slice behind lookupAddr, for direct access
+	lookupVal  [][]byte // value slice behind lookupAddr, for direct access; one nil slot past the maps
 	done       bool
 	action     ebpf.XDPAction
 	redirect   uint32
-
-	// Last registered value address per map: repeated lookups of one
-	// entry (the steady state) skip the registration hash. Invalidated
-	// by backing-pointer identity, so an entry that moves re-registers.
-	memoKey  [][]byte
-	memoVal  [][]byte
-	memoAddr []uint64
 
 	// Timing skeleton.
 	cycle      uint64
@@ -185,17 +177,11 @@ func (p *Prog) NewMachine(cfg hwsim.Config, env *vm.Env) (*Machine, error) {
 		cfg:        cfg,
 		env:        env,
 		mem:        vm.NewMemSpace(p.pl.Transformed, env.Maps),
-		pktBuf:     vm.NewPacket(make([]byte, 1514)),
+		st:         vm.State{Pkt: vm.NewPacket(make([]byte, 1514))},
 		blockOn:    make([]uint32, p.numBlocks),
 		lookupAddr: make([]uint64, p.numMaps),
-		lookupVal:  make([][]byte, p.numMaps),
-		memoKey:    make([][]byte, p.numMaps),
-		memoVal:    make([][]byte, p.numMaps),
-		memoAddr:   make([]uint64, p.numMaps),
+		lookupVal:  make([][]byte, p.numMaps+1),
 		frameBytes: p.frameBytes,
-	}
-	for id := range m.memoKey {
-		m.memoKey[id] = make([]byte, 0, p.pl.Transformed.Maps[id].KeySize)
 	}
 	m.exec = &vm.ExecContext{Env: env, Mem: m.mem}
 	m.mapsByID = make([]maps.Map, p.numMaps)
@@ -235,29 +221,6 @@ func (p *Prog) NewMachine(cfg hwsim.Config, env *vm.Env) (*Machine, error) {
 // enable marks a successor block runnable for the current packet.
 func (m *Machine) enable(i int) { m.blockOn[i] = m.epoch }
 
-// valueAddr returns the interpreter-identical virtual address for a map
-// value, memoizing the last (key, backing) pair per map so the steady
-// state — every packet hitting the same entry — skips the registration
-// hash. The memo keys on backing-slice identity: an update that moves
-// the entry misses and re-registers, and re-registering an unchanged
-// key returns the same address by construction (vm.MemSpace handles
-// are append-only), so the address stream is bit-identical either way.
-func (m *Machine) valueAddr(id int, key, v []byte) uint64 {
-	if len(v) > 0 {
-		if mv := m.memoVal[id]; len(mv) == len(v) && mv != nil && &mv[0] == &v[0] &&
-			string(key) == string(m.memoKey[id]) {
-			return m.memoAddr[id]
-		}
-	}
-	addr := m.mem.ValueAddressBytes(id, key, v)
-	if len(v) > 0 {
-		m.memoVal[id] = v
-		m.memoKey[id] = append(m.memoKey[id][:0], key...)
-		m.memoAddr[id] = addr
-	}
-	return addr
-}
-
 // fault applies the hardware bounds check's verdict to the in-flight
 // packet: done, OOB action, one malformed-drop counted per occurrence.
 func (m *Machine) fault() {
@@ -289,16 +252,9 @@ func (m *Machine) bytesAt(addr uint64, n int) ([]byte, error) {
 // runPacket resets the scratch state and runs the closure chain.
 func (m *Machine) runPacket(data []byte, p *pkt) {
 	st := &m.st
-	for i := range st.Regs {
-		st.Regs[i] = 0
-	}
-	st.Regs[ebpf.R1] = vm.CtxBase
-	st.Regs[ebpf.R10] = vm.StackTopAddr
 	// Only the statically writable span can be dirty; everything else
 	// has stayed zero since the machine was built.
-	clear(st.Stack[m.prog.stackLo:m.prog.stackHi])
-	m.pktBuf.Reset(data)
-	st.Pkt = m.pktBuf
+	st.Reset(data, m.prog.stackLo, m.prog.stackHi)
 	m.epoch++
 	if m.epoch == 0 { // wrapped: stale stamps could alias, rewind them
 		for i := range m.blockOn {
@@ -307,10 +263,8 @@ func (m *Machine) runPacket(data []byte, p *pkt) {
 		m.epoch = 1
 	}
 	m.blockOn[0] = m.epoch // the entry block is always enabled
-	for i := range m.lookupAddr {
-		m.lookupAddr[i] = 0
-		m.lookupVal[i] = nil
-	}
+	clear(m.lookupAddr)
+	clear(m.lookupVal)
 	m.done = false
 	m.action = 0
 	m.redirect = 0
@@ -361,6 +315,20 @@ func (m *Machine) runPacket(data []byte, p *pkt) {
 			}
 			if t >= 0 {
 				m.blockOn[t] = epoch
+			}
+			continue
+		}
+		if c.mem != nil {
+			switch err := c.mem(st, m.lookupVal[c.val]); {
+			case err == nil:
+				if c.fall >= 0 {
+					m.blockOn[c.fall] = epoch
+				}
+			case err == vm.ErrPacketBounds:
+				m.fault()
+			default:
+				m.err = fmt.Errorf("fastpath: seq %d stage %d: %w", p.seq, c.stage, err)
+				return
 			}
 			continue
 		}

@@ -6,7 +6,6 @@ import (
 	"ehdl/internal/core"
 	"ehdl/internal/ddg"
 	"ehdl/internal/ebpf"
-	"ehdl/internal/maps"
 	"ehdl/internal/obs"
 	"ehdl/internal/vm"
 )
@@ -20,7 +19,7 @@ func (s *Sim) execStage(j *job, t int) error {
 	// Elastic-buffer snapshot: capture the replay state on entry to a
 	// flush re-entry stage.
 	if s.elasticStage[t] {
-		j.snapshot = j.capture(&j.elastic)
+		j.snapshot = s.capture(j, &j.elastic)
 	}
 
 	if j.done {
@@ -41,22 +40,46 @@ func (s *Sim) execStage(j *job, t int) error {
 
 	// Ops of one stage execute in parallel in hardware: an exit op in
 	// the stage latches the verdict without suppressing its neighbours,
-	// so done-ness applies from the next stage's first op.
-	end := s.burstEnd[t]
+	// so done-ness applies from the next stage's first op. Enable bits
+	// are only ever set while a packet executes, so a block seen enabled
+	// is not probed again; a disabled one is, as the op before may have
+	// just enabled it.
+	end, st, strict := s.burstEnd[t], j.st, s.cfg.StrictCarryCheck
 	ops := s.ops[s.opOff[t]:s.opOff[end+1]]
+	block, on := -1, false
 	for i := range ops {
 		op := &ops[i]
 		if j.done && op.first {
 			break
 		}
-		if !hasBit(j.enabled, op.BlockID) {
-			continue
+		if op.block != block || !on {
+			if block, on = op.block, hasBit(j.enabled, op.block); !on {
+				continue
+			}
 		}
-		if s.cfg.StrictCarryCheck {
+		if strict {
 			s.checkCarry(&s.pl.Stages[op.stage], op.Op, op.stage)
 		}
-		if err := s.execOp(j, op); err != nil {
-			return fmt.Errorf("hwsim: cycle %d stage %d (%s): %w", s.cycle, op.stage, op.Ins, err)
+		switch {
+		case op.alu != nil:
+			op.alu(st)
+			j.enable(op.fall)
+		case op.pred != nil:
+			if op.pred(st) {
+				j.enable(op.taken)
+			} else {
+				j.enable(op.other)
+			}
+		case op.mem != nil:
+			if op.mem(st, nil) != nil { // vm.ErrPacketBounds, nothing else
+				s.boundsFault(j, op.stage)
+			} else {
+				j.enable(op.fall)
+			}
+		default:
+			if err := op.run(j); err != nil {
+				return fmt.Errorf("hwsim: cycle %d stage %d (%s): %w", s.cycle, op.stage, op.Ins, err)
+			}
 		}
 	}
 	j.execStage = end
@@ -69,23 +92,14 @@ func (s *Sim) stallCheck(j *job, t int) (bool, int) {
 	stage := &s.pl.Stages[t]
 	for i := range stage.Ops {
 		op := &stage.Ops[i]
-		if op.MapID < 0 || !hasBit(j.enabled, op.BlockID) {
-			continue
-		}
-		mb := s.mapBlocks[op.MapID]
-		if mb == nil || !mb.NeedsFlush {
+		if op.MapID < 0 || !hasBit(j.enabled, op.BlockID) || !s.maps[op.MapID].needsFlush {
 			continue
 		}
 		isRead := op.Kind == core.OpMapCall && !op.Helper.WritesMap() || op.Kind == core.OpLoad
 		if !isRead {
 			continue
 		}
-		maxW := 0
-		for _, w := range mb.WriteStages {
-			if w > maxW {
-				maxW = w
-			}
-		}
+		maxW := s.maps[op.MapID].lastWrite
 		if s.stages.prevOccupied(min(maxW+1, len(s.pl.Stages))) > t {
 			return true, maxW
 		}
@@ -138,145 +152,92 @@ func (s *Sim) checkCarry(stage *core.Stage, op *core.Op, t int) {
 	}
 }
 
-// execOp executes one micro-operation.
-func (s *Sim) execOp(j *job, op *microOp) error {
+// load is the generic load: the address resolved through the virtual
+// address space, and around an access to map memory the probes, the
+// protected read port and the WAR shadow.
+func (s *Sim) load(j *job, op *microOp) error {
 	st, t := j.st, op.stage
-	switch op.Kind {
-	case core.OpALU, core.OpLDDW:
-		op.alu(st)
-		return s.fireEnd(j, op)
-
-	case core.OpLoad:
-		addr, err := s.addrOf(j, op)
-		if err != nil {
+	isMap := op.Access != nil && op.Access.Area == ddg.AreaMap
+	addr, err := s.addrOf(j, op)
+	if err != nil {
+		return err
+	}
+	if isMap {
+		if s.probes != nil {
+			s.probes.onMapAccess(s.cycle, j, t, op.MapID, obs.MapOpLoad)
+		}
+		// The BRAM read port decodes (and corrects) the looked-up
+		// entry before the load observes it.
+		if err := s.checkMapRead(j, op.MapID); err != nil {
 			return err
 		}
-		if op.Access != nil && op.Access.Area == ddg.AreaMap {
-			if s.probes != nil {
-				s.probes.onMapAccess(s.cycle, j, t, op.MapID, obs.MapOpLoad)
-			}
-			// The BRAM read port decodes (and corrects) the looked-up
-			// entry before the load observes it.
-			if err := s.checkMapRead(j, op.MapID); err != nil {
-				return err
-			}
-		}
-		v, err := s.exec.Mem.LoadAt(st, addr, op.Ins.MemSize().Bytes())
-		if err != nil {
-			return s.memFault(j, op, err)
-		}
-		// A load from map memory through the lookup pointer observes the
-		// WAR shadow when an older packet still owns the pre-write value.
-		if op.Access != nil && op.Access.Area == ddg.AreaMap {
-			if sv, ok := s.shadowValue(op.MapID, j); ok {
-				off := int(op.Access.Off)
-				size := op.Ins.MemSize().Bytes()
-				if off >= 0 && off+size <= len(sv) {
-					v = vm.ReadUint(sv[off:], size)
-				}
+	}
+	size := op.Ins.MemSize().Bytes()
+	v, err := s.exec.Mem.LoadAt(st, addr, size)
+	if err != nil {
+		return s.memFault(j, op, err)
+	}
+	// A load from map memory through the lookup pointer observes the
+	// WAR shadow when an older packet still owns the pre-write value.
+	if isMap {
+		if sv, ok := s.shadowValue(op.MapID, j); ok {
+			if off := int(op.Access.Off); off >= 0 && off+size <= len(sv) {
+				v = vm.ReadUint(sv[off:], size)
 			}
 		}
-		st.Regs[op.Ins.Dst] = v
-		return s.fireEnd(j, op)
+	}
+	st.Regs[op.Ins.Dst] = v
+	j.enable(op.fall)
+	return nil
+}
 
-	case core.OpStore, core.OpAtomic:
-		addr, err := s.addrOf(j, op)
-		if err != nil {
-			return err
-		}
-		isMap := op.Access != nil && op.Access.Area == ddg.AreaMap
-		if isMap && s.debug != nil {
-			s.debug(fmt.Sprintf("cycle %d: seq %d stage %d %s (map store/atomic)", s.cycle, j.seq, t, op.Ins))
-		}
-		if isMap && s.probes != nil {
+// store is the generic store or atomic, load's twin.
+func (s *Sim) store(j *job, op *microOp) error {
+	t := op.stage
+	isMap := op.Access != nil && op.Access.Area == ddg.AreaMap
+	addr, err := s.addrOf(j, op)
+	if err != nil {
+		return err
+	}
+	if isMap {
+		if s.probes != nil {
 			mop := obs.MapOpStore
 			if op.Kind == core.OpAtomic {
 				mop = obs.MapOpAtomic
 			}
 			s.probes.onMapAccess(s.cycle, j, t, op.MapID, mop)
 		}
-		if isMap {
-			// Stores and atomics are read-modify-write at word
-			// granularity: the ECC word must decode cleanly before the
-			// partial overwrite, and the write port re-encodes after.
-			if err := s.checkMapRead(j, op.MapID); err != nil {
-				return err
-			}
-			s.preWriteShadow(op.MapID, j)
-		}
-		if err := s.exec.Mem.StoreAt(st, op.Ins, addr); err != nil {
-			return s.memFault(j, op, err)
-		}
-		if isMap {
-			s.reencodeMapWrite(j, op.MapID)
-			j.commits++
-			if l := &j.lookups[op.MapID]; l.valid {
-				s.noteMapWrite(op.MapID, l.key, false)
-			}
-			isAtomicPrimitive := op.Kind == core.OpAtomic && !s.pl.Options.DisableAtomics
-			if !isAtomicPrimitive {
-				s.rawHazardCheck(j, op.MapID, t)
-			}
-		}
-		return s.fireEnd(j, op)
-
-	case core.OpBranch:
-		if op.pred(st) {
-			if op.TakenBlock >= 0 {
-				setBit(j.enabled, op.TakenBlock)
-			}
-			if s.probes != nil {
-				s.probes.onPredicate(s.cycle, j, t, true, op.TakenBlock)
-			}
-		} else {
-			if op.FallBlock >= 0 {
-				setBit(j.enabled, op.FallBlock)
-			}
-			if s.probes != nil {
-				s.probes.onPredicate(s.cycle, j, t, false, op.FallBlock)
-			}
-		}
-		return nil
-
-	case core.OpExit:
-		j.done = true
-		j.action = ebpf.XDPAction(uint32(st.Regs[ebpf.R0]))
-		return nil
-
-	case core.OpMapCall:
-		if err := s.execMapCall(j, op, t); err != nil {
+		// Stores and atomics are read-modify-write at word
+		// granularity: the ECC word must decode cleanly before the
+		// partial overwrite, and the write port re-encodes after.
+		if err := s.checkMapRead(j, op.MapID); err != nil {
 			return err
 		}
-		return s.fireEnd(j, op)
-
-	case core.OpHelper:
-		if op.Helper.CPUOnly() {
-			// Stubbed as a constant block (footnote 2 of the paper).
-			st.Regs[ebpf.R0] = 0
-			for r := ebpf.R1; r <= ebpf.R5; r++ {
-				st.Regs[r] = 0
-			}
-			return s.fireEnd(j, op)
-		}
-		redirect, err := s.exec.CallHelper(st, op.Helper)
-		if err != nil {
-			return err
-		}
-		if redirect != 0 {
-			j.redirect = redirect
-		}
-		return s.fireEnd(j, op)
+		s.preWriteShadowKey(j, op.MapID, j.lookups[op.MapID].key) // a map pointer only comes from a lookup
 	}
-	return fmt.Errorf("unknown op kind %v", op.Kind)
+	if err := s.exec.Mem.StoreAt(j.st, op.Ins, addr); err != nil {
+		return s.memFault(j, op, err)
+	}
+	if isMap {
+		s.reencodeMapWrite(j, op.MapID)
+		// An atomic primitive serialises in the map block and needs no
+		// flush; lowered to a read-modify-write pair it does.
+		flushes := op.Kind == core.OpStore || s.pl.Options.DisableAtomics
+		s.commit(j, op.MapID, j.lookups[op.MapID].key, false, flushes, t)
+	}
+	j.enable(op.fall)
+	return nil
 }
 
-// fireEnd activates the fallthrough successor when a non-branch op ends
-// its block.
-func (s *Sim) fireEnd(j *job, op *microOp) error {
-	if op.fall >= 0 {
-		setBit(j.enabled, op.fall)
+// commit is what every committed map mutation does, whichever closure
+// made it: count it against the packet (a replay must never repeat it),
+// feed the delta log, and ask the Flush Evaluation Block.
+func (s *Sim) commit(j *job, mapID int, key []byte, deleted, flushes bool, t int) {
+	j.commits++
+	s.noteMapWrite(mapID, key, deleted)
+	if flushes {
+		s.rawHazardCheckKey(j, mapID, key, t)
 	}
-	return nil
 }
 
 // addrOf resolves an op's memory address: statically wired for elided
@@ -312,16 +273,22 @@ func (s *Sim) addrOf(j *job, op *microOp) (uint64, error) {
 // and propagates everything else as a simulation error.
 func (s *Sim) memFault(j *job, op *microOp, err error) error {
 	if op.Access != nil && op.Access.Area == ddg.AreaPacket {
-		j.done = true
-		j.action = s.cfg.oobAction()
-		s.stats.MalformedDropped++
-		if op.stage > j.stage {
-			j.aheadStage = op.stage
-			j.aheadFaults++
-		}
+		s.boundsFault(j, op.stage)
 		return nil
 	}
 	return err
+}
+
+// boundsFault is the hardware bounds check's verdict on a packet access
+// past the data end at stage t.
+func (s *Sim) boundsFault(j *job, t int) {
+	j.done = true
+	j.action = s.cfg.oobAction()
+	s.stats.MalformedDropped++
+	if t > j.stage {
+		j.aheadStage = t
+		j.aheadFaults++
+	}
 }
 
 // uncountAhead is called when j is recalled or aborted: the
@@ -335,101 +302,17 @@ func (s *Sim) uncountAhead(j *job, executed int) {
 	}
 }
 
-// execMapCall implements the eHDLmap block interface: key (and value)
-// from their static stack slots or argument registers, result into R0.
-func (s *Sim) execMapCall(j *job, op *microOp, t int) error {
-	st := j.st
-	spec := s.pl.Transformed.Maps[op.MapID]
-	mb := s.mapBlocks[op.MapID]
-
-	key, err := s.helperArg(s.keyBuf, st, op.KeyOffKnown, op.KeyStackOff, ebpf.R2, spec.KeySize)
-	if err != nil {
-		return fmt.Errorf("map %q key: %w", spec.Name, err)
-	}
-
-	if s.debug != nil {
-		s.debug(fmt.Sprintf("cycle %d: seq %d stage %d %s key=%x", s.cycle, j.seq, t, op.Helper.Name(), key))
-	}
-	if s.probes != nil {
-		var mop obs.MapOp
-		switch op.Helper {
-		case ebpf.HelperMapLookupElem:
-			mop = obs.MapOpLookup
-		case ebpf.HelperMapUpdateElem:
-			mop = obs.MapOpUpdate
-		case ebpf.HelperMapDeleteElem:
-			mop = obs.MapOpDelete
-		}
-		s.probes.onMapAccess(s.cycle, j, t, op.MapID, mop)
-	}
-	switch op.Helper {
-	case ebpf.HelperMapLookupElem:
-		// Commit our own pending effects first (store-to-load ordering
-		// within one packet is program order by construction).
-		addr := s.exec.LookupValueAddr(op.MapID, key)
-		if sv, ok := s.shadowLookup(op.MapID, key, j); ok {
-			// An older packet must observe the pre-write value: redirect
-			// the pointer at a stable shadow address.
-			if sv == nil {
-				addr = 0 // the entry did not exist before the younger write
-			} else {
-				addr = s.exec.Mem.ValueAddress(op.MapID, string(key)+"\x00shadow", sv)
-			}
-		}
-		l := &j.lookups[op.MapID]
-		l.addr, l.key, l.valid = addr, append(l.key[:0], key...), true
-		if mb != nil && mb.NeedsFlush {
-			// The Flush Evaluation Block stores every unconfirmed read
-			// address: a program that looks up several keys (e.g. forward
-			// and reverse flow entries) keeps all of them armed until the
-			// packet passes the write stage or is flushed.
-			j.noteRead(op.MapID, key)
-		}
-		st.Regs[ebpf.R0] = addr
-
-	case ebpf.HelperMapUpdateElem:
-		val, err := s.helperArg(s.valBuf, st, op.ValOffKnown, op.ValStackOff, ebpf.R3, spec.ValueSize)
-		if err != nil {
-			return fmt.Errorf("map %q value: %w", spec.Name, err)
-		}
-		flags := maps.UpdateFlag(st.Regs[ebpf.R4])
-		s.preWriteShadowKey(j, op.MapID, key)
-		st.Regs[ebpf.R0] = s.exec.UpdateResult(op.MapID, key, val, flags)
-		j.commits++
-		s.noteMapWrite(op.MapID, key, false)
-		s.rawHazardCheckKey(j, op.MapID, key, t)
-
-	case ebpf.HelperMapDeleteElem:
-		s.preWriteShadowKey(j, op.MapID, key)
-		st.Regs[ebpf.R0] = s.exec.DeleteResult(op.MapID, key)
-		j.commits++
-		s.noteMapWrite(op.MapID, key, true)
-		s.rawHazardCheckKey(j, op.MapID, key, t)
-
-	default:
-		return fmt.Errorf("unsupported map helper %s", op.Helper.Name())
-	}
-
-	// The helper scratches its argument registers like a real call.
-	for r := ebpf.R1; r <= ebpf.R5; r++ {
-		st.Regs[r] = 0
-	}
-	return nil
-}
-
-// helperArg fetches a helper pointer argument, either from its static
-// stack slot or through the argument register, into buf — Sim-owned
-// scratch sized for the largest key or value, valid until the next map
-// call. The copy keeps the argument stable while the helper mutates
-// the memory it came from; no callee retains it.
+// helperArg fetches a helper pointer argument. A static stack slot is
+// returned as it stands — no map helper writes the stack. What an
+// argument register points at may be the map memory the helper is about
+// to mutate, so that is copied into buf: Sim-owned scratch sized for the
+// largest key or value, valid until the next map call. No callee
+// retains either.
 func (s *Sim) helperArg(buf []byte, st *vm.State, known bool, off int64, reg ebpf.Register, size int) ([]byte, error) {
-	var src []byte
-	var err error
 	if known {
-		src, err = st.StackSlice(off, size)
-	} else {
-		src, err = s.exec.Mem.ViewBytes(st, st.Regs[reg], size)
+		return st.StackSlice(off, size)
 	}
+	src, err := s.exec.Mem.ViewBytes(st, st.Regs[reg], size)
 	if err != nil {
 		return nil, err
 	}
@@ -438,17 +321,11 @@ func (s *Sim) helperArg(buf []byte, st *vm.State, known bool, off int64, reg ebp
 
 // --- WAR shadows ------------------------------------------------------
 
-// preWriteShadow captures the pre-write value of the entry the packet
-// last looked up, when the map block needs a write-delay buffer.
-func (s *Sim) preWriteShadow(mapID int, j *job) {
-	if l := &j.lookups[mapID]; l.valid {
-		s.preWriteShadowKey(j, mapID, l.key)
-	}
-}
-
+// preWriteShadowKey captures the pre-write value of the entry a packet
+// is about to write, when the map block needs a write-delay buffer.
 func (s *Sim) preWriteShadowKey(j *job, mapID int, key []byte) {
-	mb := s.mapBlocks[mapID]
-	if mb == nil || mb.WARDepth == 0 {
+	depth := s.maps[mapID].warDepth
+	if depth == 0 {
 		return
 	}
 	mp, _ := s.env.Maps.ByID(mapID)
@@ -464,10 +341,10 @@ func (s *Sim) preWriteShadowKey(j *job, mapID int, key []byte) {
 		oldValue:  old,
 		hadEntry:  had,
 		writerSeq: j.seq,
-		expires:   s.cycle + uint64(mb.WARDepth),
+		expires:   s.cycle + uint64(depth),
 	})
 	if s.probes != nil {
-		s.probes.onWARShadow(s.cycle, j, mapID, len(s.shadows), mb.WARDepth)
+		s.probes.onWARShadow(s.cycle, j, mapID, len(s.shadows), depth)
 	}
 }
 
@@ -518,15 +395,6 @@ func (s *Sim) shadowValue(mapID int, j *job) ([]byte, bool) {
 
 // --- RAW flush evaluation ----------------------------------------------
 
-// rawHazardCheck fires the Flush Evaluation Block for a write through
-// the lookup pointer: the written entry is the one this packet last
-// looked up.
-func (s *Sim) rawHazardCheck(j *job, mapID int, t int) {
-	if l := &j.lookups[mapID]; l.valid {
-		s.rawHazardCheckKey(j, mapID, l.key, t)
-	}
-}
-
 // rawHazardCheckKey flushes the younger in-flight packets whose
 // unconfirmed read matches the written key (Section 4.1.2, Figure 7).
 // The Flush Evaluation Block stores the addresses of unconfirmed reads,
@@ -535,28 +403,28 @@ func (s *Sim) rawHazardCheck(j *job, mapID int, t int) {
 // committed side effects (their stale read steered them onto a path
 // that commits only at or after the write stage).
 func (s *Sim) rawHazardCheckKey(j *job, mapID int, key []byte, t int) {
-	if s.cfg.Policy != PolicyFlush {
+	unit := &s.maps[mapID]
+	if s.cfg.Policy != PolicyFlush || !unit.needsFlush {
 		return
 	}
-	mb := s.mapBlocks[mapID]
-	if mb == nil || !mb.NeedsFlush {
+	// The stored addresses are compared, not searched for: when the key's
+	// bucket of the index holds nothing but the writer's own read, no
+	// packet anywhere has the key armed (see mapUnit.feb).
+	own := uint32(0)
+	if j.hasRead(mapID, key) {
+		own = 1
+	}
+	if unit.feb[febBucket(key)] == own {
 		return
 	}
 	// Pipeline position, not injection sequence, defines age here: after
 	// a replay, re-injected packets sit behind packets with higher
 	// sequence numbers. Every packet at an earlier stage than the writer
 	// performed its (unconfirmed) read before this write committed.
-	hazard := false
-	for u := s.stages.prevOccupied(t); u >= mb.FlushFromStage; u = s.stages.prevOccupied(u) {
+	for u := s.stages.prevOccupied(t); u >= unit.flushFrom; u = s.stages.prevOccupied(u) {
 		if s.stages.at(u).hasRead(mapID, key) {
-			hazard = true
-			break
+			s.flushVictims(unit.flushFrom, t, mapID, key, false)
+			return
 		}
-	}
-	if hazard {
-		if s.debug != nil {
-			s.debug(fmt.Sprintf("cycle %d: seq %d writes map%d key=%x at stage %d -> flush", s.cycle, j.seq, mapID, key, t))
-		}
-		s.flushVictims(mb.FlushFromStage, t, mapID, key, false)
 	}
 }

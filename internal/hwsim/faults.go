@@ -99,12 +99,7 @@ func (s *Sim) forceFlushStorm(inj *faults.Injector) {
 		return
 	}
 	mb := &s.pl.Maps[ids[inj.Intn(faults.FlushStorm, len(ids))]]
-	writeStage := 0
-	for _, w := range mb.WriteStages {
-		if w > writeStage {
-			writeStage = w
-		}
-	}
+	writeStage := s.maps[mb.MapID].lastWrite
 	if writeStage <= mb.FlushFromStage {
 		return
 	}

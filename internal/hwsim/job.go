@@ -13,8 +13,9 @@ import (
 // completion callback has run. Between those two calls exactly one of
 // the ingress queue, a pipeline stage or the reload queue holds it.
 // Everything a job points at (state, packet buffer, bitset, per-map
-// slots, both snapshot slots) is allocated once and reused, so the
-// steady-state packet lifecycle performs no heap allocation.
+// slots, the frame copy, the snapshot slot) is allocated once and
+// reused, so the steady-state packet lifecycle performs no heap
+// allocation.
 type job struct {
 	seq        uint64
 	st         *vm.State
@@ -40,18 +41,24 @@ type job struct {
 	flushed int
 	commits int // committed map mutations (atomic/update/delete/store)
 
+	// frame is the packet as injected. The replay state of stage 0 is by
+	// construction State.Reset(frame) with only the entry block enabled,
+	// so that is all a replay from the pipeline input needs kept.
+	frame []byte
 	// snapshot is nil until the packet enters an elastic-buffer stage,
 	// then points at the elastic slot.
 	snapshot *snapshot
-	initial  snapshot // replay state as injected
 	elastic  snapshot // replay state entering the elastic-buffer stage
 }
 
 // lookup is the outcome of a packet's last bpf_map_lookup_elem on one
-// map: the value address the pointer-relative accesses resolve against
-// and the key naming the entry.
+// map: the pointer it returned, the value slice behind that pointer —
+// what a statically addressed access reads and writes directly, where a
+// generic one resolves the address back to it — and the key naming the
+// entry.
 type lookup struct {
 	addr  uint64
+	val   []byte
 	key   []byte
 	valid bool // a lookup ran (key is meaningful even when it missed)
 }
@@ -71,36 +78,54 @@ type snapshot struct {
 
 func copyLookups(dst, src []lookup) {
 	for i := range src {
-		dst[i].addr = src[i].addr
+		dst[i].addr, dst[i].val = src[i].addr, src[i].val
 		dst[i].key = append(dst[i].key[:0], src[i].key...)
 		dst[i].valid = src[i].valid
 	}
 }
 
-// capture fills slot s with the job's replay state and returns it.
-func (j *job) capture(s *snapshot) *snapshot {
-	s.st.CopyFrom(j.st)
-	s.enabled = append(s.enabled[:0], j.enabled...)
-	copyLookups(s.lookups, j.lookups)
-	s.done = j.done
-	s.action = j.action
-	s.redirect = j.redirect
-	s.commits = j.commits
-	return s
+// capture fills slot snap with j's replay state and returns it.
+func (s *Sim) capture(j *job, snap *snapshot) *snapshot {
+	snap.st.CopyFrom(j.st, s.stackLo, s.stackHi)
+	snap.enabled = append(snap.enabled[:0], j.enabled...)
+	copyLookups(snap.lookups, j.lookups)
+	snap.done = j.done
+	snap.action = j.action
+	snap.redirect = j.redirect
+	snap.commits = j.commits
+	return snap
 }
 
-// restore rewinds the job to a captured state. The replay starts with
-// no unconfirmed reads.
-func (j *job) restore(s *snapshot) {
-	j.st.CopyFrom(&s.st)
-	j.enabled = append(j.enabled[:0], s.enabled...)
-	copyLookups(j.lookups, s.lookups)
-	j.clearReads()
+// restore rewinds j to a captured state, or with a nil snap to the
+// pipeline input. Either way the replay starts with no unconfirmed
+// reads.
+func (s *Sim) restore(j *job, snap *snapshot) {
+	s.clearReads(j)
 	j.aheadStage, j.aheadFaults = 0, 0
-	j.done = s.done
-	j.action = s.action
-	j.redirect = s.redirect
-	j.commits = s.commits
+	if snap == nil {
+		j.st.Reset(j.frame, s.stackLo, s.stackHi)
+		clear(j.enabled)
+		setBit(j.enabled, 0) // the entry block is always enabled
+		for i := range j.lookups {
+			l := &j.lookups[i]
+			l.addr, l.val, l.key, l.valid = 0, nil, l.key[:0], false
+		}
+		j.done, j.action, j.redirect, j.commits = false, 0, 0, 0
+		return
+	}
+	j.st.CopyFrom(&snap.st, s.stackLo, s.stackHi)
+	j.enabled = append(j.enabled[:0], snap.enabled...)
+	copyLookups(j.lookups, snap.lookups)
+	j.done = snap.done
+	j.action = snap.action
+	j.redirect = snap.redirect
+	j.commits = snap.commits
+}
+
+func (j *job) enable(block int) {
+	if block >= 0 {
+		setBit(j.enabled, block)
+	}
 }
 
 // hasRead reports whether key is among the packet's unconfirmed reads
@@ -120,15 +145,20 @@ func (j *job) hasRead(mapID int, key []byte) bool {
 }
 
 // noteRead arms key as an unconfirmed read of mapID.
-func (j *job) noteRead(mapID int, key []byte) {
+func (s *Sim) noteRead(j *job, mapID int, key []byte) {
 	if !j.hasRead(mapID, key) {
 		j.reads[mapID] = append(j.reads[mapID], key...)
+		s.maps[mapID].feb[febBucket(key)]++
 	}
 }
 
-func (j *job) clearReads() {
-	for i := range j.reads {
-		j.reads[i] = j.reads[i][:0]
+// clearReads disarms every unconfirmed read of j.
+func (s *Sim) clearReads(j *job) {
+	for id, r := range j.reads {
+		for n := s.maps[id].keySize; len(r) > 0; r = r[n:] {
+			s.maps[id].feb[febBucket(r[:n])]--
+		}
+		j.reads[id] = j.reads[id][:0]
 	}
 }
 
@@ -140,37 +170,25 @@ func (s *Sim) acquire(data []byte, frames int) *job {
 		j = s.free[n-1]
 		s.free = s.free[:n-1]
 	} else {
-		nMaps := len(s.mapBlocks)
-		slots := make([]lookup, 3*nMaps)
+		nMaps := len(s.maps)
+		slots := make([]lookup, 2*nMaps)
 		j = &job{
 			st:      &vm.State{},
 			enabled: make([]uint64, (len(s.pl.Blocks)+63)/64+1),
 			lookups: slots[:nMaps:nMaps],
 			reads:   make([][]byte, nMaps),
 		}
-		j.initial.lookups = slots[nMaps : 2*nMaps : 2*nMaps]
-		j.elastic.lookups = slots[2*nMaps:]
+		j.elastic.lookups = slots[nMaps:]
 		s.jobsAllocated++
 	}
 	j.seq = s.seq
-	j.st.Reset(data)
-	for i := range j.enabled {
-		j.enabled[i] = 0
-	}
-	setBit(j.enabled, 0) // the entry block is always enabled
-	j.done, j.action, j.redirect = false, 0, 0
+	j.frame = append(j.frame[:0], data...)
+	s.restore(j, nil)
 	j.injectedAt = s.cycle
 	j.frames = frames
 	j.stage, j.execStage = -1, -1
-	j.aheadStage, j.aheadFaults = 0, 0
-	for i := range j.lookups {
-		l := &j.lookups[i]
-		l.addr, l.key, l.valid = 0, l.key[:0], false
-	}
-	j.clearReads()
-	j.flushed, j.commits = 0, 0
+	j.flushed = 0
 	j.snapshot = nil
-	j.capture(&j.initial)
 	return j
 }
 

@@ -208,7 +208,7 @@ func TestRunAheadRecalledAfterFault(t *testing.T) {
 			deep = op.stage
 		}
 	}
-	mb := sim.mapBlocks[0]
+	mb := &pl.Maps[0]
 	if deep < 0 || hasBit(sim.visit, deep) || !mb.NeedsFlush || len(mb.ReadStages) == 0 || len(mb.WriteStages) == 0 ||
 		deep <= mb.ReadStages[0] || deep >= mb.WriteStages[0] {
 		t.Fatalf("deep load at stage %d, map block %+v: the program no longer puts a private fault between read and write", deep, *mb)

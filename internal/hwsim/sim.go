@@ -108,42 +108,42 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
-func (c Config) clockHz() float64 {
+func (c *Config) clockHz() float64 {
 	if c.ClockHz <= 0 {
 		return 250e6
 	}
 	return c.ClockHz
 }
 
-func (c Config) reloadCycles() int {
+func (c *Config) reloadCycles() int {
 	if c.FlushReloadCycles <= 0 {
 		return 4
 	}
 	return c.FlushReloadCycles
 }
 
-func (c Config) oobAction() ebpf.XDPAction {
+func (c *Config) oobAction() ebpf.XDPAction {
 	if c.OOBAction == 0 {
 		return ebpf.XDPDrop
 	}
 	return c.OOBAction
 }
 
-func (c Config) queueDepth() int {
+func (c *Config) queueDepth() int {
 	if c.InputQueuePackets <= 0 {
 		return 4096
 	}
 	return c.InputQueuePackets
 }
 
-func (c Config) scrubCyclesPerWord() int {
+func (c *Config) scrubCyclesPerWord() int {
 	if c.ScrubCyclesPerWord <= 0 {
 		return 8
 	}
 	return c.ScrubCyclesPerWord
 }
 
-func (c Config) maxRecoveries() int {
+func (c *Config) maxRecoveries() int {
 	switch {
 	case c.MaxRecoveries == 0:
 		return 8
@@ -381,7 +381,7 @@ type Sim struct {
 
 	shadows []warShadow
 
-	mapBlocks []*core.MapBlock // indexed by mapID; nil for a map the pipeline never touches
+	maps []mapUnit // indexed by mapID (tables.go)
 	// elasticStage marks the flush re-entry stages, where a packet's
 	// replay state is captured on entry.
 	elasticStage []bool
@@ -389,13 +389,18 @@ type Sim struct {
 	// The execution tables (tables.go), built once: every stage's ops in
 	// one slice (stage t's are ops[opOff[t]:opOff[t+1]]), the stages the
 	// execute loop visits, and per visited stage the last stage of the
-	// burst of private stages that runs with it. edgeLow is the stall
-	// point this cycle's clock edge honoured: stages below it held.
+	// burst of private stages that runs with it; generic marks the Sim
+	// whose ops carry every hook (compileOp). edgeLow is the stall point
+	// this cycle's clock edge honoured: stages below it held.
 	ops      []microOp
 	opOff    []int
 	visit    []uint64
 	burstEnd []int
+	generic  bool
 	edgeLow  int
+	// [stackLo, stackHi) bounds the stack bytes a packet can dirty: what
+	// arming clears and a snapshot copies (StackWriteExtent).
+	stackLo, stackHi int
 
 	// Protection and recovery state: the per-map codec wrappers
 	// (indexed by mapID), the background scrubber, the last known-good
@@ -426,9 +431,6 @@ type Sim struct {
 	// strictErr is the first soundness violation (carry check, replay
 	// past a committed map effect) seen this run; Step returns it.
 	strictErr error
-
-	// debug receives trace lines when set (tests only).
-	debug func(string)
 }
 
 // New instantiates a pipeline simulation with fresh maps.
@@ -455,20 +457,21 @@ func NewWithEnv(pl *core.Pipeline, cfg Config, env *vm.Env) (*Sim, error) {
 		stages:       newStageReg(len(pl.Stages)),
 		stallPoint:   -1,
 		stallDrainTo: -1,
-		mapBlocks:    make([]*core.MapBlock, len(pl.Transformed.Maps)),
+		maps:         make([]mapUnit, len(pl.Transformed.Maps)),
 		elasticStage: make([]bool, len(pl.Stages)),
 	}
 	if s.frameBytes <= 0 {
 		s.frameBytes = 64
 	}
+	blocks := make([]*core.MapBlock, len(s.maps)) // nil for a map the pipeline never touches
 	for i := range pl.Maps {
-		mb := &pl.Maps[i]
-		s.mapBlocks[mb.MapID] = mb
-		if mb.NeedsFlush && mb.FlushFromStage > 0 {
-			s.elasticStage[mb.FlushFromStage] = true
-		}
+		blocks[pl.Maps[i].MapID] = &pl.Maps[i]
 	}
-	for _, spec := range pl.Transformed.Maps {
+	for id, spec := range pl.Transformed.Maps {
+		s.maps[id] = newMapUnit(spec, blocks[id], len(pl.Stages))
+		if u := &s.maps[id]; u.needsFlush && u.flushFrom > 0 {
+			s.elasticStage[u.flushFrom] = true
+		}
 		if spec.KeySize > len(s.keyBuf) {
 			s.keyBuf = make([]byte, spec.KeySize)
 		}
@@ -823,6 +826,7 @@ func (s *Sim) complete(j *job) {
 		}
 		s.onComplete(res)
 	}
+	s.clearReads(j)
 	s.release(j)
 }
 
@@ -855,14 +859,7 @@ func (s *Sim) expireShadows() {
 // packets whose replay would repeat committed map effects are left
 // flowing instead of recalled, so a forced flush is always safe.
 func (s *Sim) flushVictims(from, writeStage, mapID int, key []byte, force bool) {
-	minRead := writeStage
-	if mb := s.mapBlocks[mapID]; mb != nil {
-		for _, r := range mb.ReadStages {
-			if r < minRead {
-				minRead = r
-			}
-		}
-	}
+	minRead := min(writeStage, s.maps[mapID].firstRead)
 	matched := false
 	victims := s.victims[:0]
 	for t := s.stages.prevOccupied(writeStage); t >= from; t = s.stages.prevOccupied(t) {
@@ -894,13 +891,16 @@ func (s *Sim) flushVictims(from, writeStage, mapID int, key []byte, force bool) 
 			// Recalled on arrival at the elastic-buffer stage, before its
 			// ops (and the snapshot capture) ran: the current state is the
 			// entering state.
-			v.snapshot = v.capture(&v.elastic)
+			v.snapshot = s.capture(v, &v.elastic)
 		}
-		snap := v.snapshot
-		if from == 0 || snap == nil {
-			snap = &v.initial
+		snap, committed := v.snapshot, v.commits
+		if from == 0 {
+			snap = nil // replay from the pipeline input
 		}
-		if v.commits != snap.commits {
+		if snap != nil {
+			committed -= snap.commits
+		}
+		if committed != 0 {
 			if force {
 				// Replaying would repeat committed side effects; a real
 				// flush never selects such a packet, so the forced one
@@ -910,7 +910,7 @@ func (s *Sim) flushVictims(from, writeStage, mapID int, key []byte, force bool) 
 			}
 			if s.strictErr == nil {
 				s.strictErr = fmt.Errorf("hwsim: flush from %d (write %d) would replay packet %d (stage %d, execStage %d) past %d committed map effects",
-					from, writeStage, v.seq, v.stage, v.execStage, v.commits-snap.commits)
+					from, writeStage, v.seq, v.stage, v.execStage, committed)
 			}
 		}
 		// An older packet's write recalls v before v's own turn this
@@ -921,7 +921,7 @@ func (s *Sim) flushVictims(from, writeStage, mapID int, key []byte, force bool) 
 			executed--
 		}
 		s.uncountAhead(v, executed)
-		v.restore(snap)
+		s.restore(v, snap)
 		v.flushed++
 		v.execStage = from - 1
 		if s.probes != nil {

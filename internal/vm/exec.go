@@ -34,14 +34,16 @@ func NewState(pkt *Packet) *State {
 	return st
 }
 
-// Reset re-arms the state in place for one run over data: registers and
-// stack cleared, the architectural inputs (R1, R10) set, and the packet
-// re-armed through Packet.Reset. A reset state is indistinguishable
-// from NewState(NewPacket(data)); the pipeline simulator recycles its
+// Reset re-arms the state in place for one run over data: registers
+// cleared, the architectural inputs (R1, R10) set, the packet re-armed
+// through Packet.Reset, and the stack cleared over [lo, hi) — the span
+// the caller knows every write lands in; the rest has been zero since
+// the state was made. A reset state is indistinguishable from
+// NewState(NewPacket(data)); both pipeline engines recycle their
 // per-packet states this way.
-func (s *State) Reset(data []byte) {
+func (s *State) Reset(data []byte, lo, hi int) {
 	s.Regs = [ebpf.NumRegisters]uint64{}
-	s.Stack = [ebpf.StackSize]byte{}
+	clear(s.Stack[lo:hi])
 	s.Regs[ebpf.R1] = CtxBase
 	s.Regs[ebpf.R10] = StackTopAddr
 	if s.Pkt == nil {
@@ -51,10 +53,11 @@ func (s *State) Reset(data []byte) {
 }
 
 // CopyFrom makes s a deep copy of o (for pipeline flush snapshots),
-// reusing s's packet buffer when it is large enough.
-func (s *State) CopyFrom(o *State) {
+// reusing s's packet buffer when it is large enough. Of the stack only
+// [lo, hi) is copied: the span outside which both are still zero.
+func (s *State) CopyFrom(o *State, lo, hi int) {
 	s.Regs = o.Regs
-	s.Stack = o.Stack
+	copy(s.Stack[lo:hi], o.Stack[lo:hi])
 	if s.Pkt == nil {
 		s.Pkt = &Packet{}
 	}

@@ -23,7 +23,7 @@ func TestStateCopyFrom(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Stack[100] = 0xee
-	c.CopyFrom(st)
+	c.CopyFrom(st, 0, ebpf.StackSize)
 	if !reflect.DeepEqual(c, st) {
 		t.Fatal("copy into a used state differs from its source")
 	}
@@ -42,9 +42,49 @@ func TestStateCopyFrom(t *testing.T) {
 	}
 
 	var fresh State
-	fresh.CopyFrom(st)
+	fresh.CopyFrom(st, 0, ebpf.StackSize)
 	if !reflect.DeepEqual(&fresh, st) {
 		t.Error("copy into a zero state differs from its source")
+	}
+}
+
+// TestPacketCopyFromMovesOnlyWhatDiffers: copyFrom skips the headroom
+// both buffers still hold as zeroes, so it is checked against the copy
+// that moves every byte — over sources and destinations that ran frames
+// of other lengths, grew into their headroom and wrote there.
+func TestPacketCopyFromMovesOnlyWhatDiffers(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	used := func() *Packet {
+		p := &Packet{}
+		for n := r.Intn(4); n >= 0; n-- {
+			frame := make([]byte, 1+r.Intn(200))
+			r.Read(frame)
+			p.Reset(frame)
+			if r.Intn(2) == 0 {
+				if err := p.AdjustHead(-r.Intn(DefaultHeadroom + 1)); err != nil {
+					t.Fatal(err)
+				}
+				r.Read(p.Bytes())
+			}
+		}
+		return p
+	}
+	for i := 0; i < 2000; i++ {
+		src, dst := used(), used()
+		if i%50 == 0 {
+			dst = &Packet{}
+		}
+		dst.copyFrom(src)
+		want := &Packet{buf: append([]byte(nil), src.buf...), head: src.head, end: src.end, low: src.low}
+		if !reflect.DeepEqual(dst, want) {
+			t.Fatalf("case %d: copy differs from its source (head %d end %d low %d, want %d %d %d)",
+				i, dst.head, dst.end, dst.low, want.head, want.end, want.low)
+		}
+		for _, b := range dst.buf[:dst.low] {
+			if b != 0 {
+				t.Fatalf("case %d: a byte below the low-water mark is not zero", i)
+			}
+		}
 	}
 }
 
@@ -65,13 +105,13 @@ func TestStateReset(t *testing.T) {
 		st.Pkt.Bytes()[i] = 0xee
 	}
 	data := []byte{1, 2, 3, 4}
-	st.Reset(data)
+	st.Reset(data, 0, ebpf.StackSize)
 	if want := NewState(NewPacket(data)); !reflect.DeepEqual(st, want) {
 		t.Error("reset state differs from a fresh one")
 	}
 
 	var zero State
-	zero.Reset(data)
+	zero.Reset(data, 0, ebpf.StackSize)
 	if want := NewState(NewPacket(data)); !reflect.DeepEqual(&zero, want) {
 		t.Error("reset of a zero state differs from a fresh one")
 	}

@@ -39,7 +39,7 @@ func (c *ExecContext) CallHelper(st *State, id ebpf.HelperID) (redirect uint32, 
 		if err != nil {
 			return 0, fmt.Errorf("bpf_map_lookup_elem key: %w", err)
 		}
-		st.Regs[ebpf.R0] = c.LookupValueAddr(mapID, key)
+		st.Regs[ebpf.R0], _ = c.LookupValue(mapID, key)
 		return 0, nil
 
 	case ebpf.HelperMapUpdateElem:
@@ -108,19 +108,21 @@ func (c *ExecContext) CallHelper(st *State, id ebpf.HelperID) (redirect uint32, 
 	return 0, fmt.Errorf("unsupported helper %s", id.Name())
 }
 
-// LookupValueAddr performs a map lookup by explicit key, returning the
-// stable value address (0 on miss). The pipeline simulator calls this
-// directly with keys taken from static stack slots.
-func (c *ExecContext) LookupValueAddr(mapID int, key []byte) uint64 {
+// LookupValue performs a map lookup by explicit key, returning the
+// stable value address (0 on miss) and the value slice behind it. The
+// pipeline engines call this directly with keys taken from static stack
+// slots and keep the slice beside the pointer: a statically addressed
+// access through it (SpecializeMem) then needs no address resolved.
+func (c *ExecContext) LookupValue(mapID int, key []byte) (uint64, []byte) {
 	mp, ok := c.Env.Maps.ByID(mapID)
 	if !ok {
-		return 0
+		return 0, nil
 	}
 	val, ok := mp.Lookup(key)
 	if !ok {
-		return 0
+		return 0, nil
 	}
-	return c.Mem.ValueAddressBytes(mapID, key, val)
+	return c.Mem.ValueAddressBytes(mapID, key, val), val
 }
 
 // UpdateResult performs a map update by explicit key/value, returning

@@ -8,12 +8,12 @@ import (
 	"ehdl/internal/maps"
 )
 
-// regionKind classifies a virtual address.
-type regionKind int
+// Region classifies a virtual address.
+type Region int
 
 // Memory regions of the virtual address space.
 const (
-	regionInvalid regionKind = iota
+	regionInvalid Region = iota
 	RegionCtx
 	RegionPacket
 	RegionStack
@@ -33,6 +33,12 @@ type mapHandleTable struct {
 	byKey  map[string]int
 	values [][]byte
 	stride uint64
+	// The last registration: repeated lookups of one entry (a counter,
+	// a hot flow) return lastAddr without hashing. It is recognised by
+	// the identity of the value's backing array, so an entry that moved
+	// registers again.
+	lastKey, lastVal []byte
+	lastAddr         uint64
 }
 
 // NewMemSpace builds the address space for a program's declared maps.
@@ -54,7 +60,7 @@ func (m *MemSpace) Maps() *maps.Set { return m.maps }
 
 // Resolve classifies addr and returns the backing byte slice (nil for
 // the context region) together with the offset of addr within it.
-func (m *MemSpace) Resolve(st *State, addr uint64, size int) (regionKind, []byte, int, error) {
+func (m *MemSpace) Resolve(st *State, addr uint64, size int) (Region, []byte, int, error) {
 	switch {
 	case addr >= ctxBase && addr+uint64(size) <= ctxBase+ebpf.XDPMDSize:
 		return RegionCtx, nil, int(addr - ctxBase), nil
@@ -97,36 +103,37 @@ func (m *MemSpace) Resolve(st *State, addr uint64, size int) (regionKind, []byte
 // ValueAddress registers (or reuses) a stable virtual address for a map
 // entry's value buffer.
 func (m *MemSpace) ValueAddress(mapID int, key string, value []byte) uint64 {
-	tbl := &m.handles[mapID]
-	handle, ok := tbl.byKey[key]
-	if !ok {
-		handle = len(tbl.values)
-		tbl.values = append(tbl.values, value)
-		tbl.byKey[key] = handle
-	} else {
-		// Refresh in case the entry was deleted and re-created.
-		tbl.values[handle] = value
-	}
-	return mapValBase + uint64(mapID)*mapStride + uint64(handle)*tbl.stride
+	return m.ValueAddressBytes(mapID, []byte(key), value)
 }
 
-// ValueAddressBytes is the allocation-free variant of ValueAddress for
-// keys held in scratch buffers: the key is converted to a string only
-// when a new handle is registered, so the steady state (every key seen
-// before) performs no heap allocation. The compiled fast path depends
-// on this on its per-packet happy path; the returned address is
-// bit-identical to ValueAddress for the same (mapID, key).
+// ValueAddressBytes is ValueAddress for keys held in scratch buffers:
+// the key is converted to a string only when a new handle is registered,
+// so the steady state (every key seen before) performs no heap
+// allocation — both pipeline engines depend on this on their per-packet
+// path. A repeat of the table's last registration skips the hash as
+// well; re-registering an unchanged key returns the same address by
+// construction (handles are append-only), so the address stream is
+// bit-identical either way.
 func (m *MemSpace) ValueAddressBytes(mapID int, key, value []byte) uint64 {
 	tbl := &m.handles[mapID]
+	if len(value) > 0 && len(tbl.lastVal) == len(value) && &tbl.lastVal[0] == &value[0] &&
+		string(key) == string(tbl.lastKey) {
+		return tbl.lastAddr
+	}
 	handle, ok := tbl.byKey[string(key)]
 	if !ok {
 		handle = len(tbl.values)
 		tbl.values = append(tbl.values, value)
 		tbl.byKey[string(key)] = handle
 	} else {
+		// Refresh in case the entry was deleted and re-created.
 		tbl.values[handle] = value
 	}
-	return mapValBase + uint64(mapID)*mapStride + uint64(handle)*tbl.stride
+	addr := mapValBase + uint64(mapID)*mapStride + uint64(handle)*tbl.stride
+	if len(value) > 0 {
+		tbl.lastVal, tbl.lastKey, tbl.lastAddr = value, append(tbl.lastKey[:0], key...), addr
+	}
+	return addr
 }
 
 // Load executes a LDX instruction against a state.

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"errors"
 	"math/bits"
 
 	"ehdl/internal/ebpf"
@@ -206,4 +207,183 @@ func SpecializeBranch(ins ebpf.Instruction) (func(st *State) bool, error) {
 		ok, _ := Compare(jop, lhs, rhs, is32)
 		return ok
 	}, nil
+}
+
+// MemFn is a statically addressed load, store or atomic compiled to a
+// direct access — the memory half of the per-op code both pipeline
+// engines run. val is the value slice of the map lookup the access goes
+// through (the engine keeps it beside the pointer it put in R0); the
+// other areas ignore it. The only errors are ErrNoLookup (map area, nil
+// val) and ErrPacketBounds (packet area, past the data end), both bare.
+type MemFn func(st *State, val []byte) error
+
+// The two ways a statically addressed access fails. An engine answers
+// ErrPacketBounds with the hardware bounds check's verdict, exactly as
+// it answers any Resolve error on a packet-area access.
+var (
+	ErrNoLookup     = errors.New("map access without a preceding lookup hit")
+	ErrPacketBounds = errors.New("packet access outside data")
+)
+
+// SpecializeMem compiles an access of ins whose base register the
+// compiler elided — it lands at the static offset off of area (from R10
+// for the stack, from the data pointer, the xdp_md base or the looked-up
+// value otherwise) — skipping the virtual-address round trip through
+// MemSpace.Resolve; valueSize is the declared value size of the map
+// behind a RegionMapValue access. Only cases whose semantics provably
+// match LoadAt/StoreAt are specialised: anything else (out-of-frame
+// slot, odd xdp_md field, huge offset, a store to xdp_md, an atomic
+// that fetches or lands outside map memory) returns nil and the engine
+// keeps its generic path with that path's exact run-time error.
+func SpecializeMem(ins ebpf.Instruction, area Region, off int64, valueSize int) MemFn {
+	size, o := ins.MemSize().Bytes(), int(off)
+	switch area {
+	case RegionStack: // frame-relative, negative
+		if o += ebpf.StackSize; o < 0 || o+size > ebpf.StackSize {
+			return nil
+		}
+	case RegionMapValue:
+		if o < 0 || o+size > valueSize {
+			return nil
+		}
+	default:
+		if o < 0 || o > 1<<20 {
+			return nil
+		}
+	}
+	switch {
+	case ins.Class() == ebpf.ClassLDX:
+		return loadFn(area, ins.Dst, o, size)
+	case ins.IsAtomic():
+		if area == RegionMapValue {
+			return atomicFn(ins.AtomicOp(), ins.Src, o, size)
+		}
+	case ins.Class() == ebpf.ClassST:
+		return storeFn(area, true, 0, uint64(int64(ins.Imm)), o, size)
+	case ins.Class() == ebpf.ClassSTX:
+		return storeFn(area, false, ins.Src, 0, o, size)
+	}
+	return nil
+}
+
+func loadFn(area Region, dst ebpf.Register, off, size int) MemFn {
+	switch area {
+	case RegionStack:
+		return func(st *State, _ []byte) error {
+			st.Regs[dst] = readUint(st.Stack[off:], size)
+			return nil
+		}
+	case RegionMapValue:
+		return func(st *State, val []byte) error {
+			if val == nil {
+				return ErrNoLookup
+			}
+			st.Regs[dst] = readUint(val[off:], size)
+			return nil
+		}
+	case RegionPacket:
+		// off is data-relative and non-negative, so only the data end
+		// can be crossed.
+		return func(st *State, _ []byte) error {
+			b := st.Pkt.Bytes()
+			if off+size > len(b) {
+				return ErrPacketBounds
+			}
+			st.Regs[dst] = readUint(b[off:], size)
+			return nil
+		}
+	case RegionCtx:
+		switch {
+		case size != 4:
+		case off == ebpf.XDPMDData, off == ebpf.XDPMDDataMeta:
+			return func(st *State, _ []byte) error {
+				st.Regs[dst] = packetBase + uint64(st.Pkt.head)
+				return nil
+			}
+		case off == ebpf.XDPMDDataEnd:
+			return func(st *State, _ []byte) error {
+				st.Regs[dst] = packetBase + uint64(st.Pkt.end)
+				return nil
+			}
+		}
+	}
+	return nil
+}
+
+func storeFn(area Region, fromImm bool, src ebpf.Register, imm uint64, off, size int) MemFn {
+	// imm is the stored value unless a register supplies it.
+	switch area {
+	case RegionStack:
+		return func(st *State, _ []byte) error {
+			v := imm
+			if !fromImm {
+				v = st.Regs[src]
+			}
+			writeUint(st.Stack[off:], size, v)
+			return nil
+		}
+	case RegionMapValue:
+		return func(st *State, val []byte) error {
+			if val == nil {
+				return ErrNoLookup
+			}
+			v := imm
+			if !fromImm {
+				v = st.Regs[src]
+			}
+			writeUint(val[off:], size, v)
+			return nil
+		}
+	case RegionPacket:
+		return func(st *State, _ []byte) error {
+			b := st.Pkt.Bytes()
+			if off+size > len(b) {
+				return ErrPacketBounds
+			}
+			v := imm
+			if !fromImm {
+				v = st.Regs[src]
+			}
+			writeUint(b[off:], size, v)
+			return nil
+		}
+	}
+	return nil
+}
+
+// atomicFn compiles the non-fetch atomics on map memory — the per-flow
+// counter update every stateful app leans on. The fetch and exchange
+// forms keep execAtomic for their register effects.
+func atomicFn(op ebpf.AtomicOp, src ebpf.Register, off, size int) MemFn {
+	var apply func(old, s uint64) uint64
+	switch op {
+	case ebpf.AtomicAdd:
+		if size == 8 { // the canonical counter: no width switch at all
+			return func(st *State, val []byte) error {
+				if val == nil {
+					return ErrNoLookup
+				}
+				b := val[off:]
+				writeUint(b, 8, readUint(b, 8)+st.Regs[src])
+				return nil
+			}
+		}
+		apply = func(old, s uint64) uint64 { return old + s }
+	case ebpf.AtomicOr:
+		apply = func(old, s uint64) uint64 { return old | s }
+	case ebpf.AtomicAnd:
+		apply = func(old, s uint64) uint64 { return old & s }
+	case ebpf.AtomicXor:
+		apply = func(old, s uint64) uint64 { return old ^ s }
+	default:
+		return nil
+	}
+	return func(st *State, val []byte) error {
+		if val == nil {
+			return ErrNoLookup
+		}
+		b := val[off:]
+		writeUint(b, size, apply(readUint(b, size), st.Regs[src]))
+		return nil
+	}
 }

@@ -145,3 +145,154 @@ func TestSpecializeBranchMatchesReference(t *testing.T) {
 		t.Fatalf("%d cases checked, %d encodings rejected: the sweep missed a side", checked, rejected)
 	}
 }
+
+// memZoo is one region's side of TestSpecializeMemMatchesMemSpace: the
+// static offsets tried — inside, at both edges and past them — and the
+// virtual address the engines' generic path wires for offset 0.
+type memZoo struct {
+	area Region
+	offs []int64
+	base func(st *State, valueAddr uint64) uint64
+}
+
+// TestSpecializeMemMatchesMemSpace checks every memory closure — each
+// region, width and offset, loads, both store forms and every atomic —
+// against MemSpace.LoadAt/StoreAt at the address the generic path
+// resolves, on registers, stack, packet bytes and map value alike; a
+// form SpecializeMem declines is one the generic path keeps, and the
+// sweep must see both kinds.
+func TestSpecializeMemMatchesMemSpace(t *testing.T) {
+	const valueSize = 16
+	prog := &ebpf.Program{Maps: []ebpf.MapSpec{{Name: "m", Kind: ebpf.MapArray, KeySize: 4, ValueSize: valueSize, MaxEntries: 1}}}
+	env, err := NewEnv(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	space := NewMemSpace(prog, env.Maps)
+	zoos := []memZoo{
+		{RegionStack, []int64{-512, -511, -256, -16, -8, -7, -4, -2, -1, 0, 8, -513, -520},
+			func(*State, uint64) uint64 { return StackTopAddr }},
+		{RegionPacket, []int64{0, 1, 2, 12, 26, 56, 57, 60, 62, 63, 64, 65, 68, 69, 70, 71, 72, 100, -1, 1 << 21}, // 72 bytes of data
+			func(st *State, _ uint64) uint64 { return PacketBase + uint64(st.Pkt.HeadIndex()) }},
+		{RegionCtx, []int64{0, 4, 8, 12, 16, 20, 2, 24, -4},
+			func(*State, uint64) uint64 { return CtxBase }},
+		{RegionMapValue, []int64{0, 1, 4, 8, 9, 12, 13, 14, 15, 16, -1, 64},
+			func(_ *State, valueAddr uint64) uint64 { return valueAddr }},
+	}
+	atomics := []ebpf.AtomicOp{ebpf.AtomicAdd, ebpf.AtomicOr, ebpf.AtomicAnd, ebpf.AtomicXor,
+		ebpf.AtomicAdd | ebpf.AtomicFetch, ebpf.AtomicOr | ebpf.AtomicFetch, ebpf.AtomicAnd | ebpf.AtomicFetch,
+		ebpf.AtomicXor | ebpf.AtomicFetch, ebpf.AtomicXchg, ebpf.AtomicCmpXchg, 0x33}
+	// newState arms one side of a comparison: a 64-byte frame whose head
+	// moved, a patterned stack and value, operands in R0, R3 and R4.
+	newState := func(operand uint64) (*State, []byte, uint64) {
+		frame := make([]byte, 64)
+		for i := range frame {
+			frame[i] = byte(0xa0 + i)
+		}
+		st := NewState(NewPacket(frame))
+		if err := st.Pkt.AdjustHead(-8); err != nil {
+			t.Fatal(err)
+		}
+		for i := range st.Stack {
+			st.Stack[i] = byte(i*7 + 1)
+		}
+		st.Regs[ebpf.R0], st.Regs[ebpf.R3], st.Regs[ebpf.R4] = 0x0807060504030201, operand, ^operand
+		val := make([]byte, valueSize)
+		for i := range val {
+			val[i] = byte(i + 1)
+		}
+		return st, val, space.ValueAddress(0, "k", val)
+	}
+	specialised, declined := 0, 0
+	for _, zoo := range zoos {
+		for _, size := range []ebpf.Size{ebpf.SizeB, ebpf.SizeH, ebpf.SizeW, ebpf.SizeDW} {
+			forms := []ebpf.Instruction{
+				ebpf.LoadMem(size, ebpf.R3, ebpf.R1, 0),
+				ebpf.StoreMem(size, ebpf.R1, 0, ebpf.R4),
+				ebpf.StoreImm(size, ebpf.R1, 0, -0x1234567),
+			}
+			for _, op := range atomics {
+				forms = append(forms, ebpf.Atomic(size, ebpf.R1, 0, ebpf.R4, op))
+			}
+			for _, ins := range forms {
+				for _, off := range zoo.offs {
+					fn := SpecializeMem(ins, zoo.area, off, valueSize)
+					if fn == nil {
+						declined++
+						continue
+					}
+					specialised++
+					for _, operand := range operandZoo {
+						got, gotVal, _ := newState(operand)
+						// The reference resolves its own copy of the value
+						// through the address space, last registered.
+						want, wantVal, addr := newState(operand)
+						err := fn(got, gotVal)
+						var refErr error
+						if target := zoo.base(want, addr) + uint64(off); ins.Class() == ebpf.ClassLDX {
+							var v uint64
+							if v, refErr = space.LoadAt(want, target, size.Bytes()); refErr == nil {
+								want.Regs[ins.Dst] = v
+							}
+						} else {
+							refErr = space.StoreAt(want, ins, target)
+						}
+						if (err != nil) != (refErr != nil) {
+							t.Fatalf("%s at %v%+d: closure error %v, reference error %v", ins, zoo.area, off, err, refErr)
+						}
+						if err != nil && err != ErrPacketBounds {
+							t.Fatalf("%s at %v%+d: closure error %v, want ErrPacketBounds", ins, zoo.area, off, err)
+						}
+						if got.Regs != want.Regs || got.Stack != want.Stack || string(gotVal) != string(wantVal) ||
+							got.Pkt.HeadIndex() != want.Pkt.HeadIndex() || string(got.Pkt.Bytes()) != string(want.Pkt.Bytes()) {
+							t.Fatalf("%s at %v%+d with operand %#x: closure and reference left different state", ins, zoo.area, off, operand)
+						}
+					}
+					if zoo.area == RegionMapValue {
+						st, _, _ := newState(0)
+						if err := fn(st, nil); err != ErrNoLookup {
+							t.Fatalf("%s through a missed lookup: %v, want ErrNoLookup", ins, err)
+						}
+					}
+				}
+			}
+		}
+	}
+	if specialised < 200 || declined < 200 {
+		t.Fatalf("%d forms specialised, %d declined: the sweep missed a side", specialised, declined)
+	}
+}
+
+// TestValueAddressRepeatsSkipNothing checks the registration shortcut
+// against the plain rule — one handle per key in order of first sight,
+// the latest value slice behind it — over a sequence with repeats,
+// entries that move and keys that alternate.
+func TestValueAddressRepeatsSkipNothing(t *testing.T) {
+	prog := &ebpf.Program{Maps: []ebpf.MapSpec{{Name: "m", Kind: ebpf.MapHash, KeySize: 4, ValueSize: 8, MaxEntries: 64}}}
+	env, err := NewEnv(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	space := NewMemSpace(prog, env.Maps)
+	handles := map[string]uint64{}
+	slices := map[string][]byte{}
+	seq := []string{"a", "a", "b", "a", "a", "c", "c", "b", "b", "b", "a"}
+	for i, k := range seq {
+		if i%4 == 3 || slices[k] == nil { // the entry was deleted and re-created
+			slices[k] = make([]byte, 8)
+		}
+		if _, seen := handles[k]; !seen {
+			handles[k] = uint64(len(handles))
+		}
+		want := MapValueBase + handles[k]*8
+		if got := space.ValueAddressBytes(0, []byte(k), slices[k]); got != want {
+			t.Fatalf("registration %d of %q: address %#x, want %#x", i, k, got, want)
+		}
+		for key, h := range handles {
+			_, mem, _, err := space.Resolve(NewState(NewPacket(nil)), MapValueBase+h*8, 8)
+			if err != nil || &mem[0] != &slices[key][0] {
+				t.Fatalf("after registration %d: %q resolves to a stale slice (err %v)", i, key, err)
+			}
+		}
+	}
+}
