@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test short vet race chaos bench check cover ci trace fuzz-smoke bench-ab
+.PHONY: all build test short vet race chaos bench check cover ci trace fuzz-smoke bench-ab lines
 
 all: build test
 
@@ -141,10 +141,19 @@ ci: vet build test race chaos cover fuzz-smoke
 
 # The benchmark harness (four workloads, 20 s), then the interpreter's
 # packet lifecycle in ns/frame with its allocation count (the harness's
-# hwsim.exec_ns, reproduced without it).
+# hwsim.exec_ns, reproduced without it) and, as the firewall/one-burst
+# row, the executor alone on the hazard-free table the fast path runs
+# (fastpath.exec_ns less the timing skeleton).
 bench:
 	$(GO) run ./bench
 	$(GO) test -bench Interpreter -run '^$$' ./internal/hwsim/
+
+# Non-test Go lines per internal package: the headline metric of a
+# design PR (ROADMAP aim 2).
+lines:
+	@for d in internal/*/; do \
+		printf '%6d %s\n' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) $$d; \
+	done
 
 # Observability demo: a traced, metered firewall run. Leaves the
 # cycle-level event stream in /tmp/ehdl-trace.jsonl.

@@ -205,7 +205,6 @@ func contains(s []int, v int) bool {
 // already inside the pipeline (Section 4.2).
 func (p *Pipeline) applyFraming() {
 	frame := p.Options.frameBytes()
-	maxPkt := p.Options.maxPacketBytes()
 
 	needNops := 0
 	for s := range p.Stages {
@@ -213,7 +212,7 @@ func (p *Pipeline) applyFraming() {
 		need := 0
 		for i := range st.Ops {
 			op := &st.Ops[i]
-			n := packetBytesNeeded(op, maxPkt)
+			n := packetBytesNeeded(op)
 			if n > need {
 				need = n
 			}
@@ -272,19 +271,23 @@ func maxInt(s []int) int {
 	return m
 }
 
+// maxPacketBytes bounds packet size for the framing of variable-offset
+// accesses: one Ethernet MTU frame.
+const maxPacketBytes = 1514
+
 // packetBytesNeeded returns the highest packet byte (exclusive) op needs
 // at a static offset, or the full packet bound for dynamic offsets and
 // geometry-changing helpers.
-func packetBytesNeeded(op *Op, maxPkt int) int {
+func packetBytesNeeded(op *Op) int {
 	if op.Kind == OpHelper && op.Helper.WritesPacket() {
-		return maxPkt
+		return maxPacketBytes
 	}
 	acc := op.Access
 	if acc == nil || acc.Area != ddg.AreaPacket {
 		return 0
 	}
 	if !acc.OffKnown || acc.Off < 0 {
-		return maxPkt
+		return maxPacketBytes
 	}
 	return int(acc.Off) + acc.Size
 }

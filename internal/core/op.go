@@ -295,9 +295,6 @@ func (p *Pipeline) Latency(extraCycles int) int {
 type Options struct {
 	// FrameBytes is the packet framing width (Section 4.2). 0 means 64.
 	FrameBytes int
-	// MaxPacketBytes bounds packet size for framing of variable-offset
-	// accesses. 0 means 1514.
-	MaxPacketBytes int
 	// DisableILP schedules one instruction per stage.
 	DisableILP bool
 	// DisablePruning carries the full architectural state in every stage
@@ -317,13 +314,6 @@ func (o Options) frameBytes() int {
 		return 64
 	}
 	return o.FrameBytes
-}
-
-func (o Options) maxPacketBytes() int {
-	if o.MaxPacketBytes <= 0 {
-		return 1514
-	}
-	return o.MaxPacketBytes
 }
 
 func (o Options) validate() error {

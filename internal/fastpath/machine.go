@@ -1,3 +1,15 @@
+// Package fastpath serves hazard-free configurations at host speed: the
+// interpreter's own executor (hwsim.Burst — the micro-op table of
+// internal/hwsim built hazard-free and as one burst) runs each packet to
+// its verdict at ingress, and Machine, a timing skeleton, reproduces the
+// interpreter's hazard-free injection pacing, pipeline-depth latency and
+// queue accounting around it. The differential suites prove the pipelined
+// interpreter equivalent to sequential execution on verdicts, map effects
+// and packet bytes, so a Machine is bit-identical to a hwsim.Sim wherever
+// it is eligible to run (internal/conformance runs vm, hwsim and fastpath
+// three ways). Fault injection, memory protection, stall policy, strict
+// carry checking and cycle-level observability keep the interpreter (see
+// Eligible and the fallback matrix in DESIGN.md).
 package fastpath
 
 import (
@@ -87,43 +99,41 @@ func (r *ring) pop() pkt {
 
 func (r *ring) peek() *pkt { return &r.buf[r.head] }
 
-// Machine binds a compiled Prog to one map environment and executes
-// packets with no per-packet heap allocation on the happy path. Its
-// surface mirrors hwsim.Sim (both satisfy hwsim.Core) so the NIC shell
-// and the RSS engine drive either interchangeably.
+// Prog is the replica-shareable handle of a design served at host speed:
+// each replica of a multi-queue engine binds it to its own map
+// environment with NewMachine, which builds that replica's executor.
+type Prog struct{ pl *core.Pipeline }
+
+// Compile checks that a design can be served and returns its handle.
+func Compile(pl *core.Pipeline) (*Prog, error) {
+	if len(pl.Stages) == 0 {
+		return nil, fmt.Errorf("fastpath: empty pipeline")
+	}
+	return &Prog{pl: pl}, nil
+}
+
+// Pipeline returns the design the program was compiled from.
+func (p *Prog) Pipeline() *core.Pipeline { return p.pl }
+
+// Depth returns the pipeline depth the timing skeleton models, framing
+// NOPs included.
+func (p *Prog) Depth() int { return len(p.pl.Stages) }
+
+// Machine is the timing skeleton around one executor, with no per-packet
+// heap allocation on the happy path. It satisfies hwsim.Core like
+// hwsim.Sim, so the NIC shell and the RSS engine drive either
+// interchangeably.
 type Machine struct {
-	prog *Prog
-	cfg  hwsim.Config
+	exec *hwsim.Burst
 	env  *vm.Env
-	exec *vm.ExecContext
-	mem  *vm.MemSpace
 
-	// mapsByID indexes the environment's maps by pipeline map ID for
-	// direct handle capture (no name lookup on the packet path).
-	mapsByID []maps.Map
-
-	// Per-packet scratch, reused across packets. Block enablement is
-	// epoch-stamped: blockOn[i] == epoch means block i is enabled for
-	// the current packet, so the per-packet reset is one counter bump
-	// instead of clearing a bitmap, and the probe is a load+compare.
-	st         vm.State
-	blockOn    []uint32
-	epoch      uint32
-	lookupAddr []uint64
-	lookupVal  [][]byte // value slice behind lookupAddr, for direct access; one nil slot past the maps
-	done       bool
-	action     ebpf.XDPAction
-	redirect   uint32
-
-	// Timing skeleton.
 	cycle      uint64
 	seq        uint64
+	depth      int
 	injectGap  int
 	queueDepth int
 	frameBytes int
-	oob        ebpf.XDPAction
 	queueFull  bool
-	quiesced   bool
 	keepData   bool
 	queue      ring
 	flight     ring
@@ -131,17 +141,28 @@ type Machine struct {
 	// stats are the live counters, winBase their value when the open
 	// Window began (see hwsim.Stats.CloseWindow).
 	stats, winBase hwsim.Stats
-	// actionHist counts the common verdict values without a map access
-	// per retire; out-of-range actions (a program returning an arbitrary
-	// R0) fall through to the stats.Actions map. foldActions merges the
-	// two before any snapshot.
-	actionHist [8]uint64
-	onComplete func(hwsim.Result)
-	err        error
+	onComplete     func(hwsim.Result)
+	err            error
 }
 
 // The Machine presents the same engine surface as the interpreter.
 var _ hwsim.Core = (*Machine)(nil)
+
+// NewCore is the one place an engine is chosen: the compiled machine
+// when the fast path is requested and cfg is eligible for it, else the
+// interpreter together with the reason — NotRequested, or the feature
+// Eligible named.
+func NewCore(pl *core.Pipeline, cfg hwsim.Config, env *vm.Env, request bool) (hwsim.Core, string, error) {
+	why := NotRequested
+	if request {
+		if _, why = Eligible(cfg); why == "" {
+			m, err := NewWithEnv(pl, cfg, env)
+			return m, "", err
+		}
+	}
+	sim, err := hwsim.NewWithEnv(pl, cfg, env)
+	return sim, why, err
+}
 
 // New compiles a design and binds it to fresh maps.
 func New(pl *core.Pipeline, cfg hwsim.Config) (*Machine, error) {
@@ -162,195 +183,46 @@ func NewWithEnv(pl *core.Pipeline, cfg hwsim.Config, env *vm.Env) (*Machine, err
 	return prog.NewMachine(cfg, env)
 }
 
-// NewMachine binds a compiled program to an environment. A Prog may be
-// bound many times (one Machine per RSS replica); the Machines share
-// the closures but nothing mutable.
+// NewMachine binds the program to an environment: one executor and one
+// skeleton per call, nothing mutable shared between them.
 func (p *Prog) NewMachine(cfg hwsim.Config, env *vm.Env) (*Machine, error) {
 	if ok, why := Eligible(cfg); !ok {
 		return nil, fmt.Errorf("fastpath: configuration requires the interpreter: %s", why)
 	}
-	if env.Maps.Len() < p.numMaps {
-		return nil, fmt.Errorf("fastpath: environment has %d maps, design needs %d", env.Maps.Len(), p.numMaps)
+	if need := len(p.pl.Transformed.Maps); env.Maps.Len() < need {
+		return nil, fmt.Errorf("fastpath: environment has %d maps, design needs %d", env.Maps.Len(), need)
+	}
+	exec, err := hwsim.NewBurst(p.pl, cfg, env)
+	if err != nil {
+		return nil, err
 	}
 	m := &Machine{
-		prog:       p,
-		cfg:        cfg,
+		exec:       exec,
 		env:        env,
-		mem:        vm.NewMemSpace(p.pl.Transformed, env.Maps),
-		st:         vm.State{Pkt: vm.NewPacket(make([]byte, 1514))},
-		blockOn:    make([]uint32, p.numBlocks),
-		lookupAddr: make([]uint64, p.numMaps),
-		lookupVal:  make([][]byte, p.numMaps+1),
-		frameBytes: p.frameBytes,
+		depth:      p.Depth(),
+		queueDepth: cfg.QueueDepth(),
+		frameBytes: p.pl.Options.FrameBytes,
 	}
-	m.exec = &vm.ExecContext{Env: env, Mem: m.mem}
-	m.mapsByID = make([]maps.Map, p.numMaps)
-	for id := 0; id < p.numMaps; id++ {
-		mp, ok := env.Maps.ByID(id)
-		if !ok {
-			return nil, fmt.Errorf("fastpath: environment is missing map %d", id)
-		}
-		m.mapsByID[id] = mp
-	}
-	// Defaults replicated from hwsim.Config so the two execution modes
-	// agree on geometry without exporting the accessors.
-	m.queueDepth = cfg.InputQueuePackets
-	if m.queueDepth <= 0 {
-		m.queueDepth = 4096
-	}
-	m.oob = cfg.OOBAction
-	if m.oob == 0 {
-		m.oob = ebpf.XDPDrop
-	}
-	clock := cfg.ClockHz
-	if clock <= 0 {
-		clock = 250e6
+	if m.frameBytes <= 0 {
+		m.frameBytes = 64
 	}
 	if env.Now == nil {
 		// The hardware clock: cycle count scaled to nanoseconds.
+		clock := cfg.Clock()
 		env.Now = func() uint64 {
 			return uint64(float64(m.cycle) / clock * 1e9)
 		}
 	}
 	m.queue = newRing(m.queueDepth)
-	m.flight = newRing(p.depth + 1)
+	m.flight = newRing(m.depth + 1)
 	m.stats.Actions = map[ebpf.XDPAction]uint64{}
 	return m, nil
 }
 
-// enable marks a successor block runnable for the current packet.
-func (m *Machine) enable(i int) { m.blockOn[i] = m.epoch }
-
-// fault applies the hardware bounds check's verdict to the in-flight
-// packet: done, OOB action, one malformed-drop counted per occurrence.
-func (m *Machine) fault() {
-	m.done = true
-	m.action = m.oob
-	m.stats.MalformedDropped++
-}
-
-// scratchArgs clears R1-R5 after a helper, per the calling convention.
-func (m *Machine) scratchArgs() {
-	for r := ebpf.R1; r <= ebpf.R5; r++ {
-		m.st.Regs[r] = 0
-	}
-}
-
-// bytesAt returns an aliasing view of n bytes at a virtual address, for
-// helper arguments whose pointer is not statically resolvable.
-func (m *Machine) bytesAt(addr uint64, n int) ([]byte, error) {
-	kind, b, off, err := m.mem.Resolve(&m.st, addr, n)
-	if err != nil {
-		return nil, err
-	}
-	if kind == vm.RegionCtx {
-		return nil, fmt.Errorf("helper argument points into xdp_md")
-	}
-	return b[off : off+n : off+n], nil
-}
-
-// runPacket resets the scratch state and runs the closure chain.
-func (m *Machine) runPacket(data []byte, p *pkt) {
-	st := &m.st
-	// Only the statically writable span can be dirty; everything else
-	// has stayed zero since the machine was built.
-	st.Reset(data, m.prog.stackLo, m.prog.stackHi)
-	m.epoch++
-	if m.epoch == 0 { // wrapped: stale stamps could alias, rewind them
-		for i := range m.blockOn {
-			m.blockOn[i] = 0
-		}
-		m.epoch = 1
-	}
-	m.blockOn[0] = m.epoch // the entry block is always enabled
-	clear(m.lookupAddr)
-	clear(m.lookupVal)
-	m.done = false
-	m.action = 0
-	m.redirect = 0
-
-	// Enable bits are only ever set, never cleared, within one packet:
-	// a block observed enabled stays enabled, so consecutive ops of the
-	// same block skip the bitset probe (a disabled block re-probes, in
-	// case an op in between just enabled it). Ops of one stage execute
-	// "in parallel": an exit or bounds fault latches the verdict without
-	// suppressing its neighbours, so done-ness applies at the stage
-	// boundaries the flat op slice carries.
-	lastBlock, lastOn := -1, false
-	lastStage := int32(-1)
-	epoch := m.epoch
-	ops := m.prog.ops
-	for ci := 0; ci < len(ops); {
-		c := &ops[ci]
-		if c.stage != lastStage {
-			if m.done {
-				break
-			}
-			lastStage = c.stage
-		}
-		if c.blockID != lastBlock || !lastOn {
-			lastBlock, lastOn = c.blockID, m.blockOn[c.blockID] == epoch
-			if !lastOn {
-				// The whole contiguous run of this block is dead:
-				// nothing inside it executes, so nothing can enable it
-				// before the run ends. One hop skips it.
-				ci = c.skip
-				continue
-			}
-		}
-		ci++
-		// Infallible register-only ops dispatch without the error
-		// check; anything touching memory or helpers goes through run.
-		if c.alu != nil {
-			c.alu(st)
-			if c.fall >= 0 {
-				m.blockOn[c.fall] = epoch
-			}
-			continue
-		}
-		if c.pred != nil {
-			t := c.notTaken
-			if c.pred(st) {
-				t = c.taken
-			}
-			if t >= 0 {
-				m.blockOn[t] = epoch
-			}
-			continue
-		}
-		if c.mem != nil {
-			switch err := c.mem(st, m.lookupVal[c.val]); {
-			case err == nil:
-				if c.fall >= 0 {
-					m.blockOn[c.fall] = epoch
-				}
-			case err == vm.ErrPacketBounds:
-				m.fault()
-			default:
-				m.err = fmt.Errorf("fastpath: seq %d stage %d: %w", p.seq, c.stage, err)
-				return
-			}
-			continue
-		}
-		if err := c.run(m); err != nil {
-			m.err = fmt.Errorf("fastpath: seq %d stage %d: %w", p.seq, c.stage, err)
-			return
-		}
-	}
-	p.action = m.action
-	p.redirect = m.redirect
-	if m.keepData {
-		p.data = append([]byte(nil), st.Pkt.Bytes()...)
-	}
-}
-
 // Inject accepts a packet, executes it immediately, and enters its
-// ledger entry into the timing skeleton. Refusal semantics (quiesce,
-// queue bound, overflow episodes) are identical to the interpreter's.
+// ledger entry into the timing skeleton. Refusal semantics (queue bound,
+// overflow episodes) are identical to the interpreter's.
 func (m *Machine) Inject(data []byte) bool {
-	if m.quiesced {
-		return false
-	}
 	if !m.InputFree() {
 		m.stats.QueueDrops++
 		if !m.queueFull {
@@ -370,7 +242,15 @@ func (m *Machine) Inject(data []byte) bool {
 	m.seq++
 	m.stats.Injected++
 	if m.err == nil {
-		m.runPacket(data, &p)
+		run, err := m.exec.Run(data)
+		if err != nil {
+			m.err = fmt.Errorf("fastpath: seq %d: %w", p.seq, err)
+		}
+		p.action, p.redirect = run.Action, run.Redirect
+		m.stats.MalformedDropped += run.Faults
+		if m.keepData {
+			p.data = append([]byte(nil), run.State.Pkt.Bytes()...)
+		}
 	}
 	m.queue.push(p)
 	return true
@@ -393,7 +273,7 @@ func (m *Machine) Step() error {
 		m.injectGap--
 	} else if m.queue.n > 0 {
 		p := m.queue.pop()
-		p.retireAt = m.cycle + uint64(m.prog.depth)
+		p.retireAt = m.cycle + uint64(m.depth)
 		m.flight.push(p)
 		m.injectGap = p.frames - 1
 	}
@@ -403,16 +283,7 @@ func (m *Machine) Step() error {
 // retire completes one ledger entry.
 func (m *Machine) retire(p pkt) {
 	latency := m.cycle - p.injectedAt
-	m.stats.Completed++
-	m.stats.LatencySum += latency
-	if latency > m.stats.LatencyMax {
-		m.stats.LatencyMax = latency
-	}
-	if int(p.action) < len(m.actionHist) {
-		m.actionHist[p.action]++
-	} else {
-		m.stats.Actions[p.action]++
-	}
+	m.stats.Retire(p.action, latency)
 	if m.onComplete != nil {
 		m.onComplete(hwsim.Result{
 			Seq:             p.seq,
@@ -440,29 +311,11 @@ func (m *Machine) RunToCompletion(maxCycles uint64) error {
 // Busy reports whether any ledger entries remain queued or in flight.
 func (m *Machine) Busy() bool { return m.queue.n > 0 || m.flight.n > 0 }
 
-// Drained reports whether the skeleton has fully drained.
-func (m *Machine) Drained() bool { return !m.Busy() }
-
 // InputFree reports whether the ingress can accept a packet this cycle.
 func (m *Machine) InputFree() bool { return m.queue.n < m.queueDepth }
 
-// Quiesce closes the ingress without counting drops, like hwsim.
-func (m *Machine) Quiesce() { m.quiesced = true }
-
-// Resume reopens a quiesced ingress.
-func (m *Machine) Resume() { m.quiesced = false }
-
-// Quiesced reports whether the ingress is closed.
-func (m *Machine) Quiesced() bool { return m.quiesced }
-
 // Cycle returns the current clock cycle.
 func (m *Machine) Cycle() uint64 { return m.cycle }
-
-// Now returns the nanosecond clock visible to time helpers.
-func (m *Machine) Now() uint64 { return m.env.Now() }
-
-// NextSeq returns the sequence number the next accepted packet carries.
-func (m *Machine) NextSeq() uint64 { return m.seq }
 
 // OnComplete registers a callback invoked as packets retire.
 func (m *Machine) OnComplete(fn func(hwsim.Result)) { m.onComplete = fn }
@@ -477,31 +330,9 @@ func (m *Machine) SetClock(fn func() uint64) { m.env.Now = fn }
 // Maps exposes the bound map set (the host interface).
 func (m *Machine) Maps() *maps.Set { return m.env.Maps }
 
-// foldActions moves the verdict histogram fast-lane into stats.Actions.
-func (m *Machine) foldActions() {
-	for a, n := range m.actionHist {
-		if n > 0 {
-			m.stats.Actions[ebpf.XDPAction(a)] += n
-			m.actionHist[a] = 0
-		}
-	}
-}
-
 // Stats returns a copy of the counters so far, Actions deep-copied.
-func (m *Machine) Stats() hwsim.Stats {
-	m.foldActions()
-	out := m.stats
-	out.LatencyMax = max(out.LatencyMax, m.winBase.LatencyMax)
-	out.Actions = make(map[ebpf.XDPAction]uint64, len(m.stats.Actions))
-	for a, n := range m.stats.Actions {
-		out.Actions[a] = n
-	}
-	return out
-}
+func (m *Machine) Stats() hwsim.Stats { return m.stats.Snapshot(&m.winBase) }
 
 // Window returns the counters accumulated since the previous Window
 // call and opens the next window (see hwsim.Core).
-func (m *Machine) Window(w *hwsim.Stats) {
-	m.foldActions()
-	m.stats.CloseWindow(&m.winBase, w)
-}
+func (m *Machine) Window(w *hwsim.Stats) { m.stats.CloseWindow(&m.winBase, w) }

@@ -475,7 +475,7 @@ func TestQueueOverflowEpisodes(t *testing.T) {
 	if err := m.RunToCompletion(1 << 20); err != nil {
 		t.Fatal(err)
 	}
-	if !m.Drained() {
+	if m.Busy() {
 		t.Fatal("machine busy after RunToCompletion")
 	}
 }
@@ -489,47 +489,43 @@ func TestMultiFrameInjectPacing(t *testing.T) {
 	runDiff(t, pl, nil, batch, false, true)
 }
 
-// TestQuiesceResume covers the ingress gate and the clock surface.
+// TestQuiesceResume covers what is left of the ingress gate and the clock
+// surface now that quiescing is the interpreter's own (the live-update
+// controller's): a Machine refuses a packet only at its queue bound, and
+// every refusal is a counted drop that takes no sequence number.
 func TestQuiesceResume(t *testing.T) {
 	pl := compilePipeline(t, "zoo_qr", aluZooSource)
-	m, err := fastpath.New(pl, hwsim.Config{})
+	m, err := fastpath.New(pl, hwsim.Config{InputQueuePackets: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var seqs []uint64
+	m.OnComplete(func(r hwsim.Result) { seqs = append(seqs, r.Seq) })
 	p := make([]byte, 64)
-	m.Quiesce()
-	if !m.Quiesced() {
-		t.Fatal("Quiesced()=false after Quiesce")
+	if !m.Inject(p) {
+		t.Fatal("open ingress refused a packet")
 	}
 	if m.Inject(p) {
-		t.Fatal("quiesced ingress accepted a packet")
+		t.Fatal("full ingress accepted a packet")
 	}
-	if st := m.Stats(); st.QueueDrops != 0 {
-		t.Fatal("quiesce counted a drop")
-	}
-	m.Resume()
-	if m.Quiesced() {
-		t.Fatal("Quiesced()=true after Resume")
-	}
-	if !m.Inject(p) {
-		t.Fatal("resumed ingress refused a packet")
-	}
-	if m.NextSeq() != 1 {
-		t.Fatalf("NextSeq %d, want 1", m.NextSeq())
+	if st := m.Stats(); st.QueueDrops != 1 || st.Injected != 1 {
+		t.Fatalf("refusal: drops=%d injected=%d, want 1/1", st.QueueDrops, st.Injected)
 	}
 	before := m.Cycle()
+	if err := m.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if !m.Inject(p) {
+		t.Fatal("drained ingress refused a packet")
+	}
 	if err := m.RunToCompletion(1 << 20); err != nil {
 		t.Fatal(err)
 	}
 	if m.Cycle() <= before {
 		t.Fatal("clock did not advance")
 	}
-	if m.Now() == 0 {
-		t.Fatal("nanosecond clock stuck at zero after cycles advanced")
-	}
-	m.SetClock(func() uint64 { return 42 })
-	if m.Now() != 42 {
-		t.Fatalf("pinned clock reads %d, want 42", m.Now())
+	if len(seqs) != 2 || seqs[0] != 0 || seqs[1] != 1 {
+		t.Fatalf("retired seqs %v, want [0 1]: a refusal must not take a sequence number", seqs)
 	}
 	if m.Maps() == nil {
 		t.Fatal("Maps() nil")

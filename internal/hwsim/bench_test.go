@@ -6,6 +6,7 @@ import (
 	"ehdl/internal/apps"
 	"ehdl/internal/core"
 	"ehdl/internal/pktgen"
+	"ehdl/internal/vm"
 )
 
 // lifecycleLoads are the packet-lifecycle workloads the allocation gate
@@ -28,10 +29,8 @@ var lifecycleLoads = []struct {
 	{"firewall-sparse", apps.Firewall, 10000, pktgen.Uniform, 15},
 }
 
-// newLoadedSim builds an interpreter for app and a ring of its traffic,
-// with the helper clock left on the pipeline cycle (leakybucket leaks by
-// it).
-func newLoadedSim(tb testing.TB, app *apps.App, cfg Config, flows int, dist pktgen.Distribution, frames int) (*Sim, [][]byte) {
+// loadApp compiles app and draws a ring of its traffic.
+func loadApp(tb testing.TB, app *apps.App, flows int, dist pktgen.Distribution, frames int) (*core.Pipeline, [][]byte) {
 	tb.Helper()
 	prog, err := app.Program()
 	if err != nil {
@@ -41,6 +40,17 @@ func newLoadedSim(tb testing.TB, app *apps.App, cfg Config, flows int, dist pktg
 	if err != nil {
 		tb.Fatal(err)
 	}
+	traffic := app.Traffic
+	traffic.Flows, traffic.Distribution, traffic.Seed = flows, dist, 1
+	return pl, pktgen.NewGenerator(traffic).Batch(frames)
+}
+
+// newLoadedSim builds an interpreter for app and a ring of its traffic,
+// with the helper clock left on the pipeline cycle (leakybucket leaks by
+// it).
+func newLoadedSim(tb testing.TB, app *apps.App, cfg Config, flows int, dist pktgen.Distribution, frames int) (*Sim, [][]byte) {
+	tb.Helper()
+	pl, ring := loadApp(tb, app, flows, dist, frames)
 	sim, err := New(pl, cfg)
 	if err != nil {
 		tb.Fatal(err)
@@ -48,15 +58,15 @@ func newLoadedSim(tb testing.TB, app *apps.App, cfg Config, flows int, dist pktg
 	if err := app.Setup(sim.Maps()); err != nil {
 		tb.Fatal(err)
 	}
-	traffic := app.Traffic
-	traffic.Flows, traffic.Distribution, traffic.Seed = flows, dist, 1
-	return sim, pktgen.NewGenerator(traffic).Batch(frames)
+	return sim, ring
 }
 
 // BenchmarkInterpreter times the interpreter's packet lifecycle —
 // inject, step at the offered pace, retire — in ns/frame with the
 // allocation count beside it: the bench harness's hwsim.exec_ns,
-// reproducible with `go test -bench Interpreter ./internal/hwsim`.
+// reproducible with `go test -bench Interpreter ./internal/hwsim`. The
+// firewall/one-burst row is the executor alone on the hazard-free table
+// (Burst.Run): fastpath.exec_ns less the timing skeleton around it.
 func BenchmarkInterpreter(b *testing.B) {
 	for _, l := range lifecycleLoads {
 		b.Run(l.name, func(b *testing.B) {
@@ -79,4 +89,30 @@ func BenchmarkInterpreter(b *testing.B) {
 			drive(b.N)
 		})
 	}
+	b.Run("firewall/one-burst", func(b *testing.B) {
+		app := apps.Firewall()
+		pl, ring := loadApp(b, app, 10000, pktgen.Uniform, 16384)
+		env, err := vm.NewEnv(pl.Transformed)
+		if err != nil {
+			b.Fatal(err)
+		}
+		burst, err := NewBurst(pl, Config{}, env)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := app.Setup(env.Maps); err != nil {
+			b.Fatal(err)
+		}
+		drive := func(frames int) {
+			for i := 0; i < frames; i++ {
+				if _, err := burst.Run(ring[i%len(ring)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		drive(len(ring))
+		b.ReportAllocs()
+		b.ResetTimer()
+		drive(b.N)
+	})
 }

@@ -1,15 +1,21 @@
 package hwsim
 
-import "ehdl/internal/maps"
+import (
+	"ehdl/internal/core"
+	"ehdl/internal/ebpf"
+	"ehdl/internal/maps"
+	"ehdl/internal/vm"
+)
 
 // Core is the execution-engine surface shared by the cycle-accurate
-// interpreter (*Sim) and the compiled host fast path
-// (*fastpath.Machine). The NIC shell and the RSS engine drive a Core,
-// so single-queue and multi-queue paths run either mode
-// interchangeably; the interpreter remains the conformance oracle.
+// interpreter (*Sim) and the host fast path (*fastpath.Machine) — what
+// the NIC shell, the RSS engine and the conformance driver call, so
+// single-queue and multi-queue paths run either interchangeably; the
+// interpreter remains the conformance oracle. What only the live-update
+// controller needs (quiesce, drain, sequence numbers) is *Sim's own.
 type Core interface {
-	// Inject queues a packet for processing; false means refused
-	// (queue full, counted as a drop, or quiesced, not counted).
+	// Inject queues a packet for processing; false means refused (queue
+	// full, counted as a drop).
 	Inject(data []byte) bool
 	// Step advances the engine by one clock cycle.
 	Step() error
@@ -20,27 +26,15 @@ type Core interface {
 	Cycle() uint64
 	// Busy reports whether work remains queued or in flight.
 	Busy() bool
-	// Drained reports the opposite of Busy.
-	Drained() bool
 	// InputFree reports whether the ingress accepts a packet now.
 	InputFree() bool
 
-	// Quiesce closes the ingress without counting drops; Resume
-	// reopens it; Quiesced reports the state.
-	Quiesce()
-	Resume()
-	Quiesced() bool
-
-	// NextSeq returns the sequence number of the next accepted packet.
-	NextSeq() uint64
 	// OnComplete registers the retirement callback.
 	OnComplete(fn func(Result))
 	// KeepData makes results carry the final packet bytes.
 	KeepData(keep bool)
 	// SetClock overrides the nanosecond clock time helpers see.
 	SetClock(fn func() uint64)
-	// Now returns the nanosecond clock.
-	Now() uint64
 	// Maps exposes the engine's map memory (the host interface).
 	Maps() *maps.Set
 	// Stats returns a snapshot of the run counters.
@@ -55,3 +49,47 @@ type Core interface {
 
 // Compile-time check that the interpreter satisfies the shared surface.
 var _ Core = (*Sim)(nil)
+
+// Burst is the executor without the clock: a Sim's tables built
+// hazard-free and as one burst (newSim), run a frame at a time, start to
+// finish, on one private job. Executing packets one after another needs
+// no hazard machinery, and the differential suites prove that order
+// equal to the pipelined one; fastpath.Machine wraps the timing of a
+// hazard-free pipeline around it.
+type Burst struct {
+	s *Sim
+	j *job
+}
+
+// FrameRun is what one frame's run through a Burst left behind.
+type FrameRun struct {
+	Action   ebpf.XDPAction
+	Redirect uint32
+	Faults   uint64    // hardware bounds-check faults: Stats.MalformedDropped's share
+	State    *vm.State // final architectural state, valid until the next Run
+}
+
+// NewBurst builds the executor of pl over env. Whatever looks at or
+// strikes per-stage state — faults, probes, the strict carry check,
+// protection — is refused; env.Now is the caller's to provide.
+func NewBurst(pl *core.Pipeline, cfg Config, env *vm.Env) (*Burst, error) {
+	s, err := newSim(pl, cfg, env, true)
+	if err != nil {
+		return nil, err
+	}
+	return &Burst{s: s, j: s.newJob()}, nil
+}
+
+// Run executes one frame. The job can never replay, so re-arming it is
+// the state reset and two clears: no frame copy, reads or snapshot.
+func (b *Burst) Run(data []byte) (FrameRun, error) {
+	s, j := b.s, b.j
+	j.st.Reset(data, s.stackLo, s.stackHi)
+	clear(j.enabled)
+	setBit(j.enabled, 0) // the entry block is always enabled
+	clear(j.lookups)
+	j.done, j.action, j.redirect = false, 0, 0
+	faults := s.stats.MalformedDropped
+	err := s.execStage(j, 0)
+	return FrameRun{j.action, j.redirect, s.stats.MalformedDropped - faults, j.st}, err
+}

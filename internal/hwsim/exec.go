@@ -43,20 +43,27 @@ func (s *Sim) execStage(j *job, t int) error {
 	// so done-ness applies from the next stage's first op. Enable bits
 	// are only ever set while a packet executes, so a block seen enabled
 	// is not probed again; a disabled one is, as the op before may have
-	// just enabled it.
+	// just enabled it, and its run of ops is hopped over. Each lane
+	// enables its own successor: one shared branch after the switch
+	// measured 20 ns a frame slower (it predicts worse).
 	end, st, strict := s.burstEnd[t], j.st, s.cfg.StrictCarryCheck
-	ops := s.ops[s.opOff[t]:s.opOff[end+1]]
-	block, on := -1, false
-	for i := range ops {
+	ops := s.ops[:s.opOff[end+1]]
+	stage, block, on := -1, -1, false
+	for i := s.opOff[t]; i < len(ops); {
 		op := &ops[i]
-		if j.done && op.first {
-			break
+		if op.stage != stage {
+			if j.done {
+				break
+			}
+			stage = op.stage
 		}
 		if op.block != block || !on {
 			if block, on = op.block, hasBit(j.enabled, op.block); !on {
+				i = op.skip
 				continue
 			}
 		}
+		i++
 		if strict {
 			s.checkCarry(&s.pl.Stages[op.stage], op.Op, op.stage)
 		}
@@ -71,19 +78,26 @@ func (s *Sim) execStage(j *job, t int) error {
 				j.enable(op.other)
 			}
 		case op.mem != nil:
-			if op.mem(st, nil) != nil { // vm.ErrPacketBounds, nothing else
+			if err := op.mem(st, j.lookups[op.val].val); err == nil {
+				j.enable(op.fall)
+			} else if err == vm.ErrPacketBounds {
 				s.boundsFault(j, op.stage)
 			} else {
-				j.enable(op.fall)
+				return s.opError(op, err)
 			}
 		default:
 			if err := op.run(j); err != nil {
-				return fmt.Errorf("hwsim: cycle %d stage %d (%s): %w", s.cycle, op.stage, op.Ins, err)
+				return s.opError(op, err)
 			}
 		}
 	}
 	j.execStage = end
 	return nil
+}
+
+// opError names the cycle, stage and instruction an op failed at.
+func (s *Sim) opError(op *microOp, err error) error {
+	return fmt.Errorf("hwsim: cycle %d stage %d (%s): %w", s.cycle, op.stage, op.Ins, err)
 }
 
 // stallCheck reports whether stage t holds a read on a flush-protected

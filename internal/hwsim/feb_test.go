@@ -252,7 +252,7 @@ func TestSlimSnapshotRestoresExactly(t *testing.T) {
 		// The run stops here with the pipeline full: every job in a stage
 		// is rewound both ways. That wrecks the Sim, which is dropped.
 		var slot snapshot
-		slot.lookups = make([]lookup, len(sim.maps))
+		slot.lookups = make([]lookup, len(sim.maps)+1)
 		eachJob(sim, func(j *job) {
 			before := imageOf(t, j)
 			sim.capture(j, &slot)
@@ -370,7 +370,7 @@ func TestStaticAccessZooMatchesGeneric(t *testing.T) {
 	}
 	direct := 0
 	for i := range sim.ops {
-		if op := &sim.ops[i]; op.Access != nil && op.BaseElided && StaticAccess(sim.pl, op.Op) != nil {
+		if op := &sim.ops[i]; op.Access != nil && op.BaseElided && staticAccess(sim.pl, op.Op) != nil {
 			direct++
 			if op.Access.Area != ddg.AreaMap && op.mem == nil {
 				t.Errorf("stage %d (%s): a private static access is not on the mem lane", op.stage, op.Ins)

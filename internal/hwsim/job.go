@@ -55,7 +55,7 @@ type job struct {
 // map: the pointer it returned, the value slice behind that pointer —
 // what a statically addressed access reads and writes directly, where a
 // generic one resolves the address back to it — and the key naming the
-// entry.
+// entry (not kept on a Burst, see staticLookup).
 type lookup struct {
 	addr  uint64
 	val   []byte
@@ -162,6 +162,19 @@ func (s *Sim) clearReads(j *job) {
 	}
 }
 
+func (s *Sim) newJob() *job {
+	n := len(s.maps) + 1 // one slot past the maps stays empty (microOp.val)
+	slots := make([]lookup, 2*n)
+	j := &job{
+		st:      &vm.State{},
+		enabled: make([]uint64, (len(s.pl.Blocks)+63)/64+1),
+		lookups: slots[:n:n],
+		reads:   make([][]byte, len(s.maps)),
+	}
+	j.elastic.lookups = slots[n:]
+	return j
+}
+
 // acquire hands out a job armed for data, indistinguishable from a
 // freshly allocated one whatever its previous packet left behind.
 func (s *Sim) acquire(data []byte, frames int) *job {
@@ -170,15 +183,7 @@ func (s *Sim) acquire(data []byte, frames int) *job {
 		j = s.free[n-1]
 		s.free = s.free[:n-1]
 	} else {
-		nMaps := len(s.maps)
-		slots := make([]lookup, 2*nMaps)
-		j = &job{
-			st:      &vm.State{},
-			enabled: make([]uint64, (len(s.pl.Blocks)+63)/64+1),
-			lookups: slots[:nMaps:nMaps],
-			reads:   make([][]byte, nMaps),
-		}
-		j.elastic.lookups = slots[nMaps:]
+		j = s.newJob()
 		s.jobsAllocated++
 	}
 	j.seq = s.seq

@@ -12,10 +12,12 @@ import (
 	"ehdl/internal/apps"
 	"ehdl/internal/core"
 	"ehdl/internal/ddg"
+	"ehdl/internal/ebpf"
 	"ehdl/internal/faults"
 	"ehdl/internal/maps"
 	"ehdl/internal/obs"
 	"ehdl/internal/pktgen"
+	"ehdl/internal/vm"
 )
 
 // tableRun is everything a run shows the outside: per-packet results in
@@ -96,7 +98,63 @@ func compareTables(t *testing.T, pl *core.Pipeline, setup func(*maps.Set) error,
 	if ahead.maps != all.maps {
 		t.Fatal("map contents differ between the two tables")
 	}
+	cfg.StrictCarryCheck = false
+	compareBurst(t, pl, setup, cfg, frames, ahead)
 	return ahead
+}
+
+// compareBurst is the third column: the same frames one after another
+// through the one-burst hazard-free table, which must leave what the
+// pipelined run left — every packet's verdict, redirect and bytes, the
+// map memory and, when nothing was flushed (a replayed runt faults, and
+// is counted, again), the malformed-drop count. A Burst has no clock, so
+// a program that reads it (the pipelined runs saw the cycle count) is
+// left out.
+func compareBurst(t *testing.T, pl *core.Pipeline, setup func(*maps.Set) error, cfg Config, frames [][]byte, want tableRun) {
+	t.Helper()
+	env, err := vm.NewEnv(pl.Transformed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readClock := false
+	env.Now = func() uint64 { readClock = true; return 0 }
+	b, err := NewBurst(pl, cfg, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if setup != nil {
+		if err := setup(env.Maps); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type verdict struct {
+		action   ebpf.XDPAction
+		redirect uint32
+		data     []byte
+	}
+	got, faults := make([]verdict, len(frames)), uint64(0)
+	for i, f := range frames {
+		run, err := b.Run(f)
+		if err != nil {
+			t.Fatalf("one-burst frame %d: %v", i, err)
+		}
+		got[i] = verdict{run.Action, run.Redirect, append([]byte(nil), run.State.Pkt.Bytes()...)}
+		faults += run.Faults
+	}
+	if readClock {
+		return
+	}
+	for _, r := range want.results {
+		if g := got[r.Seq]; g.action != r.Action || g.redirect != r.RedirectIfindex || !bytes.Equal(g.data, r.Data) {
+			t.Fatalf("packet %d: one-burst %v/%d/%x, pipelined %v/%d/%x", r.Seq, g.action, g.redirect, g.data, r.Action, r.RedirectIfindex, r.Data)
+		}
+	}
+	if want.stats.Flushes == 0 && faults != want.stats.MalformedDropped {
+		t.Fatalf("one-burst counted %d malformed drops, pipelined %d", faults, want.stats.MalformedDropped)
+	}
+	if m := dumpMaps(env.Maps); m != want.maps {
+		t.Fatal("map contents differ between the one-burst and the pipelined table")
+	}
 }
 
 // hostileTraffic is app traffic with one frame in four cut to 14–44

@@ -108,7 +108,8 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
-func (c *Config) clockHz() float64 {
+// Clock returns the pipeline clock in Hz, the default resolved.
+func (c *Config) Clock() float64 {
 	if c.ClockHz <= 0 {
 		return 250e6
 	}
@@ -129,7 +130,8 @@ func (c *Config) oobAction() ebpf.XDPAction {
 	return c.OOBAction
 }
 
-func (c *Config) queueDepth() int {
+// QueueDepth returns the ingress queue bound, the default resolved.
+func (c *Config) QueueDepth() int {
 	if c.InputQueuePackets <= 0 {
 		return 4096
 	}
@@ -220,6 +222,51 @@ type Stats struct {
 	// RecoveryBackoffCycles accumulates the input-hold time charged by
 	// the exponential backoff schedule.
 	RecoveryBackoffCycles uint64
+
+	// hist counts the common verdicts of an engine's live counters
+	// without a map access per retirement (Retire); Snapshot and
+	// CloseWindow fold it into Actions, so it is zero in every copy a
+	// caller sees.
+	hist [8]uint64
+}
+
+// Retire counts one retirement into an engine's live counters. A verdict
+// outside the common range (a program returning an arbitrary R0) goes
+// straight to Actions.
+func (s *Stats) Retire(a ebpf.XDPAction, latency uint64) {
+	s.Completed++
+	s.LatencySum += latency
+	if latency > s.LatencyMax {
+		s.LatencyMax = latency
+	}
+	if int(a) < len(s.hist) {
+		s.hist[a]++
+	} else {
+		s.Actions[a]++
+	}
+}
+
+func (s *Stats) fold() {
+	for a, n := range s.hist {
+		if n > 0 {
+			s.Actions[ebpf.XDPAction(a)] += n
+			s.hist[a] = 0
+		}
+	}
+}
+
+// Snapshot is Core.Stats over an engine's live counters s and window
+// base: a copy of the counters so far, Actions deep-copied so it stays
+// frozen while the engine keeps counting.
+func (s *Stats) Snapshot(base *Stats) Stats {
+	s.fold()
+	out := *s
+	out.LatencyMax = max(out.LatencyMax, base.LatencyMax)
+	out.Actions = make(map[ebpf.XDPAction]uint64, len(s.Actions))
+	for a, n := range s.Actions {
+		out.Actions[a] = n
+	}
+	return out
 }
 
 // Add returns the sum of two stats snapshots, field by field. The NIC
@@ -268,6 +315,7 @@ func (s Stats) Add(o Stats) Stats {
 // s.LatencyMax is always the open window's own and base.LatencyMax the
 // maximum over the closed ones.
 func (s *Stats) CloseWindow(base, w *Stats) {
+	s.fold()
 	acts := w.Actions
 	if acts == nil {
 		acts = map[ebpf.XDPAction]uint64{}
@@ -390,16 +438,18 @@ type Sim struct {
 	// one slice (stage t's are ops[opOff[t]:opOff[t+1]]), the stages the
 	// execute loop visits, and per visited stage the last stage of the
 	// burst of private stages that runs with it; generic marks the Sim
-	// whose ops carry every hook (compileOp). edgeLow is the stall point
-	// this cycle's clock edge honoured: stages below it held.
+	// whose ops carry every hook (compileOp), oneBurst the one whose whole
+	// table is stage 0's burst (newSim). edgeLow is the stall point this
+	// cycle's clock edge honoured: stages below it held.
 	ops      []microOp
 	opOff    []int
 	visit    []uint64
 	burstEnd []int
 	generic  bool
+	oneBurst bool
 	edgeLow  int
 	// [stackLo, stackHi) bounds the stack bytes a packet can dirty: what
-	// arming clears and a snapshot copies (StackWriteExtent).
+	// arming clears and a snapshot copies (stackWriteExtent).
 	stackLo, stackHi int
 
 	// Protection and recovery state: the per-map codec wrappers
@@ -445,6 +495,14 @@ func New(pl *core.Pipeline, cfg Config) (*Sim, error) {
 // NewWithEnv instantiates a simulation over an existing environment
 // (shared maps, custom clock).
 func NewWithEnv(pl *core.Pipeline, cfg Config, env *vm.Env) (*Sim, error) {
+	return newSim(pl, cfg, env, false)
+}
+
+// newSim builds a Sim and its execution tables. With oneBurst the map
+// units carry no hazard geometry — no flush, no write delay, no elastic
+// stage — and the table is one burst from stage 0: the executor of a
+// Burst, which has no clock of its own to offer the time helpers.
+func newSim(pl *core.Pipeline, cfg Config, env *vm.Env, oneBurst bool) (*Sim, error) {
 	if len(pl.Stages) == 0 {
 		return nil, fmt.Errorf("hwsim: empty pipeline")
 	}
@@ -459,13 +517,16 @@ func NewWithEnv(pl *core.Pipeline, cfg Config, env *vm.Env) (*Sim, error) {
 		stallDrainTo: -1,
 		maps:         make([]mapUnit, len(pl.Transformed.Maps)),
 		elasticStage: make([]bool, len(pl.Stages)),
+		oneBurst:     oneBurst,
 	}
 	if s.frameBytes <= 0 {
 		s.frameBytes = 64
 	}
 	blocks := make([]*core.MapBlock, len(s.maps)) // nil for a map the pipeline never touches
-	for i := range pl.Maps {
-		blocks[pl.Maps[i].MapID] = &pl.Maps[i]
+	if !oneBurst {
+		for i := range pl.Maps {
+			blocks[pl.Maps[i].MapID] = &pl.Maps[i]
+		}
 	}
 	for id, spec := range pl.Transformed.Maps {
 		s.maps[id] = newMapUnit(spec, blocks[id], len(pl.Stages))
@@ -479,9 +540,9 @@ func NewWithEnv(pl *core.Pipeline, cfg Config, env *vm.Env) (*Sim, error) {
 			s.valBuf = make([]byte, spec.ValueSize)
 		}
 	}
-	if env.Now == nil {
+	if env.Now == nil && !oneBurst {
 		// The hardware clock: cycle count scaled to nanoseconds.
-		clock := cfg.clockHz()
+		clock := cfg.Clock()
 		env.Now = func() uint64 {
 			return uint64(float64(s.cycle) / clock * 1e9)
 		}
@@ -506,18 +567,10 @@ func (s *Sim) Tracer() *obs.Tracer { return s.cfg.Trace }
 // Maps exposes the simulated NIC's map memory (the host interface).
 func (s *Sim) Maps() *maps.Set { return s.env.Maps }
 
-// Stats returns a copy of the counters so far. The Actions map is
-// deep-copied so the snapshot stays frozen (usable as a Delta base)
-// while the simulator keeps counting.
+// Stats returns a copy of the counters so far (see Stats.Snapshot).
 func (s *Sim) Stats() Stats {
 	s.syncProtectionStats()
-	out := s.stats
-	out.LatencyMax = max(out.LatencyMax, s.winBase.LatencyMax)
-	out.Actions = make(map[ebpf.XDPAction]uint64, len(s.stats.Actions))
-	for a, n := range s.stats.Actions {
-		out.Actions[a] = n
-	}
-	return out
+	return s.stats.Snapshot(&s.winBase)
 }
 
 // Window returns the counters accumulated since the previous Window
@@ -553,7 +606,7 @@ func (s *Sim) KeepData(keep bool) { s.keepData = keep }
 
 // InputFree reports whether the ingress can accept a packet this cycle.
 func (s *Sim) InputFree() bool {
-	return s.queue.len() < s.cfg.queueDepth()
+	return s.queue.len() < s.cfg.QueueDepth()
 }
 
 // Quiesce closes the ingress: Inject refuses every packet without
@@ -613,8 +666,8 @@ func (s *Sim) Inject(data []byte) bool {
 	return true
 }
 
-func setBit(b []uint64, i int)      { b[i/64] |= 1 << (i % 64) }
-func hasBit(b []uint64, i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
+func setBit(b []uint64, i int)      { b[uint(i)/64] |= 1 << (uint(i) % 64) }
+func hasBit(b []uint64, i int) bool { return b[uint(i)/64]&(1<<(uint(i)%64)) != 0 }
 
 // Busy reports whether any work remains in flight.
 func (s *Sim) Busy() bool {
@@ -804,15 +857,10 @@ func (s *Sim) complete(j *job) {
 	}
 	latency := s.cycle - j.injectedAt
 	s.lastRetire = s.cycle
-	s.stats.Completed++
+	s.stats.Retire(j.action, latency)
 	if s.probes != nil {
 		s.probes.onVerdict(s.cycle, j, latency)
 	}
-	s.stats.LatencySum += latency
-	if latency > s.stats.LatencyMax {
-		s.stats.LatencyMax = latency
-	}
-	s.stats.Actions[j.action]++
 	if s.onComplete != nil {
 		res := Result{
 			Seq:             j.seq,

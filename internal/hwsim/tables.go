@@ -18,17 +18,18 @@ import (
 // it enables — sits here rather than behind *core.Op (kept for error
 // text, the strict carry check and the generic closures), and exactly
 // one of alu, pred, mem and run is set: the op's code, chosen once per
-// Sim by compileOp. The first three are vm's closures, the ones the fast
-// path runs, called with no wrapper around them.
+// Sim by compileOp. The first three are vm's closures, called with no
+// wrapper around them.
 type microOp struct {
 	*core.Op
 	stage, block int
-	first        bool                    // first op of its stage
+	skip         int                     // index in Sim.ops just past this op's run of same-block ops
 	fall         int                     // block enabled when a non-branch op ends its block, -1 none
 	taken, other int                     // a branch's successors, -1 none
 	alu          func(st *vm.State)      // OpALU with its fused tail, OpLDDW
 	pred         func(st *vm.State) bool // OpBranch
-	mem          vm.MemFn                // statically addressed stack, frame or xdp_md access
+	mem          vm.MemFn                // statically addressed access that commits nothing
+	val          int                     // lookup slot whose value slice mem runs against; the one past the maps is nil
 	run          func(j *job) error      // whatever touches a map or a helper; OpExit
 }
 
@@ -97,10 +98,10 @@ func private(op *core.Op) bool {
 	return false
 }
 
-// StaticAccess compiles op's load, store or atomic with vm.SpecializeMem
-// — for both engines — and returns nil when the access is
-// register-relative or of a form vm does not specialise.
-func StaticAccess(pl *core.Pipeline, op *core.Op) vm.MemFn {
+// staticAccess compiles op's load, store or atomic with vm.SpecializeMem
+// and returns nil when the access is register-relative or of a form vm
+// does not specialise.
+func staticAccess(pl *core.Pipeline, op *core.Op) vm.MemFn {
 	if !op.BaseElided || op.Access == nil {
 		return nil
 	}
@@ -124,13 +125,13 @@ func StaticAccess(pl *core.Pipeline, op *core.Op) vm.MemFn {
 	return vm.SpecializeMem(op.Ins, area, op.Access.Off, valueSize)
 }
 
-// StackWriteExtent statically bounds the stack bytes the pipeline can
+// stackWriteExtent statically bounds the stack bytes the pipeline can
 // write. Stores and atomics with an elided static base either hit a
 // known stack slot (extending the extent) or a non-stack area (no
 // stack effect); a register-relative store could land anywhere, so it
 // widens the extent to the full frame. Helpers and map calls read the
 // stack but never write it.
-func StackWriteExtent(pl *core.Pipeline) (lo, hi int) {
+func stackWriteExtent(pl *core.Pipeline) (lo, hi int) {
 	lo, hi = ebpf.StackSize, 0
 	extend := func(a, b int) {
 		if a < lo {
@@ -169,12 +170,16 @@ func StackWriteExtent(pl *core.Pipeline) (lo, hi int) {
 // with a shared op; the run of unvisited stages behind a visited one is
 // its burst. A fault injector, probes and the strict carry check look
 // at or strike per-stage state, so under them every stage is visited
-// and every burst is empty: the same loop over a different table.
+// and every burst is empty; a Burst has no other packet in flight, so
+// only stage 0 is: the same loop over a different table.
 func (s *Sim) buildTables() error {
 	n := len(s.pl.Stages)
 	all := s.cfg.Faults != nil || s.probes != nil || s.cfg.StrictCarryCheck
 	s.generic = all || s.cfg.Protection != protect.LevelNone
-	if s.stackLo, s.stackHi = StackWriteExtent(s.pl); s.cfg.Faults != nil {
+	if s.oneBurst && s.generic {
+		return fmt.Errorf("hwsim: faults, probes, the strict carry check and protection need the stage-by-stage table")
+	}
+	if s.stackLo, s.stackHi = stackWriteExtent(s.pl); s.cfg.Faults != nil {
 		s.stackLo, s.stackHi = 0, ebpf.StackSize // an SEU strikes any byte
 	}
 	s.opOff = make([]int, n+1)
@@ -185,12 +190,12 @@ func (s *Sim) buildTables() error {
 		shared := all || t == 0 || s.elasticStage[t]
 		for i := range stage.Ops { // a NOP or helper-wait stage has none
 			op := &stage.Ops[i]
-			m := microOp{Op: op, stage: t, block: op.BlockID, first: i == 0,
+			m := microOp{Op: op, stage: t, block: op.BlockID, val: len(s.maps),
 				fall: op.FallThrough(), taken: op.TakenBlock, other: op.FallBlock}
 			if err := s.compileOp(&m); err != nil {
 				return fmt.Errorf("hwsim: stage %d (%s): %w", t, op.Ins, err)
 			}
-			shared = shared || !private(op)
+			shared = shared || !s.oneBurst && !private(op)
 			s.ops = append(s.ops, m)
 		}
 		s.opOff[t+1] = len(s.ops)
@@ -204,13 +209,21 @@ func (s *Sim) buildTables() error {
 			end = t - 1
 		}
 	}
+	// Nothing executes inside a run of ops of one disabled block, so
+	// nothing can enable it before the run ends: the loop hops over it.
+	for i := len(s.ops) - 1; i >= 0; i-- {
+		s.ops[i].skip = i + 1
+		if i+1 < len(s.ops) && s.ops[i+1].block == s.ops[i].block {
+			s.ops[i].skip = s.ops[i+1].skip
+		}
+	}
 	return nil
 }
 
 // compileOp decides, once, everything about m's op that does not depend
 // on the packet: its kind, its operands and static address, which map
 // and helper it drives — and which hooks ride along. A plain run gets
-// the closures vm specialises (the fast path's own); s.generic — faults,
+// the closures vm specialises; s.generic — faults,
 // probes, the strict carry check, protection — and a map with a write
 // delay buffer get the closure that resolves virtual addresses and
 // carries every hook. The loop that runs them is the same.
@@ -277,13 +290,15 @@ func (s *Sim) compileOp(m *microOp) (err error) {
 
 // compileMem compiles a load, store or atomic. Statically addressed
 // accesses run vm's closure against the stack, the frame or the value
-// slice the packet's lookup kept; around an access to map memory sits
-// what the map block does on a write — count the commit, feed the
-// delta log, ask the Flush Evaluation Block.
+// slice the packet's lookup kept, bare on the mem lane; around a write
+// to map memory sits what the map block does with it — count the
+// commit, feed the delta log, ask the Flush Evaluation Block — unless
+// the table is a Burst's, which replays nothing, taps nothing and
+// flushes nothing.
 func (s *Sim) compileMem(m *microOp) {
 	op, id, t, fall := *m, m.MapID, m.stage, m.fall
 	isMap := m.Access != nil && m.Access.Area == ddg.AreaMap
-	access := StaticAccess(s.pl, m.Op)
+	access := staticAccess(s.pl, m.Op)
 	flushes := m.Kind == core.OpStore || s.pl.Options.DisableAtomics
 	switch {
 	case s.generic || access == nil || isMap && s.maps[id].warDepth != 0:
@@ -293,14 +308,8 @@ func (s *Sim) compileMem(m *microOp) {
 		}
 	case !isMap:
 		m.mem = access
-	case m.Kind == core.OpLoad:
-		m.run = func(j *job) error {
-			if err := access(j.st, j.lookups[id].val); err != nil {
-				return err
-			}
-			j.enable(fall)
-			return nil
-		}
+	case m.Kind == core.OpLoad || s.oneBurst:
+		m.mem, m.val = access, id
 	default:
 		m.run = func(j *job) error {
 			l := &j.lookups[id]
@@ -322,6 +331,11 @@ func (s *Sim) compileMapCall(m microOp) (func(j *job) error, error) {
 		return nil, fmt.Errorf("map call references undeclared map %d", id)
 	}
 	spec, unit := s.pl.Transformed.Maps[id], &s.maps[id]
+	if op.Helper == ebpf.HelperMapLookupElem && op.KeyOffKnown && !s.generic && unit.warDepth == 0 {
+		if run := s.staticLookup(id, int(op.KeyStackOff)+ebpf.StackSize, fall); run != nil {
+			return run, nil
+		}
+	}
 	var mop obs.MapOp
 	var call func(j *job, key []byte) error
 	switch op.Helper {
@@ -392,4 +406,39 @@ func (s *Sim) compileMapCall(m microOp) (func(j *job) error, error) {
 		j.enable(fall)
 		return nil
 	}, nil
+}
+
+// staticLookup is the lookup of a plain run whose key sits in a static
+// stack slot [lo, lo+KeySize) and whose map delays no write: the slot is
+// the key as it stands, the map handle is captured — only protection and
+// metrics swap a wrapper into the set, and they take the generic
+// closures — and nothing is decided per packet. A Burst keeps no copy of
+// the key: what reads one back is a hazard check, a shadow or a write
+// tap, and it has none of them. Nil when the slot is out of frame or the
+// environment lacks the map: the generic closure reports those.
+func (s *Sim) staticLookup(id, lo, fall int) func(j *job) error {
+	mem, hi := s.exec.Mem, lo+s.maps[id].keySize
+	mp, ok := s.env.Maps.ByID(id)
+	if !ok || lo < 0 || hi > ebpf.StackSize {
+		return nil
+	}
+	flush, keyed := s.maps[id].needsFlush, !s.oneBurst
+	return func(j *job) error {
+		key := j.st.Stack[lo:hi:hi]
+		l := &j.lookups[id]
+		l.addr, l.val, l.valid = 0, nil, true
+		if v, ok := mp.Lookup(key); ok {
+			l.addr, l.val = mem.ValueAddressBytes(id, key, v), v
+		}
+		if keyed {
+			l.key = append(l.key[:0], key...)
+		}
+		if flush {
+			s.noteRead(j, id, key)
+		}
+		j.st.Regs[ebpf.R0] = l.addr
+		clear(j.st.Regs[ebpf.R1 : ebpf.R5+1])
+		j.enable(fall)
+		return nil
+	}
 }

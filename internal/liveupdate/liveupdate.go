@@ -90,14 +90,6 @@ type Config struct {
 	CanaryPackets int
 	// CanaryDeadlineTicks bounds the canary stage. 0 means 1<<16.
 	CanaryDeadlineTicks uint64
-	// DrainDeadlineTicks bounds the cutover drain. 0 means 1<<14.
-	DrainDeadlineTicks uint64
-	// DrainAttempts bounds the exponentially backed-off drain checks.
-	// 0 means 8.
-	DrainAttempts int
-	// DrainBackoffTicks is the base of the drain-check backoff schedule
-	// (base << attempt-1, the recovery schedule). 0 means 16.
-	DrainBackoffTicks int
 	// MigrateEntriesPerTick is the bulk-copy budget. 0 means 64.
 	MigrateEntriesPerTick int
 	// DeltaLogCap bounds writes captured during migration. 0 means 4096.
@@ -139,26 +131,14 @@ func (c Config) canaryDeadline() uint64 {
 	return c.CanaryDeadlineTicks
 }
 
-func (c Config) drainDeadline() uint64 {
-	if c.DrainDeadlineTicks == 0 {
-		return 1 << 14
-	}
-	return c.DrainDeadlineTicks
-}
-
-func (c Config) drainAttempts() int {
-	if c.DrainAttempts <= 0 {
-		return 8
-	}
-	return c.DrainAttempts
-}
-
-func (c Config) drainBackoff() int {
-	if c.DrainBackoffTicks <= 0 {
-		return 16
-	}
-	return c.DrainBackoffTicks
-}
+// The cutover drain: its deadline in ticks, how many exponentially
+// backed-off drain checks it may take, and the base of that backoff
+// schedule (base << attempt-1, the recovery schedule).
+const (
+	drainDeadlineTicks = 1 << 14
+	drainAttempts      = 8
+	drainBackoffTicks  = 16
+)
 
 func (c Config) migrateBudget() int {
 	if c.MigrateEntriesPerTick <= 0 {
@@ -297,9 +277,9 @@ func Begin(old *hwsim.Sim, cfg Config, clock func() uint64) (*Controller, error)
 		clock = old.Now
 	}
 	c := &Controller{
-		cfg:   cfg,
-		old:   old,
-		clock: clock,
+		cfg:      cfg,
+		old:      old,
+		clock:    clock,
 		stage:    StageShadow,
 		rng:      rand.New(rand.NewSource(cfg.seed())),
 		expected: make(map[uint64]conformance.Outcome),
@@ -553,7 +533,7 @@ func (c *Controller) tickCanary() {
 		}
 		c.old.Quiesce()
 		c.drainAttempt = 1
-		c.nextDrainCheck = c.ticks + hwsim.RecoveryBackoff(1, c.cfg.drainBackoff())
+		c.nextDrainCheck = c.ticks + hwsim.RecoveryBackoff(1, drainBackoffTicks)
 		c.enter(StageCutover, c.stats.CanariedPackets)
 		return
 	}
@@ -572,7 +552,7 @@ func (c *Controller) tickCutover() {
 			return
 		}
 	}
-	if c.ticks-c.stageTick > c.cfg.drainDeadline() {
+	if c.ticks-c.stageTick > drainDeadlineTicks {
 		c.fail(StageCutover, ErrDrainTimeout)
 		return
 	}
@@ -581,11 +561,11 @@ func (c *Controller) tickCutover() {
 	}
 	if !c.old.Drained() || c.shadow.Busy() {
 		c.drainAttempt++
-		if c.drainAttempt > c.cfg.drainAttempts() {
+		if c.drainAttempt > drainAttempts {
 			c.fail(StageCutover, ErrDrainTimeout)
 			return
 		}
-		c.nextDrainCheck = c.ticks + hwsim.RecoveryBackoff(c.drainAttempt, c.cfg.drainBackoff())
+		c.nextDrainCheck = c.ticks + hwsim.RecoveryBackoff(c.drainAttempt, drainBackoffTicks)
 		return
 	}
 	c.commit()

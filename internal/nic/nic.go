@@ -71,13 +71,13 @@ type Shell struct {
 
 	// The single-queue engines. sim, the interpreter, serves or stands
 	// by as the live-update path of a compiled shell. fast is the
-	// compiled machine: nil when not requested, ineligible (the field of
-	// that name says why) or retired by a live-update swap. Both share
+	// compiled machine: nil when fastpath.NewCore chose the interpreter
+	// (fallback says why) or a live-update swap retired it. Both share
 	// one map environment, so host setup and state are common and a
 	// fallback run continues seamlessly.
-	sim        *hwsim.Sim
-	fast       *fastpath.Machine
-	ineligible string
+	sim      *hwsim.Sim
+	fast     hwsim.Core
+	fallback string
 
 	// engine is the multi-queue RSS scale-out (nil when Queues <= 1).
 	engine *rss.Engine
@@ -132,19 +132,23 @@ func New(pl *core.Pipeline, cfg ShellConfig) (*Shell, error) {
 		if err != nil {
 			return nil, err
 		}
-		if sh.sim, err = hwsim.NewWithEnv(pl, cfg.Sim, env); err != nil {
+		var eng hwsim.Core
+		if eng, sh.fallback, err = fastpath.NewCore(pl, cfg.Sim, env, cfg.FastPath); err != nil {
 			return nil, err
 		}
-		// The shell owns the helper-visible clock so it stays continuous
-		// across a live-update pipeline swap. With no swap and no pin the
-		// value is identical to the simulator's built-in cycle clock.
-		sh.sim.SetClock(sh.nowNs)
-		if _, sh.ineligible = fastpath.Eligible(cfg.Sim); cfg.FastPath && sh.ineligible == "" {
-			if sh.fast, err = fastpath.NewWithEnv(pl, cfg.Sim, env); err != nil {
+		sim, serves := eng.(*hwsim.Sim)
+		if !serves {
+			sh.fast = eng
+			if sim, err = hwsim.NewWithEnv(pl, cfg.Sim, env); err != nil {
 				return nil, err
 			}
-			sh.fast.SetClock(sh.nowNs)
 		}
+		sh.sim = sim
+		// The shell owns the helper-visible clock (the environment's, so
+		// both engines') so it stays continuous across a live-update
+		// pipeline swap. With no swap and no pin the value is identical to
+		// the serving engine's built-in cycle clock.
+		sh.sim.SetClock(sh.nowNs)
 	}
 	if cfg.Sim.Metrics != nil {
 		// With metrics armed the shell also counts the host-port map
@@ -213,10 +217,8 @@ func (sh *Shell) Serving() (engine, why string) {
 	switch {
 	case sh.engine != nil:
 		why = sh.engine.Fallback()
-	case !sh.cfg.FastPath:
-		why = fastpath.NotRequested
-	case sh.ineligible != "":
-		why = sh.ineligible
+	case sh.fallback != "":
+		why = sh.fallback
 	case sh.pending != nil || sh.ctrl != nil:
 		// The update machinery runs only in the interpreter; a cutover
 		// also retires the compiled program (built for the old pipeline).

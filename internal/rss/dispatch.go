@@ -27,8 +27,6 @@ type DispatcherConfig struct {
 	// the software analogue of the distributor's burst crossbar).
 	// 0 means DefaultBatch.
 	Batch int
-	// Key overrides the Toeplitz key (nil selects DefaultKey).
-	Key []byte
 	// CyclesPerPacket is the arrival pacing in clock cycles (from the
 	// offered rate). 0 means back-to-back (1 cycle per packet).
 	CyclesPerPacket float64
@@ -82,15 +80,15 @@ type Dispatcher struct {
 // returned channels carry batches to the workers; their buffer depth
 // (4 batches) lets the dispatcher run ahead without unbounded memory.
 func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
-	h, err := NewHasher(cfg.Key)
+	h, err := NewHasher(nil)
 	if err != nil {
 		return nil, err
 	}
 	return newDispatcher(cfg, h)
 }
 
-// newDispatcher is NewDispatcher over an already-built hasher (cfg.Key
-// is ignored): the engine builds one per Engine, not one per Start.
+// newDispatcher is NewDispatcher over an already-built hasher: the
+// engine builds one per Engine, not one per Start.
 func newDispatcher(cfg DispatcherConfig, h *Hasher) (*Dispatcher, error) {
 	ind, err := NewIndirection(cfg.Queues)
 	if err != nil {

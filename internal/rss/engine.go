@@ -18,8 +18,6 @@ type Config struct {
 	Queues int
 	// Batch is the dispatcher batch size. 0 means DefaultBatch.
 	Batch int
-	// Key overrides the Toeplitz key (nil selects DefaultKey).
-	Key []byte
 	// Sim is the per-replica simulator template. ClockHz, hazard
 	// policy, protection and watchdog settings apply to every replica.
 	// Faults, when set, forks one deterministic per-class stream per
@@ -160,7 +158,7 @@ const defaultDrainBound = 4_000_000
 // Start before offering traffic.
 func NewEngine(pl *core.Pipeline, cfg Config) (*Engine, error) {
 	n := cfg.queues()
-	hasher, err := NewHasher(cfg.Key)
+	hasher, err := NewHasher(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -203,28 +201,13 @@ func NewEngine(pl *core.Pipeline, cfg Config) (*Engine, error) {
 	}
 	e.host = maps.SetOf(hostMaps...)
 
-	// Fast path: compile the closure chain once, bind it per replica.
-	// Eligibility is probed with the trace stripped — replicas never
-	// carry the tracer, so steered tracing does not force the
-	// interpreter — but a fault campaign, protection, watchdog, stall
-	// policy or a metrics registry does (the per-replica fallback
-	// matrix in DESIGN.md).
-	var fastProg *fastpath.Prog
-	e.fallback = fastpath.NotRequested
-	if cfg.FastPath {
-		probe := cfg.Sim
-		probe.Trace = nil
-		if _, e.fallback = fastpath.Eligible(probe); e.fallback == "" {
-			if fastProg, err = fastpath.Compile(pl); err != nil {
-				fastProg, e.fallback = nil, err.Error()
-			}
-		}
-	}
-
 	for q := 0; q < n; q++ {
 		simCfg := cfg.Sim
 		// The tracer is single-writer; replicas must not share it. The
-		// dispatcher (caller goroutine) keeps it for steer events.
+		// dispatcher (caller goroutine) keeps it for steer events, so
+		// steered tracing does not force the interpreter — a fault
+		// campaign, protection, watchdog, stall policy or a metrics
+		// registry does (the per-replica fallback matrix in DESIGN.md).
 		simCfg.Trace = nil
 		if cfg.Sim.Faults != nil {
 			// Each replica runs its own forked per-class fault streams:
@@ -233,20 +216,11 @@ func NewEngine(pl *core.Pipeline, cfg Config) (*Engine, error) {
 			simCfg.Faults = cfg.Sim.Faults.Fork(int64(100 + q))
 		}
 		env := &vm.Env{Maps: maps.SetOf(replicaMaps[q]...)}
-		var eng hwsim.Core
-		if fastProg != nil {
-			m, err := fastProg.NewMachine(simCfg, env)
-			if err != nil {
-				return nil, err
-			}
-			eng = m
-		} else {
-			sim, err := hwsim.NewWithEnv(pl, simCfg, env)
-			if err != nil {
-				return nil, err
-			}
-			eng = sim
+		eng, why, err := fastpath.NewCore(pl, simCfg, env, cfg.FastPath)
+		if err != nil {
+			return nil, err
 		}
+		e.fallback = why // the same for every replica
 		e.replicas = append(e.replicas, &replica{idx: q, sim: eng})
 		if cfg.Sim.Metrics != nil {
 			e.completed = append(e.completed, cfg.Sim.Metrics.Counter(MetricCompleted(q)))

@@ -318,6 +318,9 @@ func TestEngineGoroutineLifetime(t *testing.T) {
 	}
 	setupApp(t, "toy", e.HostMaps())
 	gen := pktgen.NewGenerator(pktgen.GeneratorConfig{Flows: 32, PacketLen: 64, Seed: 9})
+	for deadline := time.Now().Add(5 * time.Second); engineGoroutines() > 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond) // an earlier test's workers, joined but not yet gone
+	}
 	base := runtime.NumGoroutine()
 	for session := 0; session < 6; session++ {
 		var retired [queues]int // one slot per worker goroutine

@@ -9,10 +9,10 @@ import (
 
 // SpecializeALU compiles an ALU op — ins and the instructions fused
 // behind it, which evaluate combinationally after it in the same stage —
-// into one error-free closure, the per-op code of both pipeline engines
-// (the hwsim interpreter and the fastpath machine); ExecALU stays the
-// reference interpreter's own path, so that leg of the three-way oracle
-// is independent of this file.
+// into one error-free closure, the per-op code of hwsim's execution
+// tables (the pipelined interpreter's and the one-burst table under the
+// fastpath machine); ExecALU stays the reference interpreter's own path,
+// so that leg of the three-way oracle is independent of this file.
 func SpecializeALU(ins ebpf.Instruction, fused ...ebpf.Instruction) (func(st *State), error) {
 	fn, err := aluFn(ins)
 	if err != nil || len(fused) == 0 {
@@ -210,8 +210,8 @@ func SpecializeBranch(ins ebpf.Instruction) (func(st *State) bool, error) {
 }
 
 // MemFn is a statically addressed load, store or atomic compiled to a
-// direct access — the memory half of the per-op code both pipeline
-// engines run. val is the value slice of the map lookup the access goes
+// direct access — the memory half of the per-op code hwsim's tables
+// run. val is the value slice of the map lookup the access goes
 // through (the engine keeps it beside the pointer it put in R0); the
 // other areas ignore it. The only errors are ErrNoLookup (map area, nil
 // val) and ErrPacketBounds (packet area, past the data end), both bare.
