@@ -16,13 +16,14 @@ build:
 # the piece a crash must never be able to corrupt, the fast path is the
 # engine the RSS workers drive concurrently, and the interpreter — two
 # execution tables that must agree — is the one every fleet device
-# steps on its own goroutine. The fleet serves its devices on one
+# steps on its own goroutine; and the map store, which RSS replicas
+# share read-only across their goroutines. The fleet serves its devices on one
 # goroutine each, so fleet and tenant run at one worker thread (the
 # goroutines take turns) and at four (they overlap): the same reports,
 # digests and events are due at both.
 test:
 	$(GO) test ./...
-	$(GO) test -race ./internal/conformance/ ./internal/obs/ ./internal/liveupdate/ ./internal/rss/ ./internal/nic/ ./internal/fastpath/ ./internal/hwsim/ ./internal/durable/
+	$(GO) test -race ./internal/conformance/ ./internal/obs/ ./internal/liveupdate/ ./internal/rss/ ./internal/nic/ ./internal/fastpath/ ./internal/hwsim/ ./internal/durable/ ./internal/maps/
 	$(GO) test -race -cpu 1,4 ./internal/fleet/ ./internal/tenant/
 
 # Quick slice: skips the chaos campaign sweep and long fuzz runs.
@@ -56,11 +57,12 @@ chaos:
 # classifier/policer/admission gate and the journal/snapshot codecs
 # must stay above their floors (protect 90%, hwsim 75%, obs 85%, rss
 # 85%, nic 85%, fastpath 85%, fleet 85%, tenant 85%, durable 85%), and so
-# must vm (85%), which hosts every closure both engines run. A gated
+# must vm (85%), which hosts every closure both engines run, and maps
+# (85%), the store every lookup of every engine lands in. A gated
 # package missing from the coverage output fails the gate — a silently
 # dropped package must not read as a pass.
 cover:
-	@$(GO) test -cover ./internal/protect/ ./internal/hwsim/ ./internal/obs/ ./internal/rss/ ./internal/nic/ ./internal/fastpath/ ./internal/fleet/ ./internal/tenant/ ./internal/durable/ ./internal/vm/ | tee /tmp/ehdl-cover.txt
+	@$(GO) test -cover ./internal/protect/ ./internal/hwsim/ ./internal/obs/ ./internal/rss/ ./internal/nic/ ./internal/fastpath/ ./internal/fleet/ ./internal/tenant/ ./internal/durable/ ./internal/vm/ ./internal/maps/ | tee /tmp/ehdl-cover.txt
 	@awk 'function gate(pkg, floor,    a) { seen[pkg] = 1; split($$5, a, "%"); \
 	          if (a[1]+0 < floor) { printf "FAIL: internal/%s coverage %s%% < %d%%\n", pkg, a[1], floor; bad = 1 } } \
 	      /internal\/protect/  { gate("protect", 90) } \
@@ -73,12 +75,13 @@ cover:
 	      /internal\/tenant/   { gate("tenant", 85) } \
 	      /internal\/durable/  { gate("durable", 85) } \
 	      /internal\/vm/       { gate("vm", 85) } \
-	      END { n = split("protect hwsim obs rss nic fastpath fleet tenant durable vm", want, " "); \
+	      /internal\/maps/     { gate("maps", 85) } \
+	      END { n = split("protect hwsim obs rss nic fastpath fleet tenant durable vm maps", want, " "); \
 	            for (i = 1; i <= n; i++) if (!seen[want[i]]) { printf "FAIL: internal/%s missing from coverage output\n", want[i]; bad = 1 } \
 	            exit bad }' /tmp/ehdl-cover.txt
 	@echo "coverage gates passed"
 
-# Short fuzz sweeps over the six adversarial surfaces: the vm-vs-hwsim
+# Short fuzz sweeps over the seven adversarial surfaces: the vm-vs-hwsim
 # conformance fuzzer, the three-way vm/interpreter/fast-path fuzzer
 # (random frames against every app — one divergent verdict, map byte or
 # ledger count fails), the migration schema/copy fuzzer, the RSS
@@ -88,7 +91,9 @@ cover:
 # quarantined and traced, never silently dropped) and the journal
 # decoder fuzzer (torn tails, truncations and bit flips against the WAL
 # framing — typed corruption errors or clean truncation, never a panic
-# or a silent misparse). Ten seconds each — a smoke pass over the
+# or a silent misparse) and the hash store's model fuzzer (random
+# lookup/update/delete/iterate sequences on small HASH and LRU_HASH maps
+# against a slice in recency order). Ten seconds each — a smoke pass over the
 # corpus plus fresh mutations, not a campaign.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDifferential -fuzztime 10s ./internal/conformance/
@@ -97,6 +102,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRSSDispatch -fuzztime 10s ./internal/rss/
 	$(GO) test -run '^$$' -fuzz FuzzTenantClassifier -fuzztime 10s ./internal/tenant/
 	$(GO) test -run '^$$' -fuzz FuzzJournalDecode -fuzztime 10s ./internal/durable/
+	$(GO) test -run '^$$' -fuzz FuzzHashModel -fuzztime 10s ./internal/maps/
 
 # Host-speed A/B of this tree against a parent revision on one workload
 # of ./bench: a pristine copy of PARENT (git archive — nothing is left
@@ -148,11 +154,15 @@ bench:
 	$(GO) run ./bench
 	$(GO) test -bench Interpreter -run '^$$' ./internal/hwsim/
 
-# Non-test Go lines per internal package: the headline metric of a
+# Non-test Go lines per internal package, and the change since PARENT
+# (make lines PARENT=HEAD before committing): the headline metric of a
 # design PR (ROADMAP aim 2).
 lines:
 	@for d in internal/*/; do \
-		printf '%6d %s\n' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) $$d; \
+		now=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+		was=$$(git ls-tree --name-only $(PARENT) $$d 2>/dev/null | grep '\.go$$' | grep -v '_test\.go$$' | \
+			while read f; do git show $(PARENT):$$f; done | wc -l); \
+		printf '%6d %+6d %s\n' $$now $$((now - was)) $$d; \
 	done
 
 # Observability demo: a traced, metered firewall run. Leaves the

@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ehdl/internal/apps"
@@ -69,6 +70,17 @@ func fuzzTraffic(t testing.TB, prog *ebpf.Program, well []byte) func(data []byte
 	}
 }
 
+// staleFuzzTraffic is StalePointerZoo's scenario with the fuzzed frame
+// right behind the reader: one more younger packet, of whatever flow the
+// fuzzer forged, between the lookup and the late adds. Whichever key it
+// touches or inserts, the lookups and inserts that decide the two
+// evictions keep their order, so the final map state is the sequential
+// one.
+func staleFuzzTraffic(data []byte) [][]byte {
+	frames := StalePointerFrames([]byte{1, 2, 3, 4, 5, 5})
+	return slices.Insert(frames, 1, data)
+}
+
 // FuzzDifferential feeds arbitrary (mostly malformed) packets to the
 // firewall on both engines, inside fuzzTraffic's sandwich. Two oracles
 // per input:
@@ -108,6 +120,11 @@ func FuzzDifferential(f *testing.F) {
 		exact := Config{Opts: core.Options{DisableBoundsElision: true}, MaxCycles: 1 << 18}
 		if err := DiffProgram(prog, app.SetupHost, packets, exact); err != nil {
 			t.Fatal(err)
+		}
+		// The same oracle on the program that holds a value pointer
+		// across an eviction: it checks its own bounds, so it is exact.
+		if err := DiffApp(StalePointerZoo(), staleFuzzTraffic(data), exact); err != nil {
+			t.Fatalf("stale pointer zoo: %v", err)
 		}
 
 		refs, _, err := runReference(prog, app.SetupHost, packets)
@@ -174,6 +191,18 @@ func FuzzFastPath(f *testing.F) {
 		noElide := Config{Opts: core.Options{DisableBoundsElision: true}, MaxCycles: 1 << 18}
 		if err := DiffProgramFastPath(prog, app.SetupHost, packets, noElide); err != nil {
 			t.Fatal(err)
+		}
+		// And on the program that holds a value pointer across an
+		// eviction, where the one-burst table is the sequential answer.
+		stale := StalePointerZoo()
+		staleProg, err := stale.Program()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range []Config{{MaxCycles: 1 << 18}, noElide} {
+			if err := DiffProgramFastPath(staleProg, stale.SetupHost, staleFuzzTraffic(data), cfg); err != nil {
+				t.Fatalf("stale pointer zoo: %v", err)
+			}
 		}
 	})
 }

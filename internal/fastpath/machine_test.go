@@ -1,6 +1,8 @@
 package fastpath_test
 
 import (
+	"cmp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -191,6 +193,8 @@ func runDiffWithSetup(t *testing.T, pl *core.Pipeline, app *apps.App, batch [][]
 	if len(fastOut) != len(simOut) {
 		t.Fatalf("completions: fast %d, interp %d", len(fastOut), len(simOut))
 	}
+	// A flush victim re-enters the interpreter behind younger packets.
+	slices.SortFunc(simOut, func(a, b verdict) int { return cmp.Compare(a.seq, b.seq) })
 	for i := range fastOut {
 		if fastOut[i] != simOut[i] {
 			t.Fatalf("packet %d: fast %+v, interp %+v", i, fastOut[i], simOut[i])
@@ -692,6 +696,22 @@ func TestDeleteZooMatchesInterpreter(t *testing.T) {
 	st := runDiffWithSetup(t, pl, app, batch)
 	if st.Actions[ebpf.XDPPass] == 0 || st.Actions[ebpf.XDPTx] == 0 {
 		t.Fatalf("verdicts %v: want both a successful and a failed delete", st.Actions)
+	}
+}
+
+// TestStalePointerZooMatchesInterpreter: a hit on an LRU map smaller
+// than the pipeline is deep keeps its value pointer while four younger
+// packets insert, the last of them into the evicted entry's slot, and a
+// fifth looks that key up; the late adds through the pointer — one on
+// the mem lane, one register-relative — must reach no live entry, as on
+// the one-burst table where nothing is ever late.
+func TestStalePointerZooMatchesInterpreter(t *testing.T) {
+	app := conformance.StalePointerZoo()
+	pl := compilePipeline(t, app.Name, app.Source)
+	batch := conformance.StalePointerFrames(append([]byte{1, 2, 3, 4, 5, 5}, make([]byte, 2*len(pl.Stages))...))
+	st := runDiffWithSetup(t, pl, app, batch)
+	if st.Actions[ebpf.XDPPass] != 2 || st.Actions[ebpf.XDPTx] != 4 {
+		t.Fatalf("verdicts %v: want the reader's and the last packet's hit and four inserts", st.Actions)
 	}
 }
 

@@ -254,8 +254,25 @@ func (s *Sim) commit(j *job, mapID int, key []byte, deleted, flushes bool, t int
 	}
 }
 
+// rebind runs before an address that may point into map memory — a
+// register-relative one, a map pointer, a helper's argument — is
+// resolved for j. A value address names a slot, and a slot can change
+// tenant while j is in flight — a younger packet's delete or eviction
+// commits, another key's lookup lands in the slot — so the addresses
+// j's lookups returned are pointed back at the buffers they returned
+// (vm.MemSpace.Rebind): j's late access lands in its own, possibly
+// orphaned, entry, the way the mem lane's kept slice does.
+func (s *Sim) rebind(j *job) {
+	for i := range j.lookups {
+		if l := &j.lookups[i]; l.addr != 0 {
+			s.exec.Mem.Rebind(l.addr, l.val)
+		}
+	}
+}
+
 // addrOf resolves an op's memory address: statically wired for elided
-// bases, register-relative otherwise.
+// bases, register-relative otherwise. One that may point into map
+// memory is good for the access that follows: rebind has run.
 func (s *Sim) addrOf(j *job, op *microOp) (uint64, error) {
 	ins := op.Ins
 	if !op.BaseElided || op.Access == nil {
@@ -263,6 +280,7 @@ func (s *Sim) addrOf(j *job, op *microOp) (uint64, error) {
 		if ins.Class() == ebpf.ClassST || ins.Class() == ebpf.ClassSTX {
 			base = ins.Dst
 		}
+		s.rebind(j)
 		return j.st.Regs[base] + uint64(int64(ins.Off)), nil
 	}
 	acc := op.Access
@@ -278,6 +296,7 @@ func (s *Sim) addrOf(j *job, op *microOp) (uint64, error) {
 		if base == 0 {
 			return 0, fmt.Errorf("map access without a preceding lookup hit")
 		}
+		s.rebind(j)
 		return base + uint64(acc.Off), nil
 	}
 	return 0, fmt.Errorf("unresolvable access area %v", acc.Area)
@@ -322,10 +341,12 @@ func (s *Sim) uncountAhead(j *job, executed int) {
 // to mutate, so that is copied into buf: Sim-owned scratch sized for the
 // largest key or value, valid until the next map call. No callee
 // retains either.
-func (s *Sim) helperArg(buf []byte, st *vm.State, known bool, off int64, reg ebpf.Register, size int) ([]byte, error) {
+func (s *Sim) helperArg(buf []byte, j *job, known bool, off int64, reg ebpf.Register, size int) ([]byte, error) {
+	st := j.st
 	if known {
 		return st.StackSlice(off, size)
 	}
+	s.rebind(j)
 	src, err := s.exec.Mem.ViewBytes(st, st.Regs[reg], size)
 	if err != nil {
 		return nil, err

@@ -506,11 +506,15 @@ func newSim(pl *core.Pipeline, cfg Config, env *vm.Env, oneBurst bool) (*Sim, er
 	if len(pl.Stages) == 0 {
 		return nil, fmt.Errorf("hwsim: empty pipeline")
 	}
+	mem, err := vm.NewMemSpace(pl.Transformed, env.Maps)
+	if err != nil {
+		return nil, fmt.Errorf("hwsim: %w", err)
+	}
 	s := &Sim{
 		pl:           pl,
 		cfg:          cfg,
 		env:          env,
-		exec:         &vm.ExecContext{Env: env, Mem: vm.NewMemSpace(pl.Transformed, env.Maps)},
+		exec:         &vm.ExecContext{Env: env, Mem: mem},
 		frameBytes:   pl.Options.FrameBytes,
 		stages:       newStageReg(len(pl.Stages)),
 		stallPoint:   -1,

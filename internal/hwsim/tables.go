@@ -351,7 +351,7 @@ func (s *Sim) compileMapCall(m microOp) (func(j *job) error, error) {
 					// younger write.
 					addr, val = 0, sv
 					if sv != nil {
-						addr = s.exec.Mem.ValueAddress(id, string(key)+"\x00shadow", sv)
+						addr = s.exec.Mem.ShadowAddress(id, sv)
 					}
 				}
 			}
@@ -370,7 +370,7 @@ func (s *Sim) compileMapCall(m microOp) (func(j *job) error, error) {
 	case ebpf.HelperMapUpdateElem:
 		mop = obs.MapOpUpdate
 		call = func(j *job, key []byte) error {
-			val, err := s.helperArg(s.valBuf, j.st, op.ValOffKnown, op.ValStackOff, ebpf.R3, spec.ValueSize)
+			val, err := s.helperArg(s.valBuf, j, op.ValOffKnown, op.ValStackOff, ebpf.R3, spec.ValueSize)
 			if err != nil {
 				return fmt.Errorf("map %q value: %w", spec.Name, err)
 			}
@@ -391,7 +391,7 @@ func (s *Sim) compileMapCall(m microOp) (func(j *job) error, error) {
 		return nil, fmt.Errorf("unsupported map helper %s", op.Helper.Name())
 	}
 	return func(j *job) error {
-		key, err := s.helperArg(s.keyBuf, j.st, op.KeyOffKnown, op.KeyStackOff, ebpf.R2, spec.KeySize)
+		key, err := s.helperArg(s.keyBuf, j, op.KeyOffKnown, op.KeyStackOff, ebpf.R2, spec.KeySize)
 		if err != nil {
 			return fmt.Errorf("map %q key: %w", spec.Name, err)
 		}
@@ -418,17 +418,18 @@ func (s *Sim) compileMapCall(m microOp) (func(j *job) error, error) {
 // environment lacks the map: the generic closure reports those.
 func (s *Sim) staticLookup(id, lo, fall int) func(j *job) error {
 	mem, hi := s.exec.Mem, lo+s.maps[id].keySize
-	mp, ok := s.env.Maps.ByID(id)
+	m, ok := s.env.Maps.ByID(id)
 	if !ok || lo < 0 || hi > ebpf.StackSize {
 		return nil
 	}
+	mp := m.(maps.Slotted) // vm.NewMemSpace checked the set
 	flush, keyed := s.maps[id].needsFlush, !s.oneBurst
 	return func(j *job) error {
 		key := j.st.Stack[lo:hi:hi]
 		l := &j.lookups[id]
 		l.addr, l.val, l.valid = 0, nil, true
-		if v, ok := mp.Lookup(key); ok {
-			l.addr, l.val = mem.ValueAddressBytes(id, key, v), v
+		if v, slot, ok := mp.LookupSlot(key); ok {
+			l.addr, l.val = mem.ValueAddress(id, slot, v), v
 		}
 		if keyed {
 			l.key = append(l.key[:0], key...)

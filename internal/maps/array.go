@@ -44,11 +44,21 @@ func (a *arrayMap) ValueAt(idx int) []byte {
 }
 
 func (a *arrayMap) Lookup(key []byte) ([]byte, bool) {
-	idx, err := a.index(key)
-	if err != nil {
-		return nil, false
+	v, _, ok := a.LookupSlot(key)
+	return v, ok
+}
+
+// LookupSlot implements Slotted: an array entry's slot is its index.
+// A miss builds no error text: it is a per-packet outcome.
+func (a *arrayMap) LookupSlot(key []byte) ([]byte, int, bool) {
+	if len(key) != a.spec.KeySize {
+		return nil, 0, false
 	}
-	return a.ValueAt(idx), true
+	idx := int(binary.LittleEndian.Uint32(key))
+	if idx >= a.spec.MaxEntries {
+		return nil, 0, false
+	}
+	return a.ValueAt(idx), idx, true
 }
 
 func (a *arrayMap) Update(key, value []byte, flag UpdateFlag) error {

@@ -17,11 +17,22 @@ type lpmMap struct {
 	spec ebpf.MapSpec
 	root *lpmNode
 	n    int
+	// Slots: freed ones first, then the next never-used one.
+	free  []int
+	slots int
 }
 
 type lpmNode struct {
 	children [2]*lpmNode
-	entry    *hashEntry // nil for interior nodes
+	entry    *lpmEntry // nil for interior nodes
+}
+
+// lpmEntry is one stored prefix. The value buffer is allocated per
+// insert and updated in place, so references returned by Lookup stay
+// valid until the entry is deleted and are never reused after.
+type lpmEntry struct {
+	key, value []byte
+	slot       int
 }
 
 func newLPM(spec ebpf.MapSpec) *lpmMap {
@@ -49,11 +60,17 @@ func bitAt(addr []byte, i int) int {
 }
 
 func (t *lpmMap) Lookup(key []byte) ([]byte, bool) {
+	v, _, ok := t.LookupSlot(key)
+	return v, ok
+}
+
+// LookupSlot implements Slotted: the slot is the matched prefix's.
+func (t *lpmMap) LookupSlot(key []byte) ([]byte, int, bool) {
 	prefixLen, addr, err := t.splitKey(key)
 	if err != nil {
-		return nil, false
+		return nil, 0, false
 	}
-	var best *hashEntry
+	var best *lpmEntry
 	node := t.root
 	for depth := 0; node != nil; depth++ {
 		if node.entry != nil {
@@ -65,9 +82,9 @@ func (t *lpmMap) Lookup(key []byte) ([]byte, bool) {
 		node = node.children[bitAt(addr, depth)]
 	}
 	if best == nil {
-		return nil, false
+		return nil, 0, false
 	}
-	return best.value, true
+	return best.value, best.slot, true
 }
 
 func (t *lpmMap) Update(key, value []byte, flag UpdateFlag) error {
@@ -99,7 +116,13 @@ func (t *lpmMap) Update(key, value []byte, flag UpdateFlag) error {
 	if t.n >= t.spec.MaxEntries {
 		return ErrMapFull
 	}
-	node.entry = &hashEntry{key: string(key), value: append([]byte(nil), value...)}
+	e := &lpmEntry{key: append([]byte(nil), key...), value: append([]byte(nil), value...), slot: t.slots}
+	if last := len(t.free) - 1; last >= 0 {
+		e.slot, t.free = t.free[last], t.free[:last]
+	} else {
+		t.slots++
+	}
+	node.entry = e
 	t.n++
 	return nil
 }
@@ -116,6 +139,7 @@ func (t *lpmMap) Delete(key []byte) error {
 	if node == nil || node.entry == nil {
 		return ErrKeyNotExist
 	}
+	t.free = append(t.free, node.entry.slot)
 	node.entry = nil
 	t.n--
 	return nil
@@ -127,7 +151,7 @@ func (t *lpmMap) Iterate(fn func(key, value []byte) bool) {
 		if n == nil {
 			return true
 		}
-		if n.entry != nil && !fn([]byte(n.entry.key), n.entry.value) {
+		if n.entry != nil && !fn(n.entry.key, n.entry.value) {
 			return false
 		}
 		return walk(n.children[0]) && walk(n.children[1])

@@ -9,7 +9,9 @@
 //
 // Lookup returns a reference to the stored value, not a copy: eBPF
 // programs write through the pointer returned by bpf_map_lookup_elem,
-// so value buffers are pointer-stable from insert until delete.
+// so value buffers are pointer-stable from insert until delete, and a
+// deleted or evicted entry's bytes are never handed to another key (a
+// packet still in flight may hold the pointer).
 package maps
 
 import (
@@ -40,11 +42,27 @@ type Map interface {
 	Update(key, value []byte, flag UpdateFlag) error
 	// Delete removes key. It is an error to delete an absent key.
 	Delete(key []byte) error
-	// Iterate visits entries until fn returns false. The visited
-	// slices alias map storage.
+	// Iterate visits entries until fn returns false. Both slices alias
+	// map storage: writes to value are writes to the entry; key must
+	// not be written, and is good only until fn returns or the map
+	// changes, whichever is first — a caller that keeps a key copies it.
 	Iterate(fn func(key, value []byte) bool)
 	// Len returns the number of live entries.
 	Len() int
+}
+
+// Slotted is a map the data plane executes against — every kind New
+// makes, and the Protected and Observed wrappers around one. Its entries
+// sit in slots, integers in [0, MaxEntries) that stay with an entry from
+// insert to delete, and a lookup names the slot it hit: the address space
+// derives the value's address from it (vm.MemSpace) instead of keeping
+// a table of its own keyed by the same bytes. A freed slot goes to the
+// next insert; the host views (Synchronized, the RSS merge) hand out
+// copies, have no slots and never back a running program.
+type Slotted interface {
+	Map
+	// LookupSlot is Lookup that also returns the entry's slot.
+	LookupSlot(key []byte) (value []byte, slot int, ok bool)
 }
 
 // ErrKeyNotExist is returned when an operation requires a present key.
@@ -57,7 +75,7 @@ var ErrKeyExist = fmt.Errorf("maps: key already exists")
 var ErrMapFull = fmt.Errorf("maps: map is full")
 
 // New creates a map object for the declaration.
-func New(spec ebpf.MapSpec) (Map, error) {
+func New(spec ebpf.MapSpec) (Slotted, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package maps
 
 import (
-	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"testing"
@@ -256,47 +255,6 @@ func TestSynchronized(t *testing.T) {
 	m.Iterate(func(k, v []byte) bool { count++; return true })
 	if count != m.Len() {
 		t.Errorf("Iterate visited %d entries, Len = %d", count, m.Len())
-	}
-}
-
-// TestPropertyHashAgainstModel drives the hash map and a plain Go map
-// with the same random operations and compares the results.
-func TestPropertyHashAgainstModel(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		m := mustNew(ebpf.MapSpec{Name: "h", Kind: ebpf.MapHash, KeySize: 4, ValueSize: 8, MaxEntries: 1 << 20})
-		model := map[uint32][]byte{}
-		for i := 0; i < 300; i++ {
-			k := uint32(r.Intn(32))
-			switch r.Intn(3) {
-			case 0:
-				v := u64val(r.Uint64())
-				if err := m.Update(u32key(k), v, UpdateAny); err != nil {
-					return false
-				}
-				model[k] = v
-			case 1:
-				err := m.Delete(u32key(k))
-				_, had := model[k]
-				if had != (err == nil) {
-					return false
-				}
-				delete(model, k)
-			case 2:
-				v, ok := m.Lookup(u32key(k))
-				want, had := model[k]
-				if ok != had {
-					return false
-				}
-				if ok && !bytes.Equal(v, want) {
-					return false
-				}
-			}
-		}
-		return m.Len() == len(model)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -52,11 +52,24 @@ func (o *Observed) Spec() ebpf.MapSpec { return o.m.Spec() }
 // Lookup implements Map, counting hits and misses.
 func (o *Observed) Lookup(key []byte) ([]byte, bool) {
 	v, ok := o.m.Lookup(key)
+	o.count(ok)
+	return v, ok
+}
+
+// LookupSlot implements Slotted, counted like Lookup; the slot is the
+// wrapped map's. An Observed around a host view counts the host port
+// and is never asked: no program runs against it.
+func (o *Observed) LookupSlot(key []byte) ([]byte, int, bool) {
+	v, slot, ok := o.m.(Slotted).LookupSlot(key)
+	o.count(ok)
+	return v, slot, ok
+}
+
+func (o *Observed) count(hit bool) {
 	o.lookups.Inc()
-	if !ok {
+	if !hit {
 		o.misses.Inc()
 	}
-	return v, ok
 }
 
 // Update implements Map.

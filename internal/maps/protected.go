@@ -27,7 +27,7 @@ import (
 // bookkeeping use, and checking there would hide the very upsets the
 // protection path is supposed to be measured against.
 type Protected struct {
-	m     Map
+	m     Slotted
 	codec protect.Codec
 	check map[string][]byte
 	quar  map[string]bool
@@ -45,7 +45,7 @@ type Protected struct {
 // Protect wraps m, encoding check bits for every entry it already
 // holds (array maps exist in full from creation, so their whole
 // backing store is covered immediately).
-func Protect(m Map, codec protect.Codec) *Protected {
+func Protect(m Slotted, codec protect.Codec) *Protected {
 	p := &Protected{
 		m:     m,
 		codec: codec,
@@ -120,20 +120,27 @@ func (p *Protected) checkEntry(key string, value []byte) bool {
 // when the codec allows) before the reference escapes. A quarantined
 // entry reports a miss until it is rewritten.
 func (p *Protected) Lookup(key []byte) ([]byte, bool) {
+	v, _, ok := p.LookupSlot(key)
+	return v, ok
+}
+
+// LookupSlot implements Slotted with Lookup's checks; the slot is the
+// wrapped map's.
+func (p *Protected) LookupSlot(key []byte) ([]byte, int, bool) {
 	k := string(key)
 	if p.quar[k] {
-		return nil, false
+		return nil, 0, false
 	}
-	v, ok := p.m.Lookup(key)
+	v, slot, ok := p.m.LookupSlot(key)
 	if !ok {
 		// Lazy cleanup of codes orphaned by LRU eviction.
 		delete(p.check, k)
-		return nil, false
+		return nil, 0, false
 	}
 	if !p.checkEntry(k, v) {
-		return nil, false
+		return nil, 0, false
 	}
-	return v, true
+	return v, slot, true
 }
 
 // Update implements Map, re-encoding the stored value (the write-port
@@ -253,7 +260,8 @@ func (p *Protected) ScrubWord() (protect.WordStatus, bool) {
 
 // ProtectSet wraps every map of a set at the given level and returns
 // the wrappers (nil for LevelNone). Maps already wrapped are returned
-// as-is.
+// as-is. The set is one a program runs against — every map Slotted: a
+// host view has no words of its own to protect.
 func ProtectSet(s *Set, level protect.Level) []*Protected {
 	codec := protect.ForLevel(level)
 	if codec == nil {
@@ -263,7 +271,7 @@ func ProtectSet(s *Set, level protect.Level) []*Protected {
 	for i, m := range s.byID {
 		p, ok := AsProtected(m)
 		if !ok {
-			p = Protect(m, codec)
+			p = Protect(m.(Slotted), codec)
 			s.byID[i] = p
 			s.byName[p.Spec().Name] = p
 		}

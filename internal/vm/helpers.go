@@ -118,11 +118,12 @@ func (c *ExecContext) LookupValue(mapID int, key []byte) (uint64, []byte) {
 	if !ok {
 		return 0, nil
 	}
-	val, ok := mp.Lookup(key)
+	// NewMemSpace checked the set; only wrappers are swapped in after.
+	val, slot, ok := mp.(maps.Slotted).LookupSlot(key)
 	if !ok {
 		return 0, nil
 	}
-	return c.Mem.ValueAddressBytes(mapID, key, val), val
+	return c.Mem.ValueAddress(mapID, slot, val), val
 }
 
 // UpdateResult performs a map update by explicit key/value, returning

@@ -3,6 +3,7 @@ package vm
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"ehdl/internal/ebpf"
 	"ehdl/internal/maps"
@@ -26,33 +27,53 @@ const (
 // both produce bit-identical register values.
 type MemSpace struct {
 	maps    *maps.Set
-	handles []mapHandleTable
+	windows []valueWindow
 }
 
-type mapHandleTable struct {
-	byKey  map[string]int
-	values [][]byte
-	stride uint64
-	// The last registration: repeated lookups of one entry (a counter,
-	// a hot flow) return lastAddr without hashing. It is recognised by
-	// the identity of the value's backing array, so an entry that moved
-	// registers again.
-	lastKey, lastVal []byte
-	lastAddr         uint64
+// valueWindow is one map's mapStride bytes of the value region, cut
+// into handles of stride bytes. Handle h < entries is the map's slot h
+// (maps.Slotted): a lookup's address is computed from the slot it hit,
+// and values[h] is the buffer that lookup returned — what a later access
+// through the address resolves to. The shadowHandles above entries go
+// round robin to buffers that live outside the map (ShadowAddress). The
+// table is therefore bounded by the map's geometry, not by how many
+// keys pass through it, and grows only to the highest handle used.
+type valueWindow struct {
+	values  [][]byte
+	stride  uint64
+	entries int
+	shadow  int // the next shadow handle to hand out, less entries
 }
 
-// NewMemSpace builds the address space for a program's declared maps.
-func NewMemSpace(prog *ebpf.Program, set *maps.Set) *MemSpace {
-	m := &MemSpace{maps: set}
-	m.handles = make([]mapHandleTable, len(prog.Maps))
+// shadowHandles is the length of a window's shadow ring. A pipeline
+// that overlaps packets rebinds a packet's pointers before it resolves
+// them (Rebind), so a ring that wraps costs nothing but the rebinding;
+// the length only keeps the several shadows one packet can hold apart.
+const shadowHandles = 16
+
+// NewMemSpace builds the address space for a program's declared maps
+// over the set it will run against. A map whose slots and shadows do not
+// fit its window, or one that has no slots at all (a host view), is an
+// error here rather than a wrong address later.
+func NewMemSpace(prog *ebpf.Program, set *maps.Set) (*MemSpace, error) {
+	m := &MemSpace{maps: set, windows: make([]valueWindow, len(prog.Maps))}
 	for i, spec := range prog.Maps {
 		stride := uint64((spec.ValueSize + 7) &^ 7)
 		if stride == 0 {
 			stride = 8
 		}
-		m.handles[i] = mapHandleTable{byKey: make(map[string]int), stride: stride}
+		if uint64(spec.MaxEntries+shadowHandles)*stride > mapStride {
+			return nil, fmt.Errorf("vm: map %q: %d entries of %d bytes exceed the %d-byte value address window",
+				spec.Name, spec.MaxEntries, stride, mapStride)
+		}
+		if mp, ok := set.ByID(i); ok {
+			if _, ok := mp.(maps.Slotted); !ok {
+				return nil, fmt.Errorf("vm: map %q (%T) has no slots: a program cannot run against a host view", spec.Name, mp)
+			}
+		}
+		m.windows[i] = valueWindow{stride: stride, entries: spec.MaxEntries}
 	}
-	return m
+	return m, nil
 }
 
 // Maps returns the underlying map set.
@@ -80,17 +101,17 @@ func (m *MemSpace) Resolve(st *State, addr uint64, size int) (Region, []byte, in
 	case addr >= mapValBase:
 		rel := addr - mapValBase
 		id := int(rel / mapStride)
-		if id >= len(m.handles) {
+		if id >= len(m.windows) {
 			return regionInvalid, nil, 0, fmt.Errorf("map value address %#x beyond declared maps", addr)
 		}
-		tbl := &m.handles[id]
+		w := &m.windows[id]
 		inMap := rel % mapStride
-		handle := int(inMap / tbl.stride)
-		byteOff := int(inMap % tbl.stride)
-		if handle >= len(tbl.values) {
+		handle := int(inMap / w.stride)
+		byteOff := int(inMap % w.stride)
+		if handle >= len(w.values) || w.values[handle] == nil {
 			return regionInvalid, nil, 0, fmt.Errorf("dangling map value address %#x", addr)
 		}
-		val := tbl.values[handle]
+		val := w.values[handle]
 		if byteOff+size > len(val) {
 			return regionInvalid, nil, 0, fmt.Errorf("map value access [%d,%d) beyond value size %d",
 				byteOff, byteOff+size, len(val))
@@ -100,40 +121,44 @@ func (m *MemSpace) Resolve(st *State, addr uint64, size int) (Region, []byte, in
 	return regionInvalid, nil, 0, fmt.Errorf("invalid memory address %#x", addr)
 }
 
-// ValueAddress registers (or reuses) a stable virtual address for a map
-// entry's value buffer.
-func (m *MemSpace) ValueAddress(mapID int, key string, value []byte) uint64 {
-	return m.ValueAddressBytes(mapID, []byte(key), value)
+// ValueAddress returns the virtual address of the value a lookup of
+// map mapID found in slot, and makes it resolve to that buffer. The
+// address is a function of the slot alone, so the steady state of both
+// pipeline engines' per-packet path — every lookup — hashes nothing and
+// allocates nothing here.
+func (m *MemSpace) ValueAddress(mapID, slot int, value []byte) uint64 {
+	return m.windows[mapID].bind(mapID, slot, value)
 }
 
-// ValueAddressBytes is ValueAddress for keys held in scratch buffers:
-// the key is converted to a string only when a new handle is registered,
-// so the steady state (every key seen before) performs no heap
-// allocation — both pipeline engines depend on this on their per-packet
-// path. A repeat of the table's last registration skips the hash as
-// well; re-registering an unchanged key returns the same address by
-// construction (handles are append-only), so the address stream is
-// bit-identical either way.
-func (m *MemSpace) ValueAddressBytes(mapID int, key, value []byte) uint64 {
-	tbl := &m.handles[mapID]
-	if len(value) > 0 && len(tbl.lastVal) == len(value) && &tbl.lastVal[0] == &value[0] &&
-		string(key) == string(tbl.lastKey) {
-		return tbl.lastAddr
+// ShadowAddress is ValueAddress for a buffer that is not in the map —
+// the pre-write copy a WAR shadow serves an older packet.
+func (m *MemSpace) ShadowAddress(mapID int, value []byte) uint64 {
+	w := &m.windows[mapID]
+	h := w.entries + w.shadow
+	w.shadow = (w.shadow + 1) % shadowHandles
+	return w.bind(mapID, h, value)
+}
+
+func (w *valueWindow) bind(mapID, handle int, value []byte) uint64 {
+	if handle >= len(w.values) {
+		w.values = slices.Grow(w.values, handle+1-len(w.values))[:handle+1]
 	}
-	handle, ok := tbl.byKey[string(key)]
-	if !ok {
-		handle = len(tbl.values)
-		tbl.values = append(tbl.values, value)
-		tbl.byKey[string(key)] = handle
-	} else {
-		// Refresh in case the entry was deleted and re-created.
-		tbl.values[handle] = value
-	}
-	addr := mapValBase + uint64(mapID)*mapStride + uint64(handle)*tbl.stride
-	if len(value) > 0 {
-		tbl.lastVal, tbl.lastKey, tbl.lastAddr = value, append(tbl.lastKey[:0], key...), addr
-	}
-	return addr
+	w.values[handle] = value
+	return mapValBase + uint64(mapID)*mapStride + uint64(handle)*w.stride
+}
+
+// Rebind makes addr, which ValueAddress or ShadowAddress returned for
+// value, resolve to value again. A slot outlives its tenant: once the
+// entry is deleted or evicted and another key's lookup lands in the
+// slot, the address resolves to the new tenant's buffer. Sequential
+// execution never dereferences a pointer that old; an engine that
+// overlaps packets can, and rebinds what the packet's own lookups
+// returned before resolving an address on its behalf, so a late write
+// lands in the orphaned buffer exactly as a kept slice would.
+func (m *MemSpace) Rebind(addr uint64, value []byte) {
+	rel := addr - mapValBase
+	w := &m.windows[rel/mapStride]
+	w.values[rel%mapStride/w.stride] = value
 }
 
 // Load executes a LDX instruction against a state.

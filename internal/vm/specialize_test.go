@@ -168,7 +168,10 @@ func TestSpecializeMemMatchesMemSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	space := NewMemSpace(prog, env.Maps)
+	space, err := NewMemSpace(prog, env.Maps)
+	if err != nil {
+		t.Fatal(err)
+	}
 	zoos := []memZoo{
 		{RegionStack, []int64{-512, -511, -256, -16, -8, -7, -4, -2, -1, 0, 8, -513, -520},
 			func(*State, uint64) uint64 { return StackTopAddr }},
@@ -201,7 +204,7 @@ func TestSpecializeMemMatchesMemSpace(t *testing.T) {
 		for i := range val {
 			val[i] = byte(i + 1)
 		}
-		return st, val, space.ValueAddress(0, "k", val)
+		return st, val, space.ValueAddress(0, 0, val)
 	}
 	specialised, declined := 0, 0
 	for _, zoo := range zoos {
@@ -260,39 +263,5 @@ func TestSpecializeMemMatchesMemSpace(t *testing.T) {
 	}
 	if specialised < 200 || declined < 200 {
 		t.Fatalf("%d forms specialised, %d declined: the sweep missed a side", specialised, declined)
-	}
-}
-
-// TestValueAddressRepeatsSkipNothing checks the registration shortcut
-// against the plain rule — one handle per key in order of first sight,
-// the latest value slice behind it — over a sequence with repeats,
-// entries that move and keys that alternate.
-func TestValueAddressRepeatsSkipNothing(t *testing.T) {
-	prog := &ebpf.Program{Maps: []ebpf.MapSpec{{Name: "m", Kind: ebpf.MapHash, KeySize: 4, ValueSize: 8, MaxEntries: 64}}}
-	env, err := NewEnv(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	space := NewMemSpace(prog, env.Maps)
-	handles := map[string]uint64{}
-	slices := map[string][]byte{}
-	seq := []string{"a", "a", "b", "a", "a", "c", "c", "b", "b", "b", "a"}
-	for i, k := range seq {
-		if i%4 == 3 || slices[k] == nil { // the entry was deleted and re-created
-			slices[k] = make([]byte, 8)
-		}
-		if _, seen := handles[k]; !seen {
-			handles[k] = uint64(len(handles))
-		}
-		want := MapValueBase + handles[k]*8
-		if got := space.ValueAddressBytes(0, []byte(k), slices[k]); got != want {
-			t.Fatalf("registration %d of %q: address %#x, want %#x", i, k, got, want)
-		}
-		for key, h := range handles {
-			_, mem, _, err := space.Resolve(NewState(NewPacket(nil)), MapValueBase+h*8, 8)
-			if err != nil || &mem[0] != &slices[key][0] {
-				t.Fatalf("after registration %d: %q resolves to a stale slice (err %v)", i, key, err)
-			}
-		}
 	}
 }
