@@ -57,12 +57,13 @@ chaos:
 # classifier/policer/admission gate and the journal/snapshot codecs
 # must stay above their floors (protect 90%, hwsim 75%, obs 85%, rss
 # 85%, nic 85%, fastpath 85%, fleet 85%, tenant 85%, durable 85%), and so
-# must vm (85%), which hosts every closure both engines run, and maps
-# (85%), the store every lookup of every engine lands in. A gated
+# must vm (85%), which hosts every closure both engines run, maps
+# (85%), the store every lookup of every engine lands in, and hdl (90%),
+# whose netlist both the VHDL text and the resource bill derive from. A gated
 # package missing from the coverage output fails the gate — a silently
 # dropped package must not read as a pass.
 cover:
-	@$(GO) test -cover ./internal/protect/ ./internal/hwsim/ ./internal/obs/ ./internal/rss/ ./internal/nic/ ./internal/fastpath/ ./internal/fleet/ ./internal/tenant/ ./internal/durable/ ./internal/vm/ ./internal/maps/ | tee /tmp/ehdl-cover.txt
+	@$(GO) test -cover ./internal/protect/ ./internal/hwsim/ ./internal/obs/ ./internal/rss/ ./internal/nic/ ./internal/fastpath/ ./internal/fleet/ ./internal/tenant/ ./internal/durable/ ./internal/vm/ ./internal/maps/ ./internal/hdl/ | tee /tmp/ehdl-cover.txt
 	@awk 'function gate(pkg, floor,    a) { seen[pkg] = 1; split($$5, a, "%"); \
 	          if (a[1]+0 < floor) { printf "FAIL: internal/%s coverage %s%% < %d%%\n", pkg, a[1], floor; bad = 1 } } \
 	      /internal\/protect/  { gate("protect", 90) } \
@@ -76,7 +77,8 @@ cover:
 	      /internal\/durable/  { gate("durable", 85) } \
 	      /internal\/vm/       { gate("vm", 85) } \
 	      /internal\/maps/     { gate("maps", 85) } \
-	      END { n = split("protect hwsim obs rss nic fastpath fleet tenant durable vm maps", want, " "); \
+	      /internal\/hdl/      { gate("hdl", 90) } \
+	      END { n = split("protect hwsim obs rss nic fastpath fleet tenant durable vm maps hdl", want, " "); \
 	            for (i = 1; i <= n; i++) if (!seen[want[i]]) { printf "FAIL: internal/%s missing from coverage output\n", want[i]; bad = 1 } \
 	            exit bad }' /tmp/ehdl-cover.txt
 	@echo "coverage gates passed"
@@ -154,16 +156,16 @@ bench:
 	$(GO) run ./bench
 	$(GO) test -bench Interpreter -run '^$$' ./internal/hwsim/
 
-# Non-test Go lines per internal package, and the change since PARENT
-# (make lines PARENT=HEAD before committing): the headline metric of a
-# design PR (ROADMAP aim 2).
+# Non-test Go lines per internal package, the change since PARENT (make
+# lines PARENT=HEAD before committing) and their total: the headline
+# metric of a design PR (ROADMAP aim 2).
 lines:
 	@for d in internal/*/; do \
 		now=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 		was=$$(git ls-tree --name-only $(PARENT) $$d 2>/dev/null | grep '\.go$$' | grep -v '_test\.go$$' | \
 			while read f; do git show $(PARENT):$$f; done | wc -l); \
 		printf '%6d %+6d %s\n' $$now $$((now - was)) $$d; \
-	done
+	done | awk '{ print; now += $$1; delta += $$2 } END { printf "%6d %+6d total\n", now, delta }'
 
 # Observability demo: a traced, metered firewall run. Leaves the
 # cycle-level event stream in /tmp/ehdl-trace.jsonl.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ehdl/internal/ebpf"
-	"ehdl/internal/vm"
 )
 
 // MaxUnrollTrips bounds loop unrolling; a loop with more iterations is
@@ -260,7 +259,7 @@ func countTrips(ip *indexed, headStart, tailEnd, branchIdx int) (int, error) {
 			return 0, fmt.Errorf("cfg: loop exceeds %d iterations", MaxUnrollTrips)
 		}
 		v = uint64(int64(v) + delta)
-		taken, err := vm.Compare(branch.JumpOp(), cmpVal(v, is32), cmpVal(bound, is32), is32)
+		taken, err := branch.JumpOp().Compare(cmpVal(v, is32), cmpVal(bound, is32), is32)
 		if err != nil {
 			return 0, err
 		}

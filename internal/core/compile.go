@@ -204,7 +204,7 @@ func contains(s []int, v int) bool {
 // leading NOP stages that guarantee every frame a stage touches is
 // already inside the pipeline (Section 4.2).
 func (p *Pipeline) applyFraming() {
-	frame := p.Options.frameBytes()
+	frame := p.FrameBytes()
 
 	needNops := 0
 	for s := range p.Stages {

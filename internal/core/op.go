@@ -226,6 +226,72 @@ type MapBlock struct {
 	WARDepth int
 }
 
+// Channels is the number of access channels the block serves: one per
+// distinct reading, writing or atomically updating stage.
+func (mb *MapBlock) Channels() int {
+	return len(mb.ReadStages) + len(mb.WriteStages) + len(mb.AtomicStages)
+}
+
+// Sharing classifies how one map is laid out across pipeline replicas,
+// mirroring the hardware choice between one shared BRAM block and N
+// banked copies (and the kernel's per-CPU map trick on the host side).
+type Sharing int
+
+// Sharing classes.
+const (
+	// SharingShared keeps one instance visible to every replica. Safe
+	// only when the data plane never writes the map: routing tables,
+	// VIP/backend config, tunnel endpoints.
+	SharingShared Sharing = iota
+	// SharingCounter banks the map per replica and merges by summing
+	// per-word deltas against the post-setup baseline — the per-CPU
+	// counter-array model. Chosen when the data plane mutates the map
+	// exclusively through the atomic-add primitive.
+	SharingCounter
+	// SharingFlow banks the map per replica and merges by unioning
+	// entries that changed against the baseline. Because the dispatcher
+	// pins each flow to one queue, a per-flow entry changes in at most
+	// one bank; cross-bank conflicts are counted and resolved in favour
+	// of the lowest queue so the merge stays deterministic.
+	SharingFlow
+)
+
+func (s Sharing) String() string {
+	switch s {
+	case SharingShared:
+		return "shared"
+	case SharingCounter:
+		return "counter"
+	case SharingFlow:
+		return "flow"
+	}
+	return fmt.Sprintf("sharing(%d)", int(s))
+}
+
+// Sharing decides the block's sharing class from its access pattern:
+//
+//   - no data-plane writes at all → shared (one instance, N read ports);
+//   - atomic-only mutation → banked counter (delta-sum merge);
+//   - general writes → banked per-flow state (union merge).
+//
+// A nil block — a map the pipeline never touches (host-only scratch) —
+// is shared: only the host port accesses it, and the host is a single
+// writer. LRU hash maps are never shared even when read-only, because
+// their lookup path mutates the recency list.
+func (mb *MapBlock) Sharing() Sharing {
+	switch {
+	case mb == nil:
+		return SharingShared
+	case len(mb.WriteStages) > 0:
+		return SharingFlow
+	case len(mb.AtomicStages) > 0 || mb.UsesAtomics:
+		return SharingCounter
+	case mb.Spec.Kind == ebpf.MapLRUHash:
+		return SharingFlow
+	}
+	return SharingShared
+}
+
 // Pipeline is a compiled hardware design.
 type Pipeline struct {
 	// Prog is the original input program; Transformed is the program the
@@ -248,6 +314,15 @@ type Pipeline struct {
 	FusedPairs int
 	// FramingNOPs counts stages inserted for packet framing.
 	FramingNOPs int
+}
+
+// FrameBytes returns the packet framing width the pipeline was compiled
+// for, with the default resolved.
+func (p *Pipeline) FrameBytes() int {
+	if p.Options.FrameBytes <= 0 {
+		return 64
+	}
+	return p.Options.FrameBytes
 }
 
 // NumStages returns the pipeline depth.
@@ -307,13 +382,6 @@ type Options struct {
 	// DisableAtomics lowers atomic map operations to flush-protected
 	// read-modify-writes (the Section 5.3 single-flow ablation).
 	DisableAtomics bool
-}
-
-func (o Options) frameBytes() int {
-	if o.FrameBytes <= 0 {
-		return 64
-	}
-	return o.FrameBytes
 }
 
 func (o Options) validate() error {

@@ -8,6 +8,8 @@
 // (internal/core) turns them into hardware pipelines.
 package ebpf
 
+import "fmt"
+
 // Register identifies one of the eleven eBPF general purpose registers.
 //
 // The eBPF calling convention fixes the roles: R0 holds return values,
@@ -276,6 +278,45 @@ func (op JumpOp) Token() string {
 		return "s<="
 	}
 	return "?"
+}
+
+// Compare applies the jump comparison to two operand values: the ISA's
+// semantics, shared by the interpreter and the compiler's loop-bound
+// evaluation.
+func (op JumpOp) Compare(lhs, rhs uint64, is32 bool) (bool, error) {
+	signed := func(v uint64) int64 {
+		if is32 {
+			return int64(int32(uint32(v)))
+		}
+		return int64(v)
+	}
+	switch op {
+	case JumpAlways:
+		return true, nil
+	case JumpEq:
+		return lhs == rhs, nil
+	case JumpNE:
+		return lhs != rhs, nil
+	case JumpGT:
+		return lhs > rhs, nil
+	case JumpGE:
+		return lhs >= rhs, nil
+	case JumpLT:
+		return lhs < rhs, nil
+	case JumpLE:
+		return lhs <= rhs, nil
+	case JumpSet:
+		return lhs&rhs != 0, nil
+	case JumpSGT:
+		return signed(lhs) > signed(rhs), nil
+	case JumpSGE:
+		return signed(lhs) >= signed(rhs), nil
+	case JumpSLT:
+		return signed(lhs) < signed(rhs), nil
+	case JumpSLE:
+		return signed(lhs) <= signed(rhs), nil
+	}
+	return false, fmt.Errorf("unsupported comparison %v", op)
 }
 
 // Size is the access width selector (bits 3-4) of load/store opcodes.

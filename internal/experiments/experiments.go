@@ -825,17 +825,3 @@ func LiveUpdateUnderLoad(cfg Config) (Table, error) {
 			upd.Max(), upd.Max()-base.Max()))
 	return t, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -60,3 +60,48 @@ func TestGoldenTables(t *testing.T) {
 		t.Errorf("%s line %d:\n     got %q\nrecorded %q", id, n+1, have[n], rec[n])
 	}
 }
+
+// TestExperimentsDocQuotesGolden: every fenced block of EXPERIMENTS.md
+// that opens with a table banner ("== id: title ==") is that table as
+// the golden file records it, trailing blanks aside — the doc quotes
+// the pinned output, it does not restate it.
+func TestExperimentsDocQuotesGolden(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(goldenTablesPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trim := func(block string) string {
+		lines := strings.Split(strings.TrimSpace(block), "\n")
+		for i := range lines {
+			lines[i] = strings.TrimRight(lines[i], " ")
+		}
+		return strings.Join(lines, "\n")
+	}
+	golden := map[string]string{}
+	for _, block := range strings.Split(string(raw), "\n\n") {
+		if id, _, ok := strings.Cut(strings.TrimPrefix(block, "== "), ":"); ok && strings.HasPrefix(block, "== ") {
+			golden[id] = trim(block)
+		}
+	}
+	quoted := 0
+	for i, block := range strings.Split(string(doc), "```\n") {
+		if i%2 == 0 || !strings.HasPrefix(block, "== ") { // even pieces are prose
+			continue
+		}
+		quoted++
+		id, _, _ := strings.Cut(strings.TrimPrefix(block, "== "), ":")
+		want, ok := golden[id]
+		if !ok {
+			t.Errorf("EXPERIMENTS.md quotes table %q, which the golden file does not hold", id)
+		} else if got := trim(block); got != want {
+			t.Errorf("EXPERIMENTS.md quotes %s as\n%s\nthe golden file records\n%s", id, got, want)
+		}
+	}
+	if quoted == 0 {
+		t.Error("EXPERIMENTS.md quotes no table: the check is vacuous")
+	}
+}

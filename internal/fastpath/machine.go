@@ -201,10 +201,7 @@ func (p *Prog) NewMachine(cfg hwsim.Config, env *vm.Env) (*Machine, error) {
 		env:        env,
 		depth:      p.Depth(),
 		queueDepth: cfg.QueueDepth(),
-		frameBytes: p.pl.Options.FrameBytes,
-	}
-	if m.frameBytes <= 0 {
-		m.frameBytes = 64
+		frameBytes: p.pl.FrameBytes(),
 	}
 	if env.Now == nil {
 		// The hardware clock: cycle count scaled to nanoseconds.

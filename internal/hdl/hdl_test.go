@@ -95,13 +95,6 @@ func TestPruningAblationShape(t *testing.T) {
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func TestILPAblationShrinksPipelineResources(t *testing.T) {
 	base := EstimatePipeline(compileApp(t, "firewall", core.Options{}))
 	serial := EstimatePipeline(compileApp(t, "firewall", core.Options{DisableILP: true}))
@@ -141,13 +134,18 @@ func TestVHDLGeneration(t *testing.T) {
 				t.Errorf("%s: generated VHDL missing %q", name, want)
 			}
 		}
-		// One process per stage plus the input process.
+		n := elaborate(pl)
+		// One process per stage plus the input process; one slice more
+		// than stages, the output latch.
+		if len(n.stages) != pl.NumStages()+1 || n.stages[pl.NumStages()].heads != 0 {
+			t.Errorf("%s: %d register slices for %d stages", name, len(n.stages), pl.NumStages())
+		}
 		if got := strings.Count(src, "rising_edge(clk)"); got != pl.NumStages()+1 {
 			t.Errorf("%s: %d clocked processes, want %d", name, got, pl.NumStages()+1)
 		}
-		// One eHDLmap instance per map block.
-		if got := strings.Count(src, ": ehdl_map"); got != len(pl.Maps) {
-			t.Errorf("%s: %d map instances, want %d", name, got, len(pl.Maps))
+		// One eHDLmap node per map block, one instance printed per node.
+		if len(n.maps) != len(pl.Maps) || strings.Count(src, ": ehdl_map") != len(n.maps) {
+			t.Errorf("%s: %d map nodes, %d instances, want %d", name, len(n.maps), strings.Count(src, ": ehdl_map"), len(pl.Maps))
 		}
 		// Structural balance.
 		if strings.Count(src, "process(clk)") != strings.Count(src, "end process;") {
@@ -167,14 +165,19 @@ func TestVHDLDeterministic(t *testing.T) {
 }
 
 func TestVHDLFlushBlockPresence(t *testing.T) {
-	pl := compileApp(t, "leakybucket", core.Options{})
-	src := Generate(pl)
-	if !strings.Contains(src, "FLUSH_EVAL => true") {
-		t.Error("leaky bucket VHDL does not instantiate a Flush Evaluation Block")
+	flushEval := func(app string) bool {
+		for _, m := range elaborate(compileApp(t, app, core.Options{})).maps {
+			if m.flushEval {
+				return true
+			}
+		}
+		return false
 	}
-	toy := Generate(compileApp(t, "toy", core.Options{}))
-	if strings.Contains(toy, "FLUSH_EVAL => true") {
-		t.Error("toy VHDL instantiates a flush block despite atomic-only access")
+	if !flushEval("leakybucket") {
+		t.Error("leaky bucket does not instantiate a Flush Evaluation Block")
+	}
+	if flushEval("toy") {
+		t.Error("toy instantiates a flush block despite atomic-only access")
 	}
 }
 

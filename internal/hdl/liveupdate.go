@@ -42,9 +42,9 @@ const (
 // mux flip — but nothing per map.
 func EstimateLiveUpdate(p *core.Pipeline) Resources {
 	var r Resources
-	for i := range p.Maps {
+	for _, m := range elaborateMaps(p) {
 		// The shadow pipeline's copy of the data words.
-		r.BRAM36 += bram36(mapDataBits(p.Maps[i].Spec))
+		r.BRAM36 += bram36(m.dataBits)
 
 		r.LUTs += migrateChannelLUTs
 		r.FFs += migrateChannelFFs

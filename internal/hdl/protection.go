@@ -24,30 +24,27 @@ import (
 //     off-chip, where it does not double the BRAM budget), plus the
 //     backoff/drain sequencer.
 type protectionCost struct {
-	encoderLUTs         int // write-port encoder per write channel
-	decoderLUTs         int // read-port syndrome decoder per read channel
-	decoderFFs          int
-	checkBitsPerWord    int // extra storage per 64 data bits
-	needsShadowAndScrub bool
+	encoderLUTs      int // write-port encoder per write channel
+	decoderLUTs      int // read-port syndrome decoder per read channel
+	decoderFFs       int
+	checkBitsPerWord int // extra storage per 64 data bits
 }
 
 func costOfLevel(level protect.Level) (protectionCost, bool) {
 	switch level {
 	case protect.LevelParity:
 		return protectionCost{
-			encoderLUTs:         24, // parity tree
-			decoderLUTs:         26, // parity tree + mismatch flag
-			decoderFFs:          8,
-			checkBitsPerWord:    1,
-			needsShadowAndScrub: true,
+			encoderLUTs:      24, // parity tree
+			decoderLUTs:      26, // parity tree + mismatch flag
+			decoderFFs:       8,
+			checkBitsPerWord: 1,
 		}, true
 	case protect.LevelECC:
 		return protectionCost{
-			encoderLUTs:         180, // seven 36-input XOR trees + overall parity
-			decoderLUTs:         260, // syndrome trees + 72-way corrector mux
-			decoderFFs:          80,
-			checkBitsPerWord:    8,
-			needsShadowAndScrub: true,
+			encoderLUTs:      180, // seven 36-input XOR trees + overall parity
+			decoderLUTs:      260, // syndrome trees + 72-way corrector mux
+			decoderFFs:       80,
+			checkBitsPerWord: 8,
 		}, true
 	}
 	return protectionCost{}, false
@@ -62,18 +59,16 @@ func EstimateProtection(p *core.Pipeline, level protect.Level) Resources {
 	}
 
 	var r Resources
-	for i := range p.Maps {
-		mb := &p.Maps[i]
-
+	for _, m := range elaborateMaps(p) {
 		// Check-bit storage beside the data words.
-		checkBits := (mapDataBits(mb.Spec) + 63) / 64 * cost.checkBitsPerWord
+		checkBits := (m.dataBits + 63) / 64 * cost.checkBitsPerWord
 		r.BRAM36 += bram36(checkBits)
 
 		// Encoders on write-capable channels (the host port always
 		// writes), decoders on read-capable ones (the host port and the
 		// scrubber always read).
-		writePorts := len(mb.WriteStages) + len(mb.AtomicStages) + 1
-		readPorts := len(mb.ReadStages) + len(mb.AtomicStages) + 2
+		writePorts := m.writes + m.atomics + 1
+		readPorts := m.reads + m.atomics + 2
 		r.LUTs += cost.encoderLUTs * writePorts
 		r.LUTs += cost.decoderLUTs * readPorts
 		r.FFs += cost.decoderFFs * readPorts

@@ -1,9 +1,6 @@
 package hdl
 
-import (
-	"ehdl/internal/core"
-	"ehdl/internal/rss"
-)
+import "ehdl/internal/core"
 
 // ReplicatedParts breaks a multi-queue deployment's resource bill into
 // the pieces that scale differently with the replica count: the stage
@@ -43,21 +40,21 @@ func EstimateReplicatedParts(p *core.Pipeline, queues int) ReplicatedParts {
 	if queues < 1 {
 		queues = 1
 	}
+	n := elaborate(p)
 	parts := ReplicatedParts{Queues: queues}
-	parts.PerReplicaLogic = estimateStageLogic(p)
+	parts.PerReplicaLogic = n.stageLogic()
 	parts.Logic = parts.PerReplicaLogic.Scale(queues)
 
-	for i := range p.Maps {
-		mb := &p.Maps[i]
-		block := mapBlockCost(mb)
-		if rss.ClassifyMap(p, mb.MapID) == rss.SharingShared {
-			parts.SharedMaps = parts.SharedMaps.Add(block)
+	for i := range n.maps {
+		m := &n.maps[i]
+		if m.sharing == core.SharingShared {
+			parts.SharedMaps = parts.SharedMaps.Add(m.cost())
 			if queues > 1 {
-				parts.SharedMaps = parts.SharedMaps.Add(sharedPortCost(mb, queues))
+				parts.SharedMaps = parts.SharedMaps.Add(sharedPortCost(m.channels, queues))
 			}
 			continue
 		}
-		parts.BankedMaps = parts.BankedMaps.Add(block.Scale(queues))
+		parts.BankedMaps = parts.BankedMaps.Add(m.cost().Scale(queues))
 	}
 
 	parts.FrontEnd = rssFrontEndCost(queues)
@@ -79,11 +76,10 @@ func EstimateDesignReplicated(p *core.Pipeline, queues int) Resources {
 
 // sharedPortCost prices the extra access hardware a shared map needs
 // when more than one replica reads it: a duplicated channel interface
-// per extra replica (the block's own channels are in mapBlockCost) and
+// per extra replica (the block's own channels are in mapNode.cost) and
 // a round-robin arbiter sized to the port count. The memory itself is
 // not duplicated — that is the point of sharing.
-func sharedPortCost(mb *core.MapBlock, queues int) Resources {
-	channels := len(mb.ReadStages) + len(mb.WriteStages) + len(mb.AtomicStages)
+func sharedPortCost(channels, queues int) Resources {
 	var r Resources
 	r.LUTs += 90 * channels * (queues - 1)
 	r.FFs += 70 * channels * (queues - 1)

@@ -5,7 +5,6 @@ import (
 
 	"ehdl/internal/apps"
 	"ehdl/internal/core"
-	"ehdl/internal/rss"
 )
 
 // TestReplicatedMatchesSingleAtOne: a one-queue deployment is exactly
@@ -61,7 +60,7 @@ func TestSharedMapMemoryConstant(t *testing.T) {
 	pl := compileApp(t, "router", core.Options{})
 	shared := false
 	for i := range pl.Maps {
-		if rss.ClassifyMap(pl, pl.Maps[i].MapID) == rss.SharingShared {
+		if pl.Maps[i].Sharing() == core.SharingShared {
 			shared = true
 		}
 	}

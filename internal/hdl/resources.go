@@ -3,16 +3,21 @@
 // (Section 3: "takes as input unmodified eBPF bytecode and outputs
 // VHDL"), and it estimates the FPGA resources of the generated design.
 //
+// Both outputs derive from one elaboration of the pipeline (netlist.go):
+// the VHDL is a printer over the netlist, the estimate a fold over it.
+//
 // The resource estimator replaces the Vivado synthesis reports of the
 // paper's testbed: each template primitive (Section 3.4) carries a
-// calibrated LUT/FF/BRAM cost, so relative comparisons — across
-// applications, against the hXDP and SDNet baselines (Figure 10), and
-// between pruning on/off (Section 5.4) — are preserved.
+// calibrated LUT/FF/BRAM cost beside its VHDL template, so relative
+// comparisons — across applications, against the hXDP and SDNet
+// baselines (Figure 10), and between pruning on/off (Section 5.4) —
+// are preserved.
 package hdl
 
 import (
+	"math/bits"
+
 	"ehdl/internal/core"
-	"ehdl/internal/ebpf"
 )
 
 // Resources is an FPGA resource vector.
@@ -63,16 +68,7 @@ func (r Resources) PercentOf(d Device) Percent {
 
 // Max returns the dominant utilisation fraction, the figure the paper
 // quotes as "6.5%-13.3% of the FPGA".
-func (p Percent) Max() float64 {
-	m := p.LUT
-	if p.FF > m {
-		m = p.FF
-	}
-	if p.BRAM > m {
-		m = p.BRAM
-	}
-	return m
-}
+func (p Percent) Max() float64 { return max(p.LUT, p.FF, p.BRAM) }
 
 // CorundumShell is the cost of the open-source 100 Gbps NIC shell the
 // designs are embedded in (Section 4.5). Numbers follow the published
@@ -90,54 +86,11 @@ const bramThresholdBytes = 192
 // alone (no shell), the quantity the Section 5.4 pruning ablation
 // reports.
 func EstimatePipeline(p *core.Pipeline) Resources {
-	r := estimateStageLogic(p)
-	for i := range p.Maps {
-		r = r.Add(mapBlockCost(&p.Maps[i]))
+	n := elaborate(p)
+	r := n.stageLogic()
+	for i := range n.maps {
+		r = r.Add(n.maps[i].cost())
 	}
-	return r
-}
-
-// estimateStageLogic prices the per-stage datapath — everything except
-// the map blocks. This is the part a multi-queue deployment stamps out
-// once per replica, while maps follow their sharing class (replicate.go).
-func estimateStageLogic(p *core.Pipeline) Resources {
-	var r Resources
-
-	frame := p.Options.FrameBytes
-	if frame <= 0 {
-		frame = 64
-	}
-
-	stackBRAMBits := 0
-	for i := range p.Stages {
-		st := &p.Stages[i]
-		// Stage skeleton: enable logic, valid/done/verdict latches and
-		// pipeline control.
-		r.LUTs += 100
-		r.FFs += 16
-
-		// Carried architectural state: registers and live stack bytes.
-		stateBits := st.CarryRegCount()*64 + st.CarryStackBytes()*8
-		if st.CarryStackBytes() >= bramThresholdBytes {
-			// Large stack segments fall out of the shifter register into
-			// indirectly indexed block RAM (the Section 6 trade-off);
-			// the pool is shared across stages.
-			stackBRAMBits += st.CarryStackBytes() * 8
-			stateBits = st.CarryRegCount() * 64
-		}
-		r.FFs += stateBits
-		r.LUTs += stateBits / 3 // routing and write-enables
-
-		// Packet frame registers: one frame plus the bypass window.
-		frameBits := frame * 8 * (1 + st.FrameBypass)
-		r.FFs += frameBits
-		r.LUTs += frameBits / 4
-
-		for k := range st.Ops {
-			r = r.Add(opCost(&st.Ops[k]))
-		}
-	}
-	r.BRAM36 += bram36(stackBRAMBits)
 	return r
 }
 
@@ -146,151 +99,85 @@ func EstimateDesign(p *core.Pipeline) Resources {
 	return EstimatePipeline(p).Add(CorundumShell())
 }
 
-// opCost prices one template primitive.
-func opCost(op *core.Op) Resources {
+// stageLogic prices the per-stage datapath — everything except the map
+// blocks. This is the part a multi-queue deployment stamps out once per
+// replica, while maps follow their sharing class (replicate.go).
+func (n *netlist) stageLogic() Resources {
 	var r Resources
-	price := func(ins ebpf.Instruction) {
-		switch {
-		case ins.Class().IsALU():
-			r = r.Add(aluCost(ins))
-		case ins.IsExit():
-			r.LUTs += 12 // verdict latch
-		case ins.IsBranch():
-			r.LUTs += 44 // 64-bit compare + enable fan-out
-		case ins.Class() == ebpf.ClassLD:
-			// Constants and map handles are wiring.
-		case ins.Class().IsLoad() || ins.Class().IsStore():
-			if ins.IsAtomic() {
-				r.LUTs += 160 // read-modify-write primitive
-				return
-			}
-			if op.BaseElided {
-				r.LUTs += 10 // statically wired byte lanes
-			} else {
-				r.LUTs += 220 // dynamic offset: byte-lane multiplexer
-			}
-		}
-	}
-	price(op.Ins)
-	for _, f := range op.Fused {
-		price(f)
-	}
+	stackBRAMBits := 0
+	for i := range n.stages[:len(n.stages)-1] { // all but the output latch
+		st := &n.stages[i]
+		// Stage skeleton: enable logic, valid/done/verdict latches and
+		// pipeline control.
+		r.LUTs += 100
+		r.FFs += 16
 
-	switch op.Kind {
-	case core.OpMapCall:
-		// The per-call-site channel interface; the shared block itself
-		// is priced in mapBlockCost.
-		r.LUTs += 120
-		r.FFs += 160
-	case core.OpHelper:
-		r = r.Add(helperCost(op.Helper))
-	}
-	return r
-}
-
-func aluCost(ins ebpf.Instruction) Resources {
-	var r Resources
-	is64 := ins.Class() == ebpf.ClassALU64
-	w := 32
-	if is64 {
-		w = 64
-	}
-	switch ins.ALUOp() {
-	case ebpf.ALUMov:
-		// wiring
-	case ebpf.ALUAdd, ebpf.ALUSub, ebpf.ALUNeg:
-		r.LUTs += w
-	case ebpf.ALUAnd, ebpf.ALUOr, ebpf.ALUXor:
-		r.LUTs += w / 2
-	case ebpf.ALUMul:
-		r.DSPs += w / 16
-		r.LUTs += w
-	case ebpf.ALUDiv, ebpf.ALUMod:
-		r.LUTs += w * 20 // iterative divider, rare in network code
-	case ebpf.ALULsh, ebpf.ALURsh, ebpf.ALUArsh:
-		if ins.Source() == ebpf.SourceK {
-			// constant shifts are wiring
+		// Carried architectural state: registers and live stack bytes.
+		stateBits := bits.OnesCount16(st.latched) * 64
+		if st.stackBits() >= bramThresholdBytes*8 {
+			// Large stack segments fall out of the shifter register into
+			// indirectly indexed block RAM (the Section 6 trade-off);
+			// the pool is shared across stages.
+			stackBRAMBits += st.stackBits()
 		} else {
-			r.LUTs += w * 4 // barrel shifter
+			stateBits += st.stackBits()
 		}
-	case ebpf.ALUEnd:
-		// byte swaps are wiring
+		r.FFs += stateBits
+		r.LUTs += stateBits / 3 // routing and write-enables
+
+		// Packet frame registers: one frame plus the bypass window.
+		frameBits := n.frameBits * st.frames
+		r.FFs += frameBits
+		r.LUTs += frameBits / 4
 	}
+	for i := range n.ops {
+		o := &n.ops[i]
+		prim := &primitives[o.kind]
+		r = r.Add(prim.fixed)
+		if !(prim.regOnly && o.b.sig == sigLit) {
+			r.LUTs += int(prim.lutsPerBit * float64(o.width))
+			r.DSPs += prim.dspsPer16Bits * int(o.width) / 16
+		}
+	}
+	r.BRAM36 += bram36(stackBRAMBits)
 	return r
-}
-
-func helperCost(h ebpf.HelperID) Resources {
-	switch h {
-	case ebpf.HelperXDPAdjustHead, ebpf.HelperXDPAdjustTail:
-		return Resources{LUTs: 2100, FFs: 1200} // frame realignment shifter
-	case ebpf.HelperKtimeGetNs, ebpf.HelperKtimeGetBootNs, ebpf.HelperKtimeGetCoarseNs, ebpf.HelperJiffies64:
-		return Resources{LUTs: 90, FFs: 64} // free-running counter sample
-	case ebpf.HelperGetPrandomU32:
-		return Resources{LUTs: 120, FFs: 96} // xorshift block
-	case ebpf.HelperRedirect, ebpf.HelperRedirectMap:
-		return Resources{LUTs: 60, FFs: 32}
-	case ebpf.HelperL3CsumReplace, ebpf.HelperL4CsumReplace, ebpf.HelperCsumDiff:
-		return Resources{LUTs: 320, FFs: 128}
-	default:
-		return Resources{LUTs: 50, FFs: 16} // stubbed CPU-only helpers
-	}
-}
-
-// mapDataBits is the on-chip storage one map's entries occupy: key and
-// value per entry, value only for the directly indexed kinds (the index
-// is the address).
-func mapDataBits(spec ebpf.MapSpec) int {
-	entryBits := (spec.KeySize + spec.ValueSize) * 8
-	if spec.Kind == ebpf.MapArray || spec.Kind == ebpf.MapDevMap {
-		entryBits = spec.ValueSize * 8
-	}
-	return entryBits * spec.MaxEntries
 }
 
 // bram36 is the number of 36 Kb block RAMs that hold bits.
 func bram36(bits int) int { return (bits + 36*1024 - 1) / (36 * 1024) }
 
-// mapBlockCost prices one eHDLmap block: the memory itself plus the
-// lookup engine, consistency hardware and host interface (Section 4.1).
-func mapBlockCost(mb *core.MapBlock) Resources {
-	var r Resources
-	spec := mb.Spec
+// engineCost prices a map block's lookup engine.
+var engineCost = [...]Resources{
+	engineDirect: {LUTs: 120, FFs: 80},
+	engineHash:   {LUTs: 520, FFs: 300},
+	engineTrie:   {LUTs: 760, FFs: 420},
+}
 
-	r.BRAM36 += bram36(mapDataBits(spec))
-
-	switch spec.Kind {
-	case ebpf.MapHash, ebpf.MapLRUHash:
-		r.LUTs += 520 // hash function + probe engine
-		r.FFs += 300
-	case ebpf.MapLPMTrie:
-		r.LUTs += 760 // trie walker
-		r.FFs += 420
-	default:
-		r.LUTs += 120 // direct index
-		r.FFs += 80
-	}
+// cost prices one eHDLmap block: the memory itself plus the lookup
+// engine, consistency hardware and host interface (Section 4.1).
+func (m *mapNode) cost() Resources {
+	r := engineCost[m.engine]
+	r.BRAM36 += bram36(m.dataBits)
 
 	// Host interface (userspace map access, Section 4.1).
 	r.LUTs += 180
 	r.FFs += 150
 
 	// One channel per distinct accessing stage.
-	channels := len(mb.ReadStages) + len(mb.WriteStages) + len(mb.AtomicStages)
-	r.LUTs += 90 * channels
-	r.FFs += 70 * channels
+	r.LUTs += 90 * m.channels
+	r.FFs += 70 * m.channels
 
-	if len(mb.AtomicStages) > 0 {
+	if m.atomics > 0 {
 		r.LUTs += 150 // atomic update primitive
 	}
-	if mb.NeedsFlush {
+	if m.flushEval {
 		// Flush Evaluation Block: address CAM over the hazard window.
-		r.LUTs += 280 + 24*mb.L
-		r.FFs += 64 * mb.L
+		r.LUTs += 280 + 24*m.window
+		r.FFs += 64 * m.window
 	}
-	if mb.WARDepth > 0 {
+	if m.warDepth > 0 {
 		// Write-delay registers (Figure 6).
-		width := (spec.KeySize + spec.ValueSize) * 8
-		r.FFs += width * mb.WARDepth
+		r.FFs += (m.keyBits + m.valueBits) * m.warDepth
 		r.LUTs += 60
 	}
 	return r

@@ -18,11 +18,9 @@ import (
 // interpreter produced, so the testbench encodes the same golden-model
 // expectations the Go test suite checks cycle-accurately.
 func GenerateTestbench(p *core.Pipeline, stimuli []Stimulus) string {
-	var b strings.Builder
-	g := &generator{p: p, w: &b}
-	tb := &tbGen{generator: g, stimuli: stimuli}
-	tb.emit()
-	return b.String()
+	w := &printer{n: elaborate(p)}
+	w.testbench(stimuli)
+	return w.String()
 }
 
 // Stimulus is one testbench vector.
@@ -33,21 +31,16 @@ type Stimulus struct {
 	Verdict uint8
 }
 
-type tbGen struct {
-	*generator
-	stimuli []Stimulus
-}
-
-func (g *tbGen) emit() {
+func (g *printer) testbench(stimuli []Stimulus) {
 	name := g.entityName()
-	frameBytes := g.frameBits() / 8
+	frameBytes, stages := g.n.frameBits/8, len(g.n.stages)-1
 
-	g.pf("-- %s_tb: self-checking testbench (%d stimuli)\n", name, len(g.stimuli))
+	g.pf("-- %s_tb: self-checking testbench (%d stimuli)\n", name, len(stimuli))
 	g.pf("\nlibrary ieee;\nuse ieee.std_logic_1164.all;\nuse ieee.numeric_std.all;\n\n")
 	g.pf("entity %s_tb is\nend entity %s_tb;\n\n", name, name)
 	g.pf("architecture sim of %s_tb is\n\n", name)
 	g.pf("  constant CLK_PERIOD : time := 4 ns; -- 250 MHz\n")
-	g.pf("  constant FRAME_BITS : integer := %d;\n\n", g.frameBits())
+	g.pf("  constant FRAME_BITS : integer := %d;\n\n", g.n.frameBits)
 
 	g.pf("  signal clk, rst        : std_logic := '0';\n")
 	g.pf("  signal s_tdata         : std_logic_vector(FRAME_BITS-1 downto 0) := (others => '0');\n")
@@ -77,16 +70,13 @@ func (g *tbGen) emit() {
 
 	g.pf("  p_stimulus : process\n  begin\n")
 	g.pf("    rst <= '1';\n    wait for 5 * CLK_PERIOD;\n    rst <= '0';\n")
-	for i, st := range g.stimuli {
-		frames := (len(st.Packet) + frameBytes - 1) / frameBytes
-		if frames == 0 {
-			frames = 1
-		}
+	for i, st := range stimuli {
+		frames := max(1, (len(st.Packet)+frameBytes-1)/frameBytes)
 		g.pf("\n    -- packet %d: %d bytes, %d frame(s), expect verdict %d\n",
 			i, len(st.Packet), frames, st.Verdict)
 		for f := 0; f < frames; f++ {
 			frame := make([]byte, frameBytes)
-			copy(frame, tail(st.Packet, f*frameBytes))
+			copy(frame, st.Packet[min(f*frameBytes, len(st.Packet)):])
 			g.pf("    s_tdata <= x\"%s\";\n", hexBE(frame))
 			last := "'0'"
 			if f == frames-1 {
@@ -98,7 +88,7 @@ func (g *tbGen) emit() {
 		g.pf("    s_tvalid <= '0';\n")
 	}
 	g.pf("\n    wait for %d * CLK_PERIOD; -- drain the %d-stage pipeline\n",
-		len(g.p.Stages)+8, len(g.p.Stages))
+		stages+8, stages)
 	g.pf("    wait;\n  end process;\n\n")
 
 	g.pf("  p_check : process(clk)\n")
@@ -106,7 +96,7 @@ func (g *tbGen) emit() {
 	g.pf("  begin\n")
 	g.pf("    if rising_edge(clk) and m_tvalid = '1' and m_tlast = '1' then\n")
 	g.pf("      case received is\n")
-	for i, st := range g.stimuli {
+	for i, st := range stimuli {
 		g.pf("        when %d => assert m_tdest = \"%03b\" report \"packet %d: wrong verdict\" severity error;\n",
 			i, st.Verdict&7, i)
 	}
@@ -116,13 +106,6 @@ func (g *tbGen) emit() {
 	g.pf("    end if;\n")
 	g.pf("  end process;\n\n")
 	g.pf("end architecture sim;\n")
-}
-
-func tail(b []byte, off int) []byte {
-	if off >= len(b) {
-		return nil
-	}
-	return b[off:]
 }
 
 // hexBE renders a frame as the VHDL hex literal with byte 0 in the low

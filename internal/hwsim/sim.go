@@ -515,16 +515,13 @@ func newSim(pl *core.Pipeline, cfg Config, env *vm.Env, oneBurst bool) (*Sim, er
 		cfg:          cfg,
 		env:          env,
 		exec:         &vm.ExecContext{Env: env, Mem: mem},
-		frameBytes:   pl.Options.FrameBytes,
+		frameBytes:   pl.FrameBytes(),
 		stages:       newStageReg(len(pl.Stages)),
 		stallPoint:   -1,
 		stallDrainTo: -1,
 		maps:         make([]mapUnit, len(pl.Transformed.Maps)),
 		elasticStage: make([]bool, len(pl.Stages)),
 		oneBurst:     oneBurst,
-	}
-	if s.frameBytes <= 0 {
-		s.frameBytes = 64
 	}
 	blocks := make([]*core.MapBlock, len(s.maps)) // nil for a map the pipeline never touches
 	if !oneBurst {

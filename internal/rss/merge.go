@@ -12,68 +12,22 @@ import (
 	"ehdl/internal/maps"
 )
 
-// Sharing classifies how one map is laid out across pipeline replicas,
-// mirroring the hardware choice between one shared BRAM block and N
-// banked copies (and the kernel's per-CPU map trick on the host side).
-type Sharing int
+// Sharing is the layout class of one map across pipeline replicas; the
+// rule that assigns it is a property of the compiled map block
+// (core.MapBlock.Sharing), these names are how the host side reads it.
+type Sharing = core.Sharing
 
 // Sharing classes.
 const (
-	// SharingShared keeps one instance visible to every replica. Safe
-	// only when the data plane never writes the map: routing tables,
-	// VIP/backend config, tunnel endpoints.
-	SharingShared Sharing = iota
-	// SharingCounter banks the map per replica and merges by summing
-	// per-word deltas against the post-setup baseline — the per-CPU
-	// counter-array model. Chosen when the data plane mutates the map
-	// exclusively through the atomic-add primitive.
-	SharingCounter
-	// SharingFlow banks the map per replica and merges by unioning
-	// entries that changed against the baseline. Because the dispatcher
-	// pins each flow to one queue, a per-flow entry changes in at most
-	// one bank; cross-bank conflicts are counted and resolved in favour
-	// of the lowest queue so the merge stays deterministic.
-	SharingFlow
+	SharingShared  = core.SharingShared
+	SharingCounter = core.SharingCounter
+	SharingFlow    = core.SharingFlow
 )
 
-func (s Sharing) String() string {
-	switch s {
-	case SharingShared:
-		return "shared"
-	case SharingCounter:
-		return "counter"
-	case SharingFlow:
-		return "flow"
-	}
-	return fmt.Sprintf("sharing(%d)", int(s))
-}
-
-// ClassifyMap decides the sharing class of map id in a compiled
-// pipeline. The rule reads the map block's access pattern:
-//
-//   - no data-plane writes at all → shared (one instance, N read ports);
-//   - atomic-only mutation → banked counter (delta-sum merge);
-//   - general writes → banked per-flow state (union merge).
-//
-// Maps the pipeline never touches (host-only scratch) are shared: only
-// the host port accesses them, and the host is a single writer. LRU
-// hash maps are never shared even when read-only, because their lookup
-// path mutates the recency list.
+// ClassifyMap returns the sharing class of map id in a compiled
+// pipeline; a map the pipeline never touches is shared.
 func ClassifyMap(pl *core.Pipeline, id int) Sharing {
-	mb := pl.MapBlockFor(id)
-	if mb == nil {
-		return SharingShared
-	}
-	if len(mb.WriteStages) > 0 {
-		return SharingFlow
-	}
-	if len(mb.AtomicStages) > 0 || mb.UsesAtomics {
-		return SharingCounter
-	}
-	if mb.Spec.Kind == ebpf.MapLRUHash {
-		return SharingFlow
-	}
-	return SharingShared
+	return pl.MapBlockFor(id).Sharing()
 }
 
 // banked is the host view of one replicated map: N per-queue banks plus

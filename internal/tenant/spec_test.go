@@ -66,14 +66,10 @@ func TestParseSpecList(t *testing.T) {
 }
 
 // TestDeviceAccessors: the small surface the CLIs and fleet controller
-// read — tenant listing, epoch counter, shell handle, custom-FPGA and
-// explicit-bucket configuration, the default-tenant stream tag, and the
-// admission error's rendered message.
+// read — tenant listing, epoch counter, shell handle, the default-tenant
+// stream tag, and the admission error's rendered message.
 func TestDeviceAccessors(t *testing.T) {
-	d := NewDevice(DeviceConfig{
-		FPGA:        hdl.Device{LUTs: 200000, FFs: 400000, BRAM36: 500},
-		BucketDepth: 7,
-	})
+	d := NewDevice(DeviceConfig{})
 	// A default tenant may omit its VLAN; its fault/jitter streams then
 	// tag by admission index in the reserved >4094 space.
 	tn, err := d.AdmitTenant(Spec{Name: "catchall", App: mustApp(t, "toy"), Share: 0.5, Default: true})
@@ -85,9 +81,6 @@ func TestDeviceAccessors(t *testing.T) {
 	}
 	if tn.Shell() == nil || tn.Shell().Maps() != tn.Maps() {
 		t.Error("Shell() does not expose the tenant's own shell")
-	}
-	if tn.bucket != 7 {
-		t.Errorf("explicit BucketDepth ignored: bucket starts at %g, want 7", tn.bucket)
 	}
 	if got := d.Tenants(); len(got) != 1 || got[0] != tn {
 		t.Errorf("Tenants() = %v, want the one admitted tenant", got)

@@ -93,9 +93,6 @@ type Spec struct {
 
 // DeviceConfig parameterises a multi-tenant device.
 type DeviceConfig struct {
-	// FPGA is the part the admission gate budgets against. Zero value
-	// means the Alveo U50 of the paper's testbed.
-	FPGA hdl.Device
 	// UtilisationBandPct is the admission ceiling on the dominant
 	// utilisation fraction (LUT/FF/BRAM) including the Corundum shell.
 	// 0 means 70.
@@ -106,9 +103,6 @@ type DeviceConfig struct {
 	// EpochBudget is the device's ingress-budget in frames per epoch,
 	// split across tenants by Share. 0 means EpochPackets.
 	EpochBudget int
-	// BucketDepth caps each tenant's token bucket in frames. 0 means
-	// twice the tenant's per-epoch refill.
-	BucketDepth int
 	// Seed derives every per-tenant stream (fault forks, recovery
 	// jitter) that a Spec does not pin itself. 0 means 1.
 	Seed int64
@@ -130,12 +124,9 @@ type DeviceConfig struct {
 	Metrics *obs.Registry
 }
 
-func (c DeviceConfig) fpga() hdl.Device {
-	if c.FPGA.LUTs == 0 {
-		return hdl.AlveoU50()
-	}
-	return c.FPGA
-}
+// fpga is the part the admission gate budgets against: the Alveo U50
+// of the paper's testbed.
+var fpga = hdl.AlveoU50()
 
 func (c DeviceConfig) bandPct() float64 {
 	if c.UtilisationBandPct <= 0 {
@@ -228,8 +219,7 @@ func (t *Tenant) DeathCause() string { return t.deathCause }
 
 // Device is one multi-tenant NIC.
 type Device struct {
-	cfg  DeviceConfig
-	fpga hdl.Device
+	cfg DeviceConfig
 	// used is the consumed resource vector the admission gate budgets
 	// against; it starts at the Corundum shell cost.
 	used hdl.Resources
@@ -257,7 +247,6 @@ type Device struct {
 func NewDevice(cfg DeviceConfig) *Device {
 	d := &Device{
 		cfg:    cfg,
-		fpga:   cfg.fpga(),
 		used:   hdl.CorundumShell(),
 		byVLAN: map[uint16]*Tenant{},
 		byName: map[string]*Tenant{},
@@ -343,7 +332,7 @@ func (d *Device) AdmitTenant(sp Spec) (*Tenant, error) {
 		est = est.Add(hdl.EstimateLiveUpdate(pl))
 	}
 
-	util := d.used.Add(est).PercentOf(d.fpga).Max()
+	util := d.used.Add(est).PercentOf(fpga).Max()
 	if util > d.cfg.bandPct() {
 		d.count(MetricRejected, 1)
 		d.event(obs.KindTenantReject, uint64(util*10), uint64(d.cfg.bandPct()*10))
@@ -399,18 +388,11 @@ func (d *Device) refill(sp Spec) float64 {
 	return sp.Share * float64(d.cfg.epochBudget())
 }
 
-// bucketDepth caps a tenant's bucket: the configured depth or twice the
-// per-epoch refill, so an idle tenant banks one epoch of burst headroom
-// but can never starve its neighbours later.
+// bucketDepth caps a tenant's bucket at twice the per-epoch refill, so
+// an idle tenant banks one epoch of burst headroom but can never starve
+// its neighbours later.
 func (d *Device) bucketDepth(sp Spec) int {
-	if d.cfg.BucketDepth > 0 {
-		return d.cfg.BucketDepth
-	}
-	depth := int(2 * d.refill(sp))
-	if depth < 1 {
-		depth = 1
-	}
-	return depth
+	return max(1, int(2*d.refill(sp)))
 }
 
 // Tenants returns the admitted tenants in serving order.
@@ -428,7 +410,7 @@ func (d *Device) TenantByName(name string) (*Tenant, bool) {
 func (d *Device) Used() hdl.Resources { return d.used }
 
 func (d *Device) Utilisation() float64 {
-	return d.used.PercentOf(d.fpga).Max()
+	return d.used.PercentOf(fpga).Max()
 }
 
 // Epoch returns the number of served epochs.

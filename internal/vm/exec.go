@@ -160,7 +160,7 @@ func EvalBranch(st *State, ins ebpf.Instruction) (bool, error) {
 		lhs = uint64(uint32(lhs))
 		rhs = uint64(uint32(rhs))
 	}
-	return Compare(ins.JumpOp(), lhs, rhs, is32)
+	return ins.JumpOp().Compare(lhs, rhs, is32)
 }
 
 // StackSlice returns the stack bytes at an R10-relative offset.

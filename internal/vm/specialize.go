@@ -151,7 +151,7 @@ func aluFn(ins ebpf.Instruction) (func(st *State), error) {
 func SpecializeBranch(ins ebpf.Instruction) (func(st *State) bool, error) {
 	is32 := ins.Class() == ebpf.ClassJMP32
 	jop := ins.JumpOp()
-	if _, err := Compare(jop, 0, 0, is32); err != nil {
+	if _, err := jop.Compare(0, 0, is32); err != nil {
 		return nil, err
 	}
 	dst := ins.Dst
@@ -204,7 +204,7 @@ func SpecializeBranch(ins ebpf.Instruction) (func(st *State) bool, error) {
 			lhs = uint64(uint32(lhs))
 			rhs = uint64(uint32(rhs))
 		}
-		ok, _ := Compare(jop, lhs, rhs, is32)
+		ok, _ := jop.Compare(lhs, rhs, is32)
 		return ok
 	}, nil
 }
