@@ -156,15 +156,18 @@ bench:
 	$(GO) run ./bench
 	$(GO) test -bench Interpreter -run '^$$' ./internal/hwsim/
 
-# Non-test Go lines per internal package, the change since PARENT (make
-# lines PARENT=HEAD before committing) and their total: the headline
-# metric of a design PR (ROADMAP aim 2).
+# Non-test Go lines per package directory of the module (cmd/,
+# examples/, bench/ and every internal/ package, nested ones included),
+# the change since PARENT (make lines PARENT=HEAD before committing;
+# a directory that exists on one side only counts 0 on the other) and
+# their total: the headline metric of a design PR (ROADMAP aim 2).
 lines:
-	@for d in internal/*/; do \
-		now=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
-		was=$$(git ls-tree --name-only $(PARENT) $$d 2>/dev/null | grep '\.go$$' | grep -v '_test\.go$$' | \
+	@{ find . -name '*.go' ! -path './.git/*'; git ls-tree -r --name-only $(PARENT) | grep '\.go$$' | sed 's|^|./|'; } | \
+		grep -v '_test\.go$$' | xargs -n1 dirname | sort -u | while read d; do \
+		now=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + 2>/dev/null | wc -l); \
+		was=$$(git ls-tree --name-only $(PARENT) $${d#./}/ 2>/dev/null | grep '\.go$$' | grep -v '_test\.go$$' | \
 			while read f; do git show $(PARENT):$$f; done | wc -l); \
-		printf '%6d %+6d %s\n' $$now $$((now - was)) $$d; \
+		printf '%6d %+6d %s/\n' $$now $$((now - was)) $${d#./}; \
 	done | awk '{ print; now += $$1; delta += $$2 } END { printf "%6d %+6d total\n", now, delta }'
 
 # Observability demo: a traced, metered firewall run. Leaves the

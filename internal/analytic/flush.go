@@ -18,9 +18,9 @@ func FlushProbUniform(L int, N int) float64 {
 	return 1 - math.Exp(-float64(L*L)/(2*float64(N)))
 }
 
-// ZipfFlowProb is the per-flow probability under the paper's Zipfian
+// zipfFlowProb is the per-flow probability under the paper's Zipfian
 // model: flow i has frequency proportional to 1/i, normalised by ln(N).
-func ZipfFlowProb(i, N int) float64 {
+func zipfFlowProb(i, N int) float64 {
 	return 1 / (float64(i) * math.Log(float64(N)))
 }
 
@@ -36,7 +36,7 @@ func FlushProbZipf(L int, N int) float64 {
 	pairs := float64(L*(L-1)) / 2
 	var sum float64
 	for i := 1; i <= N; i++ {
-		pi := ZipfFlowProb(i, N)
+		pi := zipfFlowProb(i, N)
 		sum += pairs * pi * pi * math.Pow(1-pi, float64(L-2))
 		// The tail contributes negligibly: P_i^2 falls as 1/i^2.
 		if i > 10000 && pi*pi*pairs < 1e-12 {
@@ -61,11 +61,11 @@ func Throughput(T float64, K int, Pf float64) float64 {
 	return T / ((1 - Pf) + float64(K)*Pf)
 }
 
-// KMax is equation (3): the largest number of flushable stages that
+// kMax is equation (3): the largest number of flushable stages that
 // still sustains a target throughput Tp:
 //
 //	K_max = (T/T_p - (1-P_f)) / P_f.
-func KMax(T, Tp, Pf float64) float64 {
+func kMax(T, Tp, Pf float64) float64 {
 	if Pf <= 0 {
 		return math.Inf(1)
 	}
@@ -131,7 +131,7 @@ func Table4() []Table4Row {
 	rows := make([]Table4Row, 0, 4)
 	for L := 2; L <= 5; L++ {
 		pf := FlushProbZipf(L, N)
-		rows = append(rows, Table4Row{L: L, PfZ: pf, KMax: KMax(T, Tp, pf)})
+		rows = append(rows, Table4Row{L: L, PfZ: pf, KMax: kMax(T, Tp, pf)})
 	}
 	return rows
 }

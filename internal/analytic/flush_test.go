@@ -48,7 +48,7 @@ func TestZipfProbabilitiesNormalise(t *testing.T) {
 	N := 50000
 	var sum float64
 	for i := 1; i <= N; i++ {
-		sum += ZipfFlowProb(i, N)
+		sum += zipfFlowProb(i, N)
 	}
 	// The ln(N) normalisation makes the sum approach 1 (harmonic ~ ln N + gamma).
 	if sum < 0.95 || sum > 1.1 {
@@ -67,7 +67,7 @@ func TestThroughputEquation(t *testing.T) {
 	}
 	// Equation self-consistency with KMax.
 	pf := 0.03
-	kmax := KMax(250, 148, pf)
+	kmax := kMax(250, 148, pf)
 	if got := Throughput(250, int(kmax), pf); got < 146 || got > 154 {
 		t.Errorf("Throughput at KMax = %f, want ~148 (integer-K rounding allowed)", got)
 	}

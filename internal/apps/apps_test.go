@@ -291,7 +291,7 @@ func TestTunnelSemantics(t *testing.T) {
 	if !pktgen.VerifyIPChecksum(out) {
 		t.Error("outer IP checksum invalid")
 	}
-	ep := DefaultEndpoints()[0]
+	ep := defaultEndpoints()[0]
 	if !bytes.Equal(out[26:30], ep.OuterSrc[:]) || !bytes.Equal(out[30:34], ep.OuterDst[:]) {
 		t.Errorf("outer addresses = %x -> %x", out[26:30], out[30:34])
 	}
@@ -437,8 +437,9 @@ func TestLeakyBucketPolices(t *testing.T) {
 	m, _ := vm.New(prog, env)
 
 	flow := pktgen.Flow{SrcIP: 42, DstIP: 1, SrcPort: 1, DstPort: 1, Proto: ebpf.IPProtoUDP}
+	const capacity = 64 // the program's "over capacity" bound
 	drops := 0
-	for i := 0; i < 2*LeakyBucketCapacity; i++ {
+	for i := 0; i < 2*capacity; i++ {
 		res, err := m.Run(vm.NewPacket(pktgen.Build(pktgen.PacketSpec{Flow: flow, TotalLen: 64})))
 		if err != nil {
 			t.Fatal(err)

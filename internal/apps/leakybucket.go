@@ -26,16 +26,9 @@ func LeakyBucket() *App {
 	}
 }
 
-// Leaky bucket parameters baked into the program below.
-const (
-	// LeakyBucketCapacity is the burst size in cost units.
-	LeakyBucketCapacity = 64
-	// LeakyBucketCost is the per-packet cost.
-	LeakyBucketCost = 1
-	// LeakyBucketLeakShift divides elapsed nanoseconds to leak units.
-	LeakyBucketLeakShift = 10 // 1 unit per ~1us
-)
-
+// leakyBucketSource polices a burst of 64 cost units per source; each
+// packet costs one unit, and the bucket leaks one unit per 2^10 ns
+// (~1 us) of elapsed time.
 const leakyBucketSource = `
 ; Leaky bucket per source address: value is {last_ts u64, level u64}.
 ; Every packet reads and rewrites the state: a per-flow RAW hazard on

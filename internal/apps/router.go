@@ -28,8 +28,8 @@ func Router() *App {
 	}
 }
 
-// RouterRoute is one forwarding entry installed from the host.
-type RouterRoute struct {
+// routerRoute is one forwarding entry installed from the host.
+type routerRoute struct {
 	PrefixLen int
 	Prefix    [4]byte
 	Ifindex   uint32
@@ -37,10 +37,10 @@ type RouterRoute struct {
 	SrcMAC    [6]byte
 }
 
-// DefaultRoutes covers the generator's 10.0.0.0/8 sources and the
+// defaultRoutes covers the generator's 10.0.0.0/8 sources and the
 // 192.168.0.1 destination plus a default route.
-func DefaultRoutes() []RouterRoute {
-	return []RouterRoute{
+func defaultRoutes() []routerRoute {
+	return []routerRoute{
 		{PrefixLen: 16, Prefix: [4]byte{192, 168, 0, 0}, Ifindex: 2,
 			DstMAC: [6]byte{0x02, 0, 0, 0, 0, 2}, SrcMAC: [6]byte{0x02, 0, 0, 0, 0, 1}},
 		{PrefixLen: 8, Prefix: [4]byte{10, 0, 0, 0}, Ifindex: 3,
@@ -55,7 +55,7 @@ func setupRouterRoutes(set *maps.Set) error {
 	if !ok {
 		return fmt.Errorf("router: routes map missing")
 	}
-	for _, r := range DefaultRoutes() {
+	for _, r := range defaultRoutes() {
 		key := make([]byte, 8)
 		binary.LittleEndian.PutUint32(key[:4], uint32(r.PrefixLen))
 		copy(key[4:], r.Prefix[:])

@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"ehdl/internal/ebpf"
@@ -28,17 +27,17 @@ func Tunnel() *App {
 	}
 }
 
-// TunnelEndpoint configures encapsulation for one virtual IP.
-type TunnelEndpoint struct {
+// tunnelEndpoint configures encapsulation for one virtual IP.
+type tunnelEndpoint struct {
 	VIP        [4]byte // packets to this destination are encapsulated
 	OuterSrc   [4]byte
 	OuterDst   [4]byte
 	GatewayMAC [6]byte
 }
 
-// DefaultEndpoints matches the generator's 192.168.0.1 destination.
-func DefaultEndpoints() []TunnelEndpoint {
-	return []TunnelEndpoint{{
+// defaultEndpoints matches the generator's 192.168.0.1 destination.
+func defaultEndpoints() []tunnelEndpoint {
+	return []tunnelEndpoint{{
 		VIP:        [4]byte{192, 168, 0, 1},
 		OuterSrc:   [4]byte{172, 16, 0, 1},
 		OuterDst:   [4]byte{172, 16, 0, 2},
@@ -51,7 +50,7 @@ func setupTunnelEndpoints(set *maps.Set) error {
 	if !ok {
 		return fmt.Errorf("tunnel: tnlcfg map missing")
 	}
-	for _, ep := range DefaultEndpoints() {
+	for _, ep := range defaultEndpoints() {
 		val := make([]byte, 16)
 		copy(val[0:4], ep.OuterSrc[:])
 		copy(val[4:8], ep.OuterDst[:])
@@ -61,19 +60,6 @@ func setupTunnelEndpoints(set *maps.Set) error {
 		}
 	}
 	return nil
-}
-
-// TunnelStats reads the encapsulation counter from the host side.
-func TunnelStats(set *maps.Set) uint64 {
-	stats, ok := set.ByName("tnstats")
-	if !ok {
-		return 0
-	}
-	v, ok := stats.Lookup([]byte{0, 0, 0, 0})
-	if !ok {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(v)
 }
 
 const tunnelSource = `

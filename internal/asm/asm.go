@@ -27,14 +27,14 @@ import (
 	"ehdl/internal/ebpf"
 )
 
-// SyntaxError describes an assembly failure with its source line.
-type SyntaxError struct {
+// syntaxError describes an assembly failure with its source line.
+type syntaxError struct {
 	Line int
 	Text string
 	Msg  string
 }
 
-func (e *SyntaxError) Error() string {
+func (e *syntaxError) Error() string {
 	return fmt.Sprintf("asm: line %d: %s: %q", e.Line, e.Msg, e.Text)
 }
 
@@ -88,7 +88,7 @@ func stripComment(line string) string {
 }
 
 func (p *parser) errf(line int, text, format string, args ...any) error {
-	return &SyntaxError{Line: line, Text: text, Msg: fmt.Sprintf(format, args...)}
+	return &syntaxError{Line: line, Text: text, Msg: fmt.Sprintf(format, args...)}
 }
 
 func (p *parser) emit(ins ebpf.Instruction) {

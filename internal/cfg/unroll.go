@@ -6,9 +6,9 @@ import (
 	"ehdl/internal/ebpf"
 )
 
-// MaxUnrollTrips bounds loop unrolling; a loop with more iterations is
+// maxUnrollTrips bounds loop unrolling; a loop with more iterations is
 // rejected as effectively unbounded for a hardware pipeline.
-const MaxUnrollTrips = 4096
+const maxUnrollTrips = 4096
 
 // Unroll rewrites every bounded counted loop in prog into straight-line
 // copies of its body, returning a program whose CFG is acyclic. The
@@ -255,8 +255,8 @@ func countTrips(ip *indexed, headStart, tailEnd, branchIdx int) (int, error) {
 	trips := 0
 	for {
 		trips++
-		if trips > MaxUnrollTrips {
-			return 0, fmt.Errorf("cfg: loop exceeds %d iterations", MaxUnrollTrips)
+		if trips > maxUnrollTrips {
+			return 0, fmt.Errorf("cfg: loop exceeds %d iterations", maxUnrollTrips)
 		}
 		v = uint64(int64(v) + delta)
 		taken, err := branch.JumpOp().Compare(cmpVal(v, is32), cmpVal(bound, is32), is32)

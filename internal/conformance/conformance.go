@@ -6,7 +6,7 @@
 // for bit on verdicts, packet bytes and final map state.
 //
 // The architectural contract that makes this possible: the engines
-// share the instruction semantics (vm.ExecALU and friends), the map
+// share the instruction semantics (internal/vm), the map
 // substrate (internal/maps) and the helper surface, and all pin the
 // helper-visible clock to zero here, so a divergence is always a
 // pipelining or specialization bug (hazard handling, state pruning,
@@ -51,105 +51,48 @@ type Outcome struct {
 	Data            []byte
 }
 
-// DiffApp assembles an application and diffs it on the given traffic.
-func DiffApp(a *apps.App, packets [][]byte, cfg Config) error {
-	prog, err := a.Program()
-	if err != nil {
-		return err
-	}
-	return DiffProgram(prog, a.SetupHost, packets, cfg)
-}
-
-// DiffAppThreeWay assembles an application and runs the three-way
-// vm <-> interpreter <-> fastpath differential on the given traffic.
+// DiffAppThreeWay assembles an application and diffs it on the given
+// traffic: reference VM against interpreter and, where cfg is eligible
+// for it, against the compiled fast path.
 func DiffAppThreeWay(a *apps.App, packets [][]byte, cfg Config) error {
 	prog, err := a.Program()
 	if err != nil {
 		return err
 	}
-	return DiffProgramThreeWay(prog, a.SetupHost, packets, cfg)
+	return diffProgram(prog, a.SetupHost, packets, cfg)
 }
 
-// DiffProgramThreeWay runs packets through the reference interpreter,
-// the cycle-accurate simulator and the compiled fast path, and returns
-// an error describing the first divergence between any pair: verdicts,
-// redirect targets, packet bytes and the final map state must all be
-// identical on all three engines.
-func DiffProgramThreeWay(prog *ebpf.Program, setup func(*maps.Set) error, packets [][]byte, cfg Config) error {
+// diffProgram runs packets through the reference interpreter and every
+// engine that can serve cfg, and returns an error describing the first
+// divergence from the reference: verdicts, redirect targets, packet
+// bytes and the final map state must all be identical.
+func diffProgram(prog *ebpf.Program, setup func(*maps.Set) error, packets [][]byte, cfg Config) error {
 	refs, refMaps, err := runReference(prog, setup, packets)
 	if err != nil {
 		return fmt.Errorf("conformance: reference: %w", err)
 	}
-	outs, simMaps, err := runPipeline(prog, setup, packets, cfg)
-	if err != nil {
-		return fmt.Errorf("conformance: pipeline: %w", err)
-	}
-	fasts, fastMaps, err := runFastPath(prog, setup, packets, cfg)
-	if err != nil {
-		return fmt.Errorf("conformance: fastpath: %w", err)
-	}
-	for i := range packets {
-		if err := CompareOutcome(outs[i], refs[i]); err != nil {
-			return fmt.Errorf("conformance: pipeline vs reference: packet %d (%dB): %w", i, len(packets[i]), err)
+	leg := func(name string, run func(*ebpf.Program, func(*maps.Set) error, [][]byte, Config) ([]Outcome, *maps.Set, error)) error {
+		outs, got, err := run(prog, setup, packets, cfg)
+		if err != nil {
+			return fmt.Errorf("conformance: %s: %w", name, err)
 		}
-		if err := CompareOutcome(fasts[i], refs[i]); err != nil {
-			return fmt.Errorf("conformance: fastpath vs reference: packet %d (%dB): %w", i, len(packets[i]), err)
+		for i := range packets {
+			if err := CompareOutcome(outs[i], refs[i]); err != nil {
+				return fmt.Errorf("conformance: %s vs reference: packet %d (%dB): %w", name, i, len(packets[i]), err)
+			}
 		}
-		if err := CompareOutcome(fasts[i], outs[i]); err != nil {
-			return fmt.Errorf("conformance: fastpath vs pipeline: packet %d (%dB): %w", i, len(packets[i]), err)
+		if err := CompareMaps(refMaps, got); err != nil {
+			return fmt.Errorf("conformance: %s vs reference: %w", name, err)
 		}
+		return nil
 	}
-	if err := CompareMaps(refMaps, simMaps); err != nil {
-		return fmt.Errorf("pipeline vs reference: %w", err)
+	if err := leg("pipeline", runPipeline); err != nil {
+		return err
 	}
-	if err := CompareMaps(refMaps, fastMaps); err != nil {
-		return fmt.Errorf("fastpath vs reference: %w", err)
+	if ok, _ := fastpath.Eligible(cfg.Sim); !ok {
+		return nil
 	}
-	return CompareMaps(simMaps, fastMaps)
-}
-
-// DiffProgramFastPath runs packets through the cycle-accurate
-// interpreter and the compiled fast path only (no vm reference). The
-// fuzzer uses it as an exact oracle: both engines implement the
-// hardware bounds check identically, so they must agree on every input,
-// including malformed frames the elision-aware vm oracle cannot judge.
-func DiffProgramFastPath(prog *ebpf.Program, setup func(*maps.Set) error, packets [][]byte, cfg Config) error {
-	outs, simMaps, err := runPipeline(prog, setup, packets, cfg)
-	if err != nil {
-		return fmt.Errorf("conformance: pipeline: %w", err)
-	}
-	fasts, fastMaps, err := runFastPath(prog, setup, packets, cfg)
-	if err != nil {
-		return fmt.Errorf("conformance: fastpath: %w", err)
-	}
-	for i := range packets {
-		if err := CompareOutcome(fasts[i], outs[i]); err != nil {
-			return fmt.Errorf("conformance: fastpath vs pipeline: packet %d (%dB): %w", i, len(packets[i]), err)
-		}
-	}
-	return CompareMaps(simMaps, fastMaps)
-}
-
-// DiffProgram runs packets through the reference interpreter and the
-// pipeline simulator and returns an error describing the first
-// divergence: verdicts, redirect targets, packet bytes, and the final
-// map state must all be identical.
-func DiffProgram(prog *ebpf.Program, setup func(*maps.Set) error, packets [][]byte, cfg Config) error {
-	refs, refMaps, err := runReference(prog, setup, packets)
-	if err != nil {
-		return fmt.Errorf("conformance: reference: %w", err)
-	}
-	outs, simMaps, err := runPipeline(prog, setup, packets, cfg)
-	if err != nil {
-		return fmt.Errorf("conformance: pipeline: %w", err)
-	}
-
-	for i := range packets {
-		if err := CompareOutcome(outs[i], refs[i]); err != nil {
-			return fmt.Errorf("conformance: packet %d (%dB): %w", i, len(packets[i]), err)
-		}
-	}
-	return CompareMaps(refMaps, simMaps)
+	return leg("fastpath", runFastPath)
 }
 
 // CompareOutcome diffs one packet's result against the reference:
@@ -302,20 +245,4 @@ func CompareMaps(ref, got *maps.Set) error {
 		}
 	}
 	return nil
-}
-
-// AllApps returns the full conformance surface: the paper's five
-// evaluation applications plus the toy example, the leaky bucket and
-// the load balancer.
-func AllApps() []*apps.App {
-	names := []string{"toy", "leakybucket", "loadbalancer"}
-	out := apps.All()
-	for _, n := range names {
-		a, ok := apps.ByName(n)
-		if !ok {
-			panic("conformance: unknown app " + n)
-		}
-		out = append(out, a)
-	}
-	return out
 }

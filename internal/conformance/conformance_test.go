@@ -17,14 +17,14 @@ func TestDifferentialApps(t *testing.T) {
 	if testing.Short() {
 		n = 80
 	}
-	for _, app := range AllApps() {
+	for _, app := range allApps() {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
 			t.Parallel()
 			cfg := app.Traffic
 			cfg.Seed = 0xC0FFEE
 			packets := pktgen.NewGenerator(cfg).Batch(n)
-			if err := DiffApp(app, packets, Config{}); err != nil {
+			if err := DiffAppThreeWay(app, packets, Config{}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -39,14 +39,14 @@ func TestDifferentialStrictCarry(t *testing.T) {
 	if testing.Short() {
 		n = 40
 	}
-	for _, app := range AllApps() {
+	for _, app := range allApps() {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
 			t.Parallel()
 			cfg := app.Traffic
 			cfg.Seed = 0xBEEF
 			packets := pktgen.NewGenerator(cfg).Batch(n)
-			err := DiffApp(app, packets, Config{Sim: hwsim.Config{StrictCarryCheck: true}})
+			err := DiffAppThreeWay(app, packets, Config{Sim: hwsim.Config{StrictCarryCheck: true}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,14 +61,14 @@ func TestDifferentialStallPolicy(t *testing.T) {
 	if testing.Short() {
 		n = 50
 	}
-	for _, app := range AllApps() {
+	for _, app := range allApps() {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
 			t.Parallel()
 			cfg := app.Traffic
 			cfg.Seed = 0xFACE
 			packets := pktgen.NewGenerator(cfg).Batch(n)
-			err := DiffApp(app, packets, Config{Sim: hwsim.Config{Policy: hwsim.PolicyStall}})
+			err := DiffAppThreeWay(app, packets, Config{Sim: hwsim.Config{Policy: hwsim.PolicyStall}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,7 +84,7 @@ func TestDifferentialSingleFlow(t *testing.T) {
 	if testing.Short() {
 		n = 60
 	}
-	for _, app := range AllApps() {
+	for _, app := range allApps() {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
 			t.Parallel()
@@ -92,7 +92,7 @@ func TestDifferentialSingleFlow(t *testing.T) {
 			cfg.Flows = 1
 			cfg.Seed = 7
 			packets := pktgen.NewGenerator(cfg).Batch(n)
-			if err := DiffApp(app, packets, Config{}); err != nil {
+			if err := DiffAppThreeWay(app, packets, Config{}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -108,7 +108,7 @@ func TestDifferentialTracedRunIsIdentical(t *testing.T) {
 	if testing.Short() {
 		n = 40
 	}
-	for _, app := range AllApps() {
+	for _, app := range allApps() {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
 			t.Parallel()
@@ -116,7 +116,7 @@ func TestDifferentialTracedRunIsIdentical(t *testing.T) {
 			cfg.Seed = 0xC0FFEE
 			packets := pktgen.NewGenerator(cfg).Batch(n)
 			tr, reg := newTestObs()
-			err := DiffApp(app, packets, Config{Sim: hwsim.Config{Trace: tr, Metrics: reg}})
+			err := DiffAppThreeWay(app, packets, Config{Sim: hwsim.Config{Trace: tr, Metrics: reg}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,7 +146,7 @@ func TestDifferentialAblations(t *testing.T) {
 			cfg := app.Traffic
 			cfg.Seed = 99
 			packets := pktgen.NewGenerator(cfg).Batch(120)
-			if err := DiffApp(app, packets, Config{Opts: opts}); err != nil {
+			if err := DiffAppThreeWay(app, packets, Config{Opts: opts}); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -51,7 +51,7 @@ func TestEventClassCoverage(t *testing.T) {
 
 	// Single-flow hazard pressure on every app: frame movement,
 	// predicates, map ports, verdicts, RAW flushes, WAR shadows.
-	for _, app := range AllApps() {
+	for _, app := range allApps() {
 		collect(tracedEventsApp(t, app, 1, 40, hwsim.Config{}))
 	}
 

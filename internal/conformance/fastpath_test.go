@@ -16,7 +16,7 @@ func TestThreeWayApps(t *testing.T) {
 	if testing.Short() {
 		n = 80
 	}
-	for _, app := range AllApps() {
+	for _, app := range allApps() {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
 			t.Parallel()
@@ -40,7 +40,7 @@ func TestThreeWaySingleFlow(t *testing.T) {
 	if testing.Short() {
 		n = 60
 	}
-	for _, app := range AllApps() {
+	for _, app := range allApps() {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
 			t.Parallel()
@@ -88,7 +88,7 @@ func TestThreeWayAblations(t *testing.T) {
 // fire identically on both (the vm reference cannot judge bounds-
 // elided malformed frames, so this pair is the exact oracle).
 func TestThreeWayMalformed(t *testing.T) {
-	for _, app := range AllApps() {
+	for _, app := range allApps() {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
 			t.Parallel()
@@ -97,7 +97,7 @@ func TestThreeWayMalformed(t *testing.T) {
 				t.Fatal(err)
 			}
 			packets := fuzzSeedCorpus(0xDEAD)
-			if err := DiffProgramFastPath(prog, app.SetupHost, packets, Config{}); err != nil {
+			if err := diffProgramFastPath(prog, app.SetupHost, packets, Config{}); err != nil {
 				t.Fatal(err)
 			}
 		})

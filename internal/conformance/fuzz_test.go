@@ -118,12 +118,12 @@ func FuzzDifferential(f *testing.F) {
 		packets := traffic(data)
 
 		exact := Config{Opts: core.Options{DisableBoundsElision: true}, MaxCycles: 1 << 18}
-		if err := DiffProgram(prog, app.SetupHost, packets, exact); err != nil {
+		if err := diffProgram(prog, app.SetupHost, packets, exact); err != nil {
 			t.Fatal(err)
 		}
 		// The same oracle on the program that holds a value pointer
 		// across an eviction: it checks its own bounds, so it is exact.
-		if err := DiffApp(StalePointerZoo(), staleFuzzTraffic(data), exact); err != nil {
+		if err := DiffAppThreeWay(StalePointerZoo(), staleFuzzTraffic(data), exact); err != nil {
 			t.Fatalf("stale pointer zoo: %v", err)
 		}
 
@@ -183,13 +183,13 @@ func FuzzFastPath(f *testing.F) {
 			t.Skip("oversized fuzz input")
 		}
 		packets := traffic(data)
-		if err := DiffProgramFastPath(prog, app.SetupHost, packets, Config{MaxCycles: 1 << 18}); err != nil {
+		if err := diffProgramFastPath(prog, app.SetupHost, packets, Config{MaxCycles: 1 << 18}); err != nil {
 			t.Fatal(err)
 		}
 		// And with the compiler's bounds elision off, so the fuzzer also
 		// exercises closures specialized from the unpruned check chain.
 		noElide := Config{Opts: core.Options{DisableBoundsElision: true}, MaxCycles: 1 << 18}
-		if err := DiffProgramFastPath(prog, app.SetupHost, packets, noElide); err != nil {
+		if err := diffProgramFastPath(prog, app.SetupHost, packets, noElide); err != nil {
 			t.Fatal(err)
 		}
 		// And on the program that holds a value pointer across an
@@ -200,7 +200,7 @@ func FuzzFastPath(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, cfg := range []Config{{MaxCycles: 1 << 18}, noElide} {
-			if err := DiffProgramFastPath(staleProg, stale.SetupHost, staleFuzzTraffic(data), cfg); err != nil {
+			if err := diffProgramFastPath(staleProg, stale.SetupHost, staleFuzzTraffic(data), cfg); err != nil {
 				t.Fatalf("stale pointer zoo: %v", err)
 			}
 		}

@@ -1,9 +1,12 @@
 package conformance
 
 import (
+	"fmt"
 	"testing"
 
 	"ehdl/internal/apps"
+	"ehdl/internal/ebpf"
+	"ehdl/internal/maps"
 	"ehdl/internal/obs"
 )
 
@@ -26,4 +29,42 @@ func mustApp(t *testing.T, name string) *apps.App {
 		t.Fatalf("unknown app %q", name)
 	}
 	return a
+}
+
+// diffProgramFastPath runs packets through the cycle-accurate
+// interpreter and the compiled fast path only (no vm reference). The
+// fuzzer uses it as an exact oracle: both engines implement the
+// hardware bounds check identically, so they must agree on every input,
+// including malformed frames the elision-aware vm oracle cannot judge.
+func diffProgramFastPath(prog *ebpf.Program, setup func(*maps.Set) error, packets [][]byte, cfg Config) error {
+	outs, simMaps, err := runPipeline(prog, setup, packets, cfg)
+	if err != nil {
+		return fmt.Errorf("conformance: pipeline: %w", err)
+	}
+	fasts, fastMaps, err := runFastPath(prog, setup, packets, cfg)
+	if err != nil {
+		return fmt.Errorf("conformance: fastpath: %w", err)
+	}
+	for i := range packets {
+		if err := CompareOutcome(fasts[i], outs[i]); err != nil {
+			return fmt.Errorf("conformance: fastpath vs pipeline: packet %d (%dB): %w", i, len(packets[i]), err)
+		}
+	}
+	return CompareMaps(simMaps, fastMaps)
+}
+
+// allApps returns the full conformance surface: the paper's five
+// evaluation applications plus the toy example, the leaky bucket and
+// the load balancer.
+func allApps() []*apps.App {
+	names := []string{"toy", "leakybucket", "loadbalancer"}
+	out := apps.All()
+	for _, n := range names {
+		a, ok := apps.ByName(n)
+		if !ok {
+			panic("conformance: unknown app " + n)
+		}
+		out = append(out, a)
+	}
+	return out
 }

@@ -42,8 +42,8 @@ func tracedEvents(t *testing.T, name string, flows, n int, sim hwsim.Config) []o
 func TestInvariantOneStagePerCycle(t *testing.T) {
 	evs := tracedEvents(t, "firewall", 2, 40, hwsim.Config{})
 
-	stageOf := map[int64]int{}   // seq -> occupied stage
-	occupant := map[int]int64{}  // stage -> seq
+	stageOf := map[int64]int{}  // seq -> occupied stage
+	occupant := map[int]int64{} // stage -> seq
 	lastEnter := map[int64]uint64{}
 	entered := false
 	for _, ev := range evs {
@@ -83,63 +83,62 @@ func TestInvariantOneStagePerCycle(t *testing.T) {
 }
 
 // TestInvariantFlushPenalty checks the flush cost model of DESIGN.md:
-// the Flush Evaluation Block charges the configured reload dead time
-// (the paper's K = 4 overhead) plus one re-entry cycle per recalled
-// victim, so an isolated flush episode releases after exactly
-// reload + victims + 1 cycles.
+// the Flush Evaluation Block charges the reload dead time (the paper's
+// K = 4 overhead) plus one re-entry cycle per recalled victim, so an
+// isolated flush episode releases after exactly reload + victims + 1
+// cycles.
 func TestInvariantFlushPenalty(t *testing.T) {
-	for _, reload := range []int{4, 7} {
-		evs := tracedEvents(t, "firewall", 1, 2, hwsim.Config{FlushReloadCycles: reload})
+	const reload = 4
+	evs := tracedEvents(t, "firewall", 1, 2, hwsim.Config{})
 
-		type episode struct {
-			begins  int
-			victims uint64
-			penalty uint64
+	type episode struct {
+		begins  int
+		victims uint64
+		penalty uint64
+	}
+	var eps []episode
+	open := false
+	var cur episode
+	for _, ev := range evs {
+		switch ev.Kind {
+		case obs.KindFlushBegin:
+			if !open {
+				open = true
+				cur = episode{}
+			}
+			cur.begins++
+			cur.victims += ev.Aux
+		case obs.KindFlushEnd:
+			if !open {
+				t.Fatalf("cycle %d: flush_end without an open episode", ev.Cycle)
+			}
+			cur.penalty = ev.Aux
+			eps = append(eps, cur)
+			open = false
 		}
-		var eps []episode
-		open := false
-		var cur episode
-		for _, ev := range evs {
-			switch ev.Kind {
-			case obs.KindFlushBegin:
-				if !open {
-					open = true
-					cur = episode{}
-				}
-				cur.begins++
-				cur.victims += ev.Aux
-			case obs.KindFlushEnd:
-				if !open {
-					t.Fatalf("cycle %d: flush_end without an open episode", ev.Cycle)
-				}
-				cur.penalty = ev.Aux
-				eps = append(eps, cur)
-				open = false
+	}
+	if open {
+		t.Fatal("flush episode never closed")
+	}
+	if len(eps) == 0 {
+		t.Fatalf("reload=%d: two same-flow packets back to back produced no flush", reload)
+	}
+	isolated := 0
+	for _, ep := range eps {
+		if ep.victims == 0 {
+			t.Fatalf("reload=%d: flush episode recalled no victims", reload)
+		}
+		if ep.begins == 1 {
+			isolated++
+			want := uint64(reload) + ep.victims + 1
+			if ep.penalty != want {
+				t.Fatalf("reload=%d: isolated flush with %d victims cost %d cycles, want reload+victims+1 = %d",
+					reload, ep.victims, ep.penalty, want)
 			}
 		}
-		if open {
-			t.Fatal("flush episode never closed")
-		}
-		if len(eps) == 0 {
-			t.Fatalf("reload=%d: two same-flow packets back to back produced no flush", reload)
-		}
-		isolated := 0
-		for _, ep := range eps {
-			if ep.victims == 0 {
-				t.Fatalf("reload=%d: flush episode recalled no victims", reload)
-			}
-			if ep.begins == 1 {
-				isolated++
-				want := uint64(reload) + ep.victims + 1
-				if ep.penalty != want {
-					t.Fatalf("reload=%d: isolated flush with %d victims cost %d cycles, want reload+victims+1 = %d",
-						reload, ep.victims, ep.penalty, want)
-				}
-			}
-		}
-		if isolated == 0 {
-			t.Fatalf("reload=%d: no isolated flush episode to check exactly", reload)
-		}
+	}
+	if isolated == 0 {
+		t.Fatalf("reload=%d: no isolated flush episode to check exactly", reload)
 	}
 }
 

@@ -103,7 +103,7 @@ func multiQueueRun(t *testing.T, app *apps.App, packets [][]byte, queues int, fa
 // single-pipeline final state entry for entry: counters sum to equal
 // totals, flow tables union without conflict.
 func TestRSSFlowConformance(t *testing.T) {
-	for _, app := range AllApps() {
+	for _, app := range allApps() {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
 			cfg := app.Traffic
@@ -166,7 +166,7 @@ func TestRSSFlowConformance(t *testing.T) {
 // -race (the Makefile test gate does) this also exercises concurrent
 // compiled replicas sharing read-only maps across worker goroutines.
 func TestRSSFastPathConformance(t *testing.T) {
-	for _, app := range AllApps() {
+	for _, app := range allApps() {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
 			cfg := app.Traffic

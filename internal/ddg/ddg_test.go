@@ -336,10 +336,3 @@ func TestHelperUsesRefinement(t *testing.T) {
 		}
 	}
 }
-
-func TestRegsInMask(t *testing.T) {
-	regs := RegsInMask(1<<ebpf.R0 | 1<<ebpf.R10)
-	if len(regs) != 2 || regs[0] != ebpf.R0 || regs[1] != ebpf.R10 {
-		t.Errorf("RegsInMask = %v", regs)
-	}
-}

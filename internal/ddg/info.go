@@ -193,17 +193,6 @@ func regMask(regs []ebpf.Register) uint16 {
 	return m
 }
 
-// RegsInMask expands a liveness bitmask into registers.
-func RegsInMask(m uint16) []ebpf.Register {
-	var out []ebpf.Register
-	for r := ebpf.R0; r <= ebpf.R10; r++ {
-		if m&(1<<r) != 0 {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 type stackSet = [8]uint64
 
 func stackRange(off int64, size int) (lo, hi int, ok bool) {

@@ -40,34 +40,34 @@ import (
 
 // Journal file format constants. The golden-fixture test pins all of
 // them; changing any is an explicit on-disk format break and must bump
-// Version.
+// version.
 const (
-	// JournalMagic opens every journal file.
-	JournalMagic = "EHDLWAL\x01"
-	// SnapshotMagic opens every snapshot file.
-	SnapshotMagic = "EHDLSNP\x01"
-	// Version is the current on-disk format version, stored little-
+	// journalMagic opens every journal file.
+	journalMagic = "EHDLWAL\x01"
+	// snapshotMagic opens every snapshot file.
+	snapshotMagic = "EHDLSNP\x01"
+	// version is the current on-disk format version, stored little-
 	// endian right after the magic.
-	Version = 1
+	version = 1
 	// headerLen is magic + u32 version.
-	headerLen = len(JournalMagic) + 4
+	headerLen = len(journalMagic) + 4
 	// recordOverhead is the framing around a payload: u32 length, u8
 	// type, u32 CRC32C.
 	recordOverhead = 4 + 1 + 4
-	// MaxRecordBytes bounds a single record's payload. A scanned length
+	// maxRecordBytes bounds a single record's payload. A scanned length
 	// field above it can only be damage (the writer refuses such
 	// records), never a legitimate torn write.
-	MaxRecordBytes = 64 << 20
+	maxRecordBytes = 64 << 20
 )
 
 // Metric names accumulated into Options.Metrics.
 const (
 	MetricAppends          = "durable.journal_appends"
 	MetricCommits          = "durable.journal_commits"
-	MetricRetries          = "durable.io_retries"
-	MetricTornBytes        = "durable.torn_bytes_truncated"
+	metricRetries          = "durable.io_retries"
+	metricTornBytes        = "durable.torn_bytes_truncated"
 	MetricSnapshotsWritten = "durable.snapshots_written"
-	MetricSnapshotsSkipped = "durable.snapshots_skipped"
+	metricSnapshotsSkipped = "durable.snapshots_skipped"
 )
 
 // castagnoli is the CRC32C polynomial table (iSCSI/ext4 castagnoli, the
@@ -171,7 +171,7 @@ func (o Options) withRetry(what string, op func() error) error {
 			if max := o.retryMax(); delay > max {
 				delay = max
 			}
-			o.count(MetricRetries, 1)
+			o.count(metricRetries, 1)
 			o.sleep(delay)
 		}
 	}
@@ -181,8 +181,8 @@ func (o Options) withRetry(what string, op func() error) error {
 // EncodeHeader returns the journal file header.
 func EncodeHeader() []byte {
 	h := make([]byte, headerLen)
-	copy(h, JournalMagic)
-	binary.LittleEndian.PutUint32(h[len(JournalMagic):], Version)
+	copy(h, journalMagic)
+	binary.LittleEndian.PutUint32(h[len(journalMagic):], version)
 	return h
 }
 
@@ -216,11 +216,11 @@ func Decode(data []byte) (recs []Record, truncated int64, err error) {
 		}
 		return nil, 0, &CorruptRecordError{Offset: 0, Index: -1, Reason: "damaged header"}
 	}
-	if string(data[:len(JournalMagic)]) != JournalMagic {
+	if string(data[:len(journalMagic)]) != journalMagic {
 		return nil, 0, &CorruptRecordError{Offset: 0, Index: -1, Reason: "bad magic"}
 	}
-	if v := binary.LittleEndian.Uint32(data[len(JournalMagic):headerLen]); v != Version {
-		return nil, 0, &CorruptRecordError{Offset: int64(len(JournalMagic)), Index: -1,
+	if v := binary.LittleEndian.Uint32(data[len(journalMagic):headerLen]); v != version {
+		return nil, 0, &CorruptRecordError{Offset: int64(len(journalMagic)), Index: -1,
 			Reason: fmt.Sprintf("unsupported version %d", v)}
 	}
 	off := int64(headerLen)
@@ -231,9 +231,9 @@ func Decode(data []byte) (recs []Record, truncated int64, err error) {
 			return recs, int64(len(rest)), nil
 		}
 		plen := binary.LittleEndian.Uint32(rest)
-		if plen > MaxRecordBytes {
+		if plen > maxRecordBytes {
 			return recs, 0, &CorruptRecordError{Offset: off, Index: len(recs),
-				Reason: fmt.Sprintf("payload length %d exceeds the %d-byte record limit", plen, MaxRecordBytes)}
+				Reason: fmt.Sprintf("payload length %d exceeds the %d-byte record limit", plen, maxRecordBytes)}
 		}
 		frame := recordOverhead + int(plen)
 		if len(rest) < frame {
@@ -313,7 +313,7 @@ func OpenJournal(path string, opt Options) (*Journal, []Record, int64, error) {
 	} else {
 		j.off = good
 	}
-	opt.count(MetricTornBytes, uint64(torn))
+	opt.count(metricTornBytes, uint64(torn))
 	return j, recs, torn, nil
 }
 
@@ -346,8 +346,8 @@ func (j *Journal) reset() error {
 // retried with bounded exponential backoff, each retry re-seeking to
 // the frame start so partial transfers never corrupt the framing.
 func (j *Journal) Append(rec Record) error {
-	if len(rec.Payload) > MaxRecordBytes {
-		return fmt.Errorf("durable: record payload %d bytes exceeds the %d-byte limit", len(rec.Payload), MaxRecordBytes)
+	if len(rec.Payload) > maxRecordBytes {
+		return fmt.Errorf("durable: record payload %d bytes exceeds the %d-byte limit", len(rec.Payload), maxRecordBytes)
 	}
 	frame := EncodeRecord(rec)
 	err := j.opt.withRetry("journal append", func() error {
@@ -395,35 +395,35 @@ func snapshotEpoch(name string) (int, bool) {
 	return epoch, true
 }
 
-// EncodeSnapshot frames a snapshot payload:
+// encodeSnapshot frames a snapshot payload:
 // magic ‖ u32 version ‖ u32 length ‖ payload ‖ u32 CRC32C(payload).
-func EncodeSnapshot(payload []byte) []byte {
-	out := make([]byte, len(SnapshotMagic)+12+len(payload))
-	n := copy(out, SnapshotMagic)
-	binary.LittleEndian.PutUint32(out[n:], Version)
+func encodeSnapshot(payload []byte) []byte {
+	out := make([]byte, len(snapshotMagic)+12+len(payload))
+	n := copy(out, snapshotMagic)
+	binary.LittleEndian.PutUint32(out[n:], version)
 	binary.LittleEndian.PutUint32(out[n+4:], uint32(len(payload)))
 	copy(out[n+8:], payload)
 	binary.LittleEndian.PutUint32(out[n+8+len(payload):], crc32.Checksum(payload, castagnoli))
 	return out
 }
 
-// DecodeSnapshot recovers the payload of a framed snapshot. Snapshots
+// decodeSnapshot recovers the payload of a framed snapshot. Snapshots
 // are written through a rename, so any damage — truncation included —
 // is corruption, never a torn write: every failure is a typed
 // *CorruptRecordError and the decoder never panics.
-func DecodeSnapshot(data []byte) ([]byte, error) {
-	head := len(SnapshotMagic)
+func decodeSnapshot(data []byte) ([]byte, error) {
+	head := len(snapshotMagic)
 	if len(data) < head+12 {
 		return nil, &CorruptRecordError{Index: -1, Reason: "snapshot shorter than its header"}
 	}
-	if string(data[:head]) != SnapshotMagic {
+	if string(data[:head]) != snapshotMagic {
 		return nil, &CorruptRecordError{Index: -1, Reason: "bad snapshot magic"}
 	}
-	if v := binary.LittleEndian.Uint32(data[head:]); v != Version {
+	if v := binary.LittleEndian.Uint32(data[head:]); v != version {
 		return nil, &CorruptRecordError{Index: -1, Reason: fmt.Sprintf("unsupported snapshot version %d", v)}
 	}
 	plen := binary.LittleEndian.Uint32(data[head+4:])
-	if plen > MaxRecordBytes || int(plen) != len(data)-head-12 {
+	if plen > maxRecordBytes || int(plen) != len(data)-head-12 {
 		return nil, &CorruptRecordError{Index: -1, Reason: fmt.Sprintf("snapshot length %d does not match the %d-byte file", plen, len(data))}
 	}
 	payload := data[head+8 : head+8+int(plen)]
@@ -440,7 +440,7 @@ func DecodeSnapshot(data []byte) ([]byte, error) {
 // renamed into place, so a crash at any point leaves either the
 // complete snapshot or none at all.
 func WriteSnapshot(dir string, epoch int, payload []byte, opt Options) error {
-	enc := EncodeSnapshot(payload)
+	enc := encodeSnapshot(payload)
 	final := filepath.Join(dir, SnapshotName(epoch))
 	tmp := final + ".tmp"
 	err := opt.withRetry("snapshot write", func() error {
@@ -468,13 +468,13 @@ func WriteSnapshot(dir string, epoch int, payload []byte, opt Options) error {
 	return nil
 }
 
-// ReadSnapshot loads and verifies one snapshot file.
-func ReadSnapshot(path string) ([]byte, error) {
+// readSnapshot loads and verifies one snapshot file.
+func readSnapshot(path string) ([]byte, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	payload, derr := DecodeSnapshot(data)
+	payload, derr := decodeSnapshot(data)
 	if derr != nil {
 		if ce, ok := derr.(*CorruptRecordError); ok {
 			ce.Path = path
@@ -506,10 +506,10 @@ func LoadLatestSnapshot(dir string, opt Options) (epoch int, payload []byte, ski
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].epoch > cands[j].epoch })
 	for _, c := range cands {
-		p, rerr := ReadSnapshot(c.path)
+		p, rerr := readSnapshot(c.path)
 		if rerr != nil {
 			skipped++
-			opt.count(MetricSnapshotsSkipped, 1)
+			opt.count(metricSnapshotsSkipped, 1)
 			continue
 		}
 		return c.epoch, p, skipped, nil

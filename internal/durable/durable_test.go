@@ -114,8 +114,8 @@ func TestJournalTornTail(t *testing.T) {
 		if len(got) != 2 {
 			t.Errorf("tail %d: %d records survived, want 2", i, len(got))
 		}
-		if v, _ := reg.CounterValue(MetricTornBytes); v != uint64(len(tail)) {
-			t.Errorf("tail %d: %s = %d, want %d", i, MetricTornBytes, v, len(tail))
+		if v, _ := reg.CounterValue(metricTornBytes); v != uint64(len(tail)) {
+			t.Errorf("tail %d: %s = %d, want %d", i, metricTornBytes, v, len(tail))
 		}
 		if err := j.Append(Record{Type: 2, Payload: []byte("after")}); err != nil {
 			t.Fatal(err)
@@ -173,9 +173,9 @@ func TestJournalCorruption(t *testing.T) {
 		{"payload bit flip", func(d []byte) []byte { d[headerLen+5] ^= 0x01; return d }, 0, "crc mismatch"},
 		{"crc bit flip", func(d []byte) []byte { d[len(d)-1] ^= 0x80; return d }, 1, "crc mismatch"},
 		{"bad magic", func(d []byte) []byte { d[0] ^= 0xff; return d }, -1, "bad magic"},
-		{"bad version", func(d []byte) []byte { d[len(JournalMagic)] = 0x7f; return d }, -1, "unsupported version"},
+		{"bad version", func(d []byte) []byte { d[len(journalMagic)] = 0x7f; return d }, -1, "unsupported version"},
 		{"impossible length", func(d []byte) []byte {
-			binary.LittleEndian.PutUint32(d[headerLen:], MaxRecordBytes+1)
+			binary.LittleEndian.PutUint32(d[headerLen:], maxRecordBytes+1)
 			return d
 		}, 0, "record limit"},
 	}
@@ -303,8 +303,8 @@ func TestJournalWriteRetryBackoff(t *testing.T) {
 			t.Errorf("backoff %d = %v, want %v", i, delays[i], wantDelays[i])
 		}
 	}
-	if v, _ := reg.CounterValue(MetricRetries); v != 4 {
-		t.Errorf("%s = %d, want 4", MetricRetries, v)
+	if v, _ := reg.CounterValue(metricRetries); v != 4 {
+		t.Errorf("%s = %d, want 4", metricRetries, v)
 	}
 }
 
@@ -361,10 +361,10 @@ func TestSnapshotRoundTripAndFallback(t *testing.T) {
 	if epoch != 2 || string(payload) != "state@2" || skipped != 1 {
 		t.Fatalf("fallback = (%d, %q, %d), want (2, state@2, 1)", epoch, payload, skipped)
 	}
-	if v, _ := reg.CounterValue(MetricSnapshotsSkipped); v != 1 {
-		t.Errorf("%s = %d, want 1", MetricSnapshotsSkipped, v)
+	if v, _ := reg.CounterValue(metricSnapshotsSkipped); v != 1 {
+		t.Errorf("%s = %d, want 1", metricSnapshotsSkipped, v)
 	}
-	if _, err := ReadSnapshot(p5); err == nil {
+	if _, err := readSnapshot(p5); err == nil {
 		t.Error("corrupt snapshot read back without error")
 	} else {
 		var ce *CorruptRecordError
@@ -392,13 +392,13 @@ func TestSnapshotRoundTripAndFallback(t *testing.T) {
 // TestSnapshotTruncationIsCorruption: snapshots are atomic via rename,
 // so a short file can only be damage — it must error, not truncate.
 func TestSnapshotTruncationIsCorruption(t *testing.T) {
-	full := EncodeSnapshot([]byte("payload"))
+	full := encodeSnapshot([]byte("payload"))
 	for cut := 0; cut < len(full); cut++ {
-		if _, err := DecodeSnapshot(full[:cut]); err == nil {
+		if _, err := decodeSnapshot(full[:cut]); err == nil {
 			t.Fatalf("snapshot cut to %d bytes decoded cleanly", cut)
 		}
 	}
-	payload, err := DecodeSnapshot(full)
+	payload, err := decodeSnapshot(full)
 	if err != nil || string(payload) != "payload" {
 		t.Fatalf("full snapshot = (%q, %v)", payload, err)
 	}
@@ -428,7 +428,7 @@ func TestOptionsDefaults(t *testing.T) {
 // so a scanned length above the limit is always damage.
 func TestJournalMaxRecord(t *testing.T) {
 	j := &Journal{f: &flakyFile{}, opt: Options{}}
-	if err := j.Append(Record{Type: 1, Payload: make([]byte, MaxRecordBytes+1)}); err == nil {
+	if err := j.Append(Record{Type: 1, Payload: make([]byte, maxRecordBytes+1)}); err == nil {
 		t.Fatal("oversized record accepted")
 	}
 }

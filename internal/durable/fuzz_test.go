@@ -23,9 +23,9 @@ func FuzzJournalDecode(f *testing.F) {
 	f.Add(header)
 	f.Add(header[:5])
 	f.Add(full)
-	f.Add(full[:len(full)-3])          // torn CRC tail
-	f.Add(full[:len(header)+2])        // torn length field
-	f.Add(append(full, 0x09, 0x00))    // torn next record
+	f.Add(full[:len(full)-3])                    // torn CRC tail
+	f.Add(full[:len(header)+2])                  // torn length field
+	f.Add(append(full, 0x09, 0x00))              // torn next record
 	f.Add([]byte("EHDLWAL\x02\x01\x00\x00\x00")) // wrong magic byte
 	flipped := append([]byte(nil), full...)
 	flipped[len(header)+6] ^= 0x20
@@ -37,12 +37,12 @@ func FuzzJournalDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The snapshot decoder shares the never-panic / typed-error
 		// contract; exercise it on the same hostile input.
-		if payload, serr := DecodeSnapshot(data); serr != nil {
+		if payload, serr := decodeSnapshot(data); serr != nil {
 			var ce *CorruptRecordError
 			if !errors.As(serr, &ce) {
 				t.Fatalf("DecodeSnapshot error is %T, want *CorruptRecordError", serr)
 			}
-		} else if !bytes.Equal(EncodeSnapshot(payload), data) {
+		} else if !bytes.Equal(encodeSnapshot(payload), data) {
 			t.Fatalf("snapshot round-trip mismatch for accepted input")
 		}
 

@@ -93,7 +93,7 @@ func TestGoldenJournalFixture(t *testing.T) {
 // TestGoldenSnapshotFixture pins the snapshot framing the same way.
 func TestGoldenSnapshotFixture(t *testing.T) {
 	path := filepath.Join("testdata", "golden.snap")
-	want := EncodeSnapshot(goldenSnapshotPayload)
+	want := encodeSnapshot(goldenSnapshotPayload)
 	if os.Getenv("EHDL_REGEN_GOLDEN") != "" {
 		if err := os.WriteFile(path, want, 0o644); err != nil {
 			t.Fatal(err)
@@ -120,7 +120,7 @@ func TestGoldenSnapshotFixture(t *testing.T) {
 	if stored != computed {
 		t.Errorf("trailing CRC32C = %08x, want %08x (over payload)", stored, computed)
 	}
-	payload, err := DecodeSnapshot(data)
+	payload, err := decodeSnapshot(data)
 	if err != nil || !bytes.Equal(payload, goldenSnapshotPayload) {
 		t.Fatalf("DecodeSnapshot(fixture) = %q, %v", payload, err)
 	}

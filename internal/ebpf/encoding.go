@@ -23,9 +23,9 @@ func (ins Instruction) Marshal(buf []byte) []byte {
 	return append(buf, slot[:]...)
 }
 
-// Unmarshal decodes one instruction from the start of data, returning
+// unmarshal decodes one instruction from the start of data, returning
 // the instruction and the number of bytes consumed (8 or 16).
-func Unmarshal(data []byte) (Instruction, int, error) {
+func unmarshal(data []byte) (Instruction, int, error) {
 	if len(data) < WordSize {
 		return Instruction{}, 0, fmt.Errorf("ebpf: truncated instruction: %d bytes", len(data))
 	}
@@ -69,7 +69,7 @@ func UnmarshalInstructions(data []byte) ([]Instruction, error) {
 	}
 	insns := make([]Instruction, 0, len(data)/WordSize)
 	for off := 0; off < len(data); {
-		ins, n, err := Unmarshal(data[off:])
+		ins, n, err := unmarshal(data[off:])
 		if err != nil {
 			return nil, fmt.Errorf("ebpf: at byte offset %d: %w", off, err)
 		}

@@ -53,7 +53,7 @@ func TestUnmarshalErrors(t *testing.T) {
 	// LDDW with a corrupted second slot opcode.
 	data = LoadImm64(R1, 1).Marshal(nil)
 	data[8] = 0x07
-	if _, _, err := Unmarshal(data); err == nil {
+	if _, _, err := unmarshal(data); err == nil {
 		t.Error("Unmarshal accepted a lddw with a non-zero second opcode")
 	}
 }
@@ -101,7 +101,7 @@ func TestPropertyEncodeDecodeRoundTrip(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		ins := randomValidInstruction(r)
 		data := ins.Marshal(nil)
-		got, n, err := Unmarshal(data)
+		got, n, err := unmarshal(data)
 		if err != nil || n != len(data) {
 			return false
 		}

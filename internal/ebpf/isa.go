@@ -345,21 +345,6 @@ func (s Size) Bytes() int {
 	return 0
 }
 
-// SizeOf returns the Size constant for an access of n bytes.
-func SizeOf(n int) (Size, bool) {
-	switch n {
-	case 1:
-		return SizeB, true
-	case 2:
-		return SizeH, true
-	case 4:
-		return SizeW, true
-	case 8:
-		return SizeDW, true
-	}
-	return 0, false
-}
-
 func (s Size) String() string {
 	switch s {
 	case SizeB:

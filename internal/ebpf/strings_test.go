@@ -62,32 +62,6 @@ func TestDisasmAtomicVariants(t *testing.T) {
 	}
 }
 
-func TestXDPMDFieldNames(t *testing.T) {
-	for off, want := range map[int]string{
-		0: "data", 4: "data_end", 8: "data_meta",
-		12: "ingress_ifindex", 16: "rx_queue_index", 20: "egress_ifindex",
-	} {
-		if got := XDPMDFieldName(off); got != want {
-			t.Errorf("field at %d = %q, want %q", off, got, want)
-		}
-	}
-	if XDPMDFieldName(2) != "" {
-		t.Error("misaligned offset named a field")
-	}
-}
-
-func TestSizeOf(t *testing.T) {
-	for n, want := range map[int]Size{1: SizeB, 2: SizeH, 4: SizeW, 8: SizeDW} {
-		got, ok := SizeOf(n)
-		if !ok || got != want {
-			t.Errorf("SizeOf(%d) = %v, %v", n, got, ok)
-		}
-	}
-	if _, ok := SizeOf(3); ok {
-		t.Error("SizeOf(3) succeeded")
-	}
-}
-
 func TestTokenTables(t *testing.T) {
 	if ALUAdd.Token() != "+=" || ALUMov.Token() != "=" || ALUArsh.Token() != "s>>=" {
 		t.Error("ALU tokens broken")

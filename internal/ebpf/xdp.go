@@ -40,26 +40,6 @@ const (
 	XDPMDSize           = 24
 )
 
-// XDPMDFieldName returns the struct xdp_md field name at the given byte
-// offset, or "" if the offset does not start a field.
-func XDPMDFieldName(off int) string {
-	switch off {
-	case XDPMDData:
-		return "data"
-	case XDPMDDataEnd:
-		return "data_end"
-	case XDPMDDataMeta:
-		return "data_meta"
-	case XDPMDIngressIfindex:
-		return "ingress_ifindex"
-	case XDPMDRxQueueIndex:
-		return "rx_queue_index"
-	case XDPMDEgressIfindex:
-		return "egress_ifindex"
-	}
-	return ""
-}
-
 // Well-known EtherType values used across the example programs.
 const (
 	EthPIP   = 0x0800
@@ -70,7 +50,6 @@ const (
 
 // IP protocol numbers used across the example programs.
 const (
-	IPProtoICMP = 1
 	IPProtoTCP  = 6
 	IPProtoUDP  = 17
 	IPProtoIPIP = 4

@@ -90,27 +90,27 @@ type Runner func(Config) (Table, error)
 // All returns every experiment keyed by its identifier.
 func All() map[string]Runner {
 	return map[string]Runner{
-		"table1":      Table1,
-		"fig8":        Fig8,
-		"fig9a":       Fig9aThroughput,
-		"fig9b":       Fig9bLatency,
-		"fig9c":       Fig9cStages,
-		"fig10":       Fig10Resources,
-		"table2":      Table2Flushing,
-		"single-flow": SingleFlowDegradation,
-		"pruning":     PruningAblation,
-		"power":       PowerMeasurement,
-		"table3":      Table3Analytic,
-		"table4":      Table4Analytic,
-		"table5":      Table5ILP,
-		"hazard":      HazardPolicyAblation,
-		"framing":     FramingAblation,
-		"lb":          LoadBalancerDemo,
-		"resilience":  Resilience,
-		"protection":  ProtectionAblation,
-		"liveupdate":  LiveUpdateUnderLoad,
-		"scaling":     Scaling,
-		"tenancy":     Tenancy,
+		"table1":      table1,
+		"fig8":        fig8,
+		"fig9a":       fig9aThroughput,
+		"fig9b":       fig9bLatency,
+		"fig9c":       fig9cStages,
+		"fig10":       fig10Resources,
+		"table2":      table2Flushing,
+		"single-flow": singleFlowDegradation,
+		"pruning":     pruningAblation,
+		"power":       powerMeasurement,
+		"table3":      table3Analytic,
+		"table4":      table4Analytic,
+		"table5":      table5ILP,
+		"hazard":      hazardPolicyAblation,
+		"framing":     framingAblation,
+		"lb":          loadBalancerDemo,
+		"resilience":  resilience,
+		"protection":  protectionAblation,
+		"liveupdate":  liveUpdateUnderLoad,
+		"scaling":     scaling,
+		"tenancy":     tenancy,
 	}
 }
 
@@ -137,8 +137,8 @@ func compileApp(app *apps.App, opts core.Options) (*core.Pipeline, error) {
 	return core.Compile(prog, opts)
 }
 
-// Table1 reproduces the application inventory.
-func Table1(Config) (Table, error) {
+// table1 reproduces the application inventory.
+func table1(Config) (Table, error) {
 	t := Table{ID: "table1", Title: "Applications used for evaluation",
 		Columns: []string{"Program", "Description"}}
 	for _, app := range apps.All() {
@@ -147,9 +147,9 @@ func Table1(Config) (Table, error) {
 	return t, nil
 }
 
-// Fig8 lays out the toy pipeline like Figure 8: stages, their ops and
+// fig8 lays out the toy pipeline like Figure 8: stages, their ops and
 // the pruned per-stage state.
-func Fig8(Config) (Table, error) {
+func fig8(Config) (Table, error) {
 	pl, err := compileApp(apps.Toy(), core.Options{})
 	if err != nil {
 		return Table{}, err
@@ -197,9 +197,9 @@ func maxStack(pl *core.Pipeline) int {
 	return m
 }
 
-// Fig9aThroughput measures throughput for the five applications across
+// fig9aThroughput measures throughput for the five applications across
 // all systems at 148 Mpps offered (64-byte packets, 10k flows).
-func Fig9aThroughput(cfg Config) (Table, error) {
+func fig9aThroughput(cfg Config) (Table, error) {
 	t := Table{ID: "fig9a", Title: "Throughput, Mpps at 100 Gbps / 64B (Figure 9a, log scale in the paper)",
 		Columns: []string{"Program", "eHDL", "SDNet", "hXDP", "Bf2 1c", "Bf2 4c"}}
 	n := cfg.packets()
@@ -253,8 +253,8 @@ func Fig9aThroughput(cfg Config) (Table, error) {
 	return t, nil
 }
 
-// Fig9bLatency measures forwarding latency for eHDL and hXDP.
-func Fig9bLatency(cfg Config) (Table, error) {
+// fig9bLatency measures forwarding latency for eHDL and hXDP.
+func fig9bLatency(cfg Config) (Table, error) {
 	t := Table{ID: "fig9b", Title: "Forwarding latency, nanoseconds (Figure 9b)",
 		Columns: []string{"Program", "eHDL avg", "eHDL max", "hXDP"}}
 	for _, app := range apps.All() {
@@ -290,9 +290,9 @@ func Fig9bLatency(cfg Config) (Table, error) {
 	return t, nil
 }
 
-// Fig9cStages compares pipeline depth against hXDP bundles and the
+// fig9cStages compares pipeline depth against hXDP bundles and the
 // original instruction count.
-func Fig9cStages(Config) (Table, error) {
+func fig9cStages(Config) (Table, error) {
 	t := Table{ID: "fig9c", Title: "Pipeline stages vs instructions (Figure 9c)",
 		Columns: []string{"Program", "eHDL stages", "hXDP instr", "Original instr"}}
 	m := hxdp.New()
@@ -317,8 +317,8 @@ func Fig9cStages(Config) (Table, error) {
 	return t, nil
 }
 
-// Fig10Resources reports FPGA utilisation for the three systems.
-func Fig10Resources(Config) (Table, error) {
+// fig10Resources reports FPGA utilisation for the three systems.
+func fig10Resources(Config) (Table, error) {
 	t := Table{ID: "fig10", Title: "FPGA resources on the Alveo U50, % (Figure 10, incl. Corundum)",
 		Columns: []string{"Program", "eHDL LUT", "eHDL FF", "eHDL BRAM", "hXDP LUT", "hXDP FF", "hXDP BRAM", "SDNet LUT", "SDNet FF", "SDNet BRAM"}}
 	dev := hdl.AlveoU50()
@@ -343,9 +343,9 @@ func Fig10Resources(Config) (Table, error) {
 	return t, nil
 }
 
-// Table2Flushing replays the synthetic CAIDA/MAWI traces through the
+// table2Flushing replays the synthetic CAIDA/MAWI traces through the
 // leaky bucket and counts losses and flush events.
-func Table2Flushing(cfg Config) (Table, error) {
+func table2Flushing(cfg Config) (Table, error) {
 	t := Table{ID: "table2", Title: "Leaky bucket on real-world trace profiles (Table 2)",
 		Columns: []string{"Trace", "# lost packets", "# flushes/sec", "mean pkt B", "offered Mpps"}}
 	app := apps.LeakyBucket()
@@ -372,10 +372,10 @@ func Table2Flushing(cfg Config) (Table, error) {
 	return t, nil
 }
 
-// SingleFlowDegradation forces every packet onto one map key
+// singleFlowDegradation forces every packet onto one map key
 // (Section 5.3): the flush-protected pipeline degrades while the
 // realistic trace sustains its line rate.
-func SingleFlowDegradation(cfg Config) (Table, error) {
+func singleFlowDegradation(cfg Config) (Table, error) {
 	t := Table{ID: "single-flow", Title: "Max sustained rate, CAIDA profile vs single-flow (Section 5.3)",
 		Columns: []string{"Workload", "Sustained Mpps"}}
 	app := apps.LeakyBucket()
@@ -427,9 +427,9 @@ func singleKeySource(src string) string {
 		"r4 = 7                         ; constant key: every packet collides", 1)
 }
 
-// PruningAblation reproduces the Section 5.4 numbers: pipeline-only
+// pruningAblation reproduces the Section 5.4 numbers: pipeline-only
 // resources with and without state pruning.
-func PruningAblation(Config) (Table, error) {
+func pruningAblation(Config) (Table, error) {
 	t := Table{ID: "pruning", Title: "State pruning ablation, pipeline only (Section 5.4)",
 		Columns: []string{"Variant", "LUTs", "FFs", "BRAM36"}}
 	pruned, err := compileApp(apps.Toy(), core.Options{})
@@ -452,8 +452,8 @@ func PruningAblation(Config) (Table, error) {
 	return t, nil
 }
 
-// PowerMeasurement reports the Section 5.2 wall-power bands.
-func PowerMeasurement(Config) (Table, error) {
+// powerMeasurement reports the Section 5.2 wall-power bands.
+func powerMeasurement(Config) (Table, error) {
 	t := Table{ID: "power", Title: "Wall power of the system under test (Section 5.2)",
 		Columns: []string{"Host + NIC", "Watts", "nJ/packet at measured rate"}}
 	for _, design := range []string{"eHDL", "hXDP", "SDNet"} {
@@ -471,9 +471,9 @@ func PowerMeasurement(Config) (Table, error) {
 	return t, nil
 }
 
-// Table3Analytic evaluates the Appendix A.1 model on the compiled
+// table3Analytic evaluates the Appendix A.1 model on the compiled
 // hazard geometries.
-func Table3Analytic(Config) (Table, error) {
+func table3Analytic(Config) (Table, error) {
 	t := Table{ID: "table3", Title: "Analytic pipeline throughput at 50k Zipfian flows (Table 3)",
 		Columns: []string{"Program", "K", "L", "Tp Mpps"}}
 	var inputs []struct {
@@ -516,8 +516,8 @@ func Table3Analytic(Config) (Table, error) {
 	return t, nil
 }
 
-// Table4Analytic evaluates equation (3) for the paper's parameters.
-func Table4Analytic(Config) (Table, error) {
+// table4Analytic evaluates equation (3) for the paper's parameters.
+func table4Analytic(Config) (Table, error) {
 	t := Table{ID: "table4", Title: "Max flushable stages sustaining 148 Mpps, Zipf 50k flows (Table 4)",
 		Columns: []string{"L", "Pf^Z %", "Kmax"}}
 	for _, row := range analytic.Table4() {
@@ -527,8 +527,8 @@ func Table4Analytic(Config) (Table, error) {
 	return t, nil
 }
 
-// Table5ILP reports the scheduler's instruction-level parallelism.
-func Table5ILP(Config) (Table, error) {
+// table5ILP reports the scheduler's instruction-level parallelism.
+func table5ILP(Config) (Table, error) {
 	t := Table{ID: "table5", Title: "Instruction-level parallelism (Table 5 / Appendix A.3)",
 		Columns: []string{"Program", "max ILP", "avg ILP"}}
 	for _, app := range apps.All() {
@@ -543,9 +543,9 @@ func Table5ILP(Config) (Table, error) {
 	return t, nil
 }
 
-// HazardPolicyAblation compares flushing with conservative stalling —
+// hazardPolicyAblation compares flushing with conservative stalling —
 // the design decision of Section 4.1.2.
-func HazardPolicyAblation(cfg Config) (Table, error) {
+func hazardPolicyAblation(cfg Config) (Table, error) {
 	t := Table{ID: "hazard", Title: "RAW hazard handling: flush vs conservative stall (Section 4.1.2)",
 		Columns: []string{"Policy", "Cycles", "Flushes", "Stall cycles", "Mpps"}}
 	app := apps.LeakyBucket()
@@ -589,8 +589,8 @@ func HazardPolicyAblation(cfg Config) (Table, error) {
 	return t, nil
 }
 
-// FramingAblation sweeps the frame size (Section 4.2).
-func FramingAblation(Config) (Table, error) {
+// framingAblation sweeps the frame size (Section 4.2).
+func framingAblation(Config) (Table, error) {
 	t := Table{ID: "framing", Title: "Packet frame size ablation (Section 4.2)",
 		Columns: []string{"Frame bytes", "Stages", "NOPs", "Pipeline FFs"}}
 	for _, frame := range []int{32, 64, 128} {
@@ -605,10 +605,10 @@ func FramingAblation(Config) (Table, error) {
 	return t, nil
 }
 
-// LoadBalancerDemo runs the beyond-paper Katran-style balancer at line
+// loadBalancerDemo runs the beyond-paper Katran-style balancer at line
 // rate and reports the backend distribution — the introduction's
 // motivating use case, compiled by the same toolchain.
-func LoadBalancerDemo(cfg Config) (Table, error) {
+func loadBalancerDemo(cfg Config) (Table, error) {
 	t := Table{ID: "lb", Title: "Katran-style load balancer at line rate (beyond the paper's five programs)",
 		Columns: []string{"Backend", "Packets", "Share %"}}
 	app, _ := apps.ByName("loadbalancer")
@@ -645,14 +645,14 @@ func LoadBalancerDemo(cfg Config) (Table, error) {
 	return t, nil
 }
 
-// Resilience runs one fault-injection campaign per fault class against
+// resilience runs one fault-injection campaign per fault class against
 // the firewall pipeline (which carries a flush-protected map, so every
 // class has a target) and tabulates how the design degrades: faults
 // applied, packets still answered, packets retired as XDP_ABORTED, and
 // frames the hardware bounds check disposed of. The shell must survive
 // every campaign without an error — graceful degradation is the result
 // being a table at all.
-func Resilience(cfg Config) (Table, error) {
+func resilience(cfg Config) (Table, error) {
 	t := Table{ID: "resilience", Title: "Fault injection: graceful degradation by fault class",
 		Columns: []string{"Fault class", "Faults", "Sent", "Received", "Aborted", "HW drops", "Lost", "Watchdog"}}
 	app := apps.Firewall()
@@ -706,13 +706,13 @@ func Resilience(cfg Config) (Table, error) {
 	return t, nil
 }
 
-// ProtectionAblation tabulates what the self-healing subsystem costs on
+// protectionAblation tabulates what the self-healing subsystem costs on
 // the Alveo U50: every evaluation app at every protection level, with
 // the utilisation premium over the unprotected design. The paper's
 // unprotected designs land in a 6.5%-13.3% utilisation band; the stated
 // bound is that full ECC + scrubbing + checkpointing adds at most 2
 // percentage points of device utilisation on top of that.
-func ProtectionAblation(Config) (Table, error) {
+func protectionAblation(Config) (Table, error) {
 	t := Table{ID: "protection", Title: "Map-memory protection vs FPGA resources (Alveo U50)",
 		Columns: []string{"Program", "Protect", "LUT %", "FF %", "BRAM %", "Max %", "Premium pts"}}
 	dev := hdl.AlveoU50()
@@ -739,13 +739,13 @@ func ProtectionAblation(Config) (Table, error) {
 	return t, nil
 }
 
-// LiveUpdateUnderLoad runs the maintenance scenario the hitless-update
+// liveUpdateUnderLoad runs the maintenance scenario the hitless-update
 // subsystem exists for: replace the serving firewall with the
 // leaky-bucket rate limiter mid-run — shadow warm-up, state migration,
 // canary, atomic cutover — without dropping a packet, then force the
 // same swap to fail (an SEU campaign corrupting the shadow's maps) and
 // show the rollback leaving the old pipeline serving untouched.
-func LiveUpdateUnderLoad(cfg Config) (Table, error) {
+func liveUpdateUnderLoad(cfg Config) (Table, error) {
 	t := Table{ID: "liveupdate", Title: "Hitless live update under load (firewall -> leaky bucket)",
 		Columns: []string{"Scenario", "Sent", "Lost", "Held", "Canaried", "Diverged", "Post-verified", "Outcome"}}
 	app := apps.Firewall()

@@ -360,12 +360,12 @@ func TestLoadBalancerDemo(t *testing.T) {
 
 func TestScalingShape(t *testing.T) {
 	tab := run(t, "scaling")
-	if len(tab.Rows) != len(ScalingQueues) {
-		t.Fatalf("rows = %d, want %d queue points", len(tab.Rows), len(ScalingQueues))
+	if len(tab.Rows) != len(scalingQueues) {
+		t.Fatalf("rows = %d, want %d queue points", len(tab.Rows), len(scalingQueues))
 	}
 	base := cellF(t, tab, 0, "Achieved Mpps")
 	baseLUT := cellF(t, tab, 0, "fw LUT%")
-	for i, q := range ScalingQueues {
+	for i, q := range scalingQueues {
 		if got := cellF(t, tab, i, "Queues"); got != float64(q) {
 			t.Fatalf("row %d covers %v queues, want %d", i, got, q)
 		}

@@ -11,15 +11,15 @@ import (
 	"ehdl/internal/pktgen"
 )
 
-// ScalingQueues is the sweep of the multi-queue experiment.
-var ScalingQueues = []int{1, 2, 4, 8}
+// scalingQueues is the sweep of the multi-queue experiment.
+var scalingQueues = []int{1, 2, 4, 8}
 
-// Scaling sweeps the RSS multi-queue shell: each point offers 85% of
+// scaling sweeps the RSS multi-queue shell: each point offers 85% of
 // the replica fleet's aggregate capacity (a single 250 MHz pipeline
 // forwards at most one packet per cycle, 250 Mpps) and reports whether
 // the fleet absorbs it, alongside the FPGA cost of stamping out that
 // many firewall replicas.
-func Scaling(cfg Config) (Table, error) {
+func scaling(cfg Config) (Table, error) {
 	t := Table{ID: "scaling", Title: "Multi-queue RSS scale-out (toy pipeline, 85% aggregate load)",
 		Columns: []string{"Queues", "Offered Mpps", "Achieved Mpps", "Speedup", "Lost", "Active", "fw LUT%"}}
 	app := apps.Toy()
@@ -34,7 +34,7 @@ func Scaling(cfg Config) (Table, error) {
 	dev := hdl.AlveoU50()
 	n := cfg.packets()
 	var base float64
-	for _, q := range ScalingQueues {
+	for _, q := range scalingQueues {
 		sh, err := nic.New(pl, nic.ShellConfig{Queues: q, Sim: hwsim.Config{InputQueuePackets: 64}})
 		if err != nil {
 			return t, err

@@ -11,7 +11,7 @@ import (
 	"ehdl/internal/tenant"
 )
 
-// Tenancy runs the noisy-neighbor ablation for the multi-tenant device:
+// tenancy runs the noisy-neighbor ablation for the multi-tenant device:
 // an aggressor tenant offering 3x its share under a full-menu fault
 // campaign, beside a clean victim, with per-tenant isolation on and
 // off. With isolation (per-tenant token buckets, per-tenant fault
@@ -21,7 +21,7 @@ import (
 // starves and perturbs the victim. The victim's bit-identical-beside-a-
 // noisy-neighbor guarantee is asserted by the tenant package's chaos
 // gate; this table quantifies what the isolation machinery buys.
-func Tenancy(cfg Config) (Table, error) {
+func tenancy(cfg Config) (Table, error) {
 	t := Table{ID: "tenancy", Title: "Noisy-neighbor ablation: per-tenant isolation on vs off",
 		Columns: []string{"Isolation", "Tenant", "Steered", "Admitted", "Throttled", "Received", "Lost", "Faults", "Mpps"}}
 

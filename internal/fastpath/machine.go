@@ -23,10 +23,10 @@ import (
 	"ehdl/internal/vm"
 )
 
-// NotRequested is the reason a shell or an RSS engine gives for serving
+// notRequested is the reason a shell or an RSS engine gives for serving
 // from the interpreter when nobody asked for the fast path; every other
 // reason comes from Eligible.
-const NotRequested = "fast path not requested"
+const notRequested = "fast path not requested"
 
 // Eligible reports whether a simulator configuration can run on the
 // compiled fast path, and names the feature that forces the interpreter
@@ -99,26 +99,6 @@ func (r *ring) pop() pkt {
 
 func (r *ring) peek() *pkt { return &r.buf[r.head] }
 
-// Prog is the replica-shareable handle of a design served at host speed:
-// each replica of a multi-queue engine binds it to its own map
-// environment with NewMachine, which builds that replica's executor.
-type Prog struct{ pl *core.Pipeline }
-
-// Compile checks that a design can be served and returns its handle.
-func Compile(pl *core.Pipeline) (*Prog, error) {
-	if len(pl.Stages) == 0 {
-		return nil, fmt.Errorf("fastpath: empty pipeline")
-	}
-	return &Prog{pl: pl}, nil
-}
-
-// Pipeline returns the design the program was compiled from.
-func (p *Prog) Pipeline() *core.Pipeline { return p.pl }
-
-// Depth returns the pipeline depth the timing skeleton models, framing
-// NOPs included.
-func (p *Prog) Depth() int { return len(p.pl.Stages) }
-
 // Machine is the timing skeleton around one executor, with no per-packet
 // heap allocation on the happy path. It satisfies hwsim.Core like
 // hwsim.Sim, so the NIC shell and the RSS engine drive either
@@ -150,13 +130,13 @@ var _ hwsim.Core = (*Machine)(nil)
 
 // NewCore is the one place an engine is chosen: the compiled machine
 // when the fast path is requested and cfg is eligible for it, else the
-// interpreter together with the reason — NotRequested, or the feature
+// interpreter together with the reason — notRequested, or the feature
 // Eligible named.
 func NewCore(pl *core.Pipeline, cfg hwsim.Config, env *vm.Env, request bool) (hwsim.Core, string, error) {
-	why := NotRequested
+	why := notRequested
 	if request {
 		if _, why = Eligible(cfg); why == "" {
-			m, err := NewWithEnv(pl, cfg, env)
+			m, err := newMachine(pl, cfg, env)
 			return m, "", err
 		}
 	}
@@ -164,44 +144,39 @@ func NewCore(pl *core.Pipeline, cfg hwsim.Config, env *vm.Env, request bool) (hw
 	return sim, why, err
 }
 
-// New compiles a design and binds it to fresh maps.
+// New binds a design to fresh maps.
 func New(pl *core.Pipeline, cfg hwsim.Config) (*Machine, error) {
 	env, err := vm.NewEnv(pl.Transformed)
 	if err != nil {
 		return nil, err
 	}
-	return NewWithEnv(pl, cfg, env)
+	return newMachine(pl, cfg, env)
 }
 
-// NewWithEnv compiles a design and binds it to an existing environment
-// (shared maps, custom clock).
-func NewWithEnv(pl *core.Pipeline, cfg hwsim.Config, env *vm.Env) (*Machine, error) {
-	prog, err := Compile(pl)
-	if err != nil {
-		return nil, err
-	}
-	return prog.NewMachine(cfg, env)
-}
+// Compile builds a design's executor on fresh maps under the default
+// configuration: what serving it at host speed costs before the first
+// packet.
+func Compile(pl *core.Pipeline) (*Machine, error) { return New(pl, hwsim.Config{}) }
 
-// NewMachine binds the program to an environment: one executor and one
+// newMachine binds a design to an environment: one executor and one
 // skeleton per call, nothing mutable shared between them.
-func (p *Prog) NewMachine(cfg hwsim.Config, env *vm.Env) (*Machine, error) {
+func newMachine(pl *core.Pipeline, cfg hwsim.Config, env *vm.Env) (*Machine, error) {
 	if ok, why := Eligible(cfg); !ok {
 		return nil, fmt.Errorf("fastpath: configuration requires the interpreter: %s", why)
 	}
-	if need := len(p.pl.Transformed.Maps); env.Maps.Len() < need {
+	if need := len(pl.Transformed.Maps); env.Maps.Len() < need {
 		return nil, fmt.Errorf("fastpath: environment has %d maps, design needs %d", env.Maps.Len(), need)
 	}
-	exec, err := hwsim.NewBurst(p.pl, cfg, env)
+	exec, err := hwsim.NewBurst(pl, cfg, env)
 	if err != nil {
 		return nil, err
 	}
 	m := &Machine{
 		exec:       exec,
 		env:        env,
-		depth:      p.Depth(),
+		depth:      len(pl.Stages), // framing NOPs included
 		queueDepth: cfg.QueueDepth(),
-		frameBytes: p.pl.FrameBytes(),
+		frameBytes: pl.FrameBytes(),
 	}
 	if env.Now == nil {
 		// The hardware clock: cycle count scaled to nanoseconds.

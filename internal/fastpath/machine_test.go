@@ -550,31 +550,24 @@ func TestRunToCompletionBound(t *testing.T) {
 	}
 }
 
-// TestProgSurface covers the compiled-program accessors and the
-// replica-binding error path: an environment that does not carry the
-// design's maps is refused.
+// TestProgSurface covers Compile and the engine-binding error paths: an
+// empty design and an environment that does not carry the design's maps
+// are refused.
 func TestProgSurface(t *testing.T) {
 	pl := compilePipeline(t, "mem_zoo_surface", memZooSource)
-	prog, err := fastpath.Compile(pl)
-	if err != nil {
+	if _, err := fastpath.Compile(pl); err != nil {
 		t.Fatal(err)
 	}
-	if prog.Pipeline() != pl {
-		t.Fatal("Pipeline() does not return the compiled design")
-	}
-	if prog.Depth() <= 0 {
-		t.Fatalf("Depth() = %d", prog.Depth())
+	if _, err := fastpath.Compile(&core.Pipeline{Transformed: pl.Transformed}); err == nil {
+		t.Fatal("Compile accepted an empty pipeline")
 	}
 	bare := compilePipeline(t, "zoo_bare", aluZooSource)
 	env, err := vm.NewEnv(bare.Transformed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prog.NewMachine(hwsim.Config{}, env); err == nil {
-		t.Fatal("NewMachine accepted an environment without the design's maps")
-	}
-	if _, err := fastpath.NewWithEnv(pl, hwsim.Config{}, env); err == nil {
-		t.Fatal("NewWithEnv accepted an environment without the design's maps")
+	if _, _, err := fastpath.NewCore(pl, hwsim.Config{}, env, true); err == nil {
+		t.Fatal("NewCore accepted an environment without the design's maps")
 	}
 }
 

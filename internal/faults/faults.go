@@ -259,9 +259,6 @@ func New(cfg Config) *Injector {
 	return i
 }
 
-// Config returns the injector's configuration.
-func (i *Injector) Config() Config { return i.cfg }
-
 // Fork builds a new injector over Config.Fork(tag): same classes and
 // rates, unrelated streams, fully determined by this injector's seed.
 func (i *Injector) Fork(tag int64) *Injector { return New(i.cfg.Fork(tag)) }
@@ -286,10 +283,6 @@ func (i *Injector) Intn(class Class, n int) int {
 	}
 	return i.rng[class].Intn(n)
 }
-
-// Rand exposes the class's stream for owners that need more than an
-// index (the malformed-traffic damage functions take a *rand.Rand).
-func (i *Injector) Rand(class Class) *rand.Rand { return i.rng[class] }
 
 // Note records one applied fault of the class.
 func (i *Injector) Note(class Class) { i.ctr.ByClass[class]++ }

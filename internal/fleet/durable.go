@@ -12,8 +12,11 @@ import (
 
 	"ehdl/internal/durable"
 	"ehdl/internal/faults"
+	"ehdl/internal/hwsim"
 	"ehdl/internal/nic"
 	"ehdl/internal/obs"
+	"ehdl/internal/protect"
+	"ehdl/internal/rss"
 )
 
 // This file threads the durable write-ahead journal through the fleet
@@ -35,7 +38,7 @@ import (
 // determinism" into "verify it": each re-executed epoch must reproduce
 // the journaled digest exactly, and the epoch covered by the newest
 // valid snapshot must reproduce the snapshot byte-for-byte, or resume
-// fails with a typed *ReplayDivergenceError instead of silently
+// fails with a typed *replayDivergenceError instead of silently
 // diverging from the crashed run.
 
 // Journal record types.
@@ -52,13 +55,13 @@ const (
 // journalFileName is the journal inside Config.JournalDir.
 const journalFileName = "journal.wal"
 
-// MetricReplayedEpochs counts epochs re-executed and digest-verified
+// metricReplayedEpochs counts epochs re-executed and digest-verified
 // during crash recovery.
-const MetricReplayedEpochs = "fleet.replayed_epochs"
+const metricReplayedEpochs = "fleet.replayed_epochs"
 
-// ErrJournalExists reports a journal directory holding a previous run
+// errJournalExists reports a journal directory holding a previous run
 // opened without Resume: refusing to overwrite it is the safe default.
-var ErrJournalExists = errors.New("fleet: journal holds a previous run (pass -resume to recover it, or use a fresh directory)")
+var errJournalExists = errors.New("fleet: journal holds a previous run (pass -resume to recover it, or use a fresh directory)")
 
 // errSimulatedCrash is what a crash-site panic resolves to: the
 // in-process stand-in for kill -9 the recovery gate drives.
@@ -67,32 +70,32 @@ var errSimulatedCrash = errors.New("fleet: simulated crash")
 // simCrash is the panic payload of an armed crash site.
 type simCrash string
 
-// ConfigMismatchError reports a resume whose configuration fingerprint
+// configMismatchError reports a resume whose configuration fingerprint
 // does not match the journaled run — replaying a different config would
 // silently produce a different fleet, so it is refused up front.
-type ConfigMismatchError struct {
+type configMismatchError struct {
 	Path       string
 	GotDigest  string // fingerprint of the resuming config
 	WantDigest string // fingerprint journaled by the original run
 }
 
-func (e *ConfigMismatchError) Error() string {
+func (e *configMismatchError) Error() string {
 	return fmt.Sprintf("fleet: %s: resume config fingerprint %.12s does not match the journaled run %.12s",
 		e.Path, e.GotDigest, e.WantDigest)
 }
 
-// ReplayDivergenceError reports a recovery replay that failed to
+// replayDivergenceError reports a recovery replay that failed to
 // reproduce the journaled run: a re-executed epoch whose state digest,
 // snapshot bytes or final report differ from what the crashed run
 // committed. Epoch is -1 for the final-report check.
-type ReplayDivergenceError struct {
+type replayDivergenceError struct {
 	Epoch int
 	What  string
 	Got   string
 	Want  string
 }
 
-func (e *ReplayDivergenceError) Error() string {
+func (e *replayDivergenceError) Error() string {
 	return fmt.Sprintf("fleet: replay diverged at epoch %d: %s %.12s does not reproduce the journaled %.12s",
 		e.Epoch, e.What, e.Got, e.Want)
 }
@@ -101,11 +104,11 @@ func (e *ReplayDivergenceError) Error() string {
 // the class ehdl-fleet maps to its own exit code, distinct from config
 // errors and rollback outcomes.
 func DurabilityError(err error) bool {
-	var cm *ConfigMismatchError
-	var rd *ReplayDivergenceError
+	var cm *configMismatchError
+	var rd *replayDivergenceError
 	var cr *durable.CorruptRecordError
 	return errors.As(err, &cm) || errors.As(err, &rd) || errors.As(err, &cr) ||
-		errors.Is(err, ErrJournalExists) || errors.Is(err, errSimulatedCrash)
+		errors.Is(err, errJournalExists) || errors.Is(err, errSimulatedCrash)
 }
 
 // RecoveryInfo summarises what recovery did. It is deliberately NOT
@@ -168,14 +171,45 @@ func digestOf(b []byte) string {
 
 // ---- configuration fingerprint ----------------------------------------
 
-// sanitizeShell clears the simulator's pointer attachments (tracer,
-// registry, pre-built injector) so the shell template marshals; none of
-// them shapes the deterministic run.
-func sanitizeShell(sh nic.ShellConfig) nic.ShellConfig {
-	sh.Sim.Trace = nil
-	sh.Sim.Metrics = nil
-	sh.Sim.Faults = nil
-	return sh
+// fpShell is what of a shell template shapes a run. Clock, queue
+// count, batch and ingress queue depth are resolved; the recovery
+// knobs stay raw because hwsim keeps their defaults private. The
+// simulator's attachments (tracer, registry, injector) do not shape a
+// run, and its clock is the shell's.
+type fpShell struct {
+	ClockHz               float64            `json:"clock_hz"`
+	Queues                int                `json:"queues"`
+	Batch                 int                `json:"batch"`
+	FastPath              bool               `json:"fastpath"`
+	Faults                faults.Config      `json:"faults"`
+	Policy                hwsim.HazardPolicy `json:"policy"`
+	StrictCarryCheck      bool               `json:"strict_carry_check"`
+	QueuePackets          int                `json:"queue_packets"`
+	WatchdogCycles        int                `json:"watchdog_cycles"`
+	Protection            protect.Level      `json:"protection"`
+	ScrubCyclesPerWord    int                `json:"scrub_cycles_per_word"`
+	MaxRecoveries         int                `json:"max_recoveries"`
+	RecoveryBackoffCycles int                `json:"recovery_backoff_cycles"`
+	RecoveryJitterSeed    int64              `json:"recovery_jitter_seed"`
+}
+
+func shellFingerprint(sh nic.ShellConfig) fpShell {
+	sim := sh.Sim
+	sim.ClockHz = sh.ClockHz
+	fp := fpShell{
+		ClockHz: sim.Clock(), Queues: max(sh.Queues, 1), FastPath: sh.FastPath, Faults: sh.Faults,
+		Policy: sim.Policy, StrictCarryCheck: sim.StrictCarryCheck, QueuePackets: sim.QueueDepth(),
+		WatchdogCycles: sim.WatchdogCycles, Protection: sim.Protection,
+		ScrubCyclesPerWord: sim.ScrubCyclesPerWord, MaxRecoveries: sim.MaxRecoveries,
+		RecoveryBackoffCycles: sim.RecoveryBackoffCycles, RecoveryJitterSeed: sim.RecoveryJitterSeed,
+	}
+	if fp.Queues > 1 {
+		fp.Batch = sh.Batch
+		if fp.Batch <= 0 {
+			fp.Batch = rss.DefaultBatch
+		}
+	}
+	return fp
 }
 
 type fpUpdate struct {
@@ -188,14 +222,14 @@ type fpUpdate struct {
 }
 
 type fpTenant struct {
-	Name    string          `json:"name"`
-	App     string          `json:"app"`
-	Share   float64         `json:"share"`
-	VLAN    uint16          `json:"vlan"`
-	SrcNet  uint32          `json:"src_net"`
-	SrcMask uint32          `json:"src_mask"`
-	Default bool            `json:"default"`
-	Shell   nic.ShellConfig `json:"shell"`
+	Name    string  `json:"name"`
+	App     string  `json:"app"`
+	Share   float64 `json:"share"`
+	VLAN    uint16  `json:"vlan"`
+	SrcNet  uint32  `json:"src_net"`
+	SrcMask uint32  `json:"src_mask"`
+	Default bool    `json:"default"`
+	Shell   fpShell `json:"shell"`
 }
 
 // fingerprint is the deterministic identity of a fleet run: every
@@ -203,48 +237,49 @@ type fpTenant struct {
 // (encoding/json sorts the map keys, so the int-keyed chaos schedules
 // encode byte-stably too.)
 type fingerprint struct {
-	Schema          int                   `json:"schema"`
-	Epochs          int                   `json:"epochs"`
-	Devices         int                   `json:"devices"`
-	App             string                `json:"app"`
-	Seed            int64                 `json:"seed"`
-	VNodes          int                   `json:"vnodes"`
-	EpochPackets    int                   `json:"epoch_packets"`
-	OfferedPps      float64               `json:"offered_pps"`
-	Verify          bool                  `json:"verify"`
-	Shell           nic.ShellConfig       `json:"shell"`
-	Chaos           faults.Config         `json:"chaos"`
-	KillAt          map[int][]int         `json:"kill_at,omitempty"`
-	CorruptAt       map[int][]int         `json:"corrupt_at,omitempty"`
-	Update          *fpUpdate             `json:"update,omitempty"`
-	Tenants         []fpTenant            `json:"tenants,omitempty"`
-	TenantBandPct   float64               `json:"tenant_band_pct"`
-	DrainRecoveries uint64                `json:"drain_recoveries"`
-	CooldownEpochs  int                   `json:"cooldown_epochs"`
-	SnapshotEvery   int                   `json:"snapshot_every"`
+	Schema          int           `json:"schema"`
+	Epochs          int           `json:"epochs"`
+	Devices         int           `json:"devices"`
+	App             string        `json:"app"`
+	Seed            int64         `json:"seed"`
+	EpochPackets    int           `json:"epoch_packets"`
+	OfferedPps      float64       `json:"offered_pps"`
+	Verify          bool          `json:"verify"`
+	Shell           fpShell       `json:"shell"`
+	Chaos           faults.Config `json:"chaos"`
+	KillAt          map[int][]int `json:"kill_at,omitempty"`
+	CorruptAt       map[int][]int `json:"corrupt_at,omitempty"`
+	Update          *fpUpdate     `json:"update,omitempty"`
+	Tenants         []fpTenant    `json:"tenants,omitempty"`
+	TenantBandPct   float64       `json:"tenant_band_pct"`
+	DrainRecoveries uint64        `json:"drain_recoveries"`
+	CooldownEpochs  int           `json:"cooldown_epochs"`
+	SnapshotEvery   int           `json:"snapshot_every"`
 }
 
-// configFingerprint canonicalises the run configuration. The epoch
+// configFingerprint canonicalises the run configuration: a field with a
+// default goes through the accessor that resolves it (fpShell says which
+// simulator fields stay raw), so a run journaled with such a field at 0
+// resumes with the value 0 means. The epoch
 // count is part of the identity: a journal records one specific run,
 // and resuming it for a different horizon would change what every
 // journaled digest means.
 func (c *Controller) configFingerprint(epochs int) ([]byte, error) {
 	fp := fingerprint{
-		Schema:          1,
+		Schema:          2,
 		Epochs:          epochs,
 		Devices:         c.cfg.devices(),
 		Seed:            c.cfg.seed(),
-		VNodes:          c.cfg.VNodes,
 		EpochPackets:    c.cfg.epochPackets(),
 		OfferedPps:      c.cfg.offeredPps(),
 		Verify:          c.cfg.Verify,
-		Shell:           sanitizeShell(c.cfg.Shell),
+		Shell:           shellFingerprint(c.cfg.Shell),
 		Chaos:           c.cfg.Chaos,
 		KillAt:          c.cfg.KillAt,
 		CorruptAt:       c.cfg.CorruptAt,
-		TenantBandPct:   c.cfg.TenantBandPct,
-		DrainRecoveries: c.cfg.DrainRecoveries,
-		CooldownEpochs:  c.cfg.CooldownEpochs,
+		TenantBandPct:   c.cfg.tenantBandPct(),
+		DrainRecoveries: c.cfg.drainRecoveries(),
+		CooldownEpochs:  c.cfg.cooldownEpochs(),
 		SnapshotEvery:   c.cfg.snapshotEvery(),
 	}
 	if c.cfg.App != nil {
@@ -264,7 +299,7 @@ func (c *Controller) configFingerprint(epochs int) ([]byte, error) {
 		ft := fpTenant{
 			Name: sp.Name, Share: sp.Share, VLAN: sp.VLAN,
 			SrcNet: sp.SrcNet, SrcMask: sp.SrcMask, Default: sp.Default,
-			Shell: sanitizeShell(sp.Shell),
+			Shell: shellFingerprint(sp.Shell),
 		}
 		if sp.App != nil {
 			ft.App = sp.App.Name
@@ -441,7 +476,7 @@ func (c *Controller) durOpen(epochs int) error {
 	}
 	if !c.cfg.Resume {
 		j.Close()
-		return fmt.Errorf("%w: %s", ErrJournalExists, path)
+		return fmt.Errorf("%w: %s", errJournalExists, path)
 	}
 	if recs[0].Type != recConfig {
 		j.Close()
@@ -450,7 +485,7 @@ func (c *Controller) durOpen(epochs int) error {
 	}
 	if got, want := digestOf(fpJSON), digestOf(recs[0].Payload); got != want {
 		j.Close()
-		return &ConfigMismatchError{Path: path, GotDigest: got, WantDigest: want}
+		return &configMismatchError{Path: path, GotDigest: got, WantDigest: want}
 	}
 	for i, r := range recs[1:] {
 		switch r.Type {
@@ -509,18 +544,18 @@ func (c *Controller) durEpoch(e, epochs int) error {
 	digest := digestOf(payload)
 	if e < len(d.replayDigests) {
 		if digest != d.replayDigests[e] {
-			return &ReplayDivergenceError{Epoch: e, What: "re-executed state digest", Got: digest, Want: d.replayDigests[e]}
+			return &replayDivergenceError{Epoch: e, What: "re-executed state digest", Got: digest, Want: d.replayDigests[e]}
 		}
 		snapHit := uint64(0)
 		if e == d.snapEpoch {
 			if !bytes.Equal(payload, d.snapPayload) {
-				return &ReplayDivergenceError{Epoch: e, What: "snapshot bytes",
+				return &replayDivergenceError{Epoch: e, What: "snapshot bytes",
 					Got: digestOf(payload), Want: digestOf(d.snapPayload)}
 			}
 			snapHit = 1
 		}
 		d.info.ReplayedEpochs++
-		c.count(MetricReplayedEpochs, 1)
+		c.count(metricReplayedEpochs, 1)
 		c.event(obs.KindReplayEpoch, snapHit, 0)
 		if e == len(d.replayDigests)-1 {
 			// Caught up with the journal tail: live execution (and crash
@@ -568,7 +603,7 @@ func (c *Controller) durComplete() error {
 	digest := digestOf(payload)
 	if d.completed {
 		if digest != d.completeDig {
-			return &ReplayDivergenceError{Epoch: -1, What: "final report digest", Got: digest, Want: d.completeDig}
+			return &replayDivergenceError{Epoch: -1, What: "final report digest", Got: digest, Want: d.completeDig}
 		}
 		return nil
 	}

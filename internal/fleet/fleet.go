@@ -37,16 +37,16 @@ import (
 
 // Fleet-level metric names.
 const (
-	MetricGenerated   = "fleet.generated_packets"
-	MetricDelivered   = "fleet.delivered_packets"
-	MetricLost        = "fleet.lost_packets"
-	MetricDrains      = "fleet.drains"
-	MetricReadmits    = "fleet.readmits"
-	MetricKills       = "fleet.kills"
-	MetricQuarantines = "fleet.quarantines"
-	MetricDivergences = "fleet.verdict_divergences"
-	MetricUpdates     = "fleet.rollout_updates"
-	MetricReverts     = "fleet.rollout_reverts"
+	metricGenerated   = "fleet.generated_packets"
+	metricDelivered   = "fleet.delivered_packets"
+	metricLost        = "fleet.lost_packets"
+	metricDrains      = "fleet.drains"
+	metricReadmits    = "fleet.readmits"
+	metricKills       = "fleet.kills"
+	metricQuarantines = "fleet.quarantines"
+	metricDivergences = "fleet.verdict_divergences"
+	metricUpdates     = "fleet.rollout_updates"
+	metricReverts     = "fleet.rollout_reverts"
 )
 
 // Config parameterises a fleet run.
@@ -66,8 +66,6 @@ type Config struct {
 	// Seed is the master seed: traffic, fault forks, recovery jitter
 	// and cool-down jitter all derive from it. 0 means 1.
 	Seed int64
-	// VNodes is the ring's virtual-node count per device. 0 means 16.
-	VNodes int
 	// EpochPackets is the traffic slice per epoch. 0 means 256.
 	EpochPackets int
 	// OfferedPps is the per-device offered rate. 0 means 50e6.
@@ -110,7 +108,7 @@ type Config struct {
 	// single-pipeline machinery and are rejected in tenant mode.
 	Tenants []tenant.Spec
 	// TenantBandPct is the per-device admission ceiling, forwarded to
-	// tenant.DeviceConfig.UtilisationBandPct. 0 means the tenant
+	// tenant.DeviceConfig.UtilisationBandPct. 0 means 70, the tenant
 	// package default.
 	TenantBandPct float64
 
@@ -189,6 +187,13 @@ func (c Config) cooldownEpochs() int {
 		return 2
 	}
 	return c.CooldownEpochs
+}
+
+func (c Config) tenantBandPct() float64 {
+	if c.TenantBandPct <= 0 {
+		return 70
+	}
+	return c.TenantBandPct
 }
 
 func (c Config) snapshotEvery() int {
@@ -358,7 +363,7 @@ func newController(cfg Config) (*Controller, error) {
 	}
 	c := &Controller{
 		cfg:     cfg,
-		ring:    newRing(cfg.VNodes),
+		ring:    newRing(),
 		hasher:  hasher,
 		rng:     rand.New(rand.NewSource(mix(cfg.seed()))),
 		batches: make([][][]byte, cfg.devices()),
@@ -454,7 +459,7 @@ func newTenantFleet(cfg Config) (*Controller, error) {
 	n := cfg.devices()
 	for i := 0; i < n; i++ {
 		dcfg := tenant.DeviceConfig{
-			UtilisationBandPct: cfg.TenantBandPct,
+			UtilisationBandPct: cfg.tenantBandPct(),
 			EpochPackets:       cfg.epochPackets(),
 			Seed:               mix(cfg.seed() + 200 + int64(i)),
 		}
@@ -487,7 +492,7 @@ func (c *Controller) count(name string, n uint64) {
 func (c *Controller) event(kind obs.Kind, aux, aux2 uint64) {
 	switch kind {
 	case obs.KindRolloutPhase:
-		c.crashSite("rollout:" + RolloutPhase(aux).String())
+		c.crashSite("rollout:" + rolloutPhase(aux).String())
 	case obs.KindRebalance:
 		if aux2 == 1 {
 			c.crashSite(fmt.Sprintf("rebalance:remove:dev%d", aux))
@@ -607,7 +612,7 @@ func (c *Controller) kill(d *device, cause string, loss uint64) {
 	c.ring.Remove(d.id)
 	c.rep.Kills++
 	c.rep.KilledLoss += loss
-	c.count(MetricKills, 1)
+	c.count(metricKills, 1)
 	c.event(obs.KindRebalance, uint64(d.id), 1)
 }
 
@@ -618,7 +623,7 @@ func (c *Controller) quarantine(d *device) {
 	d.deathCause = "verdict divergence (quarantined)"
 	c.ring.Remove(d.id)
 	c.rep.Quarantines++
-	c.count(MetricQuarantines, 1)
+	c.count(metricQuarantines, 1)
 	c.event(obs.KindRebalance, uint64(d.id), 1)
 }
 
@@ -634,7 +639,7 @@ func (c *Controller) drain(d *device) {
 	d.drains++
 	c.ring.Remove(d.id)
 	c.rep.Drains++
-	c.count(MetricDrains, 1)
+	c.count(metricDrains, 1)
 	c.event(obs.KindRebalance, uint64(d.id), 1)
 }
 
@@ -645,7 +650,7 @@ func (c *Controller) readmitCooled() {
 			d.state = stateHealthy
 			c.ring.Add(d.id)
 			c.rep.Readmits++
-			c.count(MetricReadmits, 1)
+			c.count(metricReadmits, 1)
 			c.event(obs.KindRebalance, uint64(d.id), 0)
 		}
 	}
@@ -675,7 +680,7 @@ func (c *Controller) partition() [][][]byte {
 		c.batches[dev] = append(c.batches[dev], pkt)
 	}
 	c.rep.Generated += uint64(n)
-	c.count(MetricGenerated, uint64(n))
+	c.count(metricGenerated, uint64(n))
 	return c.batches
 }
 
@@ -727,8 +732,8 @@ func (c *Controller) fold(d *device, batch [][]byte, rep nic.Report, err error) 
 	c.rep.TenantDownLoss += rep.TenantDownLoss
 	c.rep.ExtraInjected += rep.Sent - uint64(count)
 	c.rep.Device.Add(rep)
-	c.count(MetricDelivered, rep.Received)
-	c.count(MetricLost, rep.Lost)
+	c.count(metricDelivered, rep.Received)
+	c.count(metricLost, rep.Lost)
 	d.received += rep.Received
 	d.lost += rep.Lost
 
@@ -829,7 +834,7 @@ func (c *Controller) verify(d *device, batch [][]byte, rep nic.Report) {
 		return
 	}
 	c.rep.VerdictDivergences++
-	c.count(MetricDivergences, 1)
+	c.count(metricDivergences, 1)
 }
 
 // finalize computes the end-of-run summary.

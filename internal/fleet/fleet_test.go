@@ -27,7 +27,7 @@ func toyUpdate(t *testing.T) *UpdateConfig {
 // deterministic, reasonably balanced partition whose flows move only
 // off a removed device, never between survivors.
 func TestRingPartition(t *testing.T) {
-	r := newRing(16)
+	r := newRing()
 	for d := 0; d < 8; d++ {
 		r.Add(d)
 	}
@@ -329,14 +329,14 @@ func TestFleetEventCoverage(t *testing.T) {
 			t.Errorf("fleet never emitted %q", k)
 		}
 	}
-	if v, _ := reg.CounterValue(MetricKills); v != 1 {
-		t.Errorf("%s = %d, want 1", MetricKills, v)
+	if v, _ := reg.CounterValue(metricKills); v != 1 {
+		t.Errorf("%s = %d, want 1", metricKills, v)
 	}
-	if v, _ := reg.CounterValue(MetricUpdates); v == 0 {
-		t.Errorf("%s never counted", MetricUpdates)
+	if v, _ := reg.CounterValue(metricUpdates); v == 0 {
+		t.Errorf("%s never counted", metricUpdates)
 	}
-	if v, _ := reg.CounterValue(MetricDelivered); v == 0 {
-		t.Errorf("%s never counted", MetricDelivered)
+	if v, _ := reg.CounterValue(metricDelivered); v == 0 {
+		t.Errorf("%s never counted", metricDelivered)
 	}
 }
 
@@ -401,28 +401,28 @@ func TestRegressedFloor(t *testing.T) {
 
 // TestRolloutPhaseString pins the phase names riding in trace events.
 func TestRolloutPhaseString(t *testing.T) {
-	want := map[RolloutPhase]string{
-		PhaseStart:        "start",
-		PhaseDeviceUpdate: "device-update",
-		PhaseDeviceSoaked: "device-soaked",
-		PhaseHalt:         "halt",
-		PhaseRevert:       "revert",
-		PhaseDone:         "done",
-		PhaseRolledBack:   "rolled-back",
+	want := map[rolloutPhase]string{
+		phaseStart:        "start",
+		phaseDeviceUpdate: "device-update",
+		phaseDeviceSoaked: "device-soaked",
+		phaseHalt:         "halt",
+		phaseRevert:       "revert",
+		phaseDone:         "done",
+		phaseRolledBack:   "rolled-back",
 	}
 	for p, name := range want {
 		if p.String() != name {
 			t.Errorf("phase %d = %q, want %q", uint64(p), p.String(), name)
 		}
 	}
-	if got := RolloutPhase(99).String(); got != "phase(99)" {
+	if got := rolloutPhase(99).String(); got != "phase(99)" {
 		t.Errorf("out-of-range phase = %q", got)
 	}
 }
 
 // TestRingMembership pins Has/Len and idempotent add/remove.
 func TestRingMembership(t *testing.T) {
-	r := newRing(0) // 0 defaults to 16 vnodes per device
+	r := newRing()
 	if r.Len() != 0 {
 		t.Errorf("empty ring Len = %d", r.Len())
 	}

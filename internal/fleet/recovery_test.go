@@ -308,13 +308,44 @@ func TestFleetResumeConfigMismatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err = c.Run(epochs)
-		var cm *ConfigMismatchError
+		var cm *configMismatchError
 		if !errors.As(err, &cm) {
 			t.Errorf("%s mutation: err %v, want *ConfigMismatchError", name, err)
 		}
 		if err != nil && !DurabilityError(err) {
 			t.Errorf("%s mutation: DurabilityError(%v) = false", name, err)
 		}
+	}
+}
+
+// TestFleetResumeResolvesDefaults: the fingerprint holds what a field
+// means, not how it was written. A run journaled with every defaulted
+// field at 0 resumes under the explicit defaults (and the shell's
+// explicit clock) to the identical report; a different value is refused.
+func TestFleetResumeResolvesDefaults(t *testing.T) {
+	sc := recoveryScenarios(t)[0]
+	dir := t.TempDir()
+	cfg := sc.cfg(t)
+	cfg.JournalDir = dir
+	first, _ := mustRun(t, cfg, sc.epochs)
+
+	explicit := sc.cfg(t)
+	explicit.JournalDir, explicit.Resume = dir, true
+	explicit.CooldownEpochs, explicit.DrainRecoveries, explicit.TenantBandPct = 2, 1, 70
+	explicit.Shell.ClockHz, explicit.SnapshotEvery = 250e6, 4
+	rep, _ := mustRun(t, explicit, sc.epochs)
+	if got, want := reportJSON(t, rep), reportJSON(t, first); got != want {
+		t.Fatalf("resume under the explicit defaults diverged:\nwant %s\ngot  %s", want, got)
+	}
+
+	explicit.CooldownEpochs = 3
+	c, err := New(explicit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cm *configMismatchError
+	if _, err := c.Run(sc.epochs); !errors.As(err, &cm) {
+		t.Fatalf("CooldownEpochs 0 -> 3: err %v, want *ConfigMismatchError", err)
 	}
 }
 
@@ -333,7 +364,7 @@ func TestFleetJournalGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(sc.epochs); !errors.Is(err, ErrJournalExists) {
+	if _, err := c.Run(sc.epochs); !errors.Is(err, errJournalExists) {
 		t.Errorf("journal reuse without Resume: err %v, want ErrJournalExists", err)
 	}
 
@@ -448,8 +479,8 @@ func TestFleetDurableEventCoverage(t *testing.T) {
 			t.Errorf("journaled run never emitted %q", k)
 		}
 	}
-	if v, _ := reg.CounterValue(MetricReplayedEpochs); v != 5 {
-		t.Errorf("%s = %d, want 5", MetricReplayedEpochs, v)
+	if v, _ := reg.CounterValue(metricReplayedEpochs); v != 5 {
+		t.Errorf("%s = %d, want 5", metricReplayedEpochs, v)
 	}
 	for _, m := range []string{durable.MetricAppends, durable.MetricCommits, durable.MetricSnapshotsWritten} {
 		if v, _ := reg.CounterValue(m); v == 0 {
@@ -517,7 +548,7 @@ func TestFleetReplayDivergenceDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = rc.Run(sc.epochs)
-	var rd *ReplayDivergenceError
+	var rd *replayDivergenceError
 	if !errors.As(err, &rd) {
 		t.Fatalf("tampered digest resumed: err %v, want *ReplayDivergenceError", err)
 	}

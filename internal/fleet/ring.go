@@ -4,13 +4,12 @@ import "sort"
 
 // ring is the cluster-level consistent-hash ring: flows are partitioned
 // across devices one level above each device's own RSS dispatcher. Every
-// member contributes vnodes points derived from a splitmix finalizer, so
-// the partition is deterministic in (members, vnodes) alone — two
+// member contributes vnodesPerDevice points derived from a splitmix
+// finalizer, so the partition is deterministic in its members alone — two
 // controllers built from the same seed agree on every flow's home — and
 // removing a device moves only the flows that lived on its arcs, never
 // reshuffling the survivors among themselves.
 type ring struct {
-	vnodes int
 	member map[int]bool
 	points []ringPoint // sorted by hash
 }
@@ -20,12 +19,10 @@ type ringPoint struct {
 	device int
 }
 
-func newRing(vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = 16
-	}
-	return &ring{vnodes: vnodes, member: map[int]bool{}}
-}
+// vnodesPerDevice is the ring's virtual-node count per device.
+const vnodesPerDevice = 16
+
+func newRing() *ring { return &ring{member: map[int]bool{}} }
 
 // pointHash spreads (device, vnode) over the hash space with the same
 // splitmix finalizer the fault injector uses for stream forking.
@@ -66,7 +63,7 @@ func (r *ring) Len() int { return len(r.member) }
 func (r *ring) rebuild() {
 	r.points = r.points[:0]
 	for d := range r.member {
-		for v := 0; v < r.vnodes; v++ {
+		for v := 0; v < vnodesPerDevice; v++ {
 			r.points = append(r.points, ringPoint{pointHash(d, v), d})
 		}
 	}

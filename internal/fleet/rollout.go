@@ -11,30 +11,30 @@ import (
 	"ehdl/internal/obs"
 )
 
-// RolloutPhase enumerates rollout state transitions; the value rides in
+// rolloutPhase enumerates rollout state transitions; the value rides in
 // the Aux field of KindRolloutPhase events.
-type RolloutPhase uint64
+type rolloutPhase uint64
 
 // Rollout phases.
 const (
-	// PhaseStart: the rollout armed (fleet-wide).
-	PhaseStart RolloutPhase = iota
-	// PhaseDeviceUpdate: a device's canary update was scheduled.
-	PhaseDeviceUpdate
-	// PhaseDeviceSoaked: a device's update committed and its soak epoch
+	// phaseStart: the rollout armed (fleet-wide).
+	phaseStart rolloutPhase = iota
+	// phaseDeviceUpdate: a device's canary update was scheduled.
+	phaseDeviceUpdate
+	// phaseDeviceSoaked: a device's update committed and its soak epoch
 	// cleared the throughput floor.
-	PhaseDeviceSoaked
-	// PhaseHalt: a canary divergence, typed update failure or
+	phaseDeviceSoaked
+	// phaseHalt: a canary divergence, typed update failure or
 	// throughput regression stopped the rollout (Aux2: the device).
-	PhaseHalt
-	// PhaseRevert: a reverse update (old program) was scheduled on an
+	phaseHalt
+	// phaseRevert: a reverse update (old program) was scheduled on an
 	// already-updated device.
-	PhaseRevert
-	// PhaseDone: every surviving device runs the new program.
-	PhaseDone
-	// PhaseRolledBack: the halt finished reverting; every surviving
+	phaseRevert
+	// phaseDone: every surviving device runs the new program.
+	phaseDone
+	// phaseRolledBack: the halt finished reverting; every surviving
 	// device runs the old program again.
-	PhaseRolledBack
+	phaseRolledBack
 )
 
 var phaseNames = [...]string{
@@ -42,7 +42,7 @@ var phaseNames = [...]string{
 }
 
 // String returns the canonical phase name.
-func (p RolloutPhase) String() string {
+func (p rolloutPhase) String() string {
 	if int(p) < len(phaseNames) {
 		return phaseNames[p]
 	}
@@ -107,7 +107,7 @@ func (r *rolloutState) schedule(c *Controller) {
 			return
 		}
 		r.started = true
-		c.event(obs.KindRolloutPhase, uint64(PhaseStart), fleetWide)
+		c.event(obs.KindRolloutPhase, uint64(phaseStart), fleetWide)
 	}
 	if r.halted {
 		r.scheduleRevert(c)
@@ -130,14 +130,14 @@ func (r *rolloutState) schedule(c *Controller) {
 		}
 		r.pending = d.id
 		r.lastRep = nic.Report{}
-		c.event(obs.KindRolloutPhase, uint64(PhaseDeviceUpdate), uint64(d.id))
-		c.count(MetricUpdates, 1)
+		c.event(obs.KindRolloutPhase, uint64(phaseDeviceUpdate), uint64(d.id))
+		c.count(metricUpdates, 1)
 		return
 	}
 	// No candidates left: every surviving device is updated (or none
 	// ever will be).
 	r.done = true
-	c.event(obs.KindRolloutPhase, uint64(PhaseDone), fleetWide)
+	c.event(obs.KindRolloutPhase, uint64(phaseDone), fleetWide)
 }
 
 // scheduleRevert walks the revert stack, one device per epoch.
@@ -159,12 +159,12 @@ func (r *rolloutState) scheduleRevert(c *Controller) {
 		r.pending = id
 		r.revertPending = id
 		r.lastRep = nic.Report{}
-		c.event(obs.KindRolloutPhase, uint64(PhaseRevert), uint64(id))
-		c.count(MetricReverts, 1)
+		c.event(obs.KindRolloutPhase, uint64(phaseRevert), uint64(id))
+		c.count(metricReverts, 1)
 		return
 	}
 	r.rolledBack = true
-	c.event(obs.KindRolloutPhase, uint64(PhaseRolledBack), fleetWide)
+	c.event(obs.KindRolloutPhase, uint64(phaseRolledBack), fleetWide)
 }
 
 // deviceUpdate builds the staged-update configuration for one device:
@@ -255,7 +255,7 @@ func (r *rolloutState) evaluate(c *Controller) {
 		r.soakLeft--
 		if r.soakLeft <= 0 {
 			r.soaking = -1
-			c.event(obs.KindRolloutPhase, uint64(PhaseDeviceSoaked), uint64(id))
+			c.event(obs.KindRolloutPhase, uint64(phaseDeviceSoaked), uint64(id))
 		}
 	}
 }
@@ -278,10 +278,10 @@ func (r *rolloutState) halt(c *Controller, d *device, reason string) {
 	r.halted = true
 	r.haltReason = reason
 	r.soaking = -1
-	c.event(obs.KindRolloutPhase, uint64(PhaseHalt), uint64(d.id))
+	c.event(obs.KindRolloutPhase, uint64(phaseHalt), uint64(d.id))
 	if len(r.updated) == 0 {
 		r.rolledBack = true
-		c.event(obs.KindRolloutPhase, uint64(PhaseRolledBack), fleetWide)
+		c.event(obs.KindRolloutPhase, uint64(phaseRolledBack), fleetWide)
 	}
 }
 

@@ -2,12 +2,12 @@ package hdl
 
 import "ehdl/internal/core"
 
-// ReplicatedParts breaks a multi-queue deployment's resource bill into
+// replicatedParts breaks a multi-queue deployment's resource bill into
 // the pieces that scale differently with the replica count: the stage
 // datapath is stamped out once per queue, banked maps multiply with it,
 // shared maps pay only for extra read ports, and the RSS front end
 // (hash, distributor, collector) grows linearly but from a small base.
-type ReplicatedParts struct {
+type replicatedParts struct {
 	// Queues is the replica count the estimate was built for.
 	Queues int
 	// PerReplicaLogic is one copy of the stage datapath, maps excluded.
@@ -29,19 +29,19 @@ type ReplicatedParts struct {
 }
 
 // Total sums the parts.
-func (p ReplicatedParts) Total() Resources {
+func (p replicatedParts) Total() Resources {
 	return p.Logic.Add(p.SharedMaps).Add(p.BankedMaps).Add(p.FrontEnd)
 }
 
-// EstimateReplicatedParts prices an n-queue deployment of a compiled
+// estimateReplicatedParts prices an n-queue deployment of a compiled
 // pipeline part by part. At n=1 the total is exactly EstimatePipeline:
 // no front end, no extra ports, one copy of everything.
-func EstimateReplicatedParts(p *core.Pipeline, queues int) ReplicatedParts {
+func estimateReplicatedParts(p *core.Pipeline, queues int) replicatedParts {
 	if queues < 1 {
 		queues = 1
 	}
 	n := elaborate(p)
-	parts := ReplicatedParts{Queues: queues}
+	parts := replicatedParts{Queues: queues}
 	parts.PerReplicaLogic = n.stageLogic()
 	parts.Logic = parts.PerReplicaLogic.Scale(queues)
 
@@ -64,7 +64,7 @@ func EstimateReplicatedParts(p *core.Pipeline, queues int) ReplicatedParts {
 // EstimateReplicated returns the total pipeline resources of an n-queue
 // deployment (no shell).
 func EstimateReplicated(p *core.Pipeline, queues int) Resources {
-	return EstimateReplicatedParts(p, queues).Total()
+	return estimateReplicatedParts(p, queues).Total()
 }
 
 // EstimateDesignReplicated is EstimateReplicated plus the NIC shell —

@@ -41,9 +41,9 @@ func TestReplicatedBandAtOne(t *testing.T) {
 // replica, exactly.
 func TestLogicScalesLinearly(t *testing.T) {
 	pl := compileApp(t, "firewall", core.Options{})
-	p1 := EstimateReplicatedParts(pl, 1)
+	p1 := estimateReplicatedParts(pl, 1)
 	for _, n := range []int{2, 4, 8} {
-		pn := EstimateReplicatedParts(pl, n)
+		pn := estimateReplicatedParts(pl, n)
 		if pn.PerReplicaLogic != p1.PerReplicaLogic {
 			t.Fatalf("%d queues: per-replica logic changed: %+v vs %+v", n, pn.PerReplicaLogic, p1.PerReplicaLogic)
 		}
@@ -67,9 +67,9 @@ func TestSharedMapMemoryConstant(t *testing.T) {
 	if !shared {
 		t.Fatal("router has no shared map; the test premise is gone")
 	}
-	p1 := EstimateReplicatedParts(pl, 1)
+	p1 := estimateReplicatedParts(pl, 1)
 	for _, n := range []int{2, 4, 8} {
-		pn := EstimateReplicatedParts(pl, n)
+		pn := estimateReplicatedParts(pl, n)
 		if pn.SharedMaps.BRAM36 != p1.SharedMaps.BRAM36 {
 			t.Fatalf("%d queues: shared-map BRAM %d, want the single-instance %d",
 				n, pn.SharedMaps.BRAM36, p1.SharedMaps.BRAM36)
@@ -84,12 +84,12 @@ func TestSharedMapMemoryConstant(t *testing.T) {
 // block per replica, per-CPU style.
 func TestBankedMapsScaleWithQueues(t *testing.T) {
 	pl := compileApp(t, "firewall", core.Options{})
-	p1 := EstimateReplicatedParts(pl, 1)
+	p1 := estimateReplicatedParts(pl, 1)
 	if p1.BankedMaps == (Resources{}) {
 		t.Fatal("firewall has no banked maps; the test premise is gone")
 	}
 	for _, n := range []int{2, 4, 8} {
-		pn := EstimateReplicatedParts(pl, n)
+		pn := estimateReplicatedParts(pl, n)
 		if pn.BankedMaps != p1.BankedMaps.Scale(n) {
 			t.Fatalf("%d queues: banked maps %+v, want %d x %+v", n, pn.BankedMaps, n, p1.BankedMaps)
 		}
@@ -135,7 +135,7 @@ func TestReplicatedFitsDevice(t *testing.T) {
 func TestPartsSumToTotal(t *testing.T) {
 	pl := compileApp(t, "suricata", core.Options{})
 	for _, n := range []int{1, 2, 4, 8} {
-		parts := EstimateReplicatedParts(pl, n)
+		parts := estimateReplicatedParts(pl, n)
 		if parts.Total() != EstimateReplicated(pl, n) {
 			t.Fatalf("%d queues: parts do not sum to the total", n)
 		}

@@ -316,7 +316,7 @@ func (s *Sim) memFault(j *job, op *microOp, err error) error {
 // past the data end at stage t.
 func (s *Sim) boundsFault(j *job, t int) {
 	j.done = true
-	j.action = s.cfg.oobAction()
+	j.action = oobAction
 	s.stats.MalformedDropped++
 	if t > j.stage {
 		j.aheadStage = t

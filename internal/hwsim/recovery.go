@@ -18,7 +18,7 @@ import (
 // here they are scheduled against the pipeline clock and tied to the
 // retirement accounting, so a protected run stays bit-reproducible.
 
-// ErrRecoveryExhausted is the sentinel wrapped by every RecoveryError;
+// ErrRecoveryExhausted is the sentinel wrapped by every recoveryError;
 // callers test for it with errors.Is.
 var ErrRecoveryExhausted = errors.New("hwsim: recovery budget exhausted")
 
@@ -27,11 +27,11 @@ var ErrRecoveryExhausted = errors.New("hwsim: recovery budget exhausted")
 // and the cycle ends in a recovery.
 var errUncorrectableAccess = errors.New("uncorrectable protected map word")
 
-// RecoveryError reports that the pipeline kept corrupting faster than
+// recoveryError reports that the pipeline kept corrupting faster than
 // drain-and-restart could heal it: MaxRecoveries resets were spent and
 // another trigger arrived. On real hardware this is the point where the
 // shell raises a fatal interrupt and the driver reloads the bitstream.
-type RecoveryError struct {
+type recoveryError struct {
 	// Cycle is the cycle of the final, over-budget trigger.
 	Cycle uint64
 	// Attempts is the number of recoveries performed before giving up.
@@ -40,13 +40,13 @@ type RecoveryError struct {
 	Reason string
 }
 
-func (e *RecoveryError) Error() string {
+func (e *recoveryError) Error() string {
 	return fmt.Sprintf("hwsim: cycle %d: %d recoveries exhausted, still failing: %s",
 		e.Cycle, e.Attempts, e.Reason)
 }
 
 // Unwrap makes errors.Is(err, ErrRecoveryExhausted) hold.
-func (e *RecoveryError) Unwrap() error { return ErrRecoveryExhausted }
+func (e *recoveryError) Unwrap() error { return ErrRecoveryExhausted }
 
 // RecoveryBackoff returns the input-hold time before the attempt-th
 // restart (1-based): base << (attempt-1), capped so the schedule cannot
@@ -70,14 +70,14 @@ func RecoveryBackoff(attempt, base int) uint64 {
 	return b
 }
 
-// RecoveryBackoffJittered is RecoveryBackoff plus a seeded jitter in
+// recoveryBackoffJittered is RecoveryBackoff plus a seeded jitter in
 // [0, base): replicas or devices faulted on the same cycle draw
 // different holds, so a fleet never re-enters service in lockstep and
 // re-collides on the same contended resource. A nil rng returns the
 // deterministic schedule unchanged, and the attempt clamping matches
 // RecoveryBackoff exactly; the caller charges the returned (jittered)
 // value to its backoff accounting, so the books stay exact.
-func RecoveryBackoffJittered(attempt, base int, rng *rand.Rand) uint64 {
+func recoveryBackoffJittered(attempt, base int, rng *rand.Rand) uint64 {
 	b := RecoveryBackoff(attempt, base)
 	if rng == nil {
 		return b
@@ -111,11 +111,6 @@ func (s *Sim) initProtection() {
 // armed. It rides with the protection level: an unprotected pipeline
 // has no checkpoint controller to restart from.
 func (s *Sim) recoveryEnabled() bool { return s.cfg.Protection != protect.LevelNone }
-
-// Checkpoint exposes the last known-good map checkpoint (tests verify
-// restore equivalence against it). Nil before the first Step or when
-// recovery is disabled.
-func (s *Sim) Checkpoint() *maps.SetSnapshot { return s.checkpoint }
 
 // takeCheckpoint records the current map contents as the restore point.
 func (s *Sim) takeCheckpoint() {
@@ -208,7 +203,7 @@ func (s *Sim) maybeRecover() error {
 //     packets flow again.
 //
 // Ingress-queued packets never entered the pipeline and survive the
-// reset. When the bounded retry budget is exhausted, a RecoveryError
+// reset. When the bounded retry budget is exhausted, a recoveryError
 // (wrapping ErrRecoveryExhausted) ends the simulation instead.
 func (s *Sim) recoverNow(reason string) error {
 	s.recoveryAttempts++
@@ -243,10 +238,10 @@ func (s *Sim) recoverNow(reason string) error {
 		if s.probes != nil {
 			s.probes.onRecovery(s.cycle, s.recoveryAttempts, 0)
 		}
-		return &RecoveryError{Cycle: s.cycle, Attempts: max, Reason: reason}
+		return &recoveryError{Cycle: s.cycle, Attempts: max, Reason: reason}
 	}
 
-	backoff := RecoveryBackoffJittered(s.recoveryAttempts, s.cfg.RecoveryBackoffCycles, s.jitterRng)
+	backoff := recoveryBackoffJittered(s.recoveryAttempts, s.cfg.RecoveryBackoffCycles, s.jitterRng)
 	s.recoveryHold = s.cycle + backoff
 	s.stats.RecoveryBackoffCycles += backoff
 	s.lastRetire = s.cycle

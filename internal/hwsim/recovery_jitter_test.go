@@ -19,7 +19,7 @@ func TestRecoveryBackoffJitterBounds(t *testing.T) {
 				effBase = 256
 			}
 			for i := 0; i < 32; i++ {
-				j := RecoveryBackoffJittered(attempt, base, rng)
+				j := recoveryBackoffJittered(attempt, base, rng)
 				if j < det || j >= det+uint64(effBase) {
 					t.Fatalf("attempt %d base %d: jittered %d outside [%d, %d)",
 						attempt, base, j, det, det+uint64(effBase))
@@ -34,7 +34,7 @@ func TestRecoveryBackoffJitterBounds(t *testing.T) {
 func TestRecoveryBackoffJitterNilRng(t *testing.T) {
 	for attempt := -1; attempt <= 16; attempt++ {
 		for _, base := range []int{0, 1, 256, 1024} {
-			if got, want := RecoveryBackoffJittered(attempt, base, nil), RecoveryBackoff(attempt, base); got != want {
+			if got, want := recoveryBackoffJittered(attempt, base, nil), RecoveryBackoff(attempt, base); got != want {
 				t.Fatalf("attempt %d base %d: nil rng gave %d, want deterministic %d", attempt, base, got, want)
 			}
 		}
@@ -51,9 +51,9 @@ func TestRecoveryBackoffJitterDeterminism(t *testing.T) {
 	same, diff := true, false
 	for i := 0; i < 64; i++ {
 		attempt := 1 + i%6
-		ja := RecoveryBackoffJittered(attempt, 256, a)
-		jb := RecoveryBackoffJittered(attempt, 256, b)
-		jc := RecoveryBackoffJittered(attempt, 256, c)
+		ja := recoveryBackoffJittered(attempt, 256, a)
+		jb := recoveryBackoffJittered(attempt, 256, b)
+		jc := recoveryBackoffJittered(attempt, 256, c)
 		if ja != jb {
 			same = false
 		}

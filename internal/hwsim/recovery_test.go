@@ -97,7 +97,7 @@ func TestRecoveryDrainAndRestartEveryApp(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if sim.Checkpoint() == nil {
+			if sim.checkpoint == nil {
 				t.Fatal("no initial checkpoint after the first cycle")
 			}
 			if !corruptDoubleBit(sim.Maps()) {
@@ -122,7 +122,7 @@ func TestRecoveryDrainAndRestartEveryApp(t *testing.T) {
 
 			// Checkpoint-restore equivalence: at the end of the recovery
 			// cycle the map state is exactly the known-good snapshot.
-			if !sim.Maps().Snapshot().Equal(sim.Checkpoint()) {
+			if !sim.Maps().Snapshot().Equal(sim.checkpoint) {
 				t.Error("map state after recovery differs from the checkpoint")
 			}
 			st := sim.Stats()
@@ -170,7 +170,7 @@ func TestRecoveryDrainAndRestartEveryApp(t *testing.T) {
 
 // TestRecoveryExhaustionIsTyped proves the bounded-retry contract: with
 // MaxRecoveries=1 a second uncorrectable upset before any clean scrub
-// pass ends the run with a RecoveryError wrapping ErrRecoveryExhausted.
+// pass ends the run with a recoveryError wrapping ErrRecoveryExhausted.
 func TestRecoveryExhaustionIsTyped(t *testing.T) {
 	pl := compile(t, "toy", toySource, core.Options{})
 	sim, err := New(pl, Config{
@@ -230,7 +230,7 @@ func TestRecoveryExhaustionIsTyped(t *testing.T) {
 	if !errors.Is(final, ErrRecoveryExhausted) {
 		t.Fatalf("error %v, want ErrRecoveryExhausted", final)
 	}
-	var re *RecoveryError
+	var re *recoveryError
 	if !errors.As(final, &re) {
 		t.Fatalf("error %T does not unwrap to *RecoveryError", final)
 	}

@@ -39,17 +39,19 @@ const (
 	PolicyStall
 )
 
+// The pipeline's fixed hazard and bounds behaviour: the dead time after
+// a flush before victims re-enter (the paper's K overhead of 4 cycles),
+// and the verdict the hardware bounds check applies when an enabled
+// stage accesses past the packet end.
+const (
+	flushReloadCycles = 4
+	oobAction         = ebpf.XDPDrop
+)
+
 // Config parameterises a simulation.
 type Config struct {
 	// ClockHz is the pipeline clock. 0 means 250 MHz.
 	ClockHz float64
-	// FlushReloadCycles is the dead time after a flush before victims
-	// re-enter (the paper's K overhead of 4 cycles).
-	FlushReloadCycles int
-	// OOBAction is the verdict applied by the hardware bounds check when
-	// an enabled stage accesses past the packet end. Defaults to
-	// XDP_DROP.
-	OOBAction ebpf.XDPAction
 	// Policy selects flush (default) or stall hazard handling.
 	Policy HazardPolicy
 	// StrictCarryCheck verifies at run time that every register and
@@ -65,7 +67,7 @@ type Config struct {
 	// corrupted state makes an operation unexecutable retires as
 	// XDP_ABORTED instead of erroring the simulation.
 	Faults *faults.Injector
-	// WatchdogCycles trips a LivelockError when no packet retires for
+	// WatchdogCycles trips a livelock error when no packet retires for
 	// this many cycles while work remains in flight — the hardware
 	// watchdog against stall-policy and flush-reload livelock. 0
 	// disables the watchdog. With Protection enabled a trip triggers a
@@ -80,7 +82,7 @@ type Config struct {
 	// checked every this many clock cycles. 0 means 8.
 	ScrubCyclesPerWord int
 	// MaxRecoveries bounds drain-and-restart attempts between clean
-	// scrub passes; exceeding it ends the run with a RecoveryError. 0
+	// scrub passes; exceeding it ends the run with a recovery error. 0
 	// means 8; negative means unbounded.
 	MaxRecoveries int
 	// RecoveryBackoffCycles is the base of the exponential input-hold
@@ -114,20 +116,6 @@ func (c *Config) Clock() float64 {
 		return 250e6
 	}
 	return c.ClockHz
-}
-
-func (c *Config) reloadCycles() int {
-	if c.FlushReloadCycles <= 0 {
-		return 4
-	}
-	return c.FlushReloadCycles
-}
-
-func (c *Config) oobAction() ebpf.XDPAction {
-	if c.OOBAction == 0 {
-		return ebpf.XDPDrop
-	}
-	return c.OOBAction
 }
 
 // QueueDepth returns the ingress queue bound, the default resolved.
@@ -368,14 +356,6 @@ func (s Stats) Mpps(clockHz float64) float64 {
 	}
 	seconds := float64(s.Cycles) / clockHz
 	return float64(s.Completed) / seconds / 1e6
-}
-
-// AvgLatencyNs returns the mean forwarding latency in nanoseconds.
-func (s Stats) AvgLatencyNs(clockHz float64) float64 {
-	if s.Completed == 0 {
-		return 0
-	}
-	return float64(s.LatencySum) / float64(s.Completed) / clockHz * 1e9
 }
 
 // warShadow lets older in-flight packets keep reading the pre-write
@@ -619,9 +599,6 @@ func (s *Sim) Quiesce() { s.quiesced = true }
 // Resume reopens a quiesced ingress.
 func (s *Sim) Resume() { s.quiesced = false }
 
-// Quiesced reports whether the ingress is closed.
-func (s *Sim) Quiesced() bool { return s.quiesced }
-
 // Drained reports whether a pipeline has fully drained: no queued,
 // in-flight, or flush-recalled work remains.
 func (s *Sim) Drained() bool { return !s.Busy() }
@@ -779,7 +756,7 @@ func (s *Sim) Step() error {
 		return err
 	}
 	if err := s.checkWatchdog(); err != nil {
-		if s.recoveryEnabled() && errors.Is(err, ErrLivelock) {
+		if s.recoveryEnabled() && errors.Is(err, errLivelock) {
 			// The watchdog's reset line feeds the same drain-and-restart
 			// sequence an uncorrectable word does.
 			return s.recoverNow(err.Error())
@@ -983,7 +960,7 @@ func (s *Sim) flushVictims(from, writeStage, mapID int, key []byte, force bool) 
 	}
 	s.stallPoint = from
 	s.stallDrainTo = -1
-	s.reloadDelay = s.cfg.reloadCycles()
+	s.reloadDelay = flushReloadCycles
 	s.stats.Flushes++
 	s.stats.FlushedPackets += uint64(len(kept))
 	if s.probes != nil {

@@ -38,14 +38,14 @@ type probes struct {
 // Metric names under which the simulator registers its instruments.
 const (
 	MetricStageOccupancy    = "hwsim.stage_occupancy"
-	MetricWARShadowDepth    = "hwsim.war_shadow_depth"
+	metricWARShadowDepth    = "hwsim.war_shadow_depth"
 	MetricFlushPenalty      = "hwsim.flush_penalty_cycles"
 	MetricCyclesPerPacket   = "hwsim.cycles_per_packet"
 	MetricMapPortOps        = "hwsim.map_port_ops"
-	MetricMapPortContention = "hwsim.map_port_contention_cycles"
+	metricMapPortContention = "hwsim.map_port_contention_cycles"
 	MetricBackpressure      = "hwsim.inject_backpressure_cycles"
-	MetricFlushes           = "hwsim.flushes"
-	MetricRecoveries        = "hwsim.recoveries"
+	metricFlushes           = "hwsim.flushes"
+	metricRecoveries        = "hwsim.recoveries"
 )
 
 // newProbes resolves the instruments. A nil registry (tracing without
@@ -58,14 +58,14 @@ func newProbes(tr *obs.Tracer, reg *obs.Registry, nMaps, nStages int) *probes {
 	return &probes{
 		tr:           tr,
 		occupancy:    reg.Histogram(MetricStageOccupancy, obs.LinearBuckets(0, 1, nStages+1)),
-		warDepth:     reg.Histogram(MetricWARShadowDepth, obs.LinearBuckets(0, 1, 16)),
+		warDepth:     reg.Histogram(metricWARShadowDepth, obs.LinearBuckets(0, 1, 16)),
 		flushPenalty: reg.Histogram(MetricFlushPenalty, obs.ExpBuckets(2, 2, 10)),
 		cyclesPerPkt: reg.Histogram(MetricCyclesPerPacket, obs.ExpBuckets(8, 2, 12)),
 		portOps:      reg.Counter(MetricMapPortOps),
-		contention:   reg.Counter(MetricMapPortContention),
+		contention:   reg.Counter(metricMapPortContention),
 		backpressure: reg.Counter(MetricBackpressure),
-		flushes:      reg.Counter(MetricFlushes),
-		recoveries:   reg.Counter(MetricRecoveries),
+		flushes:      reg.Counter(metricFlushes),
+		recoveries:   reg.Counter(metricRecoveries),
 		portUse:      make([]uint32, nMaps),
 	}
 }

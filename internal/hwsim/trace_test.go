@@ -70,7 +70,7 @@ func TestProbesHazardRun(t *testing.T) {
 		}
 	}
 
-	if n, _ := reg.CounterValue(MetricFlushes); n == 0 {
+	if n, _ := reg.CounterValue(metricFlushes); n == 0 {
 		t.Error("same-flow packets back to back produced no flushes")
 	}
 	if n, _ := reg.CounterValue(MetricMapPortOps); n == 0 {

@@ -5,16 +5,16 @@ import (
 	"fmt"
 )
 
-// ErrLivelock is the sentinel wrapped by every LivelockError; callers
+// errLivelock is the sentinel wrapped by every livelockError; callers
 // test for it with errors.Is.
-var ErrLivelock = errors.New("hwsim: pipeline livelock")
+var errLivelock = errors.New("hwsim: pipeline livelock")
 
-// LivelockError is the watchdog's cycle-stamped diagnostic: work is in
+// livelockError is the watchdog's cycle-stamped diagnostic: work is in
 // flight but no packet has retired for Config.WatchdogCycles cycles. On
 // real hardware this is the condition that forces a shell-level
 // pipeline reset; the simulator surfaces it as a typed error instead of
 // hanging the caller.
-type LivelockError struct {
+type livelockError struct {
 	// Cycle is the cycle the watchdog tripped on.
 	Cycle uint64
 	// LastRetire is the cycle of the last packet retirement (0 if no
@@ -31,7 +31,7 @@ type LivelockError struct {
 	Reloading int
 }
 
-func (e *LivelockError) Error() string {
+func (e *livelockError) Error() string {
 	policy := "flush"
 	if e.Policy == PolicyStall {
 		policy = "stall"
@@ -41,8 +41,8 @@ func (e *LivelockError) Error() string {
 		e.LastRetire, e.Cycle, policy, e.StallPoint, e.InFlight, e.Reloading)
 }
 
-// Unwrap makes errors.Is(err, ErrLivelock) hold for every LivelockError.
-func (e *LivelockError) Unwrap() error { return ErrLivelock }
+// Unwrap makes errors.Is(err, errLivelock) hold for every livelockError.
+func (e *livelockError) Unwrap() error { return errLivelock }
 
 // checkWatchdog runs at the end of every cycle. It trips when packets
 // are in flight (or waiting to re-enter) but none has retired for more
@@ -69,7 +69,7 @@ func (s *Sim) checkWatchdog() error {
 	if s.probes != nil {
 		s.probes.onWatchdog(s.cycle, s.lastRetire)
 	}
-	return &LivelockError{
+	return &livelockError{
 		Cycle:      s.cycle,
 		LastRetire: s.lastRetire,
 		StallPoint: s.stallPoint,

@@ -39,10 +39,10 @@ func TestWatchdogTripsOnStallLivelock(t *testing.T) {
 	if err == nil {
 		t.Fatal("livelocked pipeline drained; watchdog never fired")
 	}
-	if !errors.Is(err, ErrLivelock) {
+	if !errors.Is(err, errLivelock) {
 		t.Fatalf("error %v, want ErrLivelock", err)
 	}
-	var le *LivelockError
+	var le *livelockError
 	if !errors.As(err, &le) {
 		t.Fatalf("error %T does not unwrap to *LivelockError", err)
 	}
@@ -109,7 +109,7 @@ func TestWatchdogDisabledByDefault(t *testing.T) {
 	// RunToCompletion bound is the only way out.
 	if err := sim.RunToCompletion(2000); err == nil {
 		t.Fatal("wedged pipeline drained unexpectedly")
-	} else if errors.Is(err, ErrLivelock) {
+	} else if errors.Is(err, errLivelock) {
 		t.Fatalf("disabled watchdog still fired: %v", err)
 	}
 }

@@ -73,15 +73,15 @@ var (
 	// ErrCanaryDiverged marks a shadow pipeline whose verdicts, packet
 	// bytes or map effects diverged from the reference interpreter.
 	ErrCanaryDiverged = errors.New("liveupdate: canary diverged from reference")
-	// ErrCanaryDeadline marks a canary that did not reach its packet
+	// errCanaryDeadline marks a canary that did not reach its packet
 	// target before the deadline expired.
-	ErrCanaryDeadline = errors.New("liveupdate: canary deadline expired")
-	// ErrDrainTimeout marks an old pipeline that did not drain within the
+	errCanaryDeadline = errors.New("liveupdate: canary deadline expired")
+	// errDrainTimeout marks an old pipeline that did not drain within the
 	// cutover deadline (or the bounded backoff attempts).
-	ErrDrainTimeout = errors.New("liveupdate: cutover drain timed out")
-	// ErrShadowFault marks a shadow pipeline that errored while stepping
+	errDrainTimeout = errors.New("liveupdate: cutover drain timed out")
+	// errShadowFault marks a shadow pipeline that errored while stepping
 	// (e.g. its recovery budget exhausted under fault injection).
-	ErrShadowFault = errors.New("liveupdate: shadow pipeline fault")
+	errShadowFault = errors.New("liveupdate: shadow pipeline fault")
 )
 
 // UpdateError reports a failed (rolled back) update: which stage failed

@@ -46,25 +46,25 @@ import (
 // Metric names registered when Config.Metrics is set.
 const (
 	MetricCanaried       = "liveupdate.canaried_packets"
-	MetricDivergences    = "liveupdate.canary_divergences"
+	metricDivergences    = "liveupdate.canary_divergences"
 	MetricMigrated       = "liveupdate.migrated_entries"
-	MetricDeltaReplayed  = "liveupdate.delta_replayed"
+	metricDeltaReplayed  = "liveupdate.delta_replayed"
 	MetricHeld           = "liveupdate.held_packets"
 	MetricMigrationTicks = "liveupdate.migration_ticks"
 )
 
 // Mismatch classes carried in KindCanaryDiverge events (Aux).
 const (
-	// MismatchOutcome: a mirrored packet's verdict, redirect target or
+	// mismatchOutcome: a mirrored packet's verdict, redirect target or
 	// final bytes differed from the reference.
-	MismatchOutcome uint64 = iota
-	// MismatchMaps: the shadow's map state at canary end differed from
+	mismatchOutcome uint64 = iota
+	// mismatchMaps: the shadow's map state at canary end differed from
 	// the reference's.
-	MismatchMaps
-	// MismatchPostVerify: a post-cutover verdict differed (counted, not
+	mismatchMaps
+	// mismatchPostVerify: a post-cutover verdict differed (counted, not
 	// fatal — e.g. time-helper skew between the pipelined and the
 	// sequential engine).
-	MismatchPostVerify
+	mismatchPostVerify
 )
 
 // Config parameterises one update attempt.
@@ -351,9 +351,6 @@ func (c *Controller) Stats() Stats {
 	return s
 }
 
-// Shadow exposes the shadow pipeline (tests inspect its maps).
-func (c *Controller) Shadow() *hwsim.Sim { return c.shadow }
-
 // OfferPacket gives the controller first claim on an arriving packet.
 // It returns true when the packet was consumed (held during the cutover
 // drain); the shell must then NOT inject it. Held packets come back via
@@ -386,7 +383,7 @@ func (c *Controller) NoteInjected(pkt []byte) {
 		}
 		want, err := c.runReference(pkt)
 		if err != nil {
-			c.canaryErr = fmt.Errorf("%w: reference: %v", ErrShadowFault, err)
+			c.canaryErr = fmt.Errorf("%w: reference: %v", errShadowFault, err)
 			return
 		}
 		seq := c.shadow.NextSeq()
@@ -430,7 +427,7 @@ func (c *Controller) NoteCompletion(r hwsim.Result) {
 	got := conformance.Outcome{Action: r.Action, RedirectIfindex: r.RedirectIfindex, Data: r.Data}
 	if err := conformance.CompareOutcome(got, want); err != nil {
 		c.stats.PostVerifyDivergences++
-		c.diverge(int64(r.Seq), MismatchPostVerify)
+		c.diverge(int64(r.Seq), mismatchPostVerify)
 	}
 	c.stats.PostVerifyChecked++
 	if c.stats.PostVerifyChecked >= uint64(c.cfg.postVerify()) {
@@ -498,7 +495,7 @@ func (c *Controller) tickMigrate() {
 			return
 		}
 		c.stats.DeltaReplayed++
-		c.counter(MetricDeltaReplayed)
+		c.counter(metricDeltaReplayed)
 	}
 	c.deltas = nil
 	c.old.OnMapWrite(nil)
@@ -515,7 +512,7 @@ func (c *Controller) tickMigrate() {
 // final map diff enters cutover, the deadline expiring rolls back.
 func (c *Controller) tickCanary() {
 	if err := c.shadow.Step(); err != nil {
-		c.fail(StageCanary, fmt.Errorf("%w: %v", ErrShadowFault, err))
+		c.fail(StageCanary, fmt.Errorf("%w: %v", errShadowFault, err))
 		return
 	}
 	if c.canaryErr != nil {
@@ -525,9 +522,9 @@ func (c *Controller) tickCanary() {
 	if c.stats.CanariedPackets >= uint64(c.cfg.canaryPackets()) && c.shadow.Drained() {
 		// Every mirrored verdict matched; the map effects must too.
 		if err := conformance.CompareMaps(c.refEnv.Maps, c.shadow.Maps()); err != nil {
-			c.diverge(obs.NoSeq, MismatchMaps)
+			c.diverge(obs.NoSeq, mismatchMaps)
 			c.stats.CanaryDivergences++
-			c.counter(MetricDivergences)
+			c.counter(metricDivergences)
 			c.fail(StageCanary, fmt.Errorf("%w: map effects: %v", ErrCanaryDiverged, err))
 			return
 		}
@@ -538,7 +535,7 @@ func (c *Controller) tickCanary() {
 		return
 	}
 	if c.ticks-c.stageTick > c.cfg.canaryDeadline() {
-		c.fail(StageCanary, ErrCanaryDeadline)
+		c.fail(StageCanary, errCanaryDeadline)
 	}
 }
 
@@ -548,12 +545,12 @@ func (c *Controller) tickCanary() {
 func (c *Controller) tickCutover() {
 	if c.shadow.Busy() {
 		if err := c.shadow.Step(); err != nil {
-			c.fail(StageCutover, fmt.Errorf("%w: %v", ErrShadowFault, err))
+			c.fail(StageCutover, fmt.Errorf("%w: %v", errShadowFault, err))
 			return
 		}
 	}
 	if c.ticks-c.stageTick > drainDeadlineTicks {
-		c.fail(StageCutover, ErrDrainTimeout)
+		c.fail(StageCutover, errDrainTimeout)
 		return
 	}
 	if c.ticks < c.nextDrainCheck {
@@ -562,7 +559,7 @@ func (c *Controller) tickCutover() {
 	if !c.old.Drained() || c.shadow.Busy() {
 		c.drainAttempt++
 		if c.drainAttempt > drainAttempts {
-			c.fail(StageCutover, ErrDrainTimeout)
+			c.fail(StageCutover, errDrainTimeout)
 			return
 		}
 		c.nextDrainCheck = c.ticks + hwsim.RecoveryBackoff(c.drainAttempt, drainBackoffTicks)
@@ -654,8 +651,8 @@ func (c *Controller) onShadowComplete(r hwsim.Result) {
 	got := conformance.Outcome{Action: r.Action, RedirectIfindex: r.RedirectIfindex, Data: r.Data}
 	if err := conformance.CompareOutcome(got, want); err != nil {
 		c.stats.CanaryDivergences++
-		c.counter(MetricDivergences)
-		c.diverge(int64(r.Seq), MismatchOutcome)
+		c.counter(metricDivergences)
+		c.diverge(int64(r.Seq), mismatchOutcome)
 		if c.canaryErr == nil {
 			c.canaryErr = fmt.Errorf("%w: packet %d: %v", ErrCanaryDiverged, r.Seq, err)
 		}

@@ -36,9 +36,9 @@ func (a *arrayMap) index(key []byte) (int, error) {
 	return idx, nil
 }
 
-// ValueAt returns the storage slice of entry idx without key checks;
+// valueAt returns the storage slice of entry idx without key checks;
 // it is used by the simulators to give map values stable addresses.
-func (a *arrayMap) ValueAt(idx int) []byte {
+func (a *arrayMap) valueAt(idx int) []byte {
 	off := idx * a.spec.ValueSize
 	return a.storage[off : off+a.spec.ValueSize : off+a.spec.ValueSize]
 }
@@ -58,13 +58,13 @@ func (a *arrayMap) LookupSlot(key []byte) ([]byte, int, bool) {
 	if idx >= a.spec.MaxEntries {
 		return nil, 0, false
 	}
-	return a.ValueAt(idx), idx, true
+	return a.valueAt(idx), idx, true
 }
 
 func (a *arrayMap) Update(key, value []byte, flag UpdateFlag) error {
 	if flag == UpdateNoExist {
 		// Array entries always exist.
-		return ErrKeyExist
+		return errKeyExist
 	}
 	if err := checkValue(a.spec, value); err != nil {
 		return err
@@ -73,7 +73,7 @@ func (a *arrayMap) Update(key, value []byte, flag UpdateFlag) error {
 	if err != nil {
 		return err
 	}
-	copy(a.ValueAt(idx), value)
+	copy(a.valueAt(idx), value)
 	return nil
 }
 
@@ -86,7 +86,7 @@ func (a *arrayMap) Iterate(fn func(key, value []byte) bool) {
 	var key [4]byte
 	for i := 0; i < a.spec.MaxEntries; i++ {
 		binary.LittleEndian.PutUint32(key[:], uint32(i))
-		if !fn(key[:], a.ValueAt(i)) {
+		if !fn(key[:], a.valueAt(i)) {
 			return
 		}
 	}

@@ -17,7 +17,7 @@ func BenchmarkProtectedScrubPass(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := Protect(m, protect.SECDED{})
+	p := newProtected(m, protect.SECDED{})
 	key := make([]byte, 4)
 	val := make([]byte, 16)
 	for i := uint32(0); i < entries; i++ {
@@ -47,7 +47,7 @@ func BenchmarkProtectedLookupECC(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := Protect(m, protect.SECDED{})
+	p := newProtected(m, protect.SECDED{})
 	key := []byte{1, 0, 0, 0}
 	if err := p.Update(key, make([]byte, 16), UpdateAny); err != nil {
 		b.Fatal(err)

@@ -207,7 +207,7 @@ func (h *hashMap) Update(key, value []byte, flag UpdateFlag) error {
 	tag := h.tag(key)
 	if s := h.find(key, tag); s >= 0 {
 		if flag == UpdateNoExist {
-			return ErrKeyExist
+			return errKeyExist
 		}
 		copy(h.slots[s].value, value)
 		h.touch(s)
@@ -220,7 +220,7 @@ func (h *hashMap) Update(key, value []byte, flag UpdateFlag) error {
 	switch {
 	case h.n >= h.spec.MaxEntries:
 		if !h.evict {
-			return ErrMapFull
+			return errMapFull
 		}
 		// Evict the least recently used entry; its slot serves the new key.
 		s = h.tail

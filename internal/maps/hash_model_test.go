@@ -63,7 +63,7 @@ func (m *modelMap) update(key, val []byte, flag UpdateFlag) (evicted *modelEntry
 	}
 	if i := m.find(key); i >= 0 {
 		if flag == UpdateNoExist {
-			return nil, ErrKeyExist
+			return nil, errKeyExist
 		}
 		copy(m.touch(i).val, val)
 		return nil, nil
@@ -73,7 +73,7 @@ func (m *modelMap) update(key, val []byte, flag UpdateFlag) (evicted *modelEntry
 	}
 	if last := len(m.entries) - 1; last+1 >= m.spec.MaxEntries {
 		if !m.lru {
-			return nil, ErrMapFull
+			return nil, errMapFull
 		}
 		evicted, m.entries = &m.entries[last], m.entries[:last]
 	}
@@ -96,7 +96,7 @@ func (m *modelMap) delete(key []byte) (*modelEntry, error) {
 }
 
 func sameErr(got, want error) bool {
-	for _, e := range []error{ErrKeyExist, ErrKeyNotExist, ErrMapFull} {
+	for _, e := range []error{errKeyExist, ErrKeyNotExist, errMapFull} {
 		if errors.Is(want, e) {
 			return errors.Is(got, e)
 		}
@@ -380,7 +380,7 @@ func TestSlotsOfTheOtherKinds(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	wrapped := Observe(Protect(arr, protect.SECDED{}), reg)
+	wrapped := observe(newProtected(arr, protect.SECDED{}), reg)
 	if v, slot, ok := wrapped.LookupSlot(u32key(2)); !ok || slot != 2 || len(v) != 8 {
 		t.Errorf("wrapped array index 2: slot %d, hit %v", slot, ok)
 	}

@@ -105,7 +105,7 @@ func (t *lpmMap) Update(key, value []byte, flag UpdateFlag) error {
 	}
 	if node.entry != nil {
 		if flag == UpdateNoExist {
-			return ErrKeyExist
+			return errKeyExist
 		}
 		copy(node.entry.value, value)
 		return nil
@@ -114,7 +114,7 @@ func (t *lpmMap) Update(key, value []byte, flag UpdateFlag) error {
 		return ErrKeyNotExist
 	}
 	if t.n >= t.spec.MaxEntries {
-		return ErrMapFull
+		return errMapFull
 	}
 	e := &lpmEntry{key: append([]byte(nil), key...), value: append([]byte(nil), value...), slot: t.slots}
 	if last := len(t.free) - 1; last >= 0 {

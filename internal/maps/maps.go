@@ -68,11 +68,11 @@ type Slotted interface {
 // ErrKeyNotExist is returned when an operation requires a present key.
 var ErrKeyNotExist = fmt.Errorf("maps: key does not exist")
 
-// ErrKeyExist is returned by Update with UpdateNoExist on a present key.
-var ErrKeyExist = fmt.Errorf("maps: key already exists")
+// errKeyExist is returned by Update with UpdateNoExist on a present key.
+var errKeyExist = fmt.Errorf("maps: key already exists")
 
-// ErrMapFull is returned when the map is at MaxEntries.
-var ErrMapFull = fmt.Errorf("maps: map is full")
+// errMapFull is returned when the map is at MaxEntries.
+var errMapFull = fmt.Errorf("maps: map is full")
 
 // New creates a map object for the declaration.
 func New(spec ebpf.MapSpec) (Slotted, error) {
@@ -157,25 +157,11 @@ func Synchronize(m Map) *Synchronized { return &Synchronized{m: m} }
 // Spec implements Map.
 func (s *Synchronized) Spec() ebpf.MapSpec { return s.m.Spec() }
 
-// Lookup implements Map. The returned reference aliases map storage;
-// callers that need a consistent snapshot should copy under LookupCopy.
+// Lookup implements Map. The returned reference aliases map storage.
 func (s *Synchronized) Lookup(key []byte) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.m.Lookup(key)
-}
-
-// LookupCopy returns a private copy of the value under key.
-func (s *Synchronized) LookupCopy(key []byte) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.m.Lookup(key)
-	if !ok {
-		return nil, false
-	}
-	out := make([]byte, len(v))
-	copy(out, v)
-	return out, true
 }
 
 // Update implements Map.

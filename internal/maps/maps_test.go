@@ -85,7 +85,7 @@ func TestHashMap(t *testing.T) {
 	if err := m.Update(u32key(2), u64val(22), UpdateNoExist); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Update(u32key(3), u64val(33), UpdateAny); err != ErrMapFull {
+	if err := m.Update(u32key(3), u64val(33), UpdateAny); err != errMapFull {
 		t.Errorf("Update on full map = %v, want ErrMapFull", err)
 	}
 	if err := m.Update(u32key(1), u64val(111), UpdateExist); err != nil {
@@ -95,7 +95,7 @@ func TestHashMap(t *testing.T) {
 	if binary.LittleEndian.Uint64(v) != 111 {
 		t.Error("UpdateExist did not overwrite")
 	}
-	if err := m.Update(u32key(1), u64val(5), UpdateNoExist); err != ErrKeyExist {
+	if err := m.Update(u32key(1), u64val(5), UpdateNoExist); err != errKeyExist {
 		t.Errorf("UpdateNoExist on present key = %v", err)
 	}
 	if err := m.Update(u32key(9), u64val(5), UpdateExist); err != ErrKeyNotExist {
@@ -243,13 +243,13 @@ func TestSynchronized(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 1000; i++ {
-		m.LookupCopy(u32key(uint32(i % 8)))
+		m.Lookup(u32key(uint32(i % 8)))
 		m.Len()
 	}
 	<-done
-	snap, ok := m.LookupCopy(u32key(0))
-	if !ok || len(snap) != 8 {
-		t.Error("LookupCopy failed after concurrent updates")
+	v, ok := m.Lookup(u32key(0))
+	if !ok || len(v) != 8 {
+		t.Error("Lookup failed after concurrent updates")
 	}
 	count := 0
 	m.Iterate(func(k, v []byte) bool { count++; return true })

@@ -24,8 +24,8 @@ type Observed struct {
 	deletes *obs.Counter
 }
 
-// Observe wraps m, registering its counters under maps.<name>.*.
-func Observe(m Map, reg *obs.Registry) *Observed {
+// observe wraps m, registering its counters under maps.<name>.*.
+func observe(m Map, reg *obs.Registry) *Observed {
 	name := "maps." + m.Spec().Name
 	return &Observed{
 		m:       m,
@@ -36,8 +36,8 @@ func Observe(m Map, reg *obs.Registry) *Observed {
 	}
 }
 
-// AsObserved reports whether a map is observation-wrapped.
-func AsObserved(m Map) (*Observed, bool) {
+// asObserved reports whether a map is observation-wrapped.
+func asObserved(m Map) (*Observed, bool) {
 	o, ok := m.(*Observed)
 	return o, ok
 }
@@ -97,9 +97,9 @@ func (o *Observed) Len() int { return o.m.Len() }
 func ObserveSet(s *Set, reg *obs.Registry) []*Observed {
 	out := make([]*Observed, 0, len(s.byID))
 	for i, m := range s.byID {
-		o, ok := AsObserved(m)
+		o, ok := asObserved(m)
 		if !ok {
-			o = Observe(m, reg)
+			o = observe(m, reg)
 			s.byID[i] = o
 			s.byName[o.Spec().Name] = o
 		}

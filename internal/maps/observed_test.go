@@ -13,7 +13,7 @@ func TestObservedCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	o := Observe(m, reg)
+	o := observe(m, reg)
 
 	key := []byte{1, 2, 3, 4}
 	if _, ok := o.Lookup(key); ok {

@@ -42,10 +42,10 @@ type Protected struct {
 	inPass    bool
 }
 
-// Protect wraps m, encoding check bits for every entry it already
+// newProtected wraps m, encoding check bits for every entry it already
 // holds (array maps exist in full from creation, so their whole
 // backing store is covered immediately).
-func Protect(m Slotted, codec protect.Codec) *Protected {
+func newProtected(m Slotted, codec protect.Codec) *Protected {
 	p := &Protected{
 		m:     m,
 		codec: codec,
@@ -59,8 +59,8 @@ func Protect(m Slotted, codec protect.Codec) *Protected {
 	return p
 }
 
-// AsProtected reports whether a map is protection-wrapped.
-func AsProtected(m Map) (*Protected, bool) {
+// asProtected reports whether a map is protection-wrapped.
+func asProtected(m Map) (*Protected, bool) {
 	p, ok := m.(*Protected)
 	return p, ok
 }
@@ -269,9 +269,9 @@ func ProtectSet(s *Set, level protect.Level) []*Protected {
 	}
 	out := make([]*Protected, 0, len(s.byID))
 	for i, m := range s.byID {
-		p, ok := AsProtected(m)
+		p, ok := asProtected(m)
 		if !ok {
-			p = Protect(m.(Slotted), codec)
+			p = newProtected(m.(Slotted), codec)
 			s.byID[i] = p
 			s.byName[p.Spec().Name] = p
 		}

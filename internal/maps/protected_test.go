@@ -33,7 +33,7 @@ func newProtectedHash(t *testing.T, level protect.Level) *Protected {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Protect(m, protect.ForLevel(level))
+	return newProtected(m, protect.ForLevel(level))
 }
 
 // flipStoredBit damages the raw backing store of one entry, as the SEU
@@ -124,7 +124,7 @@ func TestProtectedArrayCoveredFromCreation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Protect(m, protect.SECDED{})
+	p := newProtected(m, protect.SECDED{})
 	flipStoredBit(t, p, key32(3), 17)
 	v, ok := p.Lookup(key32(3))
 	if !ok || binary.LittleEndian.Uint64(v) != 0 {
@@ -215,7 +215,7 @@ func TestProtectSetWrapsEveryMap(t *testing.T) {
 	}
 	for id := 0; id < set.Len(); id++ {
 		m, _ := set.ByID(id)
-		if _, ok := AsProtected(m); !ok {
+		if _, ok := asProtected(m); !ok {
 			t.Fatalf("map %d not wrapped in the set", id)
 		}
 	}
@@ -264,7 +264,7 @@ func TestSnapshotRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustUpdate(t, a, key32(1), val64(1000))
-	p, _ := AsProtected(h)
+	p, _ := asProtected(h)
 	mustUpdate(t, h, key32(1), val64(1))
 	flipStoredBit(t, p, key32(1), 2)
 	flipStoredBit(t, p, key32(1), 9)
@@ -373,7 +373,7 @@ func TestSynchronizedIterateSnapshotIsPrivate(t *testing.T) {
 
 func ExampleProtected() {
 	m, _ := New(ebpf.MapSpec{Name: "ctrs", Kind: ebpf.MapArray, KeySize: 4, ValueSize: 8, MaxEntries: 1})
-	p := Protect(m, protect.SECDED{})
+	p := newProtected(m, protect.SECDED{})
 	_ = p.Update(key32(0), val64(41), UpdateAny)
 	// An SEU flips a stored bit...
 	p.Iterate(func(_, v []byte) bool { v[0] ^= 0x04; return false })

@@ -82,7 +82,7 @@ func TestSnapshotRestoreProtectedLPM(t *testing.T) {
 	}
 	ProtectSet(set, protect.LevelECC)
 	m, _ := set.ByName("routes")
-	p, ok := AsProtected(m)
+	p, ok := asProtected(m)
 	if !ok {
 		t.Fatal("trie not wrapped")
 	}
@@ -131,7 +131,7 @@ func TestSnapshotCapturesQuarantinedRaw(t *testing.T) {
 	}
 	ProtectSet(set, protect.LevelECC)
 	m, _ := set.ByName("h")
-	p, _ := AsProtected(m)
+	p, _ := asProtected(m)
 	mustUpdate(t, m, key32(1), val64(7))
 	flipStoredBit(t, p, key32(1), 3)
 	flipStoredBit(t, p, key32(1), 17)

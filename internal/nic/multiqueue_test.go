@@ -394,8 +394,7 @@ func TestMultiQueueSwapEngineErrorKeepsReport(t *testing.T) {
 	}
 	var steered [2]int
 	for _, f := range frames[:after] {
-		q, _ := d.Classify(f)
-		steered[q]++
+		steered[d.Offer(f)]++
 	}
 	sh := newShell(t, app, core.Options{}, ShellConfig{Queues: 2, Sim: hwsim.Config{
 		InputQueuePackets:     64,

@@ -21,17 +21,19 @@ import (
 	"ehdl/internal/vm"
 )
 
+// The shell's fixed hardware: a 100 Gb/s port, and the combined latency
+// of the MAC, the ingress and egress async FIFOs and the clock-domain
+// crossings added to every packet's forwarding latency (~640 ns at
+// 250 MHz, which lands end-to-end latency near the paper's microsecond).
+const (
+	linkGbps   = 100
+	fifoCycles = 160
+)
+
 // ShellConfig parameterises the shell.
 type ShellConfig struct {
 	// ClockHz is the shell and pipeline clock. 0 means 250 MHz.
 	ClockHz float64
-	// LinkGbps is the port speed. 0 means 100.
-	LinkGbps float64
-	// FIFOCycles is the combined latency of the MAC, the ingress and
-	// egress async FIFOs and the clock-domain crossings, added to every
-	// packet's forwarding latency. 0 means 160 (~640 ns at 250 MHz),
-	// which lands end-to-end latency near the paper's microsecond.
-	FIFOCycles int
 	// Faults configures the shell's fault-injection campaign: when any
 	// rate is non-zero the shell builds one seeded injector, hands it to
 	// the pipeline simulator (SEU flips, flush storms) and uses it itself
@@ -101,12 +103,6 @@ func New(pl *core.Pipeline, cfg ShellConfig) (*Shell, error) {
 	// Resolve the documented defaults once; everything reads the fields.
 	if cfg.ClockHz <= 0 {
 		cfg.ClockHz = 250e6
-	}
-	if cfg.LinkGbps <= 0 {
-		cfg.LinkGbps = 100
-	}
-	if cfg.FIFOCycles <= 0 {
-		cfg.FIFOCycles = 160
 	}
 	cfg.Sim.ClockHz = cfg.ClockHz
 	if cfg.Faults.Enabled() {
@@ -402,7 +398,7 @@ type QueueReport struct {
 // LineRateMpps returns the port's packet rate for a frame size.
 func (sh *Shell) LineRateMpps(frameLen int) float64 {
 	wire := float64(frameLen+20) * 8
-	return sh.cfg.LinkGbps * 1e9 / wire / 1e6
+	return linkGbps * 1e9 / wire / 1e6
 }
 
 // RunLoad offers `count` packets from next() at `offeredPps` and runs

@@ -96,7 +96,7 @@ func (sh *Shell) fold(rep *Report, tr *traffic, run rss.RunStats) {
 	}
 	if rep.Received > 0 {
 		// Every packet also crosses the MAC and the async FIFOs.
-		fifo := uint64(sh.cfg.FIFOCycles)
+		const fifo = fifoCycles
 		rep.AvgLatencyNs = float64(st.LatencySum+fifo*rep.Received) / float64(rep.Received) / clock * 1e9
 		rep.MaxLatencyNs = float64(st.LatencyMax+fifo) / clock * 1e9
 	}

@@ -85,8 +85,8 @@ const (
 	// steered to (^0 for the device quarantine bucket), Aux2 is 1.
 	KindQueueSteer
 	// KindRolloutPhase marks a fleet rollout transition. Cycle: the
-	// fleet epoch. Aux: the rollout phase entered (a fleet.RolloutPhase
-	// value). Aux2: the device concerned (NoBlock-style ^0 when the
+	// fleet epoch. Aux: the rollout phase entered (fleet's rollout
+	// phase number). Aux2: the device concerned (NoBlock-style ^0 when the
 	// event is fleet-wide).
 	KindRolloutPhase
 	// KindRebalance marks a fleet ring-membership change. Cycle: the

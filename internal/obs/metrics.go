@@ -35,8 +35,8 @@ type Histogram struct {
 	max    atomic.Uint64
 }
 
-// NewHistogram builds a histogram over the given sorted upper bounds.
-func NewHistogram(bounds []uint64) *Histogram {
+// newHistogram builds a histogram over the given sorted upper bounds.
+func newHistogram(bounds []uint64) *Histogram {
 	h := &Histogram{bounds: append([]uint64(nil), bounds...)}
 	h.counts = make([]atomic.Uint64, len(bounds)+1)
 	return h
@@ -58,9 +58,6 @@ func (h *Histogram) Observe(v uint64) {
 
 // Count returns the number of samples.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of samples.
-func (h *Histogram) Sum() uint64 { return h.sum.Load() }
 
 // Max returns the largest sample (0 when empty).
 func (h *Histogram) Max() uint64 { return h.max.Load() }
@@ -181,7 +178,7 @@ func (r *Registry) Histogram(name string, bounds []uint64) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
-		h = NewHistogram(bounds)
+		h = newHistogram(bounds)
 		r.hists[name] = h
 	}
 	return h

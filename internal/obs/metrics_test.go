@@ -37,7 +37,7 @@ func TestCounterConcurrent(t *testing.T) {
 }
 
 func TestHistogram(t *testing.T) {
-	h := NewHistogram([]uint64{10, 100, 1000})
+	h := newHistogram([]uint64{10, 100, 1000})
 	for v := uint64(1); v <= 200; v++ {
 		h.Observe(v)
 	}
@@ -76,7 +76,7 @@ func TestHistogram(t *testing.T) {
 		t.Fatalf("bucket counts sum %d", total)
 	}
 
-	empty := NewHistogram([]uint64{1})
+	empty := newHistogram([]uint64{1})
 	if empty.Quantile(0.5) != 0 || empty.Mean() != 0 {
 		t.Fatal("empty histogram not zero")
 	}

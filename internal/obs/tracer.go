@@ -15,15 +15,15 @@ type Tracer struct {
 	emitted uint64
 }
 
-// DefaultRingSize bounds the in-memory event ring when the caller does
+// defaultRingSize bounds the in-memory event ring when the caller does
 // not choose one.
-const DefaultRingSize = 4096
+const defaultRingSize = 4096
 
 // NewTracer builds a tracer with the given ring capacity (<= 0 selects
-// DefaultRingSize) and sinks.
+// defaultRingSize) and sinks.
 func NewTracer(ringSize int, sinks ...Sink) *Tracer {
 	if ringSize <= 0 {
-		ringSize = DefaultRingSize
+		ringSize = defaultRingSize
 	}
 	return &Tracer{ring: make([]Event, ringSize), sinks: sinks}
 }

@@ -28,8 +28,6 @@ type GeneratorConfig struct {
 	Proto uint8
 	// Seed makes runs reproducible.
 	Seed int64
-	// TCPFlags is applied to TCP packets.
-	TCPFlags uint8
 }
 
 // Generator produces a reproducible stream of packets over a flow set.
@@ -76,8 +74,8 @@ func (g *Generator) FlowCount() int { return len(g.flows) }
 // FlowAt returns flow i of the set.
 func (g *Generator) FlowAt(i int) Flow { return g.flows[i] }
 
-// NextFlow draws the next flow per the configured distribution.
-func (g *Generator) NextFlow() Flow {
+// nextFlow draws the next flow per the configured distribution.
+func (g *Generator) nextFlow() Flow {
 	switch g.cfg.Distribution {
 	case Zipf:
 		return g.flows[g.zipf.Uint64()]
@@ -96,10 +94,9 @@ func (g *Generator) Next() []byte {
 // extended arena and the packet within it, capacity clipped so nothing
 // can append into its neighbour.
 func (g *Generator) AppendNext(arena []byte) (grown, pkt []byte) {
-	grown = AppendBuild(arena, PacketSpec{
-		Flow:     g.NextFlow(),
+	grown = appendBuild(arena, PacketSpec{
+		Flow:     g.nextFlow(),
 		TotalLen: g.cfg.PacketLen,
-		TCPFlags: g.cfg.TCPFlags,
 	})
 	return grown, grown[len(arena):len(grown):len(grown)]
 }

@@ -10,7 +10,7 @@ import (
 // under link errors, buggy peers and fuzzing traffic: frames cut
 // mid-header, length fields that disagree with the frame, runt and
 // jumbo frames. The hardware pipeline must resolve every one of them to
-// a verdict (normally the configured OOBAction) without assistance.
+// a verdict (XDP_DROP) without assistance.
 type MalformKind int
 
 // Malformation classes.
@@ -60,8 +60,8 @@ func MalformKinds() []MalformKind {
 	return out
 }
 
-// OversizeFrameLen is the jumbo length MalformOversize pads to.
-const OversizeFrameLen = 4096
+// oversizeFrameLen is the jumbo length MalformOversize pads to.
+const oversizeFrameLen = 4096
 
 // Malform applies one class of damage to pkt and returns the damaged
 // frame (a fresh slice; pkt is not modified). Cut points inside a
@@ -83,7 +83,7 @@ func Malform(pkt []byte, kind MalformKind, rng *rand.Rand) []byte {
 	case MalformTruncateIP:
 		return cut(EthHeaderLen + IPv4HeaderLen)
 	case MalformTruncateL4:
-		return cut(EthHeaderLen + IPv4HeaderLen + UDPHeaderLen)
+		return cut(EthHeaderLen + IPv4HeaderLen + udpHeaderLen)
 	case MalformBogusIPLen:
 		out := append([]byte(nil), pkt...)
 		if len(out) >= EthHeaderLen+4 {
@@ -95,7 +95,7 @@ func Malform(pkt []byte, kind MalformKind, rng *rand.Rand) []byte {
 	case MalformZeroLength:
 		return []byte{}
 	case MalformOversize:
-		out := make([]byte, OversizeFrameLen)
+		out := make([]byte, oversizeFrameLen)
 		copy(out, pkt)
 		return out
 	}

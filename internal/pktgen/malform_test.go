@@ -34,7 +34,7 @@ func TestMalformInvariants(t *testing.T) {
 					t.Fatalf("%s: %d bytes, want a cut inside the IPv4 header", kind, len(out))
 				}
 			case MalformTruncateL4:
-				if len(out) >= EthHeaderLen+IPv4HeaderLen+UDPHeaderLen {
+				if len(out) >= EthHeaderLen+IPv4HeaderLen+udpHeaderLen {
 					t.Fatalf("%s: %d bytes, want a cut inside the transport header", kind, len(out))
 				}
 			case MalformBogusIPLen:
@@ -50,8 +50,8 @@ func TestMalformInvariants(t *testing.T) {
 					t.Fatalf("%s: %d bytes, want zero", kind, len(out))
 				}
 			case MalformOversize:
-				if len(out) != OversizeFrameLen {
-					t.Fatalf("%s: %d bytes, want %d", kind, len(out), OversizeFrameLen)
+				if len(out) != oversizeFrameLen {
+					t.Fatalf("%s: %d bytes, want %d", kind, len(out), oversizeFrameLen)
 				}
 				if !bytes.Equal(out[:len(orig)], orig) {
 					t.Fatalf("%s: jumbo frame does not carry the original prefix", kind)
@@ -81,7 +81,7 @@ func TestMalformTinyInputs(t *testing.T) {
 	for _, kind := range MalformKinds() {
 		for _, n := range []int{0, 1, 4, EthHeaderLen} {
 			out := Malform(make([]byte, n), kind, rng)
-			if kind == MalformOversize && len(out) != OversizeFrameLen {
+			if kind == MalformOversize && len(out) != oversizeFrameLen {
 				t.Fatalf("%s on %dB frame: %d bytes", kind, n, len(out))
 			}
 			if kind != MalformOversize && len(out) > n {

@@ -15,9 +15,8 @@ import (
 const (
 	EthHeaderLen  = 14
 	IPv4HeaderLen = 20
-	UDPHeaderLen  = 8
-	TCPHeaderLen  = 20
-	MinFrameLen   = 60 // minimum Ethernet payload-padded frame (without FCS)
+	udpHeaderLen  = 8
+	tcpHeaderLen  = 20
 )
 
 // MAC is an Ethernet address.
@@ -53,12 +52,12 @@ type PacketSpec struct {
 }
 
 // Build constructs the packet bytes in a slice of their own.
-func Build(spec PacketSpec) []byte { return AppendBuild(nil, spec) }
+func Build(spec PacketSpec) []byte { return appendBuild(nil, spec) }
 
-// AppendBuild constructs the packet bytes at the end of dst and returns
+// appendBuild constructs the packet bytes at the end of dst and returns
 // the extended slice: a caller that owns a reusable arena builds a whole
 // batch into it without a heap object per frame.
-func AppendBuild(dst []byte, spec PacketSpec) []byte {
+func appendBuild(dst []byte, spec PacketSpec) []byte {
 	ttl := spec.TTL
 	if ttl == 0 {
 		ttl = 64
@@ -77,9 +76,9 @@ func AppendBuild(dst []byte, spec PacketSpec) []byte {
 		minLen += IPv4HeaderLen
 		switch spec.Flow.Proto {
 		case ebpf.IPProtoUDP:
-			minLen += UDPHeaderLen
+			minLen += udpHeaderLen
 		case ebpf.IPProtoTCP:
-			minLen += TCPHeaderLen
+			minLen += tcpHeaderLen
 		}
 	}
 	total := spec.TotalLen

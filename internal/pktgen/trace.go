@@ -67,30 +67,25 @@ type Trace struct {
 
 	// size distribution: a bimodal mix of small (ACK-sized) and large
 	// (MTU-sized) packets tuned to hit the profile's mean.
-	pSmall            float64
-	smallLen, bigLen  int
-	generatedBytes    int64
-	generatedPackets  int64
-	distinctFlowsSeen map[uint32]struct{}
+	pSmall           float64
+	smallLen, bigLen int
+	generatedBytes   int64
+	generatedPackets int64
 }
 
 // NewTrace builds a trace replayer for a profile.
 func NewTrace(p TraceProfile) *Trace {
 	rng := rand.New(rand.NewSource(p.Seed))
 	t := &Trace{
-		profile:           p,
-		rng:               rng,
-		zipf:              rand.NewZipf(rng, p.ZipfS, 1, uint64(p.Flows-1)),
-		distinctFlowsSeen: map[uint32]struct{}{},
+		profile: p,
+		rng:     rng,
+		zipf:    rand.NewZipf(rng, p.ZipfS, 1, uint64(p.Flows-1)),
 	}
 	// Solve the bimodal mix: pSmall*small + (1-pSmall)*big = mean.
 	t.smallLen, t.bigLen = p.MinLen, p.MaxLen
 	t.pSmall = float64(t.bigLen-p.MeanPacketLen) / float64(t.bigLen-t.smallLen)
 	return t
 }
-
-// Profile returns the trace's statistics.
-func (t *Trace) Profile() TraceProfile { return t.profile }
 
 // Next produces the next packet of the replay.
 func (t *Trace) Next() []byte {
@@ -110,19 +105,9 @@ func (t *Trace) Next() []byte {
 		DstPort: 443,
 		Proto:   proto,
 	}
-	t.distinctFlowsSeen[flowIdx] = struct{}{}
 	t.generatedPackets++
 	t.generatedBytes += int64(size)
 	return Build(PacketSpec{Flow: flow, TotalLen: size})
-}
-
-// Batch produces n packets.
-func (t *Trace) Batch(n int) [][]byte {
-	out := make([][]byte, n)
-	for i := range out {
-		out[i] = t.Next()
-	}
-	return out
 }
 
 // MeanLen reports the observed mean packet length so far.
@@ -132,6 +117,3 @@ func (t *Trace) MeanLen() float64 {
 	}
 	return float64(t.generatedBytes) / float64(t.generatedPackets)
 }
-
-// DistinctFlows reports how many flows have appeared so far.
-func (t *Trace) DistinctFlows() int { return len(t.distinctFlowsSeen) }

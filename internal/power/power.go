@@ -42,10 +42,6 @@ func Bf2Host() Profile {
 	}
 }
 
-// NICWatts estimates the accelerator-only draw by subtracting the idle
-// host.
-func NICWatts(p Profile) float64 { return p.Watts() - hostIdleWatts }
-
 // EnergyPerPacketNanojoules divides wall power by a packet rate: the
 // "rough estimate of energy requirements" of Section 5.2.
 func EnergyPerPacketNanojoules(p Profile, mpps float64) float64 {

@@ -13,9 +13,6 @@ func TestBands(t *testing.T) {
 	if bf2.Watts() <= U50Host("eHDL").Watts() {
 		t.Error("the Bluefield-2 host must draw more than the U50 host")
 	}
-	if NICWatts(Bf2Host()) <= NICWatts(U50Host("eHDL")) {
-		t.Error("DPU-only draw must exceed FPGA-only draw")
-	}
 }
 
 func TestEnergyPerPacket(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 
 func benchWords(n int) ([]byte, []byte) {
 	rng := rand.New(rand.NewSource(9))
-	value := make([]byte, n*WordBytes)
+	value := make([]byte, n*wordBytes)
 	rng.Read(value)
 	check := make([]byte, n*(SECDED{}).CheckBytesPerWord())
 	(SECDED{}).Encode(value, check)
@@ -50,10 +50,10 @@ func BenchmarkSECDEDCheckWordCorrecting(b *testing.B) {
 func BenchmarkParityCheckWord(b *testing.B) {
 	value, _ := benchWords(1)
 	check := make([]byte, 1)
-	(Parity{}).Encode(value, check)
+	(parity{}).Encode(value, check)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if (Parity{}).CheckWord(value, check, 0) != WordOK {
+		if (parity{}).CheckWord(value, check, 0) != WordOK {
 			b.Fatal("clean word failed")
 		}
 	}

@@ -75,14 +75,14 @@ const (
 	WordUncorrectable
 )
 
-// WordBytes is the data word granularity of every codec: 64 bits,
+// wordBytes is the data word granularity of every codec: 64 bits,
 // matching the BRAM physical word the FPGA protects.
-const WordBytes = 8
+const wordBytes = 8
 
 // Words returns the number of protected words covering valueLen bytes.
 // The final partial word is padded with zeros for encoding purposes.
 func Words(valueLen int) int {
-	return (valueLen + WordBytes - 1) / WordBytes
+	return (valueLen + wordBytes - 1) / wordBytes
 }
 
 // Codec computes and checks per-word redundancy for a byte-addressed
@@ -107,7 +107,7 @@ type Codec interface {
 func ForLevel(l Level) Codec {
 	switch l {
 	case LevelParity:
-		return Parity{}
+		return parity{}
 	case LevelECC:
 		return SECDED{}
 	}
@@ -147,8 +147,8 @@ func (c *Counters) Note(st WordStatus) {
 // loadWord gathers word w of value, zero-padding past the end.
 func loadWord(value []byte, w int) uint64 {
 	var x uint64
-	off := w * WordBytes
-	for i := 0; i < WordBytes && off+i < len(value); i++ {
+	off := w * wordBytes
+	for i := 0; i < wordBytes && off+i < len(value); i++ {
 		x |= uint64(value[off+i]) << (8 * i)
 	}
 	return x
@@ -156,8 +156,8 @@ func loadWord(value []byte, w int) uint64 {
 
 // storeWord scatters x back into word w of value, ignoring padding.
 func storeWord(value []byte, w int, x uint64) {
-	off := w * WordBytes
-	for i := 0; i < WordBytes && off+i < len(value); i++ {
+	off := w * wordBytes
+	for i := 0; i < wordBytes && off+i < len(value); i++ {
 		value[off+i] = byte(x >> (8 * i))
 	}
 }

@@ -107,7 +107,7 @@ func TestSECDEDPartialFinalWord(t *testing.T) {
 		for bit := 0; bit < size*8; bit++ {
 			want := append([]byte(nil), v...)
 			v[bit/8] ^= 1 << (bit % 8)
-			if st := c.CheckWord(v, check, bit/8/WordBytes); st != WordCorrected {
+			if st := c.CheckWord(v, check, bit/8/wordBytes); st != WordCorrected {
 				t.Fatalf("size %d bit %d: status %v", size, bit, st)
 			}
 			for i := range v {
@@ -120,7 +120,7 @@ func TestSECDEDPartialFinalWord(t *testing.T) {
 }
 
 func TestParityDetectsButCannotCorrect(t *testing.T) {
-	c := Parity{}
+	c := parity{}
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 500; trial++ {
 		x := rng.Uint64()

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"ehdl/internal/core"
 	"ehdl/internal/ebpf"
 	"ehdl/internal/maps"
 	"ehdl/internal/obs"
@@ -11,11 +12,11 @@ import (
 )
 
 func TestSharingStrings(t *testing.T) {
-	cases := map[Sharing]string{
-		SharingShared:  "shared",
-		SharingCounter: "counter",
-		SharingFlow:    "flow",
-		Sharing(9):     "sharing(9)",
+	cases := map[core.Sharing]string{
+		core.SharingShared:  "shared",
+		core.SharingCounter: "counter",
+		core.SharingFlow:    "flow",
+		core.Sharing(9):     "sharing(9)",
 	}
 	for s, want := range cases {
 		if got := s.String(); got != want {
@@ -25,7 +26,7 @@ func TestSharingStrings(t *testing.T) {
 }
 
 func TestMetricNames(t *testing.T) {
-	if got := MetricSteered(3); got != "rss.q3.steered" {
+	if got := metricSteered(3); got != "rss.q3.steered" {
 		t.Errorf("MetricSteered(3) = %q", got)
 	}
 	if got := MetricCompleted(2); got != "rss.q2.completed" {
@@ -80,12 +81,12 @@ func TestDispatcherMetered(t *testing.T) {
 	if d.Fallbacks() != 1 {
 		t.Errorf("Fallbacks() = %d, want 1", d.Fallbacks())
 	}
-	if got, ok := reg.CounterValue(MetricFallback); !ok || got != 1 {
+	if got, ok := reg.CounterValue(metricFallback); !ok || got != 1 {
 		t.Errorf("fallback metric = %d (%v), want 1", got, ok)
 	}
 	var steered uint64
 	for q := 0; q < 4; q++ {
-		v, _ := reg.CounterValue(MetricSteered(q))
+		v, _ := reg.CounterValue(metricSteered(q))
 		steered += v
 	}
 	if steered != 11 {
@@ -108,7 +109,7 @@ func TestEngineAccessors(t *testing.T) {
 	if e.Pipeline() != pl {
 		t.Error("Pipeline() lost the compiled design")
 	}
-	if e.Sharing(-1) != SharingShared || e.Sharing(999) != SharingShared {
+	if e.Sharing(-1) != core.SharingShared || e.Sharing(999) != core.SharingShared {
 		t.Error("out-of-range Sharing should default to shared")
 	}
 	setupApp(t, "toy", e.HostMaps())
@@ -143,7 +144,7 @@ func TestEngineAccessors(t *testing.T) {
 // lookups of untouched and missing keys serve the baseline rule.
 func TestBankedHostWritesAfterSeal(t *testing.T) {
 	spec := ebpf.MapSpec{Name: "conn", Kind: ebpf.MapHash, KeySize: 4, ValueSize: 4, MaxEntries: 16}
-	b, err := newBanked(spec, SharingFlow, 2)
+	b, err := newBanked(spec, core.SharingFlow, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

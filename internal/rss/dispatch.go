@@ -43,15 +43,15 @@ type DispatcherConfig struct {
 // bursts use.
 const DefaultBatch = 64
 
-// MetricSteered returns the per-queue steering counter name.
-func MetricSteered(queue int) string { return fmt.Sprintf("rss.q%d.steered", queue) }
+// metricSteered returns the per-queue steering counter name.
+func metricSteered(queue int) string { return fmt.Sprintf("rss.q%d.steered", queue) }
 
 // MetricCompleted returns the per-queue completion counter name.
 func MetricCompleted(queue int) string { return fmt.Sprintf("rss.q%d.completed", queue) }
 
-// MetricFallback is the counter of non-IP/malformed frames steered to
+// metricFallback is the counter of non-IP/malformed frames steered to
 // the queue-0 catch-all.
-const MetricFallback = "rss.fallback_steers"
+const metricFallback = "rss.fallback_steers"
 
 // Dispatcher classifies arrivals to queues and batches them toward the
 // replica workers. It is single-goroutine: the shell's drive loop owns
@@ -114,11 +114,11 @@ func newDispatcher(cfg DispatcherConfig, h *Hasher) (*Dispatcher, error) {
 		d.buf = append(d.buf, make([]Item, 0, batch))
 		d.sinks = append(d.sinks, make(chan []Item, 4))
 		if cfg.Metrics != nil {
-			d.steered = append(d.steered, cfg.Metrics.Counter(MetricSteered(q)))
+			d.steered = append(d.steered, cfg.Metrics.Counter(metricSteered(q)))
 		}
 	}
 	if cfg.Metrics != nil {
-		d.fallbck = cfg.Metrics.Counter(MetricFallback)
+		d.fallbck = cfg.Metrics.Counter(metricFallback)
 	}
 	return d, nil
 }
@@ -128,16 +128,6 @@ func (d *Dispatcher) Queues() int { return d.ind.Queues() }
 
 // Sink returns the batch channel feeding queue q.
 func (d *Dispatcher) Sink(q int) <-chan []Item { return d.sinks[q] }
-
-// Classify returns the queue a frame steers to without dispatching it.
-// Malformed and non-IP frames fall back to queue 0, hash 0.
-func (d *Dispatcher) Classify(pkt []byte) (queue int, hash uint32) {
-	hash, ok := d.hasher.HashPacket(pkt)
-	if !ok {
-		return 0, 0
-	}
-	return d.ind.QueueFor(hash), hash
-}
 
 // Offer classifies one arrival, stamps its due cycle and queues it on
 // its batch. Returns the chosen queue.

@@ -132,7 +132,7 @@ type Engine struct {
 	pl  *core.Pipeline
 	cfg Config
 
-	sharing []Sharing
+	sharing []core.Sharing
 	bankeds map[int]*banked
 	host    *maps.Set
 
@@ -176,9 +176,9 @@ func NewEngine(pl *core.Pipeline, cfg Config) (*Engine, error) {
 	replicaMaps := make([][]maps.Map, n)
 	var hostMaps []maps.Map
 	for id, spec := range prog.Maps {
-		sh := ClassifyMap(pl, id)
+		sh := pl.MapBlockFor(id).Sharing()
 		e.sharing = append(e.sharing, sh)
-		if sh == SharingShared {
+		if sh == core.SharingShared {
 			m, err := maps.New(spec)
 			if err != nil {
 				return nil, fmt.Errorf("rss: map %q: %w", spec.Name, err)
@@ -251,7 +251,8 @@ func (e *Engine) ReplicaCore(q int) hwsim.Core { return e.replicas[q].sim }
 func (e *Engine) FastPath() bool { return e.fallback == "" }
 
 // Fallback says why the replicas run the interpreter ("" when they do
-// not): fastpath.NotRequested, or the feature fastpath.Eligible named.
+// not): that nobody requested the fast path, or the feature
+// fastpath.Eligible named.
 func (e *Engine) Fallback() string { return e.fallback }
 
 // SetClock pins the helper-visible clock of every replica.
@@ -269,9 +270,9 @@ func (e *Engine) KeepData(keep bool) {
 }
 
 // Sharing returns the layout class of map id.
-func (e *Engine) Sharing(id int) Sharing {
+func (e *Engine) Sharing(id int) core.Sharing {
 	if id < 0 || id >= len(e.sharing) {
-		return SharingShared
+		return core.SharingShared
 	}
 	return e.sharing[id]
 }

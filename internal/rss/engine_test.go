@@ -66,12 +66,12 @@ func runEngine(t testing.TB, e *Engine, gcfg pktgen.GeneratorConfig, count int) 
 func TestClassifyMapPerApp(t *testing.T) {
 	cases := []struct {
 		app  string
-		want map[string]Sharing
+		want map[string]core.Sharing
 	}{
-		{"toy", map[string]Sharing{"stats": SharingCounter}},
-		{"firewall", map[string]Sharing{"conn": SharingFlow, "fwstats": SharingCounter}},
-		{"router", map[string]Sharing{"routes": SharingShared, "rtstats": SharingCounter}},
-		{"loadbalancer", map[string]Sharing{"vips": SharingShared, "backends": SharingShared}},
+		{"toy", map[string]core.Sharing{"stats": core.SharingCounter}},
+		{"firewall", map[string]core.Sharing{"conn": core.SharingFlow, "fwstats": core.SharingCounter}},
+		{"router", map[string]core.Sharing{"routes": core.SharingShared, "rtstats": core.SharingCounter}},
+		{"loadbalancer", map[string]core.Sharing{"vips": core.SharingShared, "backends": core.SharingShared}},
 	}
 	for _, c := range cases {
 		pl := compileApp(t, c.app)
@@ -80,7 +80,7 @@ func TestClassifyMapPerApp(t *testing.T) {
 			if !ok {
 				continue
 			}
-			if got := ClassifyMap(pl, id); got != want {
+			if got := pl.MapBlockFor(id).Sharing(); got != want {
 				t.Errorf("%s/%s: classified %v, want %v", c.app, spec.Name, got, want)
 			}
 		}
@@ -167,7 +167,7 @@ func TestSharedMapStaysSingle(t *testing.T) {
 		if spec.Name != "routes" {
 			continue
 		}
-		if e.Sharing(id) != SharingShared {
+		if e.Sharing(id) != core.SharingShared {
 			t.Fatalf("routes classified %v, want shared", e.Sharing(id))
 		}
 		host, _ := e.HostMaps().ByName("routes")
@@ -184,7 +184,7 @@ func TestSharedMapStaysSingle(t *testing.T) {
 // directly: pre-seal writes land in every bank, post-seal reads merge.
 func TestBankedBroadcastAndMerge(t *testing.T) {
 	spec := ebpf.MapSpec{Name: "ctr", Kind: ebpf.MapArray, KeySize: 4, ValueSize: 8, MaxEntries: 4}
-	b, err := newBanked(spec, SharingCounter, 3)
+	b, err := newBanked(spec, core.SharingCounter, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestBankedBroadcastAndMerge(t *testing.T) {
 
 func TestBankedUnionMerge(t *testing.T) {
 	spec := ebpf.MapSpec{Name: "conn", Kind: ebpf.MapHash, KeySize: 4, ValueSize: 4, MaxEntries: 16}
-	b, err := newBanked(spec, SharingFlow, 2)
+	b, err := newBanked(spec, core.SharingFlow, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

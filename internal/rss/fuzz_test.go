@@ -27,7 +27,7 @@ func FuzzRSSDispatch(f *testing.F) {
 		}
 	}
 	f.Add([]byte{})
-	f.Add(bytes.Repeat([]byte{0xff}, 2*len(DefaultKey)))
+	f.Add(bytes.Repeat([]byte{0xff}, 2*len(defaultKey)))
 
 	h, err := NewHasher(nil)
 	if err != nil {
@@ -56,23 +56,14 @@ func FuzzRSSDispatch(f *testing.F) {
 			t.Fatalf("hash unstable: (%#x,%v) then (%#x,%v)", h1, ok1, h2, ok2)
 		}
 
-		q1, ch := d.Classify(pkt)
-		q2, _ := d.Classify(pkt)
-		if q1 != q2 {
-			t.Fatalf("classification unstable: queue %d then %d", q1, q2)
-		}
+		// Offer steers by the hash, and the same flow never crosses
+		// queues mid-run.
+		q1 := d.Offer(pkt)
 		if !ok1 && q1 != 0 {
 			t.Fatalf("malformed frame steered to queue %d, want the queue-0 fallback", q1)
 		}
-		if ok1 && ch != h1 {
-			t.Fatalf("Classify hash %#x != HashPacket %#x", ch, h1)
-		}
-
-		// Offer twice: both must steer to the classified queue and the
-		// per-frame state must stay consistent (same flow never crosses
-		// queues mid-run).
-		if got := d.Offer(pkt); got != q1 {
-			t.Fatalf("Offer steered to %d, Classify said %d", got, q1)
+		if ok1 && q1 != d.ind.QueueFor(h1) {
+			t.Fatalf("Offer steered to %d, the indirection of hash %#x says %d", q1, h1, d.ind.QueueFor(h1))
 		}
 		if got := d.Offer(append([]byte(nil), pkt...)); got != q1 {
 			t.Fatalf("identical frame crossed queues: %d then %d", d.Offer(pkt), q1)

@@ -12,24 +12,6 @@ import (
 	"ehdl/internal/maps"
 )
 
-// Sharing is the layout class of one map across pipeline replicas; the
-// rule that assigns it is a property of the compiled map block
-// (core.MapBlock.Sharing), these names are how the host side reads it.
-type Sharing = core.Sharing
-
-// Sharing classes.
-const (
-	SharingShared  = core.SharingShared
-	SharingCounter = core.SharingCounter
-	SharingFlow    = core.SharingFlow
-)
-
-// ClassifyMap returns the sharing class of map id in a compiled
-// pipeline; a map the pipeline never touches is shared.
-func ClassifyMap(pl *core.Pipeline, id int) Sharing {
-	return pl.MapBlockFor(id).Sharing()
-}
-
 // banked is the host view of one replicated map: N per-queue banks plus
 // a baseline snapshot taken when the engine seals host setup. Before
 // the seal every host write broadcasts to all banks (so each replica
@@ -41,7 +23,7 @@ func ClassifyMap(pl *core.Pipeline, id int) Sharing {
 type banked struct {
 	spec    ebpf.MapSpec
 	banks   []maps.Map
-	sharing Sharing
+	sharing core.Sharing
 
 	sealed bool
 	// base is the post-setup baseline: key → value copy. Deltas are
@@ -57,7 +39,7 @@ type banked struct {
 	mergeMu sync.Mutex
 }
 
-func newBanked(spec ebpf.MapSpec, sharing Sharing, queues int) (*banked, error) {
+func newBanked(spec ebpf.MapSpec, sharing core.Sharing, queues int) (*banked, error) {
 	b := &banked{spec: spec, sharing: sharing, base: map[string][]byte{}}
 	for i := 0; i < queues; i++ {
 		m, err := maps.New(spec)
@@ -140,7 +122,7 @@ func (b *banked) Lookup(key []byte) ([]byte, bool) {
 
 func (b *banked) mergedLookup(key []byte) ([]byte, bool) {
 	switch b.sharing {
-	case SharingCounter:
+	case core.SharingCounter:
 		return b.counterMerge(key)
 	default:
 		return b.unionMerge(key)

@@ -25,11 +25,11 @@ import (
 	"ehdl/internal/pktgen"
 )
 
-// DefaultKey is the 40-byte Toeplitz key Microsoft's RSS specification
+// defaultKey is the 40-byte Toeplitz key Microsoft's RSS specification
 // ships and most NIC drivers (ixgbe, mlx5, Corundum's RSS example) use
 // verbatim. Verification vectors for this key are published in the RSS
 // spec, which the hasher tests check against.
-var DefaultKey = []byte{
+var defaultKey = []byte{
 	0x6d, 0x5a, 0x56, 0xda, 0x25, 0x5b, 0x0e, 0xc2,
 	0x41, 0x67, 0x25, 0x3d, 0x43, 0xa3, 0x8f, 0xb0,
 	0xd0, 0xca, 0x2b, 0xcb, 0xae, 0x7b, 0x30, 0xb4,
@@ -56,10 +56,10 @@ type Hasher struct {
 	tab [][256]uint32
 }
 
-// NewHasher builds a hasher from a key. A nil key selects DefaultKey.
+// NewHasher builds a hasher from a key. A nil key selects defaultKey.
 func NewHasher(key []byte) (*Hasher, error) {
 	if key == nil {
-		key = DefaultKey
+		key = defaultKey
 	}
 	if len(key) < minKeyBytes {
 		return nil, fmt.Errorf("rss: key must be at least %d bytes, got %d", minKeyBytes, len(key))
@@ -137,14 +137,14 @@ func (h *Hasher) HashPacket(pkt []byte) (hash uint32, ok bool) {
 	return h.Sum(tupleBytes(flow, buf[:0])), true
 }
 
-// IndirectionSize is the number of indirection-table buckets, matching
+// indirectionSize is the number of indirection-table buckets, matching
 // the 128-entry table of the Microsoft RSS spec and most 10-100G NICs.
-const IndirectionSize = 128
+const indirectionSize = 128
 
 // Indirection is the hash→queue table. The low 7 bits of the Toeplitz
 // hash select a bucket; the bucket holds a queue index.
 type Indirection struct {
-	table  [IndirectionSize]int
+	table  [indirectionSize]int
 	queues int
 }
 
@@ -166,5 +166,5 @@ func (ind *Indirection) Queues() int { return ind.queues }
 
 // QueueFor maps a hash to its queue.
 func (ind *Indirection) QueueFor(hash uint32) int {
-	return ind.table[hash%IndirectionSize]
+	return ind.table[hash%indirectionSize]
 }

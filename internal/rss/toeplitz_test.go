@@ -88,10 +88,10 @@ func toeplitzSerial(key, input []byte) uint32 {
 // known-good reference.
 func TestToeplitzSerialSpecVectors(t *testing.T) {
 	for i, v := range rssVectors {
-		if got := toeplitzSerial(DefaultKey, v.tuple(true)); got != v.withPorts {
+		if got := toeplitzSerial(defaultKey, v.tuple(true)); got != v.withPorts {
 			t.Errorf("vector %d with ports: got %#08x want %#08x", i, got, v.withPorts)
 		}
-		if got := toeplitzSerial(DefaultKey, v.tuple(false)); got != v.addrsOnly {
+		if got := toeplitzSerial(defaultKey, v.tuple(false)); got != v.addrsOnly {
 			t.Errorf("vector %d addrs only: got %#08x want %#08x", i, got, v.addrsOnly)
 		}
 	}
@@ -126,7 +126,7 @@ func TestToeplitzTableMatchesSerial(t *testing.T) {
 	for i := range ones {
 		ones[i] = 0xff
 	}
-	if got, want := h.Sum(ones), toeplitzSerial(DefaultKey, ones); got != want {
+	if got, want := h.Sum(ones), toeplitzSerial(defaultKey, ones); got != want {
 		t.Errorf("all-ones input: table %#08x, serial %#08x", got, want)
 	}
 }
@@ -174,7 +174,7 @@ func TestHashStableForOversizedInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	long := make([]byte, 4*len(DefaultKey))
+	long := make([]byte, 4*len(defaultKey))
 	for i := range long {
 		long[i] = byte(i * 31)
 	}
@@ -197,7 +197,7 @@ func TestIndirectionSpread(t *testing.T) {
 			t.Fatal(err)
 		}
 		counts := make([]int, queues)
-		for hash := uint32(0); hash < 4*IndirectionSize; hash++ {
+		for hash := uint32(0); hash < 4*indirectionSize; hash++ {
 			q := ind.QueueFor(hash)
 			if q < 0 || q >= queues {
 				t.Fatalf("queue %d out of range for %d queues", q, queues)
@@ -219,7 +219,8 @@ func TestIndirectionSpread(t *testing.T) {
 // and checks the invariant everything else rests on: one flow, one
 // queue, for the whole run.
 func TestFlowPinning(t *testing.T) {
-	d, err := NewDispatcher(DispatcherConfig{Queues: 4})
+	// One batch holds every offer, so nothing needs to drain the sinks.
+	d, err := NewDispatcher(DispatcherConfig{Queues: 4, Batch: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +232,7 @@ func TestFlowPinning(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, _ := d.Classify(pkt)
+		q := d.Offer(pkt)
 		if prev, ok := seen[flow]; ok && prev != q {
 			t.Fatalf("flow %+v crossed queues: %d then %d", flow, prev, q)
 		}

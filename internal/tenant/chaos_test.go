@@ -25,7 +25,7 @@ func noisyNeighborSpecs(seed int64) (a, b Spec) {
 			Sim: hwsim.Config{
 				Protection:            protect.LevelECC,
 				ScrubCyclesPerWord:    4,
-				WatchdogCycles:        8, // hair-trigger: faults regularly escalate to drain-and-restart
+				WatchdogCycles:        8,  // hair-trigger: faults regularly escalate to drain-and-restart
 				MaxRecoveries:         -1, // unbounded: the aggressor thrashes but survives
 				RecoveryBackoffCycles: 32,
 			},
@@ -130,8 +130,8 @@ func TestTenantNoisyNeighborChaosGate(t *testing.T) {
 	}
 
 	// Bit-identical victim map state.
-	bMulti, _ := dMulti.TenantByName("victim")
-	bSolo, _ := dSolo.TenantByName("victim")
+	bMulti := dMulti.byName["victim"]
+	bSolo := dSolo.byName["victim"]
 	if err := conformance.CompareMaps(bSolo.Maps(), bMulti.Maps()); err != nil {
 		t.Errorf("victim map state diverges beside a noisy neighbour: %v", err)
 	}

@@ -62,7 +62,7 @@ func (d *Device) stripVLAN(pkt []byte) []byte {
 // the quarantine bucket (or the default tenant) as the target, so a
 // trace shows exactly where every stray frame went.
 func (d *Device) steerFallback(seq int, to *Tenant) {
-	aux := QuarantineBucket
+	aux := quarantineBucket
 	if to != nil {
 		aux = uint64(to.ID)
 	}

@@ -75,12 +75,12 @@ func TestTenantEventCoverage(t *testing.T) {
 	}
 
 	for name, want := range map[string]uint64{
-		MetricAdmitted:  1,
-		MetricRejected:  1,
-		MetricThrottled: rep.Throttled,
-		MetricSteered:   64,
-		MetricDelivered: rep.Received,
-		MetricLost:      rep.Lost,
+		metricAdmitted:  1,
+		metricRejected:  1,
+		metricThrottled: rep.Throttled,
+		metricSteered:   64,
+		metricDelivered: rep.Received,
+		metricLost:      rep.Lost,
 	} {
 		if got, _ := reg.CounterValue(name); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)

@@ -104,7 +104,7 @@ func FuzzTenantClassifier(f *testing.F) {
 		if rep.Quarantined == 1 {
 			traced := false
 			for _, ev := range qSink.Events()[evBefore:] {
-				if ev.Kind == obs.KindQueueSteer && ev.Aux == QuarantineBucket {
+				if ev.Kind == obs.KindQueueSteer && ev.Aux == quarantineBucket {
 					traced = true
 				}
 			}

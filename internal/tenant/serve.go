@@ -52,7 +52,7 @@ func (d *Device) classify(batch [][]byte) (sub [][][]byte, quarantined uint64) {
 		}
 		sub[t.ID] = append(sub[t.ID], frame)
 	}
-	d.count(MetricQuarantined, quarantined)
+	d.count(metricQuarantined, quarantined)
 	return sub, quarantined
 }
 
@@ -97,7 +97,7 @@ func (d *Device) serve(sub [][][]byte, quarantined uint64, offeredPps float64) (
 		sl.VLAN = t.Spec.VLAN
 		arrivals := sub[t.ID]
 		sl.Steered = uint64(len(arrivals))
-		d.count(MetricSteered, sl.Steered)
+		d.count(metricSteered, sl.Steered)
 
 		if t.dead {
 			// Contained failure: the dead tenant's arrivals are its own
@@ -113,7 +113,7 @@ func (d *Device) serve(sub [][][]byte, quarantined uint64, offeredPps float64) (
 			sl.Throttled = shed
 			dev.Sent += shed
 			dev.Throttled += shed
-			d.count(MetricThrottled, shed)
+			d.count(metricThrottled, shed)
 			d.event(obs.KindTenantThrottle, uint64(t.ID), shed)
 		}
 		if adm == 0 {
@@ -162,7 +162,7 @@ func (d *Device) serve(sub [][][]byte, quarantined uint64, offeredPps float64) (
 			dev.TenantDownLoss += down
 			dev.Add(nic.Report{Sent: sl.Sent, Received: delivered, Actions: rep.Actions})
 			dev.Sent += down
-			d.count(MetricDelivered, delivered)
+			d.count(metricDelivered, delivered)
 			continue
 		}
 
@@ -186,8 +186,8 @@ func (d *Device) serve(sub [][][]byte, quarantined uint64, offeredPps float64) (
 			}
 		}
 		dev.Add(rep)
-		d.count(MetricDelivered, rep.Received)
-		d.count(MetricLost, rep.Lost)
+		d.count(metricDelivered, rep.Received)
+		d.count(metricLost, rep.Lost)
 	}
 
 	dev.PerTenant = slices

@@ -40,19 +40,19 @@ import (
 
 // Tenant-level metric names registered when DeviceConfig.Metrics is set.
 const (
-	MetricAdmitted    = "tenant.admitted"
-	MetricRejected    = "tenant.rejected"
-	MetricSteered     = "tenant.steered_frames"
-	MetricThrottled   = "tenant.throttled_frames"
-	MetricQuarantined = "tenant.quarantined_frames"
-	MetricDelivered   = "tenant.delivered_frames"
-	MetricLost        = "tenant.lost_frames"
+	metricAdmitted    = "tenant.admitted"
+	metricRejected    = "tenant.rejected"
+	metricSteered     = "tenant.steered_frames"
+	metricThrottled   = "tenant.throttled_frames"
+	metricQuarantined = "tenant.quarantined_frames"
+	metricDelivered   = "tenant.delivered_frames"
+	metricLost        = "tenant.lost_frames"
 )
 
-// QuarantineBucket is the Aux value of a KindQueueSteer event for a
+// quarantineBucket is the Aux value of a KindQueueSteer event for a
 // frame steered to the device quarantine bucket (no owning tenant, no
 // default tenant configured).
-const QuarantineBucket = ^uint64(0)
+const quarantineBucket = ^uint64(0)
 
 // Spec describes one candidate tenant.
 type Spec struct {
@@ -334,7 +334,7 @@ func (d *Device) AdmitTenant(sp Spec) (*Tenant, error) {
 
 	util := d.used.Add(est).PercentOf(fpga).Max()
 	if util > d.cfg.bandPct() {
-		d.count(MetricRejected, 1)
+		d.count(metricRejected, 1)
 		d.event(obs.KindTenantReject, uint64(util*10), uint64(d.cfg.bandPct()*10))
 		return nil, &AdmissionError{
 			Tenant: sp.Name, Need: est, Used: d.used,
@@ -378,7 +378,7 @@ func (d *Device) AdmitTenant(sp Spec) (*Tenant, error) {
 	}
 	d.used = d.used.Add(est)
 	d.shareSum += sp.Share
-	d.count(MetricAdmitted, 1)
+	d.count(metricAdmitted, 1)
 	d.event(obs.KindTenantAdmit, uint64(id), uint64(d.Utilisation()*10))
 	return t, nil
 }
@@ -397,12 +397,6 @@ func (d *Device) bucketDepth(sp Spec) int {
 
 // Tenants returns the admitted tenants in serving order.
 func (d *Device) Tenants() []*Tenant { return d.tenants }
-
-// TenantByName resolves an admitted tenant.
-func (d *Device) TenantByName(name string) (*Tenant, bool) {
-	t, ok := d.byName[name]
-	return t, ok
-}
 
 // Used returns the consumed resource vector (shell plus admitted
 // tenants); Utilisation is its dominant device fraction in percent —

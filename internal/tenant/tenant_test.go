@@ -103,11 +103,11 @@ func TestAdmissionGateEnforcesBudget(t *testing.T) {
 	if admits != len(admitted) || rejects != 1 {
 		t.Errorf("events: %d admits, %d rejects; want %d/1", admits, rejects, len(admitted))
 	}
-	if n, _ := reg.CounterValue(MetricAdmitted); n != uint64(len(admitted)) {
-		t.Errorf("%s = %d, want %d", MetricAdmitted, n, len(admitted))
+	if n, _ := reg.CounterValue(metricAdmitted); n != uint64(len(admitted)) {
+		t.Errorf("%s = %d, want %d", metricAdmitted, n, len(admitted))
 	}
-	if n, _ := reg.CounterValue(MetricRejected); n != 1 {
-		t.Errorf("%s = %d, want 1", MetricRejected, n)
+	if n, _ := reg.CounterValue(metricRejected); n != 1 {
+		t.Errorf("%s = %d, want 1", metricRejected, n)
 	}
 
 	// A later, cheaper candidate still fits: rejection is per-design,
@@ -230,7 +230,7 @@ func TestTenantDeathContained(t *testing.T) {
 	if err != nil {
 		t.Fatalf("device-level error from a tenant-local death: %v", err)
 	}
-	flaky, _ := d.TenantByName("flaky")
+	flaky := d.byName["flaky"]
 	if !flaky.Dead() {
 		t.Skip("fault campaign did not kill the tenant at this seed; containment untestable")
 	}

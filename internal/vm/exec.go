@@ -10,12 +10,9 @@ import (
 // register values are bit-identical between the golden model and the
 // pipeline.
 const (
-	CtxBase        = ctxBase
-	PacketBase     = packetBase
-	StackTopAddr   = stackTop
-	MapPtrBase     = mapPtrBase
-	MapValueBase   = mapValBase
-	MapValueStride = mapStride
+	CtxBase      = ctxBase
+	PacketBase   = packetBase
+	StackTopAddr = stackTop
 )
 
 // State is the architectural state of one program execution: the
@@ -26,8 +23,8 @@ type State struct {
 	Pkt   *Packet
 }
 
-// NewState initialises the architectural inputs for one run over pkt.
-func NewState(pkt *Packet) *State {
+// newState initialises the architectural inputs for one run over pkt.
+func newState(pkt *Packet) *State {
 	st := &State{Pkt: pkt}
 	st.Regs[ebpf.R1] = CtxBase
 	st.Regs[ebpf.R10] = StackTopAddr
@@ -39,7 +36,7 @@ func NewState(pkt *Packet) *State {
 // through Packet.Reset, and the stack cleared over [lo, hi) — the span
 // the caller knows every write lands in; the rest has been zero since
 // the state was made. A reset state is indistinguishable from
-// NewState(NewPacket(data)); both pipeline engines recycle their
+// newState(NewPacket(data)); both pipeline engines recycle their
 // per-packet states this way.
 func (s *State) Reset(data []byte, lo, hi int) {
 	s.Regs = [ebpf.NumRegisters]uint64{}
@@ -64,10 +61,10 @@ func (s *State) CopyFrom(o *State, lo, hi int) {
 	s.Pkt.copyFrom(o.Pkt)
 }
 
-// EvalALU computes one ALU/ALU64 instruction over explicit operand
+// evalALU computes one ALU/ALU64 instruction over explicit operand
 // values, returning the new destination value. It is a pure function of
 // its inputs.
-func EvalALU(ins ebpf.Instruction, dst, src uint64) (uint64, error) {
+func evalALU(ins ebpf.Instruction, dst, src uint64) (uint64, error) {
 	is64 := ins.Class() == ebpf.ClassALU64
 	op := ins.ALUOp()
 	if op == ebpf.ALUEnd {
@@ -130,15 +127,15 @@ func EvalALU(ins ebpf.Instruction, dst, src uint64) (uint64, error) {
 	return out, nil
 }
 
-// ExecALU applies an ALU instruction to a state in place.
-func ExecALU(st *State, ins ebpf.Instruction) error {
+// execALU applies an ALU instruction to a state in place.
+func execALU(st *State, ins ebpf.Instruction) error {
 	var src uint64
 	if ins.Source() == ebpf.SourceX {
 		src = st.Regs[ins.Src]
 	} else {
 		src = uint64(int64(ins.Imm))
 	}
-	out, err := EvalALU(ins, st.Regs[ins.Dst], src)
+	out, err := evalALU(ins, st.Regs[ins.Dst], src)
 	if err != nil {
 		return err
 	}
@@ -146,8 +143,8 @@ func ExecALU(st *State, ins ebpf.Instruction) error {
 	return nil
 }
 
-// EvalBranch evaluates a conditional branch against a state.
-func EvalBranch(st *State, ins ebpf.Instruction) (bool, error) {
+// evalBranch evaluates a conditional branch against a state.
+func evalBranch(st *State, ins ebpf.Instruction) (bool, error) {
 	is32 := ins.Class() == ebpf.ClassJMP32
 	lhs := st.Regs[ins.Dst]
 	var rhs uint64

@@ -14,11 +14,11 @@ import (
 // into a state that already ran a larger packet leaves no trace of it —
 // the recycled buffer's extent, headroom and bounds are the source's.
 func TestStateCopyFrom(t *testing.T) {
-	st := NewState(NewPacket([]byte{1, 2, 3, 4}))
+	st := newState(NewPacket([]byte{1, 2, 3, 4}))
 	st.Regs[ebpf.R5] = 99
 	st.Stack[0] = 7
 
-	c := NewState(NewPacket(bytes.Repeat([]byte{0xee}, 128)))
+	c := newState(NewPacket(bytes.Repeat([]byte{0xee}, 128)))
 	if err := c.Pkt.AdjustHead(-16); err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestPacketCopyFromMovesOnlyWhatDiffers(t *testing.T) {
 			r.Read(frame)
 			p.Reset(frame)
 			if r.Intn(2) == 0 {
-				if err := p.AdjustHead(-r.Intn(DefaultHeadroom + 1)); err != nil {
+				if err := p.AdjustHead(-r.Intn(defaultHeadroom + 1)); err != nil {
 					t.Fatal(err)
 				}
 				r.Read(p.Bytes())
@@ -91,14 +91,14 @@ func TestPacketCopyFromMovesOnlyWhatDiffers(t *testing.T) {
 // TestStateReset: a re-armed state equals a freshly built one, whatever
 // the previous run left in the registers, the stack and the headroom.
 func TestStateReset(t *testing.T) {
-	st := NewState(NewPacket(bytes.Repeat([]byte{0xee}, 128)))
+	st := newState(NewPacket(bytes.Repeat([]byte{0xee}, 128)))
 	for i := range st.Regs {
 		st.Regs[i] = ^uint64(0)
 	}
 	for i := range st.Stack {
 		st.Stack[i] = 0xee
 	}
-	if err := st.Pkt.AdjustHead(-DefaultHeadroom); err != nil {
+	if err := st.Pkt.AdjustHead(-defaultHeadroom); err != nil {
 		t.Fatal(err)
 	}
 	for i := range st.Pkt.Bytes() {
@@ -106,19 +106,19 @@ func TestStateReset(t *testing.T) {
 	}
 	data := []byte{1, 2, 3, 4}
 	st.Reset(data, 0, ebpf.StackSize)
-	if want := NewState(NewPacket(data)); !reflect.DeepEqual(st, want) {
+	if want := newState(NewPacket(data)); !reflect.DeepEqual(st, want) {
 		t.Error("reset state differs from a fresh one")
 	}
 
 	var zero State
 	zero.Reset(data, 0, ebpf.StackSize)
-	if want := NewState(NewPacket(data)); !reflect.DeepEqual(&zero, want) {
+	if want := newState(NewPacket(data)); !reflect.DeepEqual(&zero, want) {
 		t.Error("reset of a zero state differs from a fresh one")
 	}
 }
 
 func TestStackSlice(t *testing.T) {
-	st := NewState(NewPacket(make([]byte, 64)))
+	st := newState(NewPacket(make([]byte, 64)))
 	b, err := st.StackSlice(-8, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +207,7 @@ func TestPropertyEvalALUMatchesInterpreter(t *testing.T) {
 		} else {
 			ins = ebpf.ALU32Reg(op, ebpf.R1, ebpf.R2)
 		}
-		got, err := EvalALU(ins, dst, src)
+		got, err := evalALU(ins, dst, src)
 		return err == nil && got == model(op, is64, dst, src)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
@@ -219,11 +219,11 @@ func TestPropertyByteSwapInvolution(t *testing.T) {
 	f := func(v uint64, pick uint8) bool {
 		width := []int32{16, 32, 64}[pick%3]
 		ins := ebpf.Swap(ebpf.R1, ebpf.SourceX, width) // to big-endian
-		once, err := EvalALU(ins, v, 0)
+		once, err := evalALU(ins, v, 0)
 		if err != nil {
 			return false
 		}
-		twice, err := EvalALU(ins, once, 0)
+		twice, err := evalALU(ins, once, 0)
 		if err != nil {
 			return false
 		}
@@ -246,7 +246,7 @@ func TestPropertyByteSwapInvolution(t *testing.T) {
 
 func TestAdjustHeadBounds(t *testing.T) {
 	p := NewPacket(make([]byte, 64))
-	if err := p.AdjustHead(-DefaultHeadroom - 1); err == nil {
+	if err := p.AdjustHead(-defaultHeadroom - 1); err == nil {
 		t.Error("grew past the headroom")
 	}
 	if err := p.AdjustHead(65); err == nil {

@@ -324,7 +324,6 @@ func writeUint(b []byte, size int, v uint64) {
 	}
 }
 
-// ReadUint and WriteUint expose the little-endian accessors for the
-// simulator's map blocks.
-func ReadUint(b []byte, size int) uint64     { return readUint(b, size) }
-func WriteUint(b []byte, size int, v uint64) { writeUint(b, size, v) }
+// ReadUint exposes the little-endian accessor for the simulator's map
+// blocks.
+func ReadUint(b []byte, size int) uint64 { return readUint(b, size) }

@@ -35,7 +35,7 @@ func lruSpace(t *testing.T, entries int) (*ExecContext, maps.Map) {
 func TestValueAddressesStayInTheirWindow(t *testing.T) {
 	const entries = 8
 	c, m := lruSpace(t, entries)
-	st := NewState(NewPacket(nil))
+	st := newState(NewPacket(nil))
 	key, val := make([]byte, 4), make([]byte, 8)
 	for i := uint32(0); i < 100_000; i++ {
 		binary.LittleEndian.PutUint32(key, i)
@@ -44,8 +44,8 @@ func TestValueAddressesStayInTheirWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 		addr, v := c.LookupValue(0, key)
-		if addr < MapValueBase || addr+8 > MapValueBase+entries*8 {
-			t.Fatalf("key %d: address %#x outside the map's %d slots at %#x", i, addr, entries, uint64(MapValueBase))
+		if addr < mapValBase || addr+8 > mapValBase+entries*8 {
+			t.Fatalf("key %d: address %#x outside the map's %d slots at %#x", i, addr, entries, uint64(mapValBase))
 		}
 		got, err := c.Mem.LoadAt(st, addr, 8)
 		if err != nil || got != uint64(i) || binary.LittleEndian.Uint64(v) != uint64(i) {
@@ -60,7 +60,7 @@ func TestValueAddressesStayInTheirWindow(t *testing.T) {
 // TestNewMemSpaceRejects: a map that cannot fit its window, and a set
 // holding a host view, fail at construction.
 func TestNewMemSpaceRejects(t *testing.T) {
-	big := &ebpf.Program{Maps: []ebpf.MapSpec{{Name: "big", Kind: ebpf.MapHash, KeySize: 4, ValueSize: 8, MaxEntries: int(MapValueStride / 8)}}}
+	big := &ebpf.Program{Maps: []ebpf.MapSpec{{Name: "big", Kind: ebpf.MapHash, KeySize: 4, ValueSize: 8, MaxEntries: int(mapStride / 8)}}}
 	env, err := NewEnv(big)
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestNewMemSpaceRejects(t *testing.T) {
 	if _, err := New(big, env); err == nil {
 		t.Error("vm.New accepted the oversized map")
 	}
-	big.Maps[0].MaxEntries = int(MapValueStride/8) - shadowHandles
+	big.Maps[0].MaxEntries = int(mapStride/8) - shadowHandles
 	if _, err := NewMemSpace(big, env.Maps); err != nil {
 		t.Errorf("a map that exactly fills its window: %v", err)
 	}
@@ -91,14 +91,14 @@ func TestNewMemSpaceRejects(t *testing.T) {
 // address whose handle changed tenant back at the old buffer.
 func TestShadowAndRebind(t *testing.T) {
 	c, m := lruSpace(t, 2)
-	st := NewState(NewPacket(nil))
+	st := newState(NewPacket(nil))
 	a, b := []byte{1, 0, 0, 0, 0, 0, 0, 0}, []byte{2, 0, 0, 0, 0, 0, 0, 0}
 	addrA, addrB := c.Mem.ShadowAddress(0, a), c.Mem.ShadowAddress(0, b)
-	if addrA < MapValueBase+2*8 || addrA == addrB {
+	if addrA < mapValBase+2*8 || addrA == addrB {
 		t.Fatalf("shadow addresses %#x, %#x", addrA, addrB)
 	}
 	for i := 0; i < 3*shadowHandles; i++ { // the ring wraps inside the window
-		if addr := c.Mem.ShadowAddress(0, make([]byte, 8)); addr >= MapValueBase+(2+shadowHandles)*8 {
+		if addr := c.Mem.ShadowAddress(0, make([]byte, 8)); addr >= mapValBase+(2+shadowHandles)*8 {
 			t.Fatalf("shadow address %#x past the ring", addr)
 		}
 	}
@@ -128,7 +128,7 @@ func TestShadowAndRebind(t *testing.T) {
 	if v, _ := c.Mem.LoadAt(st, addrA, 8); v != 1 {
 		t.Fatalf("the rebound address reads %d, want the orphaned 1", v)
 	}
-	if _, _, _, err := c.Mem.Resolve(st, MapValueBase+MapValueStride+8, 8); err == nil {
+	if _, _, _, err := c.Mem.Resolve(st, mapValBase+mapStride+8, 8); err == nil {
 		t.Error("an address no lookup returned resolved")
 	}
 }

@@ -11,7 +11,7 @@ import (
 // behind it, which evaluate combinationally after it in the same stage —
 // into one error-free closure, the per-op code of hwsim's execution
 // tables (the pipelined interpreter's and the one-burst table under the
-// fastpath machine); ExecALU stays the reference interpreter's own path,
+// fastpath machine); execALU stays the reference interpreter's own path,
 // so that leg of the three-way oracle is independent of this file.
 func SpecializeALU(ins ebpf.Instruction, fused ...ebpf.Instruction) (func(st *State), error) {
 	fn, err := aluFn(ins)
@@ -35,12 +35,12 @@ func SpecializeALU(ins ebpf.Instruction, fused ...ebpf.Instruction) (func(st *St
 // aluFn specializes one ALU instruction: the operand routing (register
 // vs folded immediate), the operation and the width truncation are all
 // decided here, so the per-packet path is a single direct call with no
-// instruction decoding. The instruction is validated against EvalALU at
+// instruction decoding. The instruction is validated against evalALU at
 // compile time; the un-specialized tail delegates to it with the source
-// already routed, which keeps every op bit-identical to ExecALU by
+// already routed, which keeps every op bit-identical to execALU by
 // construction.
 func aluFn(ins ebpf.Instruction) (func(st *State), error) {
-	if _, err := EvalALU(ins, 0, 1); err != nil {
+	if _, err := evalALU(ins, 0, 1); err != nil {
 		return nil, err
 	}
 	is64 := ins.Class() == ebpf.ClassALU64
@@ -134,12 +134,12 @@ func aluFn(ins ebpf.Instruction) (func(st *State), error) {
 	}
 	if fromReg {
 		return func(st *State) {
-			out, _ := EvalALU(ins, st.Regs[dst], st.Regs[src])
+			out, _ := evalALU(ins, st.Regs[dst], st.Regs[src])
 			st.Regs[dst] = out
 		}, nil
 	}
 	return func(st *State) {
-		out, _ := EvalALU(ins, st.Regs[dst], imm)
+		out, _ := evalALU(ins, st.Regs[dst], imm)
 		st.Regs[dst] = out
 	}, nil
 }
@@ -147,7 +147,7 @@ func aluFn(ins ebpf.Instruction) (func(st *State), error) {
 // SpecializeBranch compiles one conditional branch into an error-free
 // predicate closure, with the comparison op, operand routing and width
 // folded at compile time. Validated against Compare; the generic
-// tail delegates to it, bit-identical to EvalBranch.
+// tail delegates to it, bit-identical to evalBranch.
 func SpecializeBranch(ins ebpf.Instruction) (func(st *State) bool, error) {
 	is32 := ins.Class() == ebpf.ClassJMP32
 	jop := ins.JumpOp()
@@ -213,7 +213,7 @@ func SpecializeBranch(ins ebpf.Instruction) (func(st *State) bool, error) {
 // direct access — the memory half of the per-op code hwsim's tables
 // run. val is the value slice of the map lookup the access goes
 // through (the engine keeps it beside the pointer it put in R0); the
-// other areas ignore it. The only errors are ErrNoLookup (map area, nil
+// other areas ignore it. The only errors are errNoLookup (map area, nil
 // val) and ErrPacketBounds (packet area, past the data end), both bare.
 type MemFn func(st *State, val []byte) error
 
@@ -221,7 +221,7 @@ type MemFn func(st *State, val []byte) error
 // ErrPacketBounds with the hardware bounds check's verdict, exactly as
 // it answers any Resolve error on a packet-area access.
 var (
-	ErrNoLookup     = errors.New("map access without a preceding lookup hit")
+	errNoLookup     = errors.New("map access without a preceding lookup hit")
 	ErrPacketBounds = errors.New("packet access outside data")
 )
 
@@ -276,7 +276,7 @@ func loadFn(area Region, dst ebpf.Register, off, size int) MemFn {
 	case RegionMapValue:
 		return func(st *State, val []byte) error {
 			if val == nil {
-				return ErrNoLookup
+				return errNoLookup
 			}
 			st.Regs[dst] = readUint(val[off:], size)
 			return nil
@@ -325,7 +325,7 @@ func storeFn(area Region, fromImm bool, src ebpf.Register, imm uint64, off, size
 	case RegionMapValue:
 		return func(st *State, val []byte) error {
 			if val == nil {
-				return ErrNoLookup
+				return errNoLookup
 			}
 			v := imm
 			if !fromImm {
@@ -361,7 +361,7 @@ func atomicFn(op ebpf.AtomicOp, src ebpf.Register, off, size int) MemFn {
 		if size == 8 { // the canonical counter: no width switch at all
 			return func(st *State, val []byte) error {
 				if val == nil {
-					return ErrNoLookup
+					return errNoLookup
 				}
 				b := val[off:]
 				writeUint(b, 8, readUint(b, 8)+st.Regs[src])
@@ -380,7 +380,7 @@ func atomicFn(op ebpf.AtomicOp, src ebpf.Register, off, size int) MemFn {
 	}
 	return func(st *State, val []byte) error {
 		if val == nil {
-			return ErrNoLookup
+			return errNoLookup
 		}
 		b := val[off:]
 		writeUint(b, size, apply(readUint(b, size), st.Regs[src]))

@@ -19,7 +19,7 @@ var immZoo = []int32{0, 1, 2, 7, 31, 32, 33, 63, 64, 255, 4096, 0x7fffffff, -1, 
 
 // TestSpecializeALUMatchesReference checks every ALU closure — each
 // operation, width and operand routing, specialised case and generic
-// tail alike — against ExecALU, the reference interpreter's own path, on
+// tail alike — against execALU, the reference interpreter's own path, on
 // the whole operand zoo, including the aliased dst == src form.
 func TestSpecializeALUMatchesReference(t *testing.T) {
 	var all []ebpf.Instruction
@@ -40,7 +40,7 @@ func TestSpecializeALUMatchesReference(t *testing.T) {
 	checked, rejected := 0, 0
 	for _, ins := range all {
 		fn, err := SpecializeALU(ins)
-		if _, refErr := EvalALU(ins, 0, 1); (err != nil) != (refErr != nil) {
+		if _, refErr := evalALU(ins, 0, 1); (err != nil) != (refErr != nil) {
 			t.Fatalf("%s: specialiser error %v, reference error %v", ins, err, refErr)
 		}
 		if err != nil {
@@ -53,7 +53,7 @@ func TestSpecializeALUMatchesReference(t *testing.T) {
 				got.Regs[ebpf.R3], got.Regs[ebpf.R4] = d, s
 				want = got
 				fn(&got)
-				if err := ExecALU(&want, ins); err != nil {
+				if err := execALU(&want, ins); err != nil {
 					t.Fatalf("%s: reference: %v", ins, err)
 				}
 				if got.Regs != want.Regs {
@@ -88,7 +88,7 @@ func TestSpecializeALUFusedChain(t *testing.T) {
 		want = got
 		fn(&got)
 		for _, ins := range chain {
-			if err := ExecALU(&want, ins); err != nil {
+			if err := execALU(&want, ins); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -103,7 +103,7 @@ func TestSpecializeALUFusedChain(t *testing.T) {
 
 // TestSpecializeBranchMatchesReference checks every branch predicate —
 // each comparison, both widths, immediate and register operands —
-// against EvalBranch on the whole operand zoo.
+// against evalBranch on the whole operand zoo.
 func TestSpecializeBranchMatchesReference(t *testing.T) {
 	checked, rejected := 0, 0
 	for op := 0; op <= 0xf0; op += 0x10 {
@@ -117,7 +117,7 @@ func TestSpecializeBranchMatchesReference(t *testing.T) {
 				ebpf.Instruction{Op: uint8(cls) | uint8(ebpf.SourceX) | uint8(op), Dst: ebpf.R3, Src: ebpf.R3})
 			for _, ins := range forms {
 				pred, err := SpecializeBranch(ins)
-				if _, refErr := EvalBranch(&State{}, ins); (err != nil) != (refErr != nil) {
+				if _, refErr := evalBranch(&State{}, ins); (err != nil) != (refErr != nil) {
 					t.Fatalf("%s: specialiser error %v, reference error %v", ins, err, refErr)
 				}
 				if err != nil {
@@ -128,7 +128,7 @@ func TestSpecializeBranchMatchesReference(t *testing.T) {
 					for _, s := range operandZoo {
 						var st State
 						st.Regs[ebpf.R3], st.Regs[ebpf.R4] = d, s
-						want, err := EvalBranch(&st, ins)
+						want, err := evalBranch(&st, ins)
 						if err != nil {
 							t.Fatalf("%s: reference: %v", ins, err)
 						}
@@ -192,7 +192,7 @@ func TestSpecializeMemMatchesMemSpace(t *testing.T) {
 		for i := range frame {
 			frame[i] = byte(0xa0 + i)
 		}
-		st := NewState(NewPacket(frame))
+		st := newState(NewPacket(frame))
 		if err := st.Pkt.AdjustHead(-8); err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +253,7 @@ func TestSpecializeMemMatchesMemSpace(t *testing.T) {
 					}
 					if zoo.area == RegionMapValue {
 						st, _, _ := newState(0)
-						if err := fn(st, nil); err != ErrNoLookup {
+						if err := fn(st, nil); err != errNoLookup {
 							t.Fatalf("%s through a missed lookup: %v, want ErrNoLookup", ins, err)
 						}
 					}
