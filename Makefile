@@ -110,12 +110,12 @@ fuzz-smoke:
 # of ./bench: a pristine copy of PARENT (git archive — nothing is left
 # registered in .git), one bench binary per tree, each run from its own
 # tree root with the end-to-end pass only, PAIRS pairs alternating which
-# side runs first. Prints every pair, then each side's host_mpps median
-# [quartiles] with the numcpu/GOMAXPROCS its runs reported (a parallel
-# speed-up without its core count is not a measurement) and the pairs
-# the change won, then `bench compare` on the last pair for the other
-# six metrics. Run lengths are the harness's own (20 s a side), so ten
-# pairs take about seven minutes.
+# side runs first. Prints every pair's host_mpps and host_allocs_per_pkt,
+# then each side's median [quartiles] of both with the numcpu/GOMAXPROCS
+# its runs reported (a parallel speed-up without its core count is not a
+# measurement), the pairs the change won on host_mpps and `bench
+# compare` on the last pair for the other metrics. Run lengths are the
+# harness's own (20 s a side), so ten pairs take about seven minutes.
 #	make bench-ab PARENT=HEAD~1 WORKLOAD=toy_q4_fast
 PARENT ?= HEAD~1
 WORKLOAD ?= toy_q4_fast
@@ -131,14 +131,17 @@ bench-ab:
 		for side in $$order; do \
 			if [ $$side = parent ]; then root=$(AB_DIR)/parent; else root=$$change; fi; \
 			(cd $$root && $(AB_DIR)/bench.$$side -workload $(WORKLOAD) -trace 0 -out $(AB_DIR)/$$side.$$i.json) > $(AB_DIR)/$$side.$$i.txt || exit 1; \
-			sed -n 's/.*"host_mpps":{"value":\([0-9.e+-]*\).*/\1/p' $(AB_DIR)/$$side.$$i.txt | tail -1 >> $(AB_DIR)/$$side.mpps; \
+			for m in mpps allocs_per_pkt; do \
+				sed -n "s/.*\"host_$$m\":{\"value\":\([0-9.e+-]*\).*/\1/p" $(AB_DIR)/$$side.$$i.txt | tail -1 >> $(AB_DIR)/$$side.$$m; \
+			done; \
 		done; \
-		echo "pair $$i ($$order first): parent $$(tail -1 $(AB_DIR)/parent.mpps)  change $$(tail -1 $(AB_DIR)/change.mpps) Mpkt/s"; \
+		echo "pair $$i ($$order first): parent $$(tail -1 $(AB_DIR)/parent.mpps)  change $$(tail -1 $(AB_DIR)/change.mpps) Mpkt/s," \
+			"allocs/pkt parent $$(tail -1 $(AB_DIR)/parent.allocs_per_pkt)  change $$(tail -1 $(AB_DIR)/change.allocs_per_pkt)"; \
 	done
-	@for side in parent change; do sort -g $(AB_DIR)/$$side.mpps | awk -v side=$$side \
+	@for side in parent change; do for m in mpps allocs_per_pkt; do sort -g $(AB_DIR)/$$side.$$m | awk -v side=$$side -v m=host_$$m \
 		-v host="$$(sed -n '1s/^\(numcpu [0-9]*\)  *\(GOMAXPROCS [0-9]*\).*/\1 \2/p' $(AB_DIR)/$$side.1.txt)" \
 		'function q(p,  h, lo) { h = (NR - 1) * p; lo = int(h); return v[lo + 1] + (h - lo) * (v[lo + 2] - v[lo + 1]) } \
-		 { v[NR] = $$1 } END { printf "%-6s host_mpps median %.4g [%.4g %.4g] n=%d  %s\n", side, q(0.5), q(0.25), q(0.75), NR, host }'; done
+		 { v[NR] = $$1 } END { printf "%-6s %s median %.4g [%.4g %.4g] n=%d  %s\n", side, m, q(0.5), q(0.25), q(0.75), NR, host }'; done; done
 	@paste $(AB_DIR)/parent.mpps $(AB_DIR)/change.mpps | awk '$$2 > $$1 { w++ } $$2 < $$1 { l++ } END { printf "change won %d, lost %d of %d pairs\n", w, l, NR }'
 	@$(AB_DIR)/bench.change compare $(AB_DIR)/parent.$(PAIRS).json $(AB_DIR)/change.$(PAIRS).json || true
 

@@ -117,13 +117,23 @@ func writeHeapProfile(path string) error {
 }
 
 // Task opens a runtime/trace task annotating one pipeline phase (a
-// RunLoad, an experiment). Cheap when no execution trace is running.
+// RunLoad, an experiment). With no execution trace running it returns
+// ctx unchanged and a no-op closer, allocating nothing.
 func Task(ctx context.Context, name string) (context.Context, func()) {
+	if !trace.IsEnabled() {
+		return ctx, noop
+	}
 	ctx, task := trace.NewTask(ctx, name)
 	return ctx, task.End
 }
 
-// Region annotates a sub-phase inside a task. Returns the closer.
+// Region annotates a sub-phase inside a task. Returns the closer, a
+// no-op when no execution trace is running.
 func Region(ctx context.Context, name string) func() {
+	if !trace.IsEnabled() {
+		return noop
+	}
 	return trace.StartRegion(ctx, name).End
 }
+
+func noop() {}

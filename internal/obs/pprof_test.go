@@ -25,6 +25,26 @@ func TestStartProfilesDisabled(t *testing.T) {
 	}
 }
 
+// TestTaskUntracedAllocatesNothing: with no execution trace running a
+// task and a region cost nothing a hot caller (RunLoad, once per call)
+// would notice — the context comes back as given, nothing allocates.
+func TestTaskUntracedAllocatesNothing(t *testing.T) {
+	ctx := context.WithValue(context.Background(), t, 1)
+	if got, end := Task(ctx, "untraced"); got != ctx {
+		t.Fatal("untraced Task replaced the context")
+	} else {
+		end()
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		tctx, end := Task(ctx, "untraced")
+		Region(tctx, "drive")()
+		end()
+	})
+	if allocs != 0 {
+		t.Fatalf("untraced Task+Region allocate %v times per call, want 0", allocs)
+	}
+}
+
 func TestStartProfilesFiles(t *testing.T) {
 	dir := t.TempDir()
 	cfg := ProfileConfig{

@@ -39,10 +39,11 @@ func TestMetricNames(t *testing.T) {
 // advance the pacing clock).
 func TestDispatcherMetered(t *testing.T) {
 	reg := obs.NewRegistry()
-	d, err := NewDispatcher(DispatcherConfig{Queues: 4, CyclesPerPacket: 3, Metrics: reg})
+	d, err := newDispatcher(DispatcherConfig{Queues: 4}, nil, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.arm(3)
 	if d.Queues() != 4 {
 		t.Fatalf("Queues() = %d", d.Queues())
 	}

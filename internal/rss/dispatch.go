@@ -30,18 +30,20 @@ type DispatcherConfig struct {
 	// CyclesPerPacket is the arrival pacing in clock cycles (from the
 	// offered rate). 0 means back-to-back (1 cycle per packet).
 	CyclesPerPacket float64
-	// Trace receives KindQueueSteer events. The dispatcher runs in the
-	// caller's goroutine, so a shared (single-writer) tracer is safe
-	// here even when the replica sims must not touch it.
-	Trace *obs.Tracer
-	// Metrics counts per-queue steering under rss.q<i>.steered.
-	Metrics *obs.Registry
 }
 
 // DefaultBatch is the ingress batch size when the caller does not
 // choose one: 64 packets, one MTU-ish burst, the same default DPDK rx
 // bursts use.
 const DefaultBatch = 64
+
+// sinkDepth is how many batches a queue's channel holds: the dispatcher
+// runs that far ahead of its worker, and no further.
+const sinkDepth = 4
+
+// rotation is how many batch buffers each queue cycles through: a full
+// channel, one batch in the worker's hands and one being filled.
+const rotation = sinkDepth + 2
 
 // metricSteered returns the per-queue steering counter name.
 func metricSteered(queue int) string { return fmt.Sprintf("rss.q%d.steered", queue) }
@@ -72,24 +74,41 @@ type Dispatcher struct {
 	paced     uint64
 	fallbacks uint64
 	perQueue  []uint64
-	buf       [][]Item
-	sinks     []chan []Item
+	lanes     []lane
+}
+
+// lane is one queue's side of the hand-off: its channel and the fixed
+// rotation of batch buffers that travel through it.
+type lane struct {
+	sink chan []Item
+	bufs [rotation][]Item
+	fill int // index in bufs of the batch being filled
 }
 
 // NewDispatcher builds the classifier and its per-queue channels. The
-// returned channels carry batches to the workers; their buffer depth
-// (4 batches) lets the dispatcher run ahead without unbounded memory.
+// channels carry batches to the workers; a batch is valid until the
+// consumer's next receive from the same sink, when the dispatcher may
+// refill its buffer.
 func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
+	d, err := newDispatcher(cfg, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	d.arm(cfg.CyclesPerPacket)
+	return d, nil
+}
+
+// newDispatcher is NewDispatcher with observers and not yet armed (arm
+// sets the pacing; cfg.CyclesPerPacket is ignored). trace receives
+// KindQueueSteer events (the dispatcher runs in the caller's goroutine,
+// so a single-writer tracer is safe here even when the replica sims
+// must not touch it) and metrics counts per-queue steering under
+// rss.q<i>.steered. Either may be nil.
+func newDispatcher(cfg DispatcherConfig, trace *obs.Tracer, metrics *obs.Registry) (*Dispatcher, error) {
 	h, err := NewHasher(nil)
 	if err != nil {
 		return nil, err
 	}
-	return newDispatcher(cfg, h)
-}
-
-// newDispatcher is NewDispatcher over an already-built hasher: the
-// engine builds one per Engine, not one per Start.
-func newDispatcher(cfg DispatcherConfig, h *Hasher) (*Dispatcher, error) {
 	ind, err := NewIndirection(cfg.Queues)
 	if err != nil {
 		return nil, err
@@ -98,36 +117,57 @@ func newDispatcher(cfg DispatcherConfig, h *Hasher) (*Dispatcher, error) {
 	if batch <= 0 {
 		batch = DefaultBatch
 	}
-	cpp := cfg.CyclesPerPacket
-	if cpp <= 0 {
-		cpp = 1
-	}
 	d := &Dispatcher{
 		hasher:   h,
 		ind:      ind,
 		batch:    batch,
-		cpp:      cpp,
-		trace:    cfg.Trace,
+		trace:    trace,
 		perQueue: make([]uint64, cfg.Queues),
+		lanes:    make([]lane, cfg.Queues),
 	}
-	for q := 0; q < cfg.Queues; q++ {
-		d.buf = append(d.buf, make([]Item, 0, batch))
-		d.sinks = append(d.sinks, make(chan []Item, 4))
-		if cfg.Metrics != nil {
-			d.steered = append(d.steered, cfg.Metrics.Counter(metricSteered(q)))
+	if metrics != nil {
+		for q := range d.lanes {
+			d.steered = append(d.steered, metrics.Counter(metricSteered(q)))
 		}
-	}
-	if cfg.Metrics != nil {
-		d.fallbck = cfg.Metrics.Counter(metricFallback)
+		d.fallbck = metrics.Counter(metricFallback)
 	}
 	return d, nil
+}
+
+// arm readies the dispatcher for a session: zero counters, the given
+// pacing and fresh sinks. The first arm allocates every lane's buffers;
+// later ones reuse them, each free again once the consumers of the
+// previous session's sinks have drained them.
+func (d *Dispatcher) arm(cyclesPerPacket float64) {
+	if d.lanes[0].bufs[0] == nil {
+		backing := make([]Item, len(d.lanes)*rotation*d.batch)
+		for q := range d.lanes {
+			for i := range d.lanes[q].bufs {
+				off := (q*rotation + i) * d.batch
+				d.lanes[q].bufs[i] = backing[off : off : off+d.batch]
+			}
+		}
+	}
+	if cyclesPerPacket <= 0 {
+		cyclesPerPacket = 1
+	}
+	d.cpp = cyclesPerPacket
+	d.arrivals, d.paced, d.fallbacks = 0, 0, 0
+	clear(d.perQueue)
+	for q := range d.lanes {
+		l := &d.lanes[q]
+		l.sink = make(chan []Item, sinkDepth)
+		l.fill = 0
+		l.bufs[0] = l.bufs[0][:0]
+	}
 }
 
 // Queues returns the queue count.
 func (d *Dispatcher) Queues() int { return d.ind.Queues() }
 
-// Sink returns the batch channel feeding queue q.
-func (d *Dispatcher) Sink(q int) <-chan []Item { return d.sinks[q] }
+// Sink returns the batch channel feeding queue q. A batch received from
+// it is valid until the consumer's next receive from the same sink.
+func (d *Dispatcher) Sink(q int) <-chan []Item { return d.lanes[q].sink }
 
 // Offer classifies one arrival, stamps its due cycle and queues it on
 // its batch. Returns the chosen queue.
@@ -174,9 +214,10 @@ func (d *Dispatcher) offer(pkt []byte, pacedArrival bool) int {
 	if d.steered != nil {
 		d.steered[queue].Inc()
 	}
-	d.buf[queue] = append(d.buf[queue], Item{Data: pkt, Due: due})
-	if len(d.buf[queue]) >= d.batch {
-		d.flush(queue)
+	l := &d.lanes[queue]
+	l.bufs[l.fill] = append(l.bufs[l.fill], Item{Data: pkt, Due: due})
+	if len(l.bufs[l.fill]) >= d.batch {
+		l.flush()
 	}
 	return queue
 }
@@ -192,26 +233,31 @@ func (d *Dispatcher) PerQueue() []uint64 {
 	return append([]uint64(nil), d.perQueue...)
 }
 
-func (d *Dispatcher) flush(queue int) {
-	if len(d.buf[queue]) == 0 {
+// flush sends the batch being filled and starts filling the next buffer
+// of the rotation. That buffer left rotation-1 = sinkDepth+1 sends ago,
+// and the send just made needed a free slot in a sinkDepth-deep
+// channel: the consumer has received the batch after it, so it is done
+// with it.
+func (l *lane) flush() {
+	if len(l.bufs[l.fill]) == 0 {
 		return
 	}
-	b := d.buf[queue]
-	d.buf[queue] = make([]Item, 0, d.batch)
-	d.sinks[queue] <- b
+	l.sink <- l.bufs[l.fill]
+	l.fill = (l.fill + 1) % rotation
+	l.bufs[l.fill] = l.bufs[l.fill][:0]
 }
 
 // FlushAll pushes every partial batch out.
 func (d *Dispatcher) FlushAll() {
-	for q := range d.buf {
-		d.flush(q)
+	for q := range d.lanes {
+		d.lanes[q].flush()
 	}
 }
 
 // Close flushes and closes the sinks; the workers drain and exit.
 func (d *Dispatcher) Close() {
 	d.FlushAll()
-	for _, c := range d.sinks {
-		close(c)
+	for q := range d.lanes {
+		close(d.lanes[q].sink)
 	}
 }

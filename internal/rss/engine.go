@@ -137,7 +137,6 @@ type Engine struct {
 	host    *maps.Set
 
 	replicas []*replica
-	hasher   *Hasher
 	fallback string // why the interpreter serves; "" when it does not
 	sealed   bool
 	running  bool
@@ -158,7 +157,9 @@ const defaultDrainBound = 4_000_000
 // Start before offering traffic.
 func NewEngine(pl *core.Pipeline, cfg Config) (*Engine, error) {
 	n := cfg.queues()
-	hasher, err := NewHasher(nil)
+	// One dispatcher per engine, armed by every Start: its hasher and
+	// batch buffers outlive the sessions.
+	disp, err := newDispatcher(DispatcherConfig{Queues: n, Batch: cfg.Batch}, cfg.Sim.Trace, cfg.Sim.Metrics)
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +167,7 @@ func NewEngine(pl *core.Pipeline, cfg Config) (*Engine, error) {
 		pl:         pl,
 		cfg:        cfg,
 		bankeds:    map[int]*banked{},
-		hasher:     hasher,
+		disp:       disp,
 		drainBound: defaultDrainBound,
 	}
 
@@ -277,7 +278,7 @@ func (e *Engine) Sharing(id int) core.Sharing {
 	return e.sharing[id]
 }
 
-// Start seals host setup (first call), builds the dispatcher for the
+// Start seals host setup (first call), re-arms the dispatcher for the
 // offered rate and launches one worker per replica — the only
 // goroutines the engine owns between Start and Drain. Packets flow one
 // way: counters come back once, at Drain. onComplete, when non-nil, is
@@ -296,17 +297,7 @@ func (e *Engine) Start(cyclesPerPacket float64, onComplete func(Completion)) err
 		}
 		e.sealed = true
 	}
-	disp, err := newDispatcher(DispatcherConfig{
-		Queues:          len(e.replicas),
-		Batch:           e.cfg.Batch,
-		CyclesPerPacket: cyclesPerPacket,
-		Trace:           e.cfg.Sim.Trace,
-		Metrics:         e.cfg.Sim.Metrics,
-	}, e.hasher)
-	if err != nil {
-		return err
-	}
-	e.disp = disp
+	e.disp.arm(cyclesPerPacket)
 	e.running = true
 
 	for _, r := range e.replicas {
@@ -317,7 +308,7 @@ func (e *Engine) Start(cyclesPerPacket float64, onComplete func(Completion)) err
 		r.sim.Window(&r.endStats)
 		r.accepted, r.runErr = 0, nil
 		e.workerWG.Add(1)
-		go e.worker(r, disp.Sink(r.idx), onComplete)
+		go e.worker(r, e.disp.Sink(r.idx), onComplete)
 	}
 	return nil
 }
