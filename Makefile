@@ -8,7 +8,7 @@ build:
 	$(GO) build ./...
 
 # The conformance suite, the observability layer, the live-update
-# controller, the multi-queue path (rss + nic), both engines, the fleet
+# protocol, the multi-queue path (rss + nic), both engines, the fleet
 # control plane, the multi-tenant device and the durability layer rerun
 # under the race detector even in the default gate: the tracer,
 # registry, update machinery and the dispatcher/worker goroutines are
@@ -58,12 +58,13 @@ chaos:
 # must stay above their floors (protect 90%, hwsim 75%, obs 85%, rss
 # 85%, nic 85%, fastpath 85%, fleet 85%, tenant 85%, durable 85%), and so
 # must vm (85%), which hosts every closure both engines run, maps
-# (85%), the store every lookup of every engine lands in, and hdl (90%),
-# whose netlist both the VHDL text and the resource bill derive from. A gated
+# (85%), the store every lookup of every engine lands in, hdl (90%),
+# whose netlist both the VHDL text and the resource bill derive from,
+# and liveupdate (85%), the one update protocol both loops call. A gated
 # package missing from the coverage output fails the gate — a silently
 # dropped package must not read as a pass.
 cover:
-	@$(GO) test -cover ./internal/protect/ ./internal/hwsim/ ./internal/obs/ ./internal/rss/ ./internal/nic/ ./internal/fastpath/ ./internal/fleet/ ./internal/tenant/ ./internal/durable/ ./internal/vm/ ./internal/maps/ ./internal/hdl/ | tee /tmp/ehdl-cover.txt
+	@$(GO) test -cover ./internal/protect/ ./internal/hwsim/ ./internal/obs/ ./internal/rss/ ./internal/nic/ ./internal/fastpath/ ./internal/fleet/ ./internal/tenant/ ./internal/durable/ ./internal/vm/ ./internal/maps/ ./internal/hdl/ ./internal/liveupdate/ | tee /tmp/ehdl-cover.txt
 	@awk 'function gate(pkg, floor,    a) { seen[pkg] = 1; split($$5, a, "%"); \
 	          if (a[1]+0 < floor) { printf "FAIL: internal/%s coverage %s%% < %d%%\n", pkg, a[1], floor; bad = 1 } } \
 	      /internal\/protect/  { gate("protect", 90) } \
@@ -78,7 +79,8 @@ cover:
 	      /internal\/vm/       { gate("vm", 85) } \
 	      /internal\/maps/     { gate("maps", 85) } \
 	      /internal\/hdl/      { gate("hdl", 90) } \
-	      END { n = split("protect hwsim obs rss nic fastpath fleet tenant durable vm maps hdl", want, " "); \
+	      /internal\/liveupdate/ { gate("liveupdate", 85) } \
+	      END { n = split("protect hwsim obs rss nic fastpath fleet tenant durable vm maps hdl liveupdate", want, " "); \
 	            for (i = 1; i <= n; i++) if (!seen[want[i]]) { printf "FAIL: internal/%s missing from coverage output\n", want[i]; bad = 1 } \
 	            exit bad }' /tmp/ehdl-cover.txt
 	@echo "coverage gates passed"

@@ -66,10 +66,8 @@ func run(args []string) int {
 		tenantsSpec = flag.String("tenants", "", "multi-tenant mode: comma-separated app:share list (e.g. firewall:0.5,toy:0.5); VLANs auto-assigned from 100")
 		tenantBand  = flag.Float64("band", 0, "multi-tenant admission ceiling in percent of device utilisation (0: default 70)")
 
-		updProg     = flag.String("update-prog", "", "hot-swap to this application mid-run (requires -update-after)")
-		updAfter    = flag.Int("update-after", -1, "arm the live update after this many offered packets (requires -update-prog)")
-		canaryFrac  = flag.Float64("canary-frac", 0, "fraction of live traffic mirrored to the update's shadow pipeline in (0,1] (0: default 0.25)")
-		updDeadline = flag.Int("update-deadline", 0, "canary deadline of the live update in ticks (0: default)")
+		updProg  = flag.String("update-prog", "", "hot-swap to this application mid-run (requires -update-after)")
+		updAfter = flag.Int("update-after", -1, "arm the live update after this many offered packets (requires -update-prog)")
 
 		tracePath = flag.String("trace", "", "write the cycle-level event trace to this file (JSONL)")
 		traceText = flag.Bool("trace-text", false, "write the trace in compact text instead of JSONL")
@@ -100,20 +98,12 @@ func run(args []string) int {
 		return usage(fmt.Errorf("-batch must be >= 0, got %d", *batch))
 	case *batch > 0 && *queues == 1:
 		return usage(fmt.Errorf("-batch only applies to multi-queue runs (-queues >= 2)"))
-	case *queues > 1 && *canaryFrac != 0:
-		return usage(fmt.Errorf("multi-queue updates quiesce and swap the whole fleet; -canary-frac is single-queue only"))
 	case *replay != "" && (*flows > 0 || *pktLen > 0):
 		return usage(fmt.Errorf("-replay fixes the traffic profile; -flows/-pktlen only apply to generated traffic"))
 	case *updProg != "" && *updAfter < 0:
 		return usage(fmt.Errorf("-update-prog requires -update-after"))
 	case *updProg == "" && *updAfter >= 0:
 		return usage(fmt.Errorf("-update-after requires -update-prog"))
-	case *updProg == "" && (*canaryFrac != 0 || *updDeadline != 0):
-		return usage(fmt.Errorf("-canary-frac/-update-deadline only apply with -update-prog"))
-	case *canaryFrac < 0 || *canaryFrac > 1:
-		return usage(fmt.Errorf("-canary-frac must be in (0,1], got %g", *canaryFrac))
-	case *updDeadline < 0:
-		return usage(fmt.Errorf("-update-deadline must be >= 0, got %d", *updDeadline))
 	case *updProg != "" && *updAfter >= *packets:
 		return usage(fmt.Errorf("-update-after %d never triggers within -packets %d", *updAfter, *packets))
 	case *tenantsSpec != "" && *updProg != "":
@@ -251,14 +241,7 @@ func run(args []string) int {
 		if err != nil {
 			return fail(err)
 		}
-		ucfg := liveupdate.Config{
-			Prog:                uprog,
-			Setup:               upd.SetupHost,
-			CanaryFrac:          *canaryFrac,
-			CanaryDeadlineTicks: uint64(*updDeadline),
-			Trace:               tr,
-			Metrics:             reg,
-		}
+		ucfg := liveupdate.Config{Prog: uprog, Setup: upd.SetupHost, Trace: tr, Metrics: reg}
 		if err := sh.ScheduleUpdate(*updAfter, ucfg); err != nil {
 			return fail(err)
 		}
@@ -345,10 +328,9 @@ func run(args []string) int {
 	if *updProg != "" {
 		fmt.Printf("  update:    %s -> %s after %d packets: stage %s\n",
 			app.Name, *updProg, *updAfter, rep.UpdateStage)
-		fmt.Printf("             migrated %d entries (+%d delta), canaried %d (%d diverged)\n",
-			rep.MigratedEntries, rep.DeltaReplayed, rep.CanariedPackets, rep.CanaryDivergences)
-		fmt.Printf("             held %d at cutover, post-verified %d (%d diverged)\n",
-			rep.HeldPackets, rep.PostVerifyChecked, rep.PostVerifyDivergences)
+		fmt.Printf("             migrated %d entries, canaried %d (%d diverged)\n",
+			rep.MigratedEntries, rep.CanariedPackets, rep.CanaryDivergences)
+		fmt.Printf("             held %d over a %d-cycle cutover\n", rep.HeldPackets, rep.CutoverTicks)
 	}
 	if level != protect.LevelNone {
 		fmt.Printf("  protect:   %s, %d words corrected, %d uncorrectable\n",

@@ -54,7 +54,6 @@ func TestFlagValidation(t *testing.T) {
 		{"fastpath trace", []string{"-fastpath", "-trace", filepath.Join(t.TempDir(), "t.jsonl")}},
 		{"fastpath trace-text", []string{"-fastpath", "-trace-text"}},
 		{"fastpath metrics", []string{"-fastpath", "-metrics"}},
-		{"fastpath single-queue update", []string{"-fastpath", "-update-prog", "leakybucket", "-update-after", "100"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -85,6 +84,23 @@ func TestFastPathServes(t *testing.T) {
 	}
 	if !strings.Contains(out, "(cycle-accurate interpreter), fast path not requested") {
 		t.Errorf("default run did not report the interpreter and why:\n%s", out)
+	}
+}
+
+// TestFastPathUpdate: a live update keeps the compiled engine serving
+// on one queue and on four, and the run reports the update's cutover.
+func TestFastPathUpdate(t *testing.T) {
+	for _, queues := range []string{"1", "4"} {
+		code, out := runCapture(t, "-app", "toy", "-packets", "2000", "-queues", queues, "-fastpath",
+			"-update-prog", "toy", "-update-after", "1000")
+		if code != 0 {
+			t.Fatalf("%s queue(s): exit %d\n%s", queues, code, out)
+		}
+		for _, want := range []string{"(compiled fast path)", "received:  2000 of 2000", "stage done", "-cycle cutover"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("%s queue(s): output lacks %q:\n%s", queues, want, out)
+			}
+		}
 	}
 }
 

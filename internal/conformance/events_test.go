@@ -85,7 +85,7 @@ func TestEventClassCoverage(t *testing.T) {
 	for _, k := range obs.Kinds() {
 		switch k {
 		case obs.KindUpdatePhase, obs.KindCanaryDiverge:
-			// Emitted by the live-update controller, not the simulator;
+			// Emitted by the live-update protocol, not the simulator;
 			// internal/liveupdate's TestUpdateEventCoverage owns them
 			// (liveupdate imports this package, so the runs cannot live
 			// here without a cycle).

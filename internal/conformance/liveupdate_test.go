@@ -6,15 +6,14 @@
 // function with a different program without dropping a packet: the UDP
 // firewall is swapped for the leaky-bucket rate limiter mid-run. The
 // two programs share no maps, so the swap exercises the cross-program
-// path: empty migration, canary against a reference interpreter running
-// the NEW program, and the erasure of the canary's side effects on the
-// new program's maps at cutover. Every post-cutover verdict is diffed
-// against the reference (the full remaining traffic, not a sample).
+// path: empty migration, then a canary against a reference interpreter
+// running the NEW program from its freshly set-up state, over a window
+// as long as the rest of the run's traffic.
 package conformance_test
 
 import (
-	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ehdl/internal/apps"
@@ -27,8 +26,8 @@ import (
 )
 
 // crossUpdateShell builds a firewall shell with a leakybucket update
-// armed after `after` packets, post-verifying `verify` verdicts.
-func crossUpdateShell(t *testing.T, after, verify int, mutate func(*liveupdate.Config)) *nic.Shell {
+// armed after `after` packets, canarying at least `canary` arrivals.
+func crossUpdateShell(t *testing.T, after, canary int, mutate func(*liveupdate.Config)) *nic.Shell {
 	t.Helper()
 	fw, _ := apps.ByName("firewall")
 	prog, err := fw.Program()
@@ -54,14 +53,7 @@ func crossUpdateShell(t *testing.T, after, verify int, mutate func(*liveupdate.C
 	if err != nil {
 		t.Fatal(err)
 	}
-	ucfg := liveupdate.Config{
-		Prog:                lbProg,
-		Setup:               lb.SetupHost,
-		CanaryFrac:          1,
-		CanaryPackets:       8,
-		CanaryDeadlineTicks: 20000,
-		PostVerifyPackets:   verify,
-	}
+	ucfg := liveupdate.Config{Prog: lbProg, Setup: lb.SetupHost, CanaryPackets: canary}
 	if mutate != nil {
 		mutate(&ucfg)
 	}
@@ -79,7 +71,7 @@ func crossTraffic() *pktgen.Generator {
 
 // TestCrossProgramUpdateConformance swaps the firewall for the rate
 // limiter mid-run and requires the swap to be differentially clean:
-// zero packets dropped, and every one of the 200 post-cutover verdicts
+// zero packets dropped, and every one of the 200 canaried verdicts
 // bit-for-bit equal to the reference interpreter running the new
 // program from the same (here: freshly set up) state.
 func TestCrossProgramUpdateConformance(t *testing.T) {
@@ -98,12 +90,8 @@ func TestCrossProgramUpdateConformance(t *testing.T) {
 	if rep.MigratedEntries != 0 {
 		t.Fatalf("no maps are shared, yet %d entries migrated", rep.MigratedEntries)
 	}
-	if rep.CanariedPackets < 8 || rep.CanaryDivergences != 0 {
-		t.Fatalf("canary: %d packets, %d divergences", rep.CanariedPackets, rep.CanaryDivergences)
-	}
-	if rep.PostVerifyChecked != 200 || rep.PostVerifyDivergences != 0 {
-		t.Fatalf("post-cutover conformance: %d checked, %d diverged",
-			rep.PostVerifyChecked, rep.PostVerifyDivergences)
+	if rep.CanariedPackets < 200 || rep.CanaryDivergences != 0 {
+		t.Fatalf("canary: %d packets, %d divergences, want >= 200 and 0", rep.CanariedPackets, rep.CanaryDivergences)
 	}
 	// The serving pipeline is now the rate limiter: its maps must exist
 	// and the firewall's must be gone.
@@ -116,23 +104,21 @@ func TestCrossProgramUpdateConformance(t *testing.T) {
 }
 
 // TestCrossProgramRollbackKeepsOldVerdicts forces the canary to refute
-// the corrupted shadow (an SEU campaign on the rate limiter's maps) and
+// the corrupted new pipeline (an SEU campaign on the rate limiter's
+// maps) and
 // requires the firewall's data path to be untouched: verdict for
 // verdict and map entry for map entry, the run equals one that never
 // attempted the update.
 func TestCrossProgramRollbackKeepsOldVerdicts(t *testing.T) {
 	sh := crossUpdateShell(t, 100, 200, func(c *liveupdate.Config) {
-		c.Sim.Faults = faults.New(faults.Single(faults.SEUMapEntry, 0.5, 13))
+		c.Faults = faults.New(faults.Single(faults.SEUMapEntry, 0.5, 13))
 	})
 	rep, err := sh.RunLoad(crossTraffic().Next, 500, 250e6/8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.UpdatesRolledBack != 1 {
-		t.Fatalf("corrupted shadow not rolled back: stage=%q", rep.UpdateStage)
-	}
-	if !errors.Is(sh.Update().Err(), liveupdate.ErrCanaryDiverged) {
-		t.Fatalf("rollback cause %v, want ErrCanaryDiverged", sh.Update().Err())
+	if rep.UpdatesRolledBack != 1 || !strings.Contains(rep.UpdateFailure, liveupdate.ErrCanaryDiverged.Error()) {
+		t.Fatalf("corrupted new pipeline not rolled back by the canary: stage=%q failure=%q", rep.UpdateStage, rep.UpdateFailure)
 	}
 
 	// Control: the same traffic with no update armed.

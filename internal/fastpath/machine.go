@@ -113,6 +113,7 @@ type Machine struct {
 	injectGap  int
 	queueDepth int
 	frameBytes int
+	clockHz    float64
 	queueFull  bool
 	keepData   bool
 	queue      ring
@@ -177,13 +178,10 @@ func newMachine(pl *core.Pipeline, cfg hwsim.Config, env *vm.Env) (*Machine, err
 		depth:      len(pl.Stages), // framing NOPs included
 		queueDepth: cfg.QueueDepth(),
 		frameBytes: pl.FrameBytes(),
+		clockHz:    cfg.Clock(),
 	}
 	if env.Now == nil {
-		// The hardware clock: cycle count scaled to nanoseconds.
-		clock := cfg.Clock()
-		env.Now = func() uint64 {
-			return uint64(float64(m.cycle) / clock * 1e9)
-		}
+		m.SetClock(nil)
 	}
 	m.queue = newRing(m.queueDepth)
 	m.flight = newRing(m.depth + 1)
@@ -296,8 +294,14 @@ func (m *Machine) OnComplete(fn func(hwsim.Result)) { m.onComplete = fn }
 // allocates one copy per packet; benchmarks leave it off).
 func (m *Machine) KeepData(keep bool) { m.keepData = keep }
 
-// SetClock overrides the nanosecond clock visible to time helpers.
-func (m *Machine) SetClock(fn func() uint64) { m.env.Now = fn }
+// SetClock overrides the nanosecond clock visible to time helpers. Nil
+// restores the hardware clock: the cycle count scaled to nanoseconds.
+func (m *Machine) SetClock(fn func() uint64) {
+	if fn == nil {
+		fn = func() uint64 { return uint64(float64(m.cycle) / m.clockHz * 1e9) }
+	}
+	m.env.Now = fn
+}
 
 // Maps exposes the bound map set (the host interface).
 func (m *Machine) Maps() *maps.Set { return m.env.Maps }

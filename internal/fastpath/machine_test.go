@@ -493,10 +493,9 @@ func TestMultiFrameInjectPacing(t *testing.T) {
 	runDiff(t, pl, nil, batch, false, true)
 }
 
-// TestQuiesceResume covers what is left of the ingress gate and the clock
-// surface now that quiescing is the interpreter's own (the live-update
-// controller's): a Machine refuses a packet only at its queue bound, and
-// every refusal is a counted drop that takes no sequence number.
+// TestQuiesceResume covers the ingress gate and the clock surface: a
+// Machine refuses a packet only at its queue bound, and every refusal
+// is a counted drop that takes no sequence number.
 func TestQuiesceResume(t *testing.T) {
 	pl := compilePipeline(t, "zoo_qr", aluZooSource)
 	m, err := fastpath.New(pl, hwsim.Config{InputQueuePackets: 1})

@@ -143,10 +143,10 @@ func (c Config) BurstLen() int {
 
 // Fork derives a configuration whose injector draws streams unrelated
 // to this one's while staying a pure function of the original seed: the
-// shell hands a forked campaign to a shadow pipeline during a live
-// update, so the shadow faces the same fault classes and rates without
-// perturbing (or copying) the serving pipeline's fault sites. Distinct
-// tags give distinct streams.
+// shell hands a forked campaign to the new engine of a live update, so
+// it faces the same fault classes and rates without perturbing (or
+// copying) the serving pipeline's fault sites. Distinct tags give
+// distinct streams.
 func (c Config) Fork(tag int64) Config {
 	const phi = int64(-0x61c8864680b583eb) // golden-ratio increment as int64
 	c.Seed = splitmix(c.Seed ^ (tag+1)*phi)

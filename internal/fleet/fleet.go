@@ -222,9 +222,9 @@ type UpdateConfig struct {
 	TolerancePct float64
 	// CanaryPackets is the per-device canary requirement. 0 means 8.
 	CanaryPackets int
-	// ShadowChaos injects a fault campaign into the named device's
-	// shadow pipeline (device id -> campaign) — the test hook that
-	// makes a canary diverge on demand.
+	// ShadowChaos injects a fault campaign into the new engine of the
+	// named device's update (device id -> campaign) — the test hook
+	// that makes a canary diverge on demand.
 	ShadowChaos map[int]faults.Config
 }
 

@@ -167,25 +167,18 @@ func (r *rolloutState) scheduleRevert(c *Controller) {
 	c.event(obs.KindRolloutPhase, uint64(phaseRolledBack), fleetWide)
 }
 
-// deviceUpdate builds the staged-update configuration for one device:
-// full mirroring with a small canary so a short epoch batch clears it,
-// and a seeded shadow fault campaign when the chaos plan targets this
-// device's shadow.
+// deviceUpdate builds the update configuration for one device: a small
+// canary so a short epoch batch clears it, and a seeded fault campaign
+// on the new engine when the chaos plan targets this device's update.
 func (r *rolloutState) deviceUpdate(c *Controller, d *device, prog *ebpf.Program, setup func(*maps.Set) error) liveupdate.Config {
 	ucfg := liveupdate.Config{
-		Prog:              prog,
-		Opts:              c.cfg.Opts,
-		Setup:             setup,
-		CanaryFrac:        1,
-		CanaryPackets:     r.cfg.canaryPackets(),
-		PostVerifyPackets: r.cfg.canaryPackets(),
-		Seed:              mix(c.cfg.seed() + 200 + int64(d.id)),
-		Sim:               c.cfg.Shell.Sim,
+		Prog:          prog,
+		Opts:          c.cfg.Opts,
+		Setup:         setup,
+		CanaryPackets: r.cfg.canaryPackets(),
 	}
-	ucfg.Sim.Trace = nil
-	ucfg.Sim.Metrics = nil
 	if fc, ok := r.cfg.ShadowChaos[d.id]; ok && fc.Enabled() {
-		ucfg.Sim.Faults = faults.New(fc)
+		ucfg.Faults = faults.New(fc)
 	}
 	return ucfg
 }

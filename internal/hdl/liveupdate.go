@@ -24,7 +24,7 @@ const (
 	migrateChannelLUTs = 140 // per-map bulk cursor + delta write tap
 	migrateChannelFFs  = 120
 
-	deltaLogEntries = 4096 // matches the controller's default DeltaLogCap
+	deltaLogEntries = 4096 // a log the drain-barrier protocol no longer keeps; still priced (ROADMAP 4(c))
 	deltaLogBits    = 96   // 32-bit map tag + 64-bit key digest per entry
 
 	canaryLUTs = 480 // mirror tap + verdict/byte comparator

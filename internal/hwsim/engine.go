@@ -11,8 +11,7 @@ import (
 // interpreter (*Sim) and the host fast path (*fastpath.Machine) — what
 // the NIC shell, the RSS engine and the conformance driver call, so
 // single-queue and multi-queue paths run either interchangeably; the
-// interpreter remains the conformance oracle. What only the live-update
-// controller needs (quiesce, drain, sequence numbers) is *Sim's own.
+// interpreter remains the conformance oracle.
 type Core interface {
 	// Inject queues a packet for processing; false means refused (queue
 	// full, counted as a drop).
@@ -33,7 +32,8 @@ type Core interface {
 	OnComplete(fn func(Result))
 	// KeepData makes results carry the final packet bytes.
 	KeepData(keep bool)
-	// SetClock overrides the nanosecond clock time helpers see.
+	// SetClock overrides the nanosecond clock time helpers see; nil
+	// restores the engine's own cycle clock.
 	SetClock(fn func() uint64)
 	// Maps exposes the engine's map memory (the host interface).
 	Maps() *maps.Set

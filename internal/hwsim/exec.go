@@ -237,18 +237,17 @@ func (s *Sim) store(j *job, op *microOp) error {
 		// An atomic primitive serialises in the map block and needs no
 		// flush; lowered to a read-modify-write pair it does.
 		flushes := op.Kind == core.OpStore || s.pl.Options.DisableAtomics
-		s.commit(j, op.MapID, j.lookups[op.MapID].key, false, flushes, t)
+		s.commit(j, op.MapID, j.lookups[op.MapID].key, flushes, t)
 	}
 	j.enable(op.fall)
 	return nil
 }
 
 // commit is what every committed map mutation does, whichever closure
-// made it: count it against the packet (a replay must never repeat it),
-// feed the delta log, and ask the Flush Evaluation Block.
-func (s *Sim) commit(j *job, mapID int, key []byte, deleted, flushes bool, t int) {
+// made it: count it against the packet (a replay must never repeat it)
+// and ask the Flush Evaluation Block.
+func (s *Sim) commit(j *job, mapID int, key []byte, flushes bool, t int) {
 	j.commits++
-	s.noteMapWrite(mapID, key, deleted)
 	if flushes {
 		s.rawHazardCheckKey(j, mapID, key, t)
 	}

@@ -215,7 +215,7 @@ func TestRecycledJobIndistinguishableFromFresh(t *testing.T) {
 	}
 	run := func(sim *Sim) []Result {
 		var out []Result
-		base := sim.NextSeq()
+		base := sim.seq
 		sim.OnComplete(func(r Result) {
 			r.Seq -= base
 			out = append(out, r)

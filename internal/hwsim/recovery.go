@@ -48,10 +48,10 @@ func (e *recoveryError) Error() string {
 // Unwrap makes errors.Is(err, ErrRecoveryExhausted) hold.
 func (e *recoveryError) Unwrap() error { return ErrRecoveryExhausted }
 
-// RecoveryBackoff returns the input-hold time before the attempt-th
+// recoveryBackoff returns the input-hold time before the attempt-th
 // restart (1-based): base << (attempt-1), capped so the schedule cannot
 // overflow or out-wait any realistic watchdog budget.
-func RecoveryBackoff(attempt, base int) uint64 {
+func recoveryBackoff(attempt, base int) uint64 {
 	if attempt < 1 {
 		attempt = 1
 	}
@@ -70,15 +70,15 @@ func RecoveryBackoff(attempt, base int) uint64 {
 	return b
 }
 
-// recoveryBackoffJittered is RecoveryBackoff plus a seeded jitter in
+// recoveryBackoffJittered is recoveryBackoff plus a seeded jitter in
 // [0, base): replicas or devices faulted on the same cycle draw
 // different holds, so a fleet never re-enters service in lockstep and
 // re-collides on the same contended resource. A nil rng returns the
 // deterministic schedule unchanged, and the attempt clamping matches
-// RecoveryBackoff exactly; the caller charges the returned (jittered)
+// recoveryBackoff exactly; the caller charges the returned (jittered)
 // value to its backoff accounting, so the books stay exact.
 func recoveryBackoffJittered(attempt, base int, rng *rand.Rand) uint64 {
-	b := RecoveryBackoff(attempt, base)
+	b := recoveryBackoff(attempt, base)
 	if rng == nil {
 		return b
 	}

@@ -13,7 +13,7 @@ func TestRecoveryBackoffJitterBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, base := range []int{0, 1, 64, 256, 4096} {
 		for attempt := -1; attempt <= 16; attempt++ {
-			det := RecoveryBackoff(attempt, base)
+			det := recoveryBackoff(attempt, base)
 			effBase := base
 			if effBase <= 0 {
 				effBase = 256
@@ -30,11 +30,11 @@ func TestRecoveryBackoffJitterBounds(t *testing.T) {
 }
 
 // TestRecoveryBackoffJitterNilRng: without an rng the function is
-// RecoveryBackoff exactly — legacy callers see no behavior change.
+// recoveryBackoff exactly — legacy callers see no behavior change.
 func TestRecoveryBackoffJitterNilRng(t *testing.T) {
 	for attempt := -1; attempt <= 16; attempt++ {
 		for _, base := range []int{0, 1, 256, 1024} {
-			if got, want := recoveryBackoffJittered(attempt, base, nil), RecoveryBackoff(attempt, base); got != want {
+			if got, want := recoveryBackoffJittered(attempt, base, nil), recoveryBackoff(attempt, base); got != want {
 				t.Fatalf("attempt %d base %d: nil rng gave %d, want deterministic %d", attempt, base, got, want)
 			}
 		}

@@ -286,19 +286,19 @@ func TestRecoveryFromLivelock(t *testing.T) {
 func TestRecoveryBackoffSchedule(t *testing.T) {
 	want := []uint64{256, 512, 1024, 2048, 4096}
 	for i, w := range want {
-		if got := RecoveryBackoff(i+1, 0); got != w {
-			t.Errorf("RecoveryBackoff(%d, default) = %d, want %d", i+1, got, w)
+		if got := recoveryBackoff(i+1, 0); got != w {
+			t.Errorf("recoveryBackoff(%d, default) = %d, want %d", i+1, got, w)
 		}
 	}
-	if got := RecoveryBackoff(3, 16); got != 64 {
-		t.Errorf("RecoveryBackoff(3, 16) = %d, want 64", got)
+	if got := recoveryBackoff(3, 16); got != 64 {
+		t.Errorf("recoveryBackoff(3, 16) = %d, want 64", got)
 	}
 	// The schedule saturates instead of overflowing.
-	if got := RecoveryBackoff(60, 256); got != 1<<20 {
-		t.Errorf("RecoveryBackoff(60, 256) = %d, want the %d cap", got, 1<<20)
+	if got := recoveryBackoff(60, 256); got != 1<<20 {
+		t.Errorf("recoveryBackoff(60, 256) = %d, want the %d cap", got, 1<<20)
 	}
-	if got := RecoveryBackoff(0, 100); got != 100 {
-		t.Errorf("RecoveryBackoff(0, 100) = %d, want 100 (clamped to attempt 1)", got)
+	if got := recoveryBackoff(0, 100); got != 100 {
+		t.Errorf("recoveryBackoff(0, 100) = %d, want 100 (clamped to attempt 1)", got)
 	}
 }
 

@@ -450,9 +450,7 @@ type Sim struct {
 	// Window began (see Stats.CloseWindow).
 	stats, winBase Stats
 	onComplete     func(Result)
-	onMapWrite     func(mapID int, key string, deleted bool)
 	keepData       bool
-	quiesced       bool
 
 	// probes is the observability surface, nil unless Config.Trace or
 	// Config.Metrics opted in (see trace.go).
@@ -522,11 +520,7 @@ func newSim(pl *core.Pipeline, cfg Config, env *vm.Env, oneBurst bool) (*Sim, er
 		}
 	}
 	if env.Now == nil && !oneBurst {
-		// The hardware clock: cycle count scaled to nanoseconds.
-		clock := cfg.Clock()
-		env.Now = func() uint64 {
-			return uint64(float64(s.cycle) / clock * 1e9)
-		}
+		s.SetClock(nil)
 	}
 	s.stats.Actions = map[ebpf.XDPAction]uint64{}
 	if cfg.RecoveryJitterSeed != 0 {
@@ -567,21 +561,6 @@ func (s *Sim) Cycle() uint64 { return s.cycle }
 // OnComplete registers a callback invoked as packets retire.
 func (s *Sim) OnComplete(fn func(Result)) { s.onComplete = fn }
 
-// OnMapWrite registers a callback invoked at every committed map
-// mutation — update and delete helpers as well as pointer stores and
-// atomics through a looked-up entry, which bypass the map's Update
-// method entirely. A live-update controller uses it as the delta log
-// feed: the (mapID, key) pair names the entry to re-copy; deleted marks
-// removals. Nil disables the hook.
-func (s *Sim) OnMapWrite(fn func(mapID int, key string, deleted bool)) { s.onMapWrite = fn }
-
-// noteMapWrite fires the OnMapWrite hook for one committed mutation.
-func (s *Sim) noteMapWrite(mapID int, key []byte, deleted bool) {
-	if s.onMapWrite != nil {
-		s.onMapWrite(mapID, string(key), deleted)
-	}
-}
-
 // KeepData makes results carry the final packet bytes.
 func (s *Sim) KeepData(keep bool) { s.keepData = keep }
 
@@ -590,34 +569,9 @@ func (s *Sim) InputFree() bool {
 	return s.queue.len() < s.cfg.QueueDepth()
 }
 
-// Quiesce closes the ingress: Inject refuses every packet without
-// counting a drop (the frame is the caller's to hold, not lost), while
-// in-flight work keeps stepping to retirement. The cutover stage of a
-// live update quiesces the old pipeline so it drains to empty.
-func (s *Sim) Quiesce() { s.quiesced = true }
-
-// Resume reopens a quiesced ingress.
-func (s *Sim) Resume() { s.quiesced = false }
-
-// Drained reports whether a pipeline has fully drained: no queued,
-// in-flight, or flush-recalled work remains.
-func (s *Sim) Drained() bool { return !s.Busy() }
-
-// Now returns the nanosecond clock visible to time helpers.
-func (s *Sim) Now() uint64 { return s.env.Now() }
-
-// NextSeq returns the sequence number the next accepted packet will
-// carry. Flush recall can retire packets out of injection order, so
-// consumers matching completions against injections (the live-update
-// canary) key by sequence number rather than FIFO position.
-func (s *Sim) NextSeq() uint64 { return s.seq }
-
 // Inject queues a packet for processing. It returns false (and counts a
-// drop) when the input queue is full, or silently when quiesced.
+// drop) when the input queue is full.
 func (s *Sim) Inject(data []byte) bool {
-	if s.quiesced {
-		return false
-	}
 	if !s.InputFree() {
 		s.stats.QueueDrops++
 		if !s.queueFull {
@@ -969,5 +923,12 @@ func (s *Sim) flushVictims(from, writeStage, mapID int, key []byte, force bool) 
 }
 
 // SetClock overrides the nanosecond clock visible to time helpers
-// (bpf_ktime_get_ns); tests pin it for determinism.
-func (s *Sim) SetClock(fn func() uint64) { s.env.Now = fn }
+// (bpf_ktime_get_ns); tests pin it for determinism. Nil restores the
+// hardware clock: the cycle count scaled to nanoseconds.
+func (s *Sim) SetClock(fn func() uint64) {
+	if fn == nil {
+		clock := s.cfg.Clock()
+		fn = func() uint64 { return uint64(float64(s.cycle) / clock * 1e9) }
+	}
+	s.env.Now = fn
+}

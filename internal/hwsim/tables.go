@@ -292,9 +292,8 @@ func (s *Sim) compileOp(m *microOp) (err error) {
 // accesses run vm's closure against the stack, the frame or the value
 // slice the packet's lookup kept, bare on the mem lane; around a write
 // to map memory sits what the map block does with it — count the
-// commit, feed the delta log, ask the Flush Evaluation Block — unless
-// the table is a Burst's, which replays nothing, taps nothing and
-// flushes nothing.
+// commit, ask the Flush Evaluation Block — unless the table is a
+// Burst's, which replays nothing and flushes nothing.
 func (s *Sim) compileMem(m *microOp) {
 	op, id, t, fall := *m, m.MapID, m.stage, m.fall
 	isMap := m.Access != nil && m.Access.Area == ddg.AreaMap
@@ -316,7 +315,7 @@ func (s *Sim) compileMem(m *microOp) {
 			if err := access(j.st, l.val); err != nil {
 				return err
 			}
-			s.commit(j, id, l.key, false, flushes, t)
+			s.commit(j, id, l.key, flushes, t)
 			j.enable(fall)
 			return nil
 		}
@@ -376,7 +375,7 @@ func (s *Sim) compileMapCall(m microOp) (func(j *job) error, error) {
 			}
 			s.preWriteShadowKey(j, id, key)
 			j.st.Regs[ebpf.R0] = s.exec.UpdateResult(id, key, val, maps.UpdateFlag(j.st.Regs[ebpf.R4]))
-			s.commit(j, id, key, false, true, t)
+			s.commit(j, id, key, true, t)
 			return nil
 		}
 	case ebpf.HelperMapDeleteElem:
@@ -384,7 +383,7 @@ func (s *Sim) compileMapCall(m microOp) (func(j *job) error, error) {
 		call = func(j *job, key []byte) error {
 			s.preWriteShadowKey(j, id, key)
 			j.st.Regs[ebpf.R0] = s.exec.DeleteResult(id, key)
-			s.commit(j, id, key, true, true, t)
+			s.commit(j, id, key, true, t)
 			return nil
 		}
 	default:

@@ -7,49 +7,21 @@ import (
 	"ehdl/internal/ebpf"
 )
 
-// Stage identifies one phase of the live-update state machine.
+// Stage identifies one stage of the live-update protocol.
 type Stage int
 
-// Update stages, in the order a successful update traverses them.
+// Update stages, in the order Swap runs them.
 const (
-	// StageIdle: no update in progress.
-	StageIdle Stage = iota
-	// StageShadow: the new pipeline is being instantiated and warmed up
-	// alongside the old one.
-	StageShadow
-	// StageMigrate: map state is being copied from the old pipeline
-	// through the compatibility checker, with concurrent writes captured
-	// in the delta log.
-	StageMigrate
-	// StageCanary: a fraction of live traffic is mirrored to the shadow
-	// pipeline and diffed against a reference interpreter running the
-	// new program.
-	StageCanary
-	// StageCutover: ingress is held, the old pipeline drains to a
-	// deadline, and the shadow takes over atomically.
-	StageCutover
-	// StagePostVerify: the new pipeline serves all traffic while a
-	// bounded window of verdicts is still checked against the reference
-	// (divergences are counted, not fatal).
-	StagePostVerify
-	// StageDone: the update committed; the controller is inert.
-	StageDone
-	// StageRolledBack: the update failed; the old pipeline kept serving.
-	StageRolledBack
-
-	numStages
+	StageCutover    Stage = iota // the serving engine drains to the barrier
+	StageGate                    // the schema check over the maps both programs declare
+	StageShadow                  // the new program compiles, its engine is built and set up
+	StageMigrate                 // the drained state copies into the new engine and the reference
+	StageCanary                  // the new engine serves the canary window beside the reference
+	StageDone                    // the update committed; the new engine serves
+	StageRolledBack              // the update failed; the old engine serves
 )
 
-var stageNames = [numStages]string{
-	StageIdle:       "idle",
-	StageShadow:     "shadow",
-	StageMigrate:    "migrate",
-	StageCanary:     "canary",
-	StageCutover:    "cutover",
-	StagePostVerify: "post-verify",
-	StageDone:       "done",
-	StageRolledBack: "rolled-back",
-}
+var stageNames = [...]string{"cutover", "gate", "shadow", "migrate", "canary", "done", "rolled-back"}
 
 // String returns the canonical stage name.
 func (s Stage) String() string {
@@ -59,39 +31,26 @@ func (s Stage) String() string {
 	return fmt.Sprintf("stage(%d)", int(s))
 }
 
-// Sentinel failures. Every rollback reports an *UpdateError wrapping
-// one of these (or a *CompatError, which wraps ErrIncompatible).
+// Every rollback reports an *UpdateError wrapping one of these, a
+// *CompatError (which wraps ErrIncompatible), or the compile, setup or
+// migration error itself.
 var (
-	// ErrIncompatible marks a map schema the migration checker refuses:
-	// mismatched key/value widths, a different map kind, or shrunk
-	// capacity. Test with errors.Is.
+	// ErrIncompatible marks a map schema the gate refuses (test with
+	// errors.Is).
 	ErrIncompatible = errors.New("liveupdate: incompatible map schema")
-	// ErrDeltaOverflow marks a migration whose bounded delta log filled
-	// before the bulk copy finished: the old pipeline wrote faster than
-	// the migration budget copied.
-	ErrDeltaOverflow = errors.New("liveupdate: delta log overflow")
-	// ErrCanaryDiverged marks a shadow pipeline whose verdicts, packet
-	// bytes or map effects diverged from the reference interpreter.
+	// ErrCanaryDiverged marks a new engine whose verdicts, packet bytes
+	// or map effects diverged from the reference interpreter.
 	ErrCanaryDiverged = errors.New("liveupdate: canary diverged from reference")
-	// errCanaryDeadline marks a canary that did not reach its packet
-	// target before the deadline expired.
-	errCanaryDeadline = errors.New("liveupdate: canary deadline expired")
-	// errDrainTimeout marks an old pipeline that did not drain within the
-	// cutover deadline (or the bounded backoff attempts).
-	errDrainTimeout = errors.New("liveupdate: cutover drain timed out")
-	// errShadowFault marks a shadow pipeline that errored while stepping
-	// (e.g. its recovery budget exhausted under fault injection).
-	errShadowFault = errors.New("liveupdate: shadow pipeline fault")
+	// errEngineFault marks a new engine that errored or stalled serving
+	// the canary (e.g. its recovery budget exhausted under faults).
+	errEngineFault = errors.New("liveupdate: new engine fault")
 )
 
-// UpdateError reports a failed (rolled back) update: which stage failed
-// and why. The old pipeline keeps serving; nothing about the data path
-// changed.
+// UpdateError reports a rolled-back update: the stage that failed and
+// the underlying failure. The old engine serves on.
 type UpdateError struct {
-	// Stage is the stage that failed.
 	Stage Stage
-	// Err is the underlying failure.
-	Err error
+	Err   error
 }
 
 func (e *UpdateError) Error() string {
@@ -104,13 +63,9 @@ func (e *UpdateError) Unwrap() error { return e.Err }
 // CompatError describes one incompatible map schema between the old and
 // new programs. It wraps ErrIncompatible.
 type CompatError struct {
-	// Map is the shared map name.
-	Map string
-	// Field names the mismatched property: "key_size", "value_size",
-	// "kind" or "max_entries".
-	Field string
-	// Old and New are the mismatched values (ebpf.MapKind for "kind").
-	Old, New int
+	Map      string // the shared map's name
+	Field    string // "kind", "key_size", "value_size" or "max_entries"
+	Old, New int    // the mismatched values (ebpf.MapKind for "kind")
 }
 
 func (e *CompatError) Error() string {
@@ -124,3 +79,43 @@ func (e *CompatError) Error() string {
 
 // Unwrap makes errors.Is(err, ErrIncompatible) hold.
 func (e *CompatError) Unwrap() error { return ErrIncompatible }
+
+// CheckCompat decides whether state stored under the old declaration
+// can migrate into the new one: the map keeps its kind and its exact
+// key and value widths (the layout of the BRAM words) and does not
+// shrink below the old capacity (live entries might not fit). Widening
+// capacity is allowed — the new design's BRAM simply has more rows.
+func CheckCompat(old, new ebpf.MapSpec) error {
+	if old.Kind != new.Kind {
+		return &CompatError{Map: old.Name, Field: "kind", Old: int(old.Kind), New: int(new.Kind)}
+	}
+	if old.KeySize != new.KeySize {
+		return &CompatError{Map: old.Name, Field: "key_size", Old: old.KeySize, New: new.KeySize}
+	}
+	if old.ValueSize != new.ValueSize {
+		return &CompatError{Map: old.Name, Field: "value_size", Old: old.ValueSize, New: new.ValueSize}
+	}
+	if new.MaxEntries < old.MaxEntries {
+		return &CompatError{Map: old.Name, Field: "max_entries", Old: old.MaxEntries, New: new.MaxEntries}
+	}
+	return nil
+}
+
+// CheckPrograms runs the compatibility check over every map the two
+// programs share by name and returns the first incompatibility. Maps
+// only the old program declares are dropped with their state; maps only
+// the new program declares start fresh from the host's setup.
+func CheckPrograms(old, new *ebpf.Program) error {
+	byName := make(map[string]ebpf.MapSpec, len(new.Maps))
+	for _, spec := range new.Maps {
+		byName[spec.Name] = spec
+	}
+	for _, spec := range old.Maps {
+		if ns, ok := byName[spec.Name]; ok {
+			if err := CheckCompat(spec, ns); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}

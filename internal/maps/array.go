@@ -31,7 +31,7 @@ func (a *arrayMap) index(key []byte) (int, error) {
 	idx := int(binary.LittleEndian.Uint32(key))
 	if idx >= a.spec.MaxEntries {
 		return 0, fmt.Errorf("maps: %s: index %d out of range (max %d): %w",
-			a.spec.Name, idx, a.spec.MaxEntries, ErrKeyNotExist)
+			a.spec.Name, idx, a.spec.MaxEntries, errKeyNotExist)
 	}
 	return idx, nil
 }

@@ -214,7 +214,7 @@ func (h *hashMap) Update(key, value []byte, flag UpdateFlag) error {
 		return nil
 	}
 	if flag == UpdateExist {
-		return ErrKeyNotExist
+		return errKeyNotExist
 	}
 	var s int32
 	switch {
@@ -253,7 +253,7 @@ func (h *hashMap) Delete(key []byte) error {
 	tag := h.tag(key)
 	s := h.find(key, tag)
 	if s < 0 {
-		return ErrKeyNotExist
+		return errKeyNotExist
 	}
 	h.unplace(tag, s)
 	h.unlink(s)

@@ -69,7 +69,7 @@ func (m *modelMap) update(key, val []byte, flag UpdateFlag) (evicted *modelEntry
 		return nil, nil
 	}
 	if flag == UpdateExist {
-		return nil, ErrKeyNotExist
+		return nil, errKeyNotExist
 	}
 	if last := len(m.entries) - 1; last+1 >= m.spec.MaxEntries {
 		if !m.lru {
@@ -88,7 +88,7 @@ func (m *modelMap) delete(key []byte) (*modelEntry, error) {
 	}
 	i := m.find(key)
 	if i < 0 {
-		return nil, ErrKeyNotExist
+		return nil, errKeyNotExist
 	}
 	e := m.entries[i]
 	m.entries = append(m.entries[:i:i], m.entries[i+1:]...)
@@ -96,7 +96,7 @@ func (m *modelMap) delete(key []byte) (*modelEntry, error) {
 }
 
 func sameErr(got, want error) bool {
-	for _, e := range []error{errKeyExist, ErrKeyNotExist, errMapFull} {
+	for _, e := range []error{errKeyExist, errKeyNotExist, errMapFull} {
 		if errors.Is(want, e) {
 			return errors.Is(got, e)
 		}

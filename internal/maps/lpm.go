@@ -111,7 +111,7 @@ func (t *lpmMap) Update(key, value []byte, flag UpdateFlag) error {
 		return nil
 	}
 	if flag == UpdateExist {
-		return ErrKeyNotExist
+		return errKeyNotExist
 	}
 	if t.n >= t.spec.MaxEntries {
 		return errMapFull
@@ -137,7 +137,7 @@ func (t *lpmMap) Delete(key []byte) error {
 		node = node.children[bitAt(addr, depth)]
 	}
 	if node == nil || node.entry == nil {
-		return ErrKeyNotExist
+		return errKeyNotExist
 	}
 	t.free = append(t.free, node.entry.slot)
 	node.entry = nil

@@ -65,8 +65,8 @@ type Slotted interface {
 	LookupSlot(key []byte) (value []byte, slot int, ok bool)
 }
 
-// ErrKeyNotExist is returned when an operation requires a present key.
-var ErrKeyNotExist = fmt.Errorf("maps: key does not exist")
+// errKeyNotExist is returned when an operation requires a present key.
+var errKeyNotExist = fmt.Errorf("maps: key does not exist")
 
 // errKeyExist is returned by Update with UpdateNoExist on a present key.
 var errKeyExist = fmt.Errorf("maps: key already exists")

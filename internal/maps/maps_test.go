@@ -98,13 +98,13 @@ func TestHashMap(t *testing.T) {
 	if err := m.Update(u32key(1), u64val(5), UpdateNoExist); err != errKeyExist {
 		t.Errorf("UpdateNoExist on present key = %v", err)
 	}
-	if err := m.Update(u32key(9), u64val(5), UpdateExist); err != ErrKeyNotExist {
+	if err := m.Update(u32key(9), u64val(5), UpdateExist); err != errKeyNotExist {
 		t.Errorf("UpdateExist on absent key = %v", err)
 	}
 	if err := m.Delete(u32key(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Delete(u32key(1)); err != ErrKeyNotExist {
+	if err := m.Delete(u32key(1)); err != errKeyNotExist {
 		t.Errorf("double delete = %v", err)
 	}
 	if m.Len() != 1 {
@@ -195,7 +195,7 @@ func TestLPMTrie(t *testing.T) {
 	if binary.LittleEndian.Uint32(v) != 1 {
 		t.Error("delete did not restore the shorter prefix")
 	}
-	if err := m.Delete(lpmKey(16, [4]byte{10, 1, 0, 0})); err != ErrKeyNotExist {
+	if err := m.Delete(lpmKey(16, [4]byte{10, 1, 0, 0})); err != errKeyNotExist {
 		t.Errorf("double delete = %v", err)
 	}
 	// Excessive prefix length is rejected.

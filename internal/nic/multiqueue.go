@@ -1,21 +1,23 @@
 package nic
 
 import (
-	"fmt"
-
 	"ehdl/internal/core"
+	"ehdl/internal/ebpf"
 	"ehdl/internal/faults"
+	"ehdl/internal/hwsim"
 	"ehdl/internal/liveupdate"
+	"ehdl/internal/maps"
 	"ehdl/internal/rss"
 )
 
-// newEngine builds the replica set for a pipeline from the shell's
-// configuration (at construction, and again for a live-update swap).
-func (sh *Shell) newEngine(pl *core.Pipeline) (*rss.Engine, error) {
+// newEngine builds the replica set for a pipeline on the given simulator
+// configuration (the shell's at construction, a live update's for the
+// new engine).
+func (sh *Shell) newEngine(pl *core.Pipeline, sim hwsim.Config) (*rss.Engine, error) {
 	return rss.NewEngine(pl, rss.Config{
 		Queues:   sh.cfg.Queues,
 		Batch:    sh.cfg.Batch,
-		Sim:      sh.cfg.Sim,
+		Sim:      sim,
 		FastPath: sh.cfg.FastPath,
 	})
 }
@@ -28,38 +30,43 @@ func (sh *Shell) newEngine(pl *core.Pipeline) (*rss.Engine, error) {
 // of host scheduling. Nothing is consumed per packet: the workers'
 // counters are the whole ledger. A live update swaps at a drain barrier.
 func (sh *Shell) runMulti(rep *Report, tr *traffic, next func() []byte, count int) error {
-	var run rss.RunStats // every session of this RunLoad
+	var (
+		run   rss.RunStats // every session of this RunLoad
+		paced uint64       // paced arrivals of the open session
+	)
 	perPkt := sh.cfg.ClockHz / tr.offeredPps
 	if err := sh.engine.Start(perPkt, nil); err != nil {
 		return err
 	}
-	for tr.sent < count {
-		// A scheduled live update triggers once enough traffic was
-		// offered: quiesce-drain every replica, swap them atomically,
-		// and resume — or roll back with the old replicas untouched.
-		if sh.pending != nil && tr.sent >= sh.pending.after {
-			p := sh.pending
+	for tr.sent < count || len(tr.held) > 0 {
+		if p := sh.pending; p != nil && tr.sent >= p.after && tr.sent < count {
 			sh.pending = nil
 			rep.UpdatesAttempted++
-			held, err := sh.swapEngine(rep, &run, p.cfg, perPkt)
-			if _, rolledBack := err.(*liveupdate.UpdateError); err != nil && !rolledBack {
+			b := &replicaBarrier{barrier: sh.barrier(p.cfg), before: run.MaxCycles, paced: paced, cpp: perPkt}
+			res, err := liveupdate.Swap(b, p.cfg, perPkt, func() []byte { return tr.hold(next, count) })
+			run.Add(b.drained)
+			if err != nil {
 				// Not an update failure: the engine itself broke. The
 				// report still holds what retired before it.
 				sh.fold(rep, tr, run)
 				return err
 			}
-			// Arrivals that landed during the cutover drain were held
-			// and release first, in order — they are simply the next
-			// packets of the generated sequence.
-			for ; held > 0 && tr.sent < count; held-- {
-				sh.engine.Offer(tr.take(next))
-				tr.sent++
-				rep.HeldPackets++
+			rep.noteUpdate(res)
+			if res.Err == nil {
+				run.Add(res.Canary)
+				sh.engine = b.built
+				if sh.pinned != nil {
+					sh.engine.SetClock(sh.nowNs)
+				}
+			}
+			tr.held, paced = res.Held, 0
+			if err := sh.engine.Start(perPkt, nil); err != nil {
+				return err
 			}
 			continue
 		}
-		sh.engine.Offer(tr.take(next))
-		tr.sent++
+		sh.engine.Offer(tr.arrive(next))
+		paced++
 		if sh.inj != nil && tr.sent < count && sh.inj.Roll(faults.QueueOverflow) {
 			// Ingress overflow burst: a burst of frames lands on the
 			// next arrival's cycle on top of the paced load, spread
@@ -77,103 +84,116 @@ func (sh *Shell) runMulti(rep *Report, tr *traffic, next func() []byte, count in
 	return err
 }
 
-// swapEngine performs the multi-queue live update: drain every replica
-// of the serving engine (the quiesce barrier), gate the new program
-// through the schema check, build the new replica set, migrate the
-// merged old state into every new bank, and swap — all replicas cut
-// over atomically, there is never a mixed fleet. Any failure rolls back
-// with the old replicas' state untouched and the old engine resumed.
-//
-// Returns the number of arrivals that would have landed during the
-// cutover drain window; the caller releases them into the serving
-// engine first, preserving arrival order.
-func (sh *Shell) swapEngine(rep *Report, run *rss.RunStats, ucfg liveupdate.Config, cyclesPerPacket float64) (held int, err error) {
-	old := sh.engine
+// drainBound caps the single-queue drain at an update's barrier, like
+// the replicas' own drain bound: a backstop, not a deadline.
+const drainBound = 4_000_000
 
-	// Quiesce: stop offering, run every replica dry. After Drain the
-	// banked maps serve their merged views — the migration source.
-	rs, derr := old.Drain()
-	run.Add(rs)
-	if derr != nil {
-		return 0, derr
-	}
-	rep.CutoverTicks += rs.MaxCycles
-	held = int(float64(rs.MaxCycles) / cyclesPerPacket)
-
-	rollback := func(stage liveupdate.Stage, cause error) (int, error) {
-		ue := &liveupdate.UpdateError{Stage: stage, Err: cause}
-		rep.noteUpdate(nil, ue)
-		// The old replicas still hold their state; resume serving.
-		if serr := old.Start(cyclesPerPacket, nil); serr != nil {
-			return 0, serr
-		}
-		return held, ue
-	}
-
-	// Shadow: schema gate, compile, build the new replica set, host setup.
-	eng, cerr := func() (*rss.Engine, error) {
-		if err := liveupdate.CheckPrograms(old.Pipeline().Prog, ucfg.Prog); err != nil {
-			return nil, err
-		}
-		pl, err := core.Compile(ucfg.Prog, ucfg.Opts)
-		if err != nil {
-			return nil, err
-		}
-		eng, err := sh.newEngine(pl)
-		if err != nil || ucfg.Setup == nil {
-			return eng, err
-		}
-		return eng, ucfg.Setup(eng.HostMaps())
-	}()
-	if cerr != nil {
-		return rollback(liveupdate.StageShadow, cerr)
-	}
-
-	// Migration: the merged old state broadcasts into every new bank
-	// (pre-seal writes fan out), so each replica starts from the same
-	// view a single-queue migration would have produced. Live state
-	// overwrites colliding setup entries, like the bulk copy of the
-	// single-queue controller.
-	migrated, merr := migrateMerged(old, eng)
-	if merr != nil {
-		return rollback(liveupdate.StageMigrate, merr)
-	}
-	rep.MigratedEntries += migrated
-	rep.MigrationTicks += migrated // one entry per tick, the bulk-copy cost model
-
-	if sh.pinned != nil {
-		eng.SetClock(sh.nowNs)
-	}
-	if serr := eng.Start(cyclesPerPacket, nil); serr != nil {
-		return rollback(liveupdate.StageCutover, serr)
-	}
-	sh.engine = eng
-	rep.UpdatesCompleted++
-	rep.UpdateStage = liveupdate.StageDone.String()
-	return held, nil
+// barrier is a drive loop at its drain barrier (liveupdate.Loop): the
+// shell and the configuration the new engine is built on — the
+// shell's, with the update's fault campaign or a fork of the shell's.
+// coreBarrier and replicaBarrier add what the two loops drain and
+// build. The arrival stream stays with the loop (traffic.hold), so a
+// run without an update keeps its ledger off the heap.
+type barrier struct {
+	sh  *Shell
+	sim hwsim.Config
 }
 
-// migrateMerged copies every name-matched, schema-compatible map from
-// the drained old engine's merged view into the new engine's host maps;
-// a map the new program no longer declares is dropped with its state.
-func migrateMerged(old, new *rss.Engine) (migrated uint64, err error) {
-	for _, spec := range old.Pipeline().Prog.Maps {
-		src, ok := old.HostMaps().ByName(spec.Name)
-		dst, ok2 := new.HostMaps().ByName(spec.Name)
-		if !ok || !ok2 {
-			continue
-		}
-		src.Iterate(func(k, v []byte) bool {
-			if err = dst.Update(k, v, 0); err != nil {
-				err = fmt.Errorf("nic: migrate %q: %w", spec.Name, err)
-				return false
-			}
-			migrated++
-			return true
-		})
-		if err != nil {
-			return migrated, err
-		}
+func (sh *Shell) barrier(ucfg liveupdate.Config) barrier {
+	sim := sh.cfg.Sim
+	switch {
+	case ucfg.Faults != nil:
+		sim.Faults = ucfg.Faults
+	case sh.inj != nil:
+		sim.Faults = sh.inj.Fork(1)
 	}
-	return migrated, nil
+	return barrier{sh: sh, sim: sim}
 }
+
+// coreBarrier is the single-queue loop's barrier: one engine.
+type coreBarrier struct {
+	barrier
+	built    hwsim.Core
+	prog     *ebpf.Program
+	fallback string
+}
+
+func (b *coreBarrier) Drain() (uint64, error) {
+	c := b.sh.core
+	start := c.Cycle()
+	err := c.RunToCompletion(drainBound)
+	return c.Cycle() - start, err
+}
+
+func (b *coreBarrier) Old() (*ebpf.Program, *maps.Set) { return b.sh.prog, b.sh.core.Maps() }
+
+func (b *coreBarrier) Now() uint64 { return b.sh.nowNs() }
+
+func (b *coreBarrier) Build(pl *core.Pipeline) (liveupdate.Engine, error) {
+	c, why, err := b.sh.newCore(pl, b.sim)
+	b.built, b.prog, b.fallback = c, pl.Prog, why
+	return oneQueue{c}, err
+}
+
+// oneQueue is a single engine as the update protocol sees it.
+type oneQueue struct{ hwsim.Core }
+
+func (e oneQueue) Cores() []hwsim.Core { return []hwsim.Core{e.Core} }
+
+func (oneQueue) Steer([]byte) int { return 0 }
+
+// replicaBarrier is the multi-queue loop's barrier: every replica.
+// before is the run's cycles ahead of the drained session, paced how
+// many paced arrivals that session took, which places the barrier on
+// the dispatcher's clock; the loop books drained after Swap.
+type replicaBarrier struct {
+	barrier
+	before  uint64
+	paced   uint64
+	cpp     float64
+	drained rss.RunStats
+	built   *rss.Engine
+}
+
+// Drain runs every replica dry. The barrier is the cycle after the last
+// paced arrival's due cycle, as on the single-queue loop.
+func (b *replicaBarrier) Drain() (uint64, error) {
+	rs, err := b.sh.engine.Drain()
+	b.drained = rs
+	var at uint64
+	if b.paced > 0 {
+		at = uint64(float64(b.paced-1)*b.cpp) + 1
+	}
+	return rs.MaxCycles - min(at, rs.MaxCycles), err
+}
+
+func (b *replicaBarrier) Old() (*ebpf.Program, *maps.Set) {
+	return b.sh.engine.Pipeline().Prog, b.sh.engine.HostMaps()
+}
+
+func (b *replicaBarrier) Now() uint64 { return b.sh.clockAt(b.before + b.drained.MaxCycles) }
+
+// Build seals the new engine at once: setup, migration and the canary
+// then all merge against one baseline.
+func (b *replicaBarrier) Build(pl *core.Pipeline) (liveupdate.Engine, error) {
+	eng, err := b.sh.newEngine(pl, b.sim)
+	if err != nil {
+		return nil, err
+	}
+	eng.Seal()
+	b.built = eng
+	return replicas{eng}, nil
+}
+
+// replicas is the multi-queue engine as the update protocol sees it.
+type replicas struct{ *rss.Engine }
+
+func (e replicas) Cores() []hwsim.Core {
+	cores := make([]hwsim.Core, e.Queues())
+	for q := range cores {
+		cores[q] = e.ReplicaCore(q)
+	}
+	return cores
+}
+
+func (e replicas) Maps() *maps.Set { return e.HostMaps() }

@@ -53,8 +53,8 @@ type ShellConfig struct {
 	// allocation-free, with the cycle-accurate interpreter retained as
 	// the conformance oracle. It is a request: a configuration the
 	// compiled engine cannot serve (fastpath.Eligible names the feature)
-	// and the single-queue leg of a scheduled live update keep the
-	// interpreter; Shell.FastPath and Shell.Serving report what serves.
+	// keeps the interpreter; Shell.FastPath and Shell.Serving report
+	// what serves.
 	FastPath bool
 	// Hazard policy and other simulator knobs.
 	Sim hwsim.Config
@@ -71,14 +71,12 @@ type Shell struct {
 	cfg ShellConfig // defaults resolved
 	inj *faults.Injector
 
-	// The single-queue engines. sim, the interpreter, serves or stands
-	// by as the live-update path of a compiled shell. fast is the
-	// compiled machine: nil when fastpath.NewCore chose the interpreter
-	// (fallback says why) or a live-update swap retired it. Both share
-	// one map environment, so host setup and state are common and a
-	// fallback run continues seamlessly.
-	sim      *hwsim.Sim
-	fast     hwsim.Core
+	// The single-queue engine: the compiled machine or the interpreter,
+	// whichever fastpath.NewCore chose (fallback says why the
+	// interpreter), and the program it runs. A live update replaces all
+	// three.
+	core     hwsim.Core
+	prog     *ebpf.Program
 	fallback string
 
 	// engine is the multi-queue RSS scale-out (nil when Queues <= 1).
@@ -95,7 +93,6 @@ type Shell struct {
 	pinned    *uint64
 
 	pending *pendingUpdate
-	ctrl    *liveupdate.Controller
 }
 
 // New builds a shell around a compiled pipeline with fresh maps.
@@ -116,35 +113,21 @@ func New(pl *core.Pipeline, cfg ShellConfig) (*Shell, error) {
 		// Multi-queue scale-out: N replicas behind the RSS dispatcher.
 		// The engine forks the injector per replica; the shell keeps the
 		// base stream for traffic damage and overflow bursts.
-		eng, err := sh.newEngine(pl)
+		eng, err := sh.newEngine(pl, cfg.Sim)
 		if err != nil {
 			return nil, err
 		}
 		sh.engine = eng
 	} else {
-		// One map environment under both engines keeps host setup, map
-		// state and the helper clock common to them.
-		env, err := vm.NewEnv(pl.Transformed)
-		if err != nil {
+		var err error
+		if sh.core, sh.fallback, err = sh.newCore(pl, cfg.Sim); err != nil {
 			return nil, err
 		}
-		var eng hwsim.Core
-		if eng, sh.fallback, err = fastpath.NewCore(pl, cfg.Sim, env, cfg.FastPath); err != nil {
-			return nil, err
-		}
-		sim, serves := eng.(*hwsim.Sim)
-		if !serves {
-			sh.fast = eng
-			if sim, err = hwsim.NewWithEnv(pl, cfg.Sim, env); err != nil {
-				return nil, err
-			}
-		}
-		sh.sim = sim
-		// The shell owns the helper-visible clock (the environment's, so
-		// both engines') so it stays continuous across a live-update
-		// pipeline swap. With no swap and no pin the value is identical to
-		// the serving engine's built-in cycle clock.
-		sh.sim.SetClock(sh.nowNs)
+		sh.prog = pl.Prog
+		// The shell owns the helper-visible clock so it stays continuous
+		// across a live-update swap. With no swap and no pin the value is
+		// identical to the serving engine's built-in cycle clock.
+		sh.core.SetClock(sh.nowNs)
 	}
 	if cfg.Sim.Metrics != nil {
 		// With metrics armed the shell also counts the host-port map
@@ -155,18 +138,32 @@ func New(pl *core.Pipeline, cfg ShellConfig) (*Shell, error) {
 	return sh, nil
 }
 
+// newCore builds the single-queue engine for pl on fresh maps: the
+// compiled machine when requested and eligible, the interpreter
+// otherwise, and why.
+func (sh *Shell) newCore(pl *core.Pipeline, sim hwsim.Config) (hwsim.Core, string, error) {
+	env, err := vm.NewEnv(pl.Transformed)
+	if err != nil {
+		return nil, "", err
+	}
+	return fastpath.NewCore(pl, sim, env, sh.cfg.FastPath)
+}
+
 // nowNs is the shell's master nanosecond clock: the cycles retired
-// pipelines accumulated plus the serving pipeline's, scaled by the
-// shell clock. Only one engine of a dual-engine shell runs at a time,
-// so elapsed time is the sum of both engines' cycle counts. PinClock
-// overrides it with a fixed value.
+// pipelines accumulated plus the serving pipeline's, or the PinClock
+// value (the only one a multi-queue shell hands its replicas).
 func (sh *Shell) nowNs() uint64 {
 	if sh.pinned != nil {
 		return *sh.pinned
 	}
-	cycles := sh.cycleBase + sh.sim.Cycle()
-	if sh.fast != nil {
-		cycles += sh.fast.Cycle()
+	return sh.clockAt(sh.cycleBase + sh.core.Cycle())
+}
+
+// clockAt is the helper-visible time after `cycles` shell cycles:
+// scaled by the shell clock, or the PinClock value.
+func (sh *Shell) clockAt(cycles uint64) uint64 {
+	if sh.pinned != nil {
+		return *sh.pinned
 	}
 	return uint64(float64(cycles) / sh.cfg.ClockHz * 1e9)
 }
@@ -178,12 +175,12 @@ func (sh *Shell) Maps() *maps.Set {
 	if sh.engine != nil {
 		return sh.engine.HostMaps()
 	}
-	return sh.sim.Maps()
+	return sh.core.Maps()
 }
 
 // Stats returns the lifetime counters of the engines behind the shell,
-// whichever they are: both engines of a dual-engine shell, every
-// replica of a multi-queue one. Call it between runs, not during one.
+// whichever they are: the one engine, or every replica of a multi-queue
+// shell. Call it between runs, not during one.
 func (sh *Shell) Stats() hwsim.Stats {
 	if sh.engine != nil {
 		var st hwsim.Stats
@@ -192,16 +189,13 @@ func (sh *Shell) Stats() hwsim.Stats {
 		}
 		return st
 	}
-	if sh.fast != nil {
-		return sh.sim.Stats().Add(sh.fast.Stats())
-	}
-	return sh.sim.Stats()
+	return sh.core.Stats()
 }
 
 // FastPath reports whether traffic is served by the compiled fast
-// path. A requested fast path that fell back to the interpreter — an
-// ineligible configuration, or a single-queue live update — reports
-// false; on a multi-queue shell it reflects the replicas' mode.
+// path. A requested fast path that fell back to the interpreter (an
+// ineligible configuration) reports false; on a multi-queue shell it
+// reflects the replicas' mode.
 func (sh *Shell) FastPath() bool {
 	_, why := sh.Serving()
 	return why == ""
@@ -210,15 +204,9 @@ func (sh *Shell) FastPath() bool {
 // Serving names the engine that serves the next RunLoad and, when that
 // is the interpreter, why: the one answer the CLIs print and act on.
 func (sh *Shell) Serving() (engine, why string) {
-	switch {
-	case sh.engine != nil:
+	why = sh.fallback
+	if sh.engine != nil {
 		why = sh.engine.Fallback()
-	case sh.fallback != "":
-		why = sh.fallback
-	case sh.pending != nil || sh.ctrl != nil:
-		// The update machinery runs only in the interpreter; a cutover
-		// also retires the compiled program (built for the old pipeline).
-		why = "live update armed"
 	}
 	if why == "" {
 		return "compiled fast path", ""
@@ -308,34 +296,30 @@ type Report struct {
 	BackpressureCycles uint64
 
 	// Live-update measurements (all zero unless ScheduleUpdate armed an
-	// update that began during this RunLoad).
+	// update that fired during this RunLoad).
 
 	// UpdatesAttempted, UpdatesCompleted and UpdatesRolledBack count
 	// update outcomes in this run (at most one update per run today).
 	UpdatesAttempted  uint64
 	UpdatesCompleted  uint64
 	UpdatesRolledBack uint64
-	// UpdateStage is the controller's final stage ("done",
-	// "rolled-back"); empty when no update ran.
+	// UpdateStage is the update's final stage ("done", "rolled-back");
+	// empty when no update ran.
 	UpdateStage string
 	// UpdateFailure describes the rollback (empty on success): the
 	// failing stage and the typed cause.
 	UpdateFailure string
-	// MigratedEntries and DeltaReplayed measure the state migration.
+	// MigratedEntries counts the map entries the migration copied.
 	MigratedEntries uint64
-	DeltaReplayed   uint64
-	// CanariedPackets counts mirrored packets diffed against the
+	// CanariedPackets counts canary outcomes diffed against the
 	// reference interpreter; CanaryDivergences counts mismatches.
 	CanariedPackets   uint64
 	CanaryDivergences uint64
-	// HeldPackets counts arrivals buffered during the cutover drain (all
-	// of them released, never dropped).
+	// HeldPackets counts the arrivals due within the cutover (the canary
+	// serves them first; none is dropped).
 	HeldPackets uint64
-	// PostVerifyChecked and PostVerifyDivergences measure the bounded
-	// post-cutover conformance window.
-	PostVerifyChecked     uint64
-	PostVerifyDivergences uint64
-	// MigrationTicks and CutoverTicks are stage lengths in shell cycles.
+	// MigrationTicks is the migration's length in shell cycles, one per
+	// entry; CutoverTicks adds the drain tail before it.
 	MigrationTicks uint64
 	CutoverTicks   uint64
 
@@ -430,82 +414,50 @@ func (sh *Shell) RunLoad(next func() []byte, count int, offeredPps float64) (Rep
 	return rep, err
 }
 
-// ingress is the path from the generator to the serving engine for one
-// single-queue run. The update controller, nil unless an update runs,
-// has first claim on every arrival; release holds what it buffered
-// during the cutover drain, re-entering ahead of newer arrivals as the
-// ingress queue frees, so an update never drops or reorders a packet.
-type ingress struct {
-	eng      hwsim.Core
-	ctrl     *liveupdate.Controller
-	release  [][]byte
-	accepted uint64 // bytes the engine's input queue took
-}
-
-// offer routes one generated arrival: held by the controller, queued
-// behind a released backlog, or injected.
-func (in *ingress) offer(pkt []byte) {
-	switch {
-	case in.ctrl != nil && in.ctrl.OfferPacket(pkt):
-	case len(in.release) > 0:
-		in.release = append(in.release, pkt)
-	default:
-		in.inject(pkt)
-	}
-}
-
-func (in *ingress) inject(pkt []byte) {
-	if in.eng.Inject(pkt) {
-		in.accepted += uint64(len(pkt))
-		if in.ctrl != nil {
-			in.ctrl.NoteInjected(pkt)
-		}
-	}
-}
-
-// serve makes eng the serving engine and discards what it counted
-// before: its window opens here.
-func (sh *Shell) serve(in *ingress, eng hwsim.Core) {
-	in.eng = eng
-	eng.Window(&sh.win)
-	if in.ctrl != nil {
-		// Only a running update consumes per-packet completions; every
-		// other figure comes out of the engine's counters at the end.
-		eng.OnComplete(in.ctrl.NoteCompletion)
-	}
-}
-
-// runSingle is the single-queue drive loop: one cycle loop against
-// whichever engine serves, stepping a float `due` accumulator per cycle.
-// The fault injector and the update controller attach as values that
-// are nil when not configured.
+// runSingle is the single-queue drive loop: one cycle loop against the
+// serving engine, stepping a float `due` accumulator per cycle. The
+// fault injector attaches as a value that is nil when not configured; a
+// scheduled live update swaps engines at a drain barrier.
 func (sh *Shell) runSingle(rep *Report, tr *traffic, next func() []byte, count int) (err error) {
 	var (
-		in       ingress
+		run      rss.RunStats // sessions a committed update closed
+		accepted uint64       // bytes the serving engine's input queue took
 		due      float64
-		retired  hwsim.Stats // counters of pipelines a cutover retired
-		beginErr error
+		eng      = sh.core
 		inj      = sh.inj
 		perPkt   = sh.cfg.ClockHz / tr.offeredPps
 	)
-	if sh.FastPath() {
-		sh.serve(&in, sh.fast)
-	} else {
-		sh.serve(&in, sh.sim)
-	}
-	for tr.sent < count || in.eng.Busy() || len(in.release) > 0 || (in.ctrl != nil && in.ctrl.Active()) {
-		// Arm the scheduled update once enough traffic was offered.
-		if sh.pending != nil && tr.sent >= sh.pending.after {
+	eng.Window(&sh.win) // the run's window opens here
+	for tr.sent < count || len(tr.held) > 0 || eng.Busy() {
+		if p := sh.pending; p != nil && tr.sent >= p.after && tr.sent < count {
+			sh.pending = nil
 			rep.UpdatesAttempted++
-			if in.ctrl, beginErr = sh.beginUpdate(); beginErr == nil {
-				sh.ctrl = in.ctrl
-				in.eng.OnComplete(in.ctrl.NoteCompletion)
+			b := &coreBarrier{barrier: sh.barrier(p.cfg)}
+			res, serr := liveupdate.Swap(b, p.cfg, perPkt, func() []byte { return tr.hold(next, count) })
+			if serr != nil {
+				err = serr
+				break
 			}
+			rep.noteUpdate(res)
+			if res.Err == nil {
+				// Commit: book the old engine's session and the canary's,
+				// and serve on with the new engine on the master clock.
+				eng.Window(&sh.win)
+				run.Add(rss.RunStats{MaxCycles: sh.win.Cycles,
+					PerQueue: []rss.QueueStats{{AcceptedBytes: accepted, Stats: sh.win}}})
+				run.Add(res.Canary)
+				sh.cycleBase += eng.Cycle()
+				eng, accepted = b.built, 0
+				sh.core, sh.prog, sh.fallback = eng, b.prog, b.fallback
+				eng.SetClock(sh.nowNs)
+			}
+			tr.held, due = res.Held, 0
 		}
 		// Arrivals faster than the clock queue several packets per cycle.
-		for tr.sent < count && due <= 0 {
-			in.offer(tr.take(next))
-			tr.sent++
+		for due <= 0 && (tr.sent < count || len(tr.held) > 0) {
+			if pkt := tr.arrive(next); eng.Inject(pkt) {
+				accepted += uint64(len(pkt))
+			}
 			due += perPkt
 		}
 		if inj != nil && tr.sent < count && inj.Roll(faults.QueueOverflow) {
@@ -514,67 +466,27 @@ func (sh *Shell) runSingle(rep *Report, tr *traffic, next func() []byte, count i
 			// absorbs what it can and drops the rest — counted, never an
 			// error.
 			for i := 0; i < inj.BurstLen(); i++ {
-				in.offer(tr.take(next))
+				if pkt := tr.take(next); eng.Inject(pkt) {
+					accepted += uint64(len(pkt))
+				}
 				tr.extra++
 			}
 			inj.Note(faults.QueueOverflow)
 		}
-		if err = in.eng.Step(); err != nil {
+		if err = eng.Step(); err != nil {
 			break
-		}
-		if in.ctrl != nil && in.ctrl.Active() {
-			res := in.ctrl.Tick()
-			if to := res.Switched; to != nil {
-				// Atomic cutover: bank the retired pipeline's counters,
-				// keep the master clock continuous and swap the ingress.
-				// The compiled engine, if any, ran the old program: it
-				// retires with its cycles kept on the master clock.
-				in.eng.Window(&sh.win)
-				retired = retired.Add(sh.win)
-				sh.cycleBase += sh.sim.Cycle() - to.Cycle()
-				if sh.fast != nil {
-					sh.cycleBase += sh.fast.Cycle()
-					sh.fast = nil
-				}
-				sh.sim = to
-				sh.serve(&in, to)
-			}
-			// Held arrivals re-enter in order — into the new pipeline
-			// after a switch, back into the old one after a rollback —
-			// paced by the ingress queue so none is ever dropped.
-			in.release = append(in.release, res.Release...)
-		}
-		for len(in.release) > 0 && in.eng.InputFree() {
-			in.inject(in.release[0])
-			in.release = in.release[1:]
 		}
 		due--
 	}
-	in.eng.Window(&sh.win)
-	if in.ctrl != nil {
-		in.eng.OnComplete(nil)
+	eng.Window(&sh.win)
+	last := rss.RunStats{MaxCycles: sh.win.Cycles,
+		PerQueue: []rss.QueueStats{{AcceptedBytes: accepted, Stats: sh.win}}}
+	if run.PerQueue != nil {
+		run.Add(last)
+		last = run
 	}
-	if rep.UpdatesAttempted > 0 {
-		rep.noteUpdate(in.ctrl, beginErr)
-		sh.win = retired.Add(sh.win)
-	}
-	sh.fold(rep, tr, rss.RunStats{MaxCycles: sh.win.Cycles,
-		PerQueue: []rss.QueueStats{{AcceptedBytes: in.accepted, Stats: sh.win}}})
+	sh.fold(rep, tr, last)
 	return err
-}
-
-// beginUpdate starts the armed live update against the interpreter.
-func (sh *Shell) beginUpdate() (*liveupdate.Controller, error) {
-	ucfg := sh.pending.cfg
-	sh.pending = nil
-	ucfg.Sim.ClockHz = sh.cfg.ClockHz
-	if ucfg.Sim.Faults == nil && sh.inj != nil {
-		// The shadow runs its own forked fault campaign: same
-		// determinism, zero draws stolen from the serving pipeline's
-		// per-class streams.
-		ucfg.Sim.Faults = sh.inj.Fork(1)
-	}
-	return liveupdate.Begin(sh.sim, ucfg, sh.nowNs)
 }
 
 // SaturationMpps ramps the offered rate until packets are lost and
@@ -608,11 +520,11 @@ func (sh *Shell) PinClock(now uint64) {
 }
 
 // ScheduleUpdate arms a hitless live update: once RunLoad has offered
-// `after` packets it begins the shadow/migrate/canary/cutover sequence
-// against the serving pipeline. The update either commits (the new
-// program serves all subsequent traffic, with the old pipeline's map
-// state migrated) or rolls back (the old pipeline never stopped
-// serving); either way no packet is dropped by the update itself.
+// `after` packets, with more to come, the drive loop stops at a drain
+// barrier and runs liveupdate.Swap. The update either commits (the new
+// program serves all subsequent traffic, with the old engine's map state
+// migrated) or rolls back (the old engine serves on, its state
+// untouched); either way no packet is dropped by the update itself.
 func (sh *Shell) ScheduleUpdate(after int, cfg liveupdate.Config) error {
 	if cfg.Prog == nil {
 		return fmt.Errorf("nic: live update needs a program")
@@ -621,10 +533,5 @@ func (sh *Shell) ScheduleUpdate(after int, cfg liveupdate.Config) error {
 		return fmt.Errorf("nic: update trigger must be >= 0 packets")
 	}
 	sh.pending = &pendingUpdate{after: after, cfg: cfg}
-	sh.ctrl = nil
 	return nil
 }
-
-// Update exposes the last update's controller state (nil before any
-// update began).
-func (sh *Shell) Update() *liveupdate.Controller { return sh.ctrl }

@@ -17,6 +17,7 @@ type traffic struct {
 	sent, extra int // paced arrivals; overflow-burst frames on top
 	bytesIn     uint64
 	faults0     faults.Counters // the injector's counters at the start
+	held        [][]byte        // sent arrivals a rolled-back update returned
 }
 
 // take pulls the next generated frame into the ledger.
@@ -24,6 +25,28 @@ func (tr *traffic) take(next func() []byte) []byte {
 	pkt := next()
 	tr.bytesIn += uint64(len(pkt))
 	return pkt
+}
+
+// arrive is the next paced arrival: what a rolled-back update returned
+// first, then the generator's.
+func (tr *traffic) arrive(next func() []byte) []byte {
+	if len(tr.held) > 0 {
+		pkt := tr.held[0]
+		tr.held = tr.held[1:]
+		return pkt
+	}
+	tr.sent++
+	return tr.take(next)
+}
+
+// hold takes the run's next paced arrival for a live update's canary
+// window, nil once all count were sent.
+func (tr *traffic) hold(next func() []byte, count int) []byte {
+	if tr.sent >= count {
+		return nil
+	}
+	tr.sent++
+	return tr.take(next)
 }
 
 // fold assembles the Report of one RunLoad — the one place engine
@@ -115,39 +138,23 @@ func (sh *Shell) fold(rep *Report, tr *traffic, run rss.RunStats) {
 	}
 }
 
-// noteUpdate records how the single-queue live update this run began
-// ended: ctrl is its controller, nil when beginErr stopped it at once.
-func (rep *Report) noteUpdate(ctrl *liveupdate.Controller, beginErr error) {
-	if beginErr != nil {
-		ue, ok := beginErr.(*liveupdate.UpdateError)
-		if !ok {
-			ue = &liveupdate.UpdateError{Stage: liveupdate.StageShadow, Err: beginErr}
-		}
-		rep.UpdatesRolledBack++
-		rep.UpdateStage = liveupdate.StageRolledBack.String()
-		rep.UpdateFailure = ue.Error()
-		return
-	}
-	st := ctrl.Stats()
-	rep.UpdateStage = st.Stage.String()
+// noteUpdate records how the run's live update ended.
+func (rep *Report) noteUpdate(res liveupdate.Result) {
+	st := res.Stats
+	rep.UpdateStage = liveupdate.StageDone.String()
 	rep.MigratedEntries = st.MigratedEntries
-	rep.DeltaReplayed = st.DeltaReplayed
 	rep.CanariedPackets = st.CanariedPackets
 	rep.CanaryDivergences = st.CanaryDivergences
 	rep.HeldPackets = st.HeldPackets
-	rep.PostVerifyChecked = st.PostVerifyChecked
-	rep.PostVerifyDivergences = st.PostVerifyDivergences
-	rep.MigrationTicks = st.MigrationTicks
+	rep.MigrationTicks = st.MigratedEntries // one cycle per entry
 	rep.CutoverTicks = st.CutoverTicks
-	switch st.Stage {
-	case liveupdate.StageDone:
-		rep.UpdatesCompleted++
-	case liveupdate.StageRolledBack:
+	if res.Err != nil {
+		rep.UpdateStage = liveupdate.StageRolledBack.String()
 		rep.UpdatesRolledBack++
-		if ue := ctrl.Err(); ue != nil {
-			rep.UpdateFailure = ue.Error()
-		}
+		rep.UpdateFailure = res.Err.Error()
+		return
 	}
+	rep.UpdatesCompleted++
 }
 
 // TenantSlice is one tenant's slice of a multi-tenant device run: the
@@ -354,12 +361,9 @@ func (r *Report) Add(o Report) {
 		r.UpdateFailure = o.UpdateFailure
 	}
 	r.MigratedEntries += o.MigratedEntries
-	r.DeltaReplayed += o.DeltaReplayed
 	r.CanariedPackets += o.CanariedPackets
 	r.CanaryDivergences += o.CanaryDivergences
 	r.HeldPackets += o.HeldPackets
-	r.PostVerifyChecked += o.PostVerifyChecked
-	r.PostVerifyDivergences += o.PostVerifyDivergences
 	r.MigrationTicks += o.MigrationTicks
 	r.CutoverTicks += o.CutoverTicks
 

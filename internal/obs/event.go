@@ -67,15 +67,16 @@ const (
 	KindWatchdog
 	// KindFault marks an injected hardware fault. Aux: the fault class.
 	KindFault
-	// KindUpdatePhase marks a live-update stage transition. Aux: the
-	// stage entered (a liveupdate.Stage value). Aux2: a stage-specific
-	// detail — entries migrated entering canary, packets canaried
-	// entering cutover, held packets released at switch.
+	// KindUpdatePhase marks a live-update stage transition; Cycle counts
+	// from the drain barrier. Aux: the stage entered (a liveupdate.Stage
+	// value). Aux2: a stage-specific detail — the drain tail entering
+	// gate, entries migrated entering canary, packets canaried at done,
+	// the failing stage at rolled-back.
 	KindUpdatePhase
-	// KindCanaryDiverge marks a shadow-pipeline divergence from the
+	// KindCanaryDiverge marks a new engine's divergence from the
 	// reference during a live-update canary. Seq: the diverging packet's
-	// shadow sequence number. Aux: the mismatch class (verdict, packet
-	// bytes, map state).
+	// sequence number on its queue. Aux: the mismatch class (a packet's
+	// outcome, or the map state).
 	KindCanaryDiverge
 	// KindQueueSteer marks the RSS dispatcher classifying one arrival
 	// to a pipeline replica. Seq: the global arrival index. Aux: the

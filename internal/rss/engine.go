@@ -278,6 +278,30 @@ func (e *Engine) Sharing(id int) core.Sharing {
 	return e.sharing[id]
 }
 
+// Seal ends host setup: from here on host reads serve the merged view.
+// Host writes still broadcast to every bank and refresh the baseline,
+// so a write after the seal lands as one before it would. Start seals
+// an engine nobody sealed; a live update seals its new engine at once,
+// so the canary's data-plane writes merge against the migrated state.
+func (e *Engine) Seal() {
+	if e.sealed {
+		return
+	}
+	for _, b := range e.bankeds {
+		b.seal()
+	}
+	e.sealed = true
+}
+
+// Steer returns the queue the dispatcher classifies pkt to, without
+// offering it: its Toeplitz hash's, or the queue-0 catch-all.
+func (e *Engine) Steer(pkt []byte) int {
+	if hash, ok := e.disp.hasher.HashPacket(pkt); ok {
+		return e.disp.ind.QueueFor(hash)
+	}
+	return 0
+}
+
 // Start seals host setup (first call), re-arms the dispatcher for the
 // offered rate and launches one worker per replica — the only
 // goroutines the engine owns between Start and Drain. Packets flow one
@@ -291,12 +315,7 @@ func (e *Engine) Start(cyclesPerPacket float64, onComplete func(Completion)) err
 	if e.running {
 		return fmt.Errorf("rss: engine already running")
 	}
-	if !e.sealed {
-		for _, b := range e.bankeds {
-			b.seal()
-		}
-		e.sealed = true
-	}
+	e.Seal()
 	e.disp.arm(cyclesPerPacket)
 	e.running = true
 

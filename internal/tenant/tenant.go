@@ -411,9 +411,9 @@ func (d *Device) Utilisation() float64 {
 func (d *Device) Epoch() int { return d.epoch }
 
 // ScheduleUpdate arms a hitless live update for one tenant at the given
-// device epoch: the tenant's shell begins the shadow/migrate/canary/
-// cutover sequence during that epoch's serving window while every other
-// tenant serves uninterrupted.
+// device epoch: the tenant's shell swaps at a drain barrier behind a
+// canary during that epoch's serving window while every other tenant
+// serves uninterrupted.
 func (d *Device) ScheduleUpdate(name string, epoch int, cfg liveupdate.Config) error {
 	t, ok := d.byName[name]
 	if !ok {

@@ -286,10 +286,7 @@ func TestPerTenantLiveUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ucfg := liveupdate.Config{
-		Prog: prog, Setup: toy.SetupHost,
-		CanaryPackets: 4, CanaryFrac: 0.5, Seed: seed,
-	}
+	ucfg := liveupdate.Config{Prog: prog, Setup: toy.SetupHost, CanaryPackets: 4}
 	if err := d.ScheduleUpdate("keep", 1, ucfg); err == nil {
 		t.Error("non-updatable tenant accepted an update (its hardware was never budgeted)")
 	}
@@ -358,9 +355,7 @@ func TestServeLeavesFramesUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.ScheduleUpdate("swap", 0, liveupdate.Config{
-		Prog: prog, Setup: toy.SetupHost, CanaryPackets: 4, CanaryFrac: 0.5, Seed: seed,
-	}); err != nil {
+	if err := d.ScheduleUpdate("swap", 0, liveupdate.Config{Prog: prog, Setup: toy.SetupHost, CanaryPackets: 4}); err != nil {
 		t.Fatal(err)
 	}
 

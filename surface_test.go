@@ -124,20 +124,23 @@ var surfaceAllow = map[string]string{
 
 	"hwsim.FrameRun": "returned",
 
-	"liveupdate.CheckCompat":          "test-support",
-	"liveupdate.CompatError":          "test-support",
-	"liveupdate.ErrCanaryDiverged":    "test-support",
-	"liveupdate.ErrDeltaOverflow":     "test-support",
-	"liveupdate.ErrIncompatible":      "test-support",
-	"liveupdate.MetricCanaried":       "test-support",
-	"liveupdate.MetricHeld":           "test-support",
-	"liveupdate.MetricMigrated":       "test-support",
-	"liveupdate.MetricMigrationTicks": "test-support",
-	"liveupdate.StageCanary":          "enum",
-	"liveupdate.StageIdle":            "enum",
-	"liveupdate.StagePostVerify":      "enum",
-	"liveupdate.Stats":                "returned",
-	"liveupdate.TickResult":           "returned",
+	"liveupdate.CheckCompat":       "test-support",
+	"liveupdate.CheckPrograms":     "test-support",
+	"liveupdate.CompatError":       "test-support",
+	"liveupdate.ErrCanaryDiverged": "test-support",
+	"liveupdate.ErrIncompatible":   "test-support",
+	"liveupdate.Loop":              "returned",
+	"liveupdate.MetricCanaried":    "test-support",
+	"liveupdate.MetricHeld":        "test-support",
+	"liveupdate.MetricMigrated":    "test-support",
+	"liveupdate.Stage":             "returned",
+	"liveupdate.StageCanary":       "enum",
+	"liveupdate.StageCutover":      "enum",
+	"liveupdate.StageGate":         "enum",
+	"liveupdate.StageMigrate":      "enum",
+	"liveupdate.StageShadow":       "enum",
+	"liveupdate.Stats":             "returned",
+	"liveupdate.UpdateError":       "returned",
 
 	"maps.MapEntries":    "returned",
 	"maps.Observed":      "returned",
