@@ -63,17 +63,6 @@ func TestHXDPStaticBundleCompression(t *testing.T) {
 	}
 }
 
-func TestHXDPLanesMatter(t *testing.T) {
-	app := apps.Tunnel()
-	one := &hxdp.Model{Lanes: 1}
-	two := hxdp.New()
-	b1, _ := one.StaticBundles(mustProgram(t, app))
-	b2, _ := two.StaticBundles(mustProgram(t, app))
-	if b2 >= b1 {
-		t.Errorf("2-lane bundles (%d) should undercut 1-lane (%d)", b2, b1)
-	}
-}
-
 func TestBluefieldScaling(t *testing.T) {
 	app := apps.Firewall()
 	gen := pktgen.NewGenerator(app.Traffic)

@@ -18,71 +18,33 @@ import (
 	"ehdl/internal/vm"
 )
 
-// Model parameterises the DPU.
+// Model is the DPU with a number of Arm cores processing packets.
 type Model struct {
-	// Cores used for packet processing (1-8). 0 means 1.
-	Cores int
-	// ClockHz of the Arm A72 cores. 0 means 2.75 GHz.
-	ClockHz float64
-	// CPI is the average cycles per eBPF instruction in the kernel
-	// interpreter-free (JITed) path, including L1 effects. 0 means 1.3.
-	CPI float64
-	// PerPacketOverheadNs covers the embedded-switch steering, the
-	// receive descriptor handling and the XDP driver path. 0 means 310.
-	PerPacketOverheadNs float64
-	// HelperOverheadNs is the extra cost of one helper call (map
-	// lookups walk kernel hash tables). 0 means 28.
-	HelperOverheadNs float64
-	// ScalingEfficiency discounts multi-core scaling. 0 means 0.97.
-	ScalingEfficiency float64
+	n int // cores requested; cores() clamps
 }
 
-// New returns the published configuration with n cores.
-func New(n int) *Model { return &Model{Cores: n} }
+// The calibration of the published configuration.
+const (
+	// clockHz of the Arm A72 cores.
+	clockHz = 2.75e9
+	// cpi is the average cycles per eBPF instruction in the kernel
+	// interpreter-free (JITed) path, including L1 effects.
+	cpi = 1.3
+	// overheadNs covers the embedded-switch steering, the receive
+	// descriptor handling and the XDP driver path.
+	overheadNs = 310
+	// helperNs is the extra cost of one helper call (map lookups walk
+	// kernel hash tables).
+	helperNs = 28
+	// scaling discounts multi-core scaling.
+	scaling = 0.97
+)
+
+// New returns the published configuration with n cores (1-8).
+func New(n int) *Model { return &Model{n: n} }
 
 func (m *Model) cores() int {
-	if m.Cores <= 0 {
-		return 1
-	}
-	if m.Cores > 8 {
-		return 8
-	}
-	return m.Cores
-}
-
-func (m *Model) clock() float64 {
-	if m.ClockHz <= 0 {
-		return 2.75e9
-	}
-	return m.ClockHz
-}
-
-func (m *Model) cpi() float64 {
-	if m.CPI <= 0 {
-		return 1.3
-	}
-	return m.CPI
-}
-
-func (m *Model) overhead() float64 {
-	if m.PerPacketOverheadNs <= 0 {
-		return 310
-	}
-	return m.PerPacketOverheadNs
-}
-
-func (m *Model) helperNs() float64 {
-	if m.HelperOverheadNs <= 0 {
-		return 28
-	}
-	return m.HelperOverheadNs
-}
-
-func (m *Model) scaling() float64 {
-	if m.ScalingEfficiency <= 0 {
-		return 0.97
-	}
-	return m.ScalingEfficiency
+	return min(max(m.n, 1), 8)
 }
 
 // Report summarises a traffic run.
@@ -94,9 +56,9 @@ type Report struct {
 	Cores        int
 }
 
-// Run prices the traffic on the DPU model using the reference
+// run prices the traffic on the DPU model using the reference
 // interpreter for dynamic instruction and helper counts.
-func (m *Model) Run(prog *ebpf.Program, env *vm.Env, packets [][]byte) (Report, error) {
+func (m *Model) run(prog *ebpf.Program, env *vm.Env, packets [][]byte) (Report, error) {
 	machine, err := vm.New(prog, env)
 	if err != nil {
 		return Report{}, err
@@ -108,8 +70,8 @@ func (m *Model) Run(prog *ebpf.Program, env *vm.Env, packets [][]byte) (Report, 
 		if err != nil {
 			return Report{}, err
 		}
-		instrNs := float64(res.Steps) * m.cpi() / m.clock() * 1e9
-		totalNs += m.overhead() + instrNs + float64(res.HelperCalls)*m.helperNs()
+		instrNs := float64(res.Steps) * cpi / clockHz * 1e9
+		totalNs += overheadNs + instrNs + float64(res.HelperCalls)*helperNs
 		rep.Packets++
 	}
 	if rep.Packets > 0 {
@@ -119,7 +81,7 @@ func (m *Model) Run(prog *ebpf.Program, env *vm.Env, packets [][]byte) (Report, 
 	// per-core, throughput scales.
 	scale := 1.0
 	for c := 1; c < m.cores(); c++ {
-		scale += m.scaling()
+		scale += scaling
 	}
 	rep.Mpps = 1e3 / rep.NsPerPacket * scale
 	rep.AvgLatencyNs = rep.NsPerPacket
@@ -139,9 +101,5 @@ func (m *Model) RunApp(prog *ebpf.Program, setup func(*maps.Set) error, gen *pkt
 			return Report{}, err
 		}
 	}
-	return m.Run(prog, env, gen.Batch(n))
+	return m.run(prog, env, gen.Batch(n))
 }
-
-// HostPowerWatts is the measured wall power of the machine hosting the
-// DPU (Section 5.2: 100-105 W, against 80-85 W for the U50 host).
-func (m *Model) HostPowerWatts() (min, max float64) { return 100, 105 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ehdl/internal/asm"
+	"ehdl/internal/power"
 	"ehdl/internal/vm"
 )
 
@@ -21,7 +22,7 @@ func runTiny(t *testing.T, m *Model) Report {
 	for i := range packets {
 		packets[i] = make([]byte, 64)
 	}
-	rep, err := m.Run(prog, env, packets)
+	rep, err := m.run(prog, env, packets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +52,9 @@ func TestCoreClamping(t *testing.T) {
 }
 
 func TestPowerBand(t *testing.T) {
-	lo, hi := New(4).HostPowerWatts()
-	if lo != 100 || hi != 105 {
-		t.Errorf("power band = %v-%v, paper says 100-105", lo, hi)
+	// The host of this DPU draws the Bluefield-2 band of Section 5.2.
+	p := power.Bf2Host()
+	if p.MinWatts != 100 || p.MaxWatts != 105 {
+		t.Errorf("power band = %v-%v, paper says 100-105", p.MinWatts, p.MaxWatts)
 	}
 }

@@ -21,40 +21,23 @@ import (
 	"ehdl/internal/vm"
 )
 
-// Model parameterises the processor.
+// Model is the processor.
 type Model struct {
-	// ClockHz is the processor clock. 0 means 250 MHz.
-	ClockHz float64
-	// Lanes is the VLIW width. 0 means 2, the published configuration.
-	Lanes int
-	// PacketMoveBytesPerCycle is the local-memory bandwidth for loading
-	// and storing the packet. 0 means 8 (one 64-bit word per cycle).
-	PacketMoveBytesPerCycle int
+	// lanes is the VLIW width: 2, the published configuration, unless a
+	// test sweeps it.
+	lanes int
 }
+
+const (
+	// clockHz is the processor clock.
+	clockHz = 250e6
+	// moveBytesPerCycle is the local-memory bandwidth for loading and
+	// storing the packet: one 64-bit word per cycle.
+	moveBytesPerCycle = 8
+)
 
 // New returns the published hXDP configuration.
-func New() *Model { return &Model{} }
-
-func (m *Model) clock() float64 {
-	if m.ClockHz <= 0 {
-		return 250e6
-	}
-	return m.ClockHz
-}
-
-func (m *Model) lanes() int {
-	if m.Lanes <= 0 {
-		return 2
-	}
-	return m.Lanes
-}
-
-func (m *Model) moveBW() int {
-	if m.PacketMoveBytesPerCycle <= 0 {
-		return 8
-	}
-	return m.PacketMoveBytesPerCycle
-}
+func New() *Model { return &Model{lanes: 2} }
 
 // helperCycles is the latency of helper function units on the soft
 // processor.
@@ -128,7 +111,7 @@ func instructionWindows(prog *ebpf.Program) [][]ebpf.Instruction {
 
 // packCount greedily packs each window into bundles of lane width.
 func (m *Model) packCount(windows [][]ebpf.Instruction) int {
-	lanes := m.lanes()
+	lanes := m.lanes
 	bundles := 0
 	for _, win := range windows {
 		i := 0
@@ -180,11 +163,11 @@ func regMask(regs []ebpf.Register) uint16 {
 	return m
 }
 
-// Run executes traffic on the model: the reference interpreter supplies
+// run executes traffic on the model: the reference interpreter supplies
 // the per-packet instruction trace, which is packed into bundles and
 // priced. Packets are processed strictly one at a time — the source of
 // the 10-100x gap to the eHDL pipelines.
-func (m *Model) Run(prog *ebpf.Program, env *vm.Env, packets [][]byte) (Report, error) {
+func (m *Model) run(prog *ebpf.Program, env *vm.Env, packets [][]byte) (Report, error) {
 	machine, err := vm.New(prog, env)
 	if err != nil {
 		return Report{}, err
@@ -200,7 +183,7 @@ func (m *Model) Run(prog *ebpf.Program, env *vm.Env, packets [][]byte) (Report, 
 		}
 		cycles, bundles := m.priceTrace(prog, res.Trace)
 		// Packet movement in and out of processor-local memory.
-		move := 2 * ((len(data) + m.moveBW() - 1) / m.moveBW())
+		move := 2 * ((len(data) + moveBytesPerCycle - 1) / moveBytesPerCycle)
 		rep.TotalCycles += uint64(cycles + move)
 		totalBundles += uint64(bundles)
 		rep.Packets++
@@ -209,16 +192,15 @@ func (m *Model) Run(prog *ebpf.Program, env *vm.Env, packets [][]byte) (Report, 
 		rep.CyclesPerPacket = float64(rep.TotalCycles) / float64(rep.Packets)
 		rep.BundlesPerPacket = float64(totalBundles) / float64(rep.Packets)
 	}
-	clock := m.clock()
-	rep.Mpps = clock / rep.CyclesPerPacket / 1e6
-	rep.AvgLatencyNs = rep.CyclesPerPacket / clock * 1e9
+	rep.Mpps = clockHz / rep.CyclesPerPacket / 1e6
+	rep.AvgLatencyNs = rep.CyclesPerPacket / clockHz * 1e9
 	return rep, nil
 }
 
 // priceTrace packs a dynamic instruction trace into bundles and adds
 // helper latencies.
 func (m *Model) priceTrace(prog *ebpf.Program, trace []int) (cycles, bundles int) {
-	lanes := m.lanes()
+	lanes := m.lanes
 	i := 0
 	for i < len(trace) {
 		ins := prog.Instructions[trace[i]]
@@ -254,7 +236,7 @@ func (m *Model) RunApp(prog *ebpf.Program, setup func(*maps.Set) error, gen *pkt
 			return Report{}, err
 		}
 	}
-	return m.Run(prog, env, gen.Batch(n))
+	return m.run(prog, env, gen.Batch(n))
 }
 
 // Resources returns the synthesised footprint of the hXDP processor on

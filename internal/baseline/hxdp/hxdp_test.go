@@ -3,6 +3,7 @@ package hxdp
 import (
 	"testing"
 
+	"ehdl/internal/apps"
 	"ehdl/internal/asm"
 	"ehdl/internal/ebpf"
 )
@@ -49,10 +50,22 @@ exit`)
 		t.Fatal(err)
 	}
 	two, _ := New().StaticBundles(prog)
-	wide := &Model{Lanes: 4}
+	wide := &Model{lanes: 4}
 	four, _ := wide.StaticBundles(prog)
 	if four != two {
 		t.Errorf("extra lanes changed memory-port-limited packing: %d vs %d", four, two)
+	}
+}
+
+func TestHXDPLanesMatter(t *testing.T) {
+	prog, err := apps.Tunnel().Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b1, _ := (&Model{lanes: 1}).StaticBundles(prog)
+	b2, _ := New().StaticBundles(prog)
+	if b2 >= b1 {
+		t.Errorf("2-lane bundles (%d) should undercut 1-lane (%d)", b2, b1)
 	}
 }
 

@@ -1,6 +1,5 @@
 // Package cfg builds and analyses the control-flow graph of an eBPF
-// program: basic blocks, reverse post-order, dominators and back-edge
-// detection.
+// program: basic blocks, reachability and back-edge detection.
 //
 // The eHDL compiler requires a strictly forward-feeding pipeline
 // (Section 3.5 of the paper); backward branches only occur in bounded
@@ -23,9 +22,6 @@ type Block struct {
 	Succs []int
 	Preds []int
 }
-
-// Len returns the number of instructions in the block.
-func (b *Block) Len() int { return b.End - b.Start }
 
 // Graph is the control-flow graph of a program.
 type Graph struct {
@@ -116,28 +112,6 @@ func appendUnique(s []int, v int) []int {
 // BlockOf returns the ID of the block containing instruction index i.
 func (g *Graph) BlockOf(i int) int { return g.blockOf[i] }
 
-// ReversePostOrder returns block IDs in reverse post-order from the
-// entry block. Unreachable blocks are omitted.
-func (g *Graph) ReversePostOrder() []int {
-	visited := make([]bool, len(g.Blocks))
-	var post []int
-	var dfs func(int)
-	dfs = func(b int) {
-		visited[b] = true
-		for _, s := range g.Blocks[b].Succs {
-			if !visited[s] {
-				dfs(s)
-			}
-		}
-		post = append(post, b)
-	}
-	dfs(0)
-	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
-		post[i], post[j] = post[j], post[i]
-	}
-	return post
-}
-
 // Reachable returns the set of blocks reachable from the entry.
 func (g *Graph) Reachable() []bool {
 	visited := make([]bool, len(g.Blocks))
@@ -156,22 +130,22 @@ func (g *Graph) Reachable() []bool {
 	return visited
 }
 
-// BackEdge is a control-flow edge whose target does not come after its
+// backEdge is a control-flow edge whose target does not come after its
 // source in the DFS, i.e. a loop edge.
-type BackEdge struct {
+type backEdge struct {
 	From int // source block ID
 	To   int // target block ID (the loop header)
 }
 
-// BackEdges finds loop edges with a DFS colouring.
-func (g *Graph) BackEdges() []BackEdge {
+// backEdges finds loop edges with a DFS colouring.
+func (g *Graph) backEdges() []backEdge {
 	const (
 		white = 0
 		grey  = 1
 		black = 2
 	)
 	colour := make([]int, len(g.Blocks))
-	var edges []BackEdge
+	var edges []backEdge
 	var dfs func(int)
 	dfs = func(b int) {
 		colour[b] = grey
@@ -180,7 +154,7 @@ func (g *Graph) BackEdges() []BackEdge {
 			case white:
 				dfs(s)
 			case grey:
-				edges = append(edges, BackEdge{From: b, To: s})
+				edges = append(edges, backEdge{From: b, To: s})
 			}
 		}
 		colour[b] = black
@@ -195,68 +169,16 @@ func (g *Graph) BackEdges() []BackEdge {
 	return edges
 }
 
-// IsAcyclic reports whether the graph has no loops, the property the
+// isAcyclic reports whether the graph has no loops, the property the
 // pipeline generator requires after unrolling.
-func (g *Graph) IsAcyclic() bool { return len(g.BackEdges()) == 0 }
-
-// Dominators computes the immediate-dominator-free full dominator sets
-// with the classic iterative data-flow algorithm. dom[b] reports, for
-// each block a, whether a dominates b.
-func (g *Graph) Dominators() [][]bool {
-	n := len(g.Blocks)
-	dom := make([][]bool, n)
-	for i := range dom {
-		dom[i] = make([]bool, n)
-		for j := range dom[i] {
-			dom[i][j] = true // all blocks, refined below
-		}
-	}
-	for j := range dom[0] {
-		dom[0][j] = j == 0
-	}
-	rpo := g.ReversePostOrder()
-	changed := true
-	for changed {
-		changed = false
-		for _, b := range rpo {
-			if b == 0 {
-				continue
-			}
-			next := make([]bool, n)
-			first := true
-			for _, p := range g.Blocks[b].Preds {
-				if first {
-					copy(next, dom[p])
-					first = false
-					continue
-				}
-				for j := range next {
-					next[j] = next[j] && dom[p][j]
-				}
-			}
-			if first {
-				// Unreachable block: dominated only by itself.
-				next = make([]bool, n)
-			}
-			next[b] = true
-			for j := range next {
-				if next[j] != dom[b][j] {
-					dom[b] = next
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	return dom
-}
+func (g *Graph) isAcyclic() bool { return len(g.backEdges()) == 0 }
 
 // TopologicalBlocks returns the reachable blocks in a topological order
 // of the acyclic CFG, preferring original program order among ready
 // blocks so the pipeline layout matches the bytecode layout. It fails if
 // the graph still has loops.
 func (g *Graph) TopologicalBlocks() ([]int, error) {
-	if !g.IsAcyclic() {
+	if !g.isAcyclic() {
 		return nil, fmt.Errorf("cfg: graph has back edges; unroll loops first")
 	}
 	reach := g.Reachable()

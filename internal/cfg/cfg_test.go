@@ -1,8 +1,6 @@
 package cfg
 
 import (
-	"fmt"
-	"math/rand"
 	"testing"
 
 	"ehdl/internal/asm"
@@ -47,36 +45,8 @@ func TestBuildDiamond(t *testing.T) {
 	if len(join.Preds) != 2 {
 		t.Fatalf("join predecessors = %v", join.Preds)
 	}
-	if !g.IsAcyclic() {
+	if !g.isAcyclic() {
 		t.Error("diamond reported cyclic")
-	}
-	rpo := g.ReversePostOrder()
-	if rpo[0] != 0 {
-		t.Errorf("rpo starts at %d", rpo[0])
-	}
-	if len(rpo) != 4 {
-		t.Errorf("rpo visits %d blocks", len(rpo))
-	}
-}
-
-func TestDominatorsDiamond(t *testing.T) {
-	g, err := Build(mustAssemble(t, diamondSrc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dom := g.Dominators()
-	joinID := g.BlockOf(6)
-	thenID := g.BlockOf(4)
-	if !dom[joinID][0] {
-		t.Error("entry does not dominate join")
-	}
-	if dom[joinID][thenID] {
-		t.Error("then-branch wrongly dominates join")
-	}
-	for b := range g.Blocks {
-		if !dom[b][b] {
-			t.Errorf("block %d does not dominate itself", b)
-		}
 	}
 }
 
@@ -117,11 +87,11 @@ func TestBackEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edges := g.BackEdges()
+	edges := g.backEdges()
 	if len(edges) != 1 {
 		t.Fatalf("back edges = %v, want one", edges)
 	}
-	if g.IsAcyclic() {
+	if g.isAcyclic() {
 		t.Error("loop reported acyclic")
 	}
 	if _, err := g.TopologicalBlocks(); err == nil {
@@ -159,7 +129,7 @@ func TestUnrollCountedLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g.IsAcyclic() {
+	if !g.isAcyclic() {
 		t.Fatal("unrolled program still has back edges")
 	}
 	if got := runProgram(t, unrolled); got != want {
@@ -272,80 +242,10 @@ exit
 		t.Fatal(err)
 	}
 	g, _ := Build(unrolled)
-	if !g.IsAcyclic() {
+	if !g.isAcyclic() {
 		t.Fatal("nested unroll left back edges")
 	}
 	if got := runProgram(t, unrolled); got != want {
 		t.Errorf("unrolled result = %d, want %d", got, want)
-	}
-}
-
-// TestPropertyDominatorsAgainstPathRemoval cross-checks the iterative
-// dominator computation against the definition: a dominates b iff
-// removing a disconnects the entry from b.
-func TestPropertyDominatorsAgainstPathRemoval(t *testing.T) {
-	randomBranchy := func(seed int64) *ebpf.Program {
-		r := rand.New(rand.NewSource(seed))
-		b := asm.NewBuilder("dom")
-		n := 3 + r.Intn(5)
-		for i := 0; i < n; i++ {
-			b.Emit(ebpf.Mov64Imm(ebpf.R0, int32(i)))
-			if r.Intn(2) == 0 {
-				b.JumpTo(ebpf.JumpEq, ebpf.R1, int32(r.Intn(4)), fmt.Sprintf("l%d", r.Intn(n-i)+i))
-			}
-		}
-		for i := 0; i < n; i++ {
-			b.Label(fmt.Sprintf("l%d", i))
-			b.Emit(ebpf.ALU64Imm(ebpf.ALUAdd, ebpf.R0, 1))
-		}
-		b.Emit(ebpf.Exit())
-		prog, err := b.Program()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return prog
-	}
-
-	reachableWithout := func(g *Graph, removed int) []bool {
-		seen := make([]bool, len(g.Blocks))
-		if removed == 0 {
-			return seen
-		}
-		stack := []int{0}
-		seen[0] = true
-		for len(stack) > 0 {
-			b := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, s := range g.Blocks[b].Succs {
-				if s == removed || seen[s] {
-					continue
-				}
-				seen[s] = true
-				stack = append(stack, s)
-			}
-		}
-		return seen
-	}
-
-	for seed := int64(0); seed < 40; seed++ {
-		prog := randomBranchy(seed)
-		g, err := Build(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dom := g.Dominators()
-		reach := g.Reachable()
-		for a := range g.Blocks {
-			without := reachableWithout(g, a)
-			for b := range g.Blocks {
-				if !reach[b] || !reach[a] {
-					continue
-				}
-				want := a == b || !without[b]
-				if dom[b][a] != want {
-					t.Fatalf("seed %d: dom[%d][%d] = %v, path-removal says %v", seed, b, a, dom[b][a], want)
-				}
-			}
-		}
 	}
 }

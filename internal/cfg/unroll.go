@@ -34,7 +34,7 @@ func Unroll(prog *ebpf.Program) (*ebpf.Program, error) {
 		if err != nil {
 			return nil, err
 		}
-		edges := g.BackEdges()
+		edges := g.backEdges()
 		if len(edges) == 0 {
 			return cur, nil
 		}
@@ -96,7 +96,7 @@ func (ip *indexed) emit(orig *ebpf.Program) (*ebpf.Program, error) {
 }
 
 // unrollOne expands the loop closed by edge into tripCount copies.
-func (ip *indexed) unrollOne(prog *ebpf.Program, g *Graph, edge BackEdge) error {
+func (ip *indexed) unrollOne(prog *ebpf.Program, g *Graph, edge backEdge) error {
 	headStart := g.Blocks[edge.To].Start
 	tailEnd := g.Blocks[edge.From].End // one past the back-edge branch
 	branchIdx := tailEnd - 1

@@ -28,20 +28,20 @@ import (
 
 // Config parameterises one differential run.
 type Config struct {
-	// Opts is the compiler configuration for the pipeline side.
-	Opts core.Options
-	// Sim is the simulator configuration. The clock is pinned to zero
+	// opts is the compiler configuration for the pipeline side.
+	opts core.Options
+	// sim is the simulator configuration. The clock is pinned to zero
 	// regardless, matching the reference side.
-	Sim hwsim.Config
-	// MaxCycles bounds the pipeline drain. 0 means 1<<22.
-	MaxCycles uint64
+	sim hwsim.Config
+	// maxCycles bounds the pipeline drain. 0 means 1<<22.
+	maxCycles uint64
 }
 
-func (c Config) maxCycles() uint64 {
-	if c.MaxCycles == 0 {
+func (c Config) drainLimit() uint64 {
+	if c.maxCycles == 0 {
 		return 1 << 22
 	}
-	return c.MaxCycles
+	return c.maxCycles
 }
 
 // Outcome is one packet's result on one engine.
@@ -89,7 +89,7 @@ func diffProgram(prog *ebpf.Program, setup func(*maps.Set) error, packets [][]by
 	if err := leg("pipeline", runPipeline); err != nil {
 		return err
 	}
-	if ok, _ := fastpath.Eligible(cfg.Sim); !ok {
+	if ok, _ := fastpath.Eligible(cfg.sim); !ok {
 		return nil
 	}
 	return leg("fastpath", runFastPath)
@@ -148,30 +148,30 @@ func runReference(prog *ebpf.Program, setup func(*maps.Set) error, packets [][]b
 // runPipeline compiles and executes every packet on the cycle-accurate
 // simulator, injecting with input backpressure like a paced generator.
 func runPipeline(prog *ebpf.Program, setup func(*maps.Set) error, packets [][]byte, cfg Config) ([]Outcome, *maps.Set, error) {
-	pl, err := core.Compile(prog, cfg.Opts)
+	pl, err := core.Compile(prog, cfg.opts)
 	if err != nil {
 		return nil, nil, fmt.Errorf("compile: %w", err)
 	}
-	sim, err := hwsim.New(pl, cfg.Sim)
+	sim, err := hwsim.New(pl, cfg.sim)
 	if err != nil {
 		return nil, nil, err
 	}
-	return runEngine(sim, setup, packets, cfg.maxCycles())
+	return runEngine(sim, setup, packets, cfg.drainLimit())
 }
 
 // runFastPath compiles and executes every packet on the compiled host
 // fast path, driven through the same paced-generator loop as the
 // interpreter so the two runs see identical injection schedules.
 func runFastPath(prog *ebpf.Program, setup func(*maps.Set) error, packets [][]byte, cfg Config) ([]Outcome, *maps.Set, error) {
-	pl, err := core.Compile(prog, cfg.Opts)
+	pl, err := core.Compile(prog, cfg.opts)
 	if err != nil {
 		return nil, nil, fmt.Errorf("compile: %w", err)
 	}
-	m, err := fastpath.New(pl, cfg.Sim)
+	m, err := fastpath.New(pl, cfg.sim)
 	if err != nil {
 		return nil, nil, err
 	}
-	return runEngine(m, setup, packets, cfg.maxCycles())
+	return runEngine(m, setup, packets, cfg.drainLimit())
 }
 
 // runEngine drives one execution engine — interpreter or fast path —

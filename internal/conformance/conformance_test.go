@@ -46,7 +46,7 @@ func TestDifferentialStrictCarry(t *testing.T) {
 			cfg := app.Traffic
 			cfg.Seed = 0xBEEF
 			packets := pktgen.NewGenerator(cfg).Batch(n)
-			err := DiffAppThreeWay(app, packets, Config{Sim: hwsim.Config{StrictCarryCheck: true}})
+			err := DiffAppThreeWay(app, packets, Config{sim: hwsim.Config{StrictCarryCheck: true}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +68,7 @@ func TestDifferentialStallPolicy(t *testing.T) {
 			cfg := app.Traffic
 			cfg.Seed = 0xFACE
 			packets := pktgen.NewGenerator(cfg).Batch(n)
-			err := DiffAppThreeWay(app, packets, Config{Sim: hwsim.Config{Policy: hwsim.PolicyStall}})
+			err := DiffAppThreeWay(app, packets, Config{sim: hwsim.Config{Policy: hwsim.PolicyStall}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,7 +116,7 @@ func TestDifferentialTracedRunIsIdentical(t *testing.T) {
 			cfg.Seed = 0xC0FFEE
 			packets := pktgen.NewGenerator(cfg).Batch(n)
 			tr, reg := newTestObs()
-			err := DiffAppThreeWay(app, packets, Config{Sim: hwsim.Config{Trace: tr, Metrics: reg}})
+			err := DiffAppThreeWay(app, packets, Config{sim: hwsim.Config{Trace: tr, Metrics: reg}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,7 +146,7 @@ func TestDifferentialAblations(t *testing.T) {
 			cfg := app.Traffic
 			cfg.Seed = 99
 			packets := pktgen.NewGenerator(cfg).Batch(120)
-			if err := DiffAppThreeWay(app, packets, Config{Opts: opts}); err != nil {
+			if err := DiffAppThreeWay(app, packets, Config{opts: opts}); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -75,7 +75,7 @@ func TestThreeWayAblations(t *testing.T) {
 				cfg := app.Traffic
 				cfg.Seed = 99
 				packets := pktgen.NewGenerator(cfg).Batch(120)
-				if err := DiffAppThreeWay(app, packets, Config{Opts: opts}); err != nil {
+				if err := DiffAppThreeWay(app, packets, Config{opts: opts}); err != nil {
 					t.Fatalf("%s: %v", appName, err)
 				}
 			}

@@ -117,7 +117,7 @@ func FuzzDifferential(f *testing.F) {
 		}
 		packets := traffic(data)
 
-		exact := Config{Opts: core.Options{DisableBoundsElision: true}, MaxCycles: 1 << 18}
+		exact := Config{opts: core.Options{DisableBoundsElision: true}, maxCycles: 1 << 18}
 		if err := diffProgram(prog, app.SetupHost, packets, exact); err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func FuzzDifferential(f *testing.F) {
 		if err != nil {
 			t.Fatalf("reference: %v", err)
 		}
-		outs, _, err := runPipeline(prog, app.SetupHost, packets, Config{MaxCycles: 1 << 18})
+		outs, _, err := runPipeline(prog, app.SetupHost, packets, Config{maxCycles: 1 << 18})
 		if err != nil {
 			t.Fatalf("pipeline: %v", err)
 		}
@@ -183,12 +183,12 @@ func FuzzFastPath(f *testing.F) {
 			t.Skip("oversized fuzz input")
 		}
 		packets := traffic(data)
-		if err := diffProgramFastPath(prog, app.SetupHost, packets, Config{MaxCycles: 1 << 18}); err != nil {
+		if err := diffProgramFastPath(prog, app.SetupHost, packets, Config{maxCycles: 1 << 18}); err != nil {
 			t.Fatal(err)
 		}
 		// And with the compiler's bounds elision off, so the fuzzer also
 		// exercises closures specialized from the unpruned check chain.
-		noElide := Config{Opts: core.Options{DisableBoundsElision: true}, MaxCycles: 1 << 18}
+		noElide := Config{opts: core.Options{DisableBoundsElision: true}, maxCycles: 1 << 18}
 		if err := diffProgramFastPath(prog, app.SetupHost, packets, noElide); err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +199,7 @@ func FuzzFastPath(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, cfg := range []Config{{MaxCycles: 1 << 18}, noElide} {
+		for _, cfg := range []Config{{maxCycles: 1 << 18}, noElide} {
 			if err := diffProgramFastPath(staleProg, stale.SetupHost, staleFuzzTraffic(data), cfg); err != nil {
 				t.Fatalf("stale pointer zoo: %v", err)
 			}

@@ -34,7 +34,7 @@ func TestGoldenTraces(t *testing.T) {
 			var buf bytes.Buffer
 			sink := obs.NewJSONLSink(&buf)
 			tr := obs.NewTracer(0, sink)
-			if err := DiffAppThreeWay(app, packets, Config{Sim: hwsim.Config{Trace: tr}}); err != nil {
+			if err := DiffAppThreeWay(app, packets, Config{sim: hwsim.Config{Trace: tr}}); err != nil {
 				t.Fatal(err)
 			}
 			if err := tr.Flush(); err != nil {

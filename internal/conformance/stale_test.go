@@ -49,14 +49,14 @@ func TestStalePointerThreeWay(t *testing.T) {
 			if err := DiffAppThreeWay(app, packets, Config{}); err != nil {
 				t.Fatal(err)
 			}
-			if err := DiffAppThreeWay(app, packets, Config{Sim: hwsim.Config{StrictCarryCheck: true}}); err != nil {
+			if err := DiffAppThreeWay(app, packets, Config{sim: hwsim.Config{StrictCarryCheck: true}}); err != nil {
 				t.Fatalf("strict carry check: %v", err)
 			}
 			tr, reg := newTestObs()
-			if err := DiffAppThreeWay(app, packets, Config{Sim: hwsim.Config{Trace: tr, Metrics: reg}}); err != nil {
+			if err := DiffAppThreeWay(app, packets, Config{sim: hwsim.Config{Trace: tr, Metrics: reg}}); err != nil {
 				t.Fatalf("traced: %v", err)
 			}
-			if err := DiffAppThreeWay(app, packets, Config{Sim: hwsim.Config{Policy: hwsim.PolicyStall}}); err != nil {
+			if err := DiffAppThreeWay(app, packets, Config{sim: hwsim.Config{Policy: hwsim.PolicyStall}}); err != nil {
 				t.Fatalf("stall policy: %v", err)
 			}
 		})

@@ -217,7 +217,6 @@ func (p *Pipeline) applyFraming() {
 				need = n
 			}
 		}
-		st.MaxPacketOff = need
 		if need == 0 {
 			st.FrameBypass = 0
 			continue
@@ -240,7 +239,6 @@ func (p *Pipeline) applyFraming() {
 	p.FramingNOPs = needNops
 	for i := range p.Blocks {
 		p.Blocks[i].FirstStage += needNops
-		p.Blocks[i].LastStage += needNops
 	}
 	for i := range p.Maps {
 		mb := &p.Maps[i]

@@ -387,10 +387,3 @@ func TestCompileSchedulerInvariants(t *testing.T) {
 		t.Error("no instruction became pure wiring; pointer-use elision is not working")
 	}
 }
-
-func TestCompileLatency(t *testing.T) {
-	p := compileToy(t, Options{})
-	if p.Latency(8) != p.NumStages()+8 {
-		t.Error("latency arithmetic broken")
-	}
-}

@@ -95,9 +95,9 @@ type Op struct {
 	KeyOffKnown, ValOffKnown bool
 	// BlockID is the control block whose enable signal gates this op.
 	BlockID int
-	// EndsBlock marks the op after which the block's successor enables
+	// endsBlock marks the op after which the block's successor enables
 	// fire.
-	EndsBlock bool
+	endsBlock bool
 	// TakenBlock/FallBlock are the successor block IDs activated when a
 	// branch is taken / not taken (or unconditionally for fallthrough
 	// ends). -1 when absent.
@@ -115,7 +115,7 @@ func (o *Op) InstructionCount() int { return 1 + len(o.Fused) }
 // it ends its block, -1 when none fires (branches enable their own
 // successors, an exit has none).
 func (o *Op) FallThrough() int {
-	if o.EndsBlock && o.Kind != OpBranch && o.Kind != OpExit {
+	if o.endsBlock && o.Kind != OpBranch && o.Kind != OpExit {
 		return o.FallBlock
 	}
 	return -1
@@ -156,17 +156,13 @@ type Stage struct {
 	// into this stage, as offsets from the frame base (0..512);
 	// Lo == Hi means no stack memory.
 	CarryStackLo, CarryStackHi int
-	// MaxPacketOff is the highest packet byte offset (exclusive) this
-	// stage touches at a compile-time-known offset; -1 when it needs the
-	// whole packet.
-	MaxPacketOff int
 	// FrameBypass is how many stages upstream the farthest frame this
 	// stage reads sits (Section 4.2 stage bypassing).
 	FrameBypass int
 }
 
-// InstructionCount counts the original instructions in the stage.
-func (s *Stage) InstructionCount() int {
+// instructionCount counts the original instructions in the stage.
+func (s *Stage) instructionCount() int {
 	n := 0
 	for i := range s.Ops {
 		n += s.Ops[i].InstructionCount()
@@ -190,7 +186,6 @@ func (s *Stage) CarryRegCount() int {
 type BlockInfo struct {
 	ID         int
 	FirstStage int
-	LastStage  int
 }
 
 // MapBlock is one eHDLmap hardware block: the single memory interface
@@ -333,7 +328,7 @@ func (p *Pipeline) NumStages() int { return len(p.Stages) }
 func (p *Pipeline) ILP() (max int, avg float64) {
 	total, stages := 0, 0
 	for i := range p.Stages {
-		n := p.Stages[i].InstructionCount()
+		n := p.Stages[i].instructionCount()
 		if n == 0 {
 			continue
 		}
@@ -357,12 +352,6 @@ func (p *Pipeline) MapBlockFor(id int) *MapBlock {
 		}
 	}
 	return nil
-}
-
-// Latency returns the forwarding latency in clock cycles: one per stage
-// plus the I/O queue crossings.
-func (p *Pipeline) Latency(extraCycles int) int {
-	return len(p.Stages) + extraCycles
 }
 
 // Options control the compiler; the zero value enables everything with a

@@ -187,7 +187,7 @@ func schedule(a *analysis, opts Options, fused map[int]int, wiring map[int]bool)
 			rows[rowOf[i]] = append(rows[rowOf[i]], &units[i])
 		}
 		for _, row := range rows {
-			stage := Stage{Kind: StageNormal, MaxPacketOff: 0}
+			stage := Stage{Kind: StageNormal}
 			helperDepth := 0
 			for _, u := range row {
 				op, err := a.buildOp(u, b)
@@ -208,7 +208,6 @@ func schedule(a *analysis, opts Options, fused map[int]int, wiring map[int]bool)
 				stages = append(stages, Stage{Kind: StageHelperWait})
 			}
 		}
-		info.LastStage = len(stages) - 1
 		blocks = append(blocks, info)
 	}
 	return stages, blocks, nil
@@ -277,7 +276,7 @@ func (a *analysis) buildOp(u *scheduleUnit, blockID int) (Op, error) {
 	// enables derived from the block's real terminator.
 	blk := a.g.Blocks[blockID]
 	if u.ends {
-		op.EndsBlock = true
+		op.endsBlock = true
 		last := prog.Instructions[blk.End-1]
 		switch {
 		case last.IsExit():

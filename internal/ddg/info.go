@@ -44,13 +44,6 @@ type Info struct {
 	// MapIDOfLDDW gives the map identifier loaded by each LDDW map
 	// reference; -1 otherwise.
 	MapIDOfLDDW []int
-	// LiveOut[i] is the bitmask of registers live after instruction i.
-	LiveOut []uint16
-	// LiveIn[i] is the bitmask of registers live before instruction i.
-	LiveIn []uint16
-	// StackLiveIn[i] marks the stack bytes live before instruction i
-	// (bit k = byte at R10-512+k).
-	StackLiveIn [][8]uint64
 }
 
 // Analyze runs provenance labeling and liveness over an acyclic program.
@@ -131,8 +124,6 @@ func Analyze(g *cfg.Graph) (*Info, error) {
 			}
 		}
 	}
-
-	info.computeLiveness()
 	return info, nil
 }
 
@@ -180,8 +171,8 @@ func (in *Info) UsesOf(i int) []ebpf.Register {
 	return ins.Uses()
 }
 
-// DefsOf returns the registers instruction i writes.
-func (in *Info) DefsOf(i int) []ebpf.Register {
+// defsOf returns the registers instruction i writes.
+func (in *Info) defsOf(i int) []ebpf.Register {
 	return in.Prog.Instructions[i].Defs()
 }
 
@@ -233,15 +224,12 @@ func fullStack() stackSet {
 	return s
 }
 
-// computeLiveness runs backward data-flow for registers and stack bytes
-// at instruction granularity.
-func (in *Info) computeLiveness() {
-	in.LiveIn, in.LiveOut, in.StackLiveIn = in.Liveness(in.UsesOf)
-}
-
-// Liveness runs the backward data-flow with a caller-supplied register
-// use function, so the compiler can re-run it after dropping the base
-// registers of statically addressed memory accesses.
+// Liveness runs the backward data-flow for registers and stack bytes at
+// instruction granularity, with a caller-supplied register use function
+// (UsesOf, or one that drops the base registers of statically addressed
+// memory accesses). liveIn[i] and liveOut[i] are the registers live
+// before and after instruction i; stackLiveIn[i] marks the stack bytes
+// live before it (bit k = byte at R10-512+k).
 func (in *Info) Liveness(uses func(i int) []ebpf.Register) (liveIn, liveOut []uint16, stackLiveIn [][8]uint64) {
 	g := in.Graph
 	n := len(in.Prog.Instructions)
@@ -261,7 +249,7 @@ func (in *Info) Liveness(uses func(i int) []ebpf.Register) (liveIn, liveOut []ui
 			stk := blockStackOut[b]
 			for i := blk.End - 1; i >= blk.Start; i-- {
 				liveOut[i] = live
-				live = live&^regMask(in.DefsOf(i)) | regMask(uses(i))
+				live = live&^regMask(in.defsOf(i)) | regMask(uses(i))
 				stk = in.stackStep(i, stk)
 				if liveIn[i] != live {
 					liveIn[i] = live
@@ -341,24 +329,13 @@ func (in *Info) stackStep(i int, out stackSet) stackSet {
 	return out
 }
 
-// StackBytesLive counts the live stack bytes before instruction i.
-func (in *Info) StackBytesLive(i int) int {
-	count := 0
-	for _, w := range in.StackLiveIn[i] {
-		for ; w != 0; w &= w - 1 {
-			count++
-		}
-	}
-	return count
-}
-
 // Conflicts reports whether instructions i and j (i before j in program
 // order, same control block) must stay ordered: they have a register
 // dependency, overlapping memory effects, or either is a scheduling
 // barrier (helper call).
 func (in *Info) Conflicts(i, j int) bool {
-	defsI := regMask(in.DefsOf(i))
-	defsJ := regMask(in.DefsOf(j))
+	defsI := regMask(in.defsOf(i))
+	defsJ := regMask(in.defsOf(j))
 	usesI := regMask(in.UsesOf(i))
 	usesJ := regMask(in.UsesOf(j))
 	if defsI&usesJ != 0 || usesI&defsJ != 0 || defsI&defsJ != 0 {

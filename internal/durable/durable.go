@@ -89,8 +89,8 @@ type Record struct {
 type CorruptRecordError struct {
 	// Path is the file concerned ("" when decoding from memory).
 	Path string
-	// Offset is the byte offset of the damaged frame.
-	Offset int64
+	// offset is the byte offset of the damaged frame.
+	offset int64
 	// Index is the record index of the damaged frame (-1 for the
 	// header).
 	Index int
@@ -103,49 +103,28 @@ func (e *CorruptRecordError) Error() string {
 	if where == "" {
 		where = "journal"
 	}
-	return fmt.Sprintf("durable: %s: corrupt record %d at offset %d: %s", where, e.Index, e.Offset, e.Reason)
+	return fmt.Sprintf("durable: %s: corrupt record %d at offset %d: %s", where, e.Index, e.offset, e.Reason)
 }
 
 // Options parameterises journal and snapshot I/O.
 type Options struct {
-	// RetryAttempts bounds write/fsync attempts on transient errors.
-	// 0 means 5.
-	RetryAttempts int
-	// RetryBase is the first backoff delay; it doubles per attempt.
-	// 0 means 1ms.
-	RetryBase time.Duration
-	// RetryMax caps the backoff delay. 0 means 50ms.
-	RetryMax time.Duration
 	// Metrics, when non-nil, accumulates the durable.* counters.
 	Metrics *obs.Registry
-	// Sleep replaces time.Sleep between retries (test hook).
-	Sleep func(time.Duration)
+	// sleep replaces time.Sleep between retries (test hook).
+	sleep func(time.Duration)
 }
 
-func (o Options) retryAttempts() int {
-	if o.RetryAttempts <= 0 {
-		return 5
-	}
-	return o.RetryAttempts
-}
+// Transient write and fsync errors are retried: retryAttempts attempts
+// in all, the first backoff retryBase, doubling per attempt (so the
+// longest is 8 ms).
+const (
+	retryAttempts = 5
+	retryBase     = time.Millisecond
+)
 
-func (o Options) retryBase() time.Duration {
-	if o.RetryBase <= 0 {
-		return time.Millisecond
-	}
-	return o.RetryBase
-}
-
-func (o Options) retryMax() time.Duration {
-	if o.RetryMax <= 0 {
-		return 50 * time.Millisecond
-	}
-	return o.RetryMax
-}
-
-func (o Options) sleep(d time.Duration) {
-	if o.Sleep != nil {
-		o.Sleep(d)
+func (o Options) pause(d time.Duration) {
+	if o.sleep != nil {
+		o.sleep(d)
 		return
 	}
 	time.Sleep(d)
@@ -160,22 +139,17 @@ func (o Options) count(name string, n uint64) {
 // withRetry runs op, retrying transient failures with bounded
 // exponential backoff; the returned error is the last attempt's.
 func (o Options) withRetry(what string, op func() error) error {
-	attempts := o.retryAttempts()
 	var err error
-	for i := 0; i < attempts; i++ {
+	for i := 0; i < retryAttempts; i++ {
 		if err = op(); err == nil {
 			return nil
 		}
-		if i < attempts-1 {
-			delay := o.retryBase() << i
-			if max := o.retryMax(); delay > max {
-				delay = max
-			}
+		if i < retryAttempts-1 {
 			o.count(metricRetries, 1)
-			o.sleep(delay)
+			o.pause(retryBase << i)
 		}
 	}
-	return fmt.Errorf("durable: %s failed after %d attempts: %w", what, attempts, err)
+	return fmt.Errorf("durable: %s failed after %d attempts: %w", what, retryAttempts, err)
 }
 
 // EncodeHeader returns the journal file header.
@@ -214,13 +188,13 @@ func Decode(data []byte) (recs []Record, truncated int64, err error) {
 		if string(data) == string(header[:len(data)]) {
 			return nil, int64(len(data)), nil
 		}
-		return nil, 0, &CorruptRecordError{Offset: 0, Index: -1, Reason: "damaged header"}
+		return nil, 0, &CorruptRecordError{Index: -1, Reason: "damaged header"}
 	}
 	if string(data[:len(journalMagic)]) != journalMagic {
-		return nil, 0, &CorruptRecordError{Offset: 0, Index: -1, Reason: "bad magic"}
+		return nil, 0, &CorruptRecordError{Index: -1, Reason: "bad magic"}
 	}
 	if v := binary.LittleEndian.Uint32(data[len(journalMagic):headerLen]); v != version {
-		return nil, 0, &CorruptRecordError{Offset: int64(len(journalMagic)), Index: -1,
+		return nil, 0, &CorruptRecordError{offset: int64(len(journalMagic)), Index: -1,
 			Reason: fmt.Sprintf("unsupported version %d", v)}
 	}
 	off := int64(headerLen)
@@ -232,7 +206,7 @@ func Decode(data []byte) (recs []Record, truncated int64, err error) {
 		}
 		plen := binary.LittleEndian.Uint32(rest)
 		if plen > maxRecordBytes {
-			return recs, 0, &CorruptRecordError{Offset: off, Index: len(recs),
+			return recs, 0, &CorruptRecordError{offset: off, Index: len(recs),
 				Reason: fmt.Sprintf("payload length %d exceeds the %d-byte record limit", plen, maxRecordBytes)}
 		}
 		frame := recordOverhead + int(plen)
@@ -242,7 +216,7 @@ func Decode(data []byte) (recs []Record, truncated int64, err error) {
 		}
 		want := binary.LittleEndian.Uint32(rest[5+plen:])
 		if got := crc32.Checksum(rest[4:5+plen], castagnoli); got != want {
-			return recs, 0, &CorruptRecordError{Offset: off, Index: len(recs),
+			return recs, 0, &CorruptRecordError{offset: off, Index: len(recs),
 				Reason: fmt.Sprintf("crc mismatch (stored %08x, computed %08x)", want, got)}
 		}
 		recs = append(recs, Record{Type: rest[4], Payload: append([]byte(nil), rest[5:5+plen]...)})

@@ -273,10 +273,8 @@ func TestJournalWriteRetryBackoff(t *testing.T) {
 	reg := obs.NewRegistry()
 	f := &flakyFile{failWrite: 3, partial: 2, failSync: 1}
 	j := &Journal{f: f, path: "flaky", opt: Options{
-		RetryBase: time.Millisecond,
-		RetryMax:  4 * time.Millisecond,
-		Metrics:   reg,
-		Sleep:     func(d time.Duration) { delays = append(delays, d) },
+		Metrics: reg,
+		sleep:   func(d time.Duration) { delays = append(delays, d) },
 	}}
 	if err := j.reset(); err != nil {
 		t.Fatal(err)
@@ -292,8 +290,8 @@ func TestJournalWriteRetryBackoff(t *testing.T) {
 	if !bytes.Equal(f.data, want) {
 		t.Errorf("file after flaky writes differs from clean encoding:\n%x\n%x", f.data, want)
 	}
-	// 3 write failures + 1 sync failure = 4 backoffs: 1ms, 2ms, 4ms
-	// (capped), then the sync retry restarts its own schedule at 1ms.
+	// 3 write failures + 1 sync failure = 4 backoffs: 1ms, 2ms, 4ms,
+	// then the sync retry restarts its own schedule at 1ms.
 	wantDelays := []time.Duration{time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond, time.Millisecond}
 	if len(delays) != len(wantDelays) {
 		t.Fatalf("slept %v, want %v", delays, wantDelays)
@@ -313,19 +311,16 @@ func TestJournalWriteRetryBackoff(t *testing.T) {
 func TestJournalRetryExhausted(t *testing.T) {
 	f := &flakyFile{failWrite: 100}
 	slept := 0
-	j := &Journal{f: f, opt: Options{
-		RetryAttempts: 3,
-		Sleep:         func(time.Duration) { slept++ },
-	}}
+	j := &Journal{f: f, opt: Options{sleep: func(time.Duration) { slept++ }}}
 	err := j.Append(Record{Type: 1, Payload: []byte("x")})
 	if err == nil {
 		t.Fatal("append with a dead disk succeeded")
 	}
-	if slept != 2 {
-		t.Errorf("slept %d times before giving up, want 2 (attempts-1)", slept)
+	if slept != retryAttempts-1 {
+		t.Errorf("slept %d times before giving up, want %d (attempts-1)", slept, retryAttempts-1)
 	}
-	if f.writes != 3 {
-		t.Errorf("attempted %d writes, want 3", f.writes)
+	if f.writes != retryAttempts {
+		t.Errorf("attempted %d writes, want %d", f.writes, retryAttempts)
 	}
 }
 
@@ -404,15 +399,9 @@ func TestSnapshotTruncationIsCorruption(t *testing.T) {
 	}
 }
 
+// TestOptionsDefaults pins the snapshot file naming that every Options
+// writes and reads under.
 func TestOptionsDefaults(t *testing.T) {
-	var o Options
-	if o.retryAttempts() != 5 || o.retryBase() != time.Millisecond || o.retryMax() != 50*time.Millisecond {
-		t.Errorf("defaults: attempts=%d base=%v max=%v", o.retryAttempts(), o.retryBase(), o.retryMax())
-	}
-	o = Options{RetryAttempts: 2, RetryBase: time.Second, RetryMax: 2 * time.Second}
-	if o.retryAttempts() != 2 || o.retryBase() != time.Second || o.retryMax() != 2*time.Second {
-		t.Error("explicit options not honoured")
-	}
 	if name := SnapshotName(12); name != "snap-0000000012.snap" {
 		t.Errorf("SnapshotName = %q", name)
 	}

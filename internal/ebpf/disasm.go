@@ -48,7 +48,7 @@ func (ins Instruction) String() string {
 		} else {
 			rhs = fmt.Sprintf("%d", ins.Imm)
 		}
-		return fmt.Sprintf("%s %s %s", dst, op.Token(), rhs)
+		return fmt.Sprintf("%s %s %s", dst, op.token(), rhs)
 
 	case ClassLDX:
 		return fmt.Sprintf("%s = *(%s *)%s", reg(ins.Dst), ins.MemSize(), memRef(ins.Src, ins.Off))
@@ -108,7 +108,7 @@ func (ins Instruction) String() string {
 		} else {
 			rhs = fmt.Sprintf("%d", ins.Imm)
 		}
-		return fmt.Sprintf("if %s %s %s goto %+d", lhs, op.Token(), rhs, ins.Off)
+		return fmt.Sprintf("if %s %s %s goto %+d", lhs, op.token(), rhs, ins.Off)
 	}
 	return fmt.Sprintf(".inst %#02x", ins.Op)
 }

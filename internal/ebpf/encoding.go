@@ -5,9 +5,9 @@ import (
 	"fmt"
 )
 
-// Marshal appends the little-endian on-wire encoding of the instruction
+// marshal appends the little-endian on-wire encoding of the instruction
 // to buf and returns the extended slice. LDDW emits two slots.
-func (ins Instruction) Marshal(buf []byte) []byte {
+func (ins Instruction) marshal(buf []byte) []byte {
 	var slot [WordSize]byte
 	slot[0] = ins.Op
 	slot[1] = uint8(ins.Src&0x0f)<<4 | uint8(ins.Dst&0x0f)
@@ -56,7 +56,7 @@ func unmarshal(data []byte) (Instruction, int, error) {
 func MarshalInstructions(insns []Instruction) []byte {
 	buf := make([]byte, 0, len(insns)*WordSize)
 	for _, ins := range insns {
-		buf = ins.Marshal(buf)
+		buf = ins.marshal(buf)
 	}
 	return buf
 }

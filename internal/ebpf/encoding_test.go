@@ -46,12 +46,12 @@ func TestUnmarshalErrors(t *testing.T) {
 		t.Error("UnmarshalInstructions accepted a 7-byte stream")
 	}
 	// LDDW truncated to a single slot.
-	data := LoadImm64(R1, 1).Marshal(nil)[:8]
+	data := LoadImm64(R1, 1).marshal(nil)[:8]
 	if _, err := UnmarshalInstructions(data); err == nil {
 		t.Error("UnmarshalInstructions accepted a truncated lddw")
 	}
 	// LDDW with a corrupted second slot opcode.
-	data = LoadImm64(R1, 1).Marshal(nil)
+	data = LoadImm64(R1, 1).marshal(nil)
 	data[8] = 0x07
 	if _, _, err := unmarshal(data); err == nil {
 		t.Error("Unmarshal accepted a lddw with a non-zero second opcode")
@@ -100,7 +100,7 @@ func TestPropertyEncodeDecodeRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		ins := randomValidInstruction(r)
-		data := ins.Marshal(nil)
+		data := ins.marshal(nil)
 		got, n, err := unmarshal(data)
 		if err != nil || n != len(data) {
 			return false

@@ -95,15 +95,6 @@ func (ins Instruction) Slots() int {
 	return 1
 }
 
-// Constant returns the immediate operand widened to 64 bits, using Imm64
-// for LDDW.
-func (ins Instruction) Constant() int64 {
-	if ins.IsLoadImm64() {
-		return ins.Imm64
-	}
-	return int64(ins.Imm)
-}
-
 // Validate checks the structural well-formedness of a single instruction
 // (register ranges, known opcodes, supported modes). It does not perform
 // program-level checks such as jump-target validity; see Program.Validate.
@@ -171,7 +162,7 @@ func (ins Instruction) Validate() error {
 			if s := ins.MemSize(); s != SizeW && s != SizeDW {
 				return fmt.Errorf("ebpf: atomic operations require 4- or 8-byte width, got %v", s)
 			}
-			if !ins.AtomicOp().Valid() {
+			if !ins.AtomicOp().valid() {
 				return fmt.Errorf("ebpf: invalid atomic op %#x", ins.Imm)
 			}
 		default:

@@ -57,15 +57,6 @@ func TestSlots(t *testing.T) {
 	}
 }
 
-func TestConstant(t *testing.T) {
-	if got := LoadImm64(R1, 1<<40|7).Constant(); got != 1<<40|7 {
-		t.Errorf("lddw constant = %d", got)
-	}
-	if got := Mov64Imm(R1, -3).Constant(); got != -3 {
-		t.Errorf("mov constant = %d", got)
-	}
-}
-
 func TestValidateRejects(t *testing.T) {
 	bad := []Instruction{
 		{Op: uint8(ClassALU64) | 0xe0},             // undefined ALU op

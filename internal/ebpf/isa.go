@@ -161,9 +161,9 @@ func (op ALUOp) String() string {
 	return "alu?"
 }
 
-// Token returns the assembler operator for a compound assignment, e.g.
+// token returns the assembler operator for a compound assignment, e.g.
 // "+=" for ALUAdd. ALUMov yields "=".
-func (op ALUOp) Token() string {
+func (op ALUOp) token() string {
 	switch op {
 	case ALUAdd:
 		return "+="
@@ -249,10 +249,10 @@ func (op JumpOp) String() string {
 	return "jmp?"
 }
 
-// Token returns the assembler comparison operator, e.g. "==" for JumpEq.
+// token returns the assembler comparison operator, e.g. "==" for JumpEq.
 // Signed comparisons carry an "s" prefix as in the kernel verifier
 // output.
-func (op JumpOp) Token() string {
+func (op JumpOp) token() string {
 	switch op {
 	case JumpEq:
 		return "=="
@@ -430,9 +430,9 @@ func (a AtomicOp) String() string {
 	return "atomic?"
 }
 
-// Valid reports whether the atomic operation is one this implementation
+// valid reports whether the atomic operation is one this implementation
 // supports.
-func (a AtomicOp) Valid() bool {
+func (a AtomicOp) valid() bool {
 	switch a &^ AtomicFetch {
 	case AtomicAdd, AtomicOr, AtomicAnd, AtomicXor:
 		return true

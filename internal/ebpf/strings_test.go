@@ -63,10 +63,10 @@ func TestDisasmAtomicVariants(t *testing.T) {
 }
 
 func TestTokenTables(t *testing.T) {
-	if ALUAdd.Token() != "+=" || ALUMov.Token() != "=" || ALUArsh.Token() != "s>>=" {
+	if ALUAdd.token() != "+=" || ALUMov.token() != "=" || ALUArsh.token() != "s>>=" {
 		t.Error("ALU tokens broken")
 	}
-	if JumpEq.Token() != "==" || JumpSLE.Token() != "s<=" || JumpSet.Token() != "&" {
+	if JumpEq.token() != "==" || JumpSLE.token() != "s<=" || JumpSet.token() != "&" {
 		t.Error("jump tokens broken")
 	}
 	if !strings.Contains(Disassemble([]Instruction{Exit()}), "exit") {

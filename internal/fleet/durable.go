@@ -260,7 +260,9 @@ type fingerprint struct {
 // configFingerprint canonicalises the run configuration: a field with a
 // default goes through the accessor that resolves it (fpShell says which
 // simulator fields stay raw), so a run journaled with such a field at 0
-// resumes with the value 0 means. The epoch
+// resumes with the value 0 means. DrainRecoveries, CooldownEpochs,
+// StartEpoch and CanaryPackets record package constants; they stay in
+// the record so that every schema-2 journal still matches. The epoch
 // count is part of the identity: a journal records one specific run,
 // and resuming it for a different horizon would change what every
 // journaled digest means.
@@ -273,13 +275,13 @@ func (c *Controller) configFingerprint(epochs int) ([]byte, error) {
 		EpochPackets:    c.cfg.epochPackets(),
 		OfferedPps:      c.cfg.offeredPps(),
 		Verify:          c.cfg.Verify,
-		Shell:           shellFingerprint(c.cfg.Shell),
+		Shell:           shellFingerprint(c.cfg.shell),
 		Chaos:           c.cfg.Chaos,
 		KillAt:          c.cfg.KillAt,
 		CorruptAt:       c.cfg.CorruptAt,
 		TenantBandPct:   c.cfg.tenantBandPct(),
-		DrainRecoveries: c.cfg.drainRecoveries(),
-		CooldownEpochs:  c.cfg.cooldownEpochs(),
+		DrainRecoveries: drainRecoveries,
+		CooldownEpochs:  cooldownEpochs,
 		SnapshotEvery:   c.cfg.snapshotEvery(),
 	}
 	if c.cfg.App != nil {
@@ -288,11 +290,11 @@ func (c *Controller) configFingerprint(epochs int) ([]byte, error) {
 	if u := c.cfg.Update; u != nil {
 		fp.Update = &fpUpdate{
 			Prog:          u.Prog.Name,
-			StartEpoch:    u.startEpoch(),
+			StartEpoch:    startEpoch,
 			RolloutRate:   u.rolloutRate(),
 			TolerancePct:  u.TolerancePct,
-			CanaryPackets: u.canaryPackets(),
-			ShadowChaos:   u.ShadowChaos,
+			CanaryPackets: canaryPackets,
+			ShadowChaos:   u.shadowChaos,
 		}
 	}
 	for _, sp := range c.cfg.Tenants {
@@ -446,7 +448,7 @@ func (c *Controller) durOpen(epochs int) error {
 	if err := os.MkdirAll(c.cfg.JournalDir, 0o755); err != nil {
 		return fmt.Errorf("fleet: journal dir: %w", err)
 	}
-	opt := durable.Options{Metrics: c.cfg.Metrics}
+	opt := durable.Options{Metrics: c.cfg.metrics}
 	path := filepath.Join(c.cfg.JournalDir, journalFileName)
 	j, recs, torn, err := durable.OpenJournal(path, opt)
 	if err != nil {

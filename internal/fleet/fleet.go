@@ -55,14 +55,11 @@ type Config struct {
 	Devices int
 	// App is the workload every device serves. Required.
 	App *apps.App
-	// Opts is the compiler configuration (each device compiles its own
-	// pipeline, so shards share no mutable state).
-	Opts core.Options
-	// Shell is the per-device shell template. Its Faults field is
+	// shell is the per-device shell template. Its Faults field is
 	// overridden by the per-device Chaos fork; Sim.Trace and
-	// Sim.Metrics are cleared (the fleet's Trace/Metrics below observe
-	// the control plane, and the tracer is single-writer).
-	Shell nic.ShellConfig
+	// Sim.Metrics are cleared (the fleet's Trace below observes the
+	// control plane, and the tracer is single-writer).
+	shell nic.ShellConfig
 	// Seed is the master seed: traffic, fault forks, recovery jitter
 	// and cool-down jitter all derive from it. 0 means 1.
 	Seed int64
@@ -103,23 +100,14 @@ type Config struct {
 	// budget — an admission rejection fails New with the typed
 	// tenant.AdmissionError), traffic comes from the tenants' own
 	// VLAN-tagged mux, and per-tenant sub-reports fold into the fleet
-	// view through Report.Device. App/Opts/Shell are ignored (each spec
-	// carries its own shell template); Verify, Update and CorruptAt are
+	// view through Report.Device. App is ignored (each spec carries its
+	// own shell template); Verify, Update and CorruptAt are
 	// single-pipeline machinery and are rejected in tenant mode.
 	Tenants []tenant.Spec
 	// TenantBandPct is the per-device admission ceiling, forwarded to
 	// tenant.DeviceConfig.UtilisationBandPct. 0 means 70, the tenant
 	// package default.
 	TenantBandPct float64
-
-	// DrainRecoveries is the per-epoch recovery count that drains a
-	// device from the ring. 0 means 1 (any recovery drains).
-	DrainRecoveries uint64
-	// CooldownEpochs is the base cool-down before a drained device is
-	// re-admitted; a seeded jitter in [0, base) is added so
-	// simultaneously-drained devices don't re-enter in lockstep. 0
-	// means 2.
-	CooldownEpochs int
 
 	// JournalDir, when non-empty, makes the run crash-consistent: every
 	// epoch commits a record to a write-ahead journal in this directory
@@ -141,11 +129,21 @@ type Config struct {
 	// Trace receives KindRolloutPhase and KindRebalance events (the
 	// Cycle field carries the epoch) plus, with a journal attached, the
 	// KindJournalCommit/KindStateSnapshot/KindReplayEpoch stream.
-	// Metrics accumulates the fleet.* and durable.* instruments. Both
-	// optional.
-	Trace   *obs.Tracer
-	Metrics *obs.Registry
+	// Optional.
+	Trace *obs.Tracer
+	// metrics accumulates the fleet.* and durable.* instruments.
+	// Optional.
+	metrics *obs.Registry
 }
+
+// drainRecoveries is the per-epoch recovery count that drains a device
+// from the ring: any recovery drains.
+const drainRecoveries = 1
+
+// cooldownEpochs is the base cool-down before a drained device is
+// re-admitted; a seeded jitter in [0, base) is added so simultaneously
+// drained devices don't re-enter in lockstep.
+const cooldownEpochs = 2
 
 func (c Config) devices() int {
 	if c.Devices <= 0 {
@@ -175,20 +173,6 @@ func (c Config) offeredPps() float64 {
 	return c.OfferedPps
 }
 
-func (c Config) drainRecoveries() uint64 {
-	if c.DrainRecoveries == 0 {
-		return 1
-	}
-	return c.DrainRecoveries
-}
-
-func (c Config) cooldownEpochs() int {
-	if c.CooldownEpochs <= 0 {
-		return 2
-	}
-	return c.CooldownEpochs
-}
-
 func (c Config) tenantBandPct() float64 {
 	if c.TenantBandPct <= 0 {
 		return 70
@@ -210,8 +194,6 @@ type UpdateConfig struct {
 	// Setup populates the new program's maps host-side before
 	// migration.
 	Setup func(*maps.Set) error
-	// StartEpoch is the first epoch a device may update. 0 means 1.
-	StartEpoch int
 	// RolloutRate is the minimum number of epochs between device
 	// updates — the update epoch plus at least one soak epoch whose
 	// throughput must clear the soak floor before the next device
@@ -220,33 +202,23 @@ type UpdateConfig struct {
 	// TolerancePct is the per-device throughput floor for the soak
 	// gate, in percent below the pre-update epoch. 0 means 5.
 	TolerancePct float64
-	// CanaryPackets is the per-device canary requirement. 0 means 8.
-	CanaryPackets int
-	// ShadowChaos injects a fault campaign into the new engine of the
+	// shadowChaos injects a fault campaign into the new engine of the
 	// named device's update (device id -> campaign) — the test hook
 	// that makes a canary diverge on demand.
-	ShadowChaos map[int]faults.Config
+	shadowChaos map[int]faults.Config
 }
 
-func (u *UpdateConfig) startEpoch() int {
-	if u.StartEpoch <= 0 {
-		return 1
-	}
-	return u.StartEpoch
-}
+// startEpoch is the first epoch a device may update.
+const startEpoch = 1
+
+// canaryPackets is the per-device canary requirement.
+const canaryPackets = 8
 
 func (u *UpdateConfig) rolloutRate() int {
 	if u.RolloutRate < 2 {
 		return 2
 	}
 	return u.RolloutRate
-}
-
-func (u *UpdateConfig) canaryPackets() int {
-	if u.CanaryPackets <= 0 {
-		return 8
-	}
-	return u.CanaryPackets
 }
 
 // devState is a device's position in the health state machine.
@@ -400,11 +372,13 @@ func New(cfg Config) (*Controller, error) {
 
 	n := cfg.devices()
 	for i := 0; i < n; i++ {
-		pl, err := core.Compile(prog, cfg.Opts)
+		// Each device compiles its own pipeline, so shards share no
+		// mutable state.
+		pl, err := core.Compile(prog, core.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("fleet: device %d compile: %w", i, err)
 		}
-		shCfg := cfg.Shell
+		shCfg := cfg.shell
 		shCfg.Sim.Trace = nil
 		shCfg.Sim.Metrics = nil
 		if cfg.Chaos.Enabled() {
@@ -480,8 +454,8 @@ func newTenantFleet(cfg Config) (*Controller, error) {
 
 // count bumps a fleet metric (nil-registry safe).
 func (c *Controller) count(name string, n uint64) {
-	if c.cfg.Metrics != nil && n > 0 {
-		c.cfg.Metrics.Counter(name).Add(n)
+	if c.cfg.metrics != nil && n > 0 {
+		c.cfg.metrics.Counter(name).Add(n)
 	}
 }
 
@@ -632,7 +606,7 @@ func (c *Controller) quarantine(d *device) {
 // decided at the epoch boundary strands zero in-flight packets — the
 // only loss already sits in the queue-drop books.
 func (c *Controller) drain(d *device) {
-	base := c.cfg.cooldownEpochs()
+	base := cooldownEpochs
 	d.state = stateCooling
 	d.cooldownUntil = c.epoch + 1 + base + c.rng.Intn(base)
 	c.rngDraws++
@@ -770,7 +744,7 @@ func (c *Controller) fold(d *device, batch [][]byte, rep nic.Report, err error) 
 		// clean epochs set the soak-gate baseline.
 		d.baselineMpps = rep.AchievedMpps
 	}
-	if rep.Recoveries >= c.cfg.drainRecoveries() || rep.WatchdogTrips > 0 {
+	if rep.Recoveries >= drainRecoveries || rep.WatchdogTrips > 0 {
 		if d.state == stateHealthy {
 			c.drain(d)
 		}
@@ -863,9 +837,6 @@ func (c *Controller) finalize() {
 		c.rep.RolloutHalt = c.rollout.haltReason
 	}
 }
-
-// Report returns the report accumulated so far.
-func (c *Controller) Report() Report { return c.rep }
 
 // corruptMaps flips the first byte of the first entry of the first
 // non-empty map — the silent single-device corruption the differential

@@ -90,9 +90,6 @@ func TestFleetCleanRollout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Report(); got.Generated != rep.Generated || got.Rollout != rep.Rollout {
-		t.Errorf("Report() disagrees with Run's return: %+v vs %+v", got, rep)
-	}
 	if rep.Rollout != "done" {
 		t.Fatalf("rollout %q (halt %q), want done", rep.Rollout, rep.RolloutHalt)
 	}
@@ -207,7 +204,7 @@ func TestFleetChaosGate(t *testing.T) {
 // fleet on the old program.
 func TestFleetRolloutHaltsAndRollsBack(t *testing.T) {
 	u := toyUpdate(t)
-	u.ShadowChaos = map[int]faults.Config{
+	u.shadowChaos = map[int]faults.Config{
 		1: faults.Single(faults.SEUMapEntry, 0.9, 99),
 	}
 	c, err := New(Config{
@@ -261,13 +258,12 @@ func TestFleetDrainReadmit(t *testing.T) {
 		App:          apps.Toy(),
 		Seed:         47,
 		EpochPackets: 64,
-		Shell: nic.ShellConfig{Sim: hwsim.Config{
+		shell: nic.ShellConfig{Sim: hwsim.Config{
 			Protection:            protect.LevelECC,
 			WatchdogCycles:        2,
 			MaxRecoveries:         -1,
 			RecoveryBackoffCycles: 4,
 		}},
-		CooldownEpochs: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -312,7 +308,7 @@ func TestFleetEventCoverage(t *testing.T) {
 		Update:       toyUpdate(t),
 		KillAt:       map[int][]int{4: {2}},
 		Trace:        tr,
-		Metrics:      reg,
+		metrics:      reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -445,24 +441,21 @@ func TestRingMembership(t *testing.T) {
 // TestConfigDefaults pins every zero-value fallback and its override.
 func TestConfigDefaults(t *testing.T) {
 	var c Config
-	if c.devices() != 4 || c.seed() != 1 || c.epochPackets() != 256 ||
-		c.offeredPps() != 50e6 || c.drainRecoveries() != 1 || c.cooldownEpochs() != 2 {
-		t.Errorf("zero config defaults wrong: devices=%d seed=%d packets=%d pps=%g drain=%d cooldown=%d",
-			c.devices(), c.seed(), c.epochPackets(), c.offeredPps(), c.drainRecoveries(), c.cooldownEpochs())
+	if c.devices() != 4 || c.seed() != 1 || c.epochPackets() != 256 || c.offeredPps() != 50e6 {
+		t.Errorf("zero config defaults wrong: devices=%d seed=%d packets=%d pps=%g",
+			c.devices(), c.seed(), c.epochPackets(), c.offeredPps())
 	}
-	c = Config{Devices: 2, Seed: 9, EpochPackets: 10, OfferedPps: 1e6, DrainRecoveries: 3, CooldownEpochs: 5}
-	if c.devices() != 2 || c.seed() != 9 || c.epochPackets() != 10 ||
-		c.offeredPps() != 1e6 || c.drainRecoveries() != 3 || c.cooldownEpochs() != 5 {
+	c = Config{Devices: 2, Seed: 9, EpochPackets: 10, OfferedPps: 1e6}
+	if c.devices() != 2 || c.seed() != 9 || c.epochPackets() != 10 || c.offeredPps() != 1e6 {
 		t.Error("explicit config values not honoured")
 	}
 	var u UpdateConfig
-	if u.startEpoch() != 1 || u.rolloutRate() != 2 || u.canaryPackets() != 8 {
-		t.Errorf("zero update defaults wrong: start=%d rate=%d canary=%d",
-			u.startEpoch(), u.rolloutRate(), u.canaryPackets())
+	if u.rolloutRate() != 2 {
+		t.Errorf("zero update rollout rate %d, want 2", u.rolloutRate())
 	}
-	u = UpdateConfig{StartEpoch: 4, RolloutRate: 1, CanaryPackets: 16}
-	if u.startEpoch() != 4 || u.rolloutRate() != 2 || u.canaryPackets() != 16 {
-		t.Error("explicit update values not honoured (rate below 2 must clamp to 2)")
+	u = UpdateConfig{RolloutRate: 1}
+	if u.rolloutRate() != 2 {
+		t.Error("a rollout rate below 2 must clamp to 2")
 	}
 	u.RolloutRate = 5
 	if u.rolloutRate() != 5 {

@@ -94,7 +94,7 @@ func goldenRows() []goldenRow {
 			cfg: func(t *testing.T) Config {
 				return Config{
 					Devices: 4, App: apps.Toy(), Seed: 47, EpochPackets: 128, Verify: true,
-					Shell: hairTrigger(-1), Chaos: faults.Profile(0.6, 47), CooldownEpochs: 2,
+					shell: hairTrigger(-1), Chaos: faults.Profile(0.6, 47),
 				}
 			},
 		},
@@ -108,7 +108,7 @@ func goldenRows() []goldenRow {
 			name: "toy/rollout-halt", epochs: 12,
 			cfg: func(t *testing.T) Config {
 				u := toyUpdate(t)
-				u.ShadowChaos = map[int]faults.Config{1: faults.Single(faults.SEUMapEntry, 0.9, 99)}
+				u.shadowChaos = map[int]faults.Config{1: faults.Single(faults.SEUMapEntry, 0.9, 99)}
 				return Config{Devices: 4, App: apps.Toy(), Seed: 31, EpochPackets: 256, Update: u}
 			},
 		},
@@ -117,7 +117,7 @@ func goldenRows() []goldenRow {
 			// first epoch and the rest of the run is unroutable.
 			name: "toy/mid-serve-death", epochs: 3,
 			cfg: func(t *testing.T) Config {
-				return Config{Devices: 3, App: apps.Toy(), Seed: 5, EpochPackets: 192, Shell: hairTrigger(1)}
+				return Config{Devices: 3, App: apps.Toy(), Seed: 5, EpochPackets: 192, shell: hairTrigger(1)}
 			},
 		},
 		{
@@ -137,7 +137,7 @@ func (row goldenRow) run(t *testing.T) goldenRun {
 	sink := obs.NewMemSink()
 	cfg.JournalDir = t.TempDir()
 	cfg.Trace = obs.NewTracer(0, sink)
-	cfg.Metrics = obs.NewRegistry()
+	cfg.metrics = obs.NewRegistry()
 	rep, _ := mustRun(t, cfg, row.epochs)
 	if !rep.Accounted() {
 		t.Fatalf("%s: loss books don't balance: %+v", row.name, rep)

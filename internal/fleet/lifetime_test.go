@@ -45,7 +45,7 @@ func TestFleetGoroutineLifetime(t *testing.T) {
 		Devices: devices, App: apps.Toy(), Seed: 7, EpochPackets: 2048,
 		KillAt: map[int][]int{2: {0}},
 	}
-	dying := Config{Devices: devices, App: apps.Toy(), Seed: 7, EpochPackets: 2048, Shell: hairTrigger(1)}
+	dying := Config{Devices: devices, App: apps.Toy(), Seed: 7, EpochPackets: 2048, shell: hairTrigger(1)}
 	for _, tc := range []struct {
 		name    string
 		cfg     Config

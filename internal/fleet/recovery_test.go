@@ -54,7 +54,7 @@ func recoveryScenarios(t *testing.T) []recoveryScenario {
 			name: "halt-rollback", epochs: 8,
 			cfg: func(t *testing.T) Config {
 				u := toyUpdate(t)
-				u.ShadowChaos = map[int]faults.Config{
+				u.shadowChaos = map[int]faults.Config{
 					1: faults.Single(faults.SEUMapEntry, 0.9, 99),
 				}
 				return Config{
@@ -77,13 +77,12 @@ func recoveryScenarios(t *testing.T) []recoveryScenario {
 					App:          apps.Toy(),
 					Seed:         47,
 					EpochPackets: 48,
-					Shell: nic.ShellConfig{Sim: hwsim.Config{
+					shell: nic.ShellConfig{Sim: hwsim.Config{
 						Protection:            protect.LevelECC,
 						WatchdogCycles:        2,
 						MaxRecoveries:         -1,
 						RecoveryBackoffCycles: 4,
 					}},
-					CooldownEpochs: 2,
 				}
 			},
 		},
@@ -297,6 +296,9 @@ func TestFleetResumeConfigMismatch(t *testing.T) {
 		"devices": func(c *Config, _ *int) { c.Devices++ },
 		"epochs":  func(_ *Config, e *int) { *e++ },
 		"chaos":   func(c *Config, _ *int) { c.KillAt = nil },
+		// The fault campaign reaches the fingerprint only through
+		// faults.Config's exported fields: a rate must count.
+		"malform rate": func(c *Config, _ *int) { c.Chaos.MalformRate += 0.01 },
 	} {
 		bad := sc.cfg(t)
 		bad.JournalDir = dir
@@ -331,21 +333,21 @@ func TestFleetResumeResolvesDefaults(t *testing.T) {
 
 	explicit := sc.cfg(t)
 	explicit.JournalDir, explicit.Resume = dir, true
-	explicit.CooldownEpochs, explicit.DrainRecoveries, explicit.TenantBandPct = 2, 1, 70
-	explicit.Shell.ClockHz, explicit.SnapshotEvery = 250e6, 4
+	explicit.TenantBandPct = 70
+	explicit.shell.ClockHz, explicit.SnapshotEvery = 250e6, 4
 	rep, _ := mustRun(t, explicit, sc.epochs)
 	if got, want := reportJSON(t, rep), reportJSON(t, first); got != want {
 		t.Fatalf("resume under the explicit defaults diverged:\nwant %s\ngot  %s", want, got)
 	}
 
-	explicit.CooldownEpochs = 3
+	explicit.SnapshotEvery = 3
 	c, err := New(explicit)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var cm *configMismatchError
 	if _, err := c.Run(sc.epochs); !errors.As(err, &cm) {
-		t.Fatalf("CooldownEpochs 0 -> 3: err %v, want *ConfigMismatchError", err)
+		t.Fatalf("SnapshotEvery 0 -> 3: err %v, want *ConfigMismatchError", err)
 	}
 }
 
@@ -462,7 +464,7 @@ func TestFleetDurableEventCoverage(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg.Resume = true
 	cfg.Trace = tr
-	cfg.Metrics = reg
+	cfg.metrics = reg
 	rc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

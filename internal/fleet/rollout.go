@@ -103,7 +103,7 @@ func (r *rolloutState) schedule(c *Controller) {
 		return
 	}
 	if !r.started {
-		if c.epoch < r.cfg.startEpoch() {
+		if c.epoch < startEpoch {
 			return
 		}
 		r.started = true
@@ -123,7 +123,7 @@ func (r *rolloutState) schedule(c *Controller) {
 		if d.state != stateHealthy || d.updated {
 			continue
 		}
-		ucfg := r.deviceUpdate(c, d, r.cfg.Prog, r.cfg.Setup)
+		ucfg := r.deviceUpdate(d, r.cfg.Prog, r.cfg.Setup)
 		if err := d.sh.ScheduleUpdate(0, ucfg); err != nil {
 			r.halt(c, d, fmt.Sprintf("schedule: %v", err))
 			return
@@ -149,7 +149,7 @@ func (r *rolloutState) scheduleRevert(c *Controller) {
 			r.updated = r.updated[:len(r.updated)-1]
 			continue
 		}
-		ucfg := r.deviceUpdate(c, d, c.prog, c.cfg.App.SetupHost)
+		ucfg := r.deviceUpdate(d, c.prog, c.cfg.App.SetupHost)
 		if err := d.sh.ScheduleUpdate(0, ucfg); err != nil {
 			// A revert that cannot even schedule leaves the device on
 			// the new program; record and move on.
@@ -170,14 +170,13 @@ func (r *rolloutState) scheduleRevert(c *Controller) {
 // deviceUpdate builds the update configuration for one device: a small
 // canary so a short epoch batch clears it, and a seeded fault campaign
 // on the new engine when the chaos plan targets this device's update.
-func (r *rolloutState) deviceUpdate(c *Controller, d *device, prog *ebpf.Program, setup func(*maps.Set) error) liveupdate.Config {
+func (r *rolloutState) deviceUpdate(d *device, prog *ebpf.Program, setup func(*maps.Set) error) liveupdate.Config {
 	ucfg := liveupdate.Config{
 		Prog:          prog,
-		Opts:          c.cfg.Opts,
 		Setup:         setup,
-		CanaryPackets: r.cfg.canaryPackets(),
+		CanaryPackets: canaryPackets,
 	}
-	if fc, ok := r.cfg.ShadowChaos[d.id]; ok && fc.Enabled() {
+	if fc, ok := r.cfg.shadowChaos[d.id]; ok && fc.Enabled() {
 		ucfg.Faults = faults.New(fc)
 	}
 	return ucfg

@@ -536,9 +536,6 @@ func newSim(pl *core.Pipeline, cfg Config, env *vm.Env, oneBurst bool) (*Sim, er
 	return s, nil
 }
 
-// Tracer returns the attached event tracer (nil when tracing is off).
-func (s *Sim) Tracer() *obs.Tracer { return s.cfg.Trace }
-
 // Maps exposes the simulated NIC's map memory (the host interface).
 func (s *Sim) Maps() *maps.Set { return s.env.Maps }
 

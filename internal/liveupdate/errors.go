@@ -65,16 +65,16 @@ func (e *UpdateError) Unwrap() error { return e.Err }
 type CompatError struct {
 	Map      string // the shared map's name
 	Field    string // "kind", "key_size", "value_size" or "max_entries"
-	Old, New int    // the mismatched values (ebpf.MapKind for "kind")
+	was, now int    // the mismatched values, old then new (ebpf.MapKind for "kind")
 }
 
 func (e *CompatError) Error() string {
 	if e.Field == "kind" {
 		return fmt.Sprintf("liveupdate: map %q: kind %v, new program declares %v",
-			e.Map, ebpf.MapKind(e.Old), ebpf.MapKind(e.New))
+			e.Map, ebpf.MapKind(e.was), ebpf.MapKind(e.now))
 	}
 	return fmt.Sprintf("liveupdate: map %q: %s %d, new program declares %d",
-		e.Map, e.Field, e.Old, e.New)
+		e.Map, e.Field, e.was, e.now)
 }
 
 // Unwrap makes errors.Is(err, ErrIncompatible) hold.
@@ -87,16 +87,16 @@ func (e *CompatError) Unwrap() error { return ErrIncompatible }
 // capacity is allowed — the new design's BRAM simply has more rows.
 func CheckCompat(old, new ebpf.MapSpec) error {
 	if old.Kind != new.Kind {
-		return &CompatError{Map: old.Name, Field: "kind", Old: int(old.Kind), New: int(new.Kind)}
+		return &CompatError{Map: old.Name, Field: "kind", was: int(old.Kind), now: int(new.Kind)}
 	}
 	if old.KeySize != new.KeySize {
-		return &CompatError{Map: old.Name, Field: "key_size", Old: old.KeySize, New: new.KeySize}
+		return &CompatError{Map: old.Name, Field: "key_size", was: old.KeySize, now: new.KeySize}
 	}
 	if old.ValueSize != new.ValueSize {
-		return &CompatError{Map: old.Name, Field: "value_size", Old: old.ValueSize, New: new.ValueSize}
+		return &CompatError{Map: old.Name, Field: "value_size", was: old.ValueSize, now: new.ValueSize}
 	}
 	if new.MaxEntries < old.MaxEntries {
-		return &CompatError{Map: old.Name, Field: "max_entries", Old: old.MaxEntries, New: new.MaxEntries}
+		return &CompatError{Map: old.Name, Field: "max_entries", was: old.MaxEntries, now: new.MaxEntries}
 	}
 	return nil
 }

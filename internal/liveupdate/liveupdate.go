@@ -57,10 +57,9 @@ const canaryBound = 4_000_000
 
 // Config parameterises one update.
 type Config struct {
-	// Prog is the new program to install.
+	// Prog is the new program to install, compiled under the default
+	// core.Options.
 	Prog *ebpf.Program
-	// Opts is the compiler configuration for the new pipeline.
-	Opts core.Options
 	// Setup populates the new program's maps host-side before migration
 	// (defaults, static table entries). Nil skips setup.
 	Setup func(*maps.Set) error
@@ -196,7 +195,7 @@ func (s *swap) cutover(ticks uint64, cyclesPerPacket float64) {
 // shadow compiles the new program, builds its engine and the reference
 // interpreter beside it, and runs host setup on both.
 func (s *swap) shadow(l Loop, now uint64) (Engine, *vm.Env, error) {
-	pl, err := core.Compile(s.cfg.Prog, s.cfg.Opts)
+	pl, err := core.Compile(s.cfg.Prog, core.Options{})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -65,9 +65,6 @@ func asProtected(m Map) (*Protected, bool) {
 	return p, ok
 }
 
-// Level returns the wrapper's protection level.
-func (p *Protected) Level() protect.Level { return p.codec.Level() }
-
 // Counters returns a snapshot of the check outcomes so far.
 func (p *Protected) Counters() protect.Counters { return p.ctr }
 

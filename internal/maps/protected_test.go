@@ -253,8 +253,8 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 
 	snap := set.Snapshot()
-	if snap.Entries() != 3+3+3 {
-		t.Fatalf("snapshot captured %d entries", snap.Entries())
+	if snap.entries() != 3+3+3 {
+		t.Fatalf("snapshot captured %d entries", snap.entries())
 	}
 
 	// Diverge: mutate, create, delete, and corrupt.

@@ -82,8 +82,8 @@ func (s *SetSnapshot) Canonical() []MapEntries {
 	return out
 }
 
-// Entries returns the total number of entries captured.
-func (s *SetSnapshot) Entries() int {
+// entries returns the total number of entries captured.
+func (s *SetSnapshot) entries() int {
 	n := 0
 	for i := range s.maps {
 		n += len(s.maps[i].keys)

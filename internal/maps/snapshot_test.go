@@ -29,8 +29,8 @@ func TestSnapshotRestoreLPM(t *testing.T) {
 	mustUpdate(t, m, lpmKey(24, [4]byte{10, 1, 2, 0}), val64(24))
 
 	snap := set.Snapshot()
-	if snap.Entries() != 3 {
-		t.Fatalf("snapshot captured %d entries, want 3", snap.Entries())
+	if snap.entries() != 3 {
+		t.Fatalf("snapshot captured %d entries, want 3", snap.entries())
 	}
 
 	// Diverge in every way a data plane can: a more specific route, a
@@ -140,8 +140,8 @@ func TestSnapshotCapturesQuarantinedRaw(t *testing.T) {
 	}
 
 	snap := set.Snapshot()
-	if snap.Entries() != 1 {
-		t.Fatalf("snapshot captured %d entries, want the raw quarantined one", snap.Entries())
+	if snap.entries() != 1 {
+		t.Fatalf("snapshot captured %d entries, want the raw quarantined one", snap.entries())
 	}
 	if err := set.Restore(snap); err != nil {
 		t.Fatal(err)

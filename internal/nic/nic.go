@@ -48,13 +48,12 @@ type ShellConfig struct {
 	// Batch is the dispatcher batch size in multi-queue mode (amortised
 	// channel operations). 0 means rss.DefaultBatch.
 	Batch int
-	// FastPath requests the compiled host fast path: the design is
-	// compiled once into a per-stage closure chain and packets execute
-	// allocation-free, with the cycle-accurate interpreter retained as
-	// the conformance oracle. It is a request: a configuration the
-	// compiled engine cannot serve (fastpath.Eligible names the feature)
-	// keeps the interpreter; Shell.FastPath and Shell.Serving report
-	// what serves.
+	// FastPath requests the host fast path (fastpath.NewCore): each
+	// packet runs to its verdict at ingress on the interpreter's
+	// hazard-free executor, inside a timing skeleton of the pipeline. It
+	// is a request: a configuration the fast path cannot serve
+	// (fastpath.Eligible names the feature) keeps the cycle-accurate
+	// interpreter; Shell.FastPath and Shell.Serving report what serves.
 	FastPath bool
 	// Hazard policy and other simulator knobs.
 	Sim hwsim.Config

@@ -159,8 +159,8 @@ func (rep *Report) noteUpdate(res liveupdate.Result) {
 
 // TenantSlice is one tenant's slice of a multi-tenant device run: the
 // per-tenant ledger (classifier steering, token-bucket policing,
-// tenant-death loss) plus the tenant's own traffic, fault, recovery and
-// update figures. The slice carries its own identity:
+// tenant-death loss) plus the tenant's own traffic, fault and recovery
+// figures. The slice carries its own identity:
 //
 //	Steered == Admitted + Throttled + DownLoss
 //	Sent    == Admitted + overflow extras == Received + Lost
@@ -195,10 +195,6 @@ type TenantSlice struct {
 	MalformedSent  uint64 `json:"malformed_sent"`
 	Recoveries     uint64 `json:"recoveries"`
 	WatchdogTrips  uint64 `json:"watchdog_trips"`
-
-	// Per-tenant hitless-update outcomes.
-	UpdatesCompleted  uint64 `json:"updates_completed"`
-	UpdatesRolledBack uint64 `json:"updates_rolled_back"`
 
 	AchievedMpps float64 `json:"achieved_mpps"`
 	// AvgLatencyNs is Received-weighted under Add.
@@ -238,8 +234,6 @@ func (s *TenantSlice) add(o TenantSlice) {
 	s.MalformedSent += o.MalformedSent
 	s.Recoveries += o.Recoveries
 	s.WatchdogTrips += o.WatchdogTrips
-	s.UpdatesCompleted += o.UpdatesCompleted
-	s.UpdatesRolledBack += o.UpdatesRolledBack
 	s.AchievedMpps += o.AchievedMpps
 	if o.Actions != nil {
 		if s.Actions == nil {

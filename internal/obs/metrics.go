@@ -59,9 +59,6 @@ func (h *Histogram) Observe(v uint64) {
 // Count returns the number of samples.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
-// Max returns the largest sample (0 when empty).
-func (h *Histogram) Max() uint64 { return h.max.Load() }
-
 // Mean returns the sample mean (0 when empty).
 func (h *Histogram) Mean() float64 {
 	n := h.count.Load()
@@ -72,8 +69,8 @@ func (h *Histogram) Mean() float64 {
 }
 
 // Quantile returns an upper bound for the q-quantile: the bound of the
-// bucket the quantile falls in (Max for the overflow bucket). q is
-// clamped to [0, 1].
+// bucket the quantile falls in (the largest sample for the overflow
+// bucket). q is clamped to [0, 1].
 func (h *Histogram) Quantile(q float64) uint64 {
 	n := h.count.Load()
 	if n == 0 {
@@ -100,19 +97,6 @@ func (h *Histogram) Quantile(q float64) uint64 {
 		}
 	}
 	return h.max.Load()
-}
-
-// Buckets returns (bound, count) pairs including the +inf bucket
-// (bound reported as ^uint64(0)).
-func (h *Histogram) Buckets() ([]uint64, []uint64) {
-	bounds := make([]uint64, len(h.counts))
-	counts := make([]uint64, len(h.counts))
-	copy(bounds, h.bounds)
-	bounds[len(bounds)-1] = ^uint64(0)
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-	}
-	return bounds, counts
 }
 
 // ExpBuckets returns n exponentially growing upper bounds starting at
@@ -204,8 +188,8 @@ func (r *Registry) HistogramByName(name string) (*Histogram, bool) {
 	return h, ok
 }
 
-// Names returns every registered instrument name, sorted.
-func (r *Registry) Names() []string {
+// names returns every registered instrument name, sorted.
+func (r *Registry) names() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]string, 0, len(r.ctrs)+len(r.hists))
@@ -222,7 +206,7 @@ func (r *Registry) Names() []string {
 // Render writes a deterministic, sorted dump of every instrument — the
 // output of `ehdl-sim -metrics`.
 func (r *Registry) Render(w io.Writer) error {
-	for _, name := range r.Names() {
+	for _, name := range r.names() {
 		r.mu.Lock()
 		c, isCtr := r.ctrs[name]
 		h := r.hists[name]
@@ -232,7 +216,7 @@ func (r *Registry) Render(w io.Writer) error {
 			_, err = fmt.Fprintf(w, "%-36s %d\n", name, c.Value())
 		} else {
 			_, err = fmt.Fprintf(w, "%-36s count=%d mean=%.1f p50=%d p99=%d max=%d\n",
-				name, h.Count(), h.Mean(), h.Quantile(0.50), h.Quantile(0.99), h.Max())
+				name, h.Count(), h.Mean(), h.Quantile(0.50), h.Quantile(0.99), h.max.Load())
 		}
 		if err != nil {
 			return err

@@ -45,8 +45,8 @@ func TestHistogram(t *testing.T) {
 	if h.Count() != 201 {
 		t.Fatalf("count %d", h.Count())
 	}
-	if h.Max() != 5000 {
-		t.Fatalf("max %d", h.Max())
+	if h.max.Load() != 5000 {
+		t.Fatalf("max %d", h.max.Load())
 	}
 	if got := h.Quantile(0.5); got != 1000 {
 		// 100 of 201 samples are <= 100; the 101st falls in (100, 1000].
@@ -64,13 +64,12 @@ func TestHistogram(t *testing.T) {
 	if h.Mean() <= 0 {
 		t.Fatal("mean not positive")
 	}
-	bounds, counts := h.Buckets()
-	if len(bounds) != 4 || bounds[3] != ^uint64(0) {
-		t.Fatalf("buckets %v", bounds)
+	if len(h.counts) != 4 {
+		t.Fatalf("%d buckets for 3 bounds, want 4 (+inf last)", len(h.counts))
 	}
 	var total uint64
-	for _, c := range counts {
-		total += c
+	for i := range h.counts {
+		total += h.counts[i].Load()
 	}
 	if total != 201 {
 		t.Fatalf("bucket counts sum %d", total)
@@ -131,7 +130,7 @@ func TestRegistryRender(t *testing.T) {
 	if !strings.Contains(lines[2], "count=2") {
 		t.Fatalf("histogram line %q", lines[2])
 	}
-	names := r.Names()
+	names := r.names()
 	if len(names) != 3 || names[0] != "a.count" {
 		t.Fatalf("names %v", names)
 	}

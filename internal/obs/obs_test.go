@@ -64,10 +64,6 @@ func TestTracerRingAndSinks(t *testing.T) {
 	if len(mem.Events()) != 10 {
 		t.Fatalf("sink saw %d events", len(mem.Events()))
 	}
-	mem.Reset()
-	if len(mem.Events()) != 0 {
-		t.Fatal("reset did not clear the sink")
-	}
 
 	// A partially filled ring returns only what was emitted.
 	tr2 := NewTracer(0)

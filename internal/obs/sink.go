@@ -36,9 +36,6 @@ func (s *MemSink) Flush() error { return nil }
 // sink's storage).
 func (s *MemSink) Events() []Event { return s.evs }
 
-// Reset discards the recorded events.
-func (s *MemSink) Reset() { s.evs = s.evs[:0] }
-
 // JSONLSink writes one JSON object per event, newline-delimited — the
 // interchange format of the golden-trace suite and the -trace flag.
 // Encoding is deterministic: identical event streams produce

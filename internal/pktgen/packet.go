@@ -19,9 +19,6 @@ const (
 	tcpHeaderLen  = 20
 )
 
-// MAC is an Ethernet address.
-type MAC [6]byte
-
 // Flow identifies a bidirectional 5-tuple.
 type Flow struct {
 	SrcIP   uint32
@@ -36,19 +33,19 @@ func (f Flow) Reverse() Flow {
 	return Flow{SrcIP: f.DstIP, DstIP: f.SrcIP, SrcPort: f.DstPort, DstPort: f.SrcPort, Proto: f.Proto}
 }
 
-// PacketSpec describes one packet to build.
+// PacketSpec describes one packet to build. Both MAC addresses are
+// zero.
 type PacketSpec struct {
-	SrcMAC, DstMAC MAC
-	EtherType      uint16
+	EtherType uint16
 	// VLAN inserts an 802.1Q tag with this VID when non-zero.
 	VLAN uint16
 	Flow Flow
 	// TotalLen is the frame length including all headers; the payload is
 	// zero-filled. Values below the protocol minimum are raised to it.
 	TotalLen int
-	// TCPFlags applies to TCP packets (e.g. 0x02 for SYN).
-	TCPFlags uint8
 	TTL      uint8
+	// tcpFlags applies to TCP packets (e.g. 0x02 for SYN).
+	tcpFlags uint8
 }
 
 // Build constructs the packet bytes in a slice of their own.
@@ -88,8 +85,6 @@ func appendBuild(dst []byte, spec PacketSpec) []byte {
 
 	dst = append(dst, make([]byte, total)...) // zero-extends in place
 	pkt := dst[len(dst)-total:]
-	copy(pkt[0:6], spec.DstMAC[:])
-	copy(pkt[6:12], spec.SrcMAC[:])
 	ethTypeOff := 12
 	if spec.VLAN != 0 {
 		binary.BigEndian.PutUint16(pkt[12:14], ebpf.EthPVLAN)
@@ -120,7 +115,7 @@ func appendBuild(dst []byte, spec PacketSpec) []byte {
 		binary.BigEndian.PutUint16(l4[0:2], spec.Flow.SrcPort)
 		binary.BigEndian.PutUint16(l4[2:4], spec.Flow.DstPort)
 		l4[12] = 5 << 4 // data offset
-		l4[13] = spec.TCPFlags
+		l4[13] = spec.tcpFlags
 	}
 	return dst
 }

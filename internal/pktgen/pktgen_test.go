@@ -32,7 +32,7 @@ func TestBuildUDPPacket(t *testing.T) {
 
 func TestBuildTCPFlags(t *testing.T) {
 	flow := Flow{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: ebpf.IPProtoTCP}
-	pkt := Build(PacketSpec{Flow: flow, TCPFlags: 0x02})
+	pkt := Build(PacketSpec{Flow: flow, tcpFlags: 0x02})
 	if pkt[EthHeaderLen+IPv4HeaderLen+13] != 0x02 {
 		t.Error("SYN flag not set")
 	}

@@ -4,27 +4,21 @@
 // design is flashed) or the Bluefield-2 (100-105 W).
 package power
 
-// Profile is one host + NIC combination.
+// Profile is the idle server hosting one NIC.
 type Profile struct {
-	Host string
-	NIC  string
+	NIC string
 	// MinWatts/MaxWatts bound the measured band.
 	MinWatts, MaxWatts float64
 }
 
-// Watts returns the centre of the band.
-func (p Profile) Watts() float64 { return (p.MinWatts + p.MaxWatts) / 2 }
-
-// hostIdleWatts is the server with no accelerator, CPU in its lowest
-// power state.
-const hostIdleWatts = 64
+// watts returns the centre of the band.
+func (p Profile) watts() float64 { return (p.MinWatts + p.MaxWatts) / 2 }
 
 // U50Host returns the Alveo U50 host profile. The FPGA's draw varies
 // little across the flashed designs (eHDL, hXDP or SDNet): the paper
 // measured the same 80-85 W band for all three.
 func U50Host(design string) Profile {
 	return Profile{
-		Host:     "idle server",
 		NIC:      "Alveo U50 (" + design + ")",
 		MinWatts: 80,
 		MaxWatts: 85,
@@ -35,7 +29,6 @@ func U50Host(design string) Profile {
 // and switch silicon add roughly 20 W over the FPGA.
 func Bf2Host() Profile {
 	return Profile{
-		Host:     "idle server",
 		NIC:      "Bluefield-2",
 		MinWatts: 100,
 		MaxWatts: 105,
@@ -48,5 +41,5 @@ func EnergyPerPacketNanojoules(p Profile, mpps float64) float64 {
 	if mpps <= 0 {
 		return 0
 	}
-	return p.Watts() / (mpps * 1e6) * 1e9
+	return p.watts() / (mpps * 1e6) * 1e9
 }

@@ -10,7 +10,10 @@ func TestBands(t *testing.T) {
 		}
 	}
 	bf2 := Bf2Host()
-	if bf2.Watts() <= U50Host("eHDL").Watts() {
+	if bf2.MinWatts != 100 || bf2.MaxWatts != 105 {
+		t.Errorf("Bluefield-2 band = [%v,%v], the paper says 100-105 W", bf2.MinWatts, bf2.MaxWatts)
+	}
+	if bf2.watts() <= U50Host("eHDL").watts() {
 		t.Error("the Bluefield-2 host must draw more than the U50 host")
 	}
 }

@@ -44,18 +44,15 @@ func TestDispatcherMetered(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.arm(3)
-	if d.Queues() != 4 {
-		t.Fatalf("Queues() = %d", d.Queues())
-	}
 	gen := pktgen.NewGenerator(pktgen.GeneratorConfig{Flows: 16, PacketLen: 64, Seed: 3})
 	for i := 0; i < 8; i++ {
 		d.Offer(gen.Next())
 	}
 	// A burst frame shares the due cycle of the next paced arrival.
 	burst, paced := gen.Next(), gen.Next()
-	burstQ := d.OfferBurst(burst)
+	burstQ := d.offer(burst, false)
 	d.Offer(paced)
-	d.OfferBurst([]byte{0xde, 0xad}) // malformed: queue-0 fallback
+	d.offer([]byte{0xde, 0xad}, false) // malformed: queue-0 fallback
 	d.Close()
 
 	var items []Item
@@ -79,8 +76,8 @@ func TestDispatcherMetered(t *testing.T) {
 	if burstDue == 0 || burstDue != pacedDue {
 		t.Errorf("burst due %d, next paced due %d: bursts must pile onto the paced cycle", burstDue, pacedDue)
 	}
-	if d.Fallbacks() != 1 {
-		t.Errorf("Fallbacks() = %d, want 1", d.Fallbacks())
+	if d.fallbacks != 1 {
+		t.Errorf("%d fallbacks, want 1", d.fallbacks)
 	}
 	if got, ok := reg.CounterValue(metricFallback); !ok || got != 1 {
 		t.Errorf("fallback metric = %d (%v), want 1", got, ok)
@@ -93,14 +90,14 @@ func TestDispatcherMetered(t *testing.T) {
 	if steered != 11 {
 		t.Errorf("steered metrics sum to %d, want 11", steered)
 	}
-	if sum := d.PerQueue(); sum[burstQ] == 0 {
+	if sum := d.perQueue; sum[burstQ] == 0 {
 		t.Errorf("burst queue %d not counted in %v", burstQ, sum)
 	}
 }
 
 // TestEngineAccessors exercises the small engine surface the bigger
-// suites reach only indirectly: Pipeline, Sharing bounds, SetClock,
-// KeepData, OfferBurst and the Start/Drain misuse errors.
+// suites reach only indirectly: Pipeline, SetClock, KeepData,
+// OfferBurst and the Start/Drain misuse errors.
 func TestEngineAccessors(t *testing.T) {
 	pl := compileApp(t, "toy")
 	e, err := NewEngine(pl, Config{Queues: 2})
@@ -109,9 +106,6 @@ func TestEngineAccessors(t *testing.T) {
 	}
 	if e.Pipeline() != pl {
 		t.Error("Pipeline() lost the compiled design")
-	}
-	if e.Sharing(-1) != core.SharingShared || e.Sharing(999) != core.SharingShared {
-		t.Error("out-of-range Sharing should default to shared")
 	}
 	setupApp(t, "toy", e.HostMaps())
 	e.SetClock(func() uint64 { return 42 })

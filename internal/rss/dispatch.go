@@ -162,9 +162,6 @@ func (d *Dispatcher) arm(cyclesPerPacket float64) {
 	}
 }
 
-// Queues returns the queue count.
-func (d *Dispatcher) Queues() int { return d.ind.Queues() }
-
 // Sink returns the batch channel feeding queue q. A batch received from
 // it is valid until the consumer's next receive from the same sink.
 func (d *Dispatcher) Sink(q int) <-chan []Item { return d.lanes[q].sink }
@@ -175,12 +172,9 @@ func (d *Dispatcher) Offer(pkt []byte) int {
 	return d.offer(pkt, true)
 }
 
-// OfferBurst is Offer without advancing the pacing clock: the frame
-// arrives on the same cycle as the next paced packet (overflow bursts).
-func (d *Dispatcher) OfferBurst(pkt []byte) int {
-	return d.offer(pkt, false)
-}
-
+// offer is Offer; a burst frame (pacedArrival false) does not advance
+// the pacing clock: it arrives on the same cycle as the next paced
+// packet (overflow bursts).
 func (d *Dispatcher) offer(pkt []byte, pacedArrival bool) int {
 	hash, ok := d.hasher.HashPacket(pkt)
 	queue := 0
@@ -222,17 +216,6 @@ func (d *Dispatcher) offer(pkt []byte, pacedArrival bool) int {
 	return queue
 }
 
-// Arrivals returns the number of packets offered so far.
-func (d *Dispatcher) Arrivals() uint64 { return d.arrivals }
-
-// Fallbacks returns how many arrivals took the queue-0 catch-all.
-func (d *Dispatcher) Fallbacks() uint64 { return d.fallbacks }
-
-// PerQueue returns a copy of the per-queue steering counts.
-func (d *Dispatcher) PerQueue() []uint64 {
-	return append([]uint64(nil), d.perQueue...)
-}
-
 // flush sends the batch being filled and starts filling the next buffer
 // of the rotation. That buffer left rotation-1 = sinkDepth+1 sends ago,
 // and the send just made needed a free slot in a sinkDepth-deep
@@ -247,17 +230,11 @@ func (l *lane) flush() {
 	l.bufs[l.fill] = l.bufs[l.fill][:0]
 }
 
-// FlushAll pushes every partial batch out.
-func (d *Dispatcher) FlushAll() {
+// Close pushes every partial batch out and closes the sinks; the
+// workers drain and exit.
+func (d *Dispatcher) Close() {
 	for q := range d.lanes {
 		d.lanes[q].flush()
-	}
-}
-
-// Close flushes and closes the sinks; the workers drain and exit.
-func (d *Dispatcher) Close() {
-	d.FlushAll()
-	for q := range d.lanes {
 		close(d.lanes[q].sink)
 	}
 }

@@ -26,14 +26,13 @@ type Config struct {
 	// the dispatcher's queue-steer events instead. Metrics is shared by
 	// all replicas (the registry is atomic).
 	Sim hwsim.Config
-	// FastPath requests compiled-closure replicas instead of the
-	// cycle-accurate interpreter. It is a request, not a demand: a
-	// configuration the fast path cannot serve (faults, protection,
+	// FastPath requests fast-path replicas (fastpath.NewCore) instead
+	// of the cycle-accurate interpreter. It is a request, not a demand:
+	// a configuration the fast path cannot serve (faults, protection,
 	// watchdog, stall policy, metrics — the fallback matrix in
-	// DESIGN.md) keeps the interpreter silently, and FastPath() on the
-	// engine reports what actually runs. Queue-steer tracing stays
-	// available either way: the tracer lives in the dispatcher, never in
-	// the replicas.
+	// DESIGN.md) keeps the interpreter, and Engine.Fallback says why.
+	// Queue-steer tracing stays available either way: the tracer lives
+	// in the dispatcher, never in the replicas.
 	FastPath bool
 }
 
@@ -246,11 +245,6 @@ func (e *Engine) HostMaps() *maps.Set { return e.host }
 // mode.
 func (e *Engine) ReplicaCore(q int) hwsim.Core { return e.replicas[q].sim }
 
-// FastPath reports whether the replicas run the compiled fast path
-// (false means the interpreter serves, either because it was not
-// requested or because the configuration fell back).
-func (e *Engine) FastPath() bool { return e.fallback == "" }
-
 // Fallback says why the replicas run the interpreter ("" when they do
 // not): that nobody requested the fast path, or the feature
 // fastpath.Eligible named.
@@ -268,14 +262,6 @@ func (e *Engine) KeepData(keep bool) {
 	for _, r := range e.replicas {
 		r.sim.KeepData(keep)
 	}
-}
-
-// Sharing returns the layout class of map id.
-func (e *Engine) Sharing(id int) core.Sharing {
-	if id < 0 || id >= len(e.sharing) {
-		return core.SharingShared
-	}
-	return e.sharing[id]
 }
 
 // Seal ends host setup: from here on host reads serve the merged view.
@@ -339,7 +325,7 @@ func (e *Engine) Offer(pkt []byte) int { return e.disp.Offer(pkt) }
 // OfferBurst enqueues one arrival without advancing the pacing clock:
 // the frame lands on the same due cycle as the next paced arrival, the
 // way an ingress overflow burst piles onto one cycle.
-func (e *Engine) OfferBurst(pkt []byte) int { return e.disp.OfferBurst(pkt) }
+func (e *Engine) OfferBurst(pkt []byte) int { return e.disp.offer(pkt, false) }
 
 // worker drives one replica: it paces each item to its global due cycle
 // and injects it. On an engine error it keeps draining the channel (so
@@ -398,8 +384,8 @@ func (e *Engine) Drain() (RunStats, error) {
 	e.running = false
 
 	var rs RunStats
-	rs.Arrivals = e.disp.Arrivals()
-	perQueue := e.disp.PerQueue()
+	rs.Arrivals = e.disp.arrivals
+	perQueue := e.disp.perQueue
 	var firstErr error
 	for _, r := range e.replicas {
 		qs := QueueStats{
@@ -422,6 +408,6 @@ func (e *Engine) Drain() (RunStats, error) {
 	for _, b := range e.bankeds {
 		rs.MergeConflicts += b.Conflicts()
 	}
-	rs.FallbackSteers = e.disp.Fallbacks()
+	rs.FallbackSteers = e.disp.fallbacks
 	return rs, firstErr
 }

@@ -167,8 +167,8 @@ func TestSharedMapStaysSingle(t *testing.T) {
 		if spec.Name != "routes" {
 			continue
 		}
-		if e.Sharing(id) != core.SharingShared {
-			t.Fatalf("routes classified %v, want shared", e.Sharing(id))
+		if e.sharing[id] != core.SharingShared {
+			t.Fatalf("routes classified %v, want shared", e.sharing[id])
 		}
 		host, _ := e.HostMaps().ByName("routes")
 		for q := 0; q < e.Queues(); q++ {

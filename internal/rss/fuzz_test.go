@@ -42,7 +42,7 @@ func FuzzRSSDispatch(f *testing.F) {
 		defer d.Close()
 		go func() {
 			// Drain the sinks so batched offers never block the fuzzer.
-			for q := 0; q < d.Queues(); q++ {
+			for q := 0; q < len(d.lanes); q++ {
 				go func(c <-chan []Item) {
 					for range c {
 					}
@@ -71,7 +71,7 @@ func FuzzRSSDispatch(f *testing.F) {
 
 		// Raw-tuple stability: hashing any prefix of the key-sized
 		// window must not panic and must be repeatable.
-		if h.Sum(pkt) != h.Sum(pkt) {
+		if h.sum(pkt) != h.sum(pkt) {
 			t.Fatal("Sum unstable")
 		}
 	})

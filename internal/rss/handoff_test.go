@@ -36,7 +36,7 @@ func TestOfferAllocatesNothing(t *testing.T) {
 	})
 	d.Close()
 	wg.Wait()
-	for q, n := range d.PerQueue() {
+	for q, n := range d.perQueue {
 		// AllocsPerRun adds one warm-up call to the measured runs.
 		if n < (runs+1)*10*rotation*batch {
 			t.Fatalf("queue %d saw %d frames, fewer than ten rotations of batches per run", q, n)

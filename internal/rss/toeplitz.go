@@ -48,11 +48,13 @@ const minKeyBytes = 16
 // key window starting at that bit position. It is linear over GF(2), so
 // the contribution of a whole input byte at a given position depends on
 // that byte alone: NewHasher folds the eight windows of every byte
-// position into a 256-entry table, and Sum is one lookup per input byte
+// position into a 256-entry table, and sum is one lookup per input byte
 // — the software shape of the XOR tree hardware unrolls the hash into.
 type Hasher struct {
 	// tab[i][b] is the hash contribution of byte value b at input
-	// position i; len(tab) is MaxInputBytes.
+	// position i. len(tab) is the longest tuple the key can cover:
+	// longer inputs are truncated to it, keeping the hash total and
+	// stable for any input size (the fuzzer leans on this).
 	tab [][256]uint32
 }
 
@@ -90,13 +92,8 @@ func NewHasher(key []byte) (*Hasher, error) {
 	return h, nil
 }
 
-// MaxInputBytes returns the longest tuple the key can cover. Longer
-// inputs are truncated to this length, keeping the hash total and
-// stable for any input size (the fuzzer leans on this).
-func (h *Hasher) MaxInputBytes() int { return len(h.tab) }
-
-// Sum computes the Toeplitz hash of input.
-func (h *Hasher) Sum(input []byte) uint32 {
+// sum computes the Toeplitz hash of input.
+func (h *Hasher) sum(input []byte) uint32 {
 	if len(input) > len(h.tab) {
 		input = input[:len(h.tab)]
 	}
@@ -134,7 +131,7 @@ func (h *Hasher) HashPacket(pkt []byte) (hash uint32, ok bool) {
 		return 0, false
 	}
 	var buf [12]byte
-	return h.Sum(tupleBytes(flow, buf[:0])), true
+	return h.sum(tupleBytes(flow, buf[:0])), true
 }
 
 // indirectionSize is the number of indirection-table buckets, matching
@@ -144,8 +141,7 @@ const indirectionSize = 128
 // Indirection is the hash→queue table. The low 7 bits of the Toeplitz
 // hash select a bucket; the bucket holds a queue index.
 type Indirection struct {
-	table  [indirectionSize]int
-	queues int
+	table [indirectionSize]int
 }
 
 // NewIndirection builds the default equal-spread table: bucket i maps
@@ -154,15 +150,12 @@ func NewIndirection(queues int) (*Indirection, error) {
 	if queues < 1 {
 		return nil, fmt.Errorf("rss: need at least one queue, got %d", queues)
 	}
-	ind := &Indirection{queues: queues}
+	ind := &Indirection{}
 	for i := range ind.table {
 		ind.table[i] = i % queues
 	}
 	return ind, nil
 }
-
-// Queues returns the number of queues the table spreads across.
-func (ind *Indirection) Queues() int { return ind.queues }
 
 // QueueFor maps a hash to its queue.
 func (ind *Indirection) QueueFor(hash uint32) int {

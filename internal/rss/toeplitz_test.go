@@ -43,10 +43,10 @@ func TestToeplitzSpecVectors(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, v := range rssVectors {
-		if got := h.Sum(v.tuple(true)); got != v.withPorts {
+		if got := h.sum(v.tuple(true)); got != v.withPorts {
 			t.Errorf("vector %d with ports: got %#08x want %#08x", i, got, v.withPorts)
 		}
-		if got := h.Sum(v.tuple(false)); got != v.addrsOnly {
+		if got := h.sum(v.tuple(false)); got != v.addrsOnly {
 			t.Errorf("vector %d addrs only: got %#08x want %#08x", i, got, v.addrsOnly)
 		}
 	}
@@ -109,24 +109,24 @@ func TestToeplitzTableMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h.MaxInputBytes() != len(key)-4 {
-			t.Fatalf("%d-byte key covers %d input bytes, want %d", len(key), h.MaxInputBytes(), len(key)-4)
+		if len(h.tab) != len(key)-4 {
+			t.Fatalf("%d-byte key covers %d input bytes, want %d", len(key), len(h.tab), len(key)-4)
 		}
-		for n := 0; n <= h.MaxInputBytes()+8; n++ {
+		for n := 0; n <= len(h.tab)+8; n++ {
 			input := make([]byte, n)
 			rng.Read(input)
-			if got, want := h.Sum(input), toeplitzSerial(key, input); got != want {
+			if got, want := h.sum(input), toeplitzSerial(key, input); got != want {
 				t.Fatalf("key %x input %x: table %#08x, serial %#08x", key, input, got, want)
 			}
 		}
 	}
 	// The all-ones input exercises every window of every position.
 	h, _ := NewHasher(nil)
-	ones := make([]byte, h.MaxInputBytes())
+	ones := make([]byte, len(h.tab))
 	for i := range ones {
 		ones[i] = 0xff
 	}
-	if got, want := h.Sum(ones), toeplitzSerial(defaultKey, ones); got != want {
+	if got, want := h.sum(ones), toeplitzSerial(defaultKey, ones); got != want {
 		t.Errorf("all-ones input: table %#08x, serial %#08x", got, want)
 	}
 }
@@ -178,8 +178,8 @@ func TestHashStableForOversizedInput(t *testing.T) {
 	for i := range long {
 		long[i] = byte(i * 31)
 	}
-	want := h.Sum(long[:h.MaxInputBytes()])
-	if got := h.Sum(long); got != want {
+	want := h.sum(long[:len(h.tab)])
+	if got := h.sum(long); got != want {
 		t.Errorf("oversized input changed the hash: %#08x vs %#08x", got, want)
 	}
 }

@@ -132,7 +132,7 @@ func TestTenantNoisyNeighborChaosGate(t *testing.T) {
 	// Bit-identical victim map state.
 	bMulti := dMulti.byName["victim"]
 	bSolo := dSolo.byName["victim"]
-	if err := conformance.CompareMaps(bSolo.Maps(), bMulti.Maps()); err != nil {
+	if err := conformance.CompareMaps(bSolo.sh.Maps(), bMulti.sh.Maps()); err != nil {
 		t.Errorf("victim map state diverges beside a noisy neighbour: %v", err)
 	}
 

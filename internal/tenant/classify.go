@@ -64,7 +64,7 @@ func (d *Device) stripVLAN(pkt []byte) []byte {
 func (d *Device) steerFallback(seq int, to *Tenant) {
 	aux := quarantineBucket
 	if to != nil {
-		aux = uint64(to.ID)
+		aux = uint64(to.id)
 	}
 	d.cfg.Trace.Emit(obs.Event{
 		Cycle: uint64(d.epoch), Kind: obs.KindQueueSteer, Seq: int64(seq),

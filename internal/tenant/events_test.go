@@ -19,7 +19,7 @@ func TestTenantEventCoverage(t *testing.T) {
 	tr, sink := memTracer()
 	reg := obs.NewRegistry()
 	d := NewDevice(DeviceConfig{
-		UtilisationBandPct: 25, // one ECC+updatable firewall fits, a second does not
+		UtilisationBandPct: 18, // one ECC firewall fits, a second does not
 		EpochBudget:        16,
 		Trace:              tr,
 		Metrics:            reg,
@@ -27,16 +27,16 @@ func TestTenantEventCoverage(t *testing.T) {
 	ecc := nic.ShellConfig{Sim: hwsim.Config{Protection: protect.LevelECC}}
 	tn, err := d.AdmitTenant(Spec{
 		Name: "a", App: mustApp(t, "firewall"), Share: 0.9, VLAN: 100,
-		Updatable: true, Shell: ecc,
+		Shell: ecc,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.AdmitTenant(Spec{
 		Name: "b", App: mustApp(t, "firewall"), Share: 0.1, VLAN: 200,
-		Updatable: true, Shell: ecc,
+		Shell: ecc,
 	}); err == nil {
-		t.Fatal("second firewall fit a 25% band; reject event untestable")
+		t.Fatal("second firewall fit an 18% band; reject event untestable")
 	}
 
 	// Offer twice the bucket depth in one epoch so the policer sheds.
@@ -60,18 +60,18 @@ func TestTenantEventCoverage(t *testing.T) {
 	}
 	if ev, ok := seen[obs.KindTenantAdmit]; !ok {
 		t.Error("no tenant_admit event")
-	} else if ev.Aux != uint64(tn.ID) || ev.Aux2 == 0 {
-		t.Errorf("tenant_admit payload: Aux %d (want tenant %d), Aux2 %d (want util tenths)", ev.Aux, tn.ID, ev.Aux2)
+	} else if ev.Aux != uint64(tn.id) || ev.Aux2 == 0 {
+		t.Errorf("tenant_admit payload: Aux %d (want tenant %d), Aux2 %d (want util tenths)", ev.Aux, tn.id, ev.Aux2)
 	}
 	if ev, ok := seen[obs.KindTenantReject]; !ok {
 		t.Error("no tenant_reject event")
-	} else if ev.Aux <= ev.Aux2 || ev.Aux2 != 250 {
-		t.Errorf("tenant_reject payload: would-be util %d tenths must exceed band %d tenths (want 250)", ev.Aux, ev.Aux2)
+	} else if ev.Aux <= ev.Aux2 || ev.Aux2 != 180 {
+		t.Errorf("tenant_reject payload: would-be util %d tenths must exceed band %d tenths (want 180)", ev.Aux, ev.Aux2)
 	}
 	if ev, ok := seen[obs.KindTenantThrottle]; !ok {
 		t.Error("no tenant_throttle event")
-	} else if ev.Aux != uint64(tn.ID) || ev.Aux2 != rep.Throttled {
-		t.Errorf("tenant_throttle payload: Aux %d Aux2 %d, want tenant %d shed %d", ev.Aux, ev.Aux2, tn.ID, rep.Throttled)
+	} else if ev.Aux != uint64(tn.id) || ev.Aux2 != rep.Throttled {
+		t.Errorf("tenant_throttle payload: Aux %d Aux2 %d, want tenant %d shed %d", ev.Aux, ev.Aux2, tn.id, rep.Throttled)
 	}
 
 	for name, want := range map[string]uint64{

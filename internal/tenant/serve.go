@@ -25,7 +25,7 @@ func (d *Device) Serve(batch [][]byte, offeredPps float64) (nic.Report, error) {
 		return nic.Report{}, fmt.Errorf("tenant: device has no admitted tenants")
 	}
 	sub, quarantined := d.classify(batch)
-	return d.serve(sub, quarantined, offeredPps)
+	return d.serve(sub, quarantined, offeredPps), nil
 }
 
 // classify attributes one epoch's arrivals: per-tenant sub-batches in
@@ -50,14 +50,14 @@ func (d *Device) classify(batch [][]byte) (sub [][][]byte, quarantined uint64) {
 			quarantined++
 			continue
 		}
-		sub[t.ID] = append(sub[t.ID], frame)
+		sub[t.id] = append(sub[t.id], frame)
 	}
 	d.count(metricQuarantined, quarantined)
 	return sub, quarantined
 }
 
 // serve polices and serves one epoch's classified arrivals.
-func (d *Device) serve(sub [][][]byte, quarantined uint64, offeredPps float64) (nic.Report, error) {
+func (d *Device) serve(sub [][][]byte, quarantined uint64, offeredPps float64) nic.Report {
 	dev := nic.Report{Sent: quarantined, Quarantined: quarantined}
 
 	// Police: per-tenant token buckets under isolation, one shared
@@ -68,11 +68,11 @@ func (d *Device) serve(sub [][][]byte, quarantined uint64, offeredPps float64) (
 	if d.cfg.NoIsolation {
 		pool := d.cfg.epochBudget()
 		for _, t := range d.tenants {
-			n := len(sub[t.ID])
+			n := len(sub[t.id])
 			if n > pool {
 				n = pool
 			}
-			admitted[t.ID] = n
+			admitted[t.id] = n
 			pool -= n
 		}
 	} else {
@@ -81,21 +81,21 @@ func (d *Device) serve(sub [][][]byte, quarantined uint64, offeredPps float64) (
 			if depth := float64(d.bucketDepth(t.Spec)); t.bucket > depth {
 				t.bucket = depth
 			}
-			n := len(sub[t.ID])
+			n := len(sub[t.id])
 			if grant := int(t.bucket); n > grant {
 				n = grant
 			}
-			admitted[t.ID] = n
+			admitted[t.id] = n
 			t.bucket -= float64(n)
 		}
 	}
 
 	slices := make([]nic.TenantSlice, len(d.tenants))
 	for _, t := range d.tenants {
-		sl := &slices[t.ID]
+		sl := &slices[t.id]
 		sl.Name = t.Spec.Name
 		sl.VLAN = t.Spec.VLAN
-		arrivals := sub[t.ID]
+		arrivals := sub[t.id]
 		sl.Steered = uint64(len(arrivals))
 		d.count(metricSteered, sl.Steered)
 
@@ -108,25 +108,18 @@ func (d *Device) serve(sub [][][]byte, quarantined uint64, offeredPps float64) (
 			continue
 		}
 
-		adm := admitted[t.ID]
+		adm := admitted[t.id]
 		if shed := uint64(len(arrivals) - adm); shed > 0 {
 			sl.Throttled = shed
 			dev.Sent += shed
 			dev.Throttled += shed
 			d.count(metricThrottled, shed)
-			d.event(obs.KindTenantThrottle, uint64(t.ID), shed)
+			d.event(obs.KindTenantThrottle, uint64(t.id), shed)
 		}
 		if adm == 0 {
 			continue
 		}
 		sl.Admitted = uint64(adm)
-
-		if t.updateEpoch == d.epoch {
-			t.updateEpoch = -1
-			if err := t.sh.ScheduleUpdate(0, t.updateCfg); err != nil {
-				return dev, fmt.Errorf("tenant: %s: %w", t.Spec.Name, err)
-			}
-		}
 
 		// Overflow-burst faults make the shell pull more than adm frames;
 		// extras recycle the admitted sub-batch (modulo). The shell only
@@ -175,8 +168,6 @@ func (d *Device) serve(sub [][][]byte, quarantined uint64, offeredPps float64) (
 		sl.MalformedSent = rep.MalformedSent
 		sl.Recoveries = rep.Recoveries
 		sl.WatchdogTrips = rep.WatchdogTrips
-		sl.UpdatesCompleted = rep.UpdatesCompleted
-		sl.UpdatesRolledBack = rep.UpdatesRolledBack
 		sl.AchievedMpps = rep.AchievedMpps
 		sl.AvgLatencyNs = rep.AvgLatencyNs
 		if len(rep.Actions) > 0 {
@@ -192,30 +183,69 @@ func (d *Device) serve(sub [][][]byte, quarantined uint64, offeredPps float64) (
 
 	dev.PerTenant = slices
 	d.epoch++
-	return dev, nil
+	return dev
 }
 
 // RunLoad offers count arrivals from next() at offeredPps, chunked into
-// policing epochs of EpochPackets, and folds the per-epoch reports
-// (nic.Report.Add semantics, so the same tenant stays one PerTenant row
-// across epochs).
+// policing epochs of EpochPackets, and folds the per-epoch reports. The
+// epochs follow one another, so counters sum (nic.Report.Add, which
+// also keeps a tenant one PerTenant row) but rates do not: each rate of
+// the run is its epochs' rates weighted by the cycles they served for.
+// Within an epoch the tenants serve side by side, and their rates sum.
 func (d *Device) RunLoad(next func() []byte, count int, offeredPps float64) (nic.Report, error) {
 	var out nic.Report
+	var dev [5]timed
+	tenants := make([]timed, len(d.tenants))
+	var queues []timed
+	rates := func(r *nic.Report) [5]*float64 {
+		return [5]*float64{&r.OfferedMpps, &r.AchievedMpps, &r.OfferedGbps, &r.AchievedGbps, &r.FlushesPerS}
+	}
 	ep := d.cfg.epochPackets()
-	for off := 0; off < count; off += ep {
-		n := ep
-		if count-off < n {
-			n = count - off
-		}
-		batch := make([][]byte, n)
+	var err error
+	for off := 0; off < count && err == nil; off += ep {
+		batch := make([][]byte, min(ep, count-off))
 		for i := range batch {
 			batch[i] = next()
 		}
-		rep, err := d.Serve(batch, offeredPps)
-		out.Add(rep)
-		if err != nil {
-			return out, err
+		var rep nic.Report
+		rep, err = d.Serve(batch, offeredPps)
+		for i, r := range rates(&rep) {
+			dev[i].add(*r, rep.Cycles)
 		}
+		for i, sl := range rep.PerTenant {
+			tenants[i].add(sl.AchievedMpps, sl.Cycles)
+		}
+		for _, q := range rep.PerQueue {
+			for len(queues) <= q.Queue {
+				queues = append(queues, timed{})
+			}
+			queues[q.Queue].add(q.AchievedMpps, q.Cycles)
+		}
+		out.Add(rep)
 	}
-	return out, nil
+	for i, r := range rates(&out) {
+		*r = dev[i].mean()
+	}
+	for i := range out.PerTenant {
+		out.PerTenant[i].AchievedMpps = tenants[i].mean()
+	}
+	for i := range out.PerQueue {
+		out.PerQueue[i].AchievedMpps = queues[out.PerQueue[i].Queue].mean()
+	}
+	return out, err
+}
+
+// timed is a cycle-weighted mean of a rate over sequential epochs.
+type timed struct{ sum, cycles float64 }
+
+func (m *timed) add(rate float64, cycles uint64) {
+	m.sum += rate * float64(cycles)
+	m.cycles += float64(cycles)
+}
+
+func (m timed) mean() float64 {
+	if m.cycles == 0 {
+		return 0
+	}
+	return m.sum / m.cycles
 }

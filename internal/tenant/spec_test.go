@@ -66,8 +66,8 @@ func TestParseSpecList(t *testing.T) {
 }
 
 // TestDeviceAccessors: the small surface the CLIs and fleet controller
-// read — tenant listing, epoch counter, shell handle, the default-tenant
-// stream tag, and the admission error's rendered message.
+// read — tenant listing, the epoch counter, the default-tenant stream
+// tag, and the admission error's rendered message.
 func TestDeviceAccessors(t *testing.T) {
 	d := NewDevice(DeviceConfig{})
 	// A default tenant may omit its VLAN; its fault/jitter streams then
@@ -76,28 +76,25 @@ func TestDeviceAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tag := streamTag(tn.Spec, tn.ID); tag != 4096 {
+	if tag := streamTag(tn.Spec, tn.id); tag != 4096 {
 		t.Errorf("VLAN-less tenant stream tag %d, want 4096", tag)
-	}
-	if tn.Shell() == nil || tn.Shell().Maps() != tn.Maps() {
-		t.Error("Shell() does not expose the tenant's own shell")
 	}
 	if got := d.Tenants(); len(got) != 1 || got[0] != tn {
 		t.Errorf("Tenants() = %v, want the one admitted tenant", got)
 	}
-	if d.Epoch() != 0 {
-		t.Errorf("fresh device at epoch %d, want 0", d.Epoch())
+	if d.epoch != 0 {
+		t.Errorf("fresh device at epoch %d, want 0", d.epoch)
 	}
 	if _, err := d.RunLoad(NewTrafficMux([]Spec{tn.Spec}, 3).Next, 64, 50e6); err != nil {
 		t.Fatal(err)
 	}
-	if d.Epoch() != 1 {
-		t.Errorf("after one 64-packet load the device is at epoch %d, want 1", d.Epoch())
+	if d.epoch != 1 {
+		t.Errorf("after one 64-packet load the device is at epoch %d, want 1", d.epoch)
 	}
 
 	ae := &AdmissionError{
-		Tenant: "big", Need: hdl.Resources{LUTs: 9000}, Used: hdl.Resources{LUTs: 100},
-		UtilPct: 91.5, BandPct: 70,
+		tenant: "big", need: hdl.Resources{LUTs: 9000}, used: hdl.Resources{LUTs: 100},
+		utilPct: 91.5, bandPct: 70,
 	}
 	msg := ae.Error()
 	for _, frag := range []string{`"big"`, "91.5%", "70.0%", "LUT 9000", "LUT 100"} {

@@ -3,8 +3,8 @@
 // with robustness as the organizing principle.
 //
 //   - Admission is budget-gated: AdmitTenant prices the candidate
-//     design with the hdl estimators (pipeline, protection hardware,
-//     live-update support) and rejects, with a typed *AdmissionError,
+//     design with the hdl estimators (pipeline and protection
+//     hardware) and rejects, with a typed *AdmissionError,
 //     any tenant that would push the device past a configurable
 //     LUT/FF/BRAM utilisation band. What is admitted provably fits.
 //   - Isolation is by construction: every tenant gets its own compiled
@@ -19,9 +19,7 @@
 //     counted in its ledger — never a neighbour's.
 //   - Failure is contained: a tenant whose pipeline dies unrecoverably
 //     takes down only its own traffic (exactly accounted as
-//     TenantDownLoss); the device keeps serving everyone else. A
-//     per-tenant hitless live update swaps one tenant's program while
-//     the others serve uninterrupted.
+//     TenantDownLoss); the device keeps serving everyone else.
 package tenant
 
 import (
@@ -29,11 +27,8 @@ import (
 
 	"ehdl/internal/apps"
 	"ehdl/internal/core"
-	"ehdl/internal/ebpf"
 	"ehdl/internal/faults"
 	"ehdl/internal/hdl"
-	"ehdl/internal/liveupdate"
-	"ehdl/internal/maps"
 	"ehdl/internal/nic"
 	"ehdl/internal/obs"
 )
@@ -85,10 +80,6 @@ type Spec struct {
 	// (the device's Trace/Metrics observe the control plane; the tracer
 	// is single-writer).
 	Shell nic.ShellConfig
-	// Updatable prices the live-update hardware (double-buffered maps,
-	// migration channels, canary tap) into the admission estimate and
-	// allows ScheduleUpdate for this tenant.
-	Updatable bool
 }
 
 // DeviceConfig parameterises a multi-tenant device.
@@ -159,58 +150,44 @@ func (c DeviceConfig) seed() int64 {
 // AdmissionError is the typed rejection of the budget admission gate:
 // the candidate design would push the device past its utilisation band.
 type AdmissionError struct {
-	// Tenant is the rejected candidate.
-	Tenant string
-	// Need is the candidate's priced resource vector; Used is what the
+	// tenant is the rejected candidate.
+	tenant string
+	// need is the candidate's priced resource vector; used is what the
 	// device (shell plus admitted tenants) already consumes.
-	Need hdl.Resources
-	Used hdl.Resources
-	// UtilPct is the dominant utilisation the admission would reach;
-	// BandPct is the configured ceiling it exceeds.
-	UtilPct float64
-	BandPct float64
+	need, used hdl.Resources
+	// utilPct is the dominant utilisation the admission would reach;
+	// bandPct is the configured ceiling it exceeds.
+	utilPct, bandPct float64
 }
 
 func (e *AdmissionError) Error() string {
 	return fmt.Sprintf(
 		"tenant: admitting %q would reach %.1f%% device utilisation (band %.1f%%): "+
 			"need {LUT %d FF %d BRAM %d}, used {LUT %d FF %d BRAM %d}",
-		e.Tenant, e.UtilPct, e.BandPct,
-		e.Need.LUTs, e.Need.FFs, e.Need.BRAM36,
-		e.Used.LUTs, e.Used.FFs, e.Used.BRAM36)
+		e.tenant, e.utilPct, e.bandPct,
+		e.need.LUTs, e.need.FFs, e.need.BRAM36,
+		e.used.LUTs, e.used.FFs, e.used.BRAM36)
 }
 
 // Tenant is one admitted tenant: its shell, its priced estimate and its
 // policing/containment state.
 type Tenant struct {
-	// ID is the admission index, the serving order within an epoch.
-	ID int
+	// id is the admission index, the serving order within an epoch.
+	id int
 	// Spec is the admitted specification.
 	Spec Spec
 	// Est is the hdl estimate the admission gate charged for the
-	// tenant (pipeline + protection + live-update support).
+	// tenant (pipeline + protection).
 	Est hdl.Resources
 
-	sh   *nic.Shell
-	prog *ebpf.Program
+	sh *nic.Shell
 
 	// bucket is the token-bucket fill in frames.
 	bucket float64
 
 	dead       bool
 	deathCause string
-
-	// updateEpoch arms a hitless live update at that device epoch
-	// (-1: none pending).
-	updateEpoch int
-	updateCfg   liveupdate.Config
 }
-
-// Shell exposes the tenant's NIC shell.
-func (t *Tenant) Shell() *nic.Shell { return t.sh }
-
-// Maps exposes the tenant's private map namespace.
-func (t *Tenant) Maps() *maps.Set { return t.sh.Maps() }
 
 // Dead reports whether the tenant's pipeline died unrecoverably;
 // DeathCause carries the terminal error.
@@ -321,24 +298,20 @@ func (d *Device) AdmitTenant(sp Spec) (*Tenant, error) {
 	}
 
 	// Price the design: the pipeline (replicated when the tenant runs
-	// multi-queue), its protection hardware, and — when the tenant is
-	// hot-swappable — the live-update support.
+	// multi-queue) and its protection hardware.
 	est := hdl.EstimatePipeline(pl)
 	if sp.Shell.Queues > 1 {
 		est = hdl.EstimateReplicated(pl, sp.Shell.Queues)
 	}
 	est = est.Add(hdl.EstimateProtection(pl, sp.Shell.Sim.Protection))
-	if sp.Updatable {
-		est = est.Add(hdl.EstimateLiveUpdate(pl))
-	}
 
 	util := d.used.Add(est).PercentOf(fpga).Max()
 	if util > d.cfg.bandPct() {
 		d.count(metricRejected, 1)
 		d.event(obs.KindTenantReject, uint64(util*10), uint64(d.cfg.bandPct()*10))
 		return nil, &AdmissionError{
-			Tenant: sp.Name, Need: est, Used: d.used,
-			UtilPct: util, BandPct: d.cfg.bandPct(),
+			tenant: sp.Name, need: est, used: d.used,
+			utilPct: util, bandPct: d.cfg.bandPct(),
 		}
 	}
 
@@ -366,7 +339,7 @@ func (d *Device) AdmitTenant(sp Spec) (*Tenant, error) {
 		return nil, fmt.Errorf("tenant: %s: setup: %w", sp.Name, err)
 	}
 
-	t := &Tenant{ID: id, Spec: sp, Est: est, sh: sh, prog: prog, updateEpoch: -1}
+	t := &Tenant{id: id, Spec: sp, Est: est, sh: sh}
 	t.bucket = float64(d.bucketDepth(sp))
 	d.tenants = append(d.tenants, t)
 	d.byName[sp.Name] = t
@@ -405,29 +378,6 @@ func (d *Device) Used() hdl.Resources { return d.used }
 
 func (d *Device) Utilisation() float64 {
 	return d.used.PercentOf(fpga).Max()
-}
-
-// Epoch returns the number of served epochs.
-func (d *Device) Epoch() int { return d.epoch }
-
-// ScheduleUpdate arms a hitless live update for one tenant at the given
-// device epoch: the tenant's shell swaps at a drain barrier behind a
-// canary during that epoch's serving window while every other tenant
-// serves uninterrupted.
-func (d *Device) ScheduleUpdate(name string, epoch int, cfg liveupdate.Config) error {
-	t, ok := d.byName[name]
-	if !ok {
-		return fmt.Errorf("tenant: no tenant %q", name)
-	}
-	if !t.Spec.Updatable {
-		return fmt.Errorf("tenant: %s was not admitted as updatable (its live-update hardware is not budgeted)", name)
-	}
-	if epoch < d.epoch {
-		return fmt.Errorf("tenant: %s: update epoch %d already passed (device at %d)", name, epoch, d.epoch)
-	}
-	t.updateEpoch = epoch
-	t.updateCfg = cfg
-	return nil
 }
 
 // count bumps a tenant metric (nil-registry safe).

@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"ehdl/internal/apps"
 	"ehdl/internal/faults"
 	"ehdl/internal/hdl"
 	"ehdl/internal/hwsim"
-	"ehdl/internal/liveupdate"
 	"ehdl/internal/nic"
 	"ehdl/internal/obs"
 	"ehdl/internal/protect"
@@ -44,16 +44,14 @@ func TestAdmissionGateEnforcesBudget(t *testing.T) {
 	var admitted []*Tenant
 	var rejection *AdmissionError
 	for i := 0; i < 24; i++ {
-		// Firewall under ECC with live-update support: the most
-		// expensive admission profile (protection codecs plus
-		// double-buffered maps).
+		// Firewall under ECC: the most expensive admission profile
+		// (the pipeline plus its protection codecs).
 		tn, err := d.AdmitTenant(Spec{
-			Name:      fmt.Sprintf("fw%d", i),
-			App:       mustApp(t, "firewall"),
-			Share:     0.04,
-			VLAN:      uint16(100 + i),
-			Updatable: true,
-			Shell:     nic.ShellConfig{Sim: hwsim.Config{Protection: protect.LevelECC}},
+			Name:  fmt.Sprintf("fw%d", i),
+			App:   mustApp(t, "firewall"),
+			Share: 0.04,
+			VLAN:  uint16(100 + i),
+			Shell: nic.ShellConfig{Sim: hwsim.Config{Protection: protect.LevelECC}},
 		})
 		if err != nil {
 			if !errors.As(err, &rejection) {
@@ -82,12 +80,12 @@ func TestAdmissionGateEnforcesBudget(t *testing.T) {
 	if util := d.Utilisation(); util > band {
 		t.Errorf("admitted set at %.2f%% exceeds the %.0f%% band", util, band)
 	}
-	if rejection.UtilPct <= band || rejection.BandPct != band {
+	if rejection.utilPct <= band || rejection.bandPct != band {
 		t.Errorf("rejection says %.2f%% vs band %.2f%%, want would-be util above %.0f",
-			rejection.UtilPct, rejection.BandPct, band)
+			rejection.utilPct, rejection.bandPct, band)
 	}
-	if rejection.Used != d.Used() {
-		t.Errorf("rejection Used %+v != device book %+v", rejection.Used, d.Used())
+	if rejection.used != d.Used() {
+		t.Errorf("rejection used %+v != device book %+v", rejection.used, d.Used())
 	}
 
 	// The gate is observable: admit/reject events and tenant.* metrics.
@@ -169,10 +167,10 @@ func TestTenantMapNamespaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Maps() == b.Maps() {
+	if a.sh.Maps() == b.sh.Maps() {
 		t.Fatal("tenants share a map set")
 	}
-	before := b.Maps().Snapshot()
+	before := b.sh.Maps().Snapshot()
 
 	// Serve traffic only for tenant a: its counters move, b's stay put.
 	mux := NewTrafficMux([]Spec{a.Spec}, 7)
@@ -189,7 +187,7 @@ func TestTenantMapNamespaces(t *testing.T) {
 	if rep.PerTenant[1].Steered != 0 || rep.PerTenant[1].Received != 0 {
 		t.Errorf("tenant b saw traffic addressed to a: %+v", rep.PerTenant[1])
 	}
-	if !before.Equal(b.Maps().Snapshot()) {
+	if !before.Equal(b.sh.Maps().Snapshot()) {
 		t.Error("idle tenant b's map state changed while a served traffic")
 	}
 }
@@ -266,63 +264,45 @@ func TestTenantDeathContained(t *testing.T) {
 	}
 }
 
-// TestPerTenantLiveUpdate: one tenant hot-swaps mid-run while the other
-// serves uninterrupted; the update outcome lands in the updating
-// tenant's slice only.
-func TestPerTenantLiveUpdate(t *testing.T) {
-	const seed = 0x10ad
-	d := NewDevice(DeviceConfig{Seed: seed, EpochPackets: 128})
-	toy := mustApp(t, "toy")
-	aSpec := Spec{Name: "swap", App: toy, Share: 0.5, VLAN: 100, Updatable: true}
-	bSpec := Spec{Name: "keep", App: mustApp(t, "firewall"), Share: 0.5, VLAN: 200}
-	if _, err := d.AdmitTenant(aSpec); err != nil {
-		t.Fatal(err)
+// TestRunLoadFoldsEpochsInTime: epochs are sequential, so cutting the
+// same arrivals into more epochs must not multiply a rate. The same 2048
+// arrivals run as one epoch and as sixteen of 128 frames: each tenant's
+// rate reads the same both ways and equals its frames over its serving
+// time, and the device is offered what the load offered.
+func TestRunLoadFoldsEpochsInTime(t *testing.T) {
+	const clock = 250e6 // nic.ShellConfig's default
+	specs := []Spec{
+		{Name: "a", App: mustApp(t, "toy"), Share: 0.5, VLAN: 100},
+		{Name: "b", App: mustApp(t, "firewall"), Share: 0.5, VLAN: 200},
 	}
-	if _, err := d.AdmitTenant(bSpec); err != nil {
-		t.Fatal(err)
-	}
-
-	prog, err := toy.Program()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ucfg := liveupdate.Config{Prog: prog, Setup: toy.SetupHost, CanaryPackets: 4}
-	if err := d.ScheduleUpdate("keep", 1, ucfg); err == nil {
-		t.Error("non-updatable tenant accepted an update (its hardware was never budgeted)")
-	}
-	if err := d.ScheduleUpdate("swap", 1, ucfg); err != nil {
-		t.Fatal(err)
-	}
-
-	mux := NewTrafficMux([]Spec{aSpec, bSpec}, seed)
-	rep, err := d.RunLoad(mux.Next, 512, 50e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var swap, keep nic.TenantSlice
-	for _, sl := range rep.PerTenant {
-		switch sl.Name {
-		case "swap":
-			swap = sl
-		case "keep":
-			keep = sl
+	var rates [2][]float64
+	for run, epoch := range []int{2048, 128} {
+		d := NewDevice(DeviceConfig{Seed: 5, EpochPackets: epoch})
+		for _, sp := range specs {
+			if _, err := d.AdmitTenant(sp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rep, err := d.RunLoad(NewTrafficMux(specs, 5).Next, 2048, 50e6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(rep.OfferedMpps-50) > 1e-9 {
+			t.Errorf("%d-frame epochs: device offered %.2f Mpps, want 50", epoch, rep.OfferedMpps)
+		}
+		for _, sl := range rep.PerTenant {
+			want := float64(sl.Received) / (float64(sl.Cycles) / clock) / 1e6
+			if sl.Received == 0 || math.Abs(sl.AchievedMpps-want) > 1e-9*want {
+				t.Errorf("%d-frame epochs: tenant %s reads %.2f Mpps, %d frames over %d cycles is %.2f",
+					epoch, sl.Name, sl.AchievedMpps, sl.Received, sl.Cycles, want)
+			}
+			rates[run] = append(rates[run], sl.AchievedMpps)
 		}
 	}
-	if swap.UpdatesCompleted != 1 || swap.UpdatesRolledBack != 0 {
-		t.Errorf("swap tenant update outcome: %d completed, %d rolled back, want 1/0",
-			swap.UpdatesCompleted, swap.UpdatesRolledBack)
-	}
-	if keep.UpdatesCompleted != 0 || keep.UpdatesRolledBack != 0 {
-		t.Errorf("idle tenant charged an update: %+v", keep)
-	}
-	if keep.Received == 0 || keep.Lost != 0 {
-		t.Errorf("neighbour disturbed during the update: %+v", keep)
-	}
-	if rep.UpdatesCompleted != 1 {
-		t.Errorf("device report lost the update outcome: %+v", rep.UpdatesCompleted)
-	}
-	if !rep.Accounted() {
-		t.Errorf("ledger identity broken across the update: %+v", rep)
+	for i := range rates[0] {
+		if one, many := rates[0][i], rates[1][i]; math.Abs(many-one) > 0.05*one {
+			t.Errorf("tenant %s: %.2f Mpps as one epoch, %.2f as sixteen", specs[i].Name, one, many)
+		}
 	}
 }
 
@@ -330,8 +310,7 @@ func TestPerTenantLiveUpdate(t *testing.T) {
 // sub-batches to the tenant shells without copying every pulled frame:
 // nothing below writes into one. A single epoch runs every tenant under
 // malformed-traffic and overflow-burst faults (damaged frames, and
-// extras that recycle the sub-batch) with a live update scheduled on
-// one of them; the classifier's batch and every tenant's sub-batch —
+// extras that recycle the sub-batch); the classifier's batch and every tenant's sub-batch —
 // the untagged default tenant's aliases the batch, a VLAN tenant's is
 // the stripped copies — must read back byte for byte afterwards.
 func TestServeLeavesFramesUntouched(t *testing.T) {
@@ -342,7 +321,7 @@ func TestServeLeavesFramesUntouched(t *testing.T) {
 	})
 	toy := mustApp(t, "toy")
 	specs := []Spec{
-		{Name: "swap", App: toy, Share: 0.4, VLAN: 100, Updatable: true},
+		{Name: "tagged-toy", App: toy, Share: 0.4, VLAN: 100},
 		{Name: "tagged", App: mustApp(t, "firewall"), Share: 0.3, VLAN: 200},
 		{Name: "untagged", App: toy, Share: 0.3, Default: true},
 	}
@@ -351,14 +330,6 @@ func TestServeLeavesFramesUntouched(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	prog, err := toy.Program()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.ScheduleUpdate("swap", 0, liveupdate.Config{Prog: prog, Setup: toy.SetupHost, CanaryPackets: 4}); err != nil {
-		t.Fatal(err)
-	}
-
 	batch := NewTrafficMux(specs, seed).Batch(512)
 	sub, quarantined := d.classify(batch)
 	clone := func(frames [][]byte) [][]byte {
@@ -373,13 +344,10 @@ func TestServeLeavesFramesUntouched(t *testing.T) {
 		pristine = append(pristine, clone(frames))
 	}
 
-	rep, err := d.serve(sub, quarantined, 50e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.MalformedSent == 0 || rep.Sent <= uint64(len(batch)) || rep.UpdatesCompleted+rep.UpdatesRolledBack == 0 {
-		t.Fatalf("epoch missed a path that handles pulled frames: %d malformed, %d sent of %d arrivals, %d updates",
-			rep.MalformedSent, rep.Sent, len(batch), rep.UpdatesCompleted+rep.UpdatesRolledBack)
+	rep := d.serve(sub, quarantined, 50e6)
+	if rep.MalformedSent == 0 || rep.Sent <= uint64(len(batch)) {
+		t.Fatalf("epoch missed a path that handles pulled frames: %d malformed, %d sent of %d arrivals",
+			rep.MalformedSent, rep.Sent, len(batch))
 	}
 	for k, frames := range append([][][]byte{batch}, sub...) {
 		for i := range frames {

@@ -33,7 +33,7 @@ func newState(pkt *Packet) *State {
 
 // Reset re-arms the state in place for one run over data: registers
 // cleared, the architectural inputs (R1, R10) set, the packet re-armed
-// through Packet.Reset, and the stack cleared over [lo, hi) — the span
+// through Packet.reset, and the stack cleared over [lo, hi) — the span
 // the caller knows every write lands in; the rest has been zero since
 // the state was made. A reset state is indistinguishable from
 // newState(NewPacket(data)); both pipeline engines recycle their
@@ -46,7 +46,7 @@ func (s *State) Reset(data []byte, lo, hi int) {
 	if s.Pkt == nil {
 		s.Pkt = &Packet{}
 	}
-	s.Pkt.Reset(data)
+	s.Pkt.reset(data)
 }
 
 // CopyFrom makes s a deep copy of o (for pipeline flush snapshots),

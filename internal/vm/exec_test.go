@@ -59,7 +59,7 @@ func TestPacketCopyFromMovesOnlyWhatDiffers(t *testing.T) {
 		for n := r.Intn(4); n >= 0; n-- {
 			frame := make([]byte, 1+r.Intn(200))
 			r.Read(frame)
-			p.Reset(frame)
+			p.reset(frame)
 			if r.Intn(2) == 0 {
 				if err := p.AdjustHead(-r.Intn(defaultHeadroom + 1)); err != nil {
 					t.Fatal(err)

@@ -35,7 +35,7 @@ func (c *ExecContext) CallHelper(st *State, id ebpf.HelperID) (redirect uint32, 
 		if err != nil {
 			return 0, err
 		}
-		key, err := c.Mem.ReadBytes(st, st.Regs[ebpf.R2], mp.Spec().KeySize)
+		key, err := c.Mem.readBytes(st, st.Regs[ebpf.R2], mp.Spec().KeySize)
 		if err != nil {
 			return 0, fmt.Errorf("bpf_map_lookup_elem key: %w", err)
 		}
@@ -47,11 +47,11 @@ func (c *ExecContext) CallHelper(st *State, id ebpf.HelperID) (redirect uint32, 
 		if err != nil {
 			return 0, err
 		}
-		key, err := c.Mem.ReadBytes(st, st.Regs[ebpf.R2], mp.Spec().KeySize)
+		key, err := c.Mem.readBytes(st, st.Regs[ebpf.R2], mp.Spec().KeySize)
 		if err != nil {
 			return 0, fmt.Errorf("bpf_map_update_elem key: %w", err)
 		}
-		val, err := c.Mem.ReadBytes(st, st.Regs[ebpf.R3], mp.Spec().ValueSize)
+		val, err := c.Mem.readBytes(st, st.Regs[ebpf.R3], mp.Spec().ValueSize)
 		if err != nil {
 			return 0, fmt.Errorf("bpf_map_update_elem value: %w", err)
 		}
@@ -63,7 +63,7 @@ func (c *ExecContext) CallHelper(st *State, id ebpf.HelperID) (redirect uint32, 
 		if err != nil {
 			return 0, err
 		}
-		key, err := c.Mem.ReadBytes(st, st.Regs[ebpf.R2], mp.Spec().KeySize)
+		key, err := c.Mem.readBytes(st, st.Regs[ebpf.R2], mp.Spec().KeySize)
 		if err != nil {
 			return 0, fmt.Errorf("bpf_map_delete_elem key: %w", err)
 		}

@@ -76,12 +76,9 @@ func NewMemSpace(prog *ebpf.Program, set *maps.Set) (*MemSpace, error) {
 	return m, nil
 }
 
-// Maps returns the underlying map set.
-func (m *MemSpace) Maps() *maps.Set { return m.maps }
-
-// Resolve classifies addr and returns the backing byte slice (nil for
+// resolve classifies addr and returns the backing byte slice (nil for
 // the context region) together with the offset of addr within it.
-func (m *MemSpace) Resolve(st *State, addr uint64, size int) (Region, []byte, int, error) {
+func (m *MemSpace) resolve(st *State, addr uint64, size int) (Region, []byte, int, error) {
 	switch {
 	case addr >= ctxBase && addr+uint64(size) <= ctxBase+ebpf.XDPMDSize:
 		return RegionCtx, nil, int(addr - ctxBase), nil
@@ -161,8 +158,8 @@ func (m *MemSpace) Rebind(addr uint64, value []byte) {
 	w.values[rel%mapStride/w.stride] = value
 }
 
-// Load executes a LDX instruction against a state.
-func (m *MemSpace) Load(st *State, ins ebpf.Instruction) (uint64, error) {
+// load executes a LDX instruction against a state.
+func (m *MemSpace) load(st *State, ins ebpf.Instruction) (uint64, error) {
 	addr := st.Regs[ins.Src] + uint64(int64(ins.Off))
 	return m.LoadAt(st, addr, ins.MemSize().Bytes())
 }
@@ -171,7 +168,7 @@ func (m *MemSpace) Load(st *State, ins ebpf.Instruction) (uint64, error) {
 // simulator uses it for statically addressed accesses whose base
 // register was elided.
 func (m *MemSpace) LoadAt(st *State, addr uint64, size int) (uint64, error) {
-	kind, mem, off, err := m.Resolve(st, addr, size)
+	kind, mem, off, err := m.resolve(st, addr, size)
 	if err != nil {
 		return 0, err
 	}
@@ -199,8 +196,8 @@ func loadCtx(st *State, off, size int) (uint64, error) {
 	return 0, fmt.Errorf("unaligned xdp_md access at offset %d", off)
 }
 
-// Store executes ST/STX instructions, including atomics.
-func (m *MemSpace) Store(st *State, ins ebpf.Instruction) error {
+// store executes ST/STX instructions, including atomics.
+func (m *MemSpace) store(st *State, ins ebpf.Instruction) error {
 	addr := st.Regs[ins.Dst] + uint64(int64(ins.Off))
 	return m.StoreAt(st, ins, addr)
 }
@@ -208,7 +205,7 @@ func (m *MemSpace) Store(st *State, ins ebpf.Instruction) error {
 // StoreAt executes a store or atomic at an explicit virtual address.
 func (m *MemSpace) StoreAt(st *State, ins ebpf.Instruction, addr uint64) error {
 	size := ins.MemSize().Bytes()
-	kind, mem, off, err := m.Resolve(st, addr, size)
+	kind, mem, off, err := m.resolve(st, addr, size)
 	if err != nil {
 		return err
 	}
@@ -276,7 +273,7 @@ func execAtomic(st *State, ins ebpf.Instruction, mem []byte, size int) error {
 // helper key/value arguments the callee does not retain: the slice
 // aliases the stack, packet or map value it resolved to.
 func (m *MemSpace) ViewBytes(st *State, addr uint64, n int) ([]byte, error) {
-	kind, mem, off, err := m.Resolve(st, addr, n)
+	kind, mem, off, err := m.resolve(st, addr, n)
 	if err != nil {
 		return nil, err
 	}
@@ -286,9 +283,9 @@ func (m *MemSpace) ViewBytes(st *State, addr uint64, n int) ([]byte, error) {
 	return mem[off : off+n], nil
 }
 
-// ReadBytes copies n bytes starting at addr, for helper key/value
+// readBytes copies n bytes starting at addr, for helper key/value
 // arguments.
-func (m *MemSpace) ReadBytes(st *State, addr uint64, n int) ([]byte, error) {
+func (m *MemSpace) readBytes(st *State, addr uint64, n int) ([]byte, error) {
 	view, err := m.ViewBytes(st, addr, n)
 	if err != nil {
 		return nil, err

@@ -128,7 +128,7 @@ func TestShadowAndRebind(t *testing.T) {
 	if v, _ := c.Mem.LoadAt(st, addrA, 8); v != 1 {
 		t.Fatalf("the rebound address reads %d, want the orphaned 1", v)
 	}
-	if _, _, _, err := c.Mem.Resolve(st, mapValBase+mapStride+8, 8); err == nil {
+	if _, _, _, err := c.Mem.resolve(st, mapValBase+mapStride+8, 8); err == nil {
 		t.Error("an address no lookup returned resolved")
 	}
 }

@@ -384,7 +384,7 @@ func TestStepLimit(t *testing.T) {
 	}
 	env, _ := NewEnv(prog)
 	m, _ := New(prog, env)
-	m.StepLimit = 100
+	m.stepLimit = 100
 	if _, err := m.Run(NewPacket(make([]byte, 64))); err == nil {
 		t.Fatal("infinite loop did not hit the step limit")
 	}
