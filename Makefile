@@ -54,7 +54,7 @@ chaos:
 # the simulator that hosts the recovery machinery, the
 # tracer/metrics/profiling package, the multi-queue front end, the
 # serving loops and the report fold, the fleet controller, the tenant
-# classifier/policer/admission gate and the journal/snapshot codecs
+# classifier/policer/admission gate and the journal codec
 # must stay above their floors (protect 90%, hwsim 75%, obs 85%, rss
 # 85%, nic 85%, fastpath 85%, fleet 85%, tenant 85%, durable 85%), and so
 # must vm (85%), which hosts every closure both engines run, maps

@@ -61,9 +61,8 @@ func run() int {
 		jsonOut   = flag.Bool("json", false, "print the fleet report as JSON instead of text")
 		tracePath = flag.String("trace", "", "write fleet rollout/rebalance events to this file (JSONL)")
 
-		journalDir = flag.String("journal", "", "directory for the crash-consistency write-ahead journal and state snapshots")
+		journalDir = flag.String("journal", "", "directory for the crash-consistency write-ahead journal")
 		resume     = flag.Bool("resume", false, "recover the run journaled in -journal: verified replay, then live execution from the journal tail")
-		snapEvery  = flag.Int("snapshot-every", 0, "full-state snapshot cadence in epochs (0: fleet default)")
 
 		tenantsSpec = flag.String("tenants", "", "multi-tenant devices: comma-separated app:share list admitted on every shard (replaces -app)")
 		tenantBand  = flag.Float64("band", 0, "per-device tenant admission ceiling in percent of fabric utilisation (0: tenant default)")
@@ -86,28 +85,23 @@ func run() int {
 	case *rollRate < 2:
 		return usage(fmt.Errorf("-rollout-rate must be >= 2 (update epoch + soak epoch), got %d", *rollRate))
 	case *tenantsSpec != "" && *updProg != "":
-		return usage(fmt.Errorf("fleet-wide rollouts are single-pipeline; tenant updates go through tenant.Device.ScheduleUpdate"))
+		return usage(fmt.Errorf("fleet-wide rollouts are single-pipeline; tenant fleets take no rollout"))
 	case *tenantsSpec == "" && *tenantBand != 0:
 		return usage(fmt.Errorf("-band only applies with -tenants"))
 	case *tenantBand < 0 || *tenantBand > 100:
 		return usage(fmt.Errorf("-band must be in (0,100], got %g", *tenantBand))
 	case *resume && *journalDir == "":
 		return usage(fmt.Errorf("-resume requires -journal"))
-	case *snapEvery != 0 && *journalDir == "":
-		return usage(fmt.Errorf("-snapshot-every only applies with -journal"))
-	case *snapEvery < 0:
-		return usage(fmt.Errorf("-snapshot-every must be >= 0, got %d", *snapEvery))
 	}
 
 	cfg := fleet.Config{
-		Devices:       *devices,
-		Seed:          *seed,
-		EpochPackets:  *packets,
-		OfferedPps:    *rate * 1e6,
-		Verify:        *verify,
-		JournalDir:    *journalDir,
-		Resume:        *resume,
-		SnapshotEvery: *snapEvery,
+		Devices:      *devices,
+		Seed:         *seed,
+		EpochPackets: *packets,
+		OfferedPps:   *rate * 1e6,
+		Verify:       *verify,
+		JournalDir:   *journalDir,
+		Resume:       *resume,
 	}
 	workload := *appName
 	if *tenantsSpec != "" {
@@ -205,14 +199,8 @@ func run() int {
 	}
 	if ri := ctrl.RecoveryInfo(); ri.Resumed {
 		fmt.Fprintf(os.Stderr, "recovered: %d epochs replayed and digest-verified", ri.ReplayedEpochs)
-		if ri.SnapshotEpoch >= 0 {
-			fmt.Fprintf(os.Stderr, ", snapshot @ epoch %d byte-verified", ri.SnapshotEpoch)
-		}
 		if ri.TornBytesTruncated > 0 {
 			fmt.Fprintf(os.Stderr, ", %d torn bytes truncated", ri.TornBytesTruncated)
-		}
-		if ri.SnapshotsSkipped > 0 {
-			fmt.Fprintf(os.Stderr, ", %d damaged snapshots skipped", ri.SnapshotsSkipped)
 		}
 		fmt.Fprintln(os.Stderr)
 	}

@@ -100,7 +100,7 @@ func TestEventClassCoverage(t *testing.T) {
 			// TestTenantEventCoverage owns them (tenant's tests import
 			// this package for CompareMaps, same cycle).
 			continue
-		case obs.KindJournalCommit, obs.KindStateSnapshot, obs.KindReplayEpoch:
+		case obs.KindJournalCommit, obs.KindReplayEpoch:
 			// Emitted by the journaled fleet controller; internal/fleet's
 			// TestFleetDurableEventCoverage owns them (same import cycle
 			// as the rollout kinds above).

@@ -1,8 +1,7 @@
 // Package durable is the crash-consistency layer of the repository: a
-// CRC32C-framed, length-prefixed write-ahead journal plus full-state
-// snapshot files, the storage substrate the fleet control plane commits
-// its epoch state through so a killed controller can be reconstructed
-// byte-for-byte.
+// CRC32C-framed, length-prefixed write-ahead journal, the storage
+// substrate the fleet control plane commits its epoch state through so a
+// killed controller can be reconstructed byte-for-byte.
 //
 // The journal is an append-only file: an 8-byte magic + version header
 // followed by records framed as
@@ -18,11 +17,6 @@
 // not match is damage to committed data and surfaces as a typed
 // *CorruptRecordError — the decoder never panics and never silently
 // accepts a damaged record.
-//
-// Snapshots are separate single-record files written through a
-// temp-file rename, so a snapshot either exists completely or not at
-// all; a reader that finds a damaged snapshot skips it and falls back
-// to the previous one.
 package durable
 
 import (
@@ -31,8 +25,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
-	"sort"
 	"time"
 
 	"ehdl/internal/obs"
@@ -44,8 +36,6 @@ import (
 const (
 	// journalMagic opens every journal file.
 	journalMagic = "EHDLWAL\x01"
-	// snapshotMagic opens every snapshot file.
-	snapshotMagic = "EHDLSNP\x01"
 	// version is the current on-disk format version, stored little-
 	// endian right after the magic.
 	version = 1
@@ -62,12 +52,10 @@ const (
 
 // Metric names accumulated into Options.Metrics.
 const (
-	MetricAppends          = "durable.journal_appends"
-	MetricCommits          = "durable.journal_commits"
-	metricRetries          = "durable.io_retries"
-	metricTornBytes        = "durable.torn_bytes_truncated"
-	MetricSnapshotsWritten = "durable.snapshots_written"
-	metricSnapshotsSkipped = "durable.snapshots_skipped"
+	MetricAppends   = "durable.journal_appends"
+	MetricCommits   = "durable.journal_commits"
+	metricRetries   = "durable.io_retries"
+	metricTornBytes = "durable.torn_bytes_truncated"
 )
 
 // castagnoli is the CRC32C polynomial table (iSCSI/ext4 castagnoli, the
@@ -81,11 +69,11 @@ type Record struct {
 	Payload []byte
 }
 
-// CorruptRecordError reports committed journal or snapshot data that no
-// longer decodes: a CRC mismatch, a damaged header, or an impossible
+// CorruptRecordError reports committed journal data that no longer
+// decodes: a CRC mismatch, a damaged header, or an impossible
 // length field. It is distinct from a torn tail, which Decode truncates
 // silently — corruption means bytes that were durably written have
-// changed, and the caller must decide whether to fall back or fail.
+// changed, and the caller must fail rather than guess.
 type CorruptRecordError struct {
 	// Path is the file concerned ("" when decoding from memory).
 	Path string
@@ -106,7 +94,7 @@ func (e *CorruptRecordError) Error() string {
 	return fmt.Sprintf("durable: %s: corrupt record %d at offset %d: %s", where, e.Index, e.offset, e.Reason)
 }
 
-// Options parameterises journal and snapshot I/O.
+// Options parameterises journal I/O.
 type Options struct {
 	// Metrics, when non-nil, accumulates the durable.* counters.
 	Metrics *obs.Registry
@@ -354,139 +342,3 @@ func (j *Journal) Close() error { return j.f.Close() }
 
 // Size returns the journal's current end-of-frame offset.
 func (j *Journal) Size() int64 { return j.off }
-
-// SnapshotName returns the file name of the snapshot for one epoch.
-func SnapshotName(epoch int) string {
-	return fmt.Sprintf("snap-%010d.snap", epoch)
-}
-
-// snapshotEpoch parses an epoch back out of a snapshot file name.
-func snapshotEpoch(name string) (int, bool) {
-	var epoch int
-	if _, err := fmt.Sscanf(name, "snap-%010d.snap", &epoch); err != nil {
-		return 0, false
-	}
-	return epoch, true
-}
-
-// encodeSnapshot frames a snapshot payload:
-// magic ‖ u32 version ‖ u32 length ‖ payload ‖ u32 CRC32C(payload).
-func encodeSnapshot(payload []byte) []byte {
-	out := make([]byte, len(snapshotMagic)+12+len(payload))
-	n := copy(out, snapshotMagic)
-	binary.LittleEndian.PutUint32(out[n:], version)
-	binary.LittleEndian.PutUint32(out[n+4:], uint32(len(payload)))
-	copy(out[n+8:], payload)
-	binary.LittleEndian.PutUint32(out[n+8+len(payload):], crc32.Checksum(payload, castagnoli))
-	return out
-}
-
-// decodeSnapshot recovers the payload of a framed snapshot. Snapshots
-// are written through a rename, so any damage — truncation included —
-// is corruption, never a torn write: every failure is a typed
-// *CorruptRecordError and the decoder never panics.
-func decodeSnapshot(data []byte) ([]byte, error) {
-	head := len(snapshotMagic)
-	if len(data) < head+12 {
-		return nil, &CorruptRecordError{Index: -1, Reason: "snapshot shorter than its header"}
-	}
-	if string(data[:head]) != snapshotMagic {
-		return nil, &CorruptRecordError{Index: -1, Reason: "bad snapshot magic"}
-	}
-	if v := binary.LittleEndian.Uint32(data[head:]); v != version {
-		return nil, &CorruptRecordError{Index: -1, Reason: fmt.Sprintf("unsupported snapshot version %d", v)}
-	}
-	plen := binary.LittleEndian.Uint32(data[head+4:])
-	if plen > maxRecordBytes || int(plen) != len(data)-head-12 {
-		return nil, &CorruptRecordError{Index: -1, Reason: fmt.Sprintf("snapshot length %d does not match the %d-byte file", plen, len(data))}
-	}
-	payload := data[head+8 : head+8+int(plen)]
-	want := binary.LittleEndian.Uint32(data[head+8+int(plen):])
-	if got := crc32.Checksum(payload, castagnoli); got != want {
-		return nil, &CorruptRecordError{Index: -1,
-			Reason: fmt.Sprintf("snapshot crc mismatch (stored %08x, computed %08x)", want, got)}
-	}
-	return append([]byte(nil), payload...), nil
-}
-
-// WriteSnapshot atomically writes one epoch's full-state snapshot into
-// dir: the framed payload goes to a temp file, is fsynced, and is
-// renamed into place, so a crash at any point leaves either the
-// complete snapshot or none at all.
-func WriteSnapshot(dir string, epoch int, payload []byte, opt Options) error {
-	enc := encodeSnapshot(payload)
-	final := filepath.Join(dir, SnapshotName(epoch))
-	tmp := final + ".tmp"
-	err := opt.withRetry("snapshot write", func() error {
-		f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-		if err != nil {
-			return err
-		}
-		if _, err := f.Write(enc); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	})
-	if err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		return fmt.Errorf("durable: snapshot rename: %w", err)
-	}
-	opt.count(MetricSnapshotsWritten, 1)
-	return nil
-}
-
-// readSnapshot loads and verifies one snapshot file.
-func readSnapshot(path string) ([]byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	payload, derr := decodeSnapshot(data)
-	if derr != nil {
-		if ce, ok := derr.(*CorruptRecordError); ok {
-			ce.Path = path
-		}
-		return nil, derr
-	}
-	return payload, nil
-}
-
-// LoadLatestSnapshot returns the newest valid snapshot in dir: damaged
-// snapshots are skipped (counted in skipped and the metrics) and the
-// next older one is tried, so one corrupt file degrades recovery to a
-// longer replay instead of failing it. epoch is -1 when no valid
-// snapshot exists.
-func LoadLatestSnapshot(dir string, opt Options) (epoch int, payload []byte, skipped int, err error) {
-	names, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
-	if err != nil {
-		return -1, nil, 0, err
-	}
-	type cand struct {
-		epoch int
-		path  string
-	}
-	var cands []cand
-	for _, p := range names {
-		if e, ok := snapshotEpoch(filepath.Base(p)); ok {
-			cands = append(cands, cand{e, p})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].epoch > cands[j].epoch })
-	for _, c := range cands {
-		p, rerr := readSnapshot(c.path)
-		if rerr != nil {
-			skipped++
-			opt.count(metricSnapshotsSkipped, 1)
-			continue
-		}
-		return c.epoch, p, skipped, nil
-	}
-	return -1, nil, skipped, nil
-}

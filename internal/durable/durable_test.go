@@ -324,92 +324,21 @@ func TestJournalRetryExhausted(t *testing.T) {
 	}
 }
 
-func TestSnapshotRoundTripAndFallback(t *testing.T) {
-	dir := t.TempDir()
-	reg := obs.NewRegistry()
-	opt := Options{Metrics: reg}
-	if err := WriteSnapshot(dir, 2, []byte("state@2"), opt); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteSnapshot(dir, 5, []byte("state@5"), opt); err != nil {
-		t.Fatal(err)
-	}
-	epoch, payload, skipped, err := LoadLatestSnapshot(dir, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if epoch != 5 || string(payload) != "state@5" || skipped != 0 {
-		t.Fatalf("latest = (%d, %q, %d)", epoch, payload, skipped)
-	}
-
-	// Corrupt the newest: recovery falls back to the previous one.
-	p5 := filepath.Join(dir, SnapshotName(5))
-	data, _ := os.ReadFile(p5)
-	data[len(data)-1] ^= 0xff
-	if err := os.WriteFile(p5, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	epoch, payload, skipped, err = LoadLatestSnapshot(dir, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if epoch != 2 || string(payload) != "state@2" || skipped != 1 {
-		t.Fatalf("fallback = (%d, %q, %d), want (2, state@2, 1)", epoch, payload, skipped)
-	}
-	if v, _ := reg.CounterValue(metricSnapshotsSkipped); v != 1 {
-		t.Errorf("%s = %d, want 1", metricSnapshotsSkipped, v)
-	}
-	if _, err := readSnapshot(p5); err == nil {
-		t.Error("corrupt snapshot read back without error")
-	} else {
-		var ce *CorruptRecordError
-		if !errors.As(err, &ce) {
-			t.Errorf("corrupt snapshot returned %v, want *CorruptRecordError", err)
-		}
-	}
-
-	// Corrupt both: no valid snapshot, not an error.
-	p2 := filepath.Join(dir, SnapshotName(2))
-	if err := os.WriteFile(p2, []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	epoch, payload, skipped, err = LoadLatestSnapshot(dir, opt)
-	if err != nil || epoch != -1 || payload != nil || skipped != 2 {
-		t.Fatalf("all-corrupt = (%d, %q, %d, %v), want (-1, nil, 2, nil)", epoch, payload, skipped, err)
-	}
-	// Empty dir.
-	epoch, _, _, err = LoadLatestSnapshot(t.TempDir(), opt)
-	if err != nil || epoch != -1 {
-		t.Fatalf("empty dir = (%d, %v)", epoch, err)
-	}
-}
-
-// TestSnapshotTruncationIsCorruption: snapshots are atomic via rename,
-// so a short file can only be damage — it must error, not truncate.
-func TestSnapshotTruncationIsCorruption(t *testing.T) {
-	full := encodeSnapshot([]byte("payload"))
-	for cut := 0; cut < len(full); cut++ {
-		if _, err := decodeSnapshot(full[:cut]); err == nil {
-			t.Fatalf("snapshot cut to %d bytes decoded cleanly", cut)
-		}
-	}
-	payload, err := decodeSnapshot(full)
-	if err != nil || string(payload) != "payload" {
-		t.Fatalf("full snapshot = (%q, %v)", payload, err)
-	}
-}
-
-// TestOptionsDefaults pins the snapshot file naming that every Options
-// writes and reads under.
+// TestOptionsDefaults: a zero Options, the one every caller passes
+// bar the metrics, counts into no registry and backs off on the real
+// clock — a transient write error costs the documented first backoff.
 func TestOptionsDefaults(t *testing.T) {
-	if name := SnapshotName(12); name != "snap-0000000012.snap" {
-		t.Errorf("SnapshotName = %q", name)
+	f := &flakyFile{failWrite: 1}
+	j := &Journal{f: f}
+	start := time.Now()
+	if err := j.Append(Record{Type: 1, Payload: []byte("x")}); err != nil {
+		t.Fatal(err)
 	}
-	if e, ok := snapshotEpoch("snap-0000000012.snap"); !ok || e != 12 {
-		t.Errorf("snapshotEpoch = (%d, %v)", e, ok)
+	if waited := time.Since(start); waited < retryBase {
+		t.Errorf("retried after %v, want at least the %v backoff", waited, retryBase)
 	}
-	if _, ok := snapshotEpoch("other.snap"); ok {
-		t.Error("foreign file name parsed as a snapshot")
+	if f.writes != 2 {
+		t.Errorf("%d write attempts, want 2", f.writes)
 	}
 }
 

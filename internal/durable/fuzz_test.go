@@ -35,17 +35,6 @@ func FuzzJournalDecode(f *testing.F) {
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The snapshot decoder shares the never-panic / typed-error
-		// contract; exercise it on the same hostile input.
-		if payload, serr := decodeSnapshot(data); serr != nil {
-			var ce *CorruptRecordError
-			if !errors.As(serr, &ce) {
-				t.Fatalf("DecodeSnapshot error is %T, want *CorruptRecordError", serr)
-			}
-		} else if !bytes.Equal(encodeSnapshot(payload), data) {
-			t.Fatalf("snapshot round-trip mismatch for accepted input")
-		}
-
 		recs, torn, err := Decode(data)
 		if err != nil {
 			var ce *CorruptRecordError

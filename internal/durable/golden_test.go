@@ -17,8 +17,6 @@ var goldenRecords = []Record{
 	{Type: 3, Payload: nil},
 }
 
-var goldenSnapshotPayload = []byte(`{"schema":1,"epoch":3}`)
-
 // TestGoldenJournalFixture pins the on-disk journal format against the
 // committed testdata/golden.wal: magic, version, length/type/CRC byte
 // placement, and the exact fixture bytes. A change to any of these is an
@@ -87,41 +85,5 @@ func TestGoldenJournalFixture(t *testing.T) {
 		if r.Type != goldenRecords[i].Type || !bytes.Equal(r.Payload, goldenRecords[i].Payload) {
 			t.Errorf("decoded record %d = {%d, %q}", i, r.Type, r.Payload)
 		}
-	}
-}
-
-// TestGoldenSnapshotFixture pins the snapshot framing the same way.
-func TestGoldenSnapshotFixture(t *testing.T) {
-	path := filepath.Join("testdata", "golden.snap")
-	want := encodeSnapshot(goldenSnapshotPayload)
-	if os.Getenv("EHDL_REGEN_GOLDEN") != "" {
-		if err := os.WriteFile(path, want, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, want) {
-		t.Fatalf("snapshot encoder no longer reproduces the committed fixture:\nfixture %x\nencoder %x", data, want)
-	}
-	if string(data[:8]) != "EHDLSNP\x01" {
-		t.Errorf("bytes 0..7 = %q, want magic EHDLSNP\\x01", data[:8])
-	}
-	if v := binary.LittleEndian.Uint32(data[8:12]); v != 1 {
-		t.Errorf("version at offset 8 = %d, want 1", v)
-	}
-	if plen := binary.LittleEndian.Uint32(data[12:16]); int(plen) != len(goldenSnapshotPayload) {
-		t.Errorf("length at offset 12 = %d, want %d", plen, len(goldenSnapshotPayload))
-	}
-	stored := binary.LittleEndian.Uint32(data[len(data)-4:])
-	computed := crc32.Checksum(goldenSnapshotPayload, crc32.MakeTable(crc32.Castagnoli))
-	if stored != computed {
-		t.Errorf("trailing CRC32C = %08x, want %08x (over payload)", stored, computed)
-	}
-	payload, err := decodeSnapshot(data)
-	if err != nil || !bytes.Equal(payload, goldenSnapshotPayload) {
-		t.Fatalf("DecodeSnapshot(fixture) = %q, %v", payload, err)
 	}
 }

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -24,10 +23,10 @@ import (
 // ring membership, rollout/revert state machine, drain cool-downs,
 // per-device soak baselines, fleet RNG position, map state via the
 // canonical SetSnapshot encoding — into one deterministic JSON blob,
-// journals its digest, fsyncs, and periodically writes the whole blob
-// as a snapshot file. The commit happens before Run proceeds past the
-// epoch, so by the time an epoch's effects are observable to the caller
-// its record is durable.
+// journals its digest and fsyncs. The journal is the only durable
+// record: the blob itself is never written, because replay rebuilds it.
+// The commit happens before Run proceeds past the epoch, so by the time
+// an epoch's effects are observable to the caller its record is durable.
 //
 // Recovery leans on the property the chaos gate already proves: a fleet
 // run is a pure function of its fingerprinted configuration, so
@@ -36,10 +35,9 @@ import (
 // positions that live inside per-device fault injectors and cannot be
 // captured from outside. The journal turns that replay from "trust the
 // determinism" into "verify it": each re-executed epoch must reproduce
-// the journaled digest exactly, and the epoch covered by the newest
-// valid snapshot must reproduce the snapshot byte-for-byte, or resume
-// fails with a typed *replayDivergenceError instead of silently
-// diverging from the crashed run.
+// the journaled digest exactly, or resume fails with a typed
+// *replayDivergenceError instead of silently diverging from the crashed
+// run.
 
 // Journal record types.
 const (
@@ -85,9 +83,9 @@ func (e *configMismatchError) Error() string {
 }
 
 // replayDivergenceError reports a recovery replay that failed to
-// reproduce the journaled run: a re-executed epoch whose state digest,
-// snapshot bytes or final report differ from what the crashed run
-// committed. Epoch is -1 for the final-report check.
+// reproduce the journaled run: a re-executed epoch whose state digest
+// or final report differs from what the crashed run committed. Epoch
+// is -1 for the final-report check.
 type replayDivergenceError struct {
 	Epoch int
 	What  string
@@ -124,11 +122,6 @@ type RecoveryInfo struct {
 	// TornBytesTruncated is the size of the partial tail record a
 	// crashed append left behind, discarded on open.
 	TornBytesTruncated int64 `json:"torn_bytes_truncated"`
-	// SnapshotEpoch is the epoch of the newest valid snapshot
-	// byte-verified during replay (-1 when none was found).
-	SnapshotEpoch int `json:"snapshot_epoch"`
-	// SnapshotsSkipped counts damaged snapshot files skipped over.
-	SnapshotsSkipped int `json:"snapshots_skipped"`
 	// CompletedPrior is true when the journal already held a complete
 	// run; the replay then verifies the final report digest too.
 	CompletedPrior bool `json:"completed_prior"`
@@ -136,19 +129,13 @@ type RecoveryInfo struct {
 
 // durState is the controller's durability attachment.
 type durState struct {
-	dir string
-	j   *durable.Journal
-	opt durable.Options
+	j *durable.Journal
 
 	// replayDigests[e] is the journaled state digest of epoch e; the
 	// replayed prefix of a resumed run is verified against it.
 	replayDigests []string
 	completed     bool
 	completeDig   string
-	// snapEpoch/snapPayload pin the newest valid snapshot for the
-	// byte-compare when replay passes its epoch (-1: none).
-	snapEpoch   int
-	snapPayload []byte
 
 	info RecoveryInfo
 }
@@ -257,15 +244,20 @@ type fingerprint struct {
 	SnapshotEvery   int           `json:"snapshot_every"`
 }
 
+// snapshotEvery is the snapshot cadence schema-2 journals recorded when
+// the fleet still wrote periodic state snapshots; the fingerprint keeps
+// the old default so those journals resume.
+const snapshotEvery = 4
+
 // configFingerprint canonicalises the run configuration: a field with a
 // default goes through the accessor that resolves it (fpShell says which
 // simulator fields stay raw), so a run journaled with such a field at 0
 // resumes with the value 0 means. DrainRecoveries, CooldownEpochs,
-// StartEpoch and CanaryPackets record package constants; they stay in
-// the record so that every schema-2 journal still matches. The epoch
-// count is part of the identity: a journal records one specific run,
-// and resuming it for a different horizon would change what every
-// journaled digest means.
+// SnapshotEvery, StartEpoch and CanaryPackets record package
+// constants; they stay in the record so that every schema-2 journal
+// still matches. The epoch count is part of the identity: a journal
+// records one specific run, and resuming it for a different horizon
+// would change what every journaled digest means.
 func (c *Controller) configFingerprint(epochs int) ([]byte, error) {
 	fp := fingerprint{
 		Schema:          2,
@@ -282,7 +274,7 @@ func (c *Controller) configFingerprint(epochs int) ([]byte, error) {
 		TenantBandPct:   c.cfg.tenantBandPct(),
 		DrainRecoveries: drainRecoveries,
 		CooldownEpochs:  cooldownEpochs,
-		SnapshotEvery:   c.cfg.snapshotEvery(),
+		SnapshotEvery:   snapshotEvery,
 	}
 	if c.cfg.App != nil {
 		fp.App = c.cfg.App.Name
@@ -356,12 +348,12 @@ type persistedRollout struct {
 	RolledBack    bool   `json:"rolled_back"`
 }
 
-// persistedState is the full-state snapshot payload: everything the
+// persistedState is the per-epoch state record: everything the
 // controller owns, in deterministic byte-stable JSON (fixed field
 // order, canonical key-sorted map entries). Device-internal simulator
 // state (fault-injector RNG streams, pipeline registers) is not
 // captured — it is reconstructed by deterministic replay, which the
-// journaled digests verify.
+// journaled digests verify. Only its digest is journaled.
 type persistedState struct {
 	Schema int `json:"schema"`
 	Epoch  int `json:"epoch"`
@@ -436,8 +428,8 @@ func (c *Controller) crashSite(name string) {
 // ---- journal open / commit / complete ----------------------------------
 
 // durOpen attaches the journal: fresh runs write the config fingerprint
-// record; resumed runs verify it, parse the epoch tail, and load the
-// newest valid snapshot for the replay byte-check.
+// record; resumed runs verify it and parse the epoch tail the replay
+// checks against.
 func (c *Controller) durOpen(epochs int) error {
 	if c.cfg.JournalDir == "" {
 		if c.cfg.Resume {
@@ -454,8 +446,7 @@ func (c *Controller) durOpen(epochs int) error {
 	if err != nil {
 		return err
 	}
-	d := &durState{dir: c.cfg.JournalDir, j: j, opt: opt, snapEpoch: -1}
-	d.info.SnapshotEpoch = -1
+	d := &durState{j: j}
 	d.info.TornBytesTruncated = torn
 
 	fpJSON, err := c.configFingerprint(epochs)
@@ -513,16 +504,6 @@ func (c *Controller) durOpen(epochs int) error {
 				Reason: fmt.Sprintf("unknown record type %d", r.Type)}
 		}
 	}
-	se, payload, skipped, lerr := durable.LoadLatestSnapshot(c.cfg.JournalDir, opt)
-	if lerr != nil {
-		j.Close()
-		return lerr
-	}
-	d.info.SnapshotsSkipped = skipped
-	if se >= 0 && se < len(d.replayDigests) {
-		d.snapEpoch, d.snapPayload = se, payload
-		d.info.SnapshotEpoch = se
-	}
 	d.info.Resumed = true
 	d.info.CompletedPrior = d.completed
 	c.replaying = len(d.replayDigests) > 0
@@ -531,10 +512,9 @@ func (c *Controller) durOpen(epochs int) error {
 }
 
 // durEpoch runs at the bottom of every epoch. Replayed epochs are
-// verified against the journaled digest (and the snapshot bytes at the
-// snapshot epoch); live epochs append and fsync their record before Run
-// proceeds, then write the periodic snapshot.
-func (c *Controller) durEpoch(e, epochs int) error {
+// verified against the journaled digest; live epochs append and fsync
+// their record before Run proceeds.
+func (c *Controller) durEpoch(e int) error {
 	if c.dur == nil {
 		return nil
 	}
@@ -548,17 +528,9 @@ func (c *Controller) durEpoch(e, epochs int) error {
 		if digest != d.replayDigests[e] {
 			return &replayDivergenceError{Epoch: e, What: "re-executed state digest", Got: digest, Want: d.replayDigests[e]}
 		}
-		snapHit := uint64(0)
-		if e == d.snapEpoch {
-			if !bytes.Equal(payload, d.snapPayload) {
-				return &replayDivergenceError{Epoch: e, What: "snapshot bytes",
-					Got: digestOf(payload), Want: digestOf(d.snapPayload)}
-			}
-			snapHit = 1
-		}
 		d.info.ReplayedEpochs++
 		c.count(metricReplayedEpochs, 1)
-		c.event(obs.KindReplayEpoch, snapHit, 0)
+		c.event(obs.KindReplayEpoch, 0, 0)
 		if e == len(d.replayDigests)-1 {
 			// Caught up with the journal tail: live execution (and crash
 			// sites) take over from the next statement on.
@@ -580,13 +552,6 @@ func (c *Controller) durEpoch(e, epochs int) error {
 	}
 	c.crashSite(fmt.Sprintf("epoch:e%d:post-commit", e))
 	c.event(obs.KindJournalCommit, uint64(len(rec)), uint64(d.j.Size()))
-	if (e+1)%c.cfg.snapshotEvery() == 0 || e == epochs-1 {
-		if err := durable.WriteSnapshot(d.dir, e, payload, d.opt); err != nil {
-			return err
-		}
-		c.event(obs.KindStateSnapshot, uint64(len(payload)), 0)
-		c.crashSite(fmt.Sprintf("epoch:e%d:post-snapshot", e))
-	}
 	return nil
 }
 
@@ -628,7 +593,7 @@ func (c *Controller) durComplete() error {
 // value means no journal was configured or the run was fresh.
 func (c *Controller) RecoveryInfo() RecoveryInfo {
 	if c.dur == nil {
-		return RecoveryInfo{SnapshotEpoch: -1}
+		return RecoveryInfo{}
 	}
 	return c.dur.info
 }

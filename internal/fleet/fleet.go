@@ -111,24 +111,19 @@ type Config struct {
 
 	// JournalDir, when non-empty, makes the run crash-consistent: every
 	// epoch commits a record to a write-ahead journal in this directory
-	// before Run proceeds past it, and periodic full-state snapshots are
-	// written beside it. A journal directory holding a previous run is
-	// refused unless Resume is set.
+	// before Run proceeds past it. The journal is the run's only durable
+	// file. A journal directory holding a previous run is refused unless
+	// Resume is set.
 	JournalDir string
 	// Resume recovers the run journaled in JournalDir: the config
 	// fingerprint is verified, the journaled epochs are re-executed
 	// under digest verification (each must reproduce its committed
-	// digest, and the newest valid snapshot must be reproduced
-	// byte-for-byte), and live execution continues from the journal
-	// tail.
+	// digest), and live execution continues from the journal tail.
 	Resume bool
-	// SnapshotEvery is the full-state snapshot cadence in epochs (a
-	// snapshot is also written on the final epoch). 0 means 4.
-	SnapshotEvery int
 
 	// Trace receives KindRolloutPhase and KindRebalance events (the
 	// Cycle field carries the epoch) plus, with a journal attached, the
-	// KindJournalCommit/KindStateSnapshot/KindReplayEpoch stream.
+	// KindJournalCommit/KindReplayEpoch stream.
 	// Optional.
 	Trace *obs.Tracer
 	// metrics accumulates the fleet.* and durable.* instruments.
@@ -178,13 +173,6 @@ func (c Config) tenantBandPct() float64 {
 		return 70
 	}
 	return c.TenantBandPct
-}
-
-func (c Config) snapshotEvery() int {
-	if c.SnapshotEvery <= 0 {
-		return 4
-	}
-	return c.SnapshotEvery
 }
 
 // UpdateConfig parameterises the rolling canary update.
@@ -299,13 +287,17 @@ type Controller struct {
 	workers sync.WaitGroup // the epoch's device goroutines in flight
 	// rng draws fleet-level jitter (cool-down spread). Device-level
 	// randomness lives in the per-device injector forks. rngDraws
-	// counts the draws consumed — the stream position persisted into
-	// every snapshot.
+	// counts the draws consumed — the stream position every epoch's
+	// journaled state digest covers.
 	rng      *rand.Rand
 	rngDraws uint64
 	epoch    int
 	rep      Report
 	rollout  *rolloutState
+	// device folds Report.Device over the epochs; epochReps holds the
+	// reports of the epoch being folded.
+	device    nic.Timeline
+	epochReps []nic.Report
 
 	// dur is the journal attachment (nil without Config.JournalDir);
 	// replaying is true while a resumed run re-executes its journaled
@@ -420,7 +412,7 @@ func newTenantFleet(cfg Config) (*Controller, error) {
 	case cfg.Verify:
 		return nil, fmt.Errorf("fleet: tenant mode has no reference mirror; Verify must be off")
 	case cfg.Update != nil:
-		return nil, fmt.Errorf("fleet: rolling updates are per-tenant in tenant mode (tenant.Device.ScheduleUpdate), not fleet-wide")
+		return nil, fmt.Errorf("fleet: tenant fleets take no rollout; fleet-wide updates are single-pipeline")
 	case len(cfg.CorruptAt) > 0:
 		return nil, fmt.Errorf("fleet: CorruptAt targets a single-pipeline map set; unsupported in tenant mode")
 	}
@@ -507,7 +499,7 @@ func (c *Controller) Run(epochs int) (rep Report, err error) {
 	for e := 0; e < epochs; e++ {
 		c.epoch = e
 		c.runEpoch()
-		if err := c.durEpoch(e, epochs); err != nil {
+		if err := c.durEpoch(e); err != nil {
 			return c.rep, err
 		}
 	}
@@ -557,6 +549,9 @@ func (c *Controller) runEpoch() {
 			c.fold(d, batches[d.id], res.rep, res.err)
 		}
 	}
+	c.device.Step(c.epochReps...)
+	c.epochReps = c.epochReps[:0]
+	c.rep.Device = c.device.Report()
 	if c.rollout != nil {
 		c.rollout.evaluate(c)
 	}
@@ -694,7 +689,7 @@ func (c *Controller) fold(d *device, batch [][]byte, rep nic.Report, err error) 
 			c.rep.MidServeLoss += uint64(count) - delivered
 		}
 		c.rep.Delivered += delivered
-		c.rep.Device.Add(rep)
+		c.epochReps = append(c.epochReps, rep)
 		d.received += delivered
 		c.kill(d, err.Error(), 0)
 		return
@@ -705,7 +700,7 @@ func (c *Controller) fold(d *device, batch [][]byte, rep nic.Report, err error) 
 	c.rep.QuarantinedLoss += rep.Quarantined
 	c.rep.TenantDownLoss += rep.TenantDownLoss
 	c.rep.ExtraInjected += rep.Sent - uint64(count)
-	c.rep.Device.Add(rep)
+	c.epochReps = append(c.epochReps, rep)
 	c.count(metricDelivered, rep.Received)
 	c.count(metricLost, rep.Lost)
 	d.received += rep.Received

@@ -133,7 +133,7 @@ func TestFleetJournalFreshRunMatchesPlain(t *testing.T) {
 
 // TestFleetKillAnywhereRecoveryGate is the release gate: for every
 // crash site a scenario passes — every epoch boundary (pre-commit,
-// pre-sync, post-commit, post-snapshot) and every rollout/revert/
+// pre-sync, post-commit) and every rollout/revert/
 // drain/readmit transition — the controller is killed there, recovered
 // with Resume, and the final report must be byte-identical to the
 // uninterrupted same-seed run with the loss books balancing exactly.
@@ -236,16 +236,21 @@ func TestFleetKillAnywhereRecoveryGate(t *testing.T) {
 
 // TestFleetResumeAfterComplete: resuming a journal whose run finished
 // replays everything, verifies the journaled final-report digest, and
-// returns the identical report — including when the newest snapshot was
-// corrupted and recovery fell back to an older one.
+// returns the identical report. The journal is the run's only file.
 func TestFleetResumeAfterComplete(t *testing.T) {
 	sc := recoveryScenarios(t)[0]
 	dir := t.TempDir()
 	cfg := sc.cfg(t)
 	cfg.JournalDir = dir
-	cfg.SnapshotEvery = 3 // several snapshots to fall back across
 	first, _ := mustRun(t, cfg, sc.epochs)
 	want := reportJSON(t, first)
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 1 || files[0].Name() != journalFileName {
+		t.Errorf("journaled run left %v, want only %s", files, journalFileName)
+	}
 
 	// Clean completed resume.
 	cfg.Resume = true
@@ -256,29 +261,6 @@ func TestFleetResumeAfterComplete(t *testing.T) {
 	ri := c.RecoveryInfo()
 	if !ri.Resumed || !ri.CompletedPrior || ri.ReplayedEpochs != sc.epochs {
 		t.Errorf("completed resume info: %+v", ri)
-	}
-	if ri.SnapshotEpoch < 0 {
-		t.Errorf("no snapshot verified during replay: %+v", ri)
-	}
-
-	// Corrupt the newest snapshot: recovery skips it and verifies the
-	// previous one instead.
-	newest := filepath.Join(dir, durable.SnapshotName(ri.SnapshotEpoch))
-	data, err := os.ReadFile(newest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-1] ^= 0xff
-	if err := os.WriteFile(newest, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rep, c = mustRun(t, cfg, sc.epochs)
-	if got := reportJSON(t, rep); got != want {
-		t.Fatalf("resume after snapshot corruption diverged")
-	}
-	ri2 := c.RecoveryInfo()
-	if ri2.SnapshotsSkipped == 0 || ri2.SnapshotEpoch >= ri.SnapshotEpoch {
-		t.Errorf("corrupt snapshot not skipped to an older one: %+v", ri2)
 	}
 }
 
@@ -329,25 +311,26 @@ func TestFleetResumeResolvesDefaults(t *testing.T) {
 	dir := t.TempDir()
 	cfg := sc.cfg(t)
 	cfg.JournalDir = dir
+	cfg.EpochPackets = 0
 	first, _ := mustRun(t, cfg, sc.epochs)
 
 	explicit := sc.cfg(t)
 	explicit.JournalDir, explicit.Resume = dir, true
 	explicit.TenantBandPct = 70
-	explicit.shell.ClockHz, explicit.SnapshotEvery = 250e6, 4
+	explicit.shell.ClockHz, explicit.EpochPackets = 250e6, 256
 	rep, _ := mustRun(t, explicit, sc.epochs)
 	if got, want := reportJSON(t, rep), reportJSON(t, first); got != want {
 		t.Fatalf("resume under the explicit defaults diverged:\nwant %s\ngot  %s", want, got)
 	}
 
-	explicit.SnapshotEvery = 3
+	explicit.EpochPackets = 512
 	c, err := New(explicit)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var cm *configMismatchError
 	if _, err := c.Run(sc.epochs); !errors.As(err, &cm) {
-		t.Fatalf("SnapshotEvery 0 -> 3: err %v, want *ConfigMismatchError", err)
+		t.Fatalf("EpochPackets 0 -> 512: err %v, want *ConfigMismatchError", err)
 	}
 }
 
@@ -476,7 +459,7 @@ func TestFleetDurableEventCoverage(t *testing.T) {
 	for _, ev := range tr.Recent() {
 		seen[ev.Kind] = true
 	}
-	for _, k := range []obs.Kind{obs.KindJournalCommit, obs.KindStateSnapshot, obs.KindReplayEpoch} {
+	for _, k := range []obs.Kind{obs.KindJournalCommit, obs.KindReplayEpoch} {
 		if !seen[k] {
 			t.Errorf("journaled run never emitted %q", k)
 		}
@@ -484,7 +467,7 @@ func TestFleetDurableEventCoverage(t *testing.T) {
 	if v, _ := reg.CounterValue(metricReplayedEpochs); v != 5 {
 		t.Errorf("%s = %d, want 5", metricReplayedEpochs, v)
 	}
-	for _, m := range []string{durable.MetricAppends, durable.MetricCommits, durable.MetricSnapshotsWritten} {
+	for _, m := range []string{durable.MetricAppends, durable.MetricCommits} {
 		if v, _ := reg.CounterValue(m); v == 0 {
 			t.Errorf("%s never counted", m)
 		}

@@ -62,9 +62,10 @@ type Report struct {
 	Rollout     string `json:"rollout,omitempty"`
 	RolloutHalt string `json:"rollout_halt,omitempty"`
 
-	// Device is the nic.Report sum over every served device-epoch
-	// (Report.Add semantics: counters sum, rates sum, latency means are
-	// packet-weighted).
+	// Device folds every served device-epoch on a nic.Timeline, one
+	// step per epoch: counters sum and latency means are packet-weighted;
+	// the devices of an epoch serve side by side, so their rates sum,
+	// and each epoch's rate is weighted by the cycles it served for.
 	Device nic.Report `json:"device"`
 
 	// PerDevice summarises each shard's fate.

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"ehdl/internal/apps"
@@ -94,5 +95,31 @@ func TestFleetTenantModeValidation(t *testing.T) {
 	var ae *tenant.AdmissionError
 	if !errors.As(err, &ae) {
 		t.Errorf("unaffordable tenant list returned %v, want a tenant.AdmissionError", err)
+	}
+}
+
+// TestFleetDeviceRatesFoldInTime: Report.Device sums the devices of an
+// epoch, which serve side by side, but weights the epochs, which follow
+// one another, by the cycles they served for. Four toy devices offered
+// 50 Mpps each read 200 Mpps however many epochs the run lasts, and a
+// tenant's fleet-wide rate does not grow with the epoch count either.
+func TestFleetDeviceRatesFoldInTime(t *testing.T) {
+	for _, epochs := range []int{3, 12} {
+		rep, _ := mustRun(t, Config{App: apps.Toy(), Seed: 5, EpochPackets: 128}, epochs)
+		if got := rep.Device.OfferedMpps; math.Abs(got-200) > 1e-9 {
+			t.Errorf("%d epochs: Device.OfferedMpps = %v, want 200", epochs, got)
+		}
+	}
+	var rates [2][]float64
+	for i, epochs := range []int{3, 12} {
+		rep, _ := mustRun(t, Config{Tenants: tenantSpecs(t), Seed: 11, EpochPackets: 96}, epochs)
+		for _, sl := range rep.Device.PerTenant {
+			rates[i] = append(rates[i], sl.AchievedMpps)
+		}
+	}
+	for i := range rates[0] {
+		if r := rates[1][i] / rates[0][i]; r < 0.9 || r > 1.1 {
+			t.Errorf("tenant %d: %.1f Mpps over 12 epochs, %.1f over 3", i, rates[1][i], rates[0][i])
+		}
 	}
 }

@@ -42,7 +42,7 @@ func (sh *Shell) runMulti(rep *Report, tr *traffic, next func() []byte, count in
 		if p := sh.pending; p != nil && tr.sent >= p.after && tr.sent < count {
 			sh.pending = nil
 			rep.UpdatesAttempted++
-			b := &replicaBarrier{barrier: sh.barrier(p.cfg), before: run.MaxCycles, paced: paced, cpp: perPkt}
+			b := &replicaBarrier{barrier: sh.barrier(p.cfg), paced: paced, cpp: perPkt}
 			res, err := liveupdate.Swap(b, p.cfg, perPkt, func() []byte { return tr.hold(next, count) })
 			run.Add(b.drained)
 			if err != nil {
@@ -54,10 +54,9 @@ func (sh *Shell) runMulti(rep *Report, tr *traffic, next func() []byte, count in
 			rep.noteUpdate(res)
 			if res.Err == nil {
 				run.Add(res.Canary)
+				sh.cycleBase += b.end
 				sh.engine = b.built
-				if sh.pinned != nil {
-					sh.engine.SetClock(sh.nowNs)
-				}
+				sh.continueClock()
 			}
 			tr.held, paced = res.Held, 0
 			if err := sh.engine.Start(perPkt, nil); err != nil {
@@ -82,6 +81,17 @@ func (sh *Shell) runMulti(rep *Report, tr *traffic, next func() []byte, count in
 	run.Add(rs)
 	sh.fold(rep, tr, run)
 	return err
+}
+
+// continueClock hands every replica of a committed engine the master
+// clock: the cycles the retired engines ran, then the replica's own.
+// Time helpers never see a swap rewind it. It runs once per committed
+// update, never per session.
+func (sh *Shell) continueClock() {
+	for q := 0; q < sh.engine.Queues(); q++ {
+		c := sh.engine.ReplicaCore(q)
+		c.SetClock(func() uint64 { return sh.clockAt(sh.cycleBase + c.Cycle()) })
+	}
 }
 
 // drainBound caps the single-queue drain at an update's barrier, like
@@ -143,14 +153,15 @@ func (e oneQueue) Cores() []hwsim.Core { return []hwsim.Core{e.Core} }
 func (oneQueue) Steer([]byte) int { return 0 }
 
 // replicaBarrier is the multi-queue loop's barrier: every replica.
-// before is the run's cycles ahead of the drained session, paced how
-// many paced arrivals that session took, which places the barrier on
-// the dispatcher's clock; the loop books drained after Swap.
+// paced is how many paced arrivals the drained session took, which
+// places the barrier on the dispatcher's clock; end is the furthest
+// replica's cycle count after the drain, the old engine's time at the
+// barrier. The loop books drained after Swap.
 type replicaBarrier struct {
 	barrier
-	before  uint64
 	paced   uint64
 	cpp     float64
+	end     uint64
 	drained rss.RunStats
 	built   *rss.Engine
 }
@@ -160,6 +171,9 @@ type replicaBarrier struct {
 func (b *replicaBarrier) Drain() (uint64, error) {
 	rs, err := b.sh.engine.Drain()
 	b.drained = rs
+	for q := 0; q < b.sh.engine.Queues(); q++ {
+		b.end = max(b.end, b.sh.engine.ReplicaCore(q).Cycle())
+	}
 	var at uint64
 	if b.paced > 0 {
 		at = uint64(float64(b.paced-1)*b.cpp) + 1
@@ -171,7 +185,7 @@ func (b *replicaBarrier) Old() (*ebpf.Program, *maps.Set) {
 	return b.sh.engine.Pipeline().Prog, b.sh.engine.HostMaps()
 }
 
-func (b *replicaBarrier) Now() uint64 { return b.sh.clockAt(b.before + b.drained.MaxCycles) }
+func (b *replicaBarrier) Now() uint64 { return b.sh.clockAt(b.sh.cycleBase + b.end) }
 
 // Build seals the new engine at once: setup, migration and the canary
 // then all merge against one baseline.

@@ -85,9 +85,11 @@ type Shell struct {
 	// into, kept across runs so a RunLoad allocates nothing per window.
 	win hwsim.Stats
 
-	// Master clock state: helper-visible time survives pipeline swaps.
-	// cycleBase is the cycle count retired pipelines accumulated before
-	// the serving one took over; pinned, when set, freezes time (tests).
+	// Master clock state: helper-visible time survives pipeline swaps on
+	// both loops. cycleBase is the cycle count retired engines
+	// accumulated before the serving one took over (on a multi-queue
+	// shell, the furthest replica's); pinned, when set, freezes time
+	// (tests).
 	cycleBase uint64
 	pinned    *uint64
 
@@ -148,9 +150,10 @@ func (sh *Shell) newCore(pl *core.Pipeline, sim hwsim.Config) (hwsim.Core, strin
 	return fastpath.NewCore(pl, sim, env, sh.cfg.FastPath)
 }
 
-// nowNs is the shell's master nanosecond clock: the cycles retired
-// pipelines accumulated plus the serving pipeline's, or the PinClock
-// value (the only one a multi-queue shell hands its replicas).
+// nowNs is the single-queue shell's master nanosecond clock: the cycles
+// retired pipelines accumulated plus the serving pipeline's, or the
+// PinClock value. A multi-queue shell's replicas read the hardware clock
+// until an update commits, then continueClock's.
 func (sh *Shell) nowNs() uint64 {
 	if sh.pinned != nil {
 		return *sh.pinned

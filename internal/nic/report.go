@@ -411,3 +411,75 @@ func (r *Report) Add(o Report) {
 		}
 	}
 }
+
+// Timeline folds reports of runs that follow one another in simulated
+// time — a tenant device's policing epochs, a fleet's epochs — the one
+// sequential fold beside Add's parallel one. Each Step is one stretch of
+// time served side by side by the reports it takes: within a step they
+// merge by Add, so counters and rates sum. Across steps the counters
+// still sum, but each rate is the steps' rates weighted by the cycles
+// each step served for, and so are the PerQueue and PerTenant rows'
+// AchievedMpps.
+type Timeline struct {
+	rep   Report
+	rates [5]timed
+	// queues and tenants are the means of rep.PerQueue's and
+	// rep.PerTenant's rows, by row.
+	queues, tenants []timed
+}
+
+// Step appends one step served by reps side by side.
+func (t *Timeline) Step(reps ...Report) {
+	// Zeroed, every rate on rep holds the step's own sum after the merge,
+	// and its cycles past what the mean has taken are the step's.
+	t.each(func(rate *float64, _ uint64, _ *timed) { *rate = 0 })
+	for _, o := range reps {
+		t.rep.Add(o)
+	}
+	t.each(func(rate *float64, cycles uint64, m *timed) { m.add(*rate, cycles-m.cycles) })
+}
+
+// Report returns the fold of every step so far. Its maps and rows are
+// the timeline's own: the next Step rewrites them.
+func (t *Timeline) Report() Report {
+	t.each(func(rate *float64, _ uint64, m *timed) { *rate = m.mean() })
+	return t.rep
+}
+
+// each visits every rate on rep with the cycles behind it and its mean.
+func (t *Timeline) each(fn func(rate *float64, cycles uint64, m *timed)) {
+	r := &t.rep
+	for i, rate := range [...]*float64{&r.OfferedMpps, &r.AchievedMpps, &r.OfferedGbps, &r.AchievedGbps, &r.FlushesPerS} {
+		fn(rate, r.Cycles, &t.rates[i])
+	}
+	for len(t.queues) < len(r.PerQueue) {
+		t.queues = append(t.queues, timed{})
+	}
+	for i := range r.PerQueue {
+		fn(&r.PerQueue[i].AchievedMpps, r.PerQueue[i].Cycles, &t.queues[i])
+	}
+	for len(t.tenants) < len(r.PerTenant) {
+		t.tenants = append(t.tenants, timed{})
+	}
+	for i := range r.PerTenant {
+		fn(&r.PerTenant[i].AchievedMpps, r.PerTenant[i].Cycles, &t.tenants[i])
+	}
+}
+
+// timed is a cycle-weighted mean of a rate over sequential steps.
+type timed struct {
+	sum    float64
+	cycles uint64
+}
+
+func (m *timed) add(rate float64, cycles uint64) {
+	m.sum += rate * float64(cycles)
+	m.cycles += cycles
+}
+
+func (m timed) mean() float64 {
+	if m.cycles == 0 {
+		return 0
+	}
+	return m.sum / float64(m.cycles)
+}

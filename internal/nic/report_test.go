@@ -302,3 +302,39 @@ func TestReportJSONByteStable(t *testing.T) {
 		}
 	}
 }
+
+// TestTimeline: within a step the reports serve side by side and merge
+// by Add, so rates sum; across steps counters sum but every rate — the
+// device's five, a queue's and a tenant's AchievedMpps — is the steps'
+// rates weighted by the cycles each step served for.
+func TestTimeline(t *testing.T) {
+	dev := func(mpps float64, cycles uint64, tenant string) Report {
+		return Report{
+			OfferedMpps: mpps, AchievedMpps: mpps, OfferedGbps: 2 * mpps, AchievedGbps: 2 * mpps, FlushesPerS: mpps,
+			Sent: 10, Received: 10, Cycles: cycles, QueueCount: 1,
+			PerQueue:  []QueueReport{{Queue: 0, Received: 10, Cycles: cycles, AchievedMpps: mpps}},
+			PerTenant: []TenantSlice{{Name: tenant, Sent: 10, Received: 10, Cycles: cycles, AchievedMpps: mpps}},
+		}
+	}
+	var tl Timeline
+	tl.Step(dev(50, 100, "a"), dev(50, 100, "b")) // two devices: 100 Mpps for 200 cycles
+	tl.Step(dev(20, 300, "a"))                    // one device: 20 Mpps for 300 cycles
+	tl.Step()                                     // nothing served: no weight
+	rep := tl.Report()
+
+	want := (100.0*200 + 20*300) / 500
+	for i, r := range []float64{rep.OfferedMpps, rep.AchievedMpps, rep.OfferedGbps / 2, rep.AchievedGbps / 2, rep.FlushesPerS} {
+		if r != want {
+			t.Errorf("rate %d = %v, want %v", i, r, want)
+		}
+	}
+	if rep.Sent != 30 || rep.Received != 30 || rep.Cycles != 500 {
+		t.Errorf("counters sent %d received %d cycles %d, want 30 30 500", rep.Sent, rep.Received, rep.Cycles)
+	}
+	if q := rep.PerQueue; len(q) != 1 || q[0].AchievedMpps != want || q[0].Received != 30 {
+		t.Errorf("queue rows %+v, want one at %v Mpps", q, want)
+	}
+	if tn := rep.PerTenant; len(tn) != 2 || tn[0].AchievedMpps != (50.0*100+20*300)/400 || tn[1].AchievedMpps != 50 {
+		t.Errorf("tenant rows %+v, want a at %v and b at 50 Mpps", tn, (50.0*100+20*300)/400)
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"ehdl/internal/asm"
 	"ehdl/internal/conformance"
 	"ehdl/internal/core"
+	"ehdl/internal/ebpf"
 	"ehdl/internal/faults"
 	"ehdl/internal/hwsim"
 	"ehdl/internal/liveupdate"
@@ -197,5 +198,43 @@ func TestPinnedMultiQueueUpdate(t *testing.T) {
 	if rep.UpdatesCompleted != 1 || rep.CanariedPackets == 0 || rep.Received != rep.Sent {
 		t.Fatalf("update %q (%q): canaried %d, received %d of %d",
 			rep.UpdateStage, rep.UpdateFailure, rep.CanariedPackets, rep.Received, rep.Sent)
+	}
+}
+
+// TestMultiQueueUpdateKeepsClock: a committed multi-queue update
+// continues the old engine's time, as the single-queue loop does. The
+// rate limiter, warmed with a first run and then swapped for itself,
+// must give the same verdicts as without the update on both engines: a
+// clock that restarted at the swap would make `now - last` underflow and
+// refill every bucket.
+func TestMultiQueueUpdateKeepsClock(t *testing.T) {
+	app := apps.LeakyBucket()
+	for _, fast := range []bool{false, true} {
+		var actions [2]map[ebpf.XDPAction]uint64
+		for i, update := range []bool{false, true} {
+			sh := newShell(t, app, core.Options{}, ShellConfig{Queues: 4, FastPath: fast})
+			traffic := app.Traffic
+			traffic.Flows = 8
+			next := pktgen.NewGenerator(traffic).Next
+			if _, err := sh.RunLoad(next, 20000, 20e6); err != nil {
+				t.Fatal(err)
+			}
+			if update {
+				if err := sh.ScheduleUpdate(10, sameProgram(t, app)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rep, err := sh.RunLoad(next, 4000, 100e6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if update && rep.UpdatesCompleted != 1 {
+				t.Fatalf("fast=%v: update %q (%q) did not commit", fast, rep.UpdateStage, rep.UpdateFailure)
+			}
+			actions[i] = rep.Actions
+		}
+		if !reflect.DeepEqual(actions[0], actions[1]) {
+			t.Errorf("fast=%v: verdicts %v with the update, %v without", fast, actions[1], actions[0])
+		}
 	}
 }

@@ -111,12 +111,8 @@ const (
 	// write-ahead journal. Cycle: the epoch. Aux2: the journal size in
 	// bytes after the commit.
 	KindJournalCommit
-	// KindStateSnapshot marks a full-state snapshot file written.
-	// Cycle: the epoch. Aux: the snapshot payload size in bytes.
-	KindStateSnapshot
 	// KindReplayEpoch marks one epoch re-executed and digest-verified
-	// during crash recovery. Cycle: the epoch. Aux: 1 on the epoch whose
-	// journaled digest matched a loaded snapshot byte-for-byte.
+	// during crash recovery. Cycle: the epoch.
 	KindReplayEpoch
 
 	numKinds
@@ -148,7 +144,6 @@ var kindNames = [numKinds]string{
 	KindTenantReject:   "tenant_reject",
 	KindTenantThrottle: "tenant_throttle",
 	KindJournalCommit:  "journal_commit",
-	KindStateSnapshot:  "state_snapshot",
 	KindReplayEpoch:    "replay_epoch",
 }
 

@@ -187,19 +187,12 @@ func (d *Device) serve(sub [][][]byte, quarantined uint64, offeredPps float64) n
 }
 
 // RunLoad offers count arrivals from next() at offeredPps, chunked into
-// policing epochs of EpochPackets, and folds the per-epoch reports. The
-// epochs follow one another, so counters sum (nic.Report.Add, which
-// also keeps a tenant one PerTenant row) but rates do not: each rate of
-// the run is its epochs' rates weighted by the cycles they served for.
-// Within an epoch the tenants serve side by side, and their rates sum.
+// policing epochs of EpochPackets, and folds the per-epoch reports on a
+// nic.Timeline: the epochs follow one another, so counters sum but each
+// rate is weighted by the cycles its epoch served for. Within an epoch
+// the tenants serve side by side, and their rates sum.
 func (d *Device) RunLoad(next func() []byte, count int, offeredPps float64) (nic.Report, error) {
-	var out nic.Report
-	var dev [5]timed
-	tenants := make([]timed, len(d.tenants))
-	var queues []timed
-	rates := func(r *nic.Report) [5]*float64 {
-		return [5]*float64{&r.OfferedMpps, &r.AchievedMpps, &r.OfferedGbps, &r.AchievedGbps, &r.FlushesPerS}
-	}
+	var tl nic.Timeline
 	ep := d.cfg.epochPackets()
 	var err error
 	for off := 0; off < count && err == nil; off += ep {
@@ -209,43 +202,7 @@ func (d *Device) RunLoad(next func() []byte, count int, offeredPps float64) (nic
 		}
 		var rep nic.Report
 		rep, err = d.Serve(batch, offeredPps)
-		for i, r := range rates(&rep) {
-			dev[i].add(*r, rep.Cycles)
-		}
-		for i, sl := range rep.PerTenant {
-			tenants[i].add(sl.AchievedMpps, sl.Cycles)
-		}
-		for _, q := range rep.PerQueue {
-			for len(queues) <= q.Queue {
-				queues = append(queues, timed{})
-			}
-			queues[q.Queue].add(q.AchievedMpps, q.Cycles)
-		}
-		out.Add(rep)
+		tl.Step(rep)
 	}
-	for i, r := range rates(&out) {
-		*r = dev[i].mean()
-	}
-	for i := range out.PerTenant {
-		out.PerTenant[i].AchievedMpps = tenants[i].mean()
-	}
-	for i := range out.PerQueue {
-		out.PerQueue[i].AchievedMpps = queues[out.PerQueue[i].Queue].mean()
-	}
-	return out, err
-}
-
-// timed is a cycle-weighted mean of a rate over sequential epochs.
-type timed struct{ sum, cycles float64 }
-
-func (m *timed) add(rate float64, cycles uint64) {
-	m.sum += rate * float64(cycles)
-	m.cycles += float64(cycles)
-}
-
-func (m timed) mean() float64 {
-	if m.cycles == 0 {
-		return 0
-	}
-	return m.sum / m.cycles
+	return tl.Report(), err
 }

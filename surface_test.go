@@ -98,13 +98,11 @@ var surfaceAllow = map[string]string{
 	"ddg.ArgLoc":   "returned",
 	"ddg.MemArea":  "returned",
 
-	"durable.Decode":                 "test-support",
-	"durable.EncodeHeader":           "test-support",
-	"durable.EncodeRecord":           "test-support",
-	"durable.MetricAppends":          "test-support",
-	"durable.MetricCommits":          "test-support",
-	"durable.MetricSnapshotsWritten": "test-support",
-	"durable.SnapshotName":           "test-support",
+	"durable.Decode":        "test-support",
+	"durable.EncodeHeader":  "test-support",
+	"durable.EncodeRecord":  "test-support",
+	"durable.MetricAppends": "test-support",
+	"durable.MetricCommits": "test-support",
 
 	"ebpf.ALU32Imm":                "test-support",
 	"ebpf.ALU32Reg":                "test-support",
