@@ -30,8 +30,10 @@ test:
 short:
 	$(GO) test -short ./...
 
+# go vet, and gofmt: a file gofmt would rewrite fails the gate.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l: not gofmt-clean:"; echo "$$out"; exit 1; fi
 
 race:
 	$(GO) test -race ./...

@@ -352,12 +352,6 @@ func run(args []string) int {
 	}
 
 	if reg != nil {
-		fmt.Printf("\nobservability:\n")
-		fmt.Printf("  occupancy: %.2f frames/cycle mean\n", rep.MeanStageOccupancy)
-		fmt.Printf("  latency:   p99 %d cycles\n", rep.P99LatencyCycles)
-		fmt.Printf("  flushes:   %.1f penalty cycles mean\n", rep.FlushPenaltyMean)
-		fmt.Printf("  map ports: %d ops\n", rep.MapPortOps)
-		fmt.Printf("  backpress: %d cycles\n", rep.BackpressureCycles)
 		fmt.Printf("\nmetrics registry:\n")
 		if err := reg.Render(os.Stdout); err != nil {
 			return fail(err)

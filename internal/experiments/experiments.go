@@ -137,6 +137,20 @@ func compileApp(app *apps.App, opts core.Options) (*core.Pipeline, error) {
 	return core.Compile(prog, opts)
 }
 
+// serve compiles app with the default options and builds its shell on
+// cfg with the app's host-side map state: the NIC a table drives.
+func serve(app *apps.App, cfg nic.ShellConfig) (*core.Pipeline, *nic.Shell, error) {
+	pl, err := compileApp(app, core.Options{})
+	if err != nil {
+		return nil, nil, err
+	}
+	sh, err := nic.New(pl, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return pl, sh, app.Setup(sh.Maps())
+}
+
 // table1 reproduces the application inventory.
 func table1(Config) (Table, error) {
 	t := Table{ID: "table1", Title: "Applications used for evaluation",
@@ -204,15 +218,8 @@ func fig9aThroughput(cfg Config) (Table, error) {
 		Columns: []string{"Program", "eHDL", "SDNet", "hXDP", "Bf2 1c", "Bf2 4c"}}
 	n := cfg.packets()
 	for _, app := range apps.All() {
-		pl, err := compileApp(app, core.Options{})
+		pl, sh, err := serve(app, nic.ShellConfig{})
 		if err != nil {
-			return t, err
-		}
-		sh, err := nic.New(pl, nic.ShellConfig{})
-		if err != nil {
-			return t, err
-		}
-		if err := app.Setup(sh.Maps()); err != nil {
 			return t, err
 		}
 		gen := pktgen.NewGenerator(app.Traffic)
@@ -231,19 +238,15 @@ func fig9aThroughput(cfg Config) (Table, error) {
 			sdnetCell = f1(d.ThroughputMpps(100, 64))
 		}
 
-		prog, err := app.Program()
+		hx, err := hxdp.New().RunApp(pl.Prog, app.SetupHost, pktgen.NewGenerator(app.Traffic), min(n, 600))
 		if err != nil {
 			return t, err
 		}
-		hx, err := hxdp.New().RunApp(prog, app.SetupHost, pktgen.NewGenerator(app.Traffic), min(n, 600))
+		bf1, err := bluefield.New(1).RunApp(pl.Prog, app.SetupHost, pktgen.NewGenerator(app.Traffic), min(n, 600))
 		if err != nil {
 			return t, err
 		}
-		bf1, err := bluefield.New(1).RunApp(prog, app.SetupHost, pktgen.NewGenerator(app.Traffic), min(n, 600))
-		if err != nil {
-			return t, err
-		}
-		bf4, err := bluefield.New(4).RunApp(prog, app.SetupHost, pktgen.NewGenerator(app.Traffic), min(n, 600))
+		bf4, err := bluefield.New(4).RunApp(pl.Prog, app.SetupHost, pktgen.NewGenerator(app.Traffic), min(n, 600))
 		if err != nil {
 			return t, err
 		}
@@ -258,15 +261,8 @@ func fig9bLatency(cfg Config) (Table, error) {
 	t := Table{ID: "fig9b", Title: "Forwarding latency, nanoseconds (Figure 9b)",
 		Columns: []string{"Program", "eHDL avg", "eHDL max", "hXDP"}}
 	for _, app := range apps.All() {
-		pl, err := compileApp(app, core.Options{})
+		pl, sh, err := serve(app, nic.ShellConfig{})
 		if err != nil {
-			return t, err
-		}
-		sh, err := nic.New(pl, nic.ShellConfig{})
-		if err != nil {
-			return t, err
-		}
-		if err := app.Setup(sh.Maps()); err != nil {
 			return t, err
 		}
 		gen := pktgen.NewGenerator(app.Traffic)
@@ -274,11 +270,7 @@ func fig9bLatency(cfg Config) (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		prog, err := app.Program()
-		if err != nil {
-			return t, err
-		}
-		hx, err := hxdp.New().RunApp(prog, app.SetupHost, pktgen.NewGenerator(app.Traffic), 300)
+		hx, err := hxdp.New().RunApp(pl.Prog, app.SetupHost, pktgen.NewGenerator(app.Traffic), 300)
 		if err != nil {
 			return t, err
 		}
@@ -301,11 +293,7 @@ func fig9cStages(Config) (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		prog, err := app.Program()
-		if err != nil {
-			return t, err
-		}
-		bundles, err := m.StaticBundles(prog)
+		bundles, err := m.StaticBundles(pl.Prog)
 		if err != nil {
 			return t, err
 		}
@@ -350,11 +338,7 @@ func table2Flushing(cfg Config) (Table, error) {
 		Columns: []string{"Trace", "# lost packets", "# flushes/sec", "mean pkt B", "offered Mpps"}}
 	app := apps.LeakyBucket()
 	for _, profile := range []pktgen.TraceProfile{pktgen.CAIDAProfile(), pktgen.MAWIProfile()} {
-		pl, err := compileApp(app, core.Options{})
-		if err != nil {
-			return t, err
-		}
-		sh, err := nic.New(pl, nic.ShellConfig{})
+		_, sh, err := serve(app, nic.ShellConfig{})
 		if err != nil {
 			return t, err
 		}
@@ -381,11 +365,7 @@ func singleFlowDegradation(cfg Config) (Table, error) {
 	app := apps.LeakyBucket()
 
 	// Realistic trace at its line rate.
-	pl, err := compileApp(app, core.Options{})
-	if err != nil {
-		return t, err
-	}
-	sh, err := nic.New(pl, nic.ShellConfig{})
+	_, sh, err := serve(app, nic.ShellConfig{})
 	if err != nil {
 		return t, err
 	}
@@ -400,11 +380,7 @@ func singleFlowDegradation(cfg Config) (Table, error) {
 
 	// Single flow: every packet hits the same bucket entry.
 	single := &apps.App{Name: "leakybucket_single", Source: singleKeySource(app.Source), Traffic: app.Traffic}
-	pl2, err := compileApp(single, core.Options{})
-	if err != nil {
-		return t, err
-	}
-	sh2, err := nic.New(pl2, nic.ShellConfig{Sim: hwsim.Config{InputQueuePackets: 64}})
+	_, sh2, err := serve(single, nic.ShellConfig{Sim: hwsim.Config{InputQueuePackets: 64}})
 	if err != nil {
 		return t, err
 	}
@@ -612,15 +588,8 @@ func loadBalancerDemo(cfg Config) (Table, error) {
 	t := Table{ID: "lb", Title: "Katran-style load balancer at line rate (beyond the paper's five programs)",
 		Columns: []string{"Backend", "Packets", "Share %"}}
 	app, _ := apps.ByName("loadbalancer")
-	pl, err := compileApp(app, core.Options{})
+	pl, sh, err := serve(app, nic.ShellConfig{})
 	if err != nil {
-		return t, err
-	}
-	sh, err := nic.New(pl, nic.ShellConfig{})
-	if err != nil {
-		return t, err
-	}
-	if err := app.Setup(sh.Maps()); err != nil {
 		return t, err
 	}
 	gen := pktgen.NewGenerator(app.Traffic)
@@ -672,20 +641,13 @@ func resilience(cfg Config) (Table, error) {
 		{faults.FlushStorm.String(), faults.Single(faults.FlushStorm, 0.01, 7)},
 	}
 	for _, c := range campaigns {
-		pl, err := compileApp(app, core.Options{})
-		if err != nil {
-			return t, err
-		}
 		shCfg := nic.ShellConfig{Faults: c.fc}
 		shCfg.Sim.WatchdogCycles = 200000
 		// A bounded ingress queue, so injected bursts genuinely overflow
 		// and the losses show up as counted drops.
 		shCfg.Sim.InputQueuePackets = 64
-		sh, err := nic.New(pl, shCfg)
+		_, sh, err := serve(app, shCfg)
 		if err != nil {
-			return t, err
-		}
-		if err := app.Setup(sh.Maps()); err != nil {
 			return t, err
 		}
 		gen := pktgen.NewGenerator(app.Traffic)
@@ -761,11 +723,7 @@ func liveUpdateUnderLoad(cfg Config) (Table, error) {
 		{"SEU-corrupted new pipeline", faults.Single(faults.SEUMapEntry, 0.5, 13)},
 	}
 	for _, sc := range scenarios {
-		pl, err := compileApp(app, core.Options{})
-		if err != nil {
-			return t, err
-		}
-		sh, err := nic.New(pl, nic.ShellConfig{})
+		_, sh, err := serve(app, nic.ShellConfig{})
 		if err != nil {
 			return t, err
 		}
@@ -773,9 +731,6 @@ func liveUpdateUnderLoad(cfg Config) (Table, error) {
 		// against a sequential reference, and the rate limiter reads
 		// bpf_ktime.
 		sh.PinClock(0)
-		if err := app.Setup(sh.Maps()); err != nil {
-			return t, err
-		}
 		lbProg, err := lb.Program()
 		if err != nil {
 			return t, err

@@ -23,10 +23,6 @@ func scaling(cfg Config) (Table, error) {
 	t := Table{ID: "scaling", Title: "Multi-queue RSS scale-out (toy pipeline, 85% aggregate load)",
 		Columns: []string{"Queues", "Offered Mpps", "Achieved Mpps", "Speedup", "Lost", "Active", "fw LUT%"}}
 	app := apps.Toy()
-	pl, err := compileApp(app, core.Options{})
-	if err != nil {
-		return t, err
-	}
 	fw, err := compileApp(apps.Firewall(), core.Options{})
 	if err != nil {
 		return t, err
@@ -35,11 +31,8 @@ func scaling(cfg Config) (Table, error) {
 	n := cfg.packets()
 	var base float64
 	for _, q := range scalingQueues {
-		sh, err := nic.New(pl, nic.ShellConfig{Queues: q, Sim: hwsim.Config{InputQueuePackets: 64}})
+		_, sh, err := serve(app, nic.ShellConfig{Queues: q, Sim: hwsim.Config{InputQueuePackets: 64}})
 		if err != nil {
-			return t, err
-		}
-		if err := app.Setup(sh.Maps()); err != nil {
 			return t, err
 		}
 		gen := pktgen.NewGenerator(app.Traffic)

@@ -11,21 +11,16 @@ import "ehdl/internal/core"
 //     double-buffered: a second BRAM copy per map, the dominant term of
 //     map-heavy designs.
 //   - Each map gains a migration DMA channel: a bulk-copy cursor that
-//     streams entries old-to-new under a per-cycle budget, plus the
-//     write tap that feeds the delta log.
-//   - One delta-log FIFO per design captures data-plane writes landing
-//     mid-copy (map tag + key digest per entry, replayed at the end).
+//     streams entries old-to-new, one per cycle, once the drain barrier
+//     has emptied the old pipeline (no write lands mid-copy).
 //   - The canary needs an ingress mirror tap and an outcome comparator
 //     diffing the shadow's verdict/bytes against the reference.
 //   - The reconfiguration controller sequences the stages: the update
-//     FSM, the drain sequencer with its backoff timer, and the atomic
-//     ingress switch mux in front of both pipelines.
+//     FSM, the drain sequencer and the atomic ingress switch mux in
+//     front of both pipelines.
 const (
-	migrateChannelLUTs = 140 // per-map bulk cursor + delta write tap
+	migrateChannelLUTs = 140 // per-map bulk-copy cursor
 	migrateChannelFFs  = 120
-
-	deltaLogEntries = 4096 // a log the drain-barrier protocol no longer keeps; still priced (ROADMAP 4(c))
-	deltaLogBits    = 96   // 32-bit map tag + 64-bit key digest per entry
 
 	canaryLUTs = 480 // mirror tap + verdict/byte comparator
 	canaryFFs  = 260
@@ -36,8 +31,8 @@ const (
 
 // EstimateLiveUpdate returns the incremental resources of making a
 // pipeline hot-swappable: double-buffered map storage, per-map
-// migration channels, the delta log, the canary tap and the
-// reconfiguration controller. A map-less pipeline still pays for the
+// migration channels, the canary tap and the reconfiguration
+// controller. A map-less pipeline still pays for the
 // controller and the canary path — swapping it is exactly the ingress
 // mux flip — but nothing per map.
 func EstimateLiveUpdate(p *core.Pipeline) Resources {
@@ -48,10 +43,6 @@ func EstimateLiveUpdate(p *core.Pipeline) Resources {
 
 		r.LUTs += migrateChannelLUTs
 		r.FFs += migrateChannelFFs
-	}
-	if len(p.Maps) > 0 {
-		// The shared delta-log FIFO.
-		r.BRAM36 += bram36(deltaLogEntries * deltaLogBits)
 	}
 
 	r.LUTs += canaryLUTs + reconfLUTs

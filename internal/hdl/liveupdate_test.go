@@ -30,20 +30,23 @@ func TestLiveUpdateCostShape(t *testing.T) {
 }
 
 func TestLiveUpdateDoubleBufferDominates(t *testing.T) {
-	// For a map-heavy design the double-buffered storage must be the
-	// dominant term: at least as many BRAMs as the per-map data copies,
-	// and strictly more than the shared delta log alone.
+	// For a map-heavy design the double-buffered storage is the whole
+	// BRAM bill: one more copy of every map's data words, and nothing
+	// else of the update protocol sits in BRAM.
 	pl := compileApp(t, "firewall", core.Options{})
 	upd := EstimateLiveUpdate(pl)
-	deltaOnly := (deltaLogEntries*deltaLogBits + 36*1024 - 1) / (36 * 1024)
-	if upd.BRAM36 <= deltaOnly {
-		t.Fatalf("firewall double buffer prices %d BRAMs, delta log alone is %d", upd.BRAM36, deltaOnly)
+	var copies int
+	for _, m := range elaborateMaps(pl) {
+		copies += bram36(m.dataBits)
+	}
+	if copies == 0 || upd.BRAM36 != copies {
+		t.Fatalf("firewall update prices %d BRAMs, its maps' second copy %d", upd.BRAM36, copies)
 	}
 }
 
 func TestLiveUpdateMaplessPaysControllerOnly(t *testing.T) {
 	// Swapping a map-less pipeline is an ingress mux flip: no double
-	// buffer, no migration channels, no delta log — but the controller
+	// buffer, no migration channels — but the controller
 	// and the canary tap are still there.
 	prog, err := asm.Assemble("nomap", "r0 = 2\nexit\n")
 	if err != nil {

@@ -153,19 +153,10 @@ type Result struct {
 	Flushed         int // times this packet was flushed and re-executed
 }
 
-// Stats aggregates a simulation run.
-type Stats struct {
-	Cycles         uint64
-	Injected       uint64
-	Completed      uint64
-	QueueDrops     uint64
-	Flushes        uint64
-	FlushedPackets uint64
-	StallCycles    uint64
-	Actions        map[ebpf.XDPAction]uint64
-	LatencySum     uint64
-	LatencyMax     uint64
-
+// Resilience holds the fault, protection and recovery counters of a
+// run: the engines count them in Stats, and nic.Report carries them as
+// they are. Protection and recovery counters are all zero at LevelNone.
+type Resilience struct {
 	// FaultsInjected counts faults the injector applied inside the
 	// pipeline (SEU bit flips and forced flush storms).
 	FaultsInjected uint64
@@ -179,26 +170,18 @@ type Stats struct {
 	// leads by at most the packets in flight in between.
 	MalformedDropped uint64
 	// QueueOverflows counts episodes in which the ingress queue hit its
-	// bound (edge-triggered; QueueDrops counts individual packets).
+	// bound (edge-triggered; Stats.QueueDrops counts individual packets).
 	QueueOverflows uint64
 	// WatchdogTrips counts livelock detections by the watchdog.
 	WatchdogTrips uint64
-	// AbortedFaults counts packets retired as XDP_ABORTED because
-	// injected faults made their state unexecutable.
-	AbortedFaults uint64
 
-	// Protection and recovery counters (all zero at LevelNone).
-
-	// WordsChecked counts protected-word syndrome decodes (lookup path
-	// and scrubber combined).
-	WordsChecked uint64
-	// CorrectedWords counts single-bit upsets corrected in place.
+	// CorrectedWords counts single-bit upsets corrected in place by the
+	// ECC read port or the scrubber.
 	CorrectedWords uint64
 	// UncorrectableWords counts detected errors beyond the codec's
 	// correction capability (each one triggers a recovery).
 	UncorrectableWords uint64
-	// ScrubWords and ScrubPasses count background-scrubber progress.
-	ScrubWords  uint64
+	// ScrubPasses counts completed background-scrubber sweeps.
 	ScrubPasses uint64
 	// CheckpointsTaken counts known-good map snapshots recorded.
 	CheckpointsTaken uint64
@@ -210,6 +193,60 @@ type Stats struct {
 	// RecoveryBackoffCycles accumulates the input-hold time charged by
 	// the exponential backoff schedule.
 	RecoveryBackoffCycles uint64
+}
+
+// Add folds o's counters into r.
+func (r *Resilience) Add(o Resilience) {
+	r.FaultsInjected += o.FaultsInjected
+	r.MalformedDropped += o.MalformedDropped
+	r.QueueOverflows += o.QueueOverflows
+	r.WatchdogTrips += o.WatchdogTrips
+	r.CorrectedWords += o.CorrectedWords
+	r.UncorrectableWords += o.UncorrectableWords
+	r.ScrubPasses += o.ScrubPasses
+	r.CheckpointsTaken += o.CheckpointsTaken
+	r.Recoveries += o.Recoveries
+	r.RecoveryAborted += o.RecoveryAborted
+	r.RecoveryBackoffCycles += o.RecoveryBackoffCycles
+}
+
+// sub takes o's counters out of r.
+func (r *Resilience) sub(o Resilience) {
+	r.FaultsInjected -= o.FaultsInjected
+	r.MalformedDropped -= o.MalformedDropped
+	r.QueueOverflows -= o.QueueOverflows
+	r.WatchdogTrips -= o.WatchdogTrips
+	r.CorrectedWords -= o.CorrectedWords
+	r.UncorrectableWords -= o.UncorrectableWords
+	r.ScrubPasses -= o.ScrubPasses
+	r.CheckpointsTaken -= o.CheckpointsTaken
+	r.Recoveries -= o.Recoveries
+	r.RecoveryAborted -= o.RecoveryAborted
+	r.RecoveryBackoffCycles -= o.RecoveryBackoffCycles
+}
+
+// Stats aggregates a simulation run.
+type Stats struct {
+	Cycles         uint64
+	Injected       uint64
+	Completed      uint64
+	QueueDrops     uint64
+	Flushes        uint64
+	FlushedPackets uint64
+	StallCycles    uint64
+	Actions        map[ebpf.XDPAction]uint64
+	LatencySum     uint64
+	LatencyMax     uint64
+
+	Resilience
+
+	// AbortedFaults counts packets retired as XDP_ABORTED because
+	// injected faults made their state unexecutable.
+	AbortedFaults uint64
+	// WordsChecked counts protected-word syndrome decodes (lookup path
+	// and scrubber combined); ScrubWords counts the scrubber's share.
+	WordsChecked uint64
+	ScrubWords   uint64
 
 	// hist counts the common verdicts of an engine's live counters
 	// without a map access per retirement (Retire); Snapshot and
@@ -280,20 +317,10 @@ func (s Stats) Add(o Stats) Stats {
 	for a, n := range o.Actions {
 		out.Actions[a] += n
 	}
-	out.FaultsInjected += o.FaultsInjected
-	out.MalformedDropped += o.MalformedDropped
-	out.QueueOverflows += o.QueueOverflows
-	out.WatchdogTrips += o.WatchdogTrips
+	out.Resilience.Add(o.Resilience)
 	out.AbortedFaults += o.AbortedFaults
 	out.WordsChecked += o.WordsChecked
-	out.CorrectedWords += o.CorrectedWords
-	out.UncorrectableWords += o.UncorrectableWords
 	out.ScrubWords += o.ScrubWords
-	out.ScrubPasses += o.ScrubPasses
-	out.CheckpointsTaken += o.CheckpointsTaken
-	out.Recoveries += o.Recoveries
-	out.RecoveryAborted += o.RecoveryAborted
-	out.RecoveryBackoffCycles += o.RecoveryBackoffCycles
 	return out
 }
 
@@ -328,20 +355,10 @@ func (s *Stats) CloseWindow(base, w *Stats) {
 	w.FlushedPackets -= base.FlushedPackets
 	w.StallCycles -= base.StallCycles
 	w.LatencySum -= base.LatencySum
-	w.FaultsInjected -= base.FaultsInjected
-	w.MalformedDropped -= base.MalformedDropped
-	w.QueueOverflows -= base.QueueOverflows
-	w.WatchdogTrips -= base.WatchdogTrips
+	w.Resilience.sub(base.Resilience)
 	w.AbortedFaults -= base.AbortedFaults
 	w.WordsChecked -= base.WordsChecked
-	w.CorrectedWords -= base.CorrectedWords
-	w.UncorrectableWords -= base.UncorrectableWords
 	w.ScrubWords -= base.ScrubWords
-	w.ScrubPasses -= base.ScrubPasses
-	w.CheckpointsTaken -= base.CheckpointsTaken
-	w.Recoveries -= base.Recoveries
-	w.RecoveryAborted -= base.RecoveryAborted
-	w.RecoveryBackoffCycles -= base.RecoveryBackoffCycles
 	acts, closed := base.Actions, max(base.LatencyMax, s.LatencyMax)
 	*base = *s
 	base.Actions, base.LatencyMax = acts, closed

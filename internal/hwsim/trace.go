@@ -37,13 +37,13 @@ type probes struct {
 
 // Metric names under which the simulator registers its instruments.
 const (
-	MetricStageOccupancy    = "hwsim.stage_occupancy"
+	metricStageOccupancy    = "hwsim.stage_occupancy"
 	metricWARShadowDepth    = "hwsim.war_shadow_depth"
-	MetricFlushPenalty      = "hwsim.flush_penalty_cycles"
-	MetricCyclesPerPacket   = "hwsim.cycles_per_packet"
-	MetricMapPortOps        = "hwsim.map_port_ops"
+	metricFlushPenalty      = "hwsim.flush_penalty_cycles"
+	metricCyclesPerPacket   = "hwsim.cycles_per_packet"
+	metricMapPortOps        = "hwsim.map_port_ops"
 	metricMapPortContention = "hwsim.map_port_contention_cycles"
-	MetricBackpressure      = "hwsim.inject_backpressure_cycles"
+	metricBackpressure      = "hwsim.inject_backpressure_cycles"
 	metricFlushes           = "hwsim.flushes"
 	metricRecoveries        = "hwsim.recoveries"
 )
@@ -57,13 +57,13 @@ func newProbes(tr *obs.Tracer, reg *obs.Registry, nMaps, nStages int) *probes {
 	}
 	return &probes{
 		tr:           tr,
-		occupancy:    reg.Histogram(MetricStageOccupancy, obs.LinearBuckets(0, 1, nStages+1)),
+		occupancy:    reg.Histogram(metricStageOccupancy, obs.LinearBuckets(0, 1, nStages+1)),
 		warDepth:     reg.Histogram(metricWARShadowDepth, obs.LinearBuckets(0, 1, 16)),
-		flushPenalty: reg.Histogram(MetricFlushPenalty, obs.ExpBuckets(2, 2, 10)),
-		cyclesPerPkt: reg.Histogram(MetricCyclesPerPacket, obs.ExpBuckets(8, 2, 12)),
-		portOps:      reg.Counter(MetricMapPortOps),
+		flushPenalty: reg.Histogram(metricFlushPenalty, obs.ExpBuckets(2, 2, 10)),
+		cyclesPerPkt: reg.Histogram(metricCyclesPerPacket, obs.ExpBuckets(8, 2, 12)),
+		portOps:      reg.Counter(metricMapPortOps),
 		contention:   reg.Counter(metricMapPortContention),
-		backpressure: reg.Counter(MetricBackpressure),
+		backpressure: reg.Counter(metricBackpressure),
 		flushes:      reg.Counter(metricFlushes),
 		recoveries:   reg.Counter(metricRecoveries),
 		portUse:      make([]uint32, nMaps),

@@ -70,14 +70,14 @@ func TestProbesHazardRun(t *testing.T) {
 	if n, _ := reg.CounterValue(metricFlushes); n == 0 {
 		t.Error("same-flow packets back to back produced no flushes")
 	}
-	if n, _ := reg.CounterValue(MetricMapPortOps); n == 0 {
+	if n, _ := reg.CounterValue(metricMapPortOps); n == 0 {
 		t.Error("map port ops counter never incremented")
 	}
-	if h, ok := reg.HistogramByName(MetricCyclesPerPacket); !ok || h.Count() != uint64(len(packets)) {
+	if h, ok := reg.HistogramByName(metricCyclesPerPacket); !ok || h.Count() != uint64(len(packets)) {
 		t.Errorf("cycles-per-packet histogram has %v observations, want one per packet (%d)",
 			h.Count(), len(packets))
 	}
-	if h, ok := reg.HistogramByName(MetricFlushPenalty); !ok || h.Count() == 0 {
+	if h, ok := reg.HistogramByName(metricFlushPenalty); !ok || h.Count() == 0 {
 		t.Error("flush penalty histogram never observed an episode")
 	}
 }

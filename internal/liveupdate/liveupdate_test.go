@@ -144,9 +144,9 @@ func TestHitlessUpdateZeroLoss(t *testing.T) {
 	if repU.CanariedPackets < 32 || repU.CanaryDivergences != 0 {
 		t.Fatalf("canary: %d packets, %d divergences, want >= 32 and 0", repU.CanariedPackets, repU.CanaryDivergences)
 	}
-	if repU.HeldPackets == 0 || repU.CutoverTicks <= repU.MigrationTicks {
+	if repU.HeldPackets == 0 || repU.CutoverTicks <= repU.MigratedEntries {
 		t.Fatalf("cutover held %d packets over %d ticks (%d migrating): no drain tail",
-			repU.HeldPackets, repU.CutoverTicks, repU.MigrationTicks)
+			repU.HeldPackets, repU.CutoverTicks, repU.MigratedEntries)
 	}
 
 	// The update must be invisible to the data path: same verdict

@@ -1,8 +1,10 @@
 package nic
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"reflect"
@@ -23,6 +25,10 @@ import (
 // commit before the serving loops were merged (PR 12). The refactored
 // shell must reproduce each of them.
 const goldenPath = "testdata/reports.json"
+
+// metricsGoldenPath holds the metrics registry of every metered
+// goldenRow, as Registry.Render prints it (`ehdl-sim -metrics`).
+const metricsGoldenPath = "testdata/metrics.golden"
 
 // goldenRow is one fixed run: a fresh shell, optionally warmed by an
 // earlier run, optionally with a live update armed.
@@ -143,10 +149,11 @@ func goldenRows() []goldenRow {
 // interpreter's figure by TestMaxLatencyIsPerRun instead.
 var staleMax = map[string]bool{"firewall/second-run-compiled-q1": true}
 
-func (row goldenRow) run(t *testing.T) Report {
+// run drives the row on a fresh shell configured by cfg (row.cfg()'s).
+func (row goldenRow) run(t *testing.T, cfg ShellConfig) Report {
 	t.Helper()
 	app := row.app()
-	sh := newShell(t, app, core.Options{}, row.cfg())
+	sh := newShell(t, app, core.Options{}, cfg)
 	traffic := app.Traffic
 	if row.traffic != nil {
 		traffic = row.traffic(traffic)
@@ -170,18 +177,19 @@ func (row goldenRow) run(t *testing.T) Report {
 }
 
 // TestGoldenReports holds the shell to the reports recorded before the
-// refactor, field for field. Floats compare exactly, except the two
-// latency figures on single-queue rows: those now fold the engines'
-// integer latency sum instead of adding per-packet floats, which moves
-// the last bits (1e-9 relative). A missing golden file is recorded and
-// the test fails, so a fresh recording is always a reviewed diff.
+// refactor, field for field; a recorded key the Report no longer has
+// fails the decode. Floats compare exactly, except the two latency
+// figures on single-queue rows: those now fold the engines' integer
+// latency sum instead of adding per-packet floats, which moves the last
+// bits (1e-9 relative). A missing golden file is recorded and the test
+// fails, so a fresh recording is always a reviewed diff.
 func TestGoldenReports(t *testing.T) {
 	rows := goldenRows()
 	raw, err := os.ReadFile(goldenPath)
 	if os.IsNotExist(err) {
 		got := map[string]Report{}
 		for _, row := range rows {
-			got[row.name] = row.run(t)
+			got[row.name] = row.run(t, row.cfg())
 		}
 		out, err := json.MarshalIndent(got, "", "\t")
 		if err != nil {
@@ -195,8 +203,12 @@ func TestGoldenReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A key the Report no longer has fails: a removed or renamed field
+	// is a deliberate re-recording, never a silent pass.
 	var want map[string]Report
-	if err := json.Unmarshal(raw, &want); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&want); err != nil {
 		t.Fatal(err)
 	}
 	if len(want) != len(rows) {
@@ -211,26 +223,66 @@ func TestGoldenReports(t *testing.T) {
 			}
 			// Through JSON like the recording, so nil and empty agree.
 			var g Report
-			if enc, err := json.Marshal(row.run(t)); err != nil {
+			if enc, err := json.Marshal(row.run(t, row.cfg())); err != nil {
 				t.Fatal(err)
 			} else if err := json.Unmarshal(enc, &g); err != nil {
 				t.Fatal(err)
 			}
-			gv, wv := reflect.ValueOf(g), reflect.ValueOf(w)
-			for i := 0; i < gv.NumField(); i++ {
-				field := gv.Type().Field(i).Name
-				a, b := gv.Field(i).Interface(), wv.Field(i).Interface()
-				switch {
-				case field == "MaxLatencyNs" && staleMax[row.name]:
-					continue
-				case (field == "AvgLatencyNs" || field == "MaxLatencyNs") && g.PerQueue == nil:
-					if af, bf := a.(float64), b.(float64); math.Abs(af-bf) > 1e-9*math.Abs(bf) {
-						t.Errorf("%s = %v, want %v (1e-9 relative)", field, af, bf)
+			// Field by field, into embedded records, so a mismatch names
+			// the counter.
+			var walk func(gv, wv reflect.Value)
+			walk = func(gv, wv reflect.Value) {
+				for i := 0; i < gv.NumField(); i++ {
+					f := gv.Type().Field(i)
+					if f.Anonymous {
+						walk(gv.Field(i), wv.Field(i))
+						continue
 					}
-				case !reflect.DeepEqual(a, b):
-					t.Errorf("%s = %v, want %v", field, a, b)
+					a, b := gv.Field(i).Interface(), wv.Field(i).Interface()
+					switch {
+					case f.Name == "MaxLatencyNs" && staleMax[row.name]:
+					case (f.Name == "AvgLatencyNs" || f.Name == "MaxLatencyNs") && g.PerQueue == nil:
+						if af, bf := a.(float64), b.(float64); math.Abs(af-bf) > 1e-9*math.Abs(bf) {
+							t.Errorf("%s = %v, want %v (1e-9 relative)", f.Name, af, bf)
+						}
+					case !reflect.DeepEqual(a, b):
+						t.Errorf("%s = %v, want %v", f.Name, a, b)
+					}
 				}
 			}
+			walk(reflect.ValueOf(g), reflect.ValueOf(w))
 		})
+	}
+}
+
+// TestGoldenMetrics holds the registry of every metered row to its
+// recording byte for byte: every counter and histogram series the
+// simulator meters, not a summary of a few. Same protocol as
+// TestGoldenReports: a missing file is recorded and the test fails.
+func TestGoldenMetrics(t *testing.T) {
+	var got bytes.Buffer
+	for _, row := range goldenRows() {
+		cfg := row.cfg()
+		if cfg.Sim.Metrics == nil {
+			continue
+		}
+		row.run(t, cfg)
+		fmt.Fprintf(&got, "# %s\n", row.name)
+		if err := cfg.Sim.Metrics.Render(&got); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(metricsGoldenPath)
+	if os.IsNotExist(err) {
+		if err := os.WriteFile(metricsGoldenPath, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("%s was missing: recorded, review and re-run", metricsGoldenPath)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("registry differs from %s:\n%s", metricsGoldenPath, got.Bytes())
 	}
 }

@@ -238,64 +238,13 @@ type Report struct {
 	Actions      map[ebpf.XDPAction]uint64
 	Cycles       uint64
 
-	// Resilience measurements (all zero without a fault campaign).
-
-	// FaultsInjected counts faults applied inside the pipeline (SEU
-	// flips, forced flush storms).
-	FaultsInjected uint64
+	// Fault, protection and recovery counters, as the engines counted
+	// them (all zero without a fault campaign or a protection level).
+	hwsim.Resilience
 	// MalformedSent counts generated frames replaced by damaged ones.
 	MalformedSent uint64
-	// MalformedDropped counts verdicts forced by the hardware bounds
-	// check on packet accesses past the frame end.
-	MalformedDropped uint64
-	// QueueOverflows counts ingress overflow episodes (a burst hitting
-	// the full queue is one episode, not one count per lost frame).
-	QueueOverflows uint64
 	// OverflowBursts counts injected ingress bursts.
 	OverflowBursts uint64
-	// WatchdogTrips counts livelock-watchdog firings.
-	WatchdogTrips uint64
-
-	// Protection and recovery measurements (all zero without a
-	// protection level configured in Sim.Protection).
-
-	// CorrectedWords counts single-bit map-word upsets corrected in
-	// place by the ECC read port or the scrubber.
-	CorrectedWords uint64
-	// UncorrectableWords counts detected-but-uncorrectable words; each
-	// one triggered a drain-and-restart recovery.
-	UncorrectableWords uint64
-	// ScrubPasses counts completed background-scrubber sweeps.
-	ScrubPasses uint64
-	// CheckpointsTaken counts known-good map snapshots recorded.
-	CheckpointsTaken uint64
-	// Recoveries counts drain-and-restart sequences performed.
-	Recoveries uint64
-	// RecoveryAborted counts in-flight frames drained as XDP_ABORTED by
-	// recoveries.
-	RecoveryAborted uint64
-	// RecoveryBackoffCycles accumulates post-recovery input-hold time.
-	RecoveryBackoffCycles uint64
-
-	// Observability figures, read from the metrics registry (all zero
-	// unless Sim.Metrics is configured). They are cumulative over the
-	// simulator's lifetime, not deltas of this RunLoad.
-
-	// MeanStageOccupancy is the average number of occupied pipeline
-	// stages per cycle (hwsim.stage_occupancy).
-	MeanStageOccupancy float64
-	// P99LatencyCycles is the 99th-percentile forwarding latency in
-	// pipeline cycles (hwsim.cycles_per_packet).
-	P99LatencyCycles uint64
-	// FlushPenaltyMean is the mean cycles from a flush verdict to the
-	// stall release (hwsim.flush_penalty_cycles).
-	FlushPenaltyMean float64
-	// MapPortOps counts data-plane map port operations
-	// (hwsim.map_port_ops).
-	MapPortOps uint64
-	// BackpressureCycles counts cycles the input held while work was
-	// queued (hwsim.inject_backpressure_cycles).
-	BackpressureCycles uint64
 
 	// Live-update measurements (all zero unless ScheduleUpdate armed an
 	// update that fired during this RunLoad).
@@ -311,7 +260,8 @@ type Report struct {
 	// UpdateFailure describes the rollback (empty on success): the
 	// failing stage and the typed cause.
 	UpdateFailure string
-	// MigratedEntries counts the map entries the migration copied.
+	// MigratedEntries counts the map entries the migration copied, one
+	// shell cycle each; CutoverTicks adds the drain tail before them.
 	MigratedEntries uint64
 	// CanariedPackets counts canary outcomes diffed against the
 	// reference interpreter; CanaryDivergences counts mismatches.
@@ -319,11 +269,8 @@ type Report struct {
 	CanaryDivergences uint64
 	// HeldPackets counts the arrivals due within the cutover (the canary
 	// serves them first; none is dropped).
-	HeldPackets uint64
-	// MigrationTicks is the migration's length in shell cycles, one per
-	// entry; CutoverTicks adds the drain tail before it.
-	MigrationTicks uint64
-	CutoverTicks   uint64
+	HeldPackets  uint64
+	CutoverTicks uint64
 
 	// Multi-queue measurements (QueueCount stays 1 and PerQueue nil on
 	// the classic single-pipeline shell).

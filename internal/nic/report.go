@@ -5,7 +5,6 @@ import (
 
 	"ehdl/internal/ebpf"
 	"ehdl/internal/faults"
-	"ehdl/internal/hwsim"
 	"ehdl/internal/liveupdate"
 	"ehdl/internal/rss"
 )
@@ -50,13 +49,13 @@ func (tr *traffic) hold(next func() []byte, count int) []byte {
 }
 
 // fold assembles the Report of one RunLoad — the one place engine
-// counters, the traffic ledger and the metrics registry become report
-// fields (update outcomes are already on rep). run holds each replica's
-// counters: one entry, and no PerQueue breakdown, on the single-queue
-// shell. Its MaxCycles is the run's wall-clock — replicas are concurrent
-// in hardware, so rates divide by it, not by the per-queue cycle sum —
-// and Received, Actions and latency come from the engines' integer
-// counters, so no figure depends on the order replicas interleave.
+// counters and the traffic ledger become report fields (update outcomes
+// are already on rep). run holds each replica's counters: one entry, and
+// no PerQueue breakdown, on the single-queue shell. Its MaxCycles is the
+// run's wall-clock — replicas are concurrent in hardware, so rates
+// divide by it, not by the per-queue cycle sum — and Received, Actions
+// and latency come from the engines' integer counters, so no figure
+// depends on the order replicas interleave.
 func (sh *Shell) fold(rep *Report, tr *traffic, run rss.RunStats) {
 	clock := sh.cfg.ClockHz
 	st, accepted := run.PerQueue[0].Stats, run.PerQueue[0].AcceptedBytes
@@ -91,17 +90,7 @@ func (sh *Shell) fold(rep *Report, tr *traffic, run rss.RunStats) {
 	rep.Actions = maps.Clone(st.Actions) // st may be the shell's scratch
 	rep.Lost = st.QueueDrops
 	rep.Flushes = st.Flushes
-	rep.FaultsInjected = st.FaultsInjected
-	rep.MalformedDropped = st.MalformedDropped
-	rep.QueueOverflows = st.QueueOverflows
-	rep.WatchdogTrips = st.WatchdogTrips
-	rep.CorrectedWords = st.CorrectedWords
-	rep.UncorrectableWords = st.UncorrectableWords
-	rep.ScrubPasses = st.ScrubPasses
-	rep.CheckpointsTaken = st.CheckpointsTaken
-	rep.Recoveries = st.Recoveries
-	rep.RecoveryAborted = st.RecoveryAborted
-	rep.RecoveryBackoffCycles = st.RecoveryBackoffCycles
+	rep.Resilience = st.Resilience
 	if sh.inj != nil {
 		now := sh.inj.Counters()
 		rep.MalformedSent = now.ByClass[faults.MalformedTraffic] - tr.faults0.ByClass[faults.MalformedTraffic]
@@ -123,19 +112,6 @@ func (sh *Shell) fold(rep *Report, tr *traffic, run rss.RunStats) {
 		rep.AvgLatencyNs = float64(st.LatencySum+fifo*rep.Received) / float64(rep.Received) / clock * 1e9
 		rep.MaxLatencyNs = float64(st.LatencyMax+fifo) / clock * 1e9
 	}
-	if reg := sh.cfg.Sim.Metrics; reg != nil {
-		if h, ok := reg.HistogramByName(hwsim.MetricStageOccupancy); ok {
-			rep.MeanStageOccupancy = h.Mean()
-		}
-		if h, ok := reg.HistogramByName(hwsim.MetricCyclesPerPacket); ok {
-			rep.P99LatencyCycles = h.Quantile(0.99)
-		}
-		if h, ok := reg.HistogramByName(hwsim.MetricFlushPenalty); ok {
-			rep.FlushPenaltyMean = h.Mean()
-		}
-		rep.MapPortOps, _ = reg.CounterValue(hwsim.MetricMapPortOps)
-		rep.BackpressureCycles, _ = reg.CounterValue(hwsim.MetricBackpressure)
-	}
 }
 
 // noteUpdate records how the run's live update ended.
@@ -146,7 +122,6 @@ func (rep *Report) noteUpdate(res liveupdate.Result) {
 	rep.CanariedPackets = st.CanariedPackets
 	rep.CanaryDivergences = st.CanaryDivergences
 	rep.HeldPackets = st.HeldPackets
-	rep.MigrationTicks = st.MigratedEntries // one cycle per entry
 	rep.CutoverTicks = st.CutoverTicks
 	if res.Err != nil {
 		rep.UpdateStage = liveupdate.StageRolledBack.String()
@@ -268,10 +243,8 @@ func (r Report) Accounted() bool {
 //
 // Aggregation rules that are not plain sums:
 //
-//   - AvgLatencyNs is Received-weighted; MaxLatencyNs and
-//     P99LatencyCycles take the max across devices.
-//   - MeanStageOccupancy is Cycles-weighted, FlushPenaltyMean is
-//     Flushes-weighted.
+//   - AvgLatencyNs is Received-weighted; MaxLatencyNs takes the max
+//     across devices.
 //   - UpdateStage and UpdateFailure keep the first non-empty value, so
 //     the earliest failing device's cause survives aggregation.
 //   - QueueCount takes the max (the widest replica set that served any
@@ -286,19 +259,8 @@ func (r *Report) Add(o Report) {
 		r.AvgLatencyNs = (r.AvgLatencyNs*float64(r.Received) +
 			o.AvgLatencyNs*float64(o.Received)) / float64(tot)
 	}
-	if tot := r.Cycles + o.Cycles; tot > 0 {
-		r.MeanStageOccupancy = (r.MeanStageOccupancy*float64(r.Cycles) +
-			o.MeanStageOccupancy*float64(o.Cycles)) / float64(tot)
-	}
-	if tot := r.Flushes + o.Flushes; tot > 0 {
-		r.FlushPenaltyMean = (r.FlushPenaltyMean*float64(r.Flushes) +
-			o.FlushPenaltyMean*float64(o.Flushes)) / float64(tot)
-	}
 	if o.MaxLatencyNs > r.MaxLatencyNs {
 		r.MaxLatencyNs = o.MaxLatencyNs
-	}
-	if o.P99LatencyCycles > r.P99LatencyCycles {
-		r.P99LatencyCycles = o.P99LatencyCycles
 	}
 
 	// Parallel shards add capacity: rates sum.
@@ -323,26 +285,10 @@ func (r *Report) Add(o Report) {
 		}
 	}
 
-	// Fault-campaign counters.
-	r.FaultsInjected += o.FaultsInjected
+	// Fault campaign, protection and recovery.
+	r.Resilience.Add(o.Resilience)
 	r.MalformedSent += o.MalformedSent
-	r.MalformedDropped += o.MalformedDropped
-	r.QueueOverflows += o.QueueOverflows
 	r.OverflowBursts += o.OverflowBursts
-	r.WatchdogTrips += o.WatchdogTrips
-
-	// Protection and recovery.
-	r.CorrectedWords += o.CorrectedWords
-	r.UncorrectableWords += o.UncorrectableWords
-	r.ScrubPasses += o.ScrubPasses
-	r.CheckpointsTaken += o.CheckpointsTaken
-	r.Recoveries += o.Recoveries
-	r.RecoveryAborted += o.RecoveryAborted
-	r.RecoveryBackoffCycles += o.RecoveryBackoffCycles
-
-	// Observability totals.
-	r.MapPortOps += o.MapPortOps
-	r.BackpressureCycles += o.BackpressureCycles
 
 	// Live-update outcomes.
 	r.UpdatesAttempted += o.UpdatesAttempted
@@ -358,7 +304,6 @@ func (r *Report) Add(o Report) {
 	r.CanariedPackets += o.CanariedPackets
 	r.CanaryDivergences += o.CanaryDivergences
 	r.HeldPackets += o.HeldPackets
-	r.MigrationTicks += o.MigrationTicks
 	r.CutoverTicks += o.CutoverTicks
 
 	// Multi-queue breakdown: the same replica index folds into one row.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ehdl/internal/ebpf"
+	"ehdl/internal/hwsim"
 )
 
 // TestReportAdd exercises every aggregation class: plain counter sums
@@ -24,14 +25,15 @@ func TestReportAdd(t *testing.T) {
 		Cycles:       4000,
 		Actions:      map[ebpf.XDPAction]uint64{ebpf.XDPTx: 900},
 
-		QueueOverflows: 3,
+		Resilience: hwsim.Resilience{
+			QueueOverflows:        3,
+			WatchdogTrips:         1,
+			Recoveries:            2,
+			RecoveryAborted:       5,
+			RecoveryBackoffCycles: 512,
+			CheckpointsTaken:      4,
+		},
 		OverflowBursts: 2,
-		WatchdogTrips:  1,
-
-		Recoveries:            2,
-		RecoveryAborted:       5,
-		RecoveryBackoffCycles: 512,
-		CheckpointsTaken:      4,
 
 		UpdatesAttempted:  1,
 		UpdatesCompleted:  1,
@@ -57,14 +59,15 @@ func TestReportAdd(t *testing.T) {
 		Cycles:       8000,
 		Actions:      map[ebpf.XDPAction]uint64{ebpf.XDPTx: 200, ebpf.XDPDrop: 100},
 
-		QueueOverflows: 1,
+		Resilience: hwsim.Resilience{
+			QueueOverflows:        1,
+			WatchdogTrips:         2,
+			Recoveries:            3,
+			RecoveryAborted:       7,
+			RecoveryBackoffCycles: 1024,
+			CheckpointsTaken:      1,
+		},
 		OverflowBursts: 1,
-		WatchdogTrips:  2,
-
-		Recoveries:            3,
-		RecoveryAborted:       7,
-		RecoveryBackoffCycles: 1024,
-		CheckpointsTaken:      1,
 
 		UpdatesAttempted:  1,
 		UpdatesRolledBack: 1,

@@ -166,9 +166,9 @@ func TestUpdateCutoverMeasuresDrainTail(t *testing.T) {
 		if rep.UpdatesCompleted != 1 || rep.MigratedEntries == 0 {
 			t.Fatalf("q%d: update %q migrated %d entries", q, rep.UpdateStage, rep.MigratedEntries)
 		}
-		if rep.CutoverTicks != tail+rep.MigratedEntries || rep.MigrationTicks != rep.MigratedEntries {
-			t.Errorf("q%d: cutover %d ticks (migration %d), want the %d-cycle drain tail + %d entries",
-				q, rep.CutoverTicks, rep.MigrationTicks, tail, rep.MigratedEntries)
+		if rep.CutoverTicks != tail+rep.MigratedEntries {
+			t.Errorf("q%d: cutover %d ticks, want the %d-cycle drain tail + %d entries",
+				q, rep.CutoverTicks, tail, rep.MigratedEntries)
 		}
 		if want := uint64(math.Ceil(float64(rep.CutoverTicks) / cpp)); rep.HeldPackets != want {
 			t.Errorf("q%d: held %d, want the %d arrivals due within %d ticks", q, rep.HeldPackets, want, rep.CutoverTicks)

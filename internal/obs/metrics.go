@@ -59,8 +59,8 @@ func (h *Histogram) Observe(v uint64) {
 // Count returns the number of samples.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
-// Mean returns the sample mean (0 when empty).
-func (h *Histogram) Mean() float64 {
+// mean returns the sample mean (0 when empty).
+func (h *Histogram) mean() float64 {
 	n := h.count.Load()
 	if n == 0 {
 		return 0
@@ -68,10 +68,10 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.sum.Load()) / float64(n)
 }
 
-// Quantile returns an upper bound for the q-quantile: the bound of the
+// quantile returns an upper bound for the q-quantile: the bound of the
 // bucket the quantile falls in (the largest sample for the overflow
 // bucket). q is clamped to [0, 1].
-func (h *Histogram) Quantile(q float64) uint64 {
+func (h *Histogram) quantile(q float64) uint64 {
 	n := h.count.Load()
 	if n == 0 {
 		return 0
@@ -215,8 +215,8 @@ func (r *Registry) Render(w io.Writer) error {
 		if isCtr {
 			_, err = fmt.Fprintf(w, "%-36s %d\n", name, c.Value())
 		} else {
-			_, err = fmt.Fprintf(w, "%-36s count=%d mean=%.1f p50=%d p99=%d max=%d\n",
-				name, h.Count(), h.Mean(), h.Quantile(0.50), h.Quantile(0.99), h.max.Load())
+			_, err = fmt.Fprintf(w, "%-36s count=%d sum=%d mean=%.1f p50=%d p99=%d max=%d\n",
+				name, h.Count(), h.sum.Load(), h.mean(), h.quantile(0.50), h.quantile(0.99), h.max.Load())
 		}
 		if err != nil {
 			return err

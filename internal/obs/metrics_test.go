@@ -48,20 +48,20 @@ func TestHistogram(t *testing.T) {
 	if h.max.Load() != 5000 {
 		t.Fatalf("max %d", h.max.Load())
 	}
-	if got := h.Quantile(0.5); got != 1000 {
+	if got := h.quantile(0.5); got != 1000 {
 		// 100 of 201 samples are <= 100; the 101st falls in (100, 1000].
 		t.Fatalf("p50 %d, want 1000", got)
 	}
-	if got := h.Quantile(0.01); got != 10 {
+	if got := h.quantile(0.01); got != 10 {
 		t.Fatalf("p1 %d, want 10", got)
 	}
-	if got := h.Quantile(1.0); got != 5000 {
+	if got := h.quantile(1.0); got != 5000 {
 		t.Fatalf("p100 %d, want 5000 (max of overflow bucket)", got)
 	}
-	if got := h.Quantile(-1); got != 10 {
+	if got := h.quantile(-1); got != 10 {
 		t.Fatalf("clamped quantile %d", got)
 	}
-	if h.Mean() <= 0 {
+	if h.mean() <= 0 {
 		t.Fatal("mean not positive")
 	}
 	if len(h.counts) != 4 {
@@ -76,7 +76,7 @@ func TestHistogram(t *testing.T) {
 	}
 
 	empty := newHistogram([]uint64{1})
-	if empty.Quantile(0.5) != 0 || empty.Mean() != 0 {
+	if empty.quantile(0.5) != 0 || empty.mean() != 0 {
 		t.Fatal("empty histogram not zero")
 	}
 }
@@ -127,7 +127,7 @@ func TestRegistryRender(t *testing.T) {
 	if !strings.HasPrefix(lines[0], "a.count") || !strings.HasPrefix(lines[2], "c.lat") {
 		t.Fatalf("render order wrong:\n%s", out)
 	}
-	if !strings.Contains(lines[2], "count=2") {
+	if !strings.Contains(lines[2], "count=2 sum=203 ") {
 		t.Fatalf("histogram line %q", lines[2])
 	}
 	names := r.names()

@@ -75,7 +75,7 @@ func (SECDED) CheckWord(value, check []byte, w int) WordStatus {
 	syndrome := (stored ^ fresh) & 0x7f
 	// Even overall parity across all 72 bits: data, 7 check bits and the
 	// overall bit itself.
-	odd := bits.OnesCount64(x)+bits.OnesCount8(stored) // stored includes bit 7
+	odd := bits.OnesCount64(x) + bits.OnesCount8(stored) // stored includes bit 7
 	if syndrome == 0 && odd%2 == 0 {
 		return WordOK
 	}

@@ -133,12 +133,17 @@ func (d *Device) serve(sub [][][]byte, quarantined uint64, offeredPps float64) n
 			return pkt
 		}
 		rep, err := t.sh.RunLoad(next, adm, offeredPps*t.Spec.Share)
+		sl.FaultsInjected = rep.FaultsInjected
+		sl.MalformedSent = rep.MalformedSent
+		sl.Recoveries = rep.Recoveries
+		sl.WatchdogTrips = rep.WatchdogTrips
 		if err != nil {
 			// Unrecoverable pipeline death mid-epoch (recovery budget
 			// exhausted): retired frames stay delivered, the unserved
 			// remainder is this tenant's bounded loss, and the tenant is
 			// dead for the rest of the run. The shell's report is partial
-			// on this path — only the retirement counters are final.
+			// on this path — only the retirement, fault and recovery
+			// counters are final.
 			t.dead = true
 			t.deathCause = err.Error()
 			delivered := rep.Received
@@ -153,7 +158,8 @@ func (d *Device) serve(sub [][][]byte, quarantined uint64, offeredPps float64) n
 			sl.Received = delivered
 			sl.Actions = rep.Actions
 			dev.TenantDownLoss += down
-			dev.Add(nic.Report{Sent: sl.Sent, Received: delivered, Actions: rep.Actions})
+			dev.Add(nic.Report{Sent: sl.Sent, Received: delivered, Actions: rep.Actions,
+				Resilience: rep.Resilience, MalformedSent: rep.MalformedSent, OverflowBursts: rep.OverflowBursts})
 			dev.Sent += down
 			d.count(metricDelivered, delivered)
 			continue
@@ -164,10 +170,6 @@ func (d *Device) serve(sub [][][]byte, quarantined uint64, offeredPps float64) n
 		sl.Lost = rep.Lost
 		sl.Flushes = rep.Flushes
 		sl.Cycles = rep.Cycles
-		sl.FaultsInjected = rep.FaultsInjected
-		sl.MalformedSent = rep.MalformedSent
-		sl.Recoveries = rep.Recoveries
-		sl.WatchdogTrips = rep.WatchdogTrips
 		sl.AchievedMpps = rep.AchievedMpps
 		sl.AvgLatencyNs = rep.AvgLatencyNs
 		if len(rep.Actions) > 0 {

@@ -262,6 +262,21 @@ func TestTenantDeathContained(t *testing.T) {
 	if st.Received == 0 || st.Received != st.Sent-st.Lost {
 		t.Errorf("surviving tenant stopped serving: %+v", st)
 	}
+	// The epoch the tenant died in still books its faults and recoveries:
+	// the slice and the device read what the engines counted.
+	life := flaky.sh.Stats()
+	if fl.FaultsInjected != life.FaultsInjected || fl.Recoveries != life.Recoveries || fl.WatchdogTrips != life.WatchdogTrips {
+		t.Errorf("dead tenant's slice: faults %d recoveries %d watchdog %d, its engine counted %d/%d/%d",
+			fl.FaultsInjected, fl.Recoveries, fl.WatchdogTrips, life.FaultsInjected, life.Recoveries, life.WatchdogTrips)
+	}
+	if fl.MalformedSent != flaky.sh.Injector().Counters().ByClass[faults.MalformedTraffic] {
+		t.Errorf("dead tenant's slice: malformed sent %d", fl.MalformedSent)
+	}
+	devLife := life.Resilience
+	devLife.Add(d.byName["steady"].sh.Stats().Resilience)
+	if rep.Resilience != devLife {
+		t.Errorf("device report's fault and recovery counters %+v, the engines counted %+v", rep.Resilience, devLife)
+	}
 }
 
 // TestRunLoadFoldsEpochsInTime: epochs are sequential, so cutting the

@@ -247,22 +247,24 @@ var surfaceAllow = map[string]string{
 	"nic.Shell.Stats":           "test-support",
 	"nic.TenantSlice.Accounted": "test-support",
 
-	"obs.Counter.Value":    "test-support",
-	"obs.Histogram.Count":  "test-support",
-	"obs.JSONLSink":        "returned",
-	"obs.JSONLSink.Flush":  "implements",
-	"obs.JSONLSink.Record": "implements",
-	"obs.Kinds":            "test-support",
-	"obs.MemSink":          "test-support",
-	"obs.MemSink.Events":   "test-support",
-	"obs.MemSink.Flush":    "implements",
-	"obs.MemSink.Record":   "implements",
-	"obs.NewMemSink":       "test-support",
-	"obs.ParseJSONL":       "test-support",
-	"obs.TextSink":         "returned",
-	"obs.TextSink.Flush":   "implements",
-	"obs.TextSink.Record":  "implements",
-	"obs.Tracer.Recent":    "test-support",
+	"obs.Counter.Value":            "test-support",
+	"obs.Histogram.Count":          "test-support",
+	"obs.JSONLSink":                "returned",
+	"obs.JSONLSink.Flush":          "implements",
+	"obs.JSONLSink.Record":         "implements",
+	"obs.Kinds":                    "test-support",
+	"obs.MemSink":                  "test-support",
+	"obs.MemSink.Events":           "test-support",
+	"obs.MemSink.Flush":            "implements",
+	"obs.MemSink.Record":           "implements",
+	"obs.NewMemSink":               "test-support",
+	"obs.ParseJSONL":               "test-support",
+	"obs.Registry.CounterValue":    "test-support",
+	"obs.Registry.HistogramByName": "test-support",
+	"obs.TextSink":                 "returned",
+	"obs.TextSink.Flush":           "implements",
+	"obs.TextSink.Record":          "implements",
+	"obs.Tracer.Recent":            "test-support",
 
 	"pktgen.MalformBogusIPLen":    "enum",
 	"pktgen.MalformKinds":         "test-support",
