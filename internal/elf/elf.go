@@ -89,11 +89,11 @@ func LoadFile(path string) (*Object, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return Load(f)
+	return load(f)
 }
 
-// Load parses an object from a reader.
-func Load(r io.ReaderAt) (*Object, error) {
+// load parses an object from a reader.
+func load(r io.ReaderAt) (*Object, error) {
 	f, err := elf.NewFile(r)
 	if err != nil {
 		return nil, fmt.Errorf("elf: %w", err)

@@ -25,7 +25,7 @@ func roundTrip(t *testing.T, prog *ebpf.Program, section string) *ebpf.Program {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj, err := Load(bytes.NewReader(data))
+	obj, err := load(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestRelocationsAreBlankInTheObject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj, err := Load(bytes.NewReader(data))
+	obj, err := load(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestRelocationsAreBlankInTheObject(t *testing.T) {
 }
 
 func TestProgramSelection(t *testing.T) {
-	obj, err := Load(bytes.NewReader(mustMarshal(t, mustProgram(t, apps.Toy()), "xdp/main")))
+	obj, err := load(bytes.NewReader(mustMarshal(t, mustProgram(t, apps.Toy()), "xdp/main")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func mustMarshal(t *testing.T, prog *ebpf.Program, section string) []byte {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not an elf file at all......."))); err == nil {
+	if _, err := load(bytes.NewReader([]byte("not an elf file at all......."))); err == nil {
 		t.Error("accepted garbage")
 	}
 	// A valid ELF with no executable sections.
@@ -153,7 +153,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	// Clear the EXECINSTR flag of section 1 (flags live at shoff + 1*64 + 8).
 	shoff := int(uint64(data[40]) | uint64(data[41])<<8)
 	data[shoff+64+8] = 0
-	if _, err := Load(bytes.NewReader(data)); err == nil {
+	if _, err := load(bytes.NewReader(data)); err == nil {
 		t.Error("accepted an object without program sections")
 	}
 }

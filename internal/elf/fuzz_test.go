@@ -22,7 +22,7 @@ func FuzzLoad(f *testing.F) {
 	}
 	f.Add([]byte("\x7fELF"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		obj, err := Load(bytes.NewReader(data))
+		obj, err := load(bytes.NewReader(data))
 		if err != nil {
 			return
 		}

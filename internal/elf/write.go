@@ -9,8 +9,8 @@ import (
 )
 
 // Marshal emits a program as a clang-compatible ELF object: the inverse
-// of Load, used by ehdl-dis to produce loader-ready artifacts and by
-// the test suite to round-trip real object layouts.
+// of LoadFile, used by `ehdl dis -elf` to produce loader-ready
+// artifacts and by the test suite to round-trip real object layouts.
 func Marshal(prog *ebpf.Program, sectionName string) ([]byte, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, err

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 5 and the appendix) from the systems built in this
-// repository. Each experiment returns a Table that the ehdl-bench
-// binary prints and TestGoldenTables holds to testdata/tables.golden.
+// repository. Each experiment returns a Table that `ehdl tables`
+// prints and TestGoldenTables holds to testdata/tables.golden.
 //
 // Absolute numbers come from the calibrated simulator and cost models
 // (see DESIGN.md for the substitutions); the assertions and the paper

@@ -11,7 +11,7 @@ const goldenTablesPath = "testdata/tables.golden"
 // TestGoldenTables holds every simulated figure the repo reports —
 // Mpps, latency, LUT/FF/BRAM, flushes, losses, scale-out, update and
 // tenancy ledgers — to the bytes recorded at commit 7226f13: what
-// `ehdl-bench` prints with no flags, every table of IDs() at Config{}
+// `ehdl tables` prints with no flags, every table of IDs() at Config{}
 // with a blank line after each. The tables are functions of the
 // compiler, the cost model and the simulator only, so a difference is
 // a code change, never the host. A missing golden file is recorded and

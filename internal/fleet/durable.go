@@ -99,7 +99,7 @@ func (e *replayDivergenceError) Error() string {
 }
 
 // DurabilityError reports whether err is a journal/recovery failure —
-// the class ehdl-fleet maps to its own exit code, distinct from config
+// the class `ehdl fleet` maps to its own exit code, distinct from config
 // errors and rollback outcomes.
 func DurabilityError(err error) bool {
 	var cm *configMismatchError

@@ -27,7 +27,7 @@ import (
 const goldenPath = "testdata/reports.json"
 
 // metricsGoldenPath holds the metrics registry of every metered
-// goldenRow, as Registry.Render prints it (`ehdl-sim -metrics`).
+// goldenRow, as Registry.Render prints it (`ehdl sim -metrics`).
 const metricsGoldenPath = "testdata/metrics.golden"
 
 // goldenRow is one fixed run: a fresh shell, optionally warmed by an

@@ -204,7 +204,7 @@ func (r *Registry) names() []string {
 }
 
 // Render writes a deterministic, sorted dump of every instrument — the
-// output of `ehdl-sim -metrics`.
+// output of `ehdl sim -metrics`.
 func (r *Registry) Render(w io.Writer) error {
 	for _, name := range r.names() {
 		r.mu.Lock()

@@ -66,7 +66,7 @@ func (d *Device) steerFallback(seq int, to *Tenant) {
 	if to != nil {
 		aux = uint64(to.id)
 	}
-	d.cfg.Trace.Emit(obs.Event{
+	d.cfg.trace.Emit(obs.Event{
 		Cycle: uint64(d.epoch), Kind: obs.KindQueueSteer, Seq: int64(seq),
 		Stage: obs.NoStage, Map: obs.NoMap, Aux: aux, Aux2: 1,
 	})

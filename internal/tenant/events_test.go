@@ -21,8 +21,8 @@ func TestTenantEventCoverage(t *testing.T) {
 	d := NewDevice(DeviceConfig{
 		UtilisationBandPct: 18, // one ECC firewall fits, a second does not
 		EpochBudget:        16,
-		Trace:              tr,
-		Metrics:            reg,
+		trace:              tr,
+		metrics:            reg,
 	})
 	ecc := nic.ShellConfig{Sim: hwsim.Config{Protection: protect.LevelECC}}
 	tn, err := d.AdmitTenant(Spec{

@@ -64,7 +64,7 @@ func FuzzTenantClassifier(f *testing.F) {
 
 	build := func(withDefault bool) (*Device, *obs.MemSink) {
 		tr, sink := memTracer()
-		d := NewDevice(DeviceConfig{Seed: 5, Trace: tr})
+		d := NewDevice(DeviceConfig{Seed: 5, trace: tr})
 		a := Spec{Name: "a", App: mustAppValue("toy"), Share: 0.4, VLAN: 100}
 		b := Spec{Name: "b", App: mustAppValue("toy"), Share: 0.4, VLAN: 200}
 		b.Default = withDefault

@@ -108,11 +108,11 @@ type DeviceConfig struct {
 	// the EXPERIMENTS ablation what the isolation machinery buys;
 	// never use it for a real run.
 	NoIsolation bool
-	// Trace receives KindTenantAdmit/Reject/Throttle and quarantine
-	// KindQueueSteer events. Metrics accumulates the tenant.*
-	// instruments. Both optional.
-	Trace   *obs.Tracer
-	Metrics *obs.Registry
+	// trace receives KindTenantAdmit/Reject/Throttle and quarantine
+	// KindQueueSteer events. metrics accumulates the tenant.*
+	// instruments. Both optional; only this package's tests set them.
+	trace   *obs.Tracer
+	metrics *obs.Registry
 }
 
 // fpga is the part the admission gate budgets against: the Alveo U50
@@ -382,14 +382,14 @@ func (d *Device) Utilisation() float64 {
 
 // count bumps a tenant metric (nil-registry safe).
 func (d *Device) count(name string, n uint64) {
-	if d.cfg.Metrics != nil && n > 0 {
-		d.cfg.Metrics.Counter(name).Add(n)
+	if d.cfg.metrics != nil && n > 0 {
+		d.cfg.metrics.Counter(name).Add(n)
 	}
 }
 
 // event emits one tenant trace event with the epoch as the cycle stamp.
 func (d *Device) event(kind obs.Kind, aux, aux2 uint64) {
-	d.cfg.Trace.Emit(obs.Event{
+	d.cfg.trace.Emit(obs.Event{
 		Cycle: uint64(d.epoch), Kind: kind, Seq: obs.NoSeq,
 		Stage: obs.NoStage, Map: obs.NoMap, Aux: aux, Aux2: aux2,
 	})

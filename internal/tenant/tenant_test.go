@@ -39,7 +39,7 @@ func TestAdmissionGateEnforcesBudget(t *testing.T) {
 	const band = 40.0
 	tr, sink := memTracer()
 	reg := obs.NewRegistry()
-	d := NewDevice(DeviceConfig{UtilisationBandPct: band, Trace: tr, Metrics: reg})
+	d := NewDevice(DeviceConfig{UtilisationBandPct: band, trace: tr, metrics: reg})
 
 	var admitted []*Tenant
 	var rejection *AdmissionError
