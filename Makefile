@@ -62,12 +62,13 @@ chaos:
 # must vm (85%), which hosts every closure both engines run, maps
 # (85%), the store every lookup of every engine lands in, hdl (90%),
 # whose netlist both the VHDL text and the resource bill derive from,
-# liveupdate (85%), the one update protocol both loops call, and
-# cmd/ehdl (80%), the one command every documented run goes through. A
-# gated package missing from the coverage output fails the gate — a
-# silently dropped package must not read as a pass.
+# liveupdate (85%), the one update protocol both loops call,
+# cmd/ehdl (80%), the one command every documented run goes through,
+# and the compiler every design comes from: core (85%), ddg (70%), ebpf
+# (80%) and cfg (90%). A gated package missing from the coverage output
+# fails the gate — a silently dropped package must not read as a pass.
 cover:
-	@$(GO) test -cover ./internal/protect/ ./internal/hwsim/ ./internal/obs/ ./internal/rss/ ./internal/nic/ ./internal/fastpath/ ./internal/fleet/ ./internal/tenant/ ./internal/durable/ ./internal/vm/ ./internal/maps/ ./internal/hdl/ ./internal/liveupdate/ ./cmd/ehdl/ | tee /tmp/ehdl-cover.txt
+	@$(GO) test -cover ./internal/protect/ ./internal/hwsim/ ./internal/obs/ ./internal/rss/ ./internal/nic/ ./internal/fastpath/ ./internal/fleet/ ./internal/tenant/ ./internal/durable/ ./internal/vm/ ./internal/maps/ ./internal/hdl/ ./internal/liveupdate/ ./internal/core/ ./internal/ddg/ ./internal/ebpf/ ./internal/cfg/ ./cmd/ehdl/ | tee /tmp/ehdl-cover.txt
 	@awk 'function gate(pkg, floor,    a) { seen[pkg] = 1; split($$5, a, "%"); \
 	          if (a[1]+0 < floor) { printf "FAIL: %s coverage %s%% < %d%%\n", pkg, a[1], floor; bad = 1 } } \
 	      /internal\/protect/  { gate("internal/protect", 90) } \
@@ -83,8 +84,12 @@ cover:
 	      /internal\/maps/     { gate("internal/maps", 85) } \
 	      /internal\/hdl/      { gate("internal/hdl", 90) } \
 	      /internal\/liveupdate/ { gate("internal/liveupdate", 85) } \
+	      /internal\/core/     { gate("internal/core", 85) } \
+	      /internal\/ddg/      { gate("internal/ddg", 70) } \
+	      /internal\/ebpf/     { gate("internal/ebpf", 80) } \
+	      /internal\/cfg/      { gate("internal/cfg", 90) } \
 	      /cmd\/ehdl/          { gate("cmd/ehdl", 80) } \
-	      END { n = split("protect hwsim obs rss nic fastpath fleet tenant durable vm maps hdl liveupdate", want, " "); \
+	      END { n = split("protect hwsim obs rss nic fastpath fleet tenant durable vm maps hdl liveupdate core ddg ebpf cfg", want, " "); \
 	            for (i = 1; i <= n; i++) if (!seen["internal/" want[i]]) { printf "FAIL: internal/%s missing from coverage output\n", want[i]; bad = 1 } \
 	            if (!seen["cmd/ehdl"]) { printf "FAIL: cmd/ehdl missing from coverage output\n"; bad = 1 } \
 	            exit bad }' /tmp/ehdl-cover.txt

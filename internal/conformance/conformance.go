@@ -63,16 +63,21 @@ func DiffAppThreeWay(a *apps.App, packets [][]byte, cfg Config) error {
 }
 
 // diffProgram runs packets through the reference interpreter and every
-// engine that can serve cfg, and returns an error describing the first
-// divergence from the reference: verdicts, redirect targets, packet
-// bytes and the final map state must all be identical.
+// engine that can serve cfg, all engines on one compiled design, and
+// returns an error describing the first divergence from the reference:
+// verdicts, redirect targets, packet bytes and the final map state must
+// all be identical.
 func diffProgram(prog *ebpf.Program, setup func(*maps.Set) error, packets [][]byte, cfg Config) error {
 	refs, refMaps, err := runReference(prog, setup, packets)
 	if err != nil {
 		return fmt.Errorf("conformance: reference: %w", err)
 	}
-	leg := func(name string, run func(*ebpf.Program, func(*maps.Set) error, [][]byte, Config) ([]Outcome, *maps.Set, error)) error {
-		outs, got, err := run(prog, setup, packets, cfg)
+	pl, err := core.Compile(prog, cfg.opts)
+	if err != nil {
+		return fmt.Errorf("conformance: compile: %w", err)
+	}
+	leg := func(name string, build engine) error {
+		outs, got, err := runEngine(pl, build, setup, packets, cfg)
 		if err != nil {
 			return fmt.Errorf("conformance: %s: %w", name, err)
 		}
@@ -86,13 +91,13 @@ func diffProgram(prog *ebpf.Program, setup func(*maps.Set) error, packets [][]by
 		}
 		return nil
 	}
-	if err := leg("pipeline", runPipeline); err != nil {
+	if err := leg("pipeline", interpreter); err != nil {
 		return err
 	}
 	if ok, _ := fastpath.Eligible(cfg.sim); !ok {
 		return nil
 	}
-	return leg("fastpath", runFastPath)
+	return leg("fastpath", fastPath)
 }
 
 // CompareOutcome diffs one packet's result against the reference:
@@ -145,38 +150,22 @@ func runReference(prog *ebpf.Program, setup func(*maps.Set) error, packets [][]b
 	return outs, env.Maps, nil
 }
 
-// runPipeline compiles and executes every packet on the cycle-accurate
-// simulator, injecting with input backpressure like a paced generator.
-func runPipeline(prog *ebpf.Program, setup func(*maps.Set) error, packets [][]byte, cfg Config) ([]Outcome, *maps.Set, error) {
-	pl, err := core.Compile(prog, cfg.opts)
-	if err != nil {
-		return nil, nil, fmt.Errorf("compile: %w", err)
-	}
-	sim, err := hwsim.New(pl, cfg.sim)
+// engine builds one execution engine on a compiled design.
+type engine func(*core.Pipeline, hwsim.Config) (hwsim.Core, error)
+
+// interpreter is the cycle-accurate simulator; fastPath is the compiled
+// host fast path.
+func interpreter(pl *core.Pipeline, cfg hwsim.Config) (hwsim.Core, error) { return hwsim.New(pl, cfg) }
+func fastPath(pl *core.Pipeline, cfg hwsim.Config) (hwsim.Core, error)    { return fastpath.New(pl, cfg) }
+
+// runEngine executes every packet on the engine build makes of pl, with
+// input backpressure like a paced generator, so every engine sees the
+// same injection schedule.
+func runEngine(pl *core.Pipeline, build engine, setup func(*maps.Set) error, packets [][]byte, cfg Config) ([]Outcome, *maps.Set, error) {
+	eng, err := build(pl, cfg.sim)
 	if err != nil {
 		return nil, nil, err
 	}
-	return runEngine(sim, setup, packets, cfg.drainLimit())
-}
-
-// runFastPath compiles and executes every packet on the compiled host
-// fast path, driven through the same paced-generator loop as the
-// interpreter so the two runs see identical injection schedules.
-func runFastPath(prog *ebpf.Program, setup func(*maps.Set) error, packets [][]byte, cfg Config) ([]Outcome, *maps.Set, error) {
-	pl, err := core.Compile(prog, cfg.opts)
-	if err != nil {
-		return nil, nil, fmt.Errorf("compile: %w", err)
-	}
-	m, err := fastpath.New(pl, cfg.sim)
-	if err != nil {
-		return nil, nil, err
-	}
-	return runEngine(m, setup, packets, cfg.drainLimit())
-}
-
-// runEngine drives one execution engine — interpreter or fast path —
-// over the traffic with input backpressure like a paced generator.
-func runEngine(eng hwsim.Core, setup func(*maps.Set) error, packets [][]byte, maxCycles uint64) ([]Outcome, *maps.Set, error) {
 	eng.SetClock(func() uint64 { return 0 })
 	eng.KeepData(true)
 	if setup != nil {
@@ -209,7 +198,7 @@ func runEngine(eng hwsim.Core, setup func(*maps.Set) error, packets [][]byte, ma
 			return nil, nil, fmt.Errorf("packet %d: %w", i, err)
 		}
 	}
-	if err := eng.RunToCompletion(maxCycles); err != nil {
+	if err := eng.RunToCompletion(cfg.drainLimit()); err != nil {
 		return nil, nil, err
 	}
 	if completed != len(packets) {

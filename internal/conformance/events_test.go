@@ -29,7 +29,7 @@ func tracedEventsApp(t *testing.T, app *apps.App, flows, n int, sim hwsim.Config
 	}
 	tr, sink := memTracer()
 	sim.Trace = tr
-	if _, _, err := runPipeline(prog, app.SetupHost, packets, Config{sim: sim}); err != nil {
+	if _, _, err := compileAndRun(prog, interpreter, app.SetupHost, packets, Config{sim: sim}); err != nil {
 		t.Fatal(err)
 	}
 	return sink.Events()
@@ -152,7 +152,7 @@ func warShadowEvents(t *testing.T) []obs.Event {
 	}
 	gen := pktgen.NewGenerator(pktgen.GeneratorConfig{Flows: 1, PacketLen: 64, Proto: ebpf.IPProtoUDP, Seed: 3})
 	tr, sink := memTracer()
-	if _, _, err := runPipeline(prog, nil, gen.Batch(8), Config{sim: hwsim.Config{Trace: tr}}); err != nil {
+	if _, _, err := compileAndRun(prog, interpreter, nil, gen.Batch(8), Config{sim: hwsim.Config{Trace: tr}}); err != nil {
 		t.Fatal(err)
 	}
 	return sink.Events()

@@ -131,7 +131,7 @@ func FuzzDifferential(f *testing.F) {
 		if err != nil {
 			t.Fatalf("reference: %v", err)
 		}
-		outs, _, err := runPipeline(prog, app.SetupHost, packets, Config{maxCycles: 1 << 18})
+		outs, _, err := compileAndRun(prog, interpreter, app.SetupHost, packets, Config{maxCycles: 1 << 18})
 		if err != nil {
 			t.Fatalf("pipeline: %v", err)
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ehdl/internal/apps"
+	"ehdl/internal/core"
 	"ehdl/internal/ebpf"
 	"ehdl/internal/maps"
 	"ehdl/internal/obs"
@@ -31,17 +32,32 @@ func mustApp(t *testing.T, name string) *apps.App {
 	return a
 }
 
+// compileAndRun compiles prog under cfg and runs the packets on the
+// engine build makes of it.
+func compileAndRun(prog *ebpf.Program, build engine, setup func(*maps.Set) error, packets [][]byte, cfg Config) ([]Outcome, *maps.Set, error) {
+	pl, err := core.Compile(prog, cfg.opts)
+	if err != nil {
+		return nil, nil, fmt.Errorf("compile: %w", err)
+	}
+	return runEngine(pl, build, setup, packets, cfg)
+}
+
 // diffProgramFastPath runs packets through the cycle-accurate
-// interpreter and the compiled fast path only (no vm reference). The
-// fuzzer uses it as an exact oracle: both engines implement the
-// hardware bounds check identically, so they must agree on every input,
-// including malformed frames the elision-aware vm oracle cannot judge.
+// interpreter and the compiled fast path only (no vm reference), both on
+// one compiled design. The fuzzer uses it as an exact oracle: both
+// engines implement the hardware bounds check identically, so they must
+// agree on every input, including malformed frames the elision-aware vm
+// oracle cannot judge.
 func diffProgramFastPath(prog *ebpf.Program, setup func(*maps.Set) error, packets [][]byte, cfg Config) error {
-	outs, simMaps, err := runPipeline(prog, setup, packets, cfg)
+	pl, err := core.Compile(prog, cfg.opts)
+	if err != nil {
+		return fmt.Errorf("conformance: compile: %w", err)
+	}
+	outs, simMaps, err := runEngine(pl, interpreter, setup, packets, cfg)
 	if err != nil {
 		return fmt.Errorf("conformance: pipeline: %w", err)
 	}
-	fasts, fastMaps, err := runFastPath(prog, setup, packets, cfg)
+	fasts, fastMaps, err := runEngine(pl, fastPath, setup, packets, cfg)
 	if err != nil {
 		return fmt.Errorf("conformance: fastpath: %w", err)
 	}

@@ -28,7 +28,7 @@ func tracedEvents(t *testing.T, name string, flows, n int, sim hwsim.Config) []o
 	}
 	tr, sink := memTracer()
 	sim.Trace = tr
-	if _, _, err := runPipeline(prog, app.SetupHost, packets, Config{sim: sim}); err != nil {
+	if _, _, err := compileAndRun(prog, interpreter, app.SetupHost, packets, Config{sim: sim}); err != nil {
 		t.Fatal(err)
 	}
 	return sink.Events()

@@ -119,7 +119,7 @@ func TestRSSFlowConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			base, baseMaps, err := runPipeline(prog, app.SetupHost, packets, Config{})
+			base, baseMaps, err := compileAndRun(prog, interpreter, app.SetupHost, packets, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -180,7 +180,7 @@ func TestRSSFastPathConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			base, baseMaps, err := runPipeline(prog, app.SetupHost, packets, Config{})
+			base, baseMaps, err := compileAndRun(prog, interpreter, app.SetupHost, packets, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}

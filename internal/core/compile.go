@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ehdl/internal/cfg"
 	"ehdl/internal/ddg"
@@ -445,11 +446,12 @@ func (p *Pipeline) reachingDefs() *reachingInfo {
 					copy(in[i], cur)
 					changed = true
 				}
-				for _, r := range prog.Instructions[i].Defs() {
+				for m := prog.Instructions[i].DefMask(); m != 0; m &= m - 1 {
+					r := bits.TrailingZeros16(m)
 					for w := range cur {
 						cur[w] &^= killOf[r][w]
 					}
-					set(cur, siteIdx[[2]int{i, int(r)}])
+					set(cur, siteIdx[[2]int{i, r}])
 					_ = clear
 					_ = has
 				}

@@ -171,11 +171,6 @@ func (in *Info) UsesOf(i int) []ebpf.Register {
 	return ins.Uses()
 }
 
-// defsOf returns the registers instruction i writes.
-func (in *Info) defsOf(i int) []ebpf.Register {
-	return in.Prog.Instructions[i].Defs()
-}
-
 func regMask(regs []ebpf.Register) uint16 {
 	var m uint16
 	for _, r := range regs {
@@ -249,7 +244,7 @@ func (in *Info) Liveness(uses func(i int) []ebpf.Register) (liveIn, liveOut []ui
 			stk := blockStackOut[b]
 			for i := blk.End - 1; i >= blk.Start; i-- {
 				liveOut[i] = live
-				live = live&^regMask(in.defsOf(i)) | regMask(uses(i))
+				live = live&^in.Prog.Instructions[i].DefMask() | regMask(uses(i))
 				stk = in.stackStep(i, stk)
 				if liveIn[i] != live {
 					liveIn[i] = live
@@ -334,8 +329,8 @@ func (in *Info) stackStep(i int, out stackSet) stackSet {
 // dependency, overlapping memory effects, or either is a scheduling
 // barrier (helper call).
 func (in *Info) Conflicts(i, j int) bool {
-	defsI := regMask(in.defsOf(i))
-	defsJ := regMask(in.defsOf(j))
+	defsI := in.Prog.Instructions[i].DefMask()
+	defsJ := in.Prog.Instructions[j].DefMask()
 	usesI := regMask(in.UsesOf(i))
 	usesJ := regMask(in.UsesOf(j))
 	if defsI&usesJ != 0 || usesI&defsJ != 0 || defsI&defsJ != 0 {

@@ -140,10 +140,22 @@ func (p *Program) BranchTarget(i int) (int, bool) {
 	if !ins.IsBranch() {
 		return 0, false
 	}
-	offs := p.SlotOffsets()
-	target := offs[i] + ins.Slots() + int(ins.Off)
-	idx, ok := p.IndexBySlot()[target]
-	return idx, ok
+	// Walk the offset's slot distance from the instruction after the
+	// branch; only a LDDW spans two slots, so the walk lands either on an
+	// instruction's first slot or inside a LDDW.
+	j, dist := i+1, int(ins.Off)
+	for dist > 0 && j < len(p.Instructions) {
+		dist -= p.Instructions[j].Slots()
+		j++
+	}
+	for dist < 0 && j > 0 {
+		j--
+		dist += p.Instructions[j].Slots()
+	}
+	if dist != 0 || j >= len(p.Instructions) {
+		return 0, false
+	}
+	return j, true
 }
 
 // Validate checks program-level invariants: per-instruction validity,
@@ -230,6 +242,28 @@ func writesRegister(ins Instruction, reg Register) bool {
 		return false
 	}
 	return false
+}
+
+// DefMask returns the registers the instruction writes as a bit set (bit
+// r for register r): Defs without the allocation, for data-flow loops
+// and per-packet checks.
+func (ins Instruction) DefMask() uint16 {
+	var m uint16
+	switch cls := ins.Class(); {
+	case cls.IsALU(), cls == ClassLDX, ins.IsLoadImm64():
+		m = 1 << ins.Dst
+	case ins.IsAtomic():
+		// Same precedence as writesRegister: the fetch test comes first.
+		switch op := ins.AtomicOp(); {
+		case op&AtomicFetch != 0 || op == AtomicXchg:
+			m = 1 << ins.Src
+		case op == AtomicCmpXchg:
+			m = 1 << R0
+		}
+	case ins.IsCall():
+		m = 1<<(R5+1) - 1 // calls clobber R0-R5
+	}
+	return m & (1<<(R10+1) - 1)
 }
 
 // Defs returns the registers the instruction writes.

@@ -337,8 +337,9 @@ func newController(cfg Config) (*Controller, error) {
 	return c, nil
 }
 
-// New builds the fleet: per-device compiled pipelines, shells, fault
-// forks and (under Verify) reference mirrors, all on one ring.
+// New builds the fleet: one compiled pipeline shared by every device,
+// per-device shells, fault forks and (under Verify) reference mirrors,
+// all on one ring.
 func New(cfg Config) (*Controller, error) {
 	if len(cfg.Tenants) > 0 {
 		return newTenantFleet(cfg)
@@ -362,14 +363,14 @@ func New(cfg Config) (*Controller, error) {
 	traffic.Seed = mix(cfg.seed() + 1)
 	c.next = pktgen.NewGenerator(traffic).AppendNext
 
+	// One design serves every device: a compiled pipeline is read-only,
+	// and each shell keeps its own maps, stage registers and fault state.
+	pl, err := core.Compile(prog, core.Options{})
+	if err != nil {
+		return nil, fmt.Errorf("fleet: compile: %w", err)
+	}
 	n := cfg.devices()
 	for i := 0; i < n; i++ {
-		// Each device compiles its own pipeline, so shards share no
-		// mutable state.
-		pl, err := core.Compile(prog, core.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("fleet: device %d compile: %w", i, err)
-		}
 		shCfg := cfg.shell
 		shCfg.Sim.Trace = nil
 		shCfg.Sim.Metrics = nil
@@ -422,6 +423,10 @@ func newTenantFleet(cfg Config) (*Controller, error) {
 	}
 	c.next = tenant.NewTrafficMux(cfg.Tenants, mix(cfg.seed()+1)).AppendNext
 
+	specs, err := compileSpecs(cfg.Tenants)
+	if err != nil {
+		return nil, err
+	}
 	n := cfg.devices()
 	for i := 0; i < n; i++ {
 		dcfg := tenant.DeviceConfig{
@@ -433,7 +438,7 @@ func newTenantFleet(cfg Config) (*Controller, error) {
 			dcfg.Chaos = cfg.Chaos.Fork(int64(i) + 1)
 		}
 		td := tenant.NewDevice(dcfg)
-		for _, sp := range cfg.Tenants {
+		for _, sp := range specs {
 			if _, err := td.AdmitTenant(sp); err != nil {
 				return nil, fmt.Errorf("fleet: device %d: %w", i, err)
 			}
@@ -442,6 +447,26 @@ func newTenantFleet(cfg Config) (*Controller, error) {
 		c.ring.Add(i)
 	}
 	return c, nil
+}
+
+// compileSpecs returns the spec list with every missing design
+// compiled, once per spec for all devices.
+func compileSpecs(specs []tenant.Spec) ([]tenant.Spec, error) {
+	out := slices.Clone(specs)
+	for i := range out {
+		sp := &out[i]
+		if sp.Design != nil || sp.App == nil {
+			continue // AdmitTenant rejects a spec without an app
+		}
+		prog, err := sp.App.Program()
+		if err != nil {
+			return nil, fmt.Errorf("fleet: tenant %s: %w", sp.Name, err)
+		}
+		if sp.Design, err = core.Compile(prog, sp.Opts); err != nil {
+			return nil, fmt.Errorf("fleet: tenant %s: compile: %w", sp.Name, err)
+		}
+	}
+	return out, nil
 }
 
 // count bumps a fleet metric (nil-registry safe).

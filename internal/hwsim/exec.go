@@ -136,9 +136,7 @@ func (s *Sim) checkCarry(stage *core.Stage, op *core.Op, t int) {
 				fail("reads r%d which is not carried (mask %#x)", r, stage.CarryRegs)
 			}
 		}
-		for _, r := range s.pl.Transformed.Instructions[idx].Defs() {
-			defined |= 1 << r
-		}
+		defined |= s.pl.Transformed.Instructions[idx].DefMask()
 		acc := s.pl.Info.Accesses[idx]
 		if acc != nil && acc.Area == ddg.AreaStack && acc.Read && acc.OffKnown {
 			lo := int(acc.Off) + ebpf.StackSize

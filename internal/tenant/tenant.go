@@ -7,9 +7,10 @@
 //     hardware) and rejects, with a typed *AdmissionError,
 //     any tenant that would push the device past a configurable
 //     LUT/FF/BRAM utilisation band. What is admitted provably fits.
-//   - Isolation is by construction: every tenant gets its own compiled
-//     pipeline, its own map namespace, its own forked fault-injection
-//     streams and its own recovery/backoff state. There is no shared
+//   - Isolation is by construction: every tenant gets its own shell
+//     around its (read-only) compiled pipeline, its own map namespace,
+//     its own forked fault-injection streams and its own
+//     recovery/backoff state. There is no shared
 //     mutable state between tenants to corrupt, so one tenant's SEUs,
 //     flush storms or overflow bursts cannot perturb another tenant's
 //     verdicts, counters or map contents (the noisy-neighbor chaos gate
@@ -58,6 +59,11 @@ type Spec struct {
 	App *apps.App
 	// Opts is the compiler configuration for the tenant's pipeline.
 	Opts core.Options
+	// Design, when set, is App's program compiled under Opts, and
+	// AdmitTenant serves it instead of compiling its own. A compiled
+	// pipeline is read-only, so devices admitting the same spec share
+	// it.
+	Design *core.Pipeline
 	// Share is the tenant's fraction of the device's ingress budget in
 	// (0, 1]; the shares of all admitted tenants may not exceed 1.
 	Share float64
@@ -254,8 +260,9 @@ func streamTag(sp Spec, id int) int64 {
 	return int64(4096 + id)
 }
 
-// AdmitTenant prices the candidate design and either installs it (its
-// own pipeline, map namespace, fault streams and recovery state) or
+// AdmitTenant prices the candidate design — sp.Design, or App compiled
+// under Opts when the spec carries none — and either installs it (its
+// own shell, map namespace, fault streams and recovery state) or
 // rejects it. Budget rejections are a typed *AdmissionError; malformed
 // specifications fail with ordinary errors.
 func (d *Device) AdmitTenant(sp Spec) (*Tenant, error) {
@@ -288,13 +295,15 @@ func (d *Device) AdmitTenant(sp Spec) (*Tenant, error) {
 			sp.Name, d.def.Spec.Name)
 	}
 
-	prog, err := sp.App.Program()
-	if err != nil {
-		return nil, fmt.Errorf("tenant: %s: %w", sp.Name, err)
-	}
-	pl, err := core.Compile(prog, sp.Opts)
-	if err != nil {
-		return nil, fmt.Errorf("tenant: %s: compile: %w", sp.Name, err)
+	pl := sp.Design
+	if pl == nil {
+		prog, err := sp.App.Program()
+		if err != nil {
+			return nil, fmt.Errorf("tenant: %s: %w", sp.Name, err)
+		}
+		if pl, err = core.Compile(prog, sp.Opts); err != nil {
+			return nil, fmt.Errorf("tenant: %s: compile: %w", sp.Name, err)
+		}
 	}
 
 	// Price the design: the pipeline (replicated when the tenant runs
