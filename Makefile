@@ -64,11 +64,12 @@ chaos:
 # whose netlist both the VHDL text and the resource bill derive from,
 # liveupdate (85%), the one update protocol both loops call,
 # cmd/ehdl (80%), the one command every documented run goes through,
-# and the compiler every design comes from: core (85%), ddg (70%), ebpf
-# (80%) and cfg (90%). A gated package missing from the coverage output
+# the compiler every design comes from: core (85%), ddg (70%), ebpf
+# (80%) and cfg (90%), and pktgen (90%), whose frames every engine and
+# every golden reads. A gated package missing from the coverage output
 # fails the gate — a silently dropped package must not read as a pass.
 cover:
-	@$(GO) test -cover ./internal/protect/ ./internal/hwsim/ ./internal/obs/ ./internal/rss/ ./internal/nic/ ./internal/fastpath/ ./internal/fleet/ ./internal/tenant/ ./internal/durable/ ./internal/vm/ ./internal/maps/ ./internal/hdl/ ./internal/liveupdate/ ./internal/core/ ./internal/ddg/ ./internal/ebpf/ ./internal/cfg/ ./cmd/ehdl/ | tee /tmp/ehdl-cover.txt
+	@$(GO) test -cover ./internal/protect/ ./internal/hwsim/ ./internal/obs/ ./internal/rss/ ./internal/nic/ ./internal/fastpath/ ./internal/fleet/ ./internal/tenant/ ./internal/durable/ ./internal/vm/ ./internal/maps/ ./internal/hdl/ ./internal/liveupdate/ ./internal/core/ ./internal/ddg/ ./internal/ebpf/ ./internal/cfg/ ./internal/pktgen/ ./cmd/ehdl/ | tee /tmp/ehdl-cover.txt
 	@awk 'function gate(pkg, floor,    a) { seen[pkg] = 1; split($$5, a, "%"); \
 	          if (a[1]+0 < floor) { printf "FAIL: %s coverage %s%% < %d%%\n", pkg, a[1], floor; bad = 1 } } \
 	      /internal\/protect/  { gate("internal/protect", 90) } \
@@ -88,8 +89,9 @@ cover:
 	      /internal\/ddg/      { gate("internal/ddg", 70) } \
 	      /internal\/ebpf/     { gate("internal/ebpf", 80) } \
 	      /internal\/cfg/      { gate("internal/cfg", 90) } \
+	      /internal\/pktgen/   { gate("internal/pktgen", 90) } \
 	      /cmd\/ehdl/          { gate("cmd/ehdl", 80) } \
-	      END { n = split("protect hwsim obs rss nic fastpath fleet tenant durable vm maps hdl liveupdate core ddg ebpf cfg", want, " "); \
+	      END { n = split("protect hwsim obs rss nic fastpath fleet tenant durable vm maps hdl liveupdate core ddg ebpf cfg pktgen", want, " "); \
 	            for (i = 1; i <= n; i++) if (!seen["internal/" want[i]]) { printf "FAIL: internal/%s missing from coverage output\n", want[i]; bad = 1 } \
 	            if (!seen["cmd/ehdl"]) { printf "FAIL: cmd/ehdl missing from coverage output\n"; bad = 1 } \
 	            exit bad }' /tmp/ehdl-cover.txt
@@ -122,12 +124,13 @@ fuzz-smoke:
 # of ./bench: a pristine copy of PARENT (git archive — nothing is left
 # registered in .git), one bench binary per tree, each run from its own
 # tree root with the end-to-end pass only, PAIRS pairs alternating which
-# side runs first. Prints every pair's host_mpps and host_allocs_per_pkt,
-# then each side's median [quartiles] of both with the numcpu/GOMAXPROCS
-# its runs reported (a parallel speed-up without its core count is not a
-# measurement), the pairs the change won on host_mpps and `bench
-# compare` on the last pair for the other metrics. Run lengths are the
-# harness's own (20 s a side), so ten pairs take about seven minutes.
+# side runs first. Prints every pair's host_mpps, host_allocs_per_pkt and
+# setup_s, then each side's median [quartiles] of all three with the
+# numcpu/GOMAXPROCS its runs reported (a parallel speed-up without its
+# core count is not a measurement), the pairs the change won on host_mpps
+# (higher wins) and on setup_s (lower wins), and `bench compare` on the
+# last pair for the other metrics. Run lengths are the harness's own
+# (20 s a side), so ten pairs take about seven minutes.
 #	make bench-ab PARENT=HEAD~1 WORKLOAD=toy_q4_fast
 PARENT ?= HEAD~1
 WORKLOAD ?= toy_q4_fast
@@ -143,18 +146,20 @@ bench-ab:
 		for side in $$order; do \
 			if [ $$side = parent ]; then root=$(AB_DIR)/parent; else root=$$change; fi; \
 			(cd $$root && $(AB_DIR)/bench.$$side -workload $(WORKLOAD) -trace 0 -out $(AB_DIR)/$$side.$$i.json) > $(AB_DIR)/$$side.$$i.txt || exit 1; \
-			for m in mpps allocs_per_pkt; do \
-				sed -n "s/.*\"host_$$m\":{\"value\":\([0-9.e+-]*\).*/\1/p" $(AB_DIR)/$$side.$$i.txt | tail -1 >> $(AB_DIR)/$$side.$$m; \
+			for m in host_mpps host_allocs_per_pkt setup_s; do \
+				sed -n "s/.*\"$$m\":{\"value\":\([0-9.e+-]*\).*/\1/p" $(AB_DIR)/$$side.$$i.txt | tail -1 >> $(AB_DIR)/$$side.$$m; \
 			done; \
 		done; \
-		echo "pair $$i ($$order first): parent $$(tail -1 $(AB_DIR)/parent.mpps)  change $$(tail -1 $(AB_DIR)/change.mpps) Mpkt/s," \
-			"allocs/pkt parent $$(tail -1 $(AB_DIR)/parent.allocs_per_pkt)  change $$(tail -1 $(AB_DIR)/change.allocs_per_pkt)"; \
+		echo "pair $$i ($$order first): parent $$(tail -1 $(AB_DIR)/parent.host_mpps)  change $$(tail -1 $(AB_DIR)/change.host_mpps) Mpkt/s," \
+			"allocs/pkt parent $$(tail -1 $(AB_DIR)/parent.host_allocs_per_pkt)  change $$(tail -1 $(AB_DIR)/change.host_allocs_per_pkt)," \
+			"setup_s parent $$(tail -1 $(AB_DIR)/parent.setup_s)  change $$(tail -1 $(AB_DIR)/change.setup_s)"; \
 	done
-	@for side in parent change; do for m in mpps allocs_per_pkt; do sort -g $(AB_DIR)/$$side.$$m | awk -v side=$$side -v m=host_$$m \
+	@for side in parent change; do for m in host_mpps host_allocs_per_pkt setup_s; do sort -g $(AB_DIR)/$$side.$$m | awk -v side=$$side -v m=$$m \
 		-v host="$$(sed -n '1s/^\(numcpu [0-9]*\)  *\(GOMAXPROCS [0-9]*\).*/\1 \2/p' $(AB_DIR)/$$side.1.txt)" \
 		'function q(p,  h, lo) { h = (NR - 1) * p; lo = int(h); return v[lo + 1] + (h - lo) * (v[lo + 2] - v[lo + 1]) } \
 		 { v[NR] = $$1 } END { printf "%-6s %s median %.4g [%.4g %.4g] n=%d  %s\n", side, m, q(0.5), q(0.25), q(0.75), NR, host }'; done; done
-	@paste $(AB_DIR)/parent.mpps $(AB_DIR)/change.mpps | awk '$$2 > $$1 { w++ } $$2 < $$1 { l++ } END { printf "change won %d, lost %d of %d pairs\n", w, l, NR }'
+	@paste $(AB_DIR)/parent.host_mpps $(AB_DIR)/change.host_mpps | awk '$$2 > $$1 { w++ } $$2 < $$1 { l++ } END { printf "host_mpps: change won %d, lost %d of %d pairs\n", w, l, NR }'
+	@paste $(AB_DIR)/parent.setup_s $(AB_DIR)/change.setup_s | awk '$$2 < $$1 { w++ } $$2 > $$1 { l++ } END { printf "setup_s: change won %d, lost %d of %d pairs\n", w, l, NR }'
 	@$(AB_DIR)/bench.change compare $(AB_DIR)/parent.$(PAIRS).json $(AB_DIR)/change.$(PAIRS).json || true
 
 # The full gate a PR must clear. Simulated figures are gated inside

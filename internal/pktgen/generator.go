@@ -31,11 +31,13 @@ type GeneratorConfig struct {
 }
 
 // Generator produces a reproducible stream of packets over a flow set.
+// Flow i of the set is arithmetic (FlowAt), and every packet is the
+// generator's template frame stamped with its flow.
 type Generator struct {
-	cfg   GeneratorConfig
-	rng   *rand.Rand
-	zipf  *rand.Zipf
-	flows []Flow
+	cfg  GeneratorConfig
+	rng  *rand.Rand
+	zipf *rand.Zipf
+	tmpl template
 }
 
 // NewGenerator builds a generator with a deterministic flow set.
@@ -50,16 +52,7 @@ func NewGenerator(cfg GeneratorConfig) *Generator {
 		cfg.Proto = ebpf.IPProtoUDP
 	}
 	g := &Generator{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed + 1))}
-	g.flows = make([]Flow, cfg.Flows)
-	for i := range g.flows {
-		g.flows[i] = Flow{
-			SrcIP:   0x0a_00_00_00 | uint32(i+1),
-			DstIP:   0xc0_a8_00_01,
-			SrcPort: uint16(1024 + i%60000),
-			DstPort: 8080,
-			Proto:   cfg.Proto,
-		}
-	}
+	g.tmpl = newTemplate(PacketSpec{Flow: g.FlowAt(0), TotalLen: cfg.PacketLen})
 	if cfg.Distribution == Zipf {
 		// s slightly above 1 approximates the paper's 1/i law, which
 		// rand.Zipf requires s > 1.
@@ -69,18 +62,31 @@ func NewGenerator(cfg GeneratorConfig) *Generator {
 }
 
 // FlowCount returns the size of the flow set.
-func (g *Generator) FlowCount() int { return len(g.flows) }
+func (g *Generator) FlowCount() int { return g.cfg.Flows }
 
 // FlowAt returns flow i of the set.
-func (g *Generator) FlowAt(i int) Flow { return g.flows[i] }
+func (g *Generator) FlowAt(i int) Flow {
+	return Flow{
+		SrcIP:   flowSrcIP(i),
+		DstIP:   0xc0_a8_00_01,
+		SrcPort: flowSrcPort(i),
+		DstPort: 8080,
+		Proto:   g.cfg.Proto,
+	}
+}
 
-// nextFlow draws the next flow per the configured distribution.
-func (g *Generator) nextFlow() Flow {
+// flowSrcIP and flowSrcPort are the two fields that tell flow i apart.
+func flowSrcIP(i int) uint32   { return 0x0a_00_00_00 | uint32(i+1) }
+func flowSrcPort(i int) uint16 { return uint16(1024 + i%60000) }
+
+// nextFlow draws the index of the next flow per the configured
+// distribution.
+func (g *Generator) nextFlow() int {
 	switch g.cfg.Distribution {
 	case Zipf:
-		return g.flows[g.zipf.Uint64()]
+		return int(g.zipf.Uint64())
 	default:
-		return g.flows[g.rng.Intn(len(g.flows))]
+		return g.rng.Intn(g.cfg.Flows)
 	}
 }
 
@@ -94,18 +100,17 @@ func (g *Generator) Next() []byte {
 // extended arena and the packet within it, capacity clipped so nothing
 // can append into its neighbour.
 func (g *Generator) AppendNext(arena []byte) (grown, pkt []byte) {
-	grown = appendBuild(arena, PacketSpec{
-		Flow:     g.nextFlow(),
-		TotalLen: g.cfg.PacketLen,
-	})
+	i := g.nextFlow()
+	grown = g.tmpl.stamp(arena, flowSrcIP(i), flowSrcPort(i))
 	return grown, grown[len(arena):len(grown):len(grown)]
 }
 
-// Batch builds n packets.
+// Batch builds n packets, carved from one arena.
 func (g *Generator) Batch(n int) [][]byte {
 	out := make([][]byte, n)
+	arena := make([]byte, 0, n*len(g.tmpl.frame))
 	for i := range out {
-		out[i] = g.Next()
+		arena, out[i] = g.AppendNext(arena)
 	}
 	return out
 }

@@ -6,7 +6,7 @@ package pktgen
 
 import (
 	"encoding/binary"
-	"fmt"
+	"errors"
 
 	"ehdl/internal/ebpf"
 )
@@ -123,17 +123,25 @@ func appendBuild(dst []byte, spec PacketSpec) []byte {
 // ipChecksum computes the IPv4 header checksum with the checksum field
 // treated as zero.
 func ipChecksum(hdr []byte) uint16 {
+	return ^fold(headerSum(hdr) - uint32(binary.BigEndian.Uint16(hdr[10:12])))
+}
+
+// headerSum is the unfolded one's-complement sum of an IPv4 header's
+// 16-bit words.
+func headerSum(hdr []byte) uint32 {
 	var sum uint32
 	for i := 0; i+1 < len(hdr); i += 2 {
-		if i == 10 {
-			continue // checksum field
-		}
 		sum += uint32(binary.BigEndian.Uint16(hdr[i : i+2]))
 	}
+	return sum
+}
+
+// fold folds the carries of a one's-complement sum back into 16 bits.
+func fold(sum uint32) uint16 {
 	for sum > 0xffff {
 		sum = sum&0xffff + sum>>16
 	}
-	return ^uint16(sum)
+	return uint16(sum)
 }
 
 // VerifyIPChecksum reports whether the packet's IPv4 header checksum is
@@ -142,34 +150,72 @@ func VerifyIPChecksum(pkt []byte) bool {
 	if len(pkt) < EthHeaderLen+IPv4HeaderLen {
 		return false
 	}
-	hdr := pkt[EthHeaderLen : EthHeaderLen+IPv4HeaderLen]
-	var sum uint32
-	for i := 0; i+1 < len(hdr); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(hdr[i : i+2]))
-	}
-	for sum > 0xffff {
-		sum = sum&0xffff + sum>>16
-	}
-	return uint16(sum) == 0xffff
+	return fold(headerSum(pkt[EthHeaderLen:EthHeaderLen+IPv4HeaderLen])) == 0xffff
 }
+
+// template is a frame of the reference builder that a generator stamps
+// once per packet: the frames of one template differ only in the IPv4
+// source address, the transport source port and the header checksum,
+// so a packet is one copy and three field writes.
+type template struct {
+	frame []byte
+	// ports is set when the protocol carries ports (UDP, TCP).
+	ports bool
+	// sum is the unfolded one's-complement sum of the IPv4 header
+	// without its checksum and source address.
+	sum uint32
+}
+
+// newTemplate builds the template of an untagged IPv4 spec.
+func newTemplate(spec PacketSpec) template {
+	frame := Build(spec)
+	ip := frame[EthHeaderLen : EthHeaderLen+IPv4HeaderLen]
+	return template{
+		frame: frame,
+		ports: spec.Flow.Proto == ebpf.IPProtoUDP || spec.Flow.Proto == ebpf.IPProtoTCP,
+		sum:   headerSum(ip) - headerSum(ip[10:16]),
+	}
+}
+
+// stamp appends the template's frame to dst with the given source
+// address and port and the checksum they imply, and returns the
+// extended slice.
+func (t *template) stamp(dst []byte, srcIP uint32, srcPort uint16) []byte {
+	n := len(dst)
+	dst = append(dst, t.frame...)
+	ip := dst[n+EthHeaderLen : n+EthHeaderLen+IPv4HeaderLen]
+	binary.BigEndian.PutUint32(ip[12:16], srcIP)
+	binary.BigEndian.PutUint16(ip[10:12], ^fold(t.sum+srcIP>>16+srcIP&0xffff))
+	if t.ports {
+		binary.BigEndian.PutUint16(dst[n+EthHeaderLen+IPv4HeaderLen:], srcPort)
+	}
+	return dst
+}
+
+// ParseFlow's errors are values of their own: the RSS front end parses
+// every frame it steers, and a malformed burst must cost no allocation.
+var (
+	errShort   = errors.New("pktgen: packet too short for an IPv4 header")
+	errNotIPv4 = errors.New("pktgen: not an IPv4 packet")
+)
 
 // ParseFlow extracts the 5-tuple of an IPv4 packet, skipping one
 // optional 802.1Q tag.
 func ParseFlow(pkt []byte) (Flow, error) {
 	if len(pkt) < EthHeaderLen+IPv4HeaderLen {
-		return Flow{}, fmt.Errorf("pktgen: packet too short (%d bytes)", len(pkt))
+		return Flow{}, errShort
 	}
 	l3 := EthHeaderLen
 	etherType := binary.BigEndian.Uint16(pkt[12:14])
 	if etherType == ebpf.EthPVLAN {
 		if len(pkt) < EthHeaderLen+4+IPv4HeaderLen {
-			return Flow{}, fmt.Errorf("pktgen: tagged packet too short")
+			return Flow{}, errShort
 		}
 		etherType = binary.BigEndian.Uint16(pkt[16:18])
 		l3 += 4
 	}
 	if etherType != ebpf.EthPIP {
-		return Flow{}, fmt.Errorf("pktgen: not an IPv4 packet")
+		return Flow{}, errNotIPv4
 	}
 	ip := pkt[l3:]
 	f := Flow{

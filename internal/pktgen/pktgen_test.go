@@ -184,3 +184,38 @@ func TestVLANTaggedPacket(t *testing.T) {
 		t.Errorf("ParseFlow through the tag = %+v", got)
 	}
 }
+
+// The generator's costs without the harness: a frame stamped into a
+// reused arena, a frame in a slice of its own under Zipf, a generator
+// over the benchmark's largest flow set and the shell workloads' ring.
+func BenchmarkAppendNext(b *testing.B) {
+	g := NewGenerator(GeneratorConfig{Flows: 10000, Seed: 1})
+	arena := make([]byte, 0, 64)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g.AppendNext(arena)
+	}
+}
+
+func BenchmarkNextZipf(b *testing.B) {
+	g := NewGenerator(GeneratorConfig{Flows: 50000, Distribution: Zipf, Seed: 1})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g.Next()
+	}
+}
+
+func BenchmarkNewGenerator(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		NewGenerator(GeneratorConfig{Flows: 50000, Distribution: Zipf, Seed: 1})
+	}
+}
+
+func BenchmarkBatch(b *testing.B) {
+	g := NewGenerator(GeneratorConfig{Flows: 10000, Seed: 1})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g.Batch(16384)
+	}
+}

@@ -7,7 +7,7 @@ import (
 )
 
 // TraceProfile captures the published statistics of a real packet trace;
-// SyntheticTrace generates traffic matching them. The two profiles below
+// NewTrace generates traffic matching them. The two profiles below
 // stand in for the CAIDA and MAWI captures of Table 2 (the originals are
 // gated datasets): what the leaky-bucket experiment depends on is the
 // flow count, the mean packet size and the heavy-tailed flow-size
@@ -63,12 +63,13 @@ type Trace struct {
 	profile TraceProfile
 	rng     *rand.Rand
 	zipf    *rand.Zipf
-	gen     *Generator
 
 	// size distribution: a bimodal mix of small (ACK-sized) and large
 	// (MTU-sized) packets tuned to hit the profile's mean.
-	pSmall           float64
-	smallLen, bigLen int
+	pSmall float64
+	// tmpl holds one template per protocol and size, indexed
+	// [tcp][small].
+	tmpl             [2][2]template
 	generatedBytes   int64
 	generatedPackets int64
 }
@@ -82,32 +83,30 @@ func NewTrace(p TraceProfile) *Trace {
 		zipf:    rand.NewZipf(rng, p.ZipfS, 1, uint64(p.Flows-1)),
 	}
 	// Solve the bimodal mix: pSmall*small + (1-pSmall)*big = mean.
-	t.smallLen, t.bigLen = p.MinLen, p.MaxLen
-	t.pSmall = float64(t.bigLen-p.MeanPacketLen) / float64(t.bigLen-t.smallLen)
+	t.pSmall = float64(p.MaxLen-p.MeanPacketLen) / float64(p.MaxLen-p.MinLen)
+	for tcp, proto := range []uint8{ebpf.IPProtoUDP, ebpf.IPProtoTCP} {
+		for small, size := range []int{p.MaxLen, p.MinLen} {
+			flow := Flow{DstIP: 0xc0_a8_00_01, DstPort: 443, Proto: proto}
+			t.tmpl[tcp][small] = newTemplate(PacketSpec{Flow: flow, TotalLen: size})
+		}
+	}
 	return t
 }
 
 // Next produces the next packet of the replay.
 func (t *Trace) Next() []byte {
 	flowIdx := uint32(t.zipf.Uint64())
-	proto := uint8(ebpf.IPProtoUDP)
+	tcp, small := 0, 0
 	if t.rng.Float64() < t.profile.TCPFraction {
-		proto = ebpf.IPProtoTCP
+		tcp = 1
 	}
-	size := t.bigLen
 	if t.rng.Float64() < t.pSmall {
-		size = t.smallLen
+		small = 1
 	}
-	flow := Flow{
-		SrcIP:   0x0a_00_00_00 + flowIdx,
-		DstIP:   0xc0_a8_00_01,
-		SrcPort: uint16(1024 + flowIdx%60000),
-		DstPort: 443,
-		Proto:   proto,
-	}
+	tmpl := &t.tmpl[tcp][small]
 	t.generatedPackets++
-	t.generatedBytes += int64(size)
-	return Build(PacketSpec{Flow: flow, TotalLen: size})
+	t.generatedBytes += int64(len(tmpl.frame))
+	return tmpl.stamp(nil, 0x0a_00_00_00+flowIdx, uint16(1024+flowIdx%60000))
 }
 
 // MeanLen reports the observed mean packet length so far.

@@ -2,6 +2,7 @@ package tenant
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"ehdl/internal/ebpf"
 	"ehdl/internal/pktgen"
@@ -86,11 +87,24 @@ func tagVLAN(buf []byte, vid uint16) {
 	binary.BigEndian.PutUint16(buf[14:16], vid&0x0fff)
 }
 
-// Batch builds n arrivals.
+// Batch builds n arrivals carved from one arena. Tenants' frames differ
+// in length, so the arena is sized from the first arrival and the
+// frames are carved once the last one is in.
 func (m *TrafficMux) Batch(n int) [][]byte {
 	out := make([][]byte, n)
-	for i := range out {
-		out[i] = m.Next()
+	ends := make([]int, n)
+	var arena []byte
+	for i := range ends {
+		arena, _ = m.AppendNext(arena)
+		if i == 0 {
+			arena = slices.Grow(arena, (n-1)*len(arena))
+		}
+		ends[i] = len(arena)
+	}
+	start := 0
+	for i, end := range ends {
+		out[i] = arena[start:end:end]
+		start = end
 	}
 	return out
 }
