@@ -71,42 +71,48 @@ func Build(prog *ebpf.Program) (*Graph, error) {
 		}
 	}
 
-	// Edges.
+	// Edges. A block has at most two successors; the successor lists and
+	// the predecessor lists each share one backing array.
+	succs := make([]int, 0, 2*len(g.Blocks))
+	npreds := make([]int, len(g.Blocks)+1)
 	for i := range g.Blocks {
 		b := &g.Blocks[i]
+		start := len(succs)
 		last := prog.Instructions[b.End-1]
 		switch {
 		case last.IsExit():
 			// no successors
 		case last.IsBranch():
 			t, _ := prog.BranchTarget(b.End - 1)
-			b.Succs = append(b.Succs, g.blockOf[t])
-			if last.IsConditional() && b.End < n {
-				b.Succs = appendUnique(b.Succs, g.blockOf[b.End])
+			succs = append(succs, g.blockOf[t])
+			if last.IsConditional() && b.End < n && g.blockOf[b.End] != g.blockOf[t] {
+				succs = append(succs, g.blockOf[b.End])
 			}
 		default:
 			if b.End < n {
-				b.Succs = append(b.Succs, g.blockOf[b.End])
+				succs = append(succs, g.blockOf[b.End])
 			} else {
 				return nil, fmt.Errorf("cfg: block %d falls off the program end", b.ID)
 			}
 		}
+		b.Succs = succs[start:len(succs):len(succs)]
+		for _, s := range b.Succs {
+			npreds[s+1]++
+		}
+	}
+	for i := range g.Blocks {
+		npreds[i+1] += npreds[i]
+	}
+	preds := make([]int, len(succs))
+	for i := range g.Blocks {
+		g.Blocks[i].Preds = preds[npreds[i]:npreds[i]:npreds[i+1]]
 	}
 	for i := range g.Blocks {
 		for _, s := range g.Blocks[i].Succs {
-			g.Blocks[s].Preds = appendUnique(g.Blocks[s].Preds, i)
+			g.Blocks[s].Preds = append(g.Blocks[s].Preds, i)
 		}
 	}
 	return g, nil
-}
-
-func appendUnique(s []int, v int) []int {
-	for _, have := range s {
-		if have == v {
-			return s
-		}
-	}
-	return append(s, v)
 }
 
 // BlockOf returns the ID of the block containing instruction index i.

@@ -41,15 +41,20 @@ func Compile(prog *ebpf.Program, opts Options) (*Pipeline, error) {
 		elided = n
 	}
 
-	final, removed, err := deadCodeElim(a)
+	a, removed, err := deadCodeElim(a)
 	if err != nil {
 		return nil, fmt.Errorf("core: %q: %w", prog.Name, err)
 	}
-	if a, err = analyze(final); err != nil {
+
+	wiring, err := wiringSet(a)
+	if err != nil {
 		return nil, fmt.Errorf("core: %q: %w", prog.Name, err)
 	}
-
-	wiring := wiringSet(a)
+	for _, w := range wiring {
+		if w {
+			removed++
+		}
+	}
 	fused := map[int]int{}
 	if !opts.DisableFusion {
 		fused = fusePairs(a, wiring)
@@ -68,7 +73,7 @@ func Compile(prog *ebpf.Program, opts Options) (*Pipeline, error) {
 		Stages:              stages,
 		Blocks:              blocks,
 		ElidedBoundsChecks:  elided,
-		RemovedInstructions: removed + len(wiring),
+		RemovedInstructions: removed,
 		FusedPairs:          len(fused),
 	}
 
@@ -292,8 +297,9 @@ func packetBytesNeeded(op *Op) int {
 }
 
 // applyPruning computes the registers and stack bytes each stage must
-// carry (Section 4.3), using reaching definitions so values are dropped
-// both after their last use and before their first definition.
+// carry (Section 4.3): registers from their def-use intervals
+// (carryRegs), stack bytes written at an earlier stage and read at this
+// stage or later.
 func (p *Pipeline) applyPruning() {
 	n := len(p.Stages)
 	if p.Options.DisablePruning {
@@ -305,38 +311,7 @@ func (p *Pipeline) applyPruning() {
 		return
 	}
 
-	stageOf := make(map[int]int) // instruction index -> stage
-	for s := range p.Stages {
-		for i := range p.Stages[s].Ops {
-			op := &p.Stages[s].Ops[i]
-			stageOf[op.Index] = s
-			for _, f := range op.FusedIdx {
-				stageOf[f] = s
-			}
-		}
-	}
-
-	rd := p.reachingDefs()
-
-	// One register-use mask per scheduled instruction, derived once: the
-	// rule below asks it for every (stage, register, instruction).
-	uses := make([]uint16, len(p.Transformed.Instructions))
-	for i := range stageOf {
-		for _, u := range effectiveUses(p.Info, i) {
-			uses[i] |= 1 << u
-		}
-	}
-
-	// carried[r] per stage via the reaching-definition rule.
-	for s := 0; s < n; s++ {
-		var mask uint16
-		for r := ebpf.R0; r <= ebpf.R10; r++ {
-			if p.carriedReg(rd, stageOf, uses, r, s) {
-				mask |= 1 << r
-			}
-		}
-		p.Stages[s].CarryRegs = mask
-	}
+	p.carryRegs()
 
 	// Stack: bytes written at an earlier stage and read at this stage or
 	// later.
@@ -364,146 +339,92 @@ func (p *Pipeline) applyPruning() {
 	}
 }
 
-// defSite is one register definition in the transformed program.
-type defSite struct {
-	index int // instruction index; -1 for the entry pseudo-definition
-	reg   ebpf.Register
-}
-
-// reachingInfo holds reaching-definition sets per instruction.
-type reachingInfo struct {
-	sites []defSite
-	in    [][]uint64 // per instruction, bitset over sites
-}
-
-func (p *Pipeline) reachingDefs() *reachingInfo {
+// carryRegs sets every stage's CarryRegs in one forward pass over the
+// blocks in pipeline order. Each (use, reaching definition) pair of a
+// register latches it over the stages (defStage, useStage]: the value is
+// dropped before its first definition and after its last use. The
+// architectural inputs R1 and R10 are defined before stage 0; a
+// definition left unscheduled as wiring kills without latching. Only
+// the earliest reaching definition of a use matters, so the pass tracks
+// per register the earliest stage among its reaching definitions.
+func (p *Pipeline) carryRegs() {
+	n := len(p.Stages)
 	prog := p.Transformed
 	g := p.Info.Graph
-	n := len(prog.Instructions)
 
-	var sites []defSite
-	siteIdx := map[[2]int]int{}
-	addSite := func(index int, reg ebpf.Register) int {
-		key := [2]int{index, int(reg)}
-		if i, ok := siteIdx[key]; ok {
-			return i
-		}
-		sites = append(sites, defSite{index: index, reg: reg})
-		siteIdx[key] = len(sites) - 1
-		return len(sites) - 1
+	// stageOf[i] is the stage of instruction i, -1 when unscheduled.
+	stageOf := make([]int, len(prog.Instructions))
+	for i := range stageOf {
+		stageOf[i] = -1
 	}
-	// Entry definitions for the architectural inputs.
-	addSite(-1, ebpf.R1)
-	addSite(-1, ebpf.R10)
-	for i := 0; i < n; i++ {
-		for _, r := range prog.Instructions[i].Defs() {
-			addSite(i, r)
+	for s := range p.Stages {
+		for i := range p.Stages[s].Ops {
+			op := &p.Stages[s].Ops[i]
+			stageOf[op.Index] = s
+			for _, f := range op.FusedIdx {
+				stageOf[f] = s
+			}
 		}
 	}
-	words := (len(sites) + 63) / 64
 
-	set := func(b []uint64, i int) { b[i/64] |= 1 << (i % 64) }
-	clear := func(b []uint64, i int) { b[i/64] &^= 1 << (i % 64) }
-	has := func(b []uint64, i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
-
-	// Per-register kill masks.
-	killOf := make([][]uint64, ebpf.NumRegisters)
-	for r := range killOf {
-		killOf[r] = make([]uint64, words)
+	// first[r] is the earliest stage among the latching reaching
+	// definitions of r; none (n) when it has none.
+	type firstDef [ebpf.NumRegisters]int
+	none := n
+	var unset firstDef
+	for r := range unset {
+		unset[r] = none
 	}
-	for i, s := range sites {
-		set(killOf[s.reg], i)
-	}
-
-	in := make([][]uint64, n)
-	for i := range in {
-		in[i] = make([]uint64, words)
-	}
-	blockOut := make([][]uint64, len(g.Blocks))
+	blockOut := make([]firstDef, len(g.Blocks))
 	for b := range blockOut {
-		blockOut[b] = make([]uint64, words)
+		blockOut[b] = unset
 	}
-	entry := make([]uint64, words)
-	set(entry, siteIdx[[2]int{-1, int(ebpf.R1)}])
-	set(entry, siteIdx[[2]int{-1, int(ebpf.R10)}])
 
-	changed := true
-	for changed {
-		changed = false
-		for b := range g.Blocks {
-			blk := g.Blocks[b]
-			cur := make([]uint64, words)
-			if b == 0 {
-				copy(cur, entry)
+	// delta[s][r] is the number of r's intervals that open at stage s
+	// less the number that closed at the stage before.
+	delta := make([][ebpf.NumRegisters]int16, n+1)
+	for _, bi := range p.Blocks {
+		blk := g.Blocks[bi.ID]
+		cur := unset
+		if bi.ID == 0 {
+			cur[ebpf.R1], cur[ebpf.R10] = -1, -1
+		}
+		for _, pred := range blk.Preds {
+			for r := range cur {
+				cur[r] = min(cur[r], blockOut[pred][r])
 			}
-			for _, pred := range blk.Preds {
-				for w := range cur {
-					cur[w] |= blockOut[pred][w]
-				}
-			}
-			for i := blk.Start; i < blk.End; i++ {
-				if !bitsEqual(in[i], cur) {
-					copy(in[i], cur)
-					changed = true
-				}
-				for m := prog.Instructions[i].DefMask(); m != 0; m &= m - 1 {
+		}
+		for i := blk.Start; i < blk.End; i++ {
+			at := stageOf[i]
+			if at >= 0 {
+				for m := effectiveUses(p.Info, i); m != 0; m &= m - 1 {
 					r := bits.TrailingZeros16(m)
-					for w := range cur {
-						cur[w] &^= killOf[r][w]
+					if def := cur[r]; def < at {
+						delta[def+1][r]++
+						delta[at+1][r]--
 					}
-					set(cur, siteIdx[[2]int{i, r}])
-					_ = clear
-					_ = has
 				}
+			} else {
+				at = none
 			}
-			if !bitsEqual(blockOut[b], cur) {
-				copy(blockOut[b], cur)
-				changed = true
+			for m := prog.Instructions[i].DefMask(); m != 0; m &= m - 1 {
+				cur[bits.TrailingZeros16(m)] = at
 			}
 		}
+		blockOut[bi.ID] = cur
 	}
-	return &reachingInfo{sites: sites, in: in}
-}
 
-func bitsEqual(a, b []uint64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	var open [ebpf.NumRegisters]int16
+	for s := 0; s < n; s++ {
+		var mask uint16
+		for r := range open {
+			open[r] += delta[s][r]
+			if open[r] > 0 {
+				mask |= 1 << r
+			}
 		}
+		p.Stages[s].CarryRegs = mask
 	}
-	return true
-}
-
-// carriedReg reports whether register r must be latched into stage s:
-// some instruction at stage >= s uses r, and one of its reaching
-// definitions lies at a stage < s (or is an architectural input).
-func (p *Pipeline) carriedReg(rd *reachingInfo, stageOf map[int]int, uses []uint16, r ebpf.Register, s int) bool {
-	for i := range uses {
-		// A set bit implies i is scheduled: only those were masked.
-		if uses[i]&(1<<r) == 0 || stageOf[i] < s {
-			continue
-		}
-		for siteID, site := range rd.sites {
-			if site.reg != r {
-				continue
-			}
-			if rd.in[i][siteID/64]&(1<<(siteID%64)) == 0 {
-				continue
-			}
-			defStage := -1
-			if site.index >= 0 {
-				ds, ok := stageOf[site.index]
-				if !ok {
-					continue
-				}
-				defStage = ds
-			}
-			if defStage < s {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // stackBits is a 512-bit set over stack bytes.
@@ -523,20 +444,23 @@ func (a stackBits) and(b stackBits) stackBits {
 	return a
 }
 
+// bounds returns the smallest byte range [lo, hi) holding every set
+// byte; lo == hi == 0 when none is set.
 func (a stackBits) bounds() (lo, hi int) {
-	lo, hi = 0, 0
-	first := true
-	for b := 0; b < ebpf.StackSize; b++ {
-		if a[b/64]&(1<<(b%64)) == 0 {
+	first, last := -1, -1
+	for w, word := range a {
+		if word == 0 {
 			continue
 		}
-		if first {
-			lo = b
-			first = false
+		if first < 0 {
+			first = w*64 + bits.TrailingZeros64(word)
 		}
-		hi = b + 1
+		last = w*64 + bits.Len64(word)
 	}
-	return lo, hi
+	if first < 0 {
+		return 0, 0
+	}
+	return first, last
 }
 
 func setStackRange(s *stackBits, off int64, size int) {

@@ -15,7 +15,7 @@ import (
 //
 // The result maps the second instruction's index to the first's; fused
 // instructions evaluate combinationally inside one stage.
-func fusePairs(a *analysis, wiring map[int]bool) map[int]int {
+func fusePairs(a *analysis, wiring []bool) map[int]int {
 	fused := map[int]int{}
 	for b := range a.g.Blocks {
 		blk := a.g.Blocks[b]
@@ -67,17 +67,34 @@ type scheduleUnit struct {
 	head  int
 	fused []int
 	ends  bool // fires the block's successor enables
+
+	// defs and uses are the registers the members write and read; mem
+	// marks a member that touches memory or calls a helper.
+	defs, uses uint16
+	mem        bool
 }
 
-func (u *scheduleUnit) members() []int {
-	return append([]int{u.head}, u.fused...)
+// add makes instruction i a member of the unit's masks.
+func (u *scheduleUnit) add(info *ddg.Info, i int) {
+	u.defs |= info.Prog.Instructions[i].DefMask()
+	u.uses |= info.UseMask(i)
+	u.mem = u.mem || info.Accesses[i] != nil || info.Prog.Instructions[i].IsCall()
+}
+
+// member returns the unit's k-th instruction: the head, then the fused
+// instructions in order.
+func (u *scheduleUnit) member(k int) int {
+	if k == 0 {
+		return u.head
+	}
+	return u.fused[k-1]
 }
 
 // schedule lays the program out as pipeline stages: each reachable block
 // is list-scheduled into rows of independent units (Section 3.3), the
 // rows of all blocks are concatenated in topological order, and helper
 // calls expand into their block's pipeline depth.
-func schedule(a *analysis, opts Options, fused map[int]int, wiring map[int]bool) ([]Stage, []BlockInfo, error) {
+func schedule(a *analysis, opts Options, fused map[int]int, wiring []bool) ([]Stage, []BlockInfo, error) {
 	order, err := a.g.TopologicalBlocks()
 	if err != nil {
 		return nil, nil, err
@@ -87,7 +104,7 @@ func schedule(a *analysis, opts Options, fused map[int]int, wiring map[int]bool)
 	unitsOf := make(map[int][]scheduleUnit, len(order))
 	for _, b := range order {
 		blk := a.g.Blocks[b]
-		var units []scheduleUnit
+		units := make([]scheduleUnit, 0, blk.End-blk.Start)
 		for i := blk.Start; i < blk.End; i++ {
 			if wiring[i] {
 				continue
@@ -97,25 +114,38 @@ func schedule(a *analysis, opts Options, fused map[int]int, wiring map[int]bool)
 				for k := range units {
 					if units[k].head == head {
 						units[k].fused = append(units[k].fused, i)
+						units[k].add(a.info, i)
 					}
 				}
 				continue
 			}
 			units = append(units, scheduleUnit{head: i})
+			units[len(units)-1].add(a.info, i)
 		}
 		if len(units) == 0 {
 			// A block of pure address plumbing still owns a pipeline
 			// position so its enable propagates; keep its last
 			// instruction as a zero-logic op.
 			units = append(units, scheduleUnit{head: blk.End - 1})
+			units[0].add(a.info, blk.End-1)
 		}
 		unitsOf[b] = units
 	}
 
+	// Two units conflict when some pair of their members does
+	// (ddg.Info.Conflicts). The register half of that relation is a
+	// question about the units' masks; only units that both touch
+	// memory need the pairwise memory test.
 	conflicts := func(u, v *scheduleUnit) bool {
-		for _, i := range u.members() {
-			for _, j := range v.members() {
-				lo, hi := i, j
+		if u.defs&v.uses != 0 || u.uses&v.defs != 0 || u.defs&v.defs != 0 {
+			return true
+		}
+		if !u.mem || !v.mem {
+			return false
+		}
+		for k := 0; k <= len(u.fused); k++ {
+			for l := 0; l <= len(v.fused); l++ {
+				lo, hi := u.member(k), v.member(l)
 				if lo > hi {
 					lo, hi = hi, lo
 				}
@@ -182,15 +212,16 @@ func schedule(a *analysis, opts Options, fused map[int]int, wiring map[int]bool)
 		}
 
 		info := BlockInfo{ID: b, FirstStage: len(stages)}
-		rows := make([][]*scheduleUnit, nRows)
-		for i := range units {
-			rows[rowOf[i]] = append(rows[rowOf[i]], &units[i])
-		}
-		for _, row := range rows {
-			stage := Stage{Kind: StageNormal}
+		// The block's ops share one backing array, laid out row by row.
+		ops := make([]Op, 0, len(units))
+		for row := 0; row < nRows; row++ {
+			start := len(ops)
 			helperDepth := 0
-			for _, u := range row {
-				op, err := a.buildOp(u, b)
+			for i := range units {
+				if rowOf[i] != row {
+					continue
+				}
+				op, err := a.buildOp(&units[i], b)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -199,9 +230,9 @@ func schedule(a *analysis, opts Options, fused map[int]int, wiring map[int]bool)
 						helperDepth = d
 					}
 				}
-				stage.Ops = append(stage.Ops, op)
+				ops = append(ops, op)
 			}
-			stages = append(stages, stage)
+			stages = append(stages, Stage{Kind: StageNormal, Ops: ops[start:len(ops):len(ops)]})
 			// A pipelined helper block occupies additional stages between
 			// its inputs and its R0 output (Section 3.4.2).
 			for d := 1; d < helperDepth; d++ {

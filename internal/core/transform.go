@@ -297,30 +297,22 @@ func elideBoundsChecks(a *analysis) (*ebpf.Program, int, error) {
 	return out, count, err
 }
 
-// effectiveUses drops register uses the hardware does not need: the base
-// register of statically addressed loads/stores, and the pointer
-// arguments of map helpers whose key/value stack slots are static.
-func effectiveUses(info *ddg.Info, i int) []ebpf.Register {
+// effectiveUses is the set of registers instruction i consumes in
+// hardware: its uses without the base register of a statically
+// addressed load/store and without the pointer arguments of a map
+// helper whose key/value stack slots are static.
+func effectiveUses(info *ddg.Info, i int) uint16 {
 	ins := info.Prog.Instructions[i]
-	uses := info.UsesOf(i)
-	dropReg := func(r ebpf.Register) {
-		out := uses[:0:len(uses)]
-		for _, u := range uses {
-			if u != r {
-				out = append(out, u)
-			}
-		}
-		uses = out
-	}
+	uses := info.UseMask(i)
 	if ins.IsCall() {
 		helper := ebpf.HelperID(ins.Imm)
 		if helper.AccessesMap() && info.CallMap[i] >= 0 {
-			dropReg(ebpf.R1) // the map pointer is static per call site
+			uses &^= 1 << ebpf.R1 // the map pointer is static per call site
 			if info.CallKey[i].Known {
-				dropReg(ebpf.R2)
+				uses &^= 1 << ebpf.R2
 			}
 			if helper == ebpf.HelperMapUpdateElem && info.CallVal[i].Known {
-				dropReg(ebpf.R3)
+				uses &^= 1 << ebpf.R3
 			}
 		}
 		return uses
@@ -331,9 +323,9 @@ func effectiveUses(info *ddg.Info, i int) []ebpf.Register {
 	}
 	switch ins.Class() {
 	case ebpf.ClassLDX:
-		dropReg(ins.Src)
+		uses &^= 1 << ins.Src
 	case ebpf.ClassST, ebpf.ClassSTX:
-		dropReg(ins.Dst)
+		uses &^= 1 << ins.Dst
 	}
 	return uses
 }
@@ -351,108 +343,57 @@ func hasSideEffects(ins ebpf.Instruction) bool {
 	}
 }
 
+// pure reports whether instruction i of a may be removed when its
+// results are dead.
+func (a *analysis) pure(i int) bool { return !hasSideEffects(a.prog.Instructions[i]) }
+
 // wiringSet classifies the instructions that produce no hardware at all:
 // side-effect-free definitions whose every use was elided because the
 // consuming access resolves to a static address. These are the address
 // computations of Figure 8 that never appear as pipeline stages — in the
 // generated design they are wires, not logic. The instructions stay in
 // the transformed program (the provenance analysis still reads them) but
-// are not scheduled.
-func wiringSet(a *analysis) map[int]bool {
-	wiring := map[int]bool{}
-	for {
-		// Wiring instructions consume nothing themselves, so whole
-		// address-computation chains dissolve across iterations.
-		_, effLiveOut, _ := a.info.Liveness(func(i int) []ebpf.Register {
-			if wiring[i] {
-				return nil
-			}
-			return effectiveUses(a.info, i)
-		})
-		changed := false
-		for i, ins := range a.prog.Instructions {
-			if wiring[i] || hasSideEffects(ins) {
-				continue
-			}
-			defs := ins.Defs()
-			if len(defs) == 0 {
-				continue
-			}
-			dead := true
-			for _, d := range defs {
-				if effLiveOut[i]&(1<<d) != 0 {
-					dead = false
-				}
-			}
-			if dead {
-				wiring[i] = true
-				changed = true
-			}
-		}
-		if !changed {
-			return wiring
-		}
-	}
+// are not scheduled. A wiring instruction consumes nothing itself, so
+// one liveness pass over the effective uses dissolves whole
+// address-computation chains.
+func wiringSet(a *analysis) ([]bool, error) {
+	_, wiring, err := a.info.Liveness(func(i int) uint16 { return effectiveUses(a.info, i) }, a.pure)
+	return wiring, err
 }
 
-// deadCodeElim iteratively removes side-effect-free instructions whose
-// results are dead (under the full register uses, so the provenance
-// analysis stays valid), plus unreachable blocks.
-func deadCodeElim(a *analysis) (*ebpf.Program, int, error) {
-	removedTotal := 0
-	cur := a
-	for {
-		_, liveOut, _ := cur.info.Liveness(cur.info.UsesOf)
-		drop := map[int]bool{}
-		reach := cur.g.Reachable()
-		for b := range cur.g.Blocks {
-			if reach[b] {
-				continue
-			}
-			for i := cur.g.Blocks[b].Start; i < cur.g.Blocks[b].End; i++ {
+// deadCodeElim removes unreachable blocks and the side-effect-free
+// instructions whose results are dead under the full register uses (so
+// the provenance analysis stays valid), in one liveness pass and one
+// rewrite. It returns the analysis of the result and how many
+// instructions it removed.
+func deadCodeElim(a *analysis) (*analysis, int, error) {
+	_, dead, err := a.info.Liveness(a.info.UseMask, a.pure)
+	if err != nil {
+		return nil, 0, err
+	}
+	drop := map[int]bool{}
+	reach := a.g.Reachable()
+	for b, blk := range a.g.Blocks {
+		for i := blk.Start; i < blk.End; i++ {
+			if !reach[b] || dead[i] {
 				drop[i] = true
 			}
 		}
-		for i, ins := range cur.prog.Instructions {
-			if drop[i] || hasSideEffects(ins) {
-				continue
-			}
-			defs := ins.Defs()
-			if len(defs) == 0 {
-				continue
-			}
-			dead := true
-			for _, d := range defs {
-				if liveOut[i]&(1<<d) != 0 {
-					dead = false
-				}
-			}
-			if dead {
-				drop[i] = true
-			}
-		}
-		if len(drop) == 0 {
-			return cur.prog, removedTotal, nil
-		}
-		removedTotal += len(drop)
-		next, err := rewrite(cur.prog, drop, nil)
-		if err != nil {
-			return nil, 0, err
-		}
-		cur, err = analyzeWithCache(next)
-		if err != nil {
-			return nil, 0, err
-		}
 	}
-}
-
-func analyzeWithCache(prog *ebpf.Program) (*analysis, error) {
-	return analyze(prog)
+	if len(drop) == 0 {
+		return a, 0, nil
+	}
+	next, err := rewrite(a.prog, drop, nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	out, err := analyze(next)
+	return out, len(drop), err
 }
 
 // EffectiveUses exposes the hardware-level register uses of an
 // instruction (base registers of statically addressed accesses elided)
 // for the simulator's pruning-soundness checks.
-func EffectiveUses(info *ddg.Info, i int) []ebpf.Register {
+func EffectiveUses(info *ddg.Info, i int) uint16 {
 	return effectiveUses(info, i)
 }

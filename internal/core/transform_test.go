@@ -200,7 +200,10 @@ call 1
 r0 = 2
 exit
 `)
-	wiring := wiringSet(a)
+	wiring, err := wiringSet(a)
+	if err != nil {
+		t.Fatal(err)
+	}
 	wantWired := map[string]bool{
 		"r2 = *(u32 *)(r1 + 0)": true, // packet base: all uses elided
 		"r2 = r10":              true, // key pointer chain
@@ -229,7 +232,10 @@ r2 += r3
 r0 = *(u8 *)(r2 + 1)
 exit
 `)
-	wiring := wiringSet(a)
+	wiring, err := wiringSet(a)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, ins := range a.prog.Instructions {
 		if ins.String() == "r2 = *(u32 *)(r1 + 0)" && wiring[i] {
 			t.Error("dynamic access base wrongly dissolved")
@@ -260,7 +266,7 @@ exit
 	if removed < 2 {
 		t.Errorf("removed %d instructions, want the unreachable block", removed)
 	}
-	for _, ins := range out.Instructions {
+	for _, ins := range out.prog.Instructions {
 		if ins.Class().IsALU() && ins.Imm == 99 {
 			t.Error("unreachable instruction survived DCE")
 		}

@@ -1,7 +1,6 @@
 package ddg
 
 import (
-	"math/bits"
 	"testing"
 
 	"ehdl/internal/asm"
@@ -199,7 +198,10 @@ r0 = r2
 r0 += r3
 exit
 `)
-	liveIn, liveOut, _ := info.Liveness(info.UsesOf)
+	liveOut, _, err := info.Liveness(info.UseMask, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// After instruction 1 (r3 = r2), r2 is dead (it is re-assigned at 2).
 	if liveOut[1]&(1<<ebpf.R2) != 0 {
 		t.Error("r2 live after its last use")
@@ -208,64 +210,39 @@ exit
 	if liveOut[2]&(1<<ebpf.R3) == 0 {
 		t.Error("r3 dead while still needed")
 	}
-	// R0 is live at exit.
+	// R0 is live into the exit.
 	last := len(info.Prog.Instructions) - 1
-	if liveIn[last]&(1<<ebpf.R0) == 0 {
+	if liveOut[last-1]&(1<<ebpf.R0) == 0 {
 		t.Error("r0 dead at exit")
 	}
 }
 
-// stackBytesLive counts the live stack bytes before instruction i.
-func stackBytesLive(info *Info, i int) int {
-	_, _, stackLiveIn := info.Liveness(info.UsesOf)
-	count := 0
-	for _, w := range stackLiveIn[i] {
-		count += bits.OnesCount64(w)
-	}
-	return count
-}
-
-func TestStackLiveness(t *testing.T) {
+// TestLivenessMarksChainsDead: a definition that feeds only removable
+// dead instructions is itself dead, in the same pass, and a dead
+// instruction kills nothing.
+func TestLivenessMarksChainsDead(t *testing.T) {
 	info := analyze(t, `
-*(u32 *)(r10 - 4) = 7
-*(u32 *)(r10 - 8) = 8
-r2 = *(u32 *)(r10 - 4)
-r0 = r2
+r2 = 1
+r3 = r2
+r3 += 4
+r0 = 2
+if r0 == 2 goto out
+r4 = r0
+out:
 exit
 `)
-	// Before instruction 2 the four bytes at -4 are live.
-	live := stackBytesLive(info, 2)
-	if live != 4 {
-		t.Errorf("live stack bytes before the load = %d, want 4", live)
+	liveOut, dead, err := info.Liveness(info.UseMask, func(i int) bool { return info.Prog.Instructions[i].Class().IsALU() })
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Before instruction 0 nothing is live (the store kills its bytes).
-	if got := stackBytesLive(info, 0); got != 0 {
-		t.Errorf("live stack bytes at entry = %d, want 0", got)
-	}
-}
-
-func TestStackLivenessAcrossCall(t *testing.T) {
-	info := analyze(t, `
-map m hash key=4 value=8 entries=8
-
-*(u32 *)(r10 - 4) = 7
-r1 = map[m] ll
-r2 = r10
-r2 += -4
-call 1
-r0 = 0
-exit
-`)
-	// The call consumes the key from the stack: the frame must be live
-	// before it.
-	callIdx := -1
-	for i, ins := range info.Prog.Instructions {
-		if ins.IsCall() {
-			callIdx = i
+	want := []bool{true, true, true, false, false, true, false}
+	for i := range want {
+		if dead[i] != want[i] {
+			t.Errorf("instruction %d (%s): dead = %v, want %v", i, info.Prog.Instructions[i], dead[i], want[i])
 		}
 	}
-	if got := stackBytesLive(info, callIdx); got == 0 {
-		t.Error("stack dead before a map call that reads the key from it")
+	if liveOut[3] != 1<<ebpf.R0 {
+		t.Errorf("live after r0 = 2: %#x, want r0", liveOut[3])
 	}
 }
 
@@ -342,9 +319,8 @@ func TestHelperUsesRefinement(t *testing.T) {
 		if !ins.IsCall() {
 			continue
 		}
-		uses := info.UsesOf(i)
-		if len(uses) != 2 {
-			t.Errorf("lookup call uses %v, want [r1 r2]", uses)
+		if uses := info.UseMask(i); uses != 1<<ebpf.R1|1<<ebpf.R2 {
+			t.Errorf("lookup call uses %#x, want r1 and r2", uses)
 		}
 	}
 }

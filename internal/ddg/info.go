@@ -75,19 +75,21 @@ func Analyze(g *cfg.Graph) (*Info, error) {
 
 	states := analyzeProvenance(g, info.MapIDOfLDDW)
 
+	// The labels live in one array; Accesses points into it.
+	labels := make([]Access, n)
 	for i, ins := range prog.Instructions {
 		st := states[i]
 		switch cls := ins.Class(); {
 		case cls == ebpf.ClassLDX:
-			acc, err := accessOf(st[ins.Src], ins.Off, ins.MemSize().Bytes())
-			if err != nil {
+			acc := &labels[i]
+			if err := acc.label(st[ins.Src], ins.Off, ins.MemSize().Bytes()); err != nil {
 				return nil, fmt.Errorf("ddg: instruction %d (%s): %w", i, ins, err)
 			}
 			acc.Read = true
 			info.Accesses[i] = acc
 		case cls == ebpf.ClassST, cls == ebpf.ClassSTX:
-			acc, err := accessOf(st[ins.Dst], ins.Off, ins.MemSize().Bytes())
-			if err != nil {
+			acc := &labels[i]
+			if err := acc.label(st[ins.Dst], ins.Off, ins.MemSize().Bytes()); err != nil {
 				return nil, fmt.Errorf("ddg: instruction %d (%s): %w", i, ins, err)
 			}
 			acc.Write = true
@@ -106,13 +108,14 @@ func Analyze(g *cfg.Graph) (*Info, error) {
 					return nil, fmt.Errorf("ddg: instruction %d (%s): R1 does not hold a map pointer", i, ins)
 				}
 				info.CallMap[i] = r1.mapID
-				info.Accesses[i] = &Access{
+				labels[i] = Access{
 					Area:  AreaMap,
 					MapID: r1.mapID,
 					Size:  prog.Maps[r1.mapID].ValueSize,
 					Read:  true,
 					Write: helper.WritesMap(),
 				}
+				info.Accesses[i] = &labels[i]
 				if r2 := st[ebpf.R2]; r2.kind == pvStack && r2.offKnown {
 					info.CallKey[i] = ArgLoc{Off: r2.off, Known: true}
 				}
@@ -127,201 +130,92 @@ func Analyze(g *cfg.Graph) (*Info, error) {
 	return info, nil
 }
 
-func accessOf(base pv, off int16, size int) (*Access, error) {
+// label sets the area, map and offset of an access through base plus
+// off of size bytes.
+func (a *Access) label(base pv, off int16, size int) error {
 	area := base.kind.area()
 	if area == AreaNone {
-		return nil, errUntracked
+		return errUntracked
 	}
-	return &Access{
+	*a = Access{
 		Area:     area,
 		MapID:    base.mapID,
 		Off:      base.off + int64(off),
 		OffKnown: base.offKnown,
 		Size:     size,
-	}, nil
-}
-
-// helperUses returns the argument registers a helper actually reads,
-// refining the conservative R1-R5 of Instruction.Uses.
-func helperUses(id ebpf.HelperID) []ebpf.Register {
-	switch id {
-	case ebpf.HelperMapLookupElem, ebpf.HelperMapDeleteElem:
-		return []ebpf.Register{ebpf.R1, ebpf.R2}
-	case ebpf.HelperMapUpdateElem:
-		return []ebpf.Register{ebpf.R1, ebpf.R2, ebpf.R3, ebpf.R4}
-	case ebpf.HelperRedirect:
-		return []ebpf.Register{ebpf.R1, ebpf.R2}
-	case ebpf.HelperRedirectMap:
-		return []ebpf.Register{ebpf.R1, ebpf.R2, ebpf.R3}
-	case ebpf.HelperXDPAdjustHead, ebpf.HelperXDPAdjustTail:
-		return []ebpf.Register{ebpf.R1, ebpf.R2}
-	case ebpf.HelperL3CsumReplace, ebpf.HelperL4CsumReplace:
-		return []ebpf.Register{ebpf.R1, ebpf.R2, ebpf.R3, ebpf.R4, ebpf.R5}
 	}
 	return nil
 }
 
-// UsesOf returns the registers instruction i reads, with helper-call
-// argument refinement.
-func (in *Info) UsesOf(i int) []ebpf.Register {
+// helperUseMask returns the argument registers a helper actually reads,
+// refining the conservative R1-R5 of Instruction.UseMask.
+func helperUseMask(id ebpf.HelperID) uint16 {
+	const r1, r2, r3, r4, r5 = 1 << ebpf.R1, 1 << ebpf.R2, 1 << ebpf.R3, 1 << ebpf.R4, 1 << ebpf.R5
+	switch id {
+	case ebpf.HelperMapLookupElem, ebpf.HelperMapDeleteElem:
+		return r1 | r2
+	case ebpf.HelperMapUpdateElem:
+		return r1 | r2 | r3 | r4
+	case ebpf.HelperRedirect:
+		return r1 | r2
+	case ebpf.HelperRedirectMap:
+		return r1 | r2 | r3
+	case ebpf.HelperXDPAdjustHead, ebpf.HelperXDPAdjustTail:
+		return r1 | r2
+	case ebpf.HelperL3CsumReplace, ebpf.HelperL4CsumReplace:
+		return r1 | r2 | r3 | r4 | r5
+	}
+	return 0
+}
+
+// UseMask returns the registers instruction i reads as a bit set, with
+// helper-call argument refinement.
+func (in *Info) UseMask(i int) uint16 {
 	ins := in.Prog.Instructions[i]
 	if ins.IsCall() {
-		return helperUses(ebpf.HelperID(ins.Imm))
+		return helperUseMask(ebpf.HelperID(ins.Imm))
 	}
-	return ins.Uses()
+	return ins.UseMask()
 }
 
-func regMask(regs []ebpf.Register) uint16 {
-	var m uint16
-	for _, r := range regs {
-		m |= 1 << r
-	}
-	return m
-}
-
-type stackSet = [8]uint64
-
-func stackRange(off int64, size int) (lo, hi int, ok bool) {
-	// off is relative to R10 (the frame top); valid bytes are [-512, 0).
-	lo = int(off) + ebpf.StackSize
-	hi = lo + size
-	if lo < 0 || hi > ebpf.StackSize {
-		return 0, 0, false
-	}
-	return lo, hi, true
-}
-
-func stackSetBits(s *stackSet, lo, hi int) {
-	for b := lo; b < hi; b++ {
-		s[b/64] |= 1 << (b % 64)
-	}
-}
-
-func stackClearBits(s *stackSet, lo, hi int) {
-	for b := lo; b < hi; b++ {
-		s[b/64] &^= 1 << (b % 64)
-	}
-}
-
-func stackUnion(a, b stackSet) stackSet {
-	var out stackSet
-	for i := range out {
-		out[i] = a[i] | b[i]
-	}
-	return out
-}
-
-func fullStack() stackSet {
-	var s stackSet
-	for i := range s {
-		s[i] = ^uint64(0)
-	}
-	return s
-}
-
-// Liveness runs the backward data-flow for registers and stack bytes at
-// instruction granularity, with a caller-supplied register use function
-// (UsesOf, or one that drops the base registers of statically addressed
-// memory accesses). liveIn[i] and liveOut[i] are the registers live
-// before and after instruction i; stackLiveIn[i] marks the stack bytes
-// live before it (bit k = byte at R10-512+k).
-func (in *Info) Liveness(uses func(i int) []ebpf.Register) (liveIn, liveOut []uint16, stackLiveIn [][8]uint64) {
+// Liveness runs register liveness backward over the acyclic program in
+// one pass: reachable blocks in reverse topological order, each block's
+// instructions last to first. uses(i) is the set of registers
+// instruction i reads. An instruction that removable accepts, that
+// defines registers and none of whose definitions is live after it is
+// dead: it reads and kills nothing, so a chain of definitions feeding
+// only dead instructions dies in the same pass — the fixpoint of
+// repeated liveness-and-removal rounds, reached at once because the
+// graph has no back edge. liveOut[i] is the set of registers live after
+// instruction i. A nil removable removes nothing.
+func (in *Info) Liveness(uses func(i int) uint16, removable func(i int) bool) (liveOut []uint16, dead []bool, err error) {
 	g := in.Graph
+	order, err := g.TopologicalBlocks()
+	if err != nil {
+		return nil, nil, err
+	}
 	n := len(in.Prog.Instructions)
-	liveIn = make([]uint16, n)
 	liveOut = make([]uint16, n)
-	stackLiveIn = make([][8]uint64, n)
-
-	blockLiveOut := make([]uint16, len(g.Blocks))
-	blockStackOut := make([]stackSet, len(g.Blocks))
-
-	changed := true
-	for changed {
-		changed = false
-		for b := len(g.Blocks) - 1; b >= 0; b-- {
-			blk := g.Blocks[b]
-			live := blockLiveOut[b]
-			stk := blockStackOut[b]
-			for i := blk.End - 1; i >= blk.Start; i-- {
-				liveOut[i] = live
-				live = live&^in.Prog.Instructions[i].DefMask() | regMask(uses(i))
-				stk = in.stackStep(i, stk)
-				if liveIn[i] != live {
-					liveIn[i] = live
-					changed = true
-				}
-				if stackLiveIn[i] != stk {
-					stackLiveIn[i] = stk
-					changed = true
-				}
+	dead = make([]bool, n)
+	blockLiveIn := make([]uint16, len(g.Blocks))
+	for k := len(order) - 1; k >= 0; k-- {
+		blk := g.Blocks[order[k]]
+		var live uint16
+		for _, s := range blk.Succs {
+			live |= blockLiveIn[s]
+		}
+		for i := blk.End - 1; i >= blk.Start; i-- {
+			liveOut[i] = live
+			def := in.Prog.Instructions[i].DefMask()
+			if removable != nil && def != 0 && def&live == 0 && removable(i) {
+				dead[i] = true
+				continue
 			}
-			for _, p := range blk.Preds {
-				merged := blockLiveOut[p] | live
-				if merged != blockLiveOut[p] {
-					blockLiveOut[p] = merged
-					changed = true
-				}
-				ms := stackUnion(blockStackOut[p], stk)
-				if ms != blockStackOut[p] {
-					blockStackOut[p] = ms
-					changed = true
-				}
-			}
+			live = live&^def | uses(i)
 		}
+		blockLiveIn[order[k]] = live
 	}
-	return liveIn, liveOut, stackLiveIn
-}
-
-// stackStep applies one instruction's effect to the stack live set.
-func (in *Info) stackStep(i int, out stackSet) stackSet {
-	acc := in.Accesses[i]
-	ins := in.Prog.Instructions[i]
-
-	if ins.IsCall() {
-		helper := ebpf.HelperID(ins.Imm)
-		if !helper.AccessesMap() {
-			return out
-		}
-		spec := in.Prog.Maps[in.CallMap[i]]
-		// The key (and value for updates) is read through R2/R3, almost
-		// always from the stack. With tracked argument offsets only those
-		// slots stay live; otherwise the safe answer keeps the frame.
-		if !in.CallKey[i].Known {
-			return fullStack()
-		}
-		if lo, hi, ok := stackRange(in.CallKey[i].Off, spec.KeySize); ok {
-			stackSetBits(&out, lo, hi)
-		}
-		if helper == ebpf.HelperMapUpdateElem {
-			if !in.CallVal[i].Known {
-				return fullStack()
-			}
-			if lo, hi, ok := stackRange(in.CallVal[i].Off, spec.ValueSize); ok {
-				stackSetBits(&out, lo, hi)
-			}
-		}
-		return out
-	}
-	if acc == nil || acc.Area != AreaStack {
-		return out
-	}
-	if !acc.OffKnown {
-		if acc.Read {
-			return fullStack()
-		}
-		return out // write at an unknown offset kills nothing
-	}
-	lo, hi, ok := stackRange(acc.Off, acc.Size)
-	if !ok {
-		return out
-	}
-	if acc.Write && !acc.Read {
-		stackClearBits(&out, lo, hi)
-	}
-	if acc.Read {
-		stackSetBits(&out, lo, hi)
-	}
-	return out
+	return liveOut, dead, nil
 }
 
 // Conflicts reports whether instructions i and j (i before j in program
@@ -331,8 +225,7 @@ func (in *Info) stackStep(i int, out stackSet) stackSet {
 func (in *Info) Conflicts(i, j int) bool {
 	defsI := in.Prog.Instructions[i].DefMask()
 	defsJ := in.Prog.Instructions[j].DefMask()
-	usesI := regMask(in.UsesOf(i))
-	usesJ := regMask(in.UsesOf(j))
+	usesI, usesJ := in.UseMask(i), in.UseMask(j)
 	if defsI&usesJ != 0 || usesI&defsJ != 0 || defsI&defsJ != 0 {
 		return true
 	}

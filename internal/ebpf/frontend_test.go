@@ -19,8 +19,30 @@ func refBranchTarget(p *ebpf.Program, i int) (int, bool) {
 	return idx, ok
 }
 
+// refWrites is the per-register definition DefMask replaces: whether
+// ins defines reg, one register at a time.
+func refWrites(ins ebpf.Instruction, reg ebpf.Register) bool {
+	switch cls := ins.Class(); {
+	case cls.IsALU(), cls == ebpf.ClassLDX:
+		return ins.Dst == reg
+	case cls == ebpf.ClassLD:
+		return ins.IsLoadImm64() && ins.Dst == reg
+	case ins.IsAtomic():
+		switch op := ins.AtomicOp(); {
+		case op == ebpf.AtomicCmpXchg:
+			return reg == ebpf.R0
+		case op&ebpf.AtomicFetch != 0 || op == ebpf.AtomicXchg:
+			return ins.Src == reg
+		}
+		return false
+	case ins.IsCall():
+		return reg <= ebpf.R5
+	}
+	return false
+}
+
 // checkFrontEnd holds BranchTarget to the slot-table definition and
-// DefMask to Defs on every instruction of p.
+// DefMask to the per-register definition on every instruction of p.
 func checkFrontEnd(p *ebpf.Program) error {
 	for i, ins := range p.Instructions {
 		gotIdx, gotOK := p.BranchTarget(i)
@@ -30,11 +52,13 @@ func checkFrontEnd(p *ebpf.Program) error {
 				i, ins, gotIdx, gotOK, wantIdx, wantOK)
 		}
 		var want uint16
-		for _, r := range ins.Defs() {
-			want |= 1 << r
+		for r := ebpf.R0; r <= ebpf.R10; r++ {
+			if refWrites(ins, r) {
+				want |= 1 << r
+			}
 		}
 		if got := ins.DefMask(); got != want {
-			return fmt.Errorf("instruction %d (%s): DefMask = %#x, Defs = %v", i, ins, got, ins.Defs())
+			return fmt.Errorf("instruction %d (%s): DefMask = %#x, want %#x", i, ins, got, want)
 		}
 	}
 	return nil

@@ -122,7 +122,13 @@ func TestDefsUses(t *testing.T) {
 		{Call(HelperMapLookupElem), []Register{R0, R1, R2, R3, R4, R5}, []Register{R1, R2, R3, R4, R5}},
 		{Atomic(SizeDW, R1, 0, R2, AtomicAdd), nil, []Register{R1, R2}},
 		{Atomic(SizeDW, R1, 0, R2, AtomicAdd|AtomicFetch), []Register{R2}, []Register{R1, R2}},
+		{Atomic(SizeDW, R1, 0, R2, AtomicXchg), []Register{R2}, []Register{R1, R2}},
+		{Atomic(SizeW, R1, 0, R2, AtomicCmpXchg), []Register{R0}, []Register{R0, R1, R2}},
 		{Neg64(R3), []Register{R3}, []Register{R3}},
+		{Swap(R1, SourceX, 16), []Register{R1}, []Register{R1}},
+		{ALU32Reg(ALUXor, R1, R2), []Register{R1}, []Register{R1, R2}},
+		{LoadImm64(R3, 5), []Register{R3}, nil},
+		{Jump32ImmOp(JumpEq, R4, 1, 1), nil, []Register{R4}},
 	}
 	for _, c := range cases {
 		if got := c.ins.Defs(); !sameRegs(got, c.defs) {

@@ -2,6 +2,7 @@ package ebpf
 
 import (
 	"fmt"
+	"sort"
 )
 
 // MapKind enumerates the eBPF map types the toolchain supports.
@@ -180,14 +181,13 @@ func (p *Program) Validate() error {
 	}
 
 	offs := p.SlotOffsets()
-	bySlot := p.IndexBySlot()
 	totalSlots := offs[len(p.Instructions)]
 
 	for i, ins := range p.Instructions {
 		if err := ins.Validate(); err != nil {
 			return fmt.Errorf("ebpf: instruction %d (%s): %w", i, ins, err)
 		}
-		if writesRegister(ins, R10) {
+		if ins.DefMask()&(1<<R10) != 0 {
 			return fmt.Errorf("ebpf: instruction %d (%s) writes the read-only frame pointer r10", i, ins)
 		}
 		if ins.IsBranch() {
@@ -195,7 +195,7 @@ func (p *Program) Validate() error {
 			if target < 0 || target >= totalSlots {
 				return fmt.Errorf("ebpf: instruction %d (%s) jumps out of the program (slot %d of %d)", i, ins, target, totalSlots)
 			}
-			if _, ok := bySlot[target]; !ok {
+			if k := sort.SearchInts(offs, target); offs[k] != target {
 				return fmt.Errorf("ebpf: instruction %d (%s) jumps into the middle of a lddw", i, ins)
 			}
 		}
@@ -213,52 +213,22 @@ func (p *Program) Validate() error {
 	return nil
 }
 
-// writesRegister reports whether the instruction defines reg.
-func writesRegister(ins Instruction, reg Register) bool {
-	switch cls := ins.Class(); {
-	case cls.IsALU():
-		return ins.Dst == reg
-	case cls == ClassLDX:
-		return ins.Dst == reg
-	case cls == ClassLD:
-		return ins.IsLoadImm64() && ins.Dst == reg
-	case cls == ClassSTX:
-		// Atomic fetch variants write back into the source register.
-		if ins.Mode() == ModeATOMIC {
-			op := ins.AtomicOp()
-			if op&AtomicFetch != 0 || op == AtomicXchg {
-				return ins.Src == reg
-			}
-			if op == AtomicCmpXchg {
-				return reg == R0
-			}
-		}
-		return false
-	case cls == ClassJMP:
-		if ins.IsCall() {
-			// Calls clobber R0-R5.
-			return reg <= R5
-		}
-		return false
-	}
-	return false
-}
-
 // DefMask returns the registers the instruction writes as a bit set (bit
-// r for register r): Defs without the allocation, for data-flow loops
-// and per-packet checks.
+// r for register r), without allocating: the form data-flow loops and
+// per-packet checks use.
 func (ins Instruction) DefMask() uint16 {
 	var m uint16
 	switch cls := ins.Class(); {
 	case cls.IsALU(), cls == ClassLDX, ins.IsLoadImm64():
 		m = 1 << ins.Dst
 	case ins.IsAtomic():
-		// Same precedence as writesRegister: the fetch test comes first.
+		// cmpxchg (0xf1) carries the fetch bit but returns the old value
+		// in R0, not in the source register: test its selector first.
 		switch op := ins.AtomicOp(); {
-		case op&AtomicFetch != 0 || op == AtomicXchg:
-			m = 1 << ins.Src
 		case op == AtomicCmpXchg:
 			m = 1 << R0
+		case op&AtomicFetch != 0: // the fetch variants and xchg
+			m = 1 << ins.Src
 		}
 	case ins.IsCall():
 		m = 1<<(R5+1) - 1 // calls clobber R0-R5
@@ -266,66 +236,59 @@ func (ins Instruction) DefMask() uint16 {
 	return m & (1<<(R10+1) - 1)
 }
 
-// Defs returns the registers the instruction writes.
-func (ins Instruction) Defs() []Register {
-	var out []Register
-	for r := R0; r <= R10; r++ {
-		if writesRegister(ins, r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// Uses returns the registers the instruction reads.
-func (ins Instruction) Uses() []Register {
-	var out []Register
-	add := func(r Register) {
-		for _, have := range out {
-			if have == r {
-				return
-			}
-		}
-		out = append(out, r)
-	}
+// UseMask returns the registers the instruction reads as a bit set (bit
+// r for register r), without allocating.
+func (ins Instruction) UseMask() uint16 {
+	var m uint16
 	switch cls := ins.Class(); {
 	case cls.IsALU():
 		op := ins.ALUOp()
 		if op != ALUMov {
-			add(ins.Dst) // read-modify-write
+			m = 1 << ins.Dst // read-modify-write, neg and byte swap
 		}
 		if ins.Source() == SourceX && op != ALUNeg && op != ALUEnd {
-			add(ins.Src)
-		}
-		if op == ALUNeg || op == ALUEnd {
-			add(ins.Dst)
+			m |= 1 << ins.Src
 		}
 	case cls == ClassLDX:
-		add(ins.Src)
+		m = 1 << ins.Src
 	case cls == ClassST:
-		add(ins.Dst)
+		m = 1 << ins.Dst
 	case cls == ClassSTX:
-		add(ins.Dst)
-		add(ins.Src)
+		m = 1<<ins.Dst | 1<<ins.Src
+		if ins.IsAtomic() && ins.AtomicOp() == AtomicCmpXchg {
+			m |= 1 << R0 // the compare value
+		}
 	case cls.IsJump():
-		op := ins.JumpOp()
-		switch op {
-		case JumpAlways, JumpExit:
-			if op == JumpExit {
-				add(R0) // the verdict travels in R0
-			}
+		switch ins.JumpOp() {
+		case JumpAlways:
+		case JumpExit:
+			m = 1 << R0 // the verdict travels in R0
 		case JumpCall:
 			// Arguments R1-R5 are conservatively live; the precise set
 			// depends on the helper signature and is refined by the
 			// data-dependency analysis.
-			for r := R1; r <= R5; r++ {
-				add(r)
-			}
+			m = 1<<(R5+1) - 1<<R1
 		default:
-			add(ins.Dst)
+			m = 1 << ins.Dst
 			if ins.Source() == SourceX {
-				add(ins.Src)
+				m |= 1 << ins.Src
 			}
+		}
+	}
+	return m & (1<<(R10+1) - 1)
+}
+
+// Defs returns the registers the instruction writes, in ascending order.
+func (ins Instruction) Defs() []Register { return maskRegs(ins.DefMask()) }
+
+// Uses returns the registers the instruction reads, in ascending order.
+func (ins Instruction) Uses() []Register { return maskRegs(ins.UseMask()) }
+
+func maskRegs(m uint16) []Register {
+	var out []Register
+	for r := R0; r <= R10; r++ {
+		if m&(1<<r) != 0 {
+			out = append(out, r)
 		}
 	}
 	return out

@@ -2,6 +2,7 @@ package hwsim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ehdl/internal/core"
 	"ehdl/internal/ddg"
@@ -131,10 +132,8 @@ func (s *Sim) checkCarry(stage *core.Stage, op *core.Op, t int) {
 	}
 	var defined uint16 // registers produced earlier within this op's chain
 	checkIns := func(idx int) {
-		for _, r := range core.EffectiveUses(s.pl.Info, idx) {
-			if stage.CarryRegs&(1<<r) == 0 && defined&(1<<r) == 0 {
-				fail("reads r%d which is not carried (mask %#x)", r, stage.CarryRegs)
-			}
+		if missing := core.EffectiveUses(s.pl.Info, idx) &^ (stage.CarryRegs | defined); missing != 0 {
+			fail("reads r%d which is not carried (mask %#x)", bits.TrailingZeros16(missing), stage.CarryRegs)
 		}
 		defined |= s.pl.Transformed.Instructions[idx].DefMask()
 		acc := s.pl.Info.Accesses[idx]

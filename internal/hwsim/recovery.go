@@ -241,6 +241,9 @@ func (s *Sim) recoverNow(reason string) error {
 		return &recoveryError{Cycle: s.cycle, Attempts: max, Reason: reason}
 	}
 
+	if s.jitterRng == nil && s.cfg.RecoveryJitterSeed != 0 {
+		s.jitterRng = rand.New(rand.NewSource(s.cfg.RecoveryJitterSeed))
+	}
 	backoff := recoveryBackoffJittered(s.recoveryAttempts, s.cfg.RecoveryBackoffCycles, s.jitterRng)
 	s.recoveryHold = s.cycle + backoff
 	s.stats.RecoveryBackoffCycles += backoff

@@ -3,6 +3,9 @@ package hwsim
 import (
 	"math/rand"
 	"testing"
+
+	"ehdl/internal/core"
+	"ehdl/internal/protect"
 )
 
 // TestRecoveryBackoffJitterBounds pins the jitter window: the jittered
@@ -66,5 +69,43 @@ func TestRecoveryBackoffJitterDeterminism(t *testing.T) {
 	}
 	if !diff {
 		t.Error("distinct seeds never diverged in 64 draws")
+	}
+}
+
+// TestRecoveryJitterSeededOnFirstRecovery: a Sim builds its jitter
+// source only when it first recovers, and the hold it charges is the
+// first draw of a source seeded with RecoveryJitterSeed — the stream an
+// eagerly seeded source would give.
+func TestRecoveryJitterSeededOnFirstRecovery(t *testing.T) {
+	pl := compile(t, "flow", flowSource, core.Options{})
+	sim, err := New(pl, Config{
+		Policy:                PolicyStall,
+		WatchdogCycles:        500,
+		Protection:            protect.LevelECC,
+		RecoveryBackoffCycles: 8,
+		RecoveryJitterSeed:    7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sim.jitterRng != nil {
+		t.Fatal("jitter source built before any recovery")
+	}
+	if !sim.Inject(ipv4Packet(1, 64)) {
+		t.Fatal("inject failed")
+	}
+	if err := sim.Step(); err != nil {
+		t.Fatal(err)
+	}
+	sim.wedgeStall(1, pl.NumStages()-1, 1<<40)
+	if err := sim.RunToCompletion(100000); err != nil {
+		t.Fatal(err)
+	}
+	if got := sim.Stats().Recoveries; got != 1 {
+		t.Fatalf("Recoveries = %d, want 1", got)
+	}
+	want := recoveryBackoffJittered(1, 8, rand.New(rand.NewSource(7)))
+	if got := sim.Stats().RecoveryBackoffCycles; got != want {
+		t.Errorf("RecoveryBackoffCycles = %d, want %d (first draw of seed 7)", got, want)
 	}
 }

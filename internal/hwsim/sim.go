@@ -460,7 +460,8 @@ type Sim struct {
 	recoveryHold         uint64
 	handledUncorrectable uint64
 	// jitterRng draws the seeded recovery-backoff jitter; nil keeps the
-	// exact exponential schedule.
+	// exact exponential schedule. It is seeded on the first recovery:
+	// most runs never recover, and a source costs ~5 KB to build.
 	jitterRng *rand.Rand
 
 	// stats are the live counters; winBase is their value when the open
@@ -540,9 +541,6 @@ func newSim(pl *core.Pipeline, cfg Config, env *vm.Env, oneBurst bool) (*Sim, er
 		s.SetClock(nil)
 	}
 	s.stats.Actions = map[ebpf.XDPAction]uint64{}
-	if cfg.RecoveryJitterSeed != 0 {
-		s.jitterRng = rand.New(rand.NewSource(cfg.RecoveryJitterSeed))
-	}
 	s.initProtection()
 	if cfg.Trace != nil || cfg.Metrics != nil {
 		s.probes = newProbes(cfg.Trace, cfg.Metrics, env.Maps.Len(), len(pl.Stages))
