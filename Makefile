@@ -128,8 +128,8 @@ fuzz-smoke:
 # setup_s, then each side's median [quartiles] of all three with the
 # numcpu/GOMAXPROCS its runs reported (a parallel speed-up without its
 # core count is not a measurement), the pairs the change won on host_mpps
-# (higher wins) and on setup_s (lower wins), and `bench compare` on the
-# last pair for the other metrics. Run lengths are the harness's own
+# (higher wins), on host_allocs_per_pkt and on setup_s (lower wins), and
+# `bench compare` on the last pair for the other metrics. Run lengths are the harness's own
 # (20 s a side), so ten pairs take about seven minutes.
 #	make bench-ab PARENT=HEAD~1 WORKLOAD=toy_q4_fast
 PARENT ?= HEAD~1
@@ -159,6 +159,7 @@ bench-ab:
 		'function q(p,  h, lo) { h = (NR - 1) * p; lo = int(h); return v[lo + 1] + (h - lo) * (v[lo + 2] - v[lo + 1]) } \
 		 { v[NR] = $$1 } END { printf "%-6s %s median %.4g [%.4g %.4g] n=%d  %s\n", side, m, q(0.5), q(0.25), q(0.75), NR, host }'; done; done
 	@paste $(AB_DIR)/parent.host_mpps $(AB_DIR)/change.host_mpps | awk '$$2 > $$1 { w++ } $$2 < $$1 { l++ } END { printf "host_mpps: change won %d, lost %d of %d pairs\n", w, l, NR }'
+	@paste $(AB_DIR)/parent.host_allocs_per_pkt $(AB_DIR)/change.host_allocs_per_pkt | awk '$$2 < $$1 { w++ } $$2 > $$1 { l++ } END { printf "host_allocs_per_pkt: change won %d, lost %d of %d pairs\n", w, l, NR }'
 	@paste $(AB_DIR)/parent.setup_s $(AB_DIR)/change.setup_s | awk '$$2 < $$1 { w++ } $$2 > $$1 { l++ } END { printf "setup_s: change won %d, lost %d of %d pairs\n", w, l, NR }'
 	@$(AB_DIR)/bench.change compare $(AB_DIR)/parent.$(PAIRS).json $(AB_DIR)/change.$(PAIRS).json || true
 

@@ -283,7 +283,7 @@ func (c *simCmd) run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(w, "  verdicts:\n")
 	for action := ebpf.XDPAborted; action <= ebpf.XDPRedirect; action++ {
-		if count := rep.Actions[action]; count > 0 {
+		if count := rep.Actions.Count(action); count > 0 {
 			fmt.Fprintf(w, "    %-12v %d\n", action, count)
 		}
 	}

@@ -59,7 +59,7 @@ func Example_dnat() {
 	fmt.Printf("offered %.1f Mpps; achieved %.1f Mpps; lost %d\n",
 		rep.OfferedMpps, rep.AchievedMpps, rep.Lost)
 	fmt.Printf("translated (XDP_TX): %d packets; pipeline flushes: %d\n",
-		rep.Actions[ebpf.XDPTx], rep.Flushes)
+		rep.Actions.Count(ebpf.XDPTx), rep.Flushes)
 
 	// Host view of the bindings.
 	nat, _ := shell.Maps().ByName("nat")

@@ -65,7 +65,7 @@ func Example_firewall() {
 	fmt.Printf("offered %.1f Mpps at line rate; achieved %.1f Mpps, lost %d\n",
 		rep.OfferedMpps, rep.AchievedMpps, rep.Lost)
 	fmt.Printf("verdicts: forwarded=%d dropped=%d passed-to-kernel=%d\n",
-		rep.Actions[ebpf.XDPTx], rep.Actions[ebpf.XDPDrop], rep.Actions[ebpf.XDPPass])
+		rep.Actions.Count(ebpf.XDPTx), rep.Actions.Count(ebpf.XDPDrop), rep.Actions.Count(ebpf.XDPPass))
 	fmt.Printf("pipeline flushes from connection-table inserts: %d\n", rep.Flushes)
 
 	// Host-side view.

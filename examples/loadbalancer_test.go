@@ -45,7 +45,7 @@ func Example_loadBalancer() {
 	fmt.Printf("offered %.1f Mpps at line rate; achieved %.1f Mpps, lost %d\n",
 		rep.OfferedMpps, rep.AchievedMpps, rep.Lost)
 	fmt.Printf("balanced to backends (XDP_TX): %d; passed to host: %d\n",
-		rep.Actions[ebpf.XDPTx], rep.Actions[ebpf.XDPPass])
+		rep.Actions.Count(ebpf.XDPTx), rep.Actions.Count(ebpf.XDPPass))
 
 	hits := apps.LBBackendHits(shell.Maps())
 	var total uint64

@@ -41,7 +41,7 @@ func Example_suricata() {
 		log.Fatal(err)
 	}
 	fmt.Printf("phase 1 (no bypass): to-host=%d dropped-in-nic=%d\n",
-		rep1.Actions[ebpf.XDPPass], rep1.Actions[ebpf.XDPDrop])
+		rep1.Actions.Count(ebpf.XDPPass), rep1.Actions.Count(ebpf.XDPDrop))
 
 	// The IDS classifies half the flows and offloads them.
 	for i := 0; i < 16; i++ {
@@ -57,7 +57,7 @@ func Example_suricata() {
 		log.Fatal(err)
 	}
 	fmt.Printf("phase 2 (bypass active): to-host=%d dropped-in-nic=%d\n",
-		rep2.Actions[ebpf.XDPPass], rep2.Actions[ebpf.XDPDrop])
+		rep2.Actions.Count(ebpf.XDPPass), rep2.Actions.Count(ebpf.XDPDrop))
 
 	fmt.Println("per-flow accounting of the bypassed flows:")
 	for i := 0; i < 4; i++ {
@@ -67,7 +67,7 @@ func Example_suricata() {
 		}
 	}
 	fmt.Printf("host load reduction: %.0f%% of packets never reach the IDS\n",
-		100*float64(rep2.Actions[ebpf.XDPDrop])/float64(rep2.Received))
+		100*float64(rep2.Actions.Count(ebpf.XDPDrop))/float64(rep2.Received))
 	// Output:
 	// suricata filter: 60 stages, 2 maps
 	// phase 1 (no bypass): to-host=10000 dropped-in-nic=0

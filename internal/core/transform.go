@@ -324,8 +324,16 @@ func effectiveUses(info *ddg.Info, i int) uint16 {
 	switch ins.Class() {
 	case ebpf.ClassLDX:
 		uses &^= 1 << ins.Src
-	case ebpf.ClassST, ebpf.ClassSTX:
+	case ebpf.ClassST:
 		uses &^= 1 << ins.Dst
+	case ebpf.ClassSTX:
+		// The base goes unless it is also a value the access consumes:
+		// the stored source, or cmpxchg's compare value in R0.
+		value := ins.Dst == ins.Src ||
+			ins.IsAtomic() && ins.AtomicOp() == ebpf.AtomicCmpXchg && ins.Dst == ebpf.R0
+		if !value {
+			uses &^= 1 << ins.Dst
+		}
 	}
 	return uses
 }

@@ -656,7 +656,7 @@ func resilience(cfg Config) (Table, error) {
 			return t, fmt.Errorf("campaign %s did not degrade gracefully: %w", c.name, err)
 		}
 		total := rep.FaultsInjected + rep.MalformedSent + rep.OverflowBursts
-		aborted := rep.Actions[ebpf.XDPAborted]
+		aborted := rep.Actions.Count(ebpf.XDPAborted)
 		t.Rows = append(t.Rows, []string{
 			c.name, u64s(total), u64s(rep.Sent), u64s(rep.Received), u64s(aborted),
 			u64s(rep.MalformedDropped), u64s(rep.Lost), u64s(rep.WatchdogTrips),

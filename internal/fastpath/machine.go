@@ -185,7 +185,6 @@ func newMachine(pl *core.Pipeline, cfg hwsim.Config, env *vm.Env) (*Machine, err
 	}
 	m.queue = newRing(m.queueDepth)
 	m.flight = newRing(m.depth + 1)
-	m.stats.Actions = map[ebpf.XDPAction]uint64{}
 	return m, nil
 }
 
@@ -306,7 +305,7 @@ func (m *Machine) SetClock(fn func() uint64) {
 // Maps exposes the bound map set (the host interface).
 func (m *Machine) Maps() *maps.Set { return m.env.Maps }
 
-// Stats returns a copy of the counters so far, Actions deep-copied.
+// Stats returns a copy of the counters so far.
 func (m *Machine) Stats() hwsim.Stats { return m.stats.Snapshot(&m.winBase) }
 
 // Window returns the counters accumulated since the previous Window

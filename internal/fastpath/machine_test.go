@@ -2,6 +2,7 @@ package fastpath_test
 
 import (
 	"cmp"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -108,10 +109,8 @@ func runDiff(t *testing.T, pl *core.Pipeline, setup func(*fastpath.Machine) erro
 		fs.MalformedDropped != ss.MalformedDropped || fs.QueueDrops != ss.QueueDrops {
 		t.Fatalf("ledger: fast %+v, interp %+v", fs, ss)
 	}
-	for a, n := range ss.Actions {
-		if fs.Actions[a] != n {
-			t.Fatalf("action %v: fast %d, interp %d", a, fs.Actions[a], n)
-		}
+	if !reflect.DeepEqual(fs.Actions, ss.Actions) {
+		t.Fatalf("verdicts: fast %v, interp %v", fs.Actions, ss.Actions)
 	}
 	if timing {
 		if fs.Cycles != ss.Cycles || fs.LatencySum != ss.LatencySum || fs.LatencyMax != ss.LatencyMax {
@@ -582,7 +581,7 @@ func TestActionHistogramOverflow(t *testing.T) {
 	if err := m.RunToCompletion(1 << 20); err != nil {
 		t.Fatal(err)
 	}
-	if n := m.Stats().Actions[ebpf.XDPAction(42)]; n != 1 {
+	if n := m.Stats().Actions.Count(ebpf.XDPAction(42)); n != 1 {
 		t.Fatalf("verdict 42 counted %d times, want 1", n)
 	}
 }
@@ -686,7 +685,7 @@ func TestDeleteZooMatchesInterpreter(t *testing.T) {
 	pl := compilePipeline(t, app.Name, app.Source)
 	batch := pktgen.NewGenerator(pktgen.GeneratorConfig{Flows: 8, PacketLen: 64, Seed: 17}).Batch(64)
 	st := runDiffWithSetup(t, pl, app, batch)
-	if st.Actions[ebpf.XDPPass] == 0 || st.Actions[ebpf.XDPTx] == 0 {
+	if st.Actions.Count(ebpf.XDPPass) == 0 || st.Actions.Count(ebpf.XDPTx) == 0 {
 		t.Fatalf("verdicts %v: want both a successful and a failed delete", st.Actions)
 	}
 }
@@ -702,7 +701,7 @@ func TestStalePointerZooMatchesInterpreter(t *testing.T) {
 	pl := compilePipeline(t, app.Name, app.Source)
 	batch := conformance.StalePointerFrames(append([]byte{1, 2, 3, 4, 5, 5}, make([]byte, 2*len(pl.Stages))...))
 	st := runDiffWithSetup(t, pl, app, batch)
-	if st.Actions[ebpf.XDPPass] != 2 || st.Actions[ebpf.XDPTx] != 4 {
+	if st.Actions.Count(ebpf.XDPPass) != 2 || st.Actions.Count(ebpf.XDPTx) != 4 {
 		t.Fatalf("verdicts %v: want the reader's and the last packet's hit and four inserts", st.Actions)
 	}
 }
@@ -783,15 +782,14 @@ func TestWindow(t *testing.T) {
 		}
 		run(40) // a burst: the last frame queues behind 39 others
 		burst := w.LatencyMax
-		var verdicts uint64
-		for _, n := range w.Actions {
-			verdicts += n
-		}
+		var verdicts, kinds uint64
+		w.Actions.Each(func(_ ebpf.XDPAction, n uint64) { verdicts += n })
 		if w.Completed != 40 || verdicts != 40 || burst < 39 {
 			t.Fatalf("%s: burst window completed %d, verdicts %d, max latency %d", name, w.Completed, verdicts, burst)
 		}
 		run(1)
-		if w.Completed != 1 || w.Injected != 1 || len(w.Actions) != 1 || w.LatencyMax == 0 || w.LatencyMax >= burst || w.LatencySum != w.LatencyMax {
+		w.Actions.Each(func(ebpf.XDPAction, uint64) { kinds++ })
+		if w.Completed != 1 || w.Injected != 1 || kinds != 1 || w.LatencyMax == 0 || w.LatencyMax >= burst || w.LatencySum != w.LatencyMax {
 			t.Errorf("%s: second window %+v, want one frame at its own latency (burst max %d)", name, w, burst)
 		}
 		if st := eng.Stats(); st.Completed != 41 || st.LatencyMax != burst {
@@ -800,7 +798,7 @@ func TestWindow(t *testing.T) {
 		if n := testing.AllocsPerRun(10, func() { eng.Window(&w) }); n != 0 {
 			t.Errorf("%s: Window allocates %v objects into a reused scratch", name, n)
 		}
-		if w.Completed != 0 || w.Cycles != 0 || len(w.Actions) != 0 {
+		if w.Completed != 0 || w.Cycles != 0 || !reflect.DeepEqual(w.Actions, hwsim.Verdicts{}) {
 			t.Errorf("%s: idle window %+v, want empty", name, w)
 		}
 	}

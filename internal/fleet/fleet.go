@@ -26,6 +26,7 @@ import (
 	"ehdl/internal/core"
 	"ehdl/internal/ebpf"
 	"ehdl/internal/faults"
+	"ehdl/internal/hwsim"
 	"ehdl/internal/maps"
 	"ehdl/internal/nic"
 	"ehdl/internal/obs"
@@ -259,10 +260,12 @@ type device struct {
 	lost     uint64
 	drains   int
 
-	// doomed and served carry one epoch from runEpoch's launch loop to its
-	// ordered pass: a kill decided, or a worker's result channel (else nil).
-	doomed bool
-	served chan served
+	// doomed and serving carry one epoch from runEpoch's launch loop to
+	// its ordered pass: a kill decided, or a worker launched, which hands
+	// its result back on served (made once, buffered: an unwind strands
+	// no worker).
+	doomed, serving bool
+	served          chan served
 }
 
 // served is runDevice's return, as a device's worker hands it back.
@@ -280,9 +283,18 @@ type Controller struct {
 	hasher  *rss.Hasher
 	// next builds the next frame at the end of the epoch arena: the single
 	// app's generator, or the tenants' VLAN-tagged mux in tenant mode.
-	// partition resets arena and the batches over it every epoch.
-	next    func(arena []byte) (grown, pkt []byte)
+	// frameBound is the longest frame it builds.
+	next       func(arena []byte) (grown, pkt []byte)
+	frameBound int
+	// The epoch's buffers, made by the first partition and rebuilt by
+	// every one: the frames in the arena, each arrival's device (-1:
+	// unroutable), and per device its arrival count and its batch, a
+	// view of slab.
 	arena   []byte
+	frames  [][]byte
+	homes   []int
+	slab    [][]byte
+	counts  []int
 	batches [][][]byte
 	workers sync.WaitGroup // the epoch's device goroutines in flight
 	// rng draws fleet-level jitter (cool-down spread). Device-level
@@ -330,6 +342,7 @@ func newController(cfg Config) (*Controller, error) {
 		ring:    newRing(),
 		hasher:  hasher,
 		rng:     rand.New(rand.NewSource(mix(cfg.seed()))),
+		counts:  make([]int, cfg.devices()),
 		batches: make([][][]byte, cfg.devices()),
 	}
 	c.rep.Devices = cfg.devices()
@@ -361,7 +374,7 @@ func New(cfg Config) (*Controller, error) {
 	c.prog = prog
 	traffic := cfg.App.Traffic
 	traffic.Seed = mix(cfg.seed() + 1)
-	c.next = pktgen.NewGenerator(traffic).AppendNext
+	c.next, c.frameBound = pktgen.NewGenerator(traffic).AppendNext, frameBound(traffic)
 
 	// One design serves every device: a compiled pipeline is read-only,
 	// and each shell keeps its own maps, stage registers and fault state.
@@ -387,7 +400,7 @@ func New(cfg Config) (*Controller, error) {
 		if err := cfg.App.Setup(sh.Maps()); err != nil {
 			return nil, fmt.Errorf("fleet: device %d setup: %w", i, err)
 		}
-		d := &device{id: i, sh: sh, prog: prog}
+		d := &device{id: i, sh: sh, prog: prog, served: make(chan served, 1)}
 		if cfg.Verify {
 			mi, err := newMirror(prog, cfg.App.SetupHost)
 			if err != nil {
@@ -422,6 +435,11 @@ func newTenantFleet(cfg Config) (*Controller, error) {
 		return nil, err
 	}
 	c.next = tenant.NewTrafficMux(cfg.Tenants, mix(cfg.seed()+1)).AppendNext
+	for _, sp := range cfg.Tenants {
+		if sp.App != nil {
+			c.frameBound = max(c.frameBound, frameBound(sp.App.Traffic)+4) // a VLAN tag
+		}
+	}
 
 	specs, err := compileSpecs(cfg.Tenants)
 	if err != nil {
@@ -443,11 +461,16 @@ func newTenantFleet(cfg Config) (*Controller, error) {
 				return nil, fmt.Errorf("fleet: device %d: %w", i, err)
 			}
 		}
-		c.devices = append(c.devices, &device{id: i, td: td})
+		c.devices = append(c.devices, &device{id: i, td: td, served: make(chan served, 1)})
 		c.ring.Add(i)
 	}
 	return c, nil
 }
+
+// frameBound is the longest frame a traffic config builds: PacketLen, or
+// 64 bytes — pktgen's default, with room for the headers it raises a
+// shorter length to.
+func frameBound(traffic pktgen.GeneratorConfig) int { return max(traffic.PacketLen, 64) }
 
 // compileSpecs returns the spec list with every missing design
 // compiled, once per spec for all devices.
@@ -556,7 +579,7 @@ func (c *Controller) runEpoch() {
 		if d.doomed = c.chaosStrike(d); d.doomed || len(batch) == 0 || (d.state != stateHealthy && d.state != stateCooling) {
 			continue
 		}
-		d.served = make(chan served, 1) // buffered: an unwind strands no worker
+		d.serving = true
 		c.workers.Add(1)
 		go func() {
 			defer c.workers.Done()
@@ -568,9 +591,9 @@ func (c *Controller) runEpoch() {
 		switch {
 		case d.doomed:
 			c.kill(d, "chaos kill", uint64(len(batches[d.id])))
-		case d.served != nil:
+		case d.serving:
 			res := <-d.served
-			d.served = nil
+			d.serving = false
 			c.fold(d, batches[d.id], res.rep, res.err)
 		}
 	}
@@ -652,26 +675,42 @@ func (c *Controller) readmitCooled() {
 
 // partition hashes one epoch's traffic slice onto the ring, building over
 // last epoch's frames and batches (its workers are joined). Flows with no
-// live home (empty ring) are charged to UnroutableLoss.
+// live home (empty ring) are charged to UnroutableLoss. The buffers are
+// sized once, from EpochPackets and the frame bound: each device's batch
+// is its arrivals in order, carved from one slab of an entry per arrival
+// once every arrival's device is known.
 func (c *Controller) partition() [][][]byte {
-	for i := range c.batches {
-		c.batches[i] = c.batches[i][:0]
+	n := c.cfg.epochPackets()
+	if c.frames == nil {
+		c.arena = make([]byte, 0, n*c.frameBound)
+		c.frames, c.homes, c.slab = make([][]byte, n), make([]int, n), make([][]byte, n)
 	}
 	c.arena = c.arena[:0]
-	n := c.cfg.epochPackets()
-	for i := 0; i < n; i++ {
-		var pkt []byte
-		c.arena, pkt = c.next(c.arena)
-		hash, ok := c.hasher.HashPacket(pkt)
+	clear(c.counts)
+	for i := range c.frames {
+		c.arena, c.frames[i] = c.next(c.arena)
+		hash, ok := c.hasher.HashPacket(c.frames[i])
 		if !ok {
 			hash = 0
 		}
 		dev, live := c.ring.Lookup(hash)
 		if !live {
 			c.rep.UnroutableLoss++
-			continue
+			dev = -1
+		} else {
+			c.counts[dev]++
 		}
-		c.batches[dev] = append(c.batches[dev], pkt)
+		c.homes[i] = dev
+	}
+	off := 0
+	for dev, k := range c.counts {
+		c.batches[dev] = c.slab[off : off : off+k]
+		off += k
+	}
+	for i, dev := range c.homes {
+		if dev >= 0 {
+			c.batches[dev] = append(c.batches[dev], c.frames[i])
+		}
 	}
 	c.rep.Generated += uint64(n)
 	c.count(metricGenerated, uint64(n))
@@ -801,19 +840,7 @@ func (c *Controller) verifiable(d *device, rep nic.Report, count int) bool {
 // requires that count to be zero.
 func (c *Controller) verify(d *device, batch [][]byte, rep nic.Report) {
 	actions, err := d.mi.run(batch)
-	diverged := err != nil
-	if !diverged {
-		for a, n := range rep.Actions {
-			if n > 0 && actions[a] != n {
-				diverged = true
-			}
-		}
-		for a, n := range actions {
-			if n > 0 && rep.Actions[a] != n {
-				diverged = true
-			}
-		}
-	}
+	diverged := err != nil || !sameVerdicts(actions, rep.Actions)
 	if !diverged {
 		if err := conformance.CompareMaps(d.mi.env.Maps, d.sh.Maps()); err != nil {
 			diverged = true
@@ -912,16 +939,24 @@ func newMirror(prog *ebpf.Program, setup func(*maps.Set) error) (*mirror, error)
 }
 
 // run executes one batch and returns the verdict histogram.
-func (mi *mirror) run(batch [][]byte) (map[ebpf.XDPAction]uint64, error) {
-	actions := map[ebpf.XDPAction]uint64{}
+func (mi *mirror) run(batch [][]byte) (hwsim.Verdicts, error) {
+	var actions hwsim.Verdicts
 	for _, data := range batch {
 		res, err := mi.m.Run(vm.NewPacket(append([]byte(nil), data...)))
 		if err != nil {
-			return nil, err
+			return hwsim.Verdicts{}, err
 		}
-		actions[res.Action]++
+		actions.Add(res.Action, 1)
 	}
 	return actions, nil
+}
+
+// sameVerdicts reports whether two histograms hold the same counts.
+func sameVerdicts(a, b hwsim.Verdicts) bool {
+	same := true
+	a.Each(func(act ebpf.XDPAction, n uint64) { same = same && b.Count(act) == n })
+	b.Each(func(act ebpf.XDPAction, n uint64) { same = same && a.Count(act) == n })
+	return same
 }
 
 // rebuild re-bases the mirror on prog with map state copied from the

@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"ehdl/internal/apps"
+	"ehdl/internal/nic"
 	"ehdl/internal/obs"
+	"ehdl/internal/tenant"
 )
 
 // goroutineGauge is a trace sink that samples the goroutine count at
@@ -38,11 +40,21 @@ func servingWorkers() int {
 // per device, only inside Run, and every way out of Run joins them — the
 // normal return, an armed crash site unwinding through the ordered pass
 // while the other devices' workers are mid-partition, and devices dying
-// mid-serve with their recovery budgets spent.
+// mid-serve with their recovery budgets spent — on single-program
+// devices and on the bench's multi-tenant ones, whose workers hand every
+// epoch's result back on the same channel.
 func TestFleetGoroutineLifetime(t *testing.T) {
 	const devices = 4
 	killFirst := Config{
 		Devices: devices, App: apps.Toy(), Seed: 7, EpochPackets: 2048,
+		KillAt: map[int][]int{2: {0}},
+	}
+	specs, err := tenant.ParseSpecList("firewall:0.4,router:0.3,dnat:0.3", nic.ShellConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	killFirstTenants := Config{
+		Devices: devices, Tenants: specs, Seed: 7, EpochPackets: 2048,
 		KillAt: map[int][]int{2: {0}},
 	}
 	dying := Config{Devices: devices, App: apps.Toy(), Seed: 7, EpochPackets: 2048, shell: hairTrigger(1)}
@@ -57,6 +69,12 @@ func TestFleetGoroutineLifetime(t *testing.T) {
 		{name: "normal-return", cfg: killFirst, inFlight: true,
 			check: func(t *testing.T, c *Controller, rep Report, err error) {
 				if err != nil || rep.Kills != 1 || !rep.Accounted() {
+					t.Fatalf("err %v, report %+v", err, rep)
+				}
+			}},
+		{name: "tenants-normal-return", cfg: killFirstTenants, inFlight: true,
+			check: func(t *testing.T, c *Controller, rep Report, err error) {
+				if err != nil || rep.Kills != 1 || rep.Delivered == 0 || !rep.Accounted() || !rep.Device.Accounted() {
 					t.Fatalf("err %v, report %+v", err, rep)
 				}
 			}},

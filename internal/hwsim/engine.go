@@ -41,9 +41,9 @@ type Core interface {
 	Stats() Stats
 	// Window fills w with the counters accumulated since the previous
 	// Window call (since construction for the first) and opens the next
-	// window. w.LatencyMax is that window's own high-water mark, and w's
-	// Actions map is reused, so a caller-owned w makes the call
-	// allocation-free — how the shells measure one run.
+	// window. w.LatencyMax is that window's own high-water mark. The call
+	// allocates nothing (a program returning an R0 outside the five XDP
+	// actions aside) — how the shells measure one run.
 	Window(w *Stats)
 }
 
@@ -77,7 +77,7 @@ func NewBurst(pl *core.Pipeline, cfg Config, env *vm.Env) (*Burst, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Burst{s: s, j: s.newJob()}, nil
+	return &Burst{s: s, j: s.newJob(0)}, nil
 }
 
 // Run executes one frame. The job can never replay, so re-arming it is

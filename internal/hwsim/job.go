@@ -13,9 +13,9 @@ import (
 // completion callback has run. Between those two calls exactly one of
 // the ingress queue, a pipeline stage or the reload queue holds it.
 // Everything a job points at (state, packet buffer, bitset, per-map
-// slots, the frame copy, the snapshot slot) is allocated once and
-// reused, so the steady-state packet lifecycle performs no heap
-// allocation.
+// slots, the frame copy, the snapshot slot) is allocated with it by
+// newJob and reused, so the steady-state packet lifecycle performs no
+// heap allocation.
 type job struct {
 	seq        uint64
 	st         *vm.State
@@ -49,6 +49,19 @@ type job struct {
 	// then points at the elastic slot.
 	snapshot *snapshot
 	elastic  snapshot // replay state entering the elastic-buffer stage
+	// nextFree links the pool's retired jobs (Sim.free).
+	nextFree *job
+
+	// What st, the two packets and the slices above live in. The inline
+	// arrays back the slices of the common geometry (up to three maps, 64
+	// blocks, 256 bytes of frame, keys and reads); a larger program's or
+	// frame's are made beside the job.
+	state           vm.State
+	pkt, elasticPkt vm.Packet
+	slotsIn         [8]lookup
+	readsIn         [3][]byte
+	bitsIn          [4]uint64
+	bytesIn         [256]byte
 }
 
 // lookup is the outcome of a packet's last bpf_map_lookup_elem on one
@@ -162,16 +175,51 @@ func (s *Sim) clearReads(j *job) {
 	}
 }
 
-func (s *Sim) newJob() *job {
+// newJob allocates a job whole, sized for frames of frameLen bytes: its
+// state and packets, its and the elastic snapshot's enable bitsets and
+// lookup slots, and one byte slab holding the frame copy, both sets of
+// lookup keys and a two-key read list per map — one object for the
+// common geometry. Only the packets' buffers are left for the first
+// arming (and an elastic capture) to make, and a longer frame or a
+// packet reading more keys of a map grows its slice.
+func (s *Sim) newJob(frameLen int) *job {
 	n := len(s.maps) + 1 // one slot past the maps stays empty (microOp.val)
-	slots := make([]lookup, 2*n)
-	j := &job{
-		st:      &vm.State{},
-		enabled: make([]uint64, (len(s.pl.Blocks)+63)/64+1),
-		lookups: slots[:n:n],
-		reads:   make([][]byte, len(s.maps)),
+	words := (len(s.pl.Blocks)+63)/64 + 1
+	j := &job{}
+	j.st = &j.state
+	j.state.Pkt, j.elastic.st.Pkt = &j.pkt, &j.elasticPkt
+	slots, reads, bits := j.slotsIn[:], j.readsIn[:], j.bitsIn[:]
+	if len(slots) < 2*n {
+		slots = make([]lookup, 2*n)
 	}
-	j.elastic.lookups = slots[n:]
+	if len(reads) < len(s.maps) {
+		reads = make([][]byte, len(s.maps))
+	}
+	if len(bits) < 2*words {
+		bits = make([]uint64, 2*words)
+	}
+	j.lookups, j.elastic.lookups = slots[:n:n], slots[n:2*n:2*n]
+	j.reads = reads[:len(s.maps):len(s.maps)]
+	j.enabled, j.elastic.enabled = bits[:words:words], bits[words:words:2*words]
+
+	keys := 0
+	for i := range s.maps {
+		keys += s.maps[i].keySize
+	}
+	slab := j.bytesIn[:]
+	if len(slab) < frameLen+4*keys {
+		slab = make([]byte, frameLen+4*keys)
+	}
+	carve := func(size int) []byte {
+		b := slab[:0:size]
+		slab = slab[size:]
+		return b
+	}
+	j.frame = carve(frameLen)
+	for i := range s.maps {
+		size := s.maps[i].keySize
+		j.lookups[i].key, j.elastic.lookups[i].key, j.reads[i] = carve(size), carve(size), carve(2*size)
+	}
 	return j
 }
 
@@ -179,11 +227,10 @@ func (s *Sim) newJob() *job {
 // freshly allocated one whatever its previous packet left behind.
 func (s *Sim) acquire(data []byte, frames int) *job {
 	var j *job
-	if n := len(s.free); n > 0 {
-		j = s.free[n-1]
-		s.free = s.free[:n-1]
+	if j = s.free; j != nil {
+		s.free, j.nextFree = j.nextFree, nil
 	} else {
-		j = s.newJob()
+		j = s.newJob(len(data))
 		s.jobsAllocated++
 	}
 	j.seq = s.seq
@@ -198,7 +245,7 @@ func (s *Sim) acquire(data []byte, frames int) *job {
 }
 
 // release returns a retired job to the pool.
-func (s *Sim) release(j *job) { s.free = append(s.free, j) }
+func (s *Sim) release(j *job) { s.free, j.nextFree = j, s.free }
 
 // jobRing is a FIFO of jobs that also accepts pushes at the head: the
 // ingress queue, and the reload queue flush victims re-enter from

@@ -198,8 +198,8 @@ func TestRecycledJobIndistinguishableFromFresh(t *testing.T) {
 	if sim.jobsAllocated != poolBound {
 		t.Fatalf("dirty phase allocated %d jobs, want the full pool of %d", sim.jobsAllocated, poolBound)
 	}
-	if len(sim.free) != sim.jobsAllocated {
-		t.Fatalf("%d of %d jobs returned to the pool after the drain", len(sim.free), sim.jobsAllocated)
+	if sim.pooled() != sim.jobsAllocated {
+		t.Fatalf("%d of %d jobs returned to the pool after the drain", sim.pooled(), sim.jobsAllocated)
 	}
 	for sim.cycle < sim.recoveryHold {
 		if err := sim.Step(); err != nil {
@@ -283,7 +283,7 @@ func TestJobPoolBounded(t *testing.T) {
 		if err := sim.Step(); err != nil {
 			t.Fatal(err)
 		}
-		if inFlight := sim.jobsAllocated - len(sim.free); inFlight > len(pl.Stages)+queueDepth {
+		if inFlight := sim.jobsAllocated - sim.pooled(); inFlight > len(pl.Stages)+queueDepth {
 			t.Fatalf("cycle %d: %d jobs in flight, bound is %d stages + %d queued", sim.cycle, inFlight, len(pl.Stages), queueDepth)
 		}
 	}
@@ -297,8 +297,8 @@ func TestJobPoolBounded(t *testing.T) {
 	if bound := len(pl.Stages) + queueDepth; sim.jobsAllocated > bound {
 		t.Errorf("%d jobs allocated over %d frames, bound is %d", sim.jobsAllocated, frames, bound)
 	}
-	if len(sim.free) != sim.jobsAllocated {
-		t.Errorf("drained simulator holds %d of its %d jobs", len(sim.free), sim.jobsAllocated)
+	if sim.pooled() != sim.jobsAllocated {
+		t.Errorf("drained simulator holds %d of its %d jobs", sim.pooled(), sim.jobsAllocated)
 	}
 }
 
@@ -342,4 +342,13 @@ func TestJobRing(t *testing.T) {
 	if r.len() != 0 {
 		t.Fatalf("len %d after draining", r.len())
 	}
+}
+
+// pooled counts the jobs on the Sim's free list.
+func (s *Sim) pooled() int {
+	n := 0
+	for j := s.free; j != nil; j = j.nextFree {
+		n++
+	}
+	return n
 }

@@ -144,7 +144,7 @@ func TestRecoveryDrainAndRestartEveryApp(t *testing.T) {
 			if st.RecoveryAborted == 0 {
 				t.Error("recovery drained no in-flight frames (burst was in flight)")
 			}
-			if got := st.Actions[ebpf.XDPAborted]; got < st.RecoveryAborted {
+			if got := st.Actions.Count(ebpf.XDPAborted); got < st.RecoveryAborted {
 				t.Errorf("Actions[XDP_ABORTED] = %d < RecoveryAborted = %d", got, st.RecoveryAborted)
 			}
 			if st.RecoveryBackoffCycles == 0 {
@@ -277,8 +277,8 @@ func TestRecoveryFromLivelock(t *testing.T) {
 	if st.Injected != st.Completed {
 		t.Errorf("injected %d != completed %d", st.Injected, st.Completed)
 	}
-	if st.Actions[ebpf.XDPAborted] != 1 {
-		t.Errorf("Actions[XDP_ABORTED] = %d, want 1", st.Actions[ebpf.XDPAborted])
+	if st.Actions.Count(ebpf.XDPAborted) != 1 {
+		t.Errorf("Actions[XDP_ABORTED] = %d, want 1", st.Actions.Count(ebpf.XDPAborted))
 	}
 }
 

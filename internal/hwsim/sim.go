@@ -234,7 +234,7 @@ type Stats struct {
 	Flushes        uint64
 	FlushedPackets uint64
 	StallCycles    uint64
-	Actions        map[ebpf.XDPAction]uint64
+	Actions        Verdicts
 	LatencySum     uint64
 	LatencyMax     uint64
 
@@ -247,50 +247,24 @@ type Stats struct {
 	// and scrubber combined); ScrubWords counts the scrubber's share.
 	WordsChecked uint64
 	ScrubWords   uint64
-
-	// hist counts the common verdicts of an engine's live counters
-	// without a map access per retirement (Retire); Snapshot and
-	// CloseWindow fold it into Actions, so it is zero in every copy a
-	// caller sees.
-	hist [8]uint64
 }
 
-// Retire counts one retirement into an engine's live counters. A verdict
-// outside the common range (a program returning an arbitrary R0) goes
-// straight to Actions.
+// Retire counts one retirement into an engine's live counters.
 func (s *Stats) Retire(a ebpf.XDPAction, latency uint64) {
 	s.Completed++
 	s.LatencySum += latency
 	if latency > s.LatencyMax {
 		s.LatencyMax = latency
 	}
-	if int(a) < len(s.hist) {
-		s.hist[a]++
-	} else {
-		s.Actions[a]++
-	}
-}
-
-func (s *Stats) fold() {
-	for a, n := range s.hist {
-		if n > 0 {
-			s.Actions[ebpf.XDPAction(a)] += n
-			s.hist[a] = 0
-		}
-	}
+	s.Actions.Add(a, 1)
 }
 
 // Snapshot is Core.Stats over an engine's live counters s and window
-// base: a copy of the counters so far, Actions deep-copied so it stays
-// frozen while the engine keeps counting.
+// base: a copy of the counters so far, frozen while the engine keeps
+// counting.
 func (s *Stats) Snapshot(base *Stats) Stats {
-	s.fold()
 	out := *s
 	out.LatencyMax = max(out.LatencyMax, base.LatencyMax)
-	out.Actions = make(map[ebpf.XDPAction]uint64, len(s.Actions))
-	for a, n := range s.Actions {
-		out.Actions[a] = n
-	}
 	return out
 }
 
@@ -310,13 +284,7 @@ func (s Stats) Add(o Stats) Stats {
 	if o.LatencyMax > out.LatencyMax {
 		out.LatencyMax = o.LatencyMax
 	}
-	out.Actions = map[ebpf.XDPAction]uint64{}
-	for a, n := range s.Actions {
-		out.Actions[a] += n
-	}
-	for a, n := range o.Actions {
-		out.Actions[a] += n
-	}
+	out.Actions.Merge(o.Actions)
 	out.Resilience.Add(o.Resilience)
 	out.AbortedFaults += o.AbortedFaults
 	out.WordsChecked += o.WordsChecked
@@ -325,28 +293,12 @@ func (s Stats) Add(o Stats) Stats {
 }
 
 // CloseWindow is Core.Window over an engine's live counters s: w
-// receives what accumulated since base (its Actions map is reused),
-// base advances to s, and the latency high-water mark restarts — so
-// s.LatencyMax is always the open window's own and base.LatencyMax the
-// maximum over the closed ones.
+// receives what accumulated since base, base advances to s, and the
+// latency high-water mark restarts — so s.LatencyMax is always the open
+// window's own and base.LatencyMax the maximum over the closed ones.
 func (s *Stats) CloseWindow(base, w *Stats) {
-	s.fold()
-	acts := w.Actions
-	if acts == nil {
-		acts = map[ebpf.XDPAction]uint64{}
-	}
-	clear(acts)
-	if base.Actions == nil {
-		base.Actions = map[ebpf.XDPAction]uint64{}
-	}
-	for a, n := range s.Actions {
-		if d := n - base.Actions[a]; d > 0 {
-			acts[a] = d
-		}
-		base.Actions[a] = n
-	}
 	*w = *s
-	w.Actions = acts
+	w.Actions = s.Actions.since(base.Actions)
 	w.Cycles -= base.Cycles
 	w.Injected -= base.Injected
 	w.Completed -= base.Completed
@@ -359,9 +311,9 @@ func (s *Stats) CloseWindow(base, w *Stats) {
 	w.AbortedFaults -= base.AbortedFaults
 	w.WordsChecked -= base.WordsChecked
 	w.ScrubWords -= base.ScrubWords
-	acts, closed := base.Actions, max(base.LatencyMax, s.LatencyMax)
+	closed := max(base.LatencyMax, s.LatencyMax)
 	*base = *s
-	base.Actions, base.LatencyMax = acts, closed
+	base.LatencyMax = closed
 	s.LatencyMax = 0
 }
 
@@ -401,10 +353,10 @@ type Sim struct {
 	seq        uint64
 	cycle      uint64
 
-	// The job pool (see job.go): retired jobs awaiting reuse, and how
-	// many jobs this Sim ever allocated — bounded by the pipeline depth
-	// plus the ingress queue bound.
-	free          []*job
+	// The job pool (see job.go): retired jobs awaiting reuse, linked
+	// through job.nextFree, and how many jobs this Sim ever allocated —
+	// bounded by the pipeline depth plus the ingress queue bound.
+	free          *job
 	jobsAllocated int
 	// Scratch reused across calls: flush victims, fault targets, and
 	// the helper key/value arguments of the map call in progress.
@@ -540,7 +492,6 @@ func newSim(pl *core.Pipeline, cfg Config, env *vm.Env, oneBurst bool) (*Sim, er
 	if env.Now == nil && !oneBurst {
 		s.SetClock(nil)
 	}
-	s.stats.Actions = map[ebpf.XDPAction]uint64{}
 	s.initProtection()
 	if cfg.Trace != nil || cfg.Metrics != nil {
 		s.probes = newProbes(cfg.Trace, cfg.Metrics, env.Maps.Len(), len(pl.Stages))

@@ -10,18 +10,19 @@ import (
 	"ehdl/internal/pktgen"
 )
 
-// TestRunLoadAllocs pins the shell's own allocations: a RunLoad costs a
-// fixed handful of objects (the report's verdict map, the runtime/trace
-// task) however many frames it serves, on either engine. The ceilings
-// are the counts measured before the serving loops were merged.
+// TestRunLoadAllocs pins the shell's own allocations: once the job pool
+// and the flow table are warm, a single-queue RunLoad allocates nothing
+// however many frames it serves, on either engine. The report's verdict
+// histogram is a value (hwsim.Verdicts) and the engines' counters are
+// windowed into the shell's scratch.
 func TestRunLoadAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  ShellConfig
 		max  float64
 	}{
-		{"compiled", ShellConfig{FastPath: true}, 6},
-		{"interpreter", ShellConfig{}, 14},
+		{"compiled", ShellConfig{FastPath: true}, 0},
+		{"interpreter", ShellConfig{}, 0},
 	} {
 		app := apps.Firewall()
 		sh := newShell(t, app, core.Options{}, tc.cfg)

@@ -1,6 +1,7 @@
 package nic
 
 import (
+	"reflect"
 	"testing"
 
 	"ehdl/internal/apps"
@@ -44,13 +45,8 @@ func TestFastPathReportMatchesInterpreter(t *testing.T) {
 		if sr.MalformedDropped != fr.MalformedDropped {
 			t.Errorf("%s: malformed %d vs %d", app.Name, sr.MalformedDropped, fr.MalformedDropped)
 		}
-		if len(sr.Actions) != len(fr.Actions) {
-			t.Errorf("%s: verdict histogram %v vs %v", app.Name, sr.Actions, fr.Actions)
-		}
-		for act, n := range sr.Actions {
-			if fr.Actions[act] != n {
-				t.Errorf("%s: %v count %d (interp) vs %d (fast)", app.Name, act, n, fr.Actions[act])
-			}
+		if !reflect.DeepEqual(sr.Actions, fr.Actions) {
+			t.Errorf("%s: verdict histogram %v (interp) vs %v (fast)", app.Name, sr.Actions, fr.Actions)
 		}
 		if err := conformance.CompareMaps(slow.Maps(), fast.Maps()); err != nil {
 			t.Errorf("%s: %v", app.Name, err)
@@ -157,10 +153,8 @@ func TestFastPathMultiQueue(t *testing.T) {
 		t.Errorf("ledger sent/received/lost %d/%d/%d (fast) vs %d/%d/%d (interp)",
 			fr.Sent, fr.Received, fr.Lost, sr.Sent, sr.Received, sr.Lost)
 	}
-	for act, n := range sr.Actions {
-		if fr.Actions[act] != n {
-			t.Errorf("%v count %d (interp) vs %d (fast)", act, n, fr.Actions[act])
-		}
+	if !reflect.DeepEqual(sr.Actions, fr.Actions) {
+		t.Errorf("verdict histogram %v (interp) vs %v (fast)", sr.Actions, fr.Actions)
 	}
 	if err := conformance.CompareMaps(slowSh.Maps(), fastSh.Maps()); err != nil {
 		t.Error(err)

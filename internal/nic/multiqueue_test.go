@@ -57,7 +57,7 @@ func TestMultiQueueRunLoad(t *testing.T) {
 	if rep.MergeConflicts != 0 {
 		t.Errorf("%d merge conflicts on flow-pinned traffic", rep.MergeConflicts)
 	}
-	if rep.Actions[ebpf.XDPTx] != count {
+	if rep.Actions.Count(ebpf.XDPTx) != count {
 		t.Errorf("actions = %v, want %d XDP_TX", rep.Actions, count)
 	}
 	if rep.AvgLatencyNs <= 0 || rep.MaxLatencyNs < rep.AvgLatencyNs {

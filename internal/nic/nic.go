@@ -235,7 +235,7 @@ type Report struct {
 	MaxLatencyNs float64
 	Flushes      uint64
 	FlushesPerS  float64
-	Actions      map[ebpf.XDPAction]uint64
+	Actions      hwsim.Verdicts
 	Cycles       uint64
 
 	// Fault, protection and recovery counters, as the engines counted

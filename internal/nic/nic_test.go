@@ -110,7 +110,7 @@ func TestActionsReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Actions[ebpf.XDPTx] != 100 {
+	if rep.Actions.Count(ebpf.XDPTx) != 100 {
 		t.Errorf("actions = %v, want 100 XDP_TX", rep.Actions)
 	}
 }

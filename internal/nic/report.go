@@ -1,10 +1,10 @@
 package nic
 
 import (
-	"maps"
+	"encoding/json"
 
-	"ehdl/internal/ebpf"
 	"ehdl/internal/faults"
+	"ehdl/internal/hwsim"
 	"ehdl/internal/liveupdate"
 	"ehdl/internal/rss"
 )
@@ -87,7 +87,7 @@ func (sh *Shell) fold(rep *Report, tr *traffic, run rss.RunStats) {
 	rep.Sent = uint64(tr.sent + tr.extra)
 	rep.Cycles = run.MaxCycles
 	rep.Received = st.Completed
-	rep.Actions = maps.Clone(st.Actions) // st may be the shell's scratch
+	rep.Actions = st.Actions
 	rep.Lost = st.QueueDrops
 	rep.Flushes = st.Flushes
 	rep.Resilience = st.Resilience
@@ -175,7 +175,22 @@ type TenantSlice struct {
 	// AvgLatencyNs is Received-weighted under Add.
 	AvgLatencyNs float64 `json:"avg_latency_ns"`
 
-	Actions map[ebpf.XDPAction]uint64 `json:"actions,omitempty"`
+	Actions hwsim.Verdicts `json:"actions"`
+}
+
+// MarshalJSON encodes the row field by field, leaving an empty verdict
+// histogram out as the map it replaced was left out (omitempty does not
+// apply to a struct).
+func (s TenantSlice) MarshalJSON() ([]byte, error) {
+	type fields TenantSlice // the same fields without this method
+	var acts *hwsim.Verdicts
+	if !s.Actions.IsZero() {
+		acts = &s.Actions
+	}
+	return json.Marshal(struct {
+		fields
+		Actions *hwsim.Verdicts `json:"actions,omitempty"` // shadows fields.Actions
+	}{fields(s), acts})
 }
 
 // Accounted states the per-tenant ledger: every steered frame is
@@ -210,14 +225,7 @@ func (s *TenantSlice) add(o TenantSlice) {
 	s.Recoveries += o.Recoveries
 	s.WatchdogTrips += o.WatchdogTrips
 	s.AchievedMpps += o.AchievedMpps
-	if o.Actions != nil {
-		if s.Actions == nil {
-			s.Actions = map[ebpf.XDPAction]uint64{}
-		}
-		for a, n := range o.Actions {
-			s.Actions[a] += n
-		}
-	}
+	s.Actions.Merge(o.Actions)
 }
 
 // Accounted states the device-level loss ledger: every offered frame
@@ -276,14 +284,7 @@ func (r *Report) Add(o Report) {
 	r.Lost += o.Lost
 	r.Flushes += o.Flushes
 	r.Cycles += o.Cycles
-	if o.Actions != nil {
-		if r.Actions == nil {
-			r.Actions = map[ebpf.XDPAction]uint64{}
-		}
-		for a, n := range o.Actions {
-			r.Actions[a] += n
-		}
-	}
+	r.Actions.Merge(o.Actions)
 
 	// Fault campaign, protection and recovery.
 	r.Resilience.Add(o.Resilience)
@@ -345,14 +346,7 @@ func (r *Report) Add(o Report) {
 			}
 		}
 		if !merged {
-			cp := ot
-			if ot.Actions != nil {
-				cp.Actions = map[ebpf.XDPAction]uint64{}
-				for a, n := range ot.Actions {
-					cp.Actions[a] += n
-				}
-			}
-			r.PerTenant = append(r.PerTenant, cp)
+			r.PerTenant = append(r.PerTenant, ot)
 		}
 	}
 }

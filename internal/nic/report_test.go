@@ -1,7 +1,9 @@
 package nic
 
 import (
+	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"ehdl/internal/ebpf"
@@ -12,6 +14,15 @@ import (
 // (traffic, queue, recovery, update, steer-fallback and merge-conflict
 // counters), capacity-summed rates, weighted latency means, max-folded
 // worst cases and first-non-empty update strings.
+// verdicts builds a histogram from a map literal.
+func verdicts(m map[ebpf.XDPAction]uint64) hwsim.Verdicts {
+	var v hwsim.Verdicts
+	for a, n := range m {
+		v.Add(a, n)
+	}
+	return v
+}
+
 func TestReportAdd(t *testing.T) {
 	a := Report{
 		OfferedMpps:  100,
@@ -23,7 +34,7 @@ func TestReportAdd(t *testing.T) {
 		MaxLatencyNs: 5000,
 		Flushes:      10,
 		Cycles:       4000,
-		Actions:      map[ebpf.XDPAction]uint64{ebpf.XDPTx: 900},
+		Actions:      verdicts(map[ebpf.XDPAction]uint64{ebpf.XDPTx: 900}),
 
 		Resilience: hwsim.Resilience{
 			QueueOverflows:        3,
@@ -57,7 +68,7 @@ func TestReportAdd(t *testing.T) {
 		MaxLatencyNs: 4000,
 		Flushes:      30,
 		Cycles:       8000,
-		Actions:      map[ebpf.XDPAction]uint64{ebpf.XDPTx: 200, ebpf.XDPDrop: 100},
+		Actions:      verdicts(map[ebpf.XDPAction]uint64{ebpf.XDPTx: 200, ebpf.XDPDrop: 100}),
 
 		Resilience: hwsim.Resilience{
 			QueueOverflows:        1,
@@ -83,7 +94,7 @@ func TestReportAdd(t *testing.T) {
 	}
 
 	sum := a
-	sum.Actions = map[ebpf.XDPAction]uint64{ebpf.XDPTx: 900}
+	sum.Actions = verdicts(map[ebpf.XDPAction]uint64{ebpf.XDPTx: 900})
 	sum.PerQueue = append([]QueueReport(nil), a.PerQueue...)
 	sum.Add(b)
 
@@ -140,7 +151,7 @@ func TestReportAdd(t *testing.T) {
 		t.Errorf("MaxLatencyNs %.0f, want max 5000", sum.MaxLatencyNs)
 	}
 	// Actions merge.
-	if sum.Actions[ebpf.XDPTx] != 1100 || sum.Actions[ebpf.XDPDrop] != 100 {
+	if sum.Actions.Count(ebpf.XDPTx) != 1100 || sum.Actions.Count(ebpf.XDPDrop) != 100 {
 		t.Errorf("actions merged to %v", sum.Actions)
 	}
 }
@@ -155,7 +166,7 @@ func TestReportAddPerTenant(t *testing.T) {
 		PerTenant: []TenantSlice{
 			{Name: "alpha", VLAN: 100, Steered: 60, Admitted: 57, Throttled: 3,
 				Sent: 57, Received: 55, Lost: 2, AvgLatencyNs: 100, AchievedMpps: 1,
-				Actions: map[ebpf.XDPAction]uint64{ebpf.XDPTx: 55}},
+				Actions: verdicts(map[ebpf.XDPAction]uint64{ebpf.XDPTx: 55})},
 			{Name: "beta", VLAN: 200, Steered: 40, Admitted: 40,
 				Sent: 43, Received: 35, Lost: 8, AvgLatencyNs: 200},
 		},
@@ -165,13 +176,13 @@ func TestReportAddPerTenant(t *testing.T) {
 		PerTenant: []TenantSlice{
 			{Name: "alpha", Steered: 50, Admitted: 45, Throttled: 5,
 				Sent: 45, Received: 45, AvgLatencyNs: 300, AchievedMpps: 2,
-				Actions: map[ebpf.XDPAction]uint64{ebpf.XDPTx: 40, ebpf.XDPDrop: 5}},
+				Actions: verdicts(map[ebpf.XDPAction]uint64{ebpf.XDPTx: 40, ebpf.XDPDrop: 5, 9: 1})},
 			{Name: "gamma", VLAN: 300, Steered: 7, Admitted: 7, Sent: 7, Received: 7},
 		},
 	}
 	sum := a
 	sum.PerTenant = append([]TenantSlice(nil), a.PerTenant...)
-	sum.PerTenant[0].Actions = map[ebpf.XDPAction]uint64{ebpf.XDPTx: 55}
+	sum.PerTenant[0].Actions = verdicts(map[ebpf.XDPAction]uint64{ebpf.XDPTx: 55})
 	sum.Add(b)
 
 	if sum.Throttled != 8 || sum.Quarantined != 2 || sum.TenantDownLoss != 1 {
@@ -190,18 +201,18 @@ func TestReportAddPerTenant(t *testing.T) {
 	if al.AvgLatencyNs != wantAvg {
 		t.Errorf("alpha AvgLatencyNs %.2f, want Received-weighted %.2f", al.AvgLatencyNs, wantAvg)
 	}
-	if al.Actions[ebpf.XDPTx] != 95 || al.Actions[ebpf.XDPDrop] != 5 {
+	if al.Actions.Count(ebpf.XDPTx) != 95 || al.Actions.Count(ebpf.XDPDrop) != 5 {
 		t.Errorf("alpha actions merged to %v", al.Actions)
 	}
 	if sum.PerTenant[2].Name != "gamma" || sum.PerTenant[2].VLAN != 300 {
 		t.Errorf("gamma appended as %+v", sum.PerTenant[2])
 	}
-	// Appended slices are deep copies: mutating the merged report must
-	// not reach back into the source report's action map.
-	sum.PerTenant[2].Actions = nil
-	al.Actions[ebpf.XDPTx] = 0
-	if b.PerTenant[0].Actions[ebpf.XDPTx] != 40 {
-		t.Errorf("merge aliased the source action map: %v", b.PerTenant[0].Actions)
+	// Appended slices are copies: counting into the merged report must
+	// not reach back into the source report's histogram.
+	sum.PerTenant[0].Actions.Add(ebpf.XDPAction(9), 1)
+	sum.PerTenant[2].Actions.Add(ebpf.XDPTx, 1)
+	if b.PerTenant[0].Actions.Count(ebpf.XDPAction(9)) != 1 || b.PerTenant[1].Actions.Count(ebpf.XDPTx) != 0 {
+		t.Errorf("merge aliased the source histograms: %v, %v", b.PerTenant[0].Actions, b.PerTenant[1].Actions)
 	}
 }
 
@@ -277,6 +288,34 @@ func TestReportAddZero(t *testing.T) {
 	}
 }
 
+// TestTenantSliceJSON: a tenant row encodes its fields in order, and an
+// empty verdict histogram is left out as the map it replaced was under
+// omitempty; either way the row decodes back to itself.
+func TestTenantSliceJSON(t *testing.T) {
+	type fields TenantSlice // encodes every field, "actions" included
+	for _, acts := range []hwsim.Verdicts{{}, verdicts(map[ebpf.XDPAction]uint64{ebpf.XDPTx: 5, 7: 1})} {
+		s := TenantSlice{Name: "a", VLAN: 100, Steered: 6, Admitted: 6, Sent: 6, Received: 6, AchievedMpps: 1.5, Actions: acts}
+		got, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(fields(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if acts.IsZero() {
+			want = bytes.Replace(want, []byte(`,"actions":{}`), nil, 1)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("row encodes as\n%s\nwant\n%s", got, want)
+		}
+		var back TenantSlice
+		if err := json.Unmarshal(got, &back); err != nil || !reflect.DeepEqual(back, s) {
+			t.Errorf("%s decodes to %+v (%v)", got, back, err)
+		}
+	}
+}
+
 // TestReportJSONByteStable: the fleet's byte-identical chaos and
 // recovery gates hash report JSON, so a report with a populated verdict
 // histogram (a Go map) must marshal identically every time —
@@ -284,10 +323,10 @@ func TestReportAddZero(t *testing.T) {
 func TestReportJSONByteStable(t *testing.T) {
 	rep := Report{
 		Sent: 10, Received: 9, Lost: 1,
-		Actions: map[ebpf.XDPAction]uint64{
+		Actions: verdicts(map[ebpf.XDPAction]uint64{
 			ebpf.XDPPass: 3, ebpf.XDPDrop: 2, ebpf.XDPTx: 2,
 			ebpf.XDPAborted: 1, ebpf.XDPRedirect: 1,
-		},
+		}),
 		PerQueue:  []QueueReport{{Queue: 0, Received: 5}, {Queue: 1, Received: 4}},
 		PerTenant: []TenantSlice{{Name: "b", Received: 4}, {Name: "a", Received: 5}},
 	}

@@ -10,7 +10,6 @@ import (
 	"ehdl/internal/asm"
 	"ehdl/internal/conformance"
 	"ehdl/internal/core"
-	"ehdl/internal/ebpf"
 	"ehdl/internal/faults"
 	"ehdl/internal/hwsim"
 	"ehdl/internal/liveupdate"
@@ -210,7 +209,7 @@ func TestPinnedMultiQueueUpdate(t *testing.T) {
 func TestMultiQueueUpdateKeepsClock(t *testing.T) {
 	app := apps.LeakyBucket()
 	for _, fast := range []bool{false, true} {
-		var actions [2]map[ebpf.XDPAction]uint64
+		var actions [2]hwsim.Verdicts
 		for i, update := range []bool{false, true} {
 			sh := newShell(t, app, core.Options{}, ShellConfig{Queues: 4, FastPath: fast})
 			traffic := app.Traffic

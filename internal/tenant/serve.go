@@ -3,7 +3,6 @@ package tenant
 import (
 	"fmt"
 
-	"ehdl/internal/ebpf"
 	"ehdl/internal/nic"
 	"ehdl/internal/obs"
 )
@@ -16,7 +15,8 @@ import (
 // TenantDownLoss — so the returned error covers only the device's own
 // invariants. The report satisfies the ledger identity
 // (nic.Report.Accounted): every arrival lands in exactly one of
-// Received, Lost, Throttled, Quarantined or TenantDownLoss.
+// Received, Lost, Throttled, Quarantined or TenantDownLoss. Its
+// PerTenant rows are the device's own: the next Serve rewrites them.
 func (d *Device) Serve(batch [][]byte, offeredPps float64) (nic.Report, error) {
 	if offeredPps <= 0 {
 		return nic.Report{}, fmt.Errorf("tenant: offered rate must be positive")
@@ -33,12 +33,10 @@ func (d *Device) Serve(batch [][]byte, offeredPps float64) (nic.Report, error) {
 // untagged copies they point at are the device's own, rebuilt here and
 // valid until the next call.
 func (d *Device) classify(batch [][]byte) (sub [][][]byte, quarantined uint64) {
+	d.reserve(batch)
 	d.strip = d.strip[:0]
 	for i := range d.sub {
 		d.sub[i] = d.sub[i][:0]
-	}
-	for len(d.sub) < len(d.tenants) {
-		d.sub = append(d.sub, nil)
 	}
 	sub = d.sub
 	for seq, pkt := range batch {
@@ -56,6 +54,28 @@ func (d *Device) classify(batch [][]byte) (sub [][][]byte, quarantined uint64) {
 	return sub, quarantined
 }
 
+// reserve sizes the classify buffers for EpochPackets arrivals no longer
+// than the longest of batch: a sub-batch per tenant that holds them all,
+// and a strip arena that holds them all untagged. The traffic fixes
+// both, so they are made once; a longer batch or frame, or a tenant
+// admitted since, makes them anew.
+func (d *Device) reserve(batch [][]byte) {
+	n, longest := max(len(batch), d.cfg.epochPackets()), 0
+	for _, pkt := range batch {
+		longest = max(longest, len(pkt))
+	}
+	if cap(d.strip) < len(batch)*longest {
+		d.strip = make([]byte, 0, n*longest)
+	}
+	if len(d.sub) < len(d.tenants) || cap(d.sub[0]) < len(batch) {
+		slab := make([][]byte, len(d.tenants)*n)
+		d.sub = make([][][]byte, len(d.tenants))
+		for i := range d.sub {
+			d.sub[i] = slab[i*n : i*n : (i+1)*n]
+		}
+	}
+}
+
 // serve polices and serves one epoch's classified arrivals.
 func (d *Device) serve(sub [][][]byte, quarantined uint64, offeredPps float64) nic.Report {
 	dev := nic.Report{Sent: quarantined, Quarantined: quarantined}
@@ -64,7 +84,6 @@ func (d *Device) serve(sub [][][]byte, quarantined uint64, offeredPps float64) n
 	// first-come-first-served pool in the NoIsolation ablation (where a
 	// noisy tenant admitted earlier starves its neighbours — the
 	// behaviour the ablation table quantifies).
-	admitted := make([]int, len(d.tenants))
 	if d.cfg.NoIsolation {
 		pool := d.cfg.epochBudget()
 		for _, t := range d.tenants {
@@ -72,7 +91,7 @@ func (d *Device) serve(sub [][][]byte, quarantined uint64, offeredPps float64) n
 			if n > pool {
 				n = pool
 			}
-			admitted[t.id] = n
+			t.admitted = n
 			pool -= n
 		}
 	} else {
@@ -85,14 +104,14 @@ func (d *Device) serve(sub [][][]byte, quarantined uint64, offeredPps float64) n
 			if grant := int(t.bucket); n > grant {
 				n = grant
 			}
-			admitted[t.id] = n
+			t.admitted = n
 			t.bucket -= float64(n)
 		}
 	}
 
-	slices := make([]nic.TenantSlice, len(d.tenants))
+	clear(d.rows)
 	for _, t := range d.tenants {
-		sl := &slices[t.id]
+		sl := &d.rows[t.id]
 		sl.Name = t.Spec.Name
 		sl.VLAN = t.Spec.VLAN
 		arrivals := sub[t.id]
@@ -108,7 +127,7 @@ func (d *Device) serve(sub [][][]byte, quarantined uint64, offeredPps float64) n
 			continue
 		}
 
-		adm := admitted[t.id]
+		adm := t.admitted
 		if shed := uint64(len(arrivals) - adm); shed > 0 {
 			sl.Throttled = shed
 			dev.Sent += shed
@@ -172,18 +191,13 @@ func (d *Device) serve(sub [][][]byte, quarantined uint64, offeredPps float64) n
 		sl.Cycles = rep.Cycles
 		sl.AchievedMpps = rep.AchievedMpps
 		sl.AvgLatencyNs = rep.AvgLatencyNs
-		if len(rep.Actions) > 0 {
-			sl.Actions = map[ebpf.XDPAction]uint64{}
-			for a, n := range rep.Actions {
-				sl.Actions[a] += n
-			}
-		}
+		sl.Actions = rep.Actions
 		dev.Add(rep)
 		d.count(metricDelivered, rep.Received)
 		d.count(metricLost, rep.Lost)
 	}
 
-	dev.PerTenant = slices
+	dev.PerTenant = d.rows
 	d.epoch++
 	return dev
 }
@@ -196,9 +210,10 @@ func (d *Device) serve(sub [][][]byte, quarantined uint64, offeredPps float64) n
 func (d *Device) RunLoad(next func() []byte, count int, offeredPps float64) (nic.Report, error) {
 	var tl nic.Timeline
 	ep := d.cfg.epochPackets()
+	all := make([][]byte, min(ep, count))
 	var err error
 	for off := 0; off < count && err == nil; off += ep {
-		batch := make([][]byte, min(ep, count-off))
+		batch := all[:min(ep, count-off)]
 		for i := range batch {
 			batch[i] = next()
 		}

@@ -188,8 +188,10 @@ type Tenant struct {
 
 	sh *nic.Shell
 
-	// bucket is the token-bucket fill in frames.
-	bucket float64
+	// bucket is the token-bucket fill in frames; admitted is this
+	// epoch's grant from it.
+	bucket   float64
+	admitted int
 
 	dead       bool
 	deathCause string
@@ -219,10 +221,13 @@ type Device struct {
 	epoch    int
 	shareSum float64
 
-	// strip is the arena classify copies untagged frames into and sub
-	// the per-tenant sub-batches over it; both are reused across epochs.
+	// The epoch's buffers, reused by every Serve: strip is the arena
+	// classify copies untagged frames into and sub the per-tenant
+	// sub-batches over it, both sized by reserve; rows holds the
+	// report's tenant rows, one per admitted tenant.
 	strip []byte
 	sub   [][][]byte
+	rows  []nic.TenantSlice
 }
 
 // NewDevice builds an empty multi-tenant device; AdmitTenant populates
@@ -351,6 +356,7 @@ func (d *Device) AdmitTenant(sp Spec) (*Tenant, error) {
 	t := &Tenant{id: id, Spec: sp, Est: est, sh: sh}
 	t.bucket = float64(d.bucketDepth(sp))
 	d.tenants = append(d.tenants, t)
+	d.rows = append(d.rows, nic.TenantSlice{})
 	d.byName[sp.Name] = t
 	if sp.VLAN != 0 {
 		d.byVLAN[sp.VLAN] = t

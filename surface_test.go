@@ -320,7 +320,6 @@ var surfaceAllow = map[string]string{
 	"tenant.TrafficMux":        "returned",
 
 	"vm.MemSpace":          "returned",
-	"vm.Packet":            "test-support",
 	"vm.Packet.AdjustHead": "test-support",
 	"vm.Packet.AdjustTail": "test-support",
 	"vm.Packet.Len":        "test-support",
