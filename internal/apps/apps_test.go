@@ -89,7 +89,7 @@ func differential(t *testing.T, app *App, packets [][]byte) hwsim.Stats {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := hwsim.New(pl, hwsim.Config{StrictCarryCheck: true})
+	sim, err := hwsim.New(pl, hwsim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

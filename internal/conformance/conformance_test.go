@@ -31,29 +31,6 @@ func TestDifferentialApps(t *testing.T) {
 	}
 }
 
-// TestDifferentialStrictCarry re-runs the suite with run-time pruning
-// verification on, proving the carried state is sufficient for every
-// app (not just the fuzz programs).
-func TestDifferentialStrictCarry(t *testing.T) {
-	n := 150
-	if testing.Short() {
-		n = 40
-	}
-	for _, app := range allApps() {
-		app := app
-		t.Run(app.Name, func(t *testing.T) {
-			t.Parallel()
-			cfg := app.Traffic
-			cfg.Seed = 0xBEEF
-			packets := pktgen.NewGenerator(cfg).Batch(n)
-			err := DiffAppThreeWay(app, packets, Config{sim: hwsim.Config{StrictCarryCheck: true}})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
 // TestDifferentialStallPolicy diffs the stall-based hazard handling the
 // paper evaluates and rejects: slower, but it must still be correct.
 func TestDifferentialStallPolicy(t *testing.T) {

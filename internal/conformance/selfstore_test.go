@@ -5,7 +5,6 @@ import (
 
 	"ehdl/internal/asm"
 	"ehdl/internal/ebpf"
-	"ehdl/internal/hwsim"
 	"ehdl/internal/pktgen"
 )
 
@@ -43,8 +42,7 @@ exit
 }
 
 // TestDifferentialSelfStore holds the pipeline to the reference VM on a
-// register stored through itself, under the default options and with
-// strict run-time carry checking.
+// register stored through itself.
 func TestDifferentialSelfStore(t *testing.T) {
 	packets := pktgen.NewGenerator(pktgen.GeneratorConfig{Flows: 4, PacketLen: 64, Proto: ebpf.IPProtoUDP, Seed: 1}).Batch(8)
 	for name, src := range selfStoreSources {
@@ -52,10 +50,8 @@ func TestDifferentialSelfStore(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		for _, cfg := range []Config{{}, {sim: hwsim.Config{StrictCarryCheck: true}}} {
-			if err := diffProgram(prog, nil, packets, cfg); err != nil {
-				t.Errorf("%s (strict carry %v): %v", name, cfg.sim.StrictCarryCheck, err)
-			}
+		if err := diffProgram(prog, nil, packets, Config{}); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
 	}
 }

@@ -39,8 +39,8 @@ func staleSequences() map[string][]byte {
 // verdicts, packet bytes and map contents while pointers outlive their
 // entries — with the plain tables (the static add runs on the kept
 // slice, the register-relative one on the rebound address) and with the
-// generic ones (the strict carry check and a tracer: every access
-// resolves its address), which the fast path does not serve.
+// generic ones (a tracer: every access resolves its address), which the
+// fast path does not serve.
 func TestStalePointerThreeWay(t *testing.T) {
 	app := StalePointerZoo()
 	for name, ids := range staleSequences() {
@@ -48,9 +48,6 @@ func TestStalePointerThreeWay(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			if err := DiffAppThreeWay(app, packets, Config{}); err != nil {
 				t.Fatal(err)
-			}
-			if err := DiffAppThreeWay(app, packets, Config{sim: hwsim.Config{StrictCarryCheck: true}}); err != nil {
-				t.Fatalf("strict carry check: %v", err)
 			}
 			tr, reg := newTestObs()
 			if err := DiffAppThreeWay(app, packets, Config{sim: hwsim.Config{Trace: tr, Metrics: reg}}); err != nil {

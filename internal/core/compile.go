@@ -68,7 +68,7 @@ func Compile(prog *ebpf.Program, opts Options) (*Pipeline, error) {
 	p := &Pipeline{
 		Prog:                prog,
 		Transformed:         a.prog,
-		Info:                a.info,
+		info:                a.info,
 		Options:             opts,
 		Stages:              stages,
 		Blocks:              blocks,
@@ -350,7 +350,7 @@ func (p *Pipeline) applyPruning() {
 func (p *Pipeline) carryRegs() {
 	n := len(p.Stages)
 	prog := p.Transformed
-	g := p.Info.Graph
+	g := p.info.Graph
 
 	// stageOf[i] is the stage of instruction i, -1 when unscheduled.
 	stageOf := make([]int, len(prog.Instructions))
@@ -397,7 +397,7 @@ func (p *Pipeline) carryRegs() {
 		for i := blk.Start; i < blk.End; i++ {
 			at := stageOf[i]
 			if at >= 0 {
-				for m := effectiveUses(p.Info, i); m != 0; m &= m - 1 {
+				for m := effectiveUses(p.info, i); m != 0; m &= m - 1 {
 					r := bits.TrailingZeros16(m)
 					if def := cur[r]; def < at {
 						delta[def+1][r]++
@@ -488,21 +488,21 @@ func fullStackBits() stackBits {
 // stackEffect returns the stack bytes an op reads and writes.
 func (p *Pipeline) stackEffect(op *Op) (reads, writes stackBits) {
 	consider := func(idx int, ins ebpf.Instruction) {
-		acc := p.Info.Accesses[idx]
+		acc := p.info.Accesses[idx]
 		if ins.IsCall() {
 			helper := ebpf.HelperID(ins.Imm)
-			if !helper.AccessesMap() || p.Info.CallMap[idx] < 0 {
+			if !helper.AccessesMap() || p.info.CallMap[idx] < 0 {
 				return
 			}
-			spec := p.Transformed.Maps[p.Info.CallMap[idx]]
-			if p.Info.CallKey[idx].Known {
-				setStackRange(&reads, p.Info.CallKey[idx].Off, spec.KeySize)
+			spec := p.Transformed.Maps[p.info.CallMap[idx]]
+			if p.info.CallKey[idx].Known {
+				setStackRange(&reads, p.info.CallKey[idx].Off, spec.KeySize)
 			} else {
 				reads = fullStackBits()
 			}
 			if helper == ebpf.HelperMapUpdateElem {
-				if p.Info.CallVal[idx].Known {
-					setStackRange(&reads, p.Info.CallVal[idx].Off, spec.ValueSize)
+				if p.info.CallVal[idx].Known {
+					setStackRange(&reads, p.info.CallVal[idx].Off, spec.ValueSize)
 				} else {
 					reads = fullStackBits()
 				}

@@ -349,7 +349,7 @@ func TestCompileSchedulerInvariants(t *testing.T) {
 						if lo > hi {
 							lo, hi = hi, lo
 						}
-						if p.Info.Conflicts(lo, hi) {
+						if p.info.Conflicts(lo, hi) {
 							t.Errorf("stage %d holds conflicting instructions %d and %d", s, a, b)
 						}
 					}

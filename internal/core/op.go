@@ -293,7 +293,9 @@ type Pipeline struct {
 	// pipeline actually lays out (unrolled, elided, DCE'd).
 	Prog        *ebpf.Program
 	Transformed *ebpf.Program
-	Info        *ddg.Info
+	// info is the compiler's analysis of Transformed. It stays inside
+	// the package: a check of the design derives its own.
+	info *ddg.Info
 
 	Options Options
 

@@ -130,7 +130,7 @@ type reachingInfo struct {
 // definition sites.
 func refReachingDefs(p *Pipeline) *reachingInfo {
 	prog := p.Transformed
-	g := p.Info.Graph
+	g := p.info.Graph
 	n := len(prog.Instructions)
 
 	var sites []defSite
@@ -252,7 +252,7 @@ func refCarryRegs(p *Pipeline) []uint16 {
 	rd := refReachingDefs(p)
 	uses := make([]uint16, len(p.Transformed.Instructions))
 	for i := range stageOf {
-		uses[i] = effectiveUses(p.Info, i)
+		uses[i] = effectiveUses(p.info, i)
 	}
 	out := make([]uint16, len(p.Stages))
 	for s := range p.Stages {

@@ -398,10 +398,3 @@ func deadCodeElim(a *analysis) (*analysis, int, error) {
 	out, err := analyze(next)
 	return out, len(drop), err
 }
-
-// EffectiveUses exposes the hardware-level register uses of an
-// instruction (base registers of statically addressed accesses elided)
-// for the simulator's pruning-soundness checks.
-func EffectiveUses(info *ddg.Info, i int) uint16 {
-	return effectiveUses(info, i)
-}

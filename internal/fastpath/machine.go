@@ -7,8 +7,8 @@
 // interpreter equivalent to sequential execution on verdicts, map effects
 // and packet bytes, so a Machine is bit-identical to a hwsim.Sim wherever
 // it is eligible to run (internal/conformance runs vm, hwsim and fastpath
-// three ways). Fault injection, memory protection, stall policy, strict
-// carry checking and cycle-level observability keep the interpreter (see
+// three ways). Fault injection, memory protection, the watchdog, stall
+// policy and cycle-level observability keep the interpreter (see
 // Eligible and the fallback matrix in DESIGN.md).
 package fastpath
 
@@ -41,8 +41,6 @@ func Eligible(cfg hwsim.Config) (bool, string) {
 		return false, "livelock watchdog"
 	case cfg.Policy == hwsim.PolicyStall:
 		return false, "stall hazard policy"
-	case cfg.StrictCarryCheck:
-		return false, "strict carry checking"
 	case cfg.Trace != nil:
 		return false, "cycle-level tracing"
 	case cfg.Metrics != nil:

@@ -419,7 +419,6 @@ func TestEligibleMatrix(t *testing.T) {
 		{hwsim.Config{Protection: protect.LevelECC}, "protection"},
 		{hwsim.Config{WatchdogCycles: 5}, "watchdog"},
 		{hwsim.Config{Policy: hwsim.PolicyStall}, "stall"},
-		{hwsim.Config{StrictCarryCheck: true}, "carry"},
 		{hwsim.Config{Trace: new(obs.Tracer)}, "tracing"},
 		{hwsim.Config{Metrics: new(obs.Registry)}, "metrics"},
 	}

@@ -162,7 +162,9 @@ func digestOf(b []byte) string {
 // count, batch and ingress queue depth are resolved; the recovery
 // knobs stay raw because hwsim keeps their defaults private. The
 // simulator's attachments (tracer, registry, injector) do not shape a
-// run, and its clock is the shell's.
+// run, and its clock is the shell's. StrictCarryCheck is always false:
+// the simulator lost that knob, and the field keeps the fingerprints of
+// journals written with it byte-identical.
 type fpShell struct {
 	ClockHz               float64            `json:"clock_hz"`
 	Queues                int                `json:"queues"`
@@ -185,7 +187,7 @@ func shellFingerprint(sh nic.ShellConfig) fpShell {
 	sim.ClockHz = sh.ClockHz
 	fp := fpShell{
 		ClockHz: sim.Clock(), Queues: max(sh.Queues, 1), FastPath: sh.FastPath, Faults: sh.Faults,
-		Policy: sim.Policy, StrictCarryCheck: sim.StrictCarryCheck, QueuePackets: sim.QueueDepth(),
+		Policy: sim.Policy, QueuePackets: sim.QueueDepth(),
 		WatchdogCycles: sim.WatchdogCycles, Protection: sim.Protection,
 		ScrubCyclesPerWord: sim.ScrubCyclesPerWord, MaxRecoveries: sim.MaxRecoveries,
 		RecoveryBackoffCycles: sim.RecoveryBackoffCycles, RecoveryJitterSeed: sim.RecoveryJitterSeed,

@@ -305,6 +305,7 @@ type Controller struct {
 	rngDraws uint64
 	epoch    int
 	rep      Report
+	ran      bool // Run was called: a controller drives one run
 	rollout  *rolloutState
 	// device folds Report.Device over the epochs; epochReps holds the
 	// reports of the epoch being folded.
@@ -526,8 +527,13 @@ func (c *Controller) event(kind obs.Kind, aux, aux2 uint64) {
 // attached (Config.JournalDir) each epoch's record is committed before
 // the loop proceeds past it, and an armed crash site unwinds through
 // here exactly like a process kill — journal left as-is, torn tail and
-// all, for the next Resume.
+// all, for the next Resume. A controller runs once: a second call is
+// refused and leaves the report as the first left it.
 func (c *Controller) Run(epochs int) (rep Report, err error) {
+	if c.ran {
+		return c.rep, fmt.Errorf("fleet: Run called twice: a controller drives one run")
+	}
+	c.ran = true
 	defer func() {
 		if r := recover(); r != nil {
 			sc, ok := r.(simCrash)

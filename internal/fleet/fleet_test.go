@@ -529,3 +529,31 @@ func TestServeLeavesGeneratedFramesUntouched(t *testing.T) {
 		t.Errorf("checked %d frames, generated %d", checked, 8*256)
 	}
 }
+
+// TestFleetRunIsOneShot: a controller drives one run. A second Run
+// would restart the epochs, re-apply the kill schedule and append a
+// second set of device rows, so it is refused and the first run's
+// report stays as it stood.
+func TestFleetRunIsOneShot(t *testing.T) {
+	c, err := New(Config{Devices: 3, App: apps.Toy(), Seed: 5, EpochPackets: 100, KillAt: map[int][]int{2: {1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := c.Run(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.PerDevice) != 3 || first.DeadDevices != 1 {
+		t.Fatalf("first run: %d device rows, %d dead; want 3 and 1", len(first.PerDevice), first.DeadDevices)
+	}
+	want, err := json.Marshal(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(4); err == nil {
+		t.Error("a second Run on the same controller was accepted")
+	}
+	if got, _ := json.Marshal(c.rep); !bytes.Equal(got, want) {
+		t.Errorf("a second Run changed the report:\n%s\nwant\n%s", got, want)
+	}
+}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -542,5 +544,67 @@ func TestFleetReplayDivergenceDetected(t *testing.T) {
 	}
 	if !DurabilityError(err) {
 		t.Error("divergence not classified as a durability error")
+	}
+}
+
+// TestFingerprintCoversShellConfig: every field of nic.ShellConfig and
+// of its hwsim.Config, set away from its zero value, either changes the
+// shell fingerprint or is listed here as not shaping a run. A field
+// added to either struct and missed by fpShell fails here instead of
+// silently dropping out of a journal's identity.
+func TestFingerprintCoversShellConfig(t *testing.T) {
+	notShaping := map[string]string{
+		"Sim.ClockHz": "the shell's ClockHz replaces it",
+		"Sim.Faults":  "the injector the shell builds from Faults",
+		"Sim.Trace":   "a tracer observes",
+		"Sim.Metrics": "a registry observes",
+	}
+	base := nic.ShellConfig{Queues: 2} // Batch counts from two queues on
+	fp := func(sh nic.ShellConfig) string {
+		b, err := json.Marshal(shellFingerprint(sh))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	want := fp(base)
+	seen := map[string]bool{}
+	var walk func(name string, index []int, typ reflect.Type)
+	walk = func(name string, index []int, typ reflect.Type) {
+		if typ.Kind() == reflect.Struct {
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(strings.TrimPrefix(name+"."+f.Name, "."), append(slices.Clip(index), i), f.Type)
+			}
+			return
+		}
+		seen[name] = true
+		sh := base
+		v := reflect.ValueOf(&sh).Elem().FieldByIndex(index)
+		switch v.Kind() {
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			v.SetInt(3)
+		case reflect.Float32, reflect.Float64:
+			v.SetFloat(0.5)
+		case reflect.Pointer:
+			v.Set(reflect.New(v.Type().Elem()))
+		default:
+			t.Errorf("%s: no probe for a %s field", name, v.Kind())
+			return
+		}
+		shapes := fp(sh) != want
+		if why, listed := notShaping[name]; listed && shapes {
+			t.Errorf("%s is listed as not shaping a run (%s) but changes the fingerprint", name, why)
+		} else if !listed && !shapes {
+			t.Errorf("%s is neither fingerprinted nor listed as not shaping a run", name)
+		}
+	}
+	walk("", nil, reflect.TypeOf(base))
+	for name := range notShaping {
+		if !seen[name] {
+			t.Errorf("notShaping lists %s, which ShellConfig no longer has", name)
+		}
 	}
 }

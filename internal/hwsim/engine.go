@@ -70,8 +70,8 @@ type FrameRun struct {
 }
 
 // NewBurst builds the executor of pl over env. Whatever looks at or
-// strikes per-stage state — faults, probes, the strict carry check,
-// protection — is refused; env.Now is the caller's to provide.
+// strikes per-stage state — faults, probes, protection — is refused;
+// env.Now is the caller's to provide.
 func NewBurst(pl *core.Pipeline, cfg Config, env *vm.Env) (*Burst, error) {
 	s, err := newSim(pl, cfg, env, true)
 	if err != nil {

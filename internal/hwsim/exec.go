@@ -2,7 +2,6 @@ package hwsim
 
 import (
 	"fmt"
-	"math/bits"
 
 	"ehdl/internal/core"
 	"ehdl/internal/ddg"
@@ -47,7 +46,7 @@ func (s *Sim) execStage(j *job, t int) error {
 	// just enabled it, and its run of ops is hopped over. Each lane
 	// enables its own successor: one shared branch after the switch
 	// measured 20 ns a frame slower (it predicts worse).
-	end, st, strict := s.burstEnd[t], j.st, s.cfg.StrictCarryCheck
+	end, st := s.burstEnd[t], j.st
 	ops := s.ops[:s.opOff[end+1]]
 	stage, block, on := -1, -1, false
 	for i := s.opOff[t]; i < len(ops); {
@@ -65,9 +64,6 @@ func (s *Sim) execStage(j *job, t int) error {
 			}
 		}
 		i++
-		if strict {
-			s.checkCarry(&s.pl.Stages[op.stage], op.Op, op.stage)
-		}
 		switch {
 		case op.alu != nil:
 			op.alu(st)
@@ -120,47 +116,6 @@ func (s *Sim) stallCheck(j *job, t int) (bool, int) {
 		}
 	}
 	return false, -1
-}
-
-// checkCarry verifies pruning soundness: every register and stack byte
-// the op reads must have been latched into this stage.
-func (s *Sim) checkCarry(stage *core.Stage, op *core.Op, t int) {
-	fail := func(format string, args ...any) {
-		if s.strictErr == nil {
-			s.strictErr = fmt.Errorf("hwsim: stage %d (%s): %s", t, op.Ins, fmt.Sprintf(format, args...))
-		}
-	}
-	var defined uint16 // registers produced earlier within this op's chain
-	checkIns := func(idx int) {
-		if missing := core.EffectiveUses(s.pl.Info, idx) &^ (stage.CarryRegs | defined); missing != 0 {
-			fail("reads r%d which is not carried (mask %#x)", bits.TrailingZeros16(missing), stage.CarryRegs)
-		}
-		defined |= s.pl.Transformed.Instructions[idx].DefMask()
-		acc := s.pl.Info.Accesses[idx]
-		if acc != nil && acc.Area == ddg.AreaStack && acc.Read && acc.OffKnown {
-			lo := int(acc.Off) + ebpf.StackSize
-			hi := lo + acc.Size
-			if lo < stage.CarryStackLo || hi > stage.CarryStackHi {
-				fail("reads stack [%d,%d) outside carried [%d,%d)", lo, hi, stage.CarryStackLo, stage.CarryStackHi)
-			}
-		}
-	}
-	checkIns(op.Index)
-	for _, f := range op.FusedIdx {
-		checkIns(f)
-	}
-	// Framing invariant (Section 4.2): the farthest frame this stage
-	// reaches must already be inside the pipeline.
-	if stage.FrameBypass > t {
-		fail("needs frame %d which has not entered the pipeline", stage.FrameBypass)
-	}
-	if op.Kind == core.OpMapCall && op.KeyOffKnown {
-		spec := s.pl.Transformed.Maps[op.MapID]
-		lo := int(op.KeyStackOff) + ebpf.StackSize
-		if lo < stage.CarryStackLo || lo+spec.KeySize > stage.CarryStackHi {
-			fail("map key stack bytes not carried")
-		}
-	}
 }
 
 // load is the generic load: the address resolved through the virtual

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"ehdl/internal/asm"
+	"ehdl/internal/cfg"
 	"ehdl/internal/core"
+	"ehdl/internal/ddg"
 	"ehdl/internal/ebpf"
 	"ehdl/internal/pktgen"
 	"ehdl/internal/vm"
@@ -15,7 +17,9 @@ import (
 
 // progGen builds random but analysable XDP programs: packet parses at
 // static offsets, stack traffic, branchy control flow, map lookups with
-// stack-resident keys, atomic counters, and optional miss-path updates.
+// stack-resident keys, atomic counters, optional miss-path updates, and
+// operand aliasing — a register stored or atomically added through
+// itself, both operands of an ALU op.
 // Every generated program must compile and behave identically on the
 // reference VM and the pipeline.
 type progGen struct {
@@ -150,7 +154,7 @@ func (g *progGen) emitStraightLine(n int) {
 	r, b := g.r, g.b
 	ops := []ebpf.ALUOp{ebpf.ALUAdd, ebpf.ALUSub, ebpf.ALUAnd, ebpf.ALUOr, ebpf.ALUXor, ebpf.ALUMul}
 	for i := 0; i < n; i++ {
-		switch r.Intn(9) {
+		switch r.Intn(12) {
 		case 0:
 			b.Emit(ebpf.ALU64Imm(ops[r.Intn(len(ops))], g.reg(), int32(r.Intn(1<<12))))
 		case 1:
@@ -182,6 +186,40 @@ func (g *progGen) emitStraightLine(n int) {
 			b.Emit(ebpf.Swap(g.reg(), src, width))
 		case 8:
 			b.Emit(ebpf.ALU64Reg(ebpf.ALURsh, g.reg(), g.reg()))
+		case 9:
+			// A store whose base is also its value: into a stack slot
+			// no other case uses, read back, or into the packet.
+			if r.Intn(2) == 0 {
+				b.Emit(ebpf.StoreMem(randSize(r), ebpf.R7, int16(r.Intn(32)), ebpf.R7))
+				break
+			}
+			slot := int16(-8 * (8 + r.Intn(2)))
+			b.Emit(
+				ebpf.Mov64Reg(ebpf.R2, ebpf.R10),
+				ebpf.ALU64Imm(ebpf.ALUAdd, ebpf.R2, int32(slot)),
+				ebpf.StoreMem(ebpf.SizeDW, ebpf.R2, 0, ebpf.R2),
+				ebpf.LoadMem(ebpf.SizeDW, g.reg(), ebpf.R10, slot),
+			)
+		case 10:
+			// An atomic whose base is also its operand.
+			slot := int16(-8 * (8 + r.Intn(2)))
+			op := []ebpf.AtomicOp{ebpf.AtomicAdd, ebpf.AtomicOr, ebpf.AtomicXor,
+				ebpf.AtomicAdd | ebpf.AtomicFetch, ebpf.AtomicXchg}[r.Intn(5)]
+			b.Emit(
+				ebpf.StoreMem(ebpf.SizeDW, ebpf.R10, slot, g.reg()),
+				ebpf.Mov64Reg(ebpf.R3, ebpf.R10),
+				ebpf.ALU64Imm(ebpf.ALUAdd, ebpf.R3, int32(slot)),
+				ebpf.Atomic(ebpf.SizeDW, ebpf.R3, 0, ebpf.R3, op),
+				ebpf.LoadMem(ebpf.SizeDW, g.reg(), ebpf.R10, slot),
+			)
+		case 11:
+			// One register as both operands.
+			reg := g.reg()
+			if r.Intn(2) == 0 {
+				b.Emit(ebpf.ALU64Reg(ops[r.Intn(len(ops))], reg, reg))
+			} else {
+				b.Emit(ebpf.ALU32Reg(ops[r.Intn(len(ops))], reg, reg))
+			}
 		}
 	}
 }
@@ -202,6 +240,9 @@ func fuzzDifferential(t *testing.T, seed int64, prog *ebpf.Program, opts core.Op
 	pl, err := core.Compile(prog, opts)
 	if err != nil {
 		t.Fatalf("seed %d: compile: %v", seed, err)
+	}
+	if err := validate(pl); err != nil {
+		t.Fatalf("seed %d: %v\n%s", seed, err, ebpf.Disassemble(prog.Instructions))
 	}
 
 	// Reference run.
@@ -230,8 +271,8 @@ func fuzzDifferential(t *testing.T, seed int64, prog *ebpf.Program, opts core.Op
 	}
 
 	// Both execution tables — private stages run ahead, and every stage
-	// visited under the strict carry check — must agree with each other
-	// on everything visible from outside, then with the reference.
+	// visited under a tracer — must agree with each other on everything
+	// visible from outside, then with the reference.
 	t.Logf("seed %d", seed)
 	gaps := make([]int, len(packets))
 	for i := range gaps {
@@ -388,6 +429,14 @@ func TestFuzzSchedulerInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		g, err := cfg.Build(pl.Transformed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := ddg.Analyze(g)
+		if err != nil {
+			t.Fatal(err)
+		}
 		firstStage := map[int]int{}
 		for _, blk := range pl.Blocks {
 			firstStage[blk.ID] = blk.FirstStage
@@ -402,7 +451,7 @@ func TestFuzzSchedulerInvariants(t *testing.T) {
 							if lo > hi {
 								lo, hi = hi, lo
 							}
-							if pl.Info.Conflicts(lo, hi) {
+							if info.Conflicts(lo, hi) {
 								t.Fatalf("seed %d: stage %d holds conflicting instructions %d,%d", seed, s, a, c)
 							}
 						}

@@ -75,13 +75,15 @@ func dumpMaps(set *maps.Set) string {
 }
 
 // compareTables drives the same traffic through the default tables and
-// through a Sim that visits every stage, and fails on any difference
-// visible from outside. It returns the default run.
+// through a Sim that visits every stage — a tracer's, which only
+// observes — and fails on any difference visible from outside. It
+// returns the default run.
 func compareTables(t *testing.T, pl *core.Pipeline, setup func(*maps.Set) error, cfg Config, frames [][]byte, gaps []int) tableRun {
 	t.Helper()
 	ahead := driveTables(t, pl, setup, cfg, frames, gaps)
-	cfg.StrictCarryCheck = true
-	all := driveTables(t, pl, setup, cfg, frames, gaps)
+	traced := cfg
+	traced.Trace = obs.NewTracer(16)
+	all := driveTables(t, pl, setup, traced, frames, gaps)
 	if len(ahead.results) != len(frames) || len(all.results) != len(frames) {
 		t.Fatalf("retired %d (run-ahead) and %d (visit-all) of %d frames", len(ahead.results), len(all.results), len(frames))
 	}
@@ -98,7 +100,6 @@ func compareTables(t *testing.T, pl *core.Pipeline, setup func(*maps.Set) error,
 	if ahead.maps != all.maps {
 		t.Fatal("map contents differ between the two tables")
 	}
-	cfg.StrictCarryCheck = false
 	compareBurst(t, pl, setup, cfg, frames, ahead)
 	return ahead
 }
@@ -349,7 +350,6 @@ func TestVisitTable(t *testing.T) {
 			"faults": {Faults: faults.New(faults.Single(faults.SEURegister, 0.01, 1))},
 			"trace":  {Trace: obs.NewTracer(16)},
 			"meter":  {Metrics: obs.NewRegistry()},
-			"strict": {StrictCarryCheck: true},
 		} {
 			s, err := New(pl, cfg)
 			if err != nil {

@@ -54,10 +54,6 @@ type Config struct {
 	ClockHz float64
 	// Policy selects flush (default) or stall hazard handling.
 	Policy HazardPolicy
-	// StrictCarryCheck verifies at run time that every register and
-	// stack byte an op reads was carried by state pruning. Used by the
-	// test suite to prove pruning soundness.
-	StrictCarryCheck bool
 	// InputQueuePackets bounds the ingress queue. 0 means 4096.
 	InputQueuePackets int
 	// Faults, when non-nil, injects deterministic hardware faults (SEU
@@ -426,8 +422,8 @@ type Sim struct {
 	// Config.Metrics opted in (see trace.go).
 	probes *probes
 
-	// strictErr is the first soundness violation (carry check, replay
-	// past a committed map effect) seen this run; Step returns it.
+	// strictErr is the first soundness violation (a replay past a
+	// committed map effect) seen this run; Step returns it.
 	strictErr error
 }
 

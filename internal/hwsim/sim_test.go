@@ -113,9 +113,9 @@ func compile(t *testing.T, name, src string, opts core.Options) *core.Pipeline {
 	return p
 }
 
-// runBoth executes the same packet sequence on the reference VM and the
-// pipeline simulator and compares actions, packet bytes, and final map
-// contents.
+// runBoth validates the compiled design, executes the same packet
+// sequence on the reference VM and the pipeline simulator and compares
+// actions, packet bytes, and final map contents.
 func runBoth(t *testing.T, name, src string, opts core.Options, cfg Config, packets [][]byte) (Stats, []Result) {
 	t.Helper()
 	pl := compile(t, name, src, opts)
@@ -146,7 +146,9 @@ func runBoth(t *testing.T, name, src string, opts core.Options, cfg Config, pack
 	}
 
 	// Pipeline.
-	cfg.StrictCarryCheck = true
+	if err := validate(pl); err != nil {
+		t.Fatal(err)
+	}
 	sim, err := New(pl, cfg)
 	if err != nil {
 		t.Fatal(err)

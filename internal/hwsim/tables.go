@@ -16,10 +16,9 @@ import (
 // microOp is one pipeline op as the execute loop runs it. What the loop
 // reads per packet — the op's stage, the block that gates it, the blocks
 // it enables — sits here rather than behind *core.Op (kept for error
-// text, the strict carry check and the generic closures), and exactly
-// one of alu, pred, mem and run is set: the op's code, chosen once per
-// Sim by compileOp. The first three are vm's closures, called with no
-// wrapper around them.
+// text and the generic closures), and exactly one of alu, pred, mem and
+// run is set: the op's code, chosen once per Sim by compileOp. The first
+// three are vm's closures, called with no wrapper around them.
 type microOp struct {
 	*core.Op
 	stage, block int
@@ -168,16 +167,16 @@ func stackWriteExtent(pl *core.Pipeline) (lo, hi int) {
 // it can affect or observe anything beyond itself — stage 0 (injection),
 // an elastic stage (the replay snapshot is taken on entry) and any stage
 // with a shared op; the run of unvisited stages behind a visited one is
-// its burst. A fault injector, probes and the strict carry check look
-// at or strike per-stage state, so under them every stage is visited
-// and every burst is empty; a Burst has no other packet in flight, so
-// only stage 0 is: the same loop over a different table.
+// its burst. A fault injector and probes look at or strike per-stage
+// state, so under them every stage is visited and every burst is empty;
+// a Burst has no other packet in flight, so only stage 0 is: the same
+// loop over a different table.
 func (s *Sim) buildTables() error {
 	n := len(s.pl.Stages)
-	all := s.cfg.Faults != nil || s.probes != nil || s.cfg.StrictCarryCheck
+	all := s.cfg.Faults != nil || s.probes != nil
 	s.generic = all || s.cfg.Protection != protect.LevelNone
 	if s.oneBurst && s.generic {
-		return fmt.Errorf("hwsim: faults, probes, the strict carry check and protection need the stage-by-stage table")
+		return fmt.Errorf("hwsim: faults, probes and protection need the stage-by-stage table")
 	}
 	if s.stackLo, s.stackHi = stackWriteExtent(s.pl); s.cfg.Faults != nil {
 		s.stackLo, s.stackHi = 0, ebpf.StackSize // an SEU strikes any byte
@@ -223,10 +222,10 @@ func (s *Sim) buildTables() error {
 // compileOp decides, once, everything about m's op that does not depend
 // on the packet: its kind, its operands and static address, which map
 // and helper it drives — and which hooks ride along. A plain run gets
-// the closures vm specialises; s.generic — faults,
-// probes, the strict carry check, protection — and a map with a write
-// delay buffer get the closure that resolves virtual addresses and
-// carries every hook. The loop that runs them is the same.
+// the closures vm specialises; s.generic — faults, probes, protection —
+// and a map with a write delay buffer get the closure that resolves
+// virtual addresses and carries every hook. The loop that runs them is
+// the same.
 func (s *Sim) compileOp(m *microOp) (err error) {
 	op, fall := m.Op, m.fall
 	switch op.Kind {

@@ -63,7 +63,6 @@ func TestFastPathFallbackMatrix(t *testing.T) {
 		"protection":   {Protection: protect.LevelParity},
 		"watchdog":     {WatchdogCycles: 64},
 		"stall-policy": {Policy: hwsim.PolicyStall},
-		"strict-carry": {StrictCarryCheck: true},
 		"metrics":      {Metrics: obs.NewRegistry()},
 	}
 	app := apps.Toy()
