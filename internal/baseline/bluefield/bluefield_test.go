@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"ehdl/internal/asm"
-	"ehdl/internal/power"
 	"ehdl/internal/vm"
 )
 
@@ -48,13 +47,5 @@ func TestCoreClamping(t *testing.T) {
 	}
 	if r8.AvgLatencyNs != r1.AvgLatencyNs {
 		t.Error("adding cores must not change per-packet latency")
-	}
-}
-
-func TestPowerBand(t *testing.T) {
-	// The host of this DPU draws the Bluefield-2 band of Section 5.2.
-	p := power.Bf2Host()
-	if p.MinWatts != 100 || p.MaxWatts != 105 {
-		t.Errorf("power band = %v-%v, paper says 100-105", p.MinWatts, p.MaxWatts)
 	}
 }

@@ -22,34 +22,31 @@ func Compile(prog *ebpf.Program, opts Options) (*Pipeline, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %q: %w", prog.Name, err)
 	}
-	a, err := analyze(unrolled)
+	info, err := analyze(unrolled)
 	if err != nil {
 		return nil, fmt.Errorf("core: %q: %w", prog.Name, err)
 	}
 
 	elided := 0
 	if !opts.DisableBoundsElision {
-		next, n, err := elideBoundsChecks(a)
+		next, n, err := elideBoundsChecks(info)
 		if err != nil {
 			return nil, fmt.Errorf("core: %q: %w", prog.Name, err)
 		}
 		if n > 0 {
-			if a, err = analyze(next); err != nil {
+			if info, err = analyze(next); err != nil {
 				return nil, fmt.Errorf("core: %q: %w", prog.Name, err)
 			}
 		}
 		elided = n
 	}
 
-	a, removed, err := deadCodeElim(a)
+	info, removed, err := deadCodeElim(info)
 	if err != nil {
 		return nil, fmt.Errorf("core: %q: %w", prog.Name, err)
 	}
 
-	wiring, err := wiringSet(a)
-	if err != nil {
-		return nil, fmt.Errorf("core: %q: %w", prog.Name, err)
-	}
+	wiring := wiringSet(info)
 	for _, w := range wiring {
 		if w {
 			removed++
@@ -57,18 +54,18 @@ func Compile(prog *ebpf.Program, opts Options) (*Pipeline, error) {
 	}
 	fused := map[int]int{}
 	if !opts.DisableFusion {
-		fused = fusePairs(a, wiring)
+		fused = fusePairs(info, wiring)
 	}
 
-	stages, blocks, err := schedule(a, opts, fused, wiring)
+	stages, blocks, err := schedule(info, opts, fused, wiring)
 	if err != nil {
 		return nil, fmt.Errorf("core: %q: %w", prog.Name, err)
 	}
 
 	p := &Pipeline{
 		Prog:                prog,
-		Transformed:         a.prog,
-		info:                a.info,
+		Transformed:         info.Prog,
+		info:                info,
 		Options:             opts,
 		Stages:              stages,
 		Blocks:              blocks,

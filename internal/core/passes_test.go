@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ehdl/internal/cfg"
+	"ehdl/internal/ddg"
 	"ehdl/internal/ebpf"
 )
 
@@ -16,9 +17,9 @@ import (
 
 // refLiveness is register liveness iterated to a fixpoint over every
 // block, each instruction reading uses(i) and killing its definitions.
-func refLiveness(a *analysis, uses func(i int) uint16) (liveOut []uint16) {
-	g := a.info.Graph
-	n := len(a.prog.Instructions)
+func refLiveness(info *ddg.Info, uses func(i int) uint16) (liveOut []uint16) {
+	g := info.Graph
+	n := len(info.Prog.Instructions)
 	liveIn := make([]uint16, n)
 	liveOut = make([]uint16, n)
 	blockLiveOut := make([]uint16, len(g.Blocks))
@@ -29,7 +30,7 @@ func refLiveness(a *analysis, uses func(i int) uint16) (liveOut []uint16) {
 			live := blockLiveOut[b]
 			for i := blk.End - 1; i >= blk.Start; i-- {
 				liveOut[i] = live
-				live = live&^a.prog.Instructions[i].DefMask() | uses(i)
+				live = live&^info.Prog.Instructions[i].DefMask() | uses(i)
 				if liveIn[i] != live {
 					liveIn[i] = live
 					changed = true
@@ -49,22 +50,22 @@ func refLiveness(a *analysis, uses func(i int) uint16) (liveOut []uint16) {
 // refDeadCodeElim removes unreachable blocks and side-effect-free
 // instructions whose results are dead, re-analysing after each round
 // until a round removes nothing.
-func refDeadCodeElim(a *analysis) (*ebpf.Program, int, error) {
+func refDeadCodeElim(info *ddg.Info) (*ebpf.Program, int, error) {
 	removedTotal := 0
-	cur := a
+	cur := info
 	for {
-		liveOut := refLiveness(cur, cur.info.UseMask)
+		liveOut := refLiveness(cur, cur.UseMask)
 		drop := map[int]bool{}
-		reach := cur.g.Reachable()
-		for b := range cur.g.Blocks {
+		reach := cur.Graph.Reachable()
+		for b, blk := range cur.Graph.Blocks {
 			if reach[b] {
 				continue
 			}
-			for i := cur.g.Blocks[b].Start; i < cur.g.Blocks[b].End; i++ {
+			for i := blk.Start; i < blk.End; i++ {
 				drop[i] = true
 			}
 		}
-		for i, ins := range cur.prog.Instructions {
+		for i, ins := range cur.Prog.Instructions {
 			if drop[i] || hasSideEffects(ins) {
 				continue
 			}
@@ -73,10 +74,10 @@ func refDeadCodeElim(a *analysis) (*ebpf.Program, int, error) {
 			}
 		}
 		if len(drop) == 0 {
-			return cur.prog, removedTotal, nil
+			return cur.Prog, removedTotal, nil
 		}
 		removedTotal += len(drop)
-		next, err := rewrite(cur.prog, drop, nil)
+		next, err := rewrite(cur.Prog, drop, nil)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -89,17 +90,17 @@ func refDeadCodeElim(a *analysis) (*ebpf.Program, int, error) {
 // refWiringSet grows the wiring set one liveness round at a time: a
 // wiring instruction consumes nothing, so each round may expose the
 // next link of an address chain.
-func refWiringSet(a *analysis) []bool {
-	wiring := make([]bool, len(a.prog.Instructions))
+func refWiringSet(info *ddg.Info) []bool {
+	wiring := make([]bool, len(info.Prog.Instructions))
 	for {
-		liveOut := refLiveness(a, func(i int) uint16 {
+		liveOut := refLiveness(info, func(i int) uint16 {
 			if wiring[i] {
 				return 0
 			}
-			return effectiveUses(a.info, i)
+			return effectiveUses(info, i)
 		})
 		changed := false
-		for i, ins := range a.prog.Instructions {
+		for i, ins := range info.Prog.Instructions {
 			if wiring[i] || hasSideEffects(ins) {
 				continue
 			}
@@ -330,15 +331,11 @@ func TestPassesMatchReferences(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if removed != wantRemoved || fmt.Sprint(got.prog.Instructions) != fmt.Sprint(want.Instructions) {
+			if removed != wantRemoved || fmt.Sprint(got.Prog.Instructions) != fmt.Sprint(want.Instructions) {
 				t.Errorf("%s: DCE removed %d, reference %d (programs equal: %v)", label, removed, wantRemoved,
-					fmt.Sprint(got.prog.Instructions) == fmt.Sprint(want.Instructions))
+					fmt.Sprint(got.Prog.Instructions) == fmt.Sprint(want.Instructions))
 			}
-			wiring, err := wiringSet(got)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sameBools(wiring, refWiringSet(got)); err != nil {
+			if err := sameBools(wiringSet(got), refWiringSet(got)); err != nil {
 				t.Errorf("%s: wiring: %v", label, err)
 			}
 

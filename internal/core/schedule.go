@@ -15,10 +15,9 @@ import (
 //
 // The result maps the second instruction's index to the first's; fused
 // instructions evaluate combinationally inside one stage.
-func fusePairs(a *analysis, wiring []bool) map[int]int {
+func fusePairs(info *ddg.Info, wiring []bool) map[int]int {
 	fused := map[int]int{}
-	for b := range a.g.Blocks {
-		blk := a.g.Blocks[b]
+	for _, blk := range info.Graph.Blocks {
 		for i := blk.Start; i+1 < blk.End; i++ {
 			if _, taken := fused[i]; taken {
 				continue
@@ -26,8 +25,8 @@ func fusePairs(a *analysis, wiring []bool) map[int]int {
 			if wiring[i] || wiring[i+1] {
 				continue
 			}
-			head := a.prog.Instructions[i]
-			next := a.prog.Instructions[i+1]
+			head := info.Prog.Instructions[i]
+			next := info.Prog.Instructions[i+1]
 			if !isFusableHead(head) || !isFusableTail(head, next) {
 				continue
 			}
@@ -94,8 +93,8 @@ func (u *scheduleUnit) member(k int) int {
 // is list-scheduled into rows of independent units (Section 3.3), the
 // rows of all blocks are concatenated in topological order, and helper
 // calls expand into their block's pipeline depth.
-func schedule(a *analysis, opts Options, fused map[int]int, wiring []bool) ([]Stage, []BlockInfo, error) {
-	order, err := a.g.TopologicalBlocks()
+func schedule(info *ddg.Info, opts Options, fused map[int]int, wiring []bool) ([]Stage, []BlockInfo, error) {
+	order, err := info.Graph.TopologicalBlocks()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -103,7 +102,7 @@ func schedule(a *analysis, opts Options, fused map[int]int, wiring []bool) ([]St
 	// Group instructions into units per block, skipping pure wiring.
 	unitsOf := make(map[int][]scheduleUnit, len(order))
 	for _, b := range order {
-		blk := a.g.Blocks[b]
+		blk := info.Graph.Blocks[b]
 		units := make([]scheduleUnit, 0, blk.End-blk.Start)
 		for i := blk.Start; i < blk.End; i++ {
 			if wiring[i] {
@@ -114,20 +113,20 @@ func schedule(a *analysis, opts Options, fused map[int]int, wiring []bool) ([]St
 				for k := range units {
 					if units[k].head == head {
 						units[k].fused = append(units[k].fused, i)
-						units[k].add(a.info, i)
+						units[k].add(info, i)
 					}
 				}
 				continue
 			}
 			units = append(units, scheduleUnit{head: i})
-			units[len(units)-1].add(a.info, i)
+			units[len(units)-1].add(info, i)
 		}
 		if len(units) == 0 {
 			// A block of pure address plumbing still owns a pipeline
 			// position so its enable propagates; keep its last
 			// instruction as a zero-logic op.
 			units = append(units, scheduleUnit{head: blk.End - 1})
-			units[0].add(a.info, blk.End-1)
+			units[0].add(info, blk.End-1)
 		}
 		unitsOf[b] = units
 	}
@@ -149,7 +148,7 @@ func schedule(a *analysis, opts Options, fused map[int]int, wiring []bool) ([]St
 				if lo > hi {
 					lo, hi = hi, lo
 				}
-				if a.info.Conflicts(lo, hi) {
+				if info.Conflicts(lo, hi) {
 					return true
 				}
 			}
@@ -167,11 +166,11 @@ func schedule(a *analysis, opts Options, fused map[int]int, wiring []bool) ([]St
 		// was pure wiring.
 		endsIdx := len(units) - 1
 		for k := range units {
-			if units[k].head == a.g.Blocks[b].End-1 {
+			if units[k].head == info.Graph.Blocks[b].End-1 {
 				endsIdx = k
 			}
 			for _, f := range units[k].fused {
-				if f == a.g.Blocks[b].End-1 {
+				if f == info.Graph.Blocks[b].End-1 {
 					endsIdx = k
 				}
 			}
@@ -185,7 +184,7 @@ func schedule(a *analysis, opts Options, fused map[int]int, wiring []bool) ([]St
 			switch {
 			case opts.DisableILP:
 				row = i
-			case a.prog.Instructions[units[i].head].IsExit():
+			case info.Prog.Instructions[units[i].head].IsExit():
 				// The verdict latch closes the packet: it must come after
 				// every other operation of its block, sharing the last
 				// row only when nothing there conflicts with it.
@@ -211,7 +210,7 @@ func schedule(a *analysis, opts Options, fused map[int]int, wiring []bool) ([]St
 			}
 		}
 
-		info := BlockInfo{ID: b, FirstStage: len(stages)}
+		block := BlockInfo{ID: b, FirstStage: len(stages)}
 		// The block's ops share one backing array, laid out row by row.
 		ops := make([]Op, 0, len(units))
 		for row := 0; row < nRows; row++ {
@@ -221,7 +220,7 @@ func schedule(a *analysis, opts Options, fused map[int]int, wiring []bool) ([]St
 				if rowOf[i] != row {
 					continue
 				}
-				op, err := a.buildOp(&units[i], b)
+				op, err := buildOp(info, &units[i], b)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -239,14 +238,14 @@ func schedule(a *analysis, opts Options, fused map[int]int, wiring []bool) ([]St
 				stages = append(stages, Stage{Kind: StageHelperWait})
 			}
 		}
-		blocks = append(blocks, info)
+		blocks = append(blocks, block)
 	}
 	return stages, blocks, nil
 }
 
 // buildOp lowers one schedule unit to a pipeline op.
-func (a *analysis) buildOp(u *scheduleUnit, blockID int) (Op, error) {
-	prog := a.prog
+func buildOp(info *ddg.Info, u *scheduleUnit, blockID int) (Op, error) {
+	prog := info.Prog
 	ins := prog.Instructions[u.head]
 	op := Op{
 		Ins:        ins,
@@ -260,7 +259,7 @@ func (a *analysis) buildOp(u *scheduleUnit, blockID int) (Op, error) {
 		op.Fused = append(op.Fused, prog.Instructions[f])
 		op.FusedIdx = append(op.FusedIdx, f)
 	}
-	op.Access = a.info.Accesses[u.head]
+	op.Access = info.Accesses[u.head]
 
 	switch cls := ins.Class(); {
 	case cls.IsALU():
@@ -268,7 +267,7 @@ func (a *analysis) buildOp(u *scheduleUnit, blockID int) (Op, error) {
 	case cls == ebpf.ClassLD:
 		op.Kind = OpLDDW
 		if ins.IsLoadOfMapFD() {
-			op.MapID = a.info.MapIDOfLDDW[u.head]
+			op.MapID = info.MapIDOfLDDW[u.head]
 		}
 	case cls == ebpf.ClassLDX:
 		op.Kind = OpLoad
@@ -284,9 +283,9 @@ func (a *analysis) buildOp(u *scheduleUnit, blockID int) (Op, error) {
 		op.Helper = helper
 		if helper.AccessesMap() {
 			op.Kind = OpMapCall
-			op.MapID = a.info.CallMap[u.head]
-			op.KeyStackOff, op.KeyOffKnown = a.info.CallKey[u.head].Off, a.info.CallKey[u.head].Known
-			op.ValStackOff, op.ValOffKnown = a.info.CallVal[u.head].Off, a.info.CallVal[u.head].Known
+			op.MapID = info.CallMap[u.head]
+			op.KeyStackOff, op.KeyOffKnown = info.CallKey[u.head].Off, info.CallKey[u.head].Known
+			op.ValStackOff, op.ValOffKnown = info.CallVal[u.head].Off, info.CallVal[u.head].Known
 		} else {
 			op.Kind = OpHelper
 		}
@@ -305,7 +304,7 @@ func (a *analysis) buildOp(u *scheduleUnit, blockID int) (Op, error) {
 
 	// Block-end bookkeeping: the designated unit fires the successor
 	// enables derived from the block's real terminator.
-	blk := a.g.Blocks[blockID]
+	blk := info.Graph.Blocks[blockID]
 	if u.ends {
 		op.endsBlock = true
 		last := prog.Instructions[blk.End-1]
@@ -314,13 +313,13 @@ func (a *analysis) buildOp(u *scheduleUnit, blockID int) (Op, error) {
 			// no successors
 		case last.IsBranch():
 			t, _ := prog.BranchTarget(blk.End - 1)
-			op.TakenBlock = a.g.BlockOf(t)
+			op.TakenBlock = info.Graph.BlockOf(t)
 			if last.IsConditional() && blk.End < len(prog.Instructions) {
-				op.FallBlock = a.g.BlockOf(blk.End)
+				op.FallBlock = info.Graph.BlockOf(blk.End)
 			}
 		default:
 			if blk.End < len(prog.Instructions) {
-				op.FallBlock = a.g.BlockOf(blk.End)
+				op.FallBlock = info.Graph.BlockOf(blk.End)
 			}
 		}
 	}

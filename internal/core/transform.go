@@ -8,25 +8,14 @@ import (
 	"ehdl/internal/ebpf"
 )
 
-// analysis bundles the per-round program view used by the transform
-// passes.
-type analysis struct {
-	prog       *ebpf.Program
-	g          *cfg.Graph
-	info       *ddg.Info
-	kindsCache [][ebpf.NumRegisters]provKindT
-}
-
-func analyze(prog *ebpf.Program) (*analysis, error) {
+// analyze builds the control-flow graph of prog and runs the data-flow
+// analyses the transform passes read.
+func analyze(prog *ebpf.Program) (*ddg.Info, error) {
 	g, err := cfg.Build(prog)
 	if err != nil {
 		return nil, err
 	}
-	info, err := ddg.Analyze(g)
-	if err != nil {
-		return nil, err
-	}
-	return &analysis{prog: prog, g: g, info: info}, nil
+	return ddg.Analyze(g)
 }
 
 // rewrite removes the instructions in drop (a set of indices) and
@@ -93,43 +82,29 @@ func rewrite(prog *ebpf.Program, drop map[int]bool, replaceWithJa map[int]bool) 
 // isTrivialVerdictBlock reports whether block b only sets a constant
 // verdict and exits — the shape of the drop path of a packet bounds
 // check.
-func isTrivialVerdictBlock(a *analysis, b int) (ebpf.XDPAction, bool) {
-	blk := a.g.Blocks[b]
-	verdict := ebpf.XDPAction(0xffffffff) // sentinel: R0 set elsewhere
+func isTrivialVerdictBlock(info *ddg.Info, b int) bool {
+	blk := info.Graph.Blocks[b]
 	for i := blk.Start; i < blk.End; i++ {
-		ins := a.prog.Instructions[i]
-		switch {
+		switch ins := info.Prog.Instructions[i]; {
 		case ins.IsExit():
-			return verdict, true
-		case ins.Class().IsALU() && ins.ALUOp() == ebpf.ALUMov &&
-			ins.Source() == ebpf.SourceK && ins.Dst == ebpf.R0:
-			verdict = ebpf.XDPAction(uint32(ins.Imm))
-		default:
-			return 0, false
+			return true
+		case !ins.Class().IsALU() || ins.ALUOp() != ebpf.ALUMov ||
+			ins.Source() != ebpf.SourceK || ins.Dst != ebpf.R0:
+			return false
 		}
 	}
-	return 0, false
+	return false
 }
 
 // packetVsEnd reports whether the conditional branch at i compares a
-// packet-derived pointer against data_end, and if so whether the taken
-// path is the out-of-bounds side.
-func packetVsEnd(a *analysis, i int) (oobIsTaken bool, ok bool) {
-	ins := a.prog.Instructions[i]
-	if !ins.IsConditional() || ins.Source() != ebpf.SourceX || ins.Class() != ebpf.ClassJMP {
+// packet-derived pointer against data_end (ddg's label), and if so
+// whether the taken path is the out-of-bounds side.
+func packetVsEnd(info *ddg.Info, i int) (oobIsTaken bool, ok bool) {
+	pktLeft, ok := info.PacketVsEnd(i)
+	if !ok {
 		return false, false
 	}
-	dst, src := a.provKind(i, ins.Dst), a.provKind(i, ins.Src)
-	var pktLeft bool
-	switch {
-	case dst == pvPacketKind && src == pvPacketEndKind:
-		pktLeft = true
-	case dst == pvPacketEndKind && src == pvPacketKind:
-		pktLeft = false
-	default:
-		return false, false
-	}
-	switch ins.JumpOp() {
+	switch info.Prog.Instructions[i].JumpOp() {
 	case ebpf.JumpGT, ebpf.JumpGE: // taken when left > right
 		return pktLeft, true // pkt+k > end  => OOB taken
 	case ebpf.JumpLT, ebpf.JumpLE: // taken when left < right
@@ -138,149 +113,32 @@ func packetVsEnd(a *analysis, i int) (oobIsTaken bool, ok bool) {
 	return false, false
 }
 
-// Exported-ish provenance kinds for the elision pass without leaking the
-// ddg lattice: recomputed locally from the access/pointer analysis.
-type provKindT int
-
-const (
-	pvOtherKind provKindT = iota
-	pvPacketKind
-	pvPacketEndKind
-)
-
-// provKind classifies the value of reg before instruction i by re-running
-// a tiny provenance query through ddg: we reconstruct it from the
-// instruction stream with a forward scan inside the ddg package's
-// abstraction via Info (the Access labels expose packet provenance only
-// for memory operands), so the compiler carries its own lightweight
-// pass here.
-func (a *analysis) provKind(i int, reg ebpf.Register) provKindT {
-	kinds := a.pointerKinds()
-	return kinds[i][reg]
-}
-
-// pointerKinds caches a minimal forward provenance pass (packet /
-// packet-end / other) per instruction.
-func (a *analysis) pointerKinds() [][ebpf.NumRegisters]provKindT {
-	if a.kindsCache != nil {
-		return a.kindsCache
-	}
-	n := len(a.prog.Instructions)
-	kinds := make([][ebpf.NumRegisters]provKindT, n)
-
-	join := func(x, y [ebpf.NumRegisters]provKindT) [ebpf.NumRegisters]provKindT {
-		var out [ebpf.NumRegisters]provKindT
-		for r := range out {
-			if x[r] == y[r] {
-				out[r] = x[r]
-			} else {
-				out[r] = pvOtherKind
-			}
-		}
-		return out
-	}
-
-	// ctxRegs tracks which registers hold the xdp_md pointer.
-	type state struct {
-		kinds [ebpf.NumRegisters]provKindT
-		ctx   [ebpf.NumRegisters]bool
-	}
-	blockState := make([]state, len(a.g.Blocks))
-	blockState[0].ctx[ebpf.R1] = true
-
-	work := []int{0}
-	visited := make([]bool, len(a.g.Blocks))
-	for len(work) > 0 {
-		b := work[0]
-		work = work[1:]
-		st := blockState[b]
-		blk := a.g.Blocks[b]
-		for i := blk.Start; i < blk.End; i++ {
-			kinds[i] = st.kinds
-			ins := a.prog.Instructions[i]
-			switch cls := ins.Class(); {
-			case cls == ebpf.ClassLDX:
-				srcIsCtx := st.ctx[ins.Src] // read before clobbering dst: src may be dst
-				st.kinds[ins.Dst] = pvOtherKind
-				st.ctx[ins.Dst] = false
-				if srcIsCtx {
-					switch int(ins.Off) {
-					case ebpf.XDPMDData, ebpf.XDPMDDataMeta:
-						st.kinds[ins.Dst] = pvPacketKind
-					case ebpf.XDPMDDataEnd:
-						st.kinds[ins.Dst] = pvPacketEndKind
-					}
-				}
-			case cls.IsALU():
-				op := ins.ALUOp()
-				switch {
-				case op == ebpf.ALUMov && ins.Source() == ebpf.SourceX && cls == ebpf.ClassALU64:
-					st.kinds[ins.Dst] = st.kinds[ins.Src]
-					st.ctx[ins.Dst] = st.ctx[ins.Src]
-				case (op == ebpf.ALUAdd || op == ebpf.ALUSub) && cls == ebpf.ClassALU64:
-					// Pointer arithmetic keeps packet provenance.
-					st.ctx[ins.Dst] = false
-				default:
-					st.kinds[ins.Dst] = pvOtherKind
-					st.ctx[ins.Dst] = false
-				}
-			case ins.IsCall():
-				for r := ebpf.R0; r <= ebpf.R5; r++ {
-					st.kinds[r] = pvOtherKind
-					st.ctx[r] = false
-				}
-			case cls == ebpf.ClassLD:
-				st.kinds[ins.Dst] = pvOtherKind
-				st.ctx[ins.Dst] = false
-			}
-		}
-		for _, s := range blk.Succs {
-			next := st
-			if visited[s] {
-				next.kinds = join(blockState[s].kinds, st.kinds)
-				for r := range next.ctx {
-					next.ctx[r] = blockState[s].ctx[r] && st.ctx[r]
-				}
-			}
-			if !visited[s] || next != blockState[s] {
-				blockState[s] = next
-				visited[s] = true
-				work = append(work, s)
-			}
-		}
-	}
-	a.kindsCache = kinds
-	return kinds
-}
-
 // elideBoundsChecks removes data_end comparisons whose failing side is a
 // trivial verdict block. The hardware performs the equivalent check on
 // every frame access (Section 4.4: "this check is readily implemented in
 // hardware ... and can therefore be safely skipped").
-func elideBoundsChecks(a *analysis) (*ebpf.Program, int, error) {
+func elideBoundsChecks(info *ddg.Info) (*ebpf.Program, int, error) {
+	prog := info.Prog
 	drop := map[int]bool{}
 	ja := map[int]bool{}
 	count := 0
-	for i, ins := range a.prog.Instructions {
-		if !ins.IsConditional() {
-			continue
-		}
-		oobTaken, ok := packetVsEnd(a, i)
+	for i := range prog.Instructions {
+		oobTaken, ok := packetVsEnd(info, i)
 		if !ok {
 			continue
 		}
-		takenBlk, _ := a.prog.BranchTarget(i)
+		takenBlk, _ := prog.BranchTarget(i)
 		fallIdx := i + 1
 		var oobBlock int
 		if oobTaken {
-			oobBlock = a.g.BlockOf(takenBlk)
+			oobBlock = info.Graph.BlockOf(takenBlk)
 		} else {
-			if fallIdx >= len(a.prog.Instructions) {
+			if fallIdx >= len(prog.Instructions) {
 				continue
 			}
-			oobBlock = a.g.BlockOf(fallIdx)
+			oobBlock = info.Graph.BlockOf(fallIdx)
 		}
-		if _, trivial := isTrivialVerdictBlock(a, oobBlock); !trivial {
+		if !isTrivialVerdictBlock(info, oobBlock) {
 			continue
 		}
 		count++
@@ -291,9 +149,9 @@ func elideBoundsChecks(a *analysis) (*ebpf.Program, int, error) {
 		}
 	}
 	if count == 0 {
-		return a.prog, 0, nil
+		return prog, 0, nil
 	}
-	out, err := rewrite(a.prog, drop, ja)
+	out, err := rewrite(prog, drop, ja)
 	return out, count, err
 }
 
@@ -351,9 +209,11 @@ func hasSideEffects(ins ebpf.Instruction) bool {
 	}
 }
 
-// pure reports whether instruction i of a may be removed when its
-// results are dead.
-func (a *analysis) pure(i int) bool { return !hasSideEffects(a.prog.Instructions[i]) }
+// pure returns whether instruction i of info's program may be removed
+// when its results are dead.
+func pure(info *ddg.Info) func(i int) bool {
+	return func(i int) bool { return !hasSideEffects(info.Prog.Instructions[i]) }
+}
 
 // wiringSet classifies the instructions that produce no hardware at all:
 // side-effect-free definitions whose every use was elided because the
@@ -364,9 +224,9 @@ func (a *analysis) pure(i int) bool { return !hasSideEffects(a.prog.Instructions
 // are not scheduled. A wiring instruction consumes nothing itself, so
 // one liveness pass over the effective uses dissolves whole
 // address-computation chains.
-func wiringSet(a *analysis) ([]bool, error) {
-	_, wiring, err := a.info.Liveness(func(i int) uint16 { return effectiveUses(a.info, i) }, a.pure)
-	return wiring, err
+func wiringSet(info *ddg.Info) []bool {
+	_, wiring := info.Liveness(func(i int) uint16 { return effectiveUses(info, i) }, pure(info))
+	return wiring
 }
 
 // deadCodeElim removes unreachable blocks and the side-effect-free
@@ -374,14 +234,11 @@ func wiringSet(a *analysis) ([]bool, error) {
 // the provenance analysis stays valid), in one liveness pass and one
 // rewrite. It returns the analysis of the result and how many
 // instructions it removed.
-func deadCodeElim(a *analysis) (*analysis, int, error) {
-	_, dead, err := a.info.Liveness(a.info.UseMask, a.pure)
-	if err != nil {
-		return nil, 0, err
-	}
+func deadCodeElim(info *ddg.Info) (*ddg.Info, int, error) {
+	_, dead := info.Liveness(info.UseMask, pure(info))
 	drop := map[int]bool{}
-	reach := a.g.Reachable()
-	for b, blk := range a.g.Blocks {
+	reach := info.Graph.Reachable()
+	for b, blk := range info.Graph.Blocks {
 		for i := blk.Start; i < blk.End; i++ {
 			if !reach[b] || dead[i] {
 				drop[i] = true
@@ -389,9 +246,9 @@ func deadCodeElim(a *analysis) (*analysis, int, error) {
 		}
 	}
 	if len(drop) == 0 {
-		return a, 0, nil
+		return info, 0, nil
 	}
-	next, err := rewrite(a.prog, drop, nil)
+	next, err := rewrite(info.Prog, drop, nil)
 	if err != nil {
 		return nil, 0, err
 	}

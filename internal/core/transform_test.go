@@ -4,10 +4,11 @@ import (
 	"testing"
 
 	"ehdl/internal/asm"
+	"ehdl/internal/ddg"
 	"ehdl/internal/ebpf"
 )
 
-func analyzeSrc(t *testing.T, src string) *analysis {
+func analyzeSrc(t *testing.T, src string) *ddg.Info {
 	t.Helper()
 	prog, err := asm.Assemble("t", src)
 	if err != nil {
@@ -200,22 +201,19 @@ call 1
 r0 = 2
 exit
 `)
-	wiring, err := wiringSet(a)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wiring := wiringSet(a)
 	wantWired := map[string]bool{
 		"r2 = *(u32 *)(r1 + 0)": true, // packet base: all uses elided
 		"r2 = r10":              true, // key pointer chain
 		"r2 += -4":              true,
 	}
-	for i, ins := range a.prog.Instructions {
+	for i, ins := range a.Prog.Instructions {
 		if wantWired[ins.String()] && !wiring[i] {
 			t.Errorf("instruction %d (%s) not classified as wiring", i, ins)
 		}
 	}
 	// The value-producing load must stay.
-	for i, ins := range a.prog.Instructions {
+	for i, ins := range a.Prog.Instructions {
 		if ins.String() == "r3 = *(u32 *)(r2 + 8)" && wiring[i] {
 			t.Errorf("data load wrongly classified as wiring")
 		}
@@ -232,11 +230,8 @@ r2 += r3
 r0 = *(u8 *)(r2 + 1)
 exit
 `)
-	wiring, err := wiringSet(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, ins := range a.prog.Instructions {
+	wiring := wiringSet(a)
+	for i, ins := range a.Prog.Instructions {
 		if ins.String() == "r2 = *(u32 *)(r1 + 0)" && wiring[i] {
 			t.Error("dynamic access base wrongly dissolved")
 		}
@@ -266,7 +261,7 @@ exit
 	if removed < 2 {
 		t.Errorf("removed %d instructions, want the unreachable block", removed)
 	}
-	for _, ins := range out.prog.Instructions {
+	for _, ins := range out.Prog.Instructions {
 		if ins.Class().IsALU() && ins.Imm == 99 {
 			t.Error("unreachable instruction survived DCE")
 		}

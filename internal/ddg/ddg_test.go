@@ -3,6 +3,7 @@ package ddg
 import (
 	"testing"
 
+	"ehdl/internal/apps"
 	"ehdl/internal/asm"
 	"ehdl/internal/cfg"
 	"ehdl/internal/ebpf"
@@ -198,10 +199,7 @@ r0 = r2
 r0 += r3
 exit
 `)
-	liveOut, _, err := info.Liveness(info.UseMask, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	liveOut, _ := info.Liveness(info.UseMask, nil)
 	// After instruction 1 (r3 = r2), r2 is dead (it is re-assigned at 2).
 	if liveOut[1]&(1<<ebpf.R2) != 0 {
 		t.Error("r2 live after its last use")
@@ -231,10 +229,7 @@ r4 = r0
 out:
 exit
 `)
-	liveOut, dead, err := info.Liveness(info.UseMask, func(i int) bool { return info.Prog.Instructions[i].Class().IsALU() })
-	if err != nil {
-		t.Fatal(err)
-	}
+	liveOut, dead := info.Liveness(info.UseMask, func(i int) bool { return info.Prog.Instructions[i].Class().IsALU() })
 	want := []bool{true, true, true, false, false, true, false}
 	for i := range want {
 		if dead[i] != want[i] {
@@ -321,6 +316,85 @@ func TestHelperUsesRefinement(t *testing.T) {
 		}
 		if uses := info.UseMask(i); uses != 1<<ebpf.R1|1<<ebpf.R2 {
 			t.Errorf("lookup call uses %#x, want r1 and r2", uses)
+		}
+	}
+}
+
+// TestProvenanceSkipsUnreachablePredecessors: a block that no path
+// reaches falls into a reachable merge. Its all-scalar state must not
+// join in, or the packet pointer would turn unknown and the load
+// untracked.
+func TestProvenanceSkipsUnreachablePredecessors(t *testing.T) {
+	info := analyze(t, `
+r2 = *(u32 *)(r1 + 0)
+goto join
+r2 = 5
+join:
+r0 = *(u8 *)(r2 + 0)
+r0 = 2
+exit
+`)
+	if acc := info.Accesses[3]; acc == nil || acc.Area != AreaPacket || !acc.OffKnown || acc.Off != 0 {
+		t.Errorf("merged access = %+v, want packet at 0", acc)
+	}
+}
+
+// refProvenance is the work-list fixed point the topological sweep
+// replaced: a block is queued again whenever its entry state changes.
+func refProvenance(g *cfg.Graph, mapIDs []int) []regState {
+	in := make([]regState, len(g.Prog.Instructions))
+	blockIn := make([]regState, len(g.Blocks))
+	seen := make([]bool, len(g.Blocks))
+	blockIn[0], seen[0] = entryState(), true
+	for work := []int{0}; len(work) > 0; {
+		b := work[0]
+		work = work[1:]
+		st := blockIn[b]
+		for i := g.Blocks[b].Start; i < g.Blocks[b].End; i++ {
+			in[i] = st
+			st = transfer(st, g.Prog.Instructions[i], mapIDs[i])
+		}
+		for _, s := range g.Blocks[b].Succs {
+			next := st
+			if seen[s] {
+				next = blockIn[s].join(st)
+			}
+			if !seen[s] || next != blockIn[s] {
+				blockIn[s], seen[s] = next, true
+				work = append(work, s)
+			}
+		}
+	}
+	return in
+}
+
+// TestSweepMatchesWorklist holds the one-sweep provenance analysis to
+// the work-list fixed point on every bundled app.
+func TestSweepMatchesWorklist(t *testing.T) {
+	for _, app := range append(apps.All(), apps.Toy(), apps.LeakyBucket(), apps.LoadBalancer()) {
+		prog, err := app.Program()
+		if err != nil {
+			t.Fatal(err)
+		}
+		unrolled, err := cfg.Unroll(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := cfg.Build(unrolled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := Analyze(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := analyzeProvenance(g, info.order, info.MapIDOfLDDW)
+		want := refProvenance(g, info.MapIDOfLDDW)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s: instruction %d (%s): sweep %+v, work-list %+v", app.Name, i, unrolled.Instructions[i], got[i], want[i])
+				break
+			}
 		}
 	}
 }

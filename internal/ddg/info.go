@@ -44,10 +44,20 @@ type Info struct {
 	// MapIDOfLDDW gives the map identifier loaded by each LDDW map
 	// reference; -1 otherwise.
 	MapIDOfLDDW []int
+
+	// packetVsEnd labels each conditional jump comparing the packet
+	// pointer with data_end: 1 when the packet pointer is the left
+	// operand, -1 when it is the right one, 0 for any other jump.
+	packetVsEnd []int8
+	order       []int // the reachable blocks in topological order
 }
 
-// Analyze runs provenance labeling and liveness over an acyclic program.
+// Analyze runs provenance labeling over an acyclic program.
 func Analyze(g *cfg.Graph) (*Info, error) {
+	order, err := g.TopologicalBlocks()
+	if err != nil {
+		return nil, err
+	}
 	prog := g.Prog
 	n := len(prog.Instructions)
 	info := &Info{
@@ -58,6 +68,8 @@ func Analyze(g *cfg.Graph) (*Info, error) {
 		CallKey:     make([]ArgLoc, n),
 		CallVal:     make([]ArgLoc, n),
 		MapIDOfLDDW: make([]int, n),
+		packetVsEnd: make([]int8, n),
+		order:       order,
 	}
 	for i := range info.CallMap {
 		info.CallMap[i] = -1
@@ -73,7 +85,7 @@ func Analyze(g *cfg.Graph) (*Info, error) {
 		}
 	}
 
-	states := analyzeProvenance(g, info.MapIDOfLDDW)
+	states := analyzeProvenance(g, order, info.MapIDOfLDDW)
 
 	// The labels live in one array; Accesses points into it.
 	labels := make([]Access, n)
@@ -125,15 +137,30 @@ func Analyze(g *cfg.Graph) (*Info, error) {
 					}
 				}
 			}
+		case cls == ebpf.ClassJMP && ins.IsConditional() && ins.Source() == ebpf.SourceX:
+			switch dst, src := st[ins.Dst].kind, st[ins.Src].kind; {
+			case dst == pvPacket && src == pvPacketEnd:
+				info.packetVsEnd[i] = 1
+			case dst == pvPacketEnd && src == pvPacket:
+				info.packetVsEnd[i] = -1
+			}
 		}
 	}
 	return info, nil
 }
 
+// PacketVsEnd reports whether the conditional jump at i is a 64-bit
+// register comparison of the packet data pointer, at any offset, with
+// data_end itself (a packet length data_end - data never is), and if so
+// whether the packet pointer is the left operand.
+func (in *Info) PacketVsEnd(i int) (packetIsLeft, ok bool) {
+	return in.packetVsEnd[i] > 0, in.packetVsEnd[i] != 0
+}
+
 // label sets the area, map and offset of an access through base plus
 // off of size bytes.
 func (a *Access) label(base pv, off int16, size int) error {
-	area := base.kind.area()
+	area := kindArea[base.kind]
 	if area == AreaNone {
 		return errUntracked
 	}
@@ -188,12 +215,8 @@ func (in *Info) UseMask(i int) uint16 {
 // repeated liveness-and-removal rounds, reached at once because the
 // graph has no back edge. liveOut[i] is the set of registers live after
 // instruction i. A nil removable removes nothing.
-func (in *Info) Liveness(uses func(i int) uint16, removable func(i int) bool) (liveOut []uint16, dead []bool, err error) {
-	g := in.Graph
-	order, err := g.TopologicalBlocks()
-	if err != nil {
-		return nil, nil, err
-	}
+func (in *Info) Liveness(uses func(i int) uint16, removable func(i int) bool) (liveOut []uint16, dead []bool) {
+	g, order := in.Graph, in.order
 	n := len(in.Prog.Instructions)
 	liveOut = make([]uint16, n)
 	dead = make([]bool, n)
@@ -215,7 +238,7 @@ func (in *Info) Liveness(uses func(i int) uint16, removable func(i int) bool) (l
 		}
 		blockLiveIn[order[k]] = live
 	}
-	return liveOut, dead, nil
+	return liveOut, dead
 }
 
 // Conflicts reports whether instructions i and j (i before j in program

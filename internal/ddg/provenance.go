@@ -1,7 +1,8 @@
 // Package ddg performs the data-flow analyses the eHDL compiler relies
 // on (Section 3.1 of the paper): pointer-provenance tracking that labels
 // every load and store with the memory area it touches (stack, packet,
-// or a specific map), register and stack liveness for state pruning
+// or a specific map) and every comparison of a packet pointer against
+// data_end, register and stack liveness for state pruning
 // (Section 4.3), and the instruction dependencies that bound
 // instruction-level parallelism (Section 3.3).
 package ddg
@@ -66,11 +67,9 @@ type pv struct {
 
 func scalar() pv { return pv{kind: pvScalar} }
 
-func (a pv) equal(b pv) bool { return a == b }
-
 // join merges two abstract values at a control-flow merge point.
 func (a pv) join(b pv) pv {
-	if a.equal(b) {
+	if a == b {
 		return a
 	}
 	if a.kind == b.kind && a.mapID == b.mapID {
@@ -140,11 +139,8 @@ func transfer(st regState, ins ebpf.Instruction, mapID int) regState {
 		case ebpf.ALUMov:
 			if ins.Source() == ebpf.SourceX {
 				st[dst] = st[ins.Src]
-				if cls == ebpf.ClassALU {
-					// A 32-bit move truncates pointers to scalars.
-					if st[dst].kind != pvScalar {
-						st[dst] = pv{kind: pvUnknown}
-					}
+				if cls == ebpf.ClassALU && st[dst].kind != pvScalar {
+					st[dst] = pv{kind: pvUnknown} // a 32-bit pointer copy loses track
 				}
 			} else {
 				st[dst] = scalar()
@@ -174,15 +170,9 @@ func transfer(st regState, ins ebpf.Instruction, mapID int) regState {
 				st[dst] = scalar()
 			}
 		default:
-			// Any other arithmetic destroys pointer provenance.
-			if st[dst].kind == pvScalar {
-				st[dst] = scalar()
-			} else {
-				st[dst] = st[dst].addUnknown()
-				if op != ebpf.ALUAnd && op != ebpf.ALUOr {
-					st[dst] = scalar()
-				}
-			}
+			// Any other arithmetic, masking included, destroys pointer
+			// provenance: the kernel verifier rejects it on pointers.
+			st[dst] = scalar()
 		}
 	case cls == ebpf.ClassLD: // LDDW
 		if mapID >= 0 {
@@ -232,19 +222,17 @@ func transfer(st regState, ins ebpf.Instruction, mapID int) regState {
 }
 
 // analyzeProvenance computes the abstract register state before every
-// instruction with a work-list fixed point over the CFG.
-func analyzeProvenance(g *cfg.Graph, mapIDs []int) []regState {
+// instruction in one sweep over the reachable blocks in topological
+// order, so a block's entry state is final when the sweep reaches it.
+// It joins only the predecessors the sweep visited: an unreachable one
+// would otherwise join in as all scalars.
+func analyzeProvenance(g *cfg.Graph, order, mapIDs []int) []regState {
 	prog := g.Prog
 	in := make([]regState, len(prog.Instructions))
 	blockIn := make([]regState, len(g.Blocks))
 	seen := make([]bool, len(g.Blocks))
-	blockIn[0] = entryState()
-	seen[0] = true
-
-	work := []int{0}
-	for len(work) > 0 {
-		b := work[0]
-		work = work[1:]
+	blockIn[0], seen[0] = entryState(), true
+	for _, b := range order {
 		st := blockIn[b]
 		blk := g.Blocks[b]
 		for i := blk.Start; i < blk.End; i++ {
@@ -252,34 +240,18 @@ func analyzeProvenance(g *cfg.Graph, mapIDs []int) []regState {
 			st = transfer(st, prog.Instructions[i], mapIDs[i])
 		}
 		for _, s := range blk.Succs {
-			var next regState
 			if seen[s] {
-				next = blockIn[s].join(st)
+				blockIn[s] = blockIn[s].join(st)
 			} else {
-				next = st
-			}
-			if !seen[s] || next != blockIn[s] {
-				blockIn[s] = next
-				seen[s] = true
-				work = append(work, s)
+				blockIn[s], seen[s] = st, true
 			}
 		}
 	}
 	return in
 }
 
-func (k pvKind) area() MemArea {
-	switch k {
-	case pvCtx:
-		return AreaCtx
-	case pvPacket:
-		return AreaPacket
-	case pvStack:
-		return AreaStack
-	case pvMapValue:
-		return AreaMap
-	}
-	return AreaNone
-}
+// kindArea is the memory area an access through each kind touches;
+// AreaNone for a kind no access may go through.
+var kindArea = [...]MemArea{pvCtx: AreaCtx, pvPacket: AreaPacket, pvStack: AreaStack, pvMapValue: AreaMap, pvUnknown: AreaNone}
 
 var errUntracked = fmt.Errorf("ddg: memory access through an untracked pointer")

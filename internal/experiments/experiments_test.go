@@ -247,6 +247,48 @@ func TestFramingAblation(t *testing.T) {
 	}
 }
 
+// TestPowerBands holds the Section 5.2 bands to the paper: 80-85 W for
+// the U50 host whatever design is flashed, 100-105 W for the Bluefield-2
+// host.
+func TestPowerBands(t *testing.T) {
+	for _, b := range powerBands {
+		switch {
+		case b.nic == "Bluefield-2":
+			if b.minWatts != 100 || b.maxWatts != 105 {
+				t.Errorf("%s band = %v-%v W, the paper says 100-105", b.nic, b.minWatts, b.maxWatts)
+			}
+		case strings.HasPrefix(b.nic, "Alveo U50 ("):
+			if b.minWatts != 80 || b.maxWatts != 85 {
+				t.Errorf("%s band = %v-%v W, the paper says 80-85", b.nic, b.minWatts, b.maxWatts)
+			}
+		default:
+			t.Errorf("unexpected host %q", b.nic)
+		}
+	}
+}
+
+// TestPowerEnergyPerPacket checks the Section 5.2 energy estimate: a DPU
+// spends far more energy per packet than the FPGA.
+func TestPowerEnergyPerPacket(t *testing.T) {
+	var fpga, dpu float64
+	for _, b := range powerBands {
+		switch b.nic {
+		case "Bluefield-2":
+			dpu = b.nanojoulesPerPacket()
+		case "Alveo U50 (eHDL)":
+			fpga = b.nanojoulesPerPacket()
+		}
+	}
+	// At 148 Mpps the FPGA host spends well under a microjoule per
+	// packet; a 3 Mpps processor spends ~30x more.
+	if fpga <= 0 || dpu <= 0 {
+		t.Fatalf("degenerate energy figures: FPGA %v, DPU %v nJ/packet", fpga, dpu)
+	}
+	if dpu/fpga < 20 {
+		t.Errorf("energy ratio DPU/FPGA = %.1f, want large", dpu/fpga)
+	}
+}
+
 func TestTableRendering(t *testing.T) {
 	tab := run(t, "table1")
 	out := tab.String()

@@ -224,7 +224,7 @@ func TestSlimSnapshotRestoresExactly(t *testing.T) {
 		seeds = 8
 	}
 	for seed := int64(0); seed < seeds; seed++ {
-		prog, err := generateProgram(seed)
+		prog, _, err := generateProgram(seed)
 		if err != nil {
 			t.Fatal(err)
 		}

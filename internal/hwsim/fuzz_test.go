@@ -15,18 +15,20 @@ import (
 	"ehdl/internal/vm"
 )
 
-// progGen builds random but analysable XDP programs: packet parses at
-// static offsets, stack traffic, branchy control flow, map lookups with
-// stack-resident keys, atomic counters, optional miss-path updates, and
-// operand aliasing — a register stored or atomically added through
-// itself, both operands of an ALU op.
+// progGen builds random but analysable XDP programs: packet bounds
+// checks in every orientation, a packet length (data_end - data) in the
+// arithmetic, packet parses at static offsets, stack traffic, branchy
+// control flow, map lookups with stack-resident keys, atomic counters,
+// optional miss-path updates, and operand aliasing — a register stored
+// or atomically added through itself, both operands of an ALU op.
 // Every generated program must compile and behave identically on the
 // reference VM and the pipeline.
 type progGen struct {
 	r *rand.Rand
 	b *asm.Builder
 
-	label int
+	label  int
+	checks int // bounds checks emitted
 }
 
 func (g *progGen) newLabel() string {
@@ -40,7 +42,9 @@ var scratch = []ebpf.Register{ebpf.R6, ebpf.R8, ebpf.R9}
 
 func (g *progGen) reg() ebpf.Register { return scratch[g.r.Intn(len(scratch))] }
 
-func generateProgram(seed int64) (*ebpf.Program, error) {
+// generateProgram returns seed's program and how many bounds checks it
+// holds, each of which the compiler must elide.
+func generateProgram(seed int64) (*ebpf.Program, int, error) {
 	r := rand.New(rand.NewSource(seed))
 	g := &progGen{r: r, b: asm.NewBuilder(fmt.Sprintf("fuzz%d", seed))}
 	b := g.b
@@ -55,7 +59,8 @@ func generateProgram(seed int64) (*ebpf.Program, error) {
 		b.DeclareMap(ebpf.MapSpec{Name: "ctr", Kind: ebpf.MapArray, KeySize: 4, ValueSize: 8, MaxEntries: 4})
 	}
 
-	// Prologue: packet pointer in r7 (bounds-checked to 40 bytes).
+	// Prologue: packet pointer in r7 (bounds-checked to 40 bytes),
+	// data_end in r2.
 	b.Emit(
 		ebpf.Mov64Reg(ebpf.R6, ebpf.R1),
 		ebpf.LoadMem(ebpf.SizeW, ebpf.R2, ebpf.R1, 4),
@@ -63,11 +68,52 @@ func generateProgram(seed int64) (*ebpf.Program, error) {
 		ebpf.Mov64Reg(ebpf.R3, ebpf.R7),
 		ebpf.ALU64Imm(ebpf.ALUAdd, ebpf.R3, 40),
 	)
-	b.JumpRegTo(ebpf.JumpGT, ebpf.R3, ebpf.R2, "drop")
+	g.boundsCheck(ebpf.R3, ebpf.R2)
+	if r.Intn(2) == 0 {
+		// A deeper check, at most as deep as the shortest frame of the
+		// differential traffic, sometimes built as scalar + data.
+		depth := int32(40 + r.Intn(8))
+		if r.Intn(2) == 0 {
+			b.Emit(ebpf.Mov64Imm(ebpf.R4, depth), ebpf.ALU64Reg(ebpf.ALUAdd, ebpf.R4, ebpf.R7))
+		} else {
+			b.Emit(ebpf.Mov64Reg(ebpf.R4, ebpf.R7), ebpf.ALU64Imm(ebpf.ALUAdd, ebpf.R4, depth))
+		}
+		g.boundsCheck(ebpf.R4, ebpf.R2)
+	}
 
 	// Seed the scratch registers from the packet.
 	for _, reg := range scratch {
 		b.Emit(ebpf.LoadMem(randSize(r), reg, ebpf.R7, int16(r.Intn(32))))
+	}
+
+	verdictExit := false
+	if r.Intn(2) == 0 {
+		// The packet length is a scalar: mix it into a scratch register,
+		// and sometimes compare it with a packet pointer. That is no
+		// bounds check, whichever side the constant-verdict exit is on.
+		b.Emit(
+			ebpf.Mov64Reg(ebpf.R5, ebpf.R2),
+			ebpf.ALU64Reg(ebpf.ALUSub, ebpf.R5, ebpf.R7),
+			ebpf.ALU64Imm([]ebpf.ALUOp{ebpf.ALUAdd, ebpf.ALUAnd, ebpf.ALULsh}[r.Intn(3)], ebpf.R5, int32(1+r.Intn(7))),
+			ebpf.ALU64Reg([]ebpf.ALUOp{ebpf.ALUAdd, ebpf.ALUXor, ebpf.ALUSub}[r.Intn(3)], g.reg(), ebpf.R5),
+		)
+		if r.Intn(2) == 0 {
+			b.Emit(ebpf.Mov64Reg(ebpf.R4, ebpf.R7), ebpf.ALU64Imm(ebpf.ALUAdd, ebpf.R4, int32(r.Intn(40))))
+			dst, src := ebpf.R4, ebpf.R5
+			if r.Intn(2) == 0 {
+				dst, src = src, dst
+			}
+			op := []ebpf.JumpOp{ebpf.JumpGT, ebpf.JumpGE, ebpf.JumpLT, ebpf.JumpLE}[r.Intn(4)]
+			if r.Intn(2) == 0 {
+				verdictExit = true
+				b.JumpRegTo(op, dst, src, "verdict")
+			} else {
+				skip := g.newLabel()
+				b.JumpRegTo(op, dst, src, skip)
+				g.emitStraightLine(1 + r.Intn(3))
+				b.Label(skip)
+			}
+		}
 	}
 
 	if withCounters {
@@ -147,7 +193,38 @@ func generateProgram(seed int64) (*ebpf.Program, error) {
 	)
 	b.Label("drop")
 	b.Emit(ebpf.Mov64Imm(ebpf.R0, 1), ebpf.Exit())
-	return b.Program()
+	if verdictExit {
+		b.Label("verdict")
+		b.Emit(ebpf.Mov64Imm(ebpf.R0, 3), ebpf.Exit())
+	}
+	prog, err := b.Program()
+	return prog, g.checks, err
+}
+
+// boundsCheck emits "drop unless ptr is within the frame" as a
+// comparison of ptr against end in one of eight shapes: greater, at
+// least, less or at most, either register on the left, the drop exit
+// taken or fallen into. Half the shapes drop at ptr == end too.
+func (g *progGen) boundsCheck(ptr, end ebpf.Register) {
+	r, b := g.r, g.b
+	g.checks++
+	atEnd := r.Intn(2) // 1: also drop when ptr == end
+	switch r.Intn(4) {
+	case 0: // ptr > end, ptr >= end
+		b.JumpRegTo([]ebpf.JumpOp{ebpf.JumpGT, ebpf.JumpGE}[atEnd], ptr, end, "drop")
+	case 1: // end < ptr, end <= ptr
+		b.JumpRegTo([]ebpf.JumpOp{ebpf.JumpLT, ebpf.JumpLE}[atEnd], end, ptr, "drop")
+	case 2: // ptr <= end, ptr < end continue; the drop falls through
+		in := g.newLabel()
+		b.JumpRegTo([]ebpf.JumpOp{ebpf.JumpLE, ebpf.JumpLT}[atEnd], ptr, end, in)
+		b.Emit(ebpf.Mov64Imm(ebpf.R0, 1), ebpf.Exit())
+		b.Label(in)
+	case 3: // end >= ptr, end > ptr continue
+		in := g.newLabel()
+		b.JumpRegTo([]ebpf.JumpOp{ebpf.JumpGE, ebpf.JumpGT}[atEnd], end, ptr, in)
+		b.Emit(ebpf.Mov64Imm(ebpf.R0, 1), ebpf.Exit())
+		b.Label(in)
+	}
 }
 
 func (g *progGen) emitStraightLine(n int) {
@@ -303,7 +380,7 @@ func TestFuzzDifferential(t *testing.T) {
 		seeds = 10
 	}
 	for seed := int64(0); seed < int64(seeds); seed++ {
-		prog, err := generateProgram(seed)
+		prog, _, err := generateProgram(seed)
 		if err != nil {
 			t.Fatalf("seed %d: generator produced an invalid program: %v", seed, err)
 		}
@@ -356,7 +433,7 @@ func TestFuzzDifferentialMalformedCorpus(t *testing.T) {
 		seeds = 6
 	}
 	for seed := int64(0); seed < int64(seeds); seed++ {
-		prog, err := generateProgram(seed)
+		prog, _, err := generateProgram(seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -368,20 +445,25 @@ func TestFuzzDifferentialMalformedCorpus(t *testing.T) {
 // enabled (the shipping configuration): here the hardware bounds check
 // owns the short frames, so the properties are weaker but universal —
 // no simulator error, every packet retires, every verdict is legal, and
-// runts inside the Ethernet/IP headers resolve to the OOB action.
+// runts inside the Ethernet/IP headers resolve to the OOB action. Every
+// bounds check the generator wrote is elided, and nothing else is.
 func TestFuzzMalformedCorpusElidedChecks(t *testing.T) {
 	seeds := 30
 	if testing.Short() {
 		seeds = 6
 	}
 	for seed := int64(0); seed < int64(seeds); seed++ {
-		prog, err := generateProgram(seed)
+		prog, checks, err := generateProgram(seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		pl, err := core.Compile(prog, core.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: compile: %v", seed, err)
+		}
+		if pl.ElidedBoundsChecks != checks {
+			t.Fatalf("seed %d: elided %d bounds checks, the program holds %d\n%s",
+				seed, pl.ElidedBoundsChecks, checks, ebpf.Disassemble(prog.Instructions))
 		}
 		sim, err := New(pl, Config{})
 		if err != nil {
@@ -421,7 +503,7 @@ func TestFuzzMalformedCorpusElidedChecks(t *testing.T) {
 // strictly forward-feeding.
 func TestFuzzSchedulerInvariants(t *testing.T) {
 	for seed := int64(100); seed < 160; seed++ {
-		prog, err := generateProgram(seed)
+		prog, _, err := generateProgram(seed)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -720,7 +720,7 @@ func TestValidatePrograms(t *testing.T) {
 		}
 	}
 	for seed := int64(0); seed < 60; seed++ {
-		prog, err := generateProgram(seed)
+		prog, _, err := generateProgram(seed)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -294,8 +294,6 @@ var surfaceAllow = map[string]string{
 	"pktgen.TraceProfile.*":       "returned",
 	"pktgen.VerifyIPChecksum":     "test-support",
 
-	"power.Profile": "returned",
-
 	"protect.SECDED":                   "test-support",
 	"protect.SECDED.CheckBytesPerWord": "implements",
 	"protect.SECDED.CheckWord":         "implements",
