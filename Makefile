@@ -57,9 +57,10 @@ chaos:
 # tracer/metrics/profiling package, the multi-queue front end, the
 # serving loops and the report fold, the fleet controller, the tenant
 # classifier/policer/admission gate and the journal codec
-# must stay above their floors (protect 90%, hwsim 75%, obs 85%, rss
-# 85%, nic 85%, fastpath 85%, fleet 85%, tenant 85%, durable 85%), and so
-# must vm (85%), which hosts every closure both engines run, maps
+# must stay above their floors (protect 90%, hwsim 85%, obs 85%, rss
+# 85%, nic 85%, fastpath 85%, fleet 85%, tenant 85%, durable 85%) — hwsim
+# holds the semantics of every op both engines run — and so must vm
+# (85%), the reference interpreter those ops are held to, maps
 # (85%), the store every lookup of every engine lands in, hdl (90%),
 # whose netlist both the VHDL text and the resource bill derive from,
 # liveupdate (85%), the one update protocol both loops call,
@@ -73,7 +74,7 @@ cover:
 	@awk 'function gate(pkg, floor,    a) { seen[pkg] = 1; split($$5, a, "%"); \
 	          if (a[1]+0 < floor) { printf "FAIL: %s coverage %s%% < %d%%\n", pkg, a[1], floor; bad = 1 } } \
 	      /internal\/protect/  { gate("internal/protect", 90) } \
-	      /internal\/hwsim/    { gate("internal/hwsim", 75) } \
+	      /internal\/hwsim/    { gate("internal/hwsim", 85) } \
 	      /internal\/obs/      { gate("internal/obs", 85) } \
 	      /internal\/rss/      { gate("internal/rss", 85) } \
 	      /internal\/nic/      { gate("internal/nic", 85) } \

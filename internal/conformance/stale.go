@@ -17,7 +17,7 @@ import (
 // entry. A hit keeps the pointer through a dependent ALU chain longer
 // than the insert path — so the younger packets behind it insert, evict
 // the entry, and look up the key that now sits in its slot — and then
-// adds through it, once at a static offset (the mem lane: the value
+// adds through it, once at a static offset (a coded access: the value
 // slice the lookup kept) and once at a register-relative one (the
 // generic store: the address, resolved). Sequentially the adds land in
 // the entry before anything younger runs; pipelined they land late, in

@@ -692,8 +692,8 @@ func TestDeleteZooMatchesInterpreter(t *testing.T) {
 // TestStalePointerZooMatchesInterpreter: a hit on an LRU map smaller
 // than the pipeline is deep keeps its value pointer while four younger
 // packets insert, the last of them into the evicted entry's slot, and a
-// fifth looks that key up; the late adds through the pointer — one on
-// the mem lane, one register-relative — must reach no live entry, as on
+// fifth looks that key up; the late adds through the pointer — one
+// coded, one register-relative — must reach no live entry, as on
 // the one-burst table where nothing is ever late.
 func TestStalePointerZooMatchesInterpreter(t *testing.T) {
 	app := conformance.StalePointerZoo()

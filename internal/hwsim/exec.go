@@ -2,6 +2,7 @@ package hwsim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ehdl/internal/core"
 	"ehdl/internal/ddg"
@@ -40,56 +41,201 @@ func (s *Sim) execStage(j *job, t int) error {
 
 	// Ops of one stage execute in parallel in hardware: an exit op in
 	// the stage latches the verdict without suppressing its neighbours,
-	// so done-ness applies from the next stage's first op. Enable bits
-	// are only ever set while a packet executes, so a block seen enabled
-	// is not probed again; a disabled one is, as the op before may have
-	// just enabled it, and its run of ops is hopped over. Each lane
-	// enables its own successor: one shared branch after the switch
-	// measured 20 ns a frame slower (it predicts worse).
+	// so done-ness applies from the next stage's first op. A stage holds
+	// one block's ops (buildTables), so the loop walks block runs: the
+	// enable bit and done-ness are tested once per run. Enable bits are
+	// only ever set while a packet executes, so nothing can enable a
+	// disabled block inside its own run: the run is hopped over. Within
+	// a run, only an exit or a bounds fault sets done; the run then ends
+	// with the stage. Every code runs inline — a call per op spills the
+	// loop's registers — and only opRun calls out.
 	end, st := s.burstEnd[t], j.st
-	ops := s.ops[:s.opOff[end+1]]
-	stage, block, on := -1, -1, false
-	for i := s.opOff[t]; i < len(ops); {
-		op := &ops[i]
-		if op.stage != stage {
-			if j.done {
-				break
-			}
-			stage = op.stage
+	r, ops := &st.Regs, s.ops[:s.opOff[end+1]]
+	for i := s.opOff[t]; i < len(ops) && !j.done; {
+		if !hasBit(j.enabled, ops[i].block) {
+			i = ops[i].skip
+			continue
 		}
-		if op.block != block || !on {
-			if block, on = op.block, hasBit(j.enabled, op.block); !on {
-				i = op.skip
-				continue
-			}
-		}
-		i++
-		switch {
-		case op.alu != nil:
-			op.alu(st)
-			j.enable(op.fall)
-		case op.pred != nil:
-			if op.pred(st) {
+		for stop := min(ops[i].skip, len(ops)); i < stop; i++ {
+			op := &ops[i]
+			switch op.code {
+			case opRun:
+				if err := op.run(j); err != nil {
+					return s.opError(op, err)
+				}
+				if j.done {
+					stop = s.opOff[op.stage+1]
+				}
+				continue // the closure enabled what it enables
+			case opALU:
+				x := op.imm
+				if ebpf.Source(op.opc&8) == ebpf.SourceX {
+					x = r[op.src]
+				}
+				r[op.dst], _ = vm.EvalALU(ebpf.Instruction{Op: op.opc, Imm: int32(op.imm)}, r[op.dst], x)
+			case opJmp:
+				j.enable(branch(op.jumps(r), op))
+			case opExit:
+				if !j.done { // unless a bounds fault earlier in the stage dropped the packet
+					j.done, j.action = true, ebpf.XDPAction(uint32(r[ebpf.R0]))
+				}
+				stop = s.opOff[op.stage+1]
+			case opCommit:
+				s.commit(j, op.val, j.lookups[op.val].key, op.imm != 0, op.stage)
+			case opMovK:
+				r[op.dst] = op.imm
+			case opMovX:
+				r[op.dst] = r[op.src]
+			case opMov32X:
+				r[op.dst] = uint64(uint32(r[op.src]))
+			case opAddK:
+				r[op.dst] += op.imm
+			case opAddX:
+				r[op.dst] += r[op.src]
+			case opSubK:
+				r[op.dst] -= op.imm
+			case opSubX:
+				r[op.dst] -= r[op.src]
+			case opMulK:
+				r[op.dst] *= op.imm
+			case opMulX:
+				r[op.dst] *= r[op.src]
+			case opAndK:
+				r[op.dst] &= op.imm
+			case opAndX:
+				r[op.dst] &= r[op.src]
+			case opOrK:
+				r[op.dst] |= op.imm
+			case opOrX:
+				r[op.dst] |= r[op.src]
+			case opXorK:
+				r[op.dst] ^= op.imm
+			case opXorX:
+				r[op.dst] ^= r[op.src]
+			case opLshK:
+				r[op.dst] <<= op.imm & 63
+			case opLshX:
+				r[op.dst] <<= r[op.src] & 63
+			case opRshK:
+				r[op.dst] >>= op.imm & 63
+			case opRshX:
+				r[op.dst] >>= r[op.src] & 63
+			case opArshK:
+				r[op.dst] = uint64(int64(r[op.dst]) >> (op.imm & 63))
+			case opArshX:
+				r[op.dst] = uint64(int64(r[op.dst]) >> (r[op.src] & 63))
+			case opNeg:
+				r[op.dst] = -r[op.dst]
+			case opBE16:
+				r[op.dst] = uint64(bits.ReverseBytes16(uint16(r[op.dst])))
+			case opBE32:
+				r[op.dst] = uint64(bits.ReverseBytes32(uint32(r[op.dst])))
+			case opBE64:
+				r[op.dst] = bits.ReverseBytes64(r[op.dst])
+			case opJA:
 				j.enable(op.taken)
-			} else {
-				j.enable(op.other)
+			case opJEqK:
+				j.enable(branch(r[op.dst] == op.imm, op))
+			case opJEqX:
+				j.enable(branch(r[op.dst] == r[op.src], op))
+			case opJNeK:
+				j.enable(branch(r[op.dst] != op.imm, op))
+			case opJNeX:
+				j.enable(branch(r[op.dst] != r[op.src], op))
+			case opJGtK:
+				j.enable(branch(r[op.dst] > op.imm, op))
+			case opJGtX:
+				j.enable(branch(r[op.dst] > r[op.src], op))
+			case opJGeK:
+				j.enable(branch(r[op.dst] >= op.imm, op))
+			case opJGeX:
+				j.enable(branch(r[op.dst] >= r[op.src], op))
+			case opJLtK:
+				j.enable(branch(r[op.dst] < op.imm, op))
+			case opJLtX:
+				j.enable(branch(r[op.dst] < r[op.src], op))
+			case opJLeK:
+				j.enable(branch(r[op.dst] <= op.imm, op))
+			case opJLeX:
+				j.enable(branch(r[op.dst] <= r[op.src], op))
+			case opJSetK:
+				j.enable(branch(r[op.dst]&op.imm != 0, op))
+			case opJSetX:
+				j.enable(branch(r[op.dst]&r[op.src] != 0, op))
+			case opLdStack:
+				r[op.dst] = loadLE(st.Stack[op.off:], op.size)
+			case opStStackK:
+				storeLE(st.Stack[op.off:], op.size, op.imm)
+			case opStStackX:
+				storeLE(st.Stack[op.off:], op.size, r[op.src])
+			case opLdPkt:
+				pkt := st.Pkt.Bytes()
+				if op.off+op.size > len(pkt) {
+					s.boundsFault(j, op.stage)
+					stop = s.opOff[op.stage+1]
+					continue
+				}
+				r[op.dst] = loadLE(pkt[op.off:], op.size)
+			case opStPktK:
+				pkt := st.Pkt.Bytes()
+				if op.off+op.size > len(pkt) {
+					s.boundsFault(j, op.stage)
+					stop = s.opOff[op.stage+1]
+					continue
+				}
+				storeLE(pkt[op.off:], op.size, op.imm)
+			case opStPktX:
+				pkt := st.Pkt.Bytes()
+				if op.off+op.size > len(pkt) {
+					s.boundsFault(j, op.stage)
+					stop = s.opOff[op.stage+1]
+					continue
+				}
+				storeLE(pkt[op.off:], op.size, r[op.src])
+			case opLdMap, opStMapK, opStMapX, opAtomicMap:
+				b := j.lookups[op.val].val
+				if b == nil {
+					return s.opError(op, errNoLookup)
+				}
+				switch b = b[op.off:]; op.code {
+				case opLdMap:
+					r[op.dst] = loadLE(b, op.size)
+				case opStMapK:
+					storeLE(b, op.size, op.imm)
+				case opStMapX:
+					storeLE(b, op.size, r[op.src])
+				default:
+					x, old := r[op.src], loadLE(b, op.size)
+					switch ebpf.AtomicOp(op.opc) {
+					case ebpf.AtomicAdd:
+						x += old
+					case ebpf.AtomicOr:
+						x |= old
+					case ebpf.AtomicAnd:
+						x &= old
+					default:
+						x ^= old
+					}
+					storeLE(b, op.size, x)
+				}
+			case opLdData:
+				r[op.dst] = vm.PacketBase + uint64(st.Pkt.HeadIndex())
+			case opLdEnd:
+				r[op.dst] = vm.PacketBase + uint64(st.Pkt.HeadIndex()+st.Pkt.Len())
 			}
-		case op.mem != nil:
-			if err := op.mem(st, j.lookups[op.val].val); err == nil {
-				j.enable(op.fall)
-			} else if err == vm.ErrPacketBounds {
-				s.boundsFault(j, op.stage)
-			} else {
-				return s.opError(op, err)
-			}
-		default:
-			if err := op.run(j); err != nil {
-				return s.opError(op, err)
-			}
+			j.enable(op.fall)
 		}
 	}
 	j.execStage = end
 	return nil
+}
+
+// branch picks a jump's successor.
+func branch(on bool, op *microOp) int {
+	if on {
+		return op.taken
+	}
+	return op.other
 }
 
 // opError names the cycle, stage and instruction an op failed at.
@@ -148,7 +294,7 @@ func (s *Sim) load(j *job, op *microOp) error {
 	if isMap {
 		if sv, ok := s.shadowValue(op.MapID, j); ok {
 			if off := int(op.Access.Off); off >= 0 && off+size <= len(sv) {
-				v = vm.ReadUint(sv[off:], size)
+				v = loadLE(sv[off:], size)
 			}
 		}
 	}
@@ -212,7 +358,7 @@ func (s *Sim) commit(j *job, mapID int, key []byte, flushes bool, t int) {
 // commits, another key's lookup lands in the slot — so the addresses
 // j's lookups returned are pointed back at the buffers they returned
 // (vm.MemSpace.Rebind): j's late access lands in its own, possibly
-// orphaned, entry, the way the mem lane's kept slice does.
+// orphaned, entry, the way a coded access's kept slice does.
 func (s *Sim) rebind(j *job) {
 	for i := range j.lookups {
 		if l := &j.lookups[i]; l.addr != 0 {
@@ -245,7 +391,7 @@ func (s *Sim) addrOf(j *job, op *microOp) (uint64, error) {
 	case ddg.AreaMap:
 		base := j.lookups[op.MapID].addr
 		if base == 0 {
-			return 0, fmt.Errorf("map access without a preceding lookup hit")
+			return 0, errNoLookup
 		}
 		s.rebind(j)
 		return base + uint64(acc.Off), nil

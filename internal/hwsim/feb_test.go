@@ -8,7 +8,6 @@ import (
 
 	"ehdl/internal/apps"
 	"ehdl/internal/core"
-	"ehdl/internal/ddg"
 	"ehdl/internal/ebpf"
 	"ehdl/internal/faults"
 	"ehdl/internal/pktgen"
@@ -252,7 +251,7 @@ func TestSlimSnapshotRestoresExactly(t *testing.T) {
 		// The run stops here with the pipeline full: every job in a stage
 		// is rewound both ways. That wrecks the Sim, which is dropped.
 		var slot snapshot
-		slot.lookups = make([]lookup, len(sim.maps)+1)
+		slot.lookups = make([]lookup, len(sim.maps))
 		eachJob(sim, func(j *job) {
 			before := imageOf(t, j)
 			sim.capture(j, &slot)
@@ -277,8 +276,8 @@ func TestSlimSnapshotRestoresExactly(t *testing.T) {
 	}
 }
 
-// staticZooSource drives every statically addressed access vm
-// specialises through the interpreter's own closures: packet, stack and
+// staticZooSource drives every statically addressed access the
+// executor codes through the interpreter's own loop: packet, stack and
 // xdp_md accesses of each width on the private side; loads, both store
 // forms and the atomics through a lookup pointer, plus the update and
 // delete helpers, on the shared side.
@@ -346,7 +345,7 @@ exit
 `
 
 // TestStaticAccessZooMatchesGeneric runs the zoo through both of the
-// interpreter's tables — vm's closures on lookup slices, and the generic
+// interpreter's tables — the codes on lookup slices, and the generic
 // path that resolves every address through MemSpace — on traffic whose
 // eight keys keep colliding, and then against the reference VM.
 func TestStaticAccessZooMatchesGeneric(t *testing.T) {
@@ -363,17 +362,17 @@ func TestStaticAccessZooMatchesGeneric(t *testing.T) {
 	fuzzDifferential(t, 23, prog, core.Options{}, packets)
 
 	// The same table must be the one a plain Sim runs: every statically
-	// addressed op on a vm closure, none on the generic path.
+	// addressed access coded, none on the generic path.
 	sim, err := New(compile(t, "static_zoo", staticZooSource, core.Options{}), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	direct := 0
 	for i := range sim.ops {
-		if op := &sim.ops[i]; op.Access != nil && op.BaseElided && staticAccess(sim.pl, op.Op) != nil {
+		if op := &sim.ops[i]; op.Access != nil && op.BaseElided && op.code != opCommit {
 			direct++
-			if op.Access.Area != ddg.AreaMap && op.mem == nil {
-				t.Errorf("stage %d (%s): a private static access is not on the mem lane", op.stage, op.Ins)
+			if op.code == opRun {
+				t.Errorf("stage %d (%s): a static access is not coded", op.stage, op.Ins)
 			}
 		}
 	}

@@ -17,10 +17,12 @@ import (
 
 // progGen builds random but analysable XDP programs: packet bounds
 // checks in every orientation, a packet length (data_end - data) in the
-// arithmetic, packet parses at static offsets, stack traffic, branchy
-// control flow, map lookups with stack-resident keys, atomic counters,
-// optional miss-path updates, and operand aliasing — a register stored
-// or atomically added through itself, both operands of an ALU op.
+// arithmetic, every ALU operation and every conditional jump of both
+// widths, packet parses and writes at static offsets, stack traffic,
+// branchy control flow, map lookups with stack-resident keys, atomic
+// counters, optional miss-path updates, and operand aliasing — a
+// register stored or atomically added through itself, both operands of
+// an ALU op.
 // Every generated program must compile and behave identically on the
 // reference VM and the pipeline.
 type progGen struct {
@@ -140,10 +142,8 @@ func generateProgram(seed int64) (*ebpf.Program, int, error) {
 	for i := 0; i < blocks; i++ {
 		g.emitStraightLine(3 + r.Intn(6))
 		if r.Intn(2) == 0 {
-			skip := g.newLabel()
-			b.JumpTo(randCmp(r), g.reg(), int32(r.Intn(512)), skip)
-			g.emitStraightLine(1 + r.Intn(4))
-			b.Label(skip)
+			body := g.straightLine(1 + r.Intn(4))
+			b.Emit(g.jumpOver(body)).Emit(body...)
 		}
 	}
 
@@ -227,32 +227,39 @@ func (g *progGen) boundsCheck(ptr, end ebpf.Register) {
 	}
 }
 
-func (g *progGen) emitStraightLine(n int) {
-	r, b := g.r, g.b
+func (g *progGen) emitStraightLine(n int) { g.b.Emit(g.straightLine(n)...) }
+
+// straightLine returns n random steps of ALU, stack and packet work.
+func (g *progGen) straightLine(n int) []ebpf.Instruction {
+	r := g.r
+	var out []ebpf.Instruction
 	ops := []ebpf.ALUOp{ebpf.ALUAdd, ebpf.ALUSub, ebpf.ALUAnd, ebpf.ALUOr, ebpf.ALUXor, ebpf.ALUMul}
 	for i := 0; i < n; i++ {
-		switch r.Intn(12) {
+		switch r.Intn(16) {
 		case 0:
-			b.Emit(ebpf.ALU64Imm(ops[r.Intn(len(ops))], g.reg(), int32(r.Intn(1<<12))))
+			out = append(out, ebpf.ALU64Imm(ops[r.Intn(len(ops))], g.reg(), int32(r.Intn(1<<12))))
 		case 1:
-			b.Emit(ebpf.ALU64Reg(ops[r.Intn(len(ops))], g.reg(), g.reg()))
+			out = append(out, ebpf.ALU64Reg(ops[r.Intn(len(ops))], g.reg(), g.reg()))
 		case 2:
-			b.Emit(ebpf.ALU64Imm(ebpf.ALULsh, g.reg(), int32(1+r.Intn(8))))
+			out = append(out, ebpf.ALU64Imm(ebpf.ALULsh, g.reg(), int32(1+r.Intn(8))))
 		case 3:
 			// Spill and reload through a distinct stack slot.
 			slot := int16(-8 * (2 + r.Intn(6)))
-			b.Emit(
+			out = append(out,
 				ebpf.StoreMem(ebpf.SizeDW, ebpf.R10, slot, g.reg()),
 				ebpf.LoadMem(ebpf.SizeDW, g.reg(), ebpf.R10, slot),
 			)
 		case 4:
-			b.Emit(ebpf.LoadMem(randSize(r), g.reg(), ebpf.R7, int16(r.Intn(32))))
+			out = append(out, ebpf.LoadMem(randSize(r), g.reg(), ebpf.R7, int16(r.Intn(32))))
 		case 5:
-			// Packet write at a safe offset.
-			b.Emit(ebpf.StoreMem(ebpf.SizeB, ebpf.R7, int16(r.Intn(32)), g.reg()))
+			// Packet write at a safe offset, of a register or an immediate.
+			out = append(out, ebpf.StoreMem(ebpf.SizeB, ebpf.R7, int16(r.Intn(32)), g.reg()))
+			if r.Intn(2) == 0 {
+				out[len(out)-1] = ebpf.StoreImm(randSize(r), ebpf.R7, int16(r.Intn(32)), int32(r.Uint32()))
+			}
 		case 6:
 			// 32-bit arithmetic zero-extends like the datapath must.
-			b.Emit(ebpf.ALU32Imm(ops[r.Intn(len(ops))], g.reg(), int32(r.Intn(1<<12))))
+			out = append(out, ebpf.ALU32Imm(ops[r.Intn(len(ops))], g.reg(), int32(r.Intn(1<<12))))
 		case 7:
 			// Byte-order conversion (wiring in hardware).
 			width := []int32{16, 32, 64}[r.Intn(3)]
@@ -260,18 +267,18 @@ func (g *progGen) emitStraightLine(n int) {
 			if r.Intn(2) == 0 {
 				src = ebpf.SourceX
 			}
-			b.Emit(ebpf.Swap(g.reg(), src, width))
+			out = append(out, ebpf.Swap(g.reg(), src, width))
 		case 8:
-			b.Emit(ebpf.ALU64Reg(ebpf.ALURsh, g.reg(), g.reg()))
+			out = append(out, ebpf.ALU64Reg(ebpf.ALURsh, g.reg(), g.reg()))
 		case 9:
 			// A store whose base is also its value: into a stack slot
 			// no other case uses, read back, or into the packet.
 			if r.Intn(2) == 0 {
-				b.Emit(ebpf.StoreMem(randSize(r), ebpf.R7, int16(r.Intn(32)), ebpf.R7))
+				out = append(out, ebpf.StoreMem(randSize(r), ebpf.R7, int16(r.Intn(32)), ebpf.R7))
 				break
 			}
 			slot := int16(-8 * (8 + r.Intn(2)))
-			b.Emit(
+			out = append(out,
 				ebpf.Mov64Reg(ebpf.R2, ebpf.R10),
 				ebpf.ALU64Imm(ebpf.ALUAdd, ebpf.R2, int32(slot)),
 				ebpf.StoreMem(ebpf.SizeDW, ebpf.R2, 0, ebpf.R2),
@@ -282,7 +289,7 @@ func (g *progGen) emitStraightLine(n int) {
 			slot := int16(-8 * (8 + r.Intn(2)))
 			op := []ebpf.AtomicOp{ebpf.AtomicAdd, ebpf.AtomicOr, ebpf.AtomicXor,
 				ebpf.AtomicAdd | ebpf.AtomicFetch, ebpf.AtomicXchg}[r.Intn(5)]
-			b.Emit(
+			out = append(out,
 				ebpf.StoreMem(ebpf.SizeDW, ebpf.R10, slot, g.reg()),
 				ebpf.Mov64Reg(ebpf.R3, ebpf.R10),
 				ebpf.ALU64Imm(ebpf.ALUAdd, ebpf.R3, int32(slot)),
@@ -293,20 +300,83 @@ func (g *progGen) emitStraightLine(n int) {
 			// One register as both operands.
 			reg := g.reg()
 			if r.Intn(2) == 0 {
-				b.Emit(ebpf.ALU64Reg(ops[r.Intn(len(ops))], reg, reg))
+				out = append(out, ebpf.ALU64Reg(ops[r.Intn(len(ops))], reg, reg))
 			} else {
-				b.Emit(ebpf.ALU32Reg(ops[r.Intn(len(ops))], reg, reg))
+				out = append(out, ebpf.ALU32Reg(ops[r.Intn(len(ops))], reg, reg))
 			}
+		case 12:
+			// Shifts of either width, by an immediate or a register
+			// count, at and past the width too.
+			op := []ebpf.ALUOp{ebpf.ALULsh, ebpf.ALURsh, ebpf.ALUArsh}[r.Intn(3)]
+			ins := ebpf.ALU64Imm(op, g.reg(), int32(r.Intn(70)))
+			if r.Intn(2) == 0 {
+				ins = ebpf.ALU64Reg(op, g.reg(), g.reg())
+			}
+			out = append(out, g.width(ins))
+		case 13:
+			// Division and modulo of either width, by an immediate, a
+			// register or a register holding zero.
+			op := []ebpf.ALUOp{ebpf.ALUDiv, ebpf.ALUMod}[r.Intn(2)]
+			switch r.Intn(3) {
+			case 0:
+				out = append(out, g.width(ebpf.ALU64Imm(op, g.reg(), int32(1+r.Intn(1000)))))
+			case 1:
+				out = append(out, g.width(ebpf.ALU64Reg(op, g.reg(), g.reg())))
+			default:
+				out = append(out, ebpf.Mov64Imm(ebpf.R5, 0), g.width(ebpf.ALU64Reg(op, g.reg(), ebpf.R5)))
+			}
+		case 14:
+			// Negation, and moves that zero-extend.
+			switch r.Intn(3) {
+			case 0:
+				out = append(out, g.width(ebpf.Neg64(g.reg())))
+			case 1:
+				out = append(out, ebpf.Mov32Imm(g.reg(), int32(r.Uint32())))
+			default:
+				out = append(out, ebpf.Mov32Reg(g.reg(), g.reg()))
+			}
+		case 15:
+			// Every other operation, immediate or register, either width.
+			op := []ebpf.ALUOp{ebpf.ALUAdd, ebpf.ALUSub, ebpf.ALUMul, ebpf.ALUOr, ebpf.ALUAnd, ebpf.ALUXor, ebpf.ALUMov}[r.Intn(7)]
+			ins := ebpf.ALU64Imm(op, g.reg(), int32(r.Uint32()))
+			if r.Intn(2) == 0 {
+				ins = ebpf.ALU64Reg(op, g.reg(), g.reg())
+			}
+			out = append(out, g.width(ins))
 		}
 	}
+	return out
+}
+
+// width makes a 64-bit ALU instruction 32-bit half the time.
+func (g *progGen) width(ins ebpf.Instruction) ebpf.Instruction {
+	if g.r.Intn(2) == 0 {
+		ins.Op = ins.Op&^7 | uint8(ebpf.ClassALU)
+	}
+	return ins
+}
+
+// jumpOver returns a conditional jump past body: any comparison, of
+// either width, against an immediate or a register.
+func (g *progGen) jumpOver(body []ebpf.Instruction) ebpf.Instruction {
+	r, off := g.r, 0
+	for _, ins := range body {
+		off += ins.Slots()
+	}
+	op := []ebpf.JumpOp{ebpf.JumpEq, ebpf.JumpNE, ebpf.JumpGT, ebpf.JumpGE, ebpf.JumpLT, ebpf.JumpLE, ebpf.JumpSet,
+		ebpf.JumpSGT, ebpf.JumpSGE, ebpf.JumpSLT, ebpf.JumpSLE}[r.Intn(11)]
+	ins := ebpf.JumpImmOp(op, g.reg(), int32(r.Intn(1024)-512), int16(off))
+	if r.Intn(3) == 0 {
+		ins = ebpf.JumpRegOp(op, g.reg(), g.reg(), int16(off))
+	}
+	if r.Intn(2) == 0 {
+		ins.Op = ins.Op&^7 | uint8(ebpf.ClassJMP32)
+	}
+	return ins
 }
 
 func randSize(r *rand.Rand) ebpf.Size {
 	return []ebpf.Size{ebpf.SizeB, ebpf.SizeH, ebpf.SizeW, ebpf.SizeDW}[r.Intn(4)]
-}
-
-func randCmp(r *rand.Rand) ebpf.JumpOp {
-	return []ebpf.JumpOp{ebpf.JumpEq, ebpf.JumpNE, ebpf.JumpGT, ebpf.JumpLT, ebpf.JumpSGT, ebpf.JumpSet}[r.Intn(6)]
 }
 
 // fuzzDifferential verifies one generated program against the reference

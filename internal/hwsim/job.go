@@ -183,7 +183,7 @@ func (s *Sim) clearReads(j *job) {
 // arming (and an elastic capture) to make, and a longer frame or a
 // packet reading more keys of a map grows its slice.
 func (s *Sim) newJob(frameLen int) *job {
-	n := len(s.maps) + 1 // one slot past the maps stays empty (microOp.val)
+	n := len(s.maps)
 	words := (len(s.pl.Blocks)+63)/64 + 1
 	j := &job{}
 	j.st = &j.state

@@ -1,6 +1,8 @@
 package hwsim
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -13,23 +15,260 @@ import (
 	"ehdl/internal/vm"
 )
 
-// microOp is one pipeline op as the execute loop runs it. What the loop
-// reads per packet — the op's stage, the block that gates it, the blocks
-// it enables — sits here rather than behind *core.Op (kept for error
-// text and the generic closures), and exactly one of alu, pred, mem and
-// run is set: the op's code, chosen once per Sim by compileOp. The first
-// three are vm's closures, called with no wrapper around them.
+// microOp is one entry of the execution table: an op, or one instruction
+// of a fused ALU chain, or the commit that follows a map write (both
+// successive entries of the op's stage and block). What the loop reads
+// per packet sits here rather than behind *core.Op (kept for error text
+// and the generic path): the stage, the block that gates it, the blocks
+// it enables, and its code with the operands compileOp decoded once per
+// Sim, which execStage's switch runs inline. opRun, the one code that
+// calls out, is left for what touches a map or a helper, an access no
+// code covers, and an op that carries a hook.
 type microOp struct {
 	*core.Op
+	code         opCode
+	opc          uint8 // opALU, opJmp: the instruction's opcode byte; opAtomicMap: its atomic op
+	dst, src     ebpf.Register
+	size, off    int    // an access's width in bytes and offset into its region
+	imm          uint64 // the immediate, sign-extended; a shift count masked; a commit's flush flag
 	stage, block int
-	skip         int                     // index in Sim.ops just past this op's run of same-block ops
-	fall         int                     // block enabled when a non-branch op ends its block, -1 none
-	taken, other int                     // a branch's successors, -1 none
-	alu          func(st *vm.State)      // OpALU with its fused tail, OpLDDW
-	pred         func(st *vm.State) bool // OpBranch
-	mem          vm.MemFn                // statically addressed access that commits nothing
-	val          int                     // lookup slot whose value slice mem runs against; the one past the maps is nil
-	run          func(j *job) error      // whatever touches a map or a helper; OpExit
+	skip         int // index in Sim.ops just past this op's run of same-block ops
+	fall         int // block enabled when a non-branch op ends its block, -1 none
+	taken, other int // a branch's successors, -1 none
+	val          int // the map whose looked-up value a map-value code accesses
+	run          func(j *job) error
+}
+
+// opCode is what execStage does for one microOp. K and X are an ALU or
+// jump op's immediate and register forms, and X is always K plus one;
+// the memory codes run load, store-immediate, store-register per region.
+type opCode uint8
+
+const (
+	opRun    opCode = iota // op.run
+	opALU                  // an ALU form with no code of its own: vm.EvalALU
+	opJmp                  // a jump with no code of its own: ebpf.JumpOp.Compare
+	opExit                 // latch R0 as the verdict
+	opCommit               // a pipelined map write's commit (Sim.commit)
+	opMovK                 // also LDDW, mov32 of an immediate, a zero xdp_md field
+	opMovX
+	opMov32X
+	opAddK
+	opAddX
+	opSubK
+	opSubX
+	opMulK
+	opMulX
+	opAndK // also a byte swap to little endian: a truncation on this little-endian model
+	opAndX
+	opOrK
+	opOrX
+	opXorK
+	opXorX
+	opLshK
+	opLshX
+	opRshK
+	opRshX
+	opArshK
+	opArshX
+	opNeg
+	opBE16
+	opBE32
+	opBE64
+	opJA
+	opJEqK
+	opJEqX
+	opJNeK
+	opJNeX
+	opJGtK
+	opJGtX
+	opJGeK
+	opJGeX
+	opJLtK
+	opJLtX
+	opJLeK
+	opJLeX
+	opJSetK
+	opJSetX
+	opLdStack
+	opStStackK
+	opStStackX
+	opLdPkt
+	opStPktK
+	opStPktX
+	opLdMap
+	opStMapK
+	opStMapX
+	opAtomicMap // lock add, or, and or xor without fetch
+	opLdData    // xdp_md data or data_meta
+	opLdEnd     // xdp_md data_end
+)
+
+// aluCodes and jmpCodes hold the K code of each 64-bit ALU and jump
+// operation that has codes of its own, by the operation's high nibble.
+var (
+	aluCodes = [16]opCode{
+		ebpf.ALUMov >> 4: opMovK, ebpf.ALUAdd >> 4: opAddK, ebpf.ALUSub >> 4: opSubK, ebpf.ALUMul >> 4: opMulK,
+		ebpf.ALUAnd >> 4: opAndK, ebpf.ALUOr >> 4: opOrK, ebpf.ALUXor >> 4: opXorK,
+		ebpf.ALULsh >> 4: opLshK, ebpf.ALURsh >> 4: opRshK, ebpf.ALUArsh >> 4: opArshK,
+	}
+	jmpCodes = [16]opCode{
+		ebpf.JumpEq >> 4: opJEqK, ebpf.JumpNE >> 4: opJNeK, ebpf.JumpGT >> 4: opJGtK, ebpf.JumpGE >> 4: opJGeK,
+		ebpf.JumpLT >> 4: opJLtK, ebpf.JumpLE >> 4: opJLeK, ebpf.JumpSet >> 4: opJSetK,
+	}
+)
+
+// errNoLookup is a map-value access by a packet whose lookup missed.
+var errNoLookup = errors.New("map access without a preceding lookup hit")
+
+// loadLE and storeLE access a little-endian value of size bytes.
+func loadLE(b []byte, size int) uint64 {
+	switch size {
+	case 1:
+		return uint64(b[0])
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(b))
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(b))
+	}
+	return binary.LittleEndian.Uint64(b)
+}
+
+func storeLE(b []byte, size int, v uint64) {
+	switch size {
+	case 1:
+		b[0] = byte(v)
+	case 2:
+		binary.LittleEndian.PutUint16(b, uint16(v))
+	case 4:
+		binary.LittleEndian.PutUint32(b, uint32(v))
+	default:
+		binary.LittleEndian.PutUint64(b, v)
+	}
+}
+
+// aluCode decodes an ALU instruction: a code of its own where one
+// computes exactly what vm.EvalALU does, opALU otherwise. vm.EvalALU
+// also decides which instructions are ALU ops at all.
+func aluCode(m *microOp, ins ebpf.Instruction) error {
+	if _, err := vm.EvalALU(ins, 0, 1); err != nil {
+		return err
+	}
+	m.code, m.opc, m.dst, m.src, m.imm = opALU, ins.Op, ins.Dst, ins.Src, uint64(int64(ins.Imm))
+	op, x := ins.ALUOp(), opCode(ins.Source()>>3)
+	switch {
+	case op == ebpf.ALUEnd:
+		switch {
+		case ins.Imm != 16 && ins.Imm != 32 && ins.Imm != 64:
+		case x == 0:
+			m.code, m.imm = opAndK, 1<<uint(ins.Imm)-1
+		case ins.Imm == 16:
+			m.code = opBE16
+		case ins.Imm == 32:
+			m.code = opBE32
+		default:
+			m.code = opBE64
+		}
+	case ins.Class() == ebpf.ClassALU && op == ebpf.ALUMov && x == 0:
+		m.code, m.imm = opMovK, uint64(uint32(ins.Imm))
+	case ins.Class() == ebpf.ClassALU && op == ebpf.ALUMov:
+		m.code = opMov32X
+	case ins.Class() == ebpf.ClassALU:
+	case op == ebpf.ALUNeg:
+		m.code = opNeg
+	case aluCodes[op>>4] != opRun:
+		m.code = aluCodes[op>>4] + x
+		if op == ebpf.ALULsh || op == ebpf.ALURsh || op == ebpf.ALUArsh {
+			m.imm &= 63
+		}
+	}
+	return nil
+}
+
+// jmpCode decodes a conditional jump the same way, against
+// ebpf.JumpOp.Compare.
+func jmpCode(m *microOp, ins ebpf.Instruction) error {
+	op := ins.JumpOp()
+	if _, err := op.Compare(0, 0, false); err != nil {
+		return err
+	}
+	m.code, m.opc, m.dst, m.src, m.imm = opJmp, ins.Op, ins.Dst, ins.Src, uint64(int64(ins.Imm))
+	switch x := opCode(ins.Source() >> 3); {
+	case op == ebpf.JumpAlways:
+		m.code = opJA
+	case ins.Class() == ebpf.ClassJMP && jmpCodes[op>>4] != opRun:
+		m.code = jmpCodes[op>>4] + x
+	}
+	return nil
+}
+
+// jumps is the generic jump's predicate over the register file.
+func (m *microOp) jumps(r *[ebpf.NumRegisters]uint64) bool {
+	lhs, rhs, is32 := r[m.dst], m.imm, ebpf.Class(m.opc&7) == ebpf.ClassJMP32
+	if ebpf.Source(m.opc&8) == ebpf.SourceX {
+		rhs = r[m.src]
+	}
+	if is32 {
+		lhs, rhs = uint64(uint32(lhs)), uint64(uint32(rhs))
+	}
+	on, _ := ebpf.JumpOp(m.opc&0xf0).Compare(lhs, rhs, is32)
+	return on
+}
+
+// accessCode decodes a load, store or atomic whose base the compiler
+// elided — it lands at a static offset into the stack frame, the packet
+// data, xdp_md or the looked-up map value — into m's operands and
+// returns its code. Only what provably matches MemSpace.LoadAt/StoreAt
+// gets one: anything else (a register-relative or out-of-frame access,
+// an odd xdp_md field, a huge offset, a store to xdp_md, an atomic that
+// fetches or lands outside map memory) gets opRun, and the generic path
+// keeps its exact run-time error.
+func (s *Sim) accessCode(m *microOp) opCode {
+	ins, acc := m.Ins, m.Access
+	if !m.BaseElided || acc == nil {
+		return opRun
+	}
+	m.dst, m.src, m.size, m.off, m.imm = ins.Dst, ins.Src, ins.MemSize().Bytes(), int(acc.Off), uint64(int64(ins.Imm))
+	form := opCode(0) // load
+	switch {
+	case ins.IsAtomic():
+		if a := ins.AtomicOp(); acc.Area != ddg.AreaMap || a != ebpf.AtomicAdd && a != ebpf.AtomicOr && a != ebpf.AtomicAnd && a != ebpf.AtomicXor {
+			return opRun
+		}
+		form = opAtomicMap - opLdMap
+		m.opc = uint8(ins.AtomicOp())
+	case ins.Class() == ebpf.ClassST:
+		form = 1
+	case ins.Class() == ebpf.ClassSTX:
+		form = 2
+	}
+	switch acc.Area {
+	case ddg.AreaStack: // frame-relative, negative
+		if m.off += ebpf.StackSize; m.off >= 0 && m.off+m.size <= ebpf.StackSize {
+			return opLdStack + form
+		}
+	case ddg.AreaPacket: // data-relative: only the data end can be crossed
+		if m.off >= 0 && m.off <= 1<<20 {
+			return opLdPkt + form
+		}
+	case ddg.AreaCtx:
+		switch {
+		case form != 0 || m.size != 4:
+		case m.off == ebpf.XDPMDData || m.off == ebpf.XDPMDDataMeta:
+			return opLdData
+		case m.off == ebpf.XDPMDDataEnd:
+			return opLdEnd
+		case m.off == ebpf.XDPMDIngressIfindex || m.off == ebpf.XDPMDRxQueueIndex || m.off == ebpf.XDPMDEgressIfindex:
+			m.imm = 0
+			return opMovK
+		}
+	case ddg.AreaMap:
+		if m.MapID >= 0 && m.MapID < len(s.pl.Transformed.Maps) && m.off >= 0 && m.off+m.size <= s.pl.Transformed.Maps[m.MapID].ValueSize {
+			m.val = m.MapID
+			return opLdMap + form
+		}
+	}
+	return opRun
 }
 
 // mapUnit is what the simulator keeps per map: the hazard geometry of
@@ -97,33 +336,6 @@ func private(op *core.Op) bool {
 	return false
 }
 
-// staticAccess compiles op's load, store or atomic with vm.SpecializeMem
-// and returns nil when the access is register-relative or of a form vm
-// does not specialise.
-func staticAccess(pl *core.Pipeline, op *core.Op) vm.MemFn {
-	if !op.BaseElided || op.Access == nil {
-		return nil
-	}
-	var area vm.Region
-	valueSize := 0
-	switch op.Access.Area {
-	case ddg.AreaStack:
-		area = vm.RegionStack
-	case ddg.AreaPacket:
-		area = vm.RegionPacket
-	case ddg.AreaCtx:
-		area = vm.RegionCtx
-	case ddg.AreaMap:
-		if op.MapID < 0 || op.MapID >= len(pl.Transformed.Maps) {
-			return nil
-		}
-		area, valueSize = vm.RegionMapValue, pl.Transformed.Maps[op.MapID].ValueSize
-	default:
-		return nil
-	}
-	return vm.SpecializeMem(op.Ins, area, op.Access.Off, valueSize)
-}
-
 // stackWriteExtent statically bounds the stack bytes the pipeline can
 // write. Stores and atomics with an elided static base either hit a
 // known stack slot (extending the extent) or a non-stack area (no
@@ -170,7 +382,9 @@ func stackWriteExtent(pl *core.Pipeline) (lo, hi int) {
 // its burst. A fault injector and probes look at or strike per-stage
 // state, so under them every stage is visited and every burst is empty;
 // a Burst has no other packet in flight, so only stage 0 is: the same
-// loop over a different table.
+// loop over a different table. The loop runs a block's ops as one run,
+// so a stage must hold the ops of one block (core's scheduler gives
+// every block stages of its own).
 func (s *Sim) buildTables() error {
 	n := len(s.pl.Stages)
 	all := s.cfg.Faults != nil || s.probes != nil
@@ -189,13 +403,14 @@ func (s *Sim) buildTables() error {
 		shared := all || t == 0 || s.elasticStage[t]
 		for i := range stage.Ops { // a NOP or helper-wait stage has none
 			op := &stage.Ops[i]
-			m := microOp{Op: op, stage: t, block: op.BlockID, val: len(s.maps),
-				fall: op.FallThrough(), taken: op.TakenBlock, other: op.FallBlock}
-			if err := s.compileOp(&m); err != nil {
+			if b := stage.Ops[0].BlockID; op.BlockID != b {
+				return fmt.Errorf("hwsim: stage %d holds ops of blocks %d and %d", t, b, op.BlockID)
+			}
+			m := microOp{Op: op, stage: t, block: op.BlockID, fall: op.FallThrough(), taken: op.TakenBlock, other: op.FallBlock}
+			if err := s.compileOp(m); err != nil {
 				return fmt.Errorf("hwsim: stage %d (%s): %w", t, op.Ins, err)
 			}
 			shared = shared || !s.oneBurst && !private(op)
-			s.ops = append(s.ops, m)
 		}
 		s.opOff[t+1] = len(s.ops)
 		if shared {
@@ -220,46 +435,54 @@ func (s *Sim) buildTables() error {
 }
 
 // compileOp decides, once, everything about m's op that does not depend
-// on the packet: its kind, its operands and static address, which map
-// and helper it drives — and which hooks ride along. A plain run gets
-// the closures vm specialises; s.generic — faults, probes, protection —
-// and a map with a write delay buffer get the closure that resolves
-// virtual addresses and carries every hook. The loop that runs them is
-// the same.
-func (s *Sim) compileOp(m *microOp) (err error) {
+// on the packet — its code and operands, its static address, which map
+// and helper it drives, which hooks ride along — and appends its entries
+// to the table. A plain run codes every ALU op, branch, exit and
+// statically addressed access; s.generic — faults, probes, protection —
+// and a map with a write delay buffer put accesses on the generic path,
+// which resolves virtual addresses and carries every hook.
+func (s *Sim) compileOp(m microOp) (err error) {
 	op, fall := m.Op, m.fall
 	switch op.Kind {
 	case core.OpALU:
-		m.alu, err = vm.SpecializeALU(op.Ins, op.Fused...)
-	case core.OpLDDW:
-		dst, v := op.Ins.Dst, uint64(op.Ins.Imm64)
-		if op.MapID >= 0 {
-			v = vm.MapPointer(op.MapID)
+		// A fused chain evaluates combinationally after its head: one
+		// entry per instruction, the last enabling the fall-through.
+		for k, ins := range append([]ebpf.Instruction{op.Ins}, op.Fused...) {
+			if m.fall = -1; k == len(op.Fused) {
+				m.fall = fall
+			}
+			if err := aluCode(&m, ins); err != nil {
+				return err
+			}
+			s.ops = append(s.ops, m)
 		}
-		m.alu = func(st *vm.State) { st.Regs[dst] = v }
+		return nil
+	case core.OpLDDW:
+		m.code, m.dst, m.imm = opMovK, op.Ins.Dst, uint64(op.Ins.Imm64)
+		if op.MapID >= 0 {
+			m.imm = vm.MapPointer(op.MapID)
+		}
 	case core.OpBranch:
-		m.pred, err = vm.SpecializeBranch(op.Ins)
+		err = jmpCode(&m, op.Ins)
 		if pr := s.probes; pr != nil && err == nil {
-			pred, t, taken, other := m.pred, m.stage, m.taken, m.other
-			m.pred, m.run = nil, func(j *job) error {
-				on, next := pred(j.st), other
+			b := m
+			m.code, m.run = opRun, func(j *job) error {
+				on, next := b.jumps(&j.st.Regs), b.other
 				if on {
-					next = taken
+					next = b.taken
 				}
 				j.enable(next)
-				pr.onPredicate(s.cycle, j, t, on, next)
+				pr.onPredicate(s.cycle, j, b.stage, on, next)
 				return nil
 			}
 		}
 	case core.OpExit:
-		m.run = func(j *job) error {
-			j.done, j.action = true, ebpf.XDPAction(uint32(j.st.Regs[ebpf.R0]))
-			return nil
-		}
+		m.code = opExit
 	case core.OpLoad, core.OpStore, core.OpAtomic:
 		s.compileMem(m)
+		return nil
 	case core.OpMapCall:
-		m.run, err = s.compileMapCall(*m)
+		m.run, err = s.compileMapCall(m)
 	case core.OpHelper:
 		h := op.Helper
 		m.run = func(j *job) error {
@@ -284,41 +507,36 @@ func (s *Sim) compileOp(m *microOp) (err error) {
 	default:
 		err = fmt.Errorf("unknown op kind %v", op.Kind)
 	}
+	s.ops = append(s.ops, m)
 	return err
 }
 
-// compileMem compiles a load, store or atomic. Statically addressed
-// accesses run vm's closure against the stack, the frame or the value
-// slice the packet's lookup kept, bare on the mem lane; around a write
-// to map memory sits what the map block does with it — count the
-// commit, ask the Flush Evaluation Block — unless the table is a
-// Burst's, which replays nothing and flushes nothing.
-func (s *Sim) compileMem(m *microOp) {
-	op, id, t, fall := *m, m.MapID, m.stage, m.fall
-	isMap := m.Access != nil && m.Access.Area == ddg.AreaMap
-	access := staticAccess(s.pl, m.Op)
-	flushes := m.Kind == core.OpStore || s.pl.Options.DisableAtomics
+// compileMem compiles a load, store or atomic. A statically addressed
+// access gets its code, which runs against the stack, the frame or the
+// value slice the packet's lookup kept; a write to map memory is
+// followed by an opCommit entry — what the map block does with it:
+// count the commit, ask the Flush Evaluation Block — unless the table is
+// a Burst's, which replays nothing and flushes nothing.
+func (s *Sim) compileMem(m microOp) {
+	op, fall := m, m.fall
+	code, isMap := s.accessCode(&m), m.Access != nil && m.Access.Area == ddg.AreaMap
 	switch {
-	case s.generic || access == nil || isMap && s.maps[id].warDepth != 0:
+	case s.generic || code == opRun || isMap && s.maps[m.MapID].warDepth != 0:
 		m.run = func(j *job) error { return s.store(j, &op) }
 		if m.Kind == core.OpLoad {
 			m.run = func(j *job) error { return s.load(j, &op) }
 		}
-	case !isMap:
-		m.mem = access
-	case m.Kind == core.OpLoad || s.oneBurst:
-		m.mem, m.val = access, id
-	default:
-		m.run = func(j *job) error {
-			l := &j.lookups[id]
-			if err := access(j.st, l.val); err != nil {
-				return err
-			}
-			s.commit(j, id, l.key, flushes, t)
-			j.enable(fall)
-			return nil
+	case isMap && m.Kind != core.OpLoad && !s.oneBurst:
+		m.code, m.fall = code, -1
+		s.ops = append(s.ops, m)
+		m.code, m.fall, m.imm = opCommit, fall, 0
+		if m.Kind == core.OpStore || s.pl.Options.DisableAtomics {
+			m.imm = 1 // an atomic primitive serialises in the map block; lowered to a read-modify-write pair it flushes
 		}
+	default:
+		m.code = code
 	}
+	s.ops = append(s.ops, m)
 }
 
 // compileMapCall compiles the eHDLmap block interface: key (and value)

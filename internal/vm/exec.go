@@ -61,10 +61,10 @@ func (s *State) CopyFrom(o *State, lo, hi int) {
 	s.Pkt.copyFrom(o.Pkt)
 }
 
-// evalALU computes one ALU/ALU64 instruction over explicit operand
+// EvalALU computes one ALU/ALU64 instruction over explicit operand
 // values, returning the new destination value. It is a pure function of
 // its inputs.
-func evalALU(ins ebpf.Instruction, dst, src uint64) (uint64, error) {
+func EvalALU(ins ebpf.Instruction, dst, src uint64) (uint64, error) {
 	is64 := ins.Class() == ebpf.ClassALU64
 	op := ins.ALUOp()
 	if op == ebpf.ALUEnd {
@@ -135,7 +135,7 @@ func execALU(st *State, ins ebpf.Instruction) error {
 	} else {
 		src = uint64(int64(ins.Imm))
 	}
-	out, err := evalALU(ins, st.Regs[ins.Dst], src)
+	out, err := EvalALU(ins, st.Regs[ins.Dst], src)
 	if err != nil {
 		return err
 	}

@@ -207,7 +207,7 @@ func TestPropertyEvalALUMatchesInterpreter(t *testing.T) {
 		} else {
 			ins = ebpf.ALU32Reg(op, ebpf.R1, ebpf.R2)
 		}
-		got, err := evalALU(ins, dst, src)
+		got, err := EvalALU(ins, dst, src)
 		return err == nil && got == model(op, is64, dst, src)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
@@ -219,11 +219,11 @@ func TestPropertyByteSwapInvolution(t *testing.T) {
 	f := func(v uint64, pick uint8) bool {
 		width := []int32{16, 32, 64}[pick%3]
 		ins := ebpf.Swap(ebpf.R1, ebpf.SourceX, width) // to big-endian
-		once, err := evalALU(ins, v, 0)
+		once, err := EvalALU(ins, v, 0)
 		if err != nil {
 			return false
 		}
-		twice, err := evalALU(ins, once, 0)
+		twice, err := EvalALU(ins, once, 0)
 		if err != nil {
 			return false
 		}

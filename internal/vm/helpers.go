@@ -112,7 +112,7 @@ func (c *ExecContext) CallHelper(st *State, id ebpf.HelperID) (redirect uint32, 
 // stable value address (0 on miss) and the value slice behind it. The
 // pipeline engines call this directly with keys taken from static stack
 // slots and keep the slice beside the pointer: a statically addressed
-// access through it (SpecializeMem) then needs no address resolved.
+// access through it then needs no address resolved.
 func (c *ExecContext) LookupValue(mapID int, key []byte) (uint64, []byte) {
 	mp, ok := c.Env.Maps.ByID(mapID)
 	if !ok {

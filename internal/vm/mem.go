@@ -9,16 +9,16 @@ import (
 	"ehdl/internal/maps"
 )
 
-// Region classifies a virtual address.
-type Region int
+// region classifies a virtual address.
+type region int
 
 // Memory regions of the virtual address space.
 const (
-	regionInvalid Region = iota
-	RegionCtx
-	RegionPacket
-	RegionStack
-	RegionMapValue
+	regionInvalid region = iota
+	regionCtx
+	regionPacket
+	regionStack
+	regionMapValue
 )
 
 // MemSpace implements the eBPF virtual address space over a map set:
@@ -78,14 +78,14 @@ func NewMemSpace(prog *ebpf.Program, set *maps.Set) (*MemSpace, error) {
 
 // resolve classifies addr and returns the backing byte slice (nil for
 // the context region) together with the offset of addr within it.
-func (m *MemSpace) resolve(st *State, addr uint64, size int) (Region, []byte, int, error) {
+func (m *MemSpace) resolve(st *State, addr uint64, size int) (region, []byte, int, error) {
 	switch {
 	case addr >= ctxBase && addr+uint64(size) <= ctxBase+ebpf.XDPMDSize:
-		return RegionCtx, nil, int(addr - ctxBase), nil
+		return regionCtx, nil, int(addr - ctxBase), nil
 
 	case addr >= stackTop-ebpf.StackSize && addr+uint64(size) <= stackTop:
 		off := int(addr - (stackTop - ebpf.StackSize))
-		return RegionStack, st.Stack[:], off, nil
+		return regionStack, st.Stack[:], off, nil
 
 	case addr >= packetBase && addr < packetBase+uint64(len(st.Pkt.buf)):
 		idx := int(addr - packetBase)
@@ -93,7 +93,7 @@ func (m *MemSpace) resolve(st *State, addr uint64, size int) (Region, []byte, in
 			return regionInvalid, nil, 0, fmt.Errorf("packet access [%d,%d) outside data [%d,%d)",
 				idx, idx+size, st.Pkt.head, st.Pkt.end)
 		}
-		return RegionPacket, st.Pkt.buf, idx, nil
+		return regionPacket, st.Pkt.buf, idx, nil
 
 	case addr >= mapValBase:
 		rel := addr - mapValBase
@@ -113,7 +113,7 @@ func (m *MemSpace) resolve(st *State, addr uint64, size int) (Region, []byte, in
 			return regionInvalid, nil, 0, fmt.Errorf("map value access [%d,%d) beyond value size %d",
 				byteOff, byteOff+size, len(val))
 		}
-		return RegionMapValue, val, byteOff, nil
+		return regionMapValue, val, byteOff, nil
 	}
 	return regionInvalid, nil, 0, fmt.Errorf("invalid memory address %#x", addr)
 }
@@ -172,7 +172,7 @@ func (m *MemSpace) LoadAt(st *State, addr uint64, size int) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if kind == RegionCtx {
+	if kind == regionCtx {
 		return loadCtx(st, off, size)
 	}
 	return readUint(mem[off:], size), nil
@@ -209,7 +209,7 @@ func (m *MemSpace) StoreAt(st *State, ins ebpf.Instruction, addr uint64) error {
 	if err != nil {
 		return err
 	}
-	if kind == RegionCtx {
+	if kind == regionCtx {
 		return fmt.Errorf("stores to xdp_md are not permitted")
 	}
 
@@ -277,7 +277,7 @@ func (m *MemSpace) ViewBytes(st *State, addr uint64, n int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if kind == RegionCtx {
+	if kind == regionCtx {
 		return nil, fmt.Errorf("helper argument points into xdp_md")
 	}
 	return mem[off : off+n], nil
@@ -320,7 +320,3 @@ func writeUint(b []byte, size int, v uint64) {
 		binary.LittleEndian.PutUint64(b, v)
 	}
 }
-
-// ReadUint exposes the little-endian accessor for the simulator's map
-// blocks.
-func ReadUint(b []byte, size int) uint64 { return readUint(b, size) }

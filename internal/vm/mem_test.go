@@ -132,3 +132,47 @@ func TestShadowAndRebind(t *testing.T) {
 		t.Error("an address no lookup returned resolved")
 	}
 }
+
+// TestLoadStoreAtWidths holds the address-based accessors every engine's
+// generic path uses to their contract: a store of each width to the
+// stack, the packet and a map value reads back truncated to that width,
+// little-endian, and xdp_md reads its synthesised 32-bit fields and
+// refuses anything else.
+func TestLoadStoreAtWidths(t *testing.T) {
+	c, _ := lruSpace(t, 4)
+	st := newState(NewPacket(make([]byte, 64)))
+	val := make([]byte, 8)
+	bases := map[string]uint64{
+		"stack":  StackTopAddr - 16,
+		"packet": PacketBase + uint64(st.Pkt.HeadIndex()) + 8,
+		"value":  c.Mem.ValueAddress(1, 0, val),
+	}
+	const v = 0x8877665544332211
+	for name, addr := range bases {
+		for _, size := range []ebpf.Size{ebpf.SizeB, ebpf.SizeH, ebpf.SizeW, ebpf.SizeDW} {
+			st.Regs[ebpf.R3] = v
+			if err := c.Mem.StoreAt(st, ebpf.StoreMem(size, ebpf.R1, 0, ebpf.R3), addr); err != nil {
+				t.Fatalf("%s: store of %d bytes: %v", name, size.Bytes(), err)
+			}
+			got, err := c.Mem.LoadAt(st, addr, size.Bytes())
+			if want := uint64(v) & (1<<(8*size.Bytes()) - 1); err != nil || got != want {
+				t.Fatalf("%s: %d bytes read back %#x, %v", name, size.Bytes(), got, err)
+			}
+		}
+	}
+	data := PacketBase + uint64(st.Pkt.HeadIndex())
+	for off, want := range map[int]uint64{ebpf.XDPMDData: data, ebpf.XDPMDDataEnd: data + 64, ebpf.XDPMDDataMeta: data,
+		ebpf.XDPMDIngressIfindex: 0, ebpf.XDPMDRxQueueIndex: 0, ebpf.XDPMDEgressIfindex: 0} {
+		if got, err := c.Mem.LoadAt(st, CtxBase+uint64(off), 4); err != nil || got != want {
+			t.Fatalf("xdp_md+%d: %#x, %v; want %#x", off, got, err, want)
+		}
+	}
+	for _, bad := range []struct{ off, size int }{{0, 8}, {2, 4}} {
+		if _, err := c.Mem.LoadAt(st, CtxBase+uint64(bad.off), bad.size); err == nil {
+			t.Fatalf("xdp_md+%d, %d bytes: read", bad.off, bad.size)
+		}
+	}
+	if err := c.Mem.StoreAt(st, ebpf.StoreImm(ebpf.SizeW, ebpf.R1, 0, 1), CtxBase); err == nil {
+		t.Fatal("a store to xdp_md succeeded")
+	}
+}

@@ -143,7 +143,6 @@ var surfaceAllow = map[string]string{
 	"ebpf.R7":                      "enum",
 	"ebpf.R8":                      "enum",
 	"ebpf.R9":                      "enum",
-	"ebpf.Source":                  "returned",
 	"ebpf.XDPPass":                 "enum",
 	"ebpf.XDPTx":                   "enum",
 
@@ -323,7 +322,6 @@ var surfaceAllow = map[string]string{
 	"vm.MemSpace":          "returned",
 	"vm.Packet.AdjustHead": "test-support",
 	"vm.Packet.AdjustTail": "test-support",
-	"vm.Packet.Len":        "test-support",
 	"vm.Result":            "returned",
 }
 
